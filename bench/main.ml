@@ -39,9 +39,9 @@
 
    `causal` runs the COZ-style virtual-speedup matrix (lib/causal) on
    gzip,twolf (or the --workloads subset), prints the ranked causal
-   report, and fails unless the causal ranking of the front-end /
-   br-mispredict categories agrees with the perfect-* sweep deltas (the
-   cross-check invariant of DESIGN.md §11).  Explicit-only, like sweep.
+   report, and fails unless every target saves at factor 1.0 exactly the
+   cycles the baseline charged to it (the local-exactness invariant of
+   DESIGN.md §11).  Explicit-only, like sweep.
 
    Exit status: non-zero if any run's simulated output diverged from the
    reference interpreter (CI fails on divergence, not just a warning). *)
@@ -221,8 +221,8 @@ let () =
   in
   (* One session for the whole invocation: the suite, the sweep and the
      causal matrix all compile through its content-addressed artifact
-     cache (the sweep baseline and the suite's ILP-CS column share
-     entries, as does the causal --check sweep).  The pool width is the
+     cache (the sweep baseline, the suite's ILP-CS column and the causal
+     baselines share entries).  The pool width is the
      suite's; Pool.map never spawns more domains than there are jobs, so
      narrower artifacts are unaffected. *)
   let session =
@@ -347,7 +347,7 @@ let () =
   if wanted "causal" then begin
     let open Epic_causal.Causal in
     (* causal defaults to the same bounded pair as sweep; the planner picks
-       each workload's targets, and the cross-check gate always runs *)
+       each workload's targets, and the exactness gate always runs *)
     let causal_workloads =
       match !subset with Some names -> names | None -> [ "gzip"; "twolf" ]
     in
@@ -378,15 +378,14 @@ let () =
               w (target_name t) f)
           l;
         exit 1);
-    let rows = Epic_serve.Session.causal_check session r in
-    let bad = List.filter (fun row -> not row.ck_order_ok) rows in
+    let rows = check_local_exactness r in
+    let bad = List.filter (fun row -> not row.lk_ok) rows in
     List.iter
       (fun row ->
-        Printf.eprintf
-          "FAIL: causal ranking on %s disagrees with the perfect-* sweep\n"
-          row.ck_workload)
+        Printf.eprintf "FAIL: causal %s/%s is not locally exact\n"
+          row.lk_workload (target_name row.lk_target))
       bad;
     if bad <> [] then exit 1;
-    Printf.eprintf "causal cross-check: rankings agree on %d workloads\n%!"
+    Printf.eprintf "causal check: %d factor-1.0 targets locally exact\n%!"
       (List.length rows)
   end

@@ -4,7 +4,7 @@
 
 let usage =
   "sweep [--workloads a,b,..] [--variants v,..] [--ablations a,..] [-j N]\n\
-  \      [--sample-sim[=I:D[:W]]] [--no-fuse] [--big-inputs] [--json FILE]\n\
+  \      [--sample-sim[=I:D[:W]]] [--big-inputs] [--json FILE]\n\
   \      [--normalize-time] [--check BASELINE] [--list]\n\n\
    Runs every named machine variant (default: all six) against the\n\
    itanium2 x ILP-CS baseline on the given workloads (default: gzip,twolf)\n\
@@ -15,11 +15,10 @@ let usage =
    --sample-sim runs every cell under interval sampling (cycles become\n\
    extrapolated estimates within the EXPERIMENTS.md accuracy budget);\n\
    sampled reports are not comparable to full-simulation baselines.\n\
-   By default the charge-suppression variants (perfect-icache,\n\
-   perfect-predictor) ride the baseline simulation as fused experiments\n\
-   (bit-identical, fewer simulations); --no-fuse keeps one simulation\n\
-   per cell.  --big-inputs substitutes the ~10x scaled evaluation\n\
-   inputs."
+   The perfect-icache and perfect-predictor variants are factor-1.0\n\
+   category experiments: each rides the itanium2 simulation of its\n\
+   ablation instead of running one of its own.  --big-inputs\n\
+   substitutes the ~10x scaled evaluation inputs."
 
 let split_commas s = String.split_on_char ',' s |> List.filter (( <> ) "")
 
@@ -38,7 +37,6 @@ let () =
   let check_file = ref None in
   let list_only = ref false in
   let sampling = ref None in
-  let fuse = ref true in
   let big_inputs = ref false in
   let rec parse = function
     | [] -> ()
@@ -71,9 +69,6 @@ let () =
     | "--check" :: f :: rest ->
         check_file := Some f;
         parse rest
-    | "--no-fuse" :: rest ->
-        fuse := false;
-        parse rest
     | "--big-inputs" :: rest ->
         big_inputs := true;
         parse rest
@@ -93,9 +88,8 @@ let () =
   parse args;
   let open Epic_sweep.Sweep in
   if !list_only then begin
-    (* One discoverable vocabulary, shared with causal.exe --list: every
-       machine variant and every compiler ablation, baseline rows included,
-       each with the one-line "what it isolates" description. *)
+    (* every machine variant and every compiler ablation, baseline rows
+       included, each with the one-line "what it isolates" description *)
     Fmt.pr "variants:@.";
     List.iter
       (fun v -> Fmt.pr "  %-18s %s@." v.v_name v.v_isolates)
@@ -130,7 +124,7 @@ let () =
   let report =
     try
       Epic_serve.Session.sweep session ~variants:vs ~ablations:abs_
-        ?sampling:!sampling ~fuse:!fuse ~big_inputs:!big_inputs
+        ?sampling:!sampling ~big_inputs:!big_inputs
         ~progress:true ~workloads:!workloads ()
     with Invalid_argument msg -> die ("sweep: " ^ msg)
   in

@@ -1,7 +1,7 @@
 (* Causal profiling via virtual speedups (COZ transplanted to the
    simulator).  See causal.mli for the contract and DESIGN.md §11 for why
-   the experiment lives in the accounting layer and how the factor-1.0
-   category experiments tie to the perfect-* sweep variants. *)
+   the experiment lives in the accounting layer and why a factor-1.0
+   category experiment is the perfect-* sweep variant. *)
 
 open Epic_core
 open Epic_workloads
@@ -165,18 +165,19 @@ let run_baseline ~(compile : Driver.compile_fn) (w : Workload.t) =
 
 (* One matrix cell: recompile from source (resets the domain-local
    instruction-id counter, so ids are identical whichever domain runs the
-   cell) and simulate under the virtual speedup.  The binary is the same
-   as the baseline's — the experiment only exists at accounting time. *)
+   cell) and simulate carrying the virtual speedup as a set of one.  The
+   binary is the same as the baseline's — the experiment only exists at
+   accounting time. *)
 let run_cell ~(compile : Driver.compile_fn) ~(base : base) (w : Workload.t)
     (t : target) (factor : float) =
   let config = Experiments.config_for w Config.ILP_CS in
   let compiled =
     compile ~config ~desc:None ~train:w.Workload.train w.Workload.source
   in
-  let experiment = { Acc.target = t; speedup = factor } in
-  let code, out, st = Driver.run ~experiment compiled w.Workload.reference in
+  let experiments = [ { Acc.target = t; speedup = factor } ] in
+  let code, out, st = Driver.run ~experiments compiled w.Workload.reference in
   let ref_code, ref_out = base.b_reference in
-  let cycles = Acc.total st.Epic_sim.Machine.acc in
+  let cycles = Acc.total (Epic_sim.Machine.fused_accounts st).(0) in
   {
     p_factor = factor;
     p_cycles = cycles;
@@ -269,7 +270,7 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
     ?(split_funcs = 0) ?(compile = Driver.default_compile)
     ?(fused = Driver.default_fused) ?(serial = false) ?(big_inputs = false)
     ?(progress = false) ~jobs ~workloads () =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   if factors = [] then invalid_arg "Causal.run: empty factor list";
   List.iter
     (fun f ->
@@ -433,7 +434,7 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
     r_reports = reports;
     r_aggregate = aggregate reports;
     r_fusion = fusion;
-    r_wall_s = Sys.time () -. t0;
+    r_wall_s = Unix.gettimeofday () -. t0;
   }
 
 let report_of (r : report) w =
@@ -455,65 +456,6 @@ let mismatches (r : report) =
         wr.c_curves)
     r.r_reports
 
-(* --- Cross-check against the perfect-* sweep variants -------------------- *)
-
-type check_row = {
-  ck_workload : string;
-  ck_causal_fe : float;
-  ck_causal_bp : float;
-  ck_sweep_fe : float;
-  ck_sweep_bp : float;
-  ck_order_ok : bool;
-}
-
-let check_against_sweep ?(progress = false) ?compile ~jobs (r : report) =
-  let module Sw = Epic_sweep.Sweep in
-  let variant n =
-    match Sw.find_variant n with
-    | Some v -> v
-    | None -> invalid_arg ("Causal.check_against_sweep: no sweep variant " ^ n)
-  in
-  let sweep =
-    Sw.run
-      ~variants:[ variant "perfect-icache"; variant "perfect-predictor" ]
-      ?compile ~progress ~jobs ~workloads:r.r_workloads ()
-  in
-  List.map
-    (fun wr ->
-      let causal_delta cat =
-        match curve_of wr (Target_category cat) with
-        | Some k -> k.k_delta_full
-        | None ->
-            invalid_arg
-              (Fmt.str
-                 "Causal.check_against_sweep: %s has no %s target (run with \
-                  --targets including it)"
-                 wr.c_workload
-                 (Acc.name cat))
-      in
-      let sweep_saving vname =
-        let cell =
-          List.find
-            (fun (c : Sw.cell) ->
-              c.Sw.c_workload = wr.c_workload && c.Sw.c_variant = vname)
-            sweep.Sw.r_cells
-        in
-        (Sw.baseline_of sweep wr.c_workload).Sw.c_cycles -. cell.Sw.c_cycles
-      in
-      let cf = causal_delta Acc.Front_end
-      and cb = causal_delta Acc.Br_mispredict
-      and sf = sweep_saving "perfect-icache"
-      and sb = sweep_saving "perfect-predictor" in
-      {
-        ck_workload = wr.c_workload;
-        ck_causal_fe = cf;
-        ck_causal_bp = cb;
-        ck_sweep_fe = sf;
-        ck_sweep_bp = sb;
-        ck_order_ok = compare cf cb = compare sf sb;
-      })
-    r.r_reports
-
 (* --- Factor-1.0 local exactness ------------------------------------------ *)
 
 type local_row = {
@@ -529,10 +471,9 @@ let local_tolerance a b =
 
 (* The factor-1.0 invariant, target-kind-agnostic: scaling a target's
    charges to zero removes exactly the cycles the baseline charged to it
-   (accounting is observation-only, so nothing else can move).  This is
-   the same identity the perfect-* sweep cross-check rests on, extended to
-   function and (function, category) targets, which have no sweep variant
-   to diff against — the baseline's own bins are the independent side. *)
+   (accounting is observation-only, so nothing else can move).  The
+   independent side is the baseline's own bins, read from a plain run
+   that carried no experiment. *)
 let check_local_exactness (r : report) =
   List.concat_map
     (fun wr ->

@@ -21,12 +21,11 @@
     it: the report is an ordered "optimize this next" list with the
     evidence attached.
 
-    Cross-check invariant (asserted in test/test_causal.ml and by
-    {!check_against_sweep}): a category experiment at factor 1.0 charges
-    exactly what the corresponding [perfect-*] sweep variant suppresses,
-    so per workload the causal deltas of [front-end]/[br-mispredict] must
-    equal — and rank identically to — the [perfect-icache]/
-    [perfect-predictor] deltas of {!Epic_sweep.Sweep}. *)
+    Exactness invariant (asserted by {!check_local_exactness}): a target
+    at factor 1.0 saves exactly the cycles the baseline charged to it.  A
+    category experiment at factor 1.0 is also what the sweep's
+    [perfect-icache]/[perfect-predictor] variants are, so their savings
+    are these deltas. *)
 
 type target = Epic_sim.Accounting.target =
   | Target_func of string
@@ -134,15 +133,15 @@ val plan :
   target list
 
 (** Execute the causal matrix on the {!Epic_core.Pool} domain pool in two
-    phases, like {!Epic_sweep.Sweep.run}: phase 1 computes each workload's
+    phases, like the sweep's: phase 1 computes each workload's
     reference output and its baseline run (with the trace and PC-sampling
     instruments attached); phase 2 delivers every (workload, target,
     factor) cell.  By default the per-workload (target x factor) grid is
     {e fused} into one detailed simulation carrying every experiment at
     once (the hook lives purely at accounting time, so each fused cell is
-    bit-identical to its serial run); [serial:true] keeps the
-    one-simulation-per-cell path, the cross-check the CI gate diffs
-    against.  Results are in deterministic workload-major order
+    bit-identical to its serial run); [serial:true] runs one simulation
+    per cell, each carrying its experiment as a set of one — the
+    reference the CI gate diffs the fused grid against.  Results are in deterministic workload-major order
     regardless of [jobs].
 
     [targets] fixes one target list for every workload; omitted, each
@@ -185,31 +184,6 @@ val curve_of : wreport -> target -> curve option
     as (workload, target, factor). *)
 val mismatches : report -> (string * target * float) list
 
-(** One workload's row of the causal-vs-sweep cross-check. *)
-type check_row = {
-  ck_workload : string;
-  ck_causal_fe : float;  (** causal Δcycles at 1.0, front-end target *)
-  ck_causal_bp : float;  (** causal Δcycles at 1.0, br-mispredict target *)
-  ck_sweep_fe : float;  (** perfect-icache sweep saving (base - variant) *)
-  ck_sweep_bp : float;  (** perfect-predictor sweep saving *)
-  ck_order_ok : bool;
-      (** causal and sweep rank the two categories identically *)
-}
-
-(** Run the [perfect-icache] / [perfect-predictor] sweep on the report's
-    workloads and check the invariant: per workload, the causal ranking of
-    the front-end and br-mispredict categories must agree with the sweep
-    delta ordering (the two paths suppress the same charges by independent
-    mechanisms).  [compile] is forwarded to the sweep.
-    @raise Invalid_argument if the report lacks the front-end or
-    br-mispredict target for some workload. *)
-val check_against_sweep :
-  ?progress:bool ->
-  ?compile:Epic_core.Driver.compile_fn ->
-  jobs:int ->
-  report ->
-  check_row list
-
 (** One row of the factor-1.0 local-exactness check: a target measured at
     factor 1.0, the end-to-end cycles it saved, and the baseline cycles
     charged to it. *)
@@ -221,13 +195,12 @@ type local_row = {
   lk_ok : bool;  (** equal within 1e-9 relative *)
 }
 
-(** The factor-1.0 cross-check generalized to every target kind: scaling a
-    target's charges to zero must save exactly the cycles the baseline
-    charged to it (within float-summation reassociation, 1e-9 relative).
-    Function and (function, category) targets have no perfect-* sweep
-    variant to diff against; the baseline's own accounting bins are the
-    independent side of the identity.  One row per (workload, target) with
-    a measured factor-1.0 point. *)
+(** The factor-1.0 check, for every target kind: scaling a target's
+    charges to zero must save exactly the cycles the baseline charged to
+    it (within float-summation reassociation, 1e-9 relative).  The
+    baseline's own accounting bins, from a run that carried no
+    experiment, are the independent side of the identity.  One row per
+    (workload, target) with a measured factor-1.0 point. *)
 val check_local_exactness : report -> local_row list
 
 (** The causal document.  Schema (stable; additions only): [causal],

@@ -336,18 +336,18 @@ let default_compile : compile_fn =
  fun ~config ~desc ~train src -> compile ~config ?desc ~train src
 
 (* Run a compiled binary on the machine simulator. *)
-let run ?fuel ?trace ?profile ?experiment ?experiments ?sampling
-    ?checkpoint_at (c : compiled) (input : int64 array) =
-  Epic_sim.Machine.run ?fuel ?trace ?profile ?experiment ?experiments
-    ?sampling ?checkpoint_at ~desc:c.desc c.program c.layout input
+let run ?fuel ?trace ?profile ?experiments ?sampling ?checkpoint_at
+    (c : compiled) (input : int64 array) =
+  Epic_sim.Machine.run ?fuel ?trace ?profile ?experiments ?sampling
+    ?checkpoint_at ~desc:c.desc c.program c.layout input
 
 (* Resume a checkpoint taken from a run of the same compiled binary (or a
    structurally identical recompile: the session cache's content keys
    guarantee that). *)
-let resume ?fuel ?trace ?profile ?experiment ?experiments (c : compiled)
+let resume ?fuel ?trace ?profile ?experiments (c : compiled)
     (ck : Epic_sim.Machine.checkpoint) =
-  Epic_sim.Machine.resume ?fuel ?trace ?profile ?experiment ?experiments
-    ~desc:c.desc c.program c.layout ck
+  Epic_sim.Machine.resume ?fuel ?trace ?profile ?experiments ~desc:c.desc
+    c.program c.layout ck
 
 (* The result of one fused multi-experiment simulation (DESIGN.md §14):
    per-experiment category totals in the order the experiments were given,

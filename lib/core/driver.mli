@@ -95,14 +95,13 @@ val default_compile : compile_fn
 (** Run a compiled binary on the Itanium-2-class simulator; returns
     (exit code, program output, final machine state with all counters).
     [trace] and [profile] enable the opt-in observability instruments;
-    [experiment] installs a causal-profiling virtual speedup and
-    [experiments] a fused set of them, each bit-identical to its serial
-    run (see {!Epic_sim.Machine.run}). *)
+    [experiments] carries a fused set of causal-profiling virtual speedups,
+    each member's accounting independent of the others (see
+    {!Epic_sim.Machine.run}). *)
 val run :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiment:Epic_sim.Accounting.experiment ->
   ?experiments:Epic_sim.Accounting.experiment list ->
   ?sampling:Epic_sim.Sampling.plan ->
   ?checkpoint_at:int ->
@@ -117,7 +116,6 @@ val resume :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiment:Epic_sim.Accounting.experiment ->
   ?experiments:Epic_sim.Accounting.experiment list ->
   compiled ->
   Epic_sim.Machine.checkpoint ->

@@ -5,11 +5,9 @@
    the sensitivity sweeps (lib/sweep); the compiler and the simulator read the
    same description, so planned latencies and the event model never diverge.
 
-   The two [perfect_*] switches are attribution idealizations, not physical
-   machines: the cache/predictor state and the global clock evolve exactly as
-   on the baseline, but the corresponding stall category is charged zero
-   cycles.  That makes "what if the I-cache/predictor were free" a controlled
-   ablation whose category deltas are confined to the targeted category. *)
+   "What if the I-cache/predictor were free" is not a machine: it is a
+   factor-1.0 category experiment over the baseline's accounting
+   (Epic_sim.Accounting), so no field here models it. *)
 
 type cache_geom = { size : int; line : int; assoc : int }
 
@@ -41,7 +39,6 @@ type t = {
   l2_latency : int;
   l3_latency : int;
   mem_latency : int;
-  perfect_icache : bool; (* charge no front-end stall cycles *)
   (* data TLB and the OS walk model *)
   dtlb_entries : int;
   vhpt_walk_cycles : int; (* hardware walker, successful *)
@@ -52,7 +49,6 @@ type t = {
   bp_bits : int; (* log2 of the two-bit counter table *)
   bp_history_bits : int;
   branch_mispredict_penalty : int;
-  perfect_predictor : bool; (* charge no misprediction flush cycles *)
   (* calls and the register stack engine *)
   call_overhead : int; (* br.call pipeline redirect + alloc *)
   return_overhead : int; (* br.ret redirect + RSE bookkeeping *)
@@ -107,7 +103,6 @@ let digest (d : t) =
     l2_latency;
     l3_latency;
     mem_latency;
-    perfect_icache;
     dtlb_entries;
     vhpt_walk_cycles;
     wild_walk_cycles;
@@ -116,7 +111,6 @@ let digest (d : t) =
     bp_bits;
     bp_history_bits;
     branch_mispredict_penalty;
-    perfect_predictor;
     call_overhead;
     return_overhead;
     chk_recovery_penalty;
@@ -130,7 +124,6 @@ let digest (d : t) =
     Buffer.add_string buf (string_of_int i);
     Buffer.add_char buf ';'
   in
-  let bool b = int (if b then 1 else 0) in
   let geom { size; line; assoc } =
     int size;
     int line;
@@ -158,7 +151,6 @@ let digest (d : t) =
   int l2_latency;
   int l3_latency;
   int mem_latency;
-  bool perfect_icache;
   int dtlb_entries;
   int vhpt_walk_cycles;
   int wild_walk_cycles;
@@ -167,7 +159,6 @@ let digest (d : t) =
   int bp_bits;
   int bp_history_bits;
   int branch_mispredict_penalty;
-  bool perfect_predictor;
   int call_overhead;
   int return_overhead;
   int chk_recovery_penalty;
@@ -200,7 +191,6 @@ let itanium2 =
     l2_latency = 5;
     l3_latency = 12;
     mem_latency = 140;
-    perfect_icache = false;
     dtlb_entries = 32;
     vhpt_walk_cycles = 25;
     wild_walk_cycles = 80;
@@ -209,7 +199,6 @@ let itanium2 =
     bp_bits = 12;
     bp_history_bits = 8;
     branch_mispredict_penalty = 6;
-    perfect_predictor = false;
     call_overhead = 2;
     return_overhead = 2;
     chk_recovery_penalty = 8;

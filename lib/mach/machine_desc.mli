@@ -4,12 +4,9 @@
     perturbed copies of it.  The compiler and the simulator read the same
     description (threaded via {!Itanium.with_desc} and
     [Epic_sim.Machine.run ?desc]), so planned latencies and the event model
-    never diverge.
-
-    The [perfect_*] switches are attribution idealizations: cache/predictor
-    state and the global clock evolve exactly as on the baseline machine, but
-    the corresponding stall category is charged zero cycles — so the deltas
-    of a perfect-component variant are confined to that category. *)
+    never diverge.  A perfect component (I-cache, predictor) is not a
+    description: it is a factor-1.0 category experiment
+    ([Epic_sim.Accounting.experiment]) over the baseline's accounting. *)
 
 type cache_geom = { size : int; line : int; assoc : int }
 
@@ -37,7 +34,6 @@ type t = {
   l2_latency : int;
   l3_latency : int;
   mem_latency : int;
-  perfect_icache : bool;
   dtlb_entries : int;
   vhpt_walk_cycles : int;
   wild_walk_cycles : int;
@@ -46,7 +42,6 @@ type t = {
   bp_bits : int;
   bp_history_bits : int;
   branch_mispredict_penalty : int;
-  perfect_predictor : bool;
   call_overhead : int;
   return_overhead : int;
   chk_recovery_penalty : int;

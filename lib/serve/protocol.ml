@@ -26,7 +26,6 @@ type op =
       workloads : string list;
       variants : string list option;
       ablations : string list option;
-      fuse : bool;
       big_inputs : bool;
       normalize : bool;
     }
@@ -201,7 +200,6 @@ let parse line =
                           workloads;
                           variants = strs_opt "variants" j;
                           ablations = strs_opt "ablations" j;
-                          fuse = bool ~default:true "fuse" j;
                           big_inputs = bool ~default:false "big_inputs" j;
                           normalize = normalize_of j;
                         })
@@ -338,12 +336,11 @@ let execute session r =
         let s = Session.suite session ?workloads () in
         envelope r
           [ ("result", maybe_normalize normalize (Export.suite_to_json s)) ]
-    | Sweep { workloads; variants; ablations; fuse; big_inputs; normalize } ->
+    | Sweep { workloads; variants; ablations; big_inputs; normalize } ->
         let variants = Option.map variants_of variants in
         let ablations = Option.map ablations_of ablations in
         let report =
-          Session.sweep session ?variants ?ablations ~fuse ~big_inputs
-            ~workloads ()
+          Session.sweep session ?variants ?ablations ~big_inputs ~workloads ()
         in
         envelope r
           [

@@ -21,9 +21,8 @@
     - [suite] — [workloads] (name list, default the whole suite),
       [normalize_time];
     - [sweep] — [workloads] (required), optional [variants] / [ablations]
-      (name lists), [fuse] (bool, default true: charge-suppression
-      variants ride the baseline simulation), [big_inputs] (bool, default
-      false: scaled evaluation inputs), [normalize_time];
+      (name lists), [big_inputs] (bool, default false: scaled evaluation
+      inputs), [normalize_time];
     - [causal] — [workloads] (required), optional [targets] (names for
       {!Epic_causal.Causal.parse_target}), [factors], [top_funcs],
       [split_funcs], [serial] (bool, default false: one simulation per

@@ -274,24 +274,21 @@ let reference t ~source ~input =
       let code, out, _ = Epic_ir.Interp.run p input in
       (code, out))
 
-let simulate ?trace ?experiment ?sampling ~sample_period ~workload
+let simulate ?trace ?sampling ~sample_period ~workload
     ~reference:(ref_code, ref_out) compiled ~input () =
   let profile =
     if sample_period > 0 then
       Some (Epic_obs.Profile.create ~period:sample_period ())
     else None
   in
-  let code, out, st =
-    Driver.run ?trace ?profile ?experiment ?sampling compiled input
-  in
+  let code, out, st = Driver.run ?trace ?profile ?sampling compiled input in
   let ok = code = ref_code && out = ref_out in
   let metrics =
     Metrics.of_machine ~workload ?profile compiled st ~output_matches:ok
   in
   { o_code = code; o_output = out; o_metrics = metrics }
 
-let run t ?trace ?experiment ?sampling
-    ?(sample_period = Experiments.sample_period) ~workload ~reference ~key
+let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workload ~reference ~key
     compiled input =
   match trace with
   | Some _ ->
@@ -301,31 +298,29 @@ let run t ?trace ?experiment ?sampling
       Mutex.lock t.mu;
       t.s_run_uncached <- t.s_run_uncached + 1;
       Mutex.unlock t.mu;
-      ( simulate ?trace ?experiment ?sampling ~sample_period ~workload
-          ~reference compiled ~input (),
+      ( simulate ?trace ?sampling ~sample_period ~workload ~reference
+          compiled ~input (),
         false )
   | None ->
-      (* the sampling plan and the experiment are part of the outcome's
-         identity (extrapolated cycles differ per plan; an experiment's
-         outcome describes a counterfactual accounting) — both fold into
-         the key; plain unsampled keys keep the historical form so warm
-         caches stay valid *)
+      (* the sampling plan is part of the outcome's identity
+         (extrapolated cycles differ per plan) and folds into the key;
+         plain unsampled keys keep the historical form so warm caches
+         stay valid *)
       let rkey =
         fnv1a64
-          (Printf.sprintf "c=%s;in=%s;sp=%d%s%s" key (int64s_key input)
+          (Printf.sprintf "c=%s;in=%s;sp=%d%s" key (int64s_key input)
              sample_period
              (match sampling with
              | None -> ""
-             | Some p -> ";sm=" ^ Epic_sim.Sampling.key_fragment p)
-             (experiments_key (Option.to_list experiment)))
+             | Some p -> ";sm=" ^ Epic_sim.Sampling.key_fragment p))
       in
       let o, hit =
         cached_or_build t t.run_cache ~kind:"r:"
           ~on_hit:(fun () -> t.s_run_hits <- t.s_run_hits + 1)
           ~on_miss:(fun () -> t.s_run_misses <- t.s_run_misses + 1)
           rkey
-          (simulate ?experiment ?sampling ~sample_period ~workload ~reference
-             compiled ~input)
+          (simulate ?sampling ~sample_period ~workload ~reference compiled
+             ~input)
       in
       (* the key is content-addressed; only the caller's label differs *)
       if hit && o.o_metrics.Metrics.workload <> workload then
@@ -363,7 +358,7 @@ let checkpoint t ~key ~at compiled input =
    input + the canonical experiment-set serialization + the prefix
    position.  Prefix reuse is peek-don't-build: a checkpoint already in
    the cache is resumed under the experiment set
-   (Accounting.resume_set/apply_experiment_to_past, within an ulp of
+   (Accounting.resume_set, within an ulp of
    straight-through); an absent one is captured as a side effect of the
    full run and seeded into the checkpoint cache for the next matrix —
    never built eagerly, so a cold fused matrix costs exactly one full
@@ -429,13 +424,13 @@ type served = {
   s_run_hit : bool;
 }
 
-let compile_and_run t ?trace ?experiment ?sampling ?sample_period ~workload
-    ~config ~desc ~train ~input source =
+let compile_and_run t ?trace ?sampling ?sample_period ~workload ~config ~desc
+    ~train ~input source =
   let compiled, key, compile_hit = compile t ~config ~desc ~train source in
   let reference, _ = reference t ~source ~input in
   let outcome, run_hit =
-    run t ?trace ?experiment ?sampling ?sample_period ~workload ~reference
-      ~key compiled input
+    run t ?trace ?sampling ?sample_period ~workload ~reference ~key compiled
+      input
   in
   { s_outcome = outcome; s_key = key; s_compile_hit = compile_hit; s_run_hit = run_hit }
 
@@ -445,20 +440,16 @@ let suite t ?workloads ?progress () =
   Experiments.run_suite ?workloads ?progress ~jobs:t.pool_jobs
     ~compile:(compile_fn t) ()
 
-let sweep t ?variants ?ablations ?sampling ?fuse ?big_inputs ?progress
-    ~workloads () =
+let sweep t ?variants ?ablations ?sampling ?big_inputs ?progress ~workloads ()
+    =
   Epic_sweep.Sweep.run ?variants ?ablations ~compile:(compile_fn t) ?sampling
-    ?fuse ?big_inputs ?progress ~jobs:t.pool_jobs ~workloads ()
+    ?big_inputs ?progress ~jobs:t.pool_jobs ~workloads ()
 
 let causal t ?targets ?factors ?top_funcs ?split_funcs ?serial ?big_inputs
     ?progress ~workloads () =
   Epic_causal.Causal.run ?targets ?factors ?top_funcs ?split_funcs
     ~compile:(compile_fn t) ~fused:(fused_fn t) ?serial ?big_inputs ?progress
     ~jobs:t.pool_jobs ~workloads ()
-
-let causal_check t ?progress report =
-  Epic_causal.Causal.check_against_sweep ?progress ~compile:(compile_fn t)
-    ~jobs:t.pool_jobs report
 
 (* ---- accounting -------------------------------------------------------- *)
 

@@ -11,8 +11,7 @@
       source resets the domain-local instruction-id counter, so a cached
       program is safe to re-simulate on any domain;
     - the {e run cache}, keyed by (compile key, run-input hash, sample
-      period, sampling plan, experiment), holding finished simulation
-      outcomes;
+      period, sampling plan), holding finished simulation outcomes;
     - the {e fused cache}, keyed by (compile key, run-input hash,
       experiment set, prefix position), holding finished fused
       multi-experiment results ({!Epic_core.Driver.fused}).
@@ -104,15 +103,15 @@ val reference : t -> source:string -> input:int64 array -> (int * string) * bool
     is content-addressed).  A request carrying [trace] bypasses the run
     cache entirely (a hit could not replay the trace) — the only
     uncacheable run shape; it still reuses the compile cache.
-    [experiment] and [sampling] instead join the run-cache key (the
-    experiment via its canonical target/factor serialization, the plan
-    via {!Epic_sim.Sampling.key_fragment}) because their outcomes are
-    deterministic in it — plain unsampled requests keep the historical
-    key form.  Returns the outcome and whether it hit. *)
+    [sampling] instead joins the run-cache key (via
+    {!Epic_sim.Sampling.key_fragment}) because the outcome is
+    deterministic in the plan — plain unsampled requests keep the
+    historical key form.  Counterfactual accountings are not run
+    outcomes: they come from {!run_fused}.  Returns the outcome and
+    whether it hit. *)
 val run :
   t ->
   ?trace:Epic_obs.Trace.t ->
-  ?experiment:Epic_sim.Accounting.experiment ->
   ?sampling:Epic_sim.Sampling.plan ->
   ?sample_period:int ->
   workload:string ->
@@ -188,7 +187,6 @@ type served = {
 val compile_and_run :
   t ->
   ?trace:Epic_obs.Trace.t ->
-  ?experiment:Epic_sim.Accounting.experiment ->
   ?sampling:Epic_sim.Sampling.plan ->
   ?sample_period:int ->
   workload:string ->
@@ -218,7 +216,6 @@ val sweep :
   ?variants:Epic_sweep.Sweep.variant list ->
   ?ablations:Epic_sweep.Sweep.ablation list ->
   ?sampling:Epic_sim.Sampling.plan ->
-  ?fuse:bool ->
   ?big_inputs:bool ->
   ?progress:bool ->
   workloads:string list ->
@@ -240,12 +237,6 @@ val causal :
   workloads:string list ->
   unit ->
   Epic_causal.Causal.report
-
-val causal_check :
-  t ->
-  ?progress:bool ->
-  Epic_causal.Causal.report ->
-  Epic_causal.Causal.check_row list
 
 (** {2 Accounting} *)
 

@@ -150,35 +150,33 @@ let copy t =
    was simulated without; exact in real arithmetic, within an ulp or two
    of the straight-through run in floats (and bit-exact at speedup 0 and,
    for the bins themselves, at speedup 1). *)
-let apply_experiment_to_past t = function
-  | None -> ()
-  | Some { target; speedup } ->
-      let keep = 1.0 -. speedup in
-      if keep <> 1.0 then begin
-        let adjust (b : float array) k =
-          let old = b.(k) in
-          if old <> 0. then begin
-            let nw = old *. keep in
-            t.totals.(k) <- t.totals.(k) -. old +. nw;
-            b.(k) <- nw
-          end
-        in
-        match target with
-        | Target_category cat ->
-            let k = index cat in
-            Hashtbl.iter (fun _ b -> adjust b k) t.by_func
-        | Target_func f -> (
-            match Hashtbl.find_opt t.by_func f with
-            | None -> ()
-            | Some b ->
-                for k = 0 to 8 do
-                  adjust b k
-                done)
-        | Target_func_category (f, cat) -> (
-            match Hashtbl.find_opt t.by_func f with
-            | None -> ()
-            | Some b -> adjust b (index cat))
+let apply_experiment_to_past t { target; speedup } =
+  let keep = 1.0 -. speedup in
+  if keep <> 1.0 then begin
+    let adjust (b : float array) k =
+      let old = b.(k) in
+      if old <> 0. then begin
+        let nw = old *. keep in
+        t.totals.(k) <- t.totals.(k) -. old +. nw;
+        b.(k) <- nw
       end
+    in
+    match target with
+    | Target_category cat ->
+        let k = index cat in
+        Hashtbl.iter (fun _ b -> adjust b k) t.by_func
+    | Target_func f -> (
+        match Hashtbl.find_opt t.by_func f with
+        | None -> ()
+        | Some b ->
+            for k = 0 to 8 do
+              adjust b k
+            done)
+    | Target_func_category (f, cat) -> (
+        match Hashtbl.find_opt t.by_func f with
+        | None -> ()
+        | Some b -> adjust b (index cat))
+  end
 
 (* --- fused experiment sets ------------------------------------------------
    N concurrent virtual-speedup experiments over one simulated instruction
@@ -186,8 +184,9 @@ let apply_experiment_to_past t = function
    installed through the ordinary [set_experiment], and fused charging
    routes every charge through the ordinary [charge_bins] on each
    accumulator — so a fused experiment sees exactly the float-operation
-   sequence its serial [~experiment] run would see, and its totals and
-   per-function bins are bit-identical to that run's, by construction.
+   sequence a lone accumulator carrying only it would see, and its totals
+   and per-function bins are bit-identical to that accumulator's, by
+   construction (and independent of the set's other members).
    The host accumulator (the machine's own) is charged as usual and stays
    bit-identical to a run with no experiments at all. *)
 type exp_set = {
@@ -218,7 +217,7 @@ let resume_set ~(past : t) (exps : experiment list) =
       (fun e ->
         let a = copy past in
         set_experiment a (Some e);
-        apply_experiment_to_past a (Some e);
+        apply_experiment_to_past a e;
         a)
       xexps
   in

@@ -99,14 +99,15 @@ val copy : t -> t
     Used when resuming a checkpointed prefix under an experiment the
     prefix was simulated without; exact in real arithmetic, within an ulp
     of the straight-through run in floats. *)
-val apply_experiment_to_past : t -> experiment option -> unit
+val apply_experiment_to_past : t -> experiment -> unit
 
 (** A fused set of N concurrent virtual-speedup experiments carried by one
     simulation.  Each experiment owns a full private accumulator with the
     experiment installed via {!set_experiment}, and fused charging routes
     every charge through {!charge_bins} on each accumulator — so each
     fused experiment's totals and per-function bins are bit-identical to
-    the serial [~experiment] run's, by construction.  The host accumulator
+    a lone accumulator with only that experiment installed, by
+    construction, whatever else the set carries.  The host accumulator
     is charged separately as usual and is untouched by the set. *)
 type exp_set = {
   xexps : experiment array;

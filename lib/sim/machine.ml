@@ -341,11 +341,9 @@ let decode_func (layout : Layout.t) (f : Func.t) =
   }
 
 
-let create ?(fuel = 400_000_000) ?trace ?profile ?experiment
-    ?(experiments = []) ?(desc = Itanium.desc ()) ?sampling ?checkpoint_at
-    (program : Program.t) (layout : Layout.t) (input : int64 array) =
-  if experiment <> None && experiments <> [] then
-    invalid_arg "Machine.create: ?experiment and ?experiments are exclusive";
+let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
+    ?(desc = Itanium.desc ()) ?sampling ?checkpoint_at (program : Program.t)
+    (layout : Layout.t) (input : int64 array) =
   let exps =
     if experiments = [] then None else Some (Accounting.make_set experiments)
   in
@@ -363,10 +361,6 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?experiment
     Cache.create ~name ~size ~line ~assoc
   in
   let acc = Accounting.create () in
-  (* install the causal virtual-speedup experiment, if any, before the
-     first charge; with [None] the accounting stays on its inactive fast
-     path and the run is bit-identical to a pre-hook machine *)
-  Accounting.set_experiment acc experiment;
   let sampling_state = Option.map Sampling.make sampling in
   (* a sampled fused run tracks each experiment's accumulator so finalize
      can extrapolate it exactly as a serial sampled run of it would *)
@@ -432,39 +426,31 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?experiment
     pos_rest = 0;
   }
 
-(* Charge [n] cycles to [cat].  Under a [perfect_*] idealization the
-   targeted category is charged zero while the clock (advanced by the
-   callers) and every model's state evolve exactly as on the baseline — so
-   an idealized run differs from the baseline only in that one category. *)
+(* Charge [n] cycles to [cat] on the host accumulator and on every fused
+   experiment's.  The clock is advanced by the callers, never from here, so
+   what an experiment does to a charge cannot change the machine's
+   evolution. *)
 let charge st cat n =
   if n > 0 && not st.warm then begin
-    let suppressed =
-      match cat with
-      | Accounting.Front_end -> st.desc.Machine_desc.perfect_icache
-      | Accounting.Br_mispredict -> st.desc.Machine_desc.perfect_predictor
-      | _ -> false
-    in
-    if not suppressed then begin
-      (* The bins of the charged function are cached keyed by the physical
-         [cur_func] string; a miss (function change, or the same name via a
-         different string) is one hash lookup, a hit is free.  Bins are
-         still created only on the first positive charge, exactly as when
-         every charge went through [Accounting.charge]. *)
-      if not (st.cur_bins_for == st.cur_func) then begin
-        st.cur_bins <- Accounting.bins st.acc st.cur_func;
-        (match st.exps with
-        | None -> ()
-        | Some s -> Accounting.set_bins s st.cur_xbins st.cur_func);
-        st.cur_bins_for <- st.cur_func
-      end;
-      Accounting.charge_bins st.acc st.cur_bins cat n;
-      (* fused experiments: the same charge against each experiment's
-         private accumulator, through the same [charge_bins] — so every
-         fused cell is bit-identical to its serial [~experiment] run *)
-      match st.exps with
+    (* The bins of the charged function are cached keyed by the physical
+       [cur_func] string; a miss (function change, or the same name via a
+       different string) is one hash lookup, a hit is free.  Bins are
+       still created only on the first positive charge, exactly as when
+       every charge went through [Accounting.charge]. *)
+    if not (st.cur_bins_for == st.cur_func) then begin
+      st.cur_bins <- Accounting.bins st.acc st.cur_func;
+      (match st.exps with
       | None -> ()
-      | Some s -> Accounting.charge_set s st.cur_xbins cat n
-    end
+      | Some s -> Accounting.set_bins s st.cur_xbins st.cur_func);
+      st.cur_bins_for <- st.cur_func
+    end;
+    Accounting.charge_bins st.acc st.cur_bins cat n;
+    (* fused experiments: the same charge against each experiment's
+       private accumulator, through the same [charge_bins] — so every
+       fused cell is bit-identical to a run of that experiment alone *)
+    match st.exps with
+    | None -> ()
+    | Some s -> Accounting.charge_set s st.cur_xbins cat n
   end
 
 (* Advance the clock — a no-op in a warm phase, where time is frozen and
@@ -2248,8 +2234,8 @@ and exec_blocks st (fr : frame) (df : dfunc) (block : dblock) =
   done
 
 (* Run a whole program; returns (exit code, output, state). *)
-let run ?fuel ?trace ?profile ?experiment ?experiments ?desc ?sampling
-    ?checkpoint_at (p : Program.t) (layout : Layout.t) (input : int64 array) =
+let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
+    (p : Program.t) (layout : Layout.t) (input : int64 array) =
   (match (sampling, checkpoint_at) with
   | Some _, Some _ ->
       (* a checkpoint must capture exact state; a sampled run's accounting
@@ -2258,8 +2244,8 @@ let run ?fuel ?trace ?profile ?experiment ?experiments ?desc ?sampling
       invalid_arg "Machine.run: sampling and checkpoint_at are exclusive"
   | _ -> ());
   let st =
-    create ?fuel ?trace ?profile ?experiment ?experiments ?desc ?sampling
-      ?checkpoint_at p layout input
+    create ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
+      p layout input
   in
   let main_fr = fresh_frame (Program.find_func_exn p p.Program.entry) in
   main_fr.ints.(Reg.sp.Reg.id) <- Int64.sub Program.stack_top 128L;
@@ -2412,15 +2398,12 @@ let rec resume_entries st ~caller_func ~caller_block = function
 
 (* Resume a checkpoint against a structurally identical (program, layout)
    pair; returns (exit code, output, state) like [run], with the output
-   including the checkpointed prefix.  An [experiment] is applied both
-   retroactively to the checkpointed accounting and to the remainder of
-   the run.  Fuel defaults to the remaining fuel at capture, so a resumed
+   including the checkpointed prefix.  Each of [experiments] is applied
+   both retroactively to the checkpointed accounting and to the remainder
+   of the run.  Fuel defaults to the remaining fuel at capture, so a resumed
    run exhausts at the same point as the uninterrupted one. *)
-let resume ?fuel ?trace ?profile ?experiment ?(experiments = [])
-    ?(desc = Itanium.desc ()) (p : Program.t) (layout : Layout.t)
-    (ck : checkpoint) =
-  if experiment <> None && experiments <> [] then
-    invalid_arg "Machine.resume: ?experiment and ?experiments are exclusive";
+let resume ?fuel ?trace ?profile ?(experiments = []) ?(desc = Itanium.desc ())
+    (p : Program.t) (layout : Layout.t) (ck : checkpoint) =
   if not (String.equal (Machine_desc.digest desc) ck.ck_desc_digest) then
     invalid_arg "Machine.resume: machine description differs from capture";
   Program.assign_addresses p;
@@ -2430,8 +2413,6 @@ let resume ?fuel ?trace ?profile ?experiment ?(experiments = [])
       Hashtbl.replace decoded f.Func.name (decode_func layout f))
     p.Program.funcs;
   let acc = Accounting.copy ck.ck_acc in
-  Accounting.set_experiment acc experiment;
-  Accounting.apply_experiment_to_past acc experiment;
   (* each fused experiment resumes from its own copy of the prefix
      accounting with the experiment applied retroactively *)
   let exps =

@@ -141,19 +141,18 @@ type t = {
     by default and, when off, leave every counter and cycle identical to a
     plain run.
 
-    [experiment] installs a causal-profiling virtual speedup (see
-    {!Accounting.experiment}): charges attributable to the target are
-    scaled by [1 - speedup] while the clock and all architectural state
-    evolve exactly as without it.  Omitted (or no-op), the accounting is
-    bit-identical to a machine without the hook.
-
-    [experiments] fuses N concurrent virtual speedups into the one run:
-    each gets a private accumulator charged through the same hot path, so
-    experiment [i]'s final accounting (via {!fused_accounts}) is
-    bit-identical to a serial [~experiment] run of it, while the host
-    accounting stays bit-identical to a run with no experiments.
-    Exclusive with [experiment] ([Invalid_argument]); composes with
-    [sampling] (per-experiment extrapolation tracks) and with
+    [experiments] carries N causal-profiling virtual speedups (see
+    {!Accounting.experiment}) in the one run: charges attributable to an
+    experiment's target are scaled by [1 - speedup] in that experiment's
+    private accumulator, while the clock and all architectural state
+    evolve exactly as without it.  Every accumulator is charged through
+    the same hot path, so experiment [i]'s final accounting (via
+    {!fused_accounts}) is independent of the other members — a run of
+    [[e]] alone gives the same bits — and the host accounting stays
+    bit-identical to a run with no experiments.  A factor-1.0 category
+    experiment is how a "perfect" component is modelled: its category is
+    charged zero while everything else matches the baseline.  Composes
+    with [sampling] (per-experiment extrapolation tracks) and with
     [checkpoint_at] (the snapshot carries host accounting only, so it
     equals a plain run's).
 
@@ -176,7 +175,6 @@ val run :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiment:Accounting.experiment ->
   ?experiments:Accounting.experiment list ->
   ?desc:Machine_desc.t ->
   ?sampling:Sampling.plan ->
@@ -196,19 +194,17 @@ val sample_summary : t -> Sampling.summary option
 val fused_accounts : t -> Accounting.t array
 (** The final accumulators of a [?experiments] run, in the order the list
     was given; [[||]] when the run carried none.  Entry [i] is
-    bit-identical to the accounting of a serial [~experiment] run of
-    experiment [i]. *)
+    bit-identical to entry [0] of a run carrying experiment [i] alone. *)
 
 (** Resume a checkpoint against a structurally identical (program, layout)
     pair; returns (exit code, output, state) like {!run}, with the output
     including the checkpointed prefix.  The run is bit-identical — cycles,
     accounting, counters, output — to the uninterrupted one.
 
-    [experiment] is applied retroactively to the checkpointed prefix
-    (exact in real arithmetic, within an ulp of a straight-through run in
-    floats) and exactly to the remainder.  [experiments] does the same
-    for a fused set, each experiment resuming from its own copy of the
-    prefix accounting (exclusive with [experiment]).  [desc] must
+    Each of [experiments] is applied retroactively to the checkpointed
+    prefix (exact in real arithmetic, within an ulp of a straight-through
+    run in floats) and exactly to the remainder, each experiment resuming
+    from its own copy of the prefix accounting.  [desc] must
     digest-match the description at capture ([Invalid_argument]
     otherwise).  [fuel] defaults to the fuel remaining at capture, so a
     resumed run exhausts at the same point as the uninterrupted one. *)
@@ -216,7 +212,6 @@ val resume :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiment:Accounting.experiment ->
   ?experiments:Accounting.experiment list ->
   ?desc:Machine_desc.t ->
   Epic_ir.Program.t ->

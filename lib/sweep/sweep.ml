@@ -1,8 +1,8 @@
 (* Machine-sensitivity sweeps: a declarative matrix of machine-description
    variants x compiler ablations, run on the domain pool.  See sweep.mli for
    the contract; DESIGN.md "Machine descriptions & sweeps" for the design
-   discussion (why the perfect-* variants suppress only the accounting
-   charge, and why geometry variants recompile under their description). *)
+   discussion (why the perfect-* variants are accounting experiments, and
+   why geometry variants recompile under their description). *)
 
 open Epic_core
 open Epic_workloads
@@ -17,6 +17,7 @@ type variant = {
   v_desc : Md.t;
   v_isolates : string;
   v_targets : Acc.category list;
+  v_suppresses : Acc.category option;
   v_expect : expect;
 }
 
@@ -34,32 +35,34 @@ let baseline_variant =
     v_desc = i2;
     v_isolates = "the machine the paper measured";
     v_targets = [];
+    v_suppresses = None;
     v_expect = `Either;
   }
 
-(* One knob per variant.  The perfect-* pair are idealizations, not
-   geometry changes: the cache/predictor state and the clock evolve exactly
-   as in the baseline, only the charge to their category is suppressed —
-   so the delta is confined to exactly that category, and the total is the
-   baseline minus it (never slower, by construction).  The geometry
-   variants change the simulated machine for real and recompile under it. *)
+(* A perfect component is an idealization, not a machine: the itanium2
+   simulation with one factor-1.0 category experiment, so the cache/
+   predictor state and the clock evolve exactly as in the baseline and
+   only the charge to the category is zeroed — the delta is confined to
+   exactly that category, and the total is the baseline minus it (never
+   slower, by construction). *)
+let suppression name cat ~isolates =
+  {
+    v_name = name;
+    v_desc = { i2 with Md.name = name };
+    v_isolates = isolates;
+    v_targets = [ cat ];
+    v_suppresses = Some cat;
+    v_expect = `Faster;
+  }
+
+(* One knob per variant.  The geometry variants change the simulated
+   machine for real and recompile under it. *)
 let variants =
   [
-    {
-      v_name = "perfect-icache";
-      v_desc = { i2 with Md.name = "perfect-icache"; Md.perfect_icache = true };
-      v_isolates = "front-end stall share of ILP code growth (Fig. 5/9)";
-      v_targets = [ Acc.Front_end ];
-      v_expect = `Faster;
-    };
-    {
-      v_name = "perfect-predictor";
-      v_desc =
-        { i2 with Md.name = "perfect-predictor"; Md.perfect_predictor = true };
-      v_isolates = "mispredict flushes region formation removes (Fig. 7)";
-      v_targets = [ Acc.Br_mispredict ];
-      v_expect = `Faster;
-    };
+    suppression "perfect-icache" Acc.Front_end
+      ~isolates:"front-end stall share of ILP code growth (Fig. 5/9)";
+    suppression "perfect-predictor" Acc.Br_mispredict
+      ~isolates:"mispredict flushes region formation removes (Fig. 7)";
     {
       v_name = "half-l2";
       v_desc =
@@ -70,6 +73,7 @@ let variants =
         };
       v_isolates = "cache-resident scaling of the mini workloads (Sec. 3.1)";
       v_targets = [ Acc.Int_load_bubble; Acc.Float_scoreboard; Acc.Front_end ];
+      v_suppresses = None;
       v_expect = `Slower;
     };
     {
@@ -77,6 +81,7 @@ let variants =
       v_desc = { i2 with Md.name = "no-rse-backing"; Md.rse_physical = 16 };
       v_isolates = "register stack engine cost of deep call chains (Fig. 5)";
       v_targets = [ Acc.Rse ];
+      v_suppresses = None;
       v_expect = `Slower;
     };
     {
@@ -84,6 +89,7 @@ let variants =
       v_desc = { i2 with Md.name = "2x-mem-latency"; Md.mem_latency = 2 * i2.Md.mem_latency };
       v_isolates = "memory-bound limit where ILP gains vanish (mcf, Sec. 4.2)";
       v_targets = [ Acc.Int_load_bubble; Acc.Float_scoreboard; Acc.Front_end ];
+      v_suppresses = None;
       v_expect = `Slower;
     };
     {
@@ -91,6 +97,7 @@ let variants =
       v_desc = { i2 with Md.name = "tiny-dtlb"; Md.dtlb_entries = 4 };
       v_isolates = "DTLB walk share of the micropipeline stalls (Sec. 4.4)";
       v_targets = [ Acc.Micropipe ];
+      v_suppresses = None;
       v_expect = `Slower;
     };
   ]
@@ -141,26 +148,6 @@ let find_variant name =
 
 let find_ablation name = List.find_opt (fun a -> a.a_name = name) ablations
 
-(* A variant is a pure charge suppression when its description is the
-   baseline modulo exactly one perfect-* flag: the compile ignores the
-   flag (nothing outside the simulator's charge site reads it), the
-   machine evolution matches the baseline's, and suppressing a category's
-   charges equals a factor-1.0 virtual-speedup experiment on it
-   (bit-identical totals: [c *. 0.0 = +0.0] and [x +. 0.0 = x]).  Such a
-   cell can ride the baseline simulation as a fused experiment instead of
-   being simulated on its own (DESIGN.md §14). *)
-let suppression_target (v : variant) =
-  let d = v.v_desc in
-  let normalized =
-    { d with Md.perfect_icache = false; Md.perfect_predictor = false }
-  in
-  if not (String.equal (Md.digest normalized) (Md.digest i2)) then None
-  else
-    match (d.Md.perfect_icache, d.Md.perfect_predictor) with
-    | true, false -> Some Acc.Front_end
-    | false, true -> Some Acc.Br_mispredict
-    | _ -> None
-
 type cell = {
   c_workload : string;
   c_variant : string;
@@ -169,8 +156,8 @@ type cell = {
   c_categories : float array;
   c_output_ok : bool;
   c_fused : bool;
-      (* delivered by a fused experiment on the baseline simulation
-         instead of a simulation of its own *)
+      (* delivered by a fused experiment on its ablation's itanium2
+         simulation instead of a simulation of its own *)
   c_obs : Json.t;
 }
 
@@ -187,19 +174,25 @@ type report = {
   r_baseline : cell list;
   r_cells : cell list;
   r_tornado : row list;
-  r_fused_cells : int; (* cells that rode a baseline sim = sims saved *)
+  r_fused_cells : int; (* cells that rode an itanium2 sim *)
+  r_sims : int; (* simulations run *)
   r_wall_s : float;
 }
 
-(* Compile-and-simulate one cell.  The variant's description governs both
-   the planned schedule (Driver.compile runs inside Itanium.with_desc) and
-   the simulated machine; the ablation tweaks the ILP-CS configuration.
-   Every cell runs with the trace and PC-sampling instruments attached —
+(* Compile-and-simulate one cell, [v] x [a], carrying each of [riders]
+   (suppression variants) as a factor-1.0 experiment on its category.
+   The variant's description governs both the planned schedule
+   (Driver.compile runs inside Itanium.with_desc) and the simulated
+   machine; the ablation tweaks the ILP-CS configuration.  Returns the
+   [v] cell, then one fused cell per rider: the machine evolution never
+   reads the accounting, so a rider shares the host's instruments, output
+   and reference verdict, and differs only in its accumulator.  Every
+   simulation runs with the trace and PC-sampling instruments attached —
    both are observation-only (no counter or cycle changes), and their
    summaries land in [c_obs] so sensitivity and causal reports share one
    observability block (Export.obs_to_json). *)
 let run_cell ?sampling ~(compile : Driver.compile_fn) ~reference
-    (w : Workload.t) (v : variant) (a : ablation) =
+    (w : Workload.t) (v : variant) (a : ablation) (riders : variant list) =
   let config = a.a_tweak (Experiments.config_for w Config.ILP_CS) in
   let compiled =
     compile ~config ~desc:(Some v.v_desc) ~train:w.Workload.train
@@ -209,42 +202,12 @@ let run_cell ?sampling ~(compile : Driver.compile_fn) ~reference
   let profile =
     Epic_obs.Profile.create ~period:Experiments.sample_period ()
   in
-  let code, out, st =
-    Driver.run ~trace ~profile ?sampling compiled w.Workload.reference
-  in
-  let ref_code, ref_out = reference in
-  {
-    c_workload = w.Workload.short;
-    c_variant = v.v_name;
-    c_ablation = a.a_name;
-    c_cycles = Acc.total st.Epic_sim.Machine.acc;
-    c_categories = Array.copy st.Epic_sim.Machine.acc.Acc.totals;
-    c_output_ok = code = ref_code && out = ref_out;
-    c_obs = Export.obs_to_json ~trace ~profile ();
-    c_fused = false;
-  }
-
-(* The workload's baseline cell, carrying the charge-suppression variants
-   as fused factor-1.0 experiments: one simulation delivers the baseline
-   cell plus one cell per [fused_pairs] entry, each bit-identical to the
-   serial variant run (same totals, and — the machine evolution being
-   accounting-independent — the same instruments, output and reference
-   verdict, so [c_obs]/[c_output_ok] are shared). *)
-let run_base_cell ?sampling ~(compile : Driver.compile_fn) ~reference
-    (w : Workload.t) (fused_pairs : (variant * Acc.category) list) =
-  let config = Experiments.config_for w Config.ILP_CS in
-  let compiled =
-    compile ~config ~desc:(Some baseline_variant.v_desc) ~train:w.Workload.train
-      w.Workload.source
-  in
-  let trace = Epic_obs.Trace.create () in
-  let profile =
-    Epic_obs.Profile.create ~period:Experiments.sample_period ()
-  in
   let experiments =
     List.map
-      (fun (_, c) -> { Acc.target = Acc.Target_category c; speedup = 1.0 })
-      fused_pairs
+      (fun r ->
+        let c = Option.get r.v_suppresses in
+        { Acc.target = Acc.Target_category c; speedup = 1.0 })
+      riders
   in
   let code, out, st =
     Driver.run ~trace ~profile ?sampling ~experiments compiled
@@ -253,35 +216,21 @@ let run_base_cell ?sampling ~(compile : Driver.compile_fn) ~reference
   let ref_code, ref_out = reference in
   let ok = code = ref_code && out = ref_out in
   let obs = Export.obs_to_json ~trace ~profile () in
-  let base =
+  let cell (v : variant) fused (acc : Acc.t) =
     {
       c_workload = w.Workload.short;
-      c_variant = baseline_variant.v_name;
-      c_ablation = baseline_ablation.a_name;
-      c_cycles = Acc.total st.Epic_sim.Machine.acc;
-      c_categories = Array.copy st.Epic_sim.Machine.acc.Acc.totals;
+      c_variant = v.v_name;
+      c_ablation = a.a_name;
+      c_cycles = Acc.total acc;
+      c_categories = Array.copy acc.Acc.totals;
       c_output_ok = ok;
       c_obs = obs;
-      c_fused = false;
+      c_fused = fused;
     }
   in
   let xacc = Epic_sim.Machine.fused_accounts st in
-  let fused_cells =
-    List.mapi
-      (fun i ((v : variant), _) ->
-        {
-          c_workload = w.Workload.short;
-          c_variant = v.v_name;
-          c_ablation = baseline_ablation.a_name;
-          c_cycles = Acc.total xacc.(i);
-          c_categories = Array.copy xacc.(i).Acc.totals;
-          c_output_ok = ok;
-          c_obs = obs;
-          c_fused = true;
-        })
-      fused_pairs
-  in
-  (base, fused_cells)
+  cell v false st.Epic_sim.Machine.acc
+  :: List.mapi (fun i r -> cell r true xacc.(i)) riders
 
 let geomean = function
   | [] -> invalid_arg "Sweep.geomean: empty"
@@ -290,9 +239,9 @@ let geomean = function
       exp (List.fold_left (fun s x -> s +. log x) 0. l /. float_of_int n)
 
 let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
-    ?(compile = Driver.default_compile) ?sampling ?(fuse = true)
-    ?(big_inputs = false) ?(progress = false) ~jobs ~workloads () =
-  let t0 = Sys.time () in
+    ?(compile = Driver.default_compile) ?sampling ?(big_inputs = false)
+    ?(progress = false) ~jobs ~workloads () =
+  let t0 = Unix.gettimeofday () in
   let ws = Array.of_list (List.map Suite.find_exn workloads) in
   let ws = if big_inputs then Array.map Workload.scale ws else ws in
   (* Phase 1: one reference interpretation per workload, shared read-only
@@ -301,92 +250,68 @@ let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
     Pool.map ~jobs (fun w -> Experiments.reference_output w) ws
   in
   (* Phase 2: the per-workload baseline cell plus the full matrix, in
-     deterministic workload-major order (Pool.map returns index order).
-     Charge-suppression variants paired with the baseline ablation fuse
-     into the workload's baseline simulation ([run_base_cell]); every
-     other cell is simulated on its own. *)
+     deterministic workload-major order (Pool.map returns index order). *)
   let non_baseline (v : variant) (a : ablation) =
     not (v.v_name = baseline_variant.v_name && a.a_name = baseline_ablation.a_name)
   in
   let specs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun wi _ ->
-              (wi, baseline_variant, baseline_ablation)
-              :: List.concat_map
-                   (fun v ->
-                     List.filter_map
-                       (fun a ->
-                         if non_baseline v a then Some (wi, v, a) else None)
-                       ablations)
-                   variants)
-            (Array.to_list ws)))
+    List.concat
+      (List.mapi
+         (fun wi _ ->
+           (wi, baseline_variant, baseline_ablation)
+           :: List.concat_map
+                (fun v ->
+                  List.filter_map
+                    (fun a -> if non_baseline v a then Some (wi, v, a) else None)
+                    ablations)
+                variants)
+         (Array.to_list ws))
   in
-  let fused_pairs =
-    if not fuse then []
-    else
-      List.filter_map
-        (fun v ->
-          match suppression_target v with
-          | Some c when v.v_name <> baseline_variant.v_name -> Some (v, c)
-          | _ -> None)
-        variants
-  in
-  let is_base (_, (v : variant), (a : ablation)) =
-    v.v_name = baseline_variant.v_name && a.a_name = baseline_ablation.a_name
-  in
-  let is_fused_spec (_, (v : variant), (a : ablation)) =
-    a.a_name = baseline_ablation.a_name
-    && List.exists (fun ((fv : variant), _) -> fv.v_name = v.v_name)
-         fused_pairs
-  in
-  let base_results =
+  (* One simulation per host, in first-appearance order: a suppression
+     cell rides the itanium2 simulation of its (workload, ablation) —
+     which runs even when that itanium2 cell is not itself in the matrix —
+     and every other cell hosts its own. *)
+  let hosts = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun (wi, (v : variant), (a : ablation)) ->
+      let host = if v.v_suppresses = None then v else baseline_variant in
+      let key = (wi, host.v_name, a.a_name) in
+      let riders =
+        match Hashtbl.find_opt hosts key with
+        | Some (_, riders) -> riders
+        | None ->
+            order := key :: !order;
+            []
+      in
+      let riders = if v.v_suppresses = None then riders else riders @ [ v ] in
+      Hashtbl.replace hosts key ((wi, host, a), riders))
+    specs;
+  let sims = Array.of_list (List.rev_map (Hashtbl.find hosts) !order) in
+  let results =
     Pool.map ~jobs
-      (fun wi ->
+      (fun ((wi, (v : variant), (a : ablation)), riders) ->
         let w = ws.(wi) in
         if progress then
-          Fmt.epr "  sweeping %s / %s / %s (+%d fused)...@." w.Workload.short
-            baseline_variant.v_name baseline_ablation.a_name
-            (List.length fused_pairs);
-        run_base_cell ?sampling ~compile ~reference:references.(wi) w
-          fused_pairs)
-      (Array.init (Array.length ws) (fun i -> i))
+          Fmt.epr "  sweeping %s / %s / %s%s...@." w.Workload.short v.v_name
+            a.a_name
+            (match riders with
+            | [] -> ""
+            | l -> Fmt.str " (+%d fused)" (List.length l));
+        (wi, run_cell ?sampling ~compile ~reference:references.(wi) w v a riders))
+      sims
   in
-  let serial_specs =
-    Array.of_list
-      (List.filter
-         (fun s -> not (is_base s) && not (is_fused_spec s))
-         (Array.to_list specs))
-  in
-  let serial_cells =
-    Pool.map ~jobs
-      (fun (wi, v, a) ->
-        let w = ws.(wi) in
-        if progress then
-          Fmt.epr "  sweeping %s / %s / %s...@." w.Workload.short v.v_name
-            a.a_name;
-        run_cell ?sampling ~compile ~reference:references.(wi) w v a)
-      serial_specs
-  in
-  (* reassemble in the original specs order ([serial_specs] preserves the
-     relative order of the serial cells, so a sequential pop matches) *)
-  let serial_q = ref (Array.to_list serial_cells) in
+  let by_spec = Hashtbl.create 64 in
+  Array.iter
+    (fun (wi, cells) ->
+      List.iter
+        (fun c -> Hashtbl.replace by_spec (wi, c.c_variant, c.c_ablation) c)
+        cells)
+    results;
   let all =
     List.map
-      (fun ((wi, (v : variant), _) as s) ->
-        if is_base s then fst base_results.(wi)
-        else if is_fused_spec s then
-          List.find
-            (fun c -> c.c_variant = v.v_name)
-            (snd base_results.(wi))
-        else
-          match !serial_q with
-          | c :: tl ->
-              serial_q := tl;
-              c
-          | [] -> assert false)
-      (Array.to_list specs)
+      (fun (wi, (v : variant), (a : ablation)) ->
+        Hashtbl.find by_spec (wi, v.v_name, a.a_name))
+      specs
   in
   let is_baseline c =
     c.c_variant = baseline_variant.v_name
@@ -429,7 +354,8 @@ let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
     r_cells = rest;
     r_tornado = tornado;
     r_fused_cells = List.length (List.filter (fun c -> c.c_fused) all);
-    r_wall_s = Sys.time () -. t0;
+    r_sims = Array.length sims;
+    r_wall_s = Unix.gettimeofday () -. t0;
   }
 
 let baseline_of (r : report) w =
@@ -487,7 +413,6 @@ let desc_to_json (d : Md.t) =
       ("l1d", geom_to_json d.Md.l1d);
       ("l2", geom_to_json d.Md.l2);
       ("l3", geom_to_json d.Md.l3);
-      ("perfect_icache", Json.Bool d.Md.perfect_icache);
       ( "dtlb",
         Json.Obj
           [
@@ -503,7 +428,6 @@ let desc_to_json (d : Md.t) =
             ("bits", Json.Int d.Md.bp_bits);
             ("history_bits", Json.Int d.Md.bp_history_bits);
             ("mispredict_penalty", Json.Int d.Md.branch_mispredict_penalty);
-            ("perfect", Json.Bool d.Md.perfect_predictor);
           ] );
       ( "rse",
         Json.Obj
@@ -571,6 +495,10 @@ let to_json (r : report) =
                        (List.map (fun c -> Json.Str (Acc.name c)) v.v_targets)
                    );
                    ("expect", Json.Str (expect_name v.v_expect));
+                   ( "suppresses",
+                     match v.v_suppresses with
+                     | Some c -> Json.Str (Acc.name c)
+                     | None -> Json.Null );
                    ("desc", desc_to_json v.v_desc);
                  ])
              r.r_variants) );
@@ -611,9 +539,10 @@ let to_json (r : report) =
         Json.Obj
           [
             ("fused_cells", Json.Int r.r_fused_cells);
-            (* each fused cell rode its workload's baseline simulation
-               instead of paying for its own *)
-            ("sims_saved", Json.Int r.r_fused_cells);
+            ( "sims_saved",
+              Json.Int
+                (List.length r.r_baseline + List.length r.r_cells - r.r_sims)
+            );
           ] );
       ("total_wall_s", Json.Float r.r_wall_s);
     ]

@@ -7,11 +7,12 @@
     geomean tornado ordering.
 
     Each variant isolates one machine assumption behind a paper finding:
-    [perfect-icache] and [perfect-predictor] suppress only the accounting
-    charge of their category (the clock and all cache/predictor state still
-    evolve exactly as in the baseline), so their deltas are confined to
-    exactly the targeted category and the total can never exceed the
-    baseline.  The geometry variants ([half-l2], [tiny-dtlb],
+    [perfect-icache] and [perfect-predictor] are not machines but category
+    suppressions — the itanium2 simulation carrying one factor-1.0
+    category experiment ({!Epic_sim.Accounting.experiment}), so the clock
+    and all cache/predictor state evolve exactly as in the baseline, the
+    deltas are confined to exactly the targeted category and the total can
+    never exceed the baseline.  The geometry variants ([half-l2], [tiny-dtlb],
     [no-rse-backing], [2x-mem-latency]) change the simulated machine and
     recompile under it, so their effects may spread across categories. *)
 
@@ -26,6 +27,11 @@ type variant = {
   v_targets : Epic_sim.Accounting.category list;
       (** the stall categories this variant is aimed at; for the perfect-*
           variants the deltas are provably confined to these *)
+  v_suppresses : Epic_sim.Accounting.category option;
+      (** [Some c]: a category suppression — the cell is the (itanium2,
+          same ablation) simulation with [c]'s charges scaled to zero,
+          and [v_desc] is {!Epic_mach.Machine_desc.itanium2} under this
+          variant's name.  [None]: the cell simulates [v_desc]. *)
   v_expect : expect;
       (** sign of the expected total-cycle effect vs the baseline *)
 }
@@ -69,9 +75,9 @@ type cell = {
   c_output_ok : bool;
       (** simulated output still matches the reference interpreter *)
   c_fused : bool;
-      (** this cell rode its workload's baseline simulation as a fused
-          charge-suppression experiment (DESIGN.md §14) instead of paying
-          for its own; cycles/categories are bit-identical either way *)
+      (** this suppression cell rode the itanium2 simulation of its
+          (workload, ablation) as a fused experiment (DESIGN.md §14)
+          instead of paying for a simulation of its own *)
   c_obs : Epic_obs.Json.t;
       (** the shared observability block ({!Epic_core.Export.obs_to_json}):
           exact trace event counts and the PC-sampling profile of this
@@ -92,17 +98,23 @@ type report = {
   r_baseline : cell list;  (** one baseline cell per workload, suite order *)
   r_cells : cell list;  (** non-baseline cells, workload-major order *)
   r_tornado : row list;  (** (variant, ablation) combos by descending effect *)
-  r_fused_cells : int;
-      (** cells delivered by fused experiments = detailed simulations saved *)
-  r_wall_s : float;
+  r_fused_cells : int;  (** cells delivered by fused experiments *)
+  r_sims : int;
+      (** detailed simulations run; every cell, baseline included, minus
+          this is the [sims_saved] of {!to_json} *)
+  r_wall_s : float;  (** wall-clock seconds *)
 }
 
 (** Execute the matrix: per-workload reference outputs are computed once
     (phase 1) and shared read-only, then every cell — the per-workload
-    baseline plus [workloads x variants x ablations] — compiles and
-    simulates independently on the {!Epic_core.Pool} (phase 2).  Results
-    are in
-    deterministic workload-major order regardless of [jobs].
+    baseline plus [workloads x variants x ablations] — is delivered on
+    the {!Epic_core.Pool} (phase 2).  Each suppression cell rides the
+    itanium2 simulation of its (workload, ablation) as a fused
+    experiment: one detailed run delivers that itanium2 cell (simulated
+    even when it is not itself in the matrix) plus every suppression cell
+    of the ablation.  Every other cell compiles and simulates on its own.
+    Results are in deterministic workload-major order regardless of
+    [jobs].
 
     [compile] substitutes the compile entry point of every cell (default
     {!Epic_core.Driver.default_compile}) — the hook [Epic_serve.Session]
@@ -114,16 +126,7 @@ type report = {
     become extrapolated estimates, which trades a bounded accuracy budget
     (EXPERIMENTS.md) for simulation speed on wide matrices.
 
-    By default ([fuse]) the pure charge-suppression variants
-    ([perfect-icache], [perfect-predictor]) paired with the baseline
-    ablation are {e fused} onto the workload's baseline simulation as
-    factor-1.0 category experiments ({!Epic_sim.Accounting.experiment}):
-    one detailed run delivers the baseline cell plus those variant cells,
-    bit-identical to their serial runs (suppressing a charge and scaling
-    it by [1 - 1.0] are the same float operation, and the machine's
-    evolution never reads the accounting).  [fuse:false] keeps the
-    one-simulation-per-cell path.  [big_inputs] substitutes each
-    workload's scaled evaluation input
+    [big_inputs] substitutes each workload's scaled evaluation input
     ({!Epic_workloads.Workload.scale}).
 
     @raise Invalid_argument on an unknown workload name or [jobs < 1]. *)
@@ -132,7 +135,6 @@ val run :
   ?ablations:ablation list ->
   ?compile:Epic_core.Driver.compile_fn ->
   ?sampling:Epic_sim.Sampling.plan ->
-  ?fuse:bool ->
   ?big_inputs:bool ->
   ?progress:bool ->
   jobs:int ->
@@ -154,7 +156,8 @@ val desc_to_json : Epic_mach.Machine_desc.t -> Epic_obs.Json.t
 
 (** The sensitivity document.  Schema (stable; additions only):
     [sweep], [baseline] (variant/ablation names), [workloads], [variants]
-    (name, isolates, targets, expect, desc), [ablations] (name, isolates),
+    (name, isolates, targets, expect, suppresses — a category name or
+    null — and desc), [ablations] (name, isolates),
     [cells]
     (workload, variant, ablation, cycles, cycle_ratio, categories, deltas,
     output_matches, fused, obs), [tornado], [fusion] (fused_cells,

@@ -1,7 +1,8 @@
 (* The causal-profiling subsystem: the virtual-speedup hook must scale
    exactly what it claims to (and nothing else), a no-op experiment must be
-   byte-invisible, and the causal ranking of the cache/predictor stall
-   categories must agree with the independent perfect-* sweep variants. *)
+   byte-invisible, a fused set must equal its members run alone, and every
+   factor-1.0 delta must equal the cycles the baseline charged to its
+   target. *)
 
 open Epic_sim
 module Causal = Epic_causal.Causal
@@ -225,9 +226,9 @@ let qcheck_fused_equals_serial =
       true)
 
 (* The same identity end-to-end through the machine: one fused gzip
-   simulation carrying mixed-kind experiments must reproduce each serial
-   [?experiment] run bitwise, and leave its own host accounting
-   bit-identical to a plain run. *)
+   simulation carrying mixed-kind experiments must reproduce, bitwise,
+   each serial run that carries that experiment alone (a set of one), and
+   leave its own host accounting bit-identical to a plain run. *)
 let test_fused_machine_identity () =
   let w = Epic_workloads.Suite.find_exn "gzip" in
   let config = Epic_core.Experiments.config_for w Epic_core.Config.ILP_CS in
@@ -255,15 +256,16 @@ let test_fused_machine_identity () =
   List.iteri
     (fun i e ->
       let code_s, out_s, st_s =
-        Epic_core.Driver.run ~experiment:e compiled input
+        Epic_core.Driver.run ~experiments:[ e ] compiled input
       in
       Alcotest.(check int) "exit code" code_s code_f;
       Alcotest.(check string) "output" out_s out_f;
+      let serial = (Epic_sim.Machine.fused_accounts st_s).(0) in
       Array.iteri
         (fun k v ->
           Alcotest.(check int64)
             (Printf.sprintf "experiment %d category %d bitwise" i k)
-            (Int64.bits_of_float st_s.Epic_sim.Machine.acc.Acc.totals.(k))
+            (Int64.bits_of_float serial.Acc.totals.(k))
             (Int64.bits_of_float v))
         fused.(i).Acc.totals)
     exps;
@@ -331,7 +333,8 @@ let test_fused_checkpoint_resume () =
 
 (* A no-op experiment (speedup 0) must leave the whole exported run
    document byte-identical to a run without any experiment — the
-   acceptance guarantee that an idle hook costs nothing observable. *)
+   acceptance guarantee that an idle hook costs nothing observable — and
+   its own accumulator must equal the plain run's, bitwise. *)
 let test_noop_experiment_identity () =
   let w = Epic_workloads.Suite.find_exn "gzip" in
   let config = Epic_core.Experiments.config_for w Epic_core.Config.ILP_CS in
@@ -339,26 +342,34 @@ let test_noop_experiment_identity () =
     Epic_core.Driver.compile ~config ~train:w.Epic_workloads.Workload.train
       w.Epic_workloads.Workload.source
   in
-  let doc ?experiment () =
+  let doc ?experiments () =
     let code, out, st =
-      Epic_core.Driver.run ?experiment compiled
+      Epic_core.Driver.run ?experiments compiled
         w.Epic_workloads.Workload.reference
     in
     let run =
       Epic_core.Metrics.of_machine ~workload:"gzip" compiled st
         ~output_matches:(code = 0 && String.length out >= 0)
     in
-    Epic_obs.Json.to_string ~pretty:true
-      (Epic_core.Export.normalize_time (Epic_core.Export.run_to_json run))
+    ( Epic_obs.Json.to_string ~pretty:true
+        (Epic_core.Export.normalize_time (Epic_core.Export.run_to_json run)),
+      st )
   in
-  let plain = doc () in
-  let noop =
+  let plain, st_plain = doc () in
+  let noop, st_noop =
     doc
-      ~experiment:
-        { Acc.target = Acc.Target_category Acc.Front_end; speedup = 0.0 }
+      ~experiments:
+        [ { Acc.target = Acc.Target_category Acc.Front_end; speedup = 0.0 } ]
       ()
   in
-  Alcotest.(check string) "no-op experiment: byte-identical export" plain noop
+  Alcotest.(check string) "no-op experiment: byte-identical export" plain noop;
+  Array.iteri
+    (fun k v ->
+      Alcotest.(check int64)
+        (Printf.sprintf "no-op accumulator category %d bitwise" k)
+        (Int64.bits_of_float st_plain.Epic_sim.Machine.acc.Acc.totals.(k))
+        (Int64.bits_of_float v))
+    (Epic_sim.Machine.fused_accounts st_noop).(0).Acc.totals
 
 let test_experiment_validation () =
   let t = Acc.create () in
@@ -428,11 +439,13 @@ let test_parse_and_plan () =
 (* The full-matrix invariants, one bounded causal run on gzip + twolf:
    - per target, program speedup is linear in the factor (the accounting
      model scales charges exactly), so the slope is trustworthy;
-   - the factor-1.0 category deltas equal the perfect-* sweep savings
-     exactly (two independent suppression mechanisms, same charges);
-   - the causal ranking of front-end vs br-mispredict matches the sweep
-     delta ordering on every workload. *)
-let test_causal_vs_perfect_sweep () =
+   - the factor-1.0 front-end and br-mispredict deltas — what the sweep's
+     perfect-icache / perfect-predictor cells save — equal the baseline's
+     category totals exactly (every charge is a whole number of cycles,
+     so the float sums are exact);
+   - so the causal ranking of the two categories is the ranking of the
+     baseline's own totals, on every workload. *)
+let test_factor_one_category_deltas () =
   let targets =
     [
       Causal.Target_category Acc.Front_end;
@@ -468,28 +481,26 @@ let test_causal_vs_perfect_sweep () =
                (Causal.target_name k.Causal.k_target))
             true
             (abs_float (k.Causal.k_slope -. k.Causal.k_local_share) < 1e-6))
-        wr.Causal.c_curves)
-    r.Causal.r_reports;
-  let rows = Causal.check_against_sweep ~jobs:2 r in
-  Alcotest.(check int) "one check row per workload" 2 (List.length rows);
-  List.iter
-    (fun row ->
-      let near msg a b =
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s (%.0f vs %.0f)" row.Causal.ck_workload msg a b)
-          true
-          (abs_float (a -. b) <= 1e-9 *. Float.max 1.0 (abs_float b))
+        wr.Causal.c_curves;
+      let delta cat =
+        match Causal.curve_of wr (Causal.Target_category cat) with
+        | Some k -> k.Causal.k_delta_full
+        | None -> Alcotest.failf "%s: no %s curve" wr.Causal.c_workload (Acc.name cat)
       in
-      (* exact agreement: the factor-1.0 experiment and the perfect-*
-         variant suppress the same charges by independent mechanisms *)
-      near "causal front-end == perfect-icache saving" row.Causal.ck_causal_fe
-        row.Causal.ck_sweep_fe;
-      near "causal br-mispredict == perfect-predictor saving"
-        row.Causal.ck_causal_bp row.Causal.ck_sweep_bp;
-      Alcotest.(check bool)
-        (row.Causal.ck_workload ^ ": rankings agree")
-        true row.Causal.ck_order_ok)
-    rows
+      let total cat = wr.Causal.c_base_categories.(Acc.index cat) in
+      List.iter
+        (fun cat ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: factor-1.0 %s delta == baseline total (%.0f)"
+               wr.Causal.c_workload (Acc.name cat) (total cat))
+            (Int64.bits_of_float (total cat))
+            (Int64.bits_of_float (delta cat)))
+        [ Acc.Front_end; Acc.Br_mispredict ];
+      Alcotest.(check int)
+        (wr.Causal.c_workload ^ ": causal ranking == baseline-total ranking")
+        (compare (total Acc.Front_end) (total Acc.Br_mispredict))
+        (compare (delta Acc.Front_end) (delta Acc.Br_mispredict)))
+    r.Causal.r_reports
 
 (* Per-(function, category) targets through the full pipeline: a bounded
    causal run with split targets, then the factor-1.0 local-exactness
@@ -540,8 +551,8 @@ let suite =
       test_experiment_validation;
     Alcotest.test_case "target parsing and the planner" `Quick
       test_parse_and_plan;
-    Alcotest.test_case "causal ranking matches perfect-* sweep" `Slow
-      test_causal_vs_perfect_sweep;
+    Alcotest.test_case "factor-1.0 category deltas equal baseline totals"
+      `Slow test_factor_one_category_deltas;
     Alcotest.test_case "(function, category) targets are locally exact" `Slow
       test_func_category_local_exactness;
   ]

@@ -19,12 +19,10 @@ module Json = Epic_obs.Json
    Machine_desc.t without extending [digest] is already a compile error:
    the digest destructures the full record.) *)
 let test_digest_pinned () =
-  Alcotest.(check string) "itanium2" "cafe4d92cf2104c2" (Desc.digest Desc.itanium2);
-  Alcotest.(check string) "perfect-icache" "56e81970838fe795"
-    (Desc.digest { Desc.itanium2 with Desc.perfect_icache = true });
-  Alcotest.(check string) "2x-mem-latency" "a44384110093430b"
+  Alcotest.(check string) "itanium2" "3235b29d200ae466" (Desc.digest Desc.itanium2);
+  Alcotest.(check string) "2x-mem-latency" "69dad0d75a804c4f"
     (Desc.digest { Desc.itanium2 with Desc.mem_latency = 280 });
-  Alcotest.(check string) "tiny-dtlb" "10db796fcc7bc94b"
+  Alcotest.(check string) "tiny-dtlb" "010c4039d2541171"
     (Desc.digest { Desc.itanium2 with Desc.dtlb_entries = 4 })
 
 (* The digest is content-addressed: the display name is not content. *)
@@ -175,11 +173,10 @@ let qcheck_cold_vs_hit =
             QCheck.Test.fail_report "hit diverged from cold bytes";
           true)
 
-(* Experiment runs are cached (the experiment is part of the run key);
-   only trace runs bypass.  Fused runs memoize in their own cache, and a
-   second matrix over the same (compiled, input) resumes the checkpoint
-   prefix the first one captured. *)
-let test_experiment_and_fused_caching () =
+(* Only trace runs bypass the run cache.  Fused runs memoize in their own
+   cache, and a second matrix over the same (compiled, input) resumes the
+   checkpoint prefix the first one captured. *)
+let test_trace_bypass_and_fused_caching () =
   let module Acc = Epic_sim.Accounting in
   let s = Session.create () in
   let compiled, key, _ =
@@ -188,18 +185,10 @@ let test_experiment_and_fused_caching () =
   let reference, _ = Session.reference s ~source:prog_a ~input:[| 5L |] in
   let e1 = { Acc.target = Acc.Target_category Acc.Front_end; speedup = 0.5 } in
   let e2 = { Acc.target = Acc.Target_category Acc.Front_end; speedup = 1.0 } in
-  let run ?experiment () =
-    Session.run s ?experiment ~workload:"prog" ~reference ~key compiled [| 5L |]
+  let _, h =
+    Session.run s ~workload:"prog" ~reference ~key compiled [| 5L |]
   in
-  let o1, h1 = run ~experiment:e1 () in
-  let _, h2 = run ~experiment:e1 () in
-  let _, h3 = run ~experiment:e2 () in
-  let _, h4 = run () in
-  Alcotest.(check bool) "cold experiment run misses" false h1;
-  Alcotest.(check bool) "same experiment hits" true h2;
-  Alcotest.(check bool) "different factor misses" false h3;
-  Alcotest.(check bool) "plain run has its own key" false h4;
-  ignore o1;
+  Alcotest.(check bool) "cold run misses" false h;
   let st = Session.stats s in
   Alcotest.(check int) "no uncached runs yet" 0 st.Session.st_run_uncached;
   let trace = Epic_obs.Trace.create ~capacity:8 () in
@@ -317,7 +306,12 @@ let test_protocol_heaviness () =
   Alcotest.(check bool) "suite is heavy" true
     (Protocol.is_heavy (Protocol.parse {|{"op":"suite"}|}));
   Alcotest.(check bool) "shutdown recognized" true
-    (Protocol.is_shutdown (Protocol.parse {|{"op":"shutdown"}|}))
+    (Protocol.is_shutdown (Protocol.parse {|{"op":"shutdown"}|}));
+  (* unknown fields are ignored: a client still sending the retired
+     sweep "fuse" flag gets an ordinary (heavy) sweep, not a Bad request *)
+  Alcotest.(check bool) "stale sweep fuse field ignored" true
+    (Protocol.is_heavy
+       (Protocol.parse {|{"op":"sweep","workloads":["gzip"],"fuse":false}|}))
 
 let suite =
   [
@@ -333,8 +327,8 @@ let suite =
     Alcotest.test_case "run-cache hit is byte-identical to cold" `Slow
       test_run_cache_byte_identity;
     QCheck_alcotest.to_alcotest qcheck_cold_vs_hit;
-    Alcotest.test_case "experiment runs cache; fused runs memoize and resume"
-      `Slow test_experiment_and_fused_caching;
+    Alcotest.test_case "trace runs bypass; fused runs memoize and resume"
+      `Slow test_trace_bypass_and_fused_caching;
     Alcotest.test_case "concurrent same-key requests compile once" `Quick
       test_concurrent_hammer;
     Alcotest.test_case "protocol envelopes and error paths" `Quick

@@ -1,8 +1,9 @@
 (* Machine-description plumbing and the sensitivity-sweep subsystem:
    non-default geometries must actually change the component models in the
    expected direction, the default description must reproduce the seed
-   behaviour exactly, and the sweep matrix's perfect-* idealizations must
-   confine their deltas to the targeted accounting category. *)
+   behaviour exactly, and the sweep matrix's perfect-* cells — category
+   suppressions riding their ablation's itanium2 simulation — must zero
+   exactly the targeted accounting category. *)
 
 open Epic_sim
 module Md = Epic_mach.Machine_desc
@@ -103,57 +104,84 @@ let test_default_desc_identity () =
   Alcotest.(check string)
     "explicit itanium2 desc == default" (norm implicit) (norm explicit_)
 
-(* Matrix smoke: two workloads x three variants.  The perfect-*
-   idealizations suppress only their category's accounting charge, so
-   they can never be slower and their deltas are confined to exactly the
-   targeted category; doubling memory latency can never be faster. *)
+(* Matrix smoke: two workloads x (itanium2 + three variants) x (ILP-CS,
+   no-peel).  Each perfect-* cell is its ablation's itanium2 simulation
+   with one category's charges zeroed: the targeted category is exactly
+   0.0 and the other eight are bitwise the itanium2 cell's, for the
+   baseline ablation and for no-peel alike, and every such cell is
+   fused.  Doubling memory latency can never be faster. *)
 let test_sweep_matrix () =
   let variants =
     List.map
       (fun n -> Option.get (Sweep.find_variant n))
-      [ "perfect-icache"; "perfect-predictor"; "2x-mem-latency" ]
+      [ "itanium2"; "perfect-icache"; "perfect-predictor"; "2x-mem-latency" ]
+  in
+  let ablations =
+    List.map (fun n -> Option.get (Sweep.find_ablation n)) [ "ILP-CS"; "no-peel" ]
   in
   let r =
-    Sweep.run ~variants ~jobs:2 ~workloads:[ "gzip"; "twolf" ] ()
+    Sweep.run ~variants ~ablations ~jobs:2 ~workloads:[ "gzip"; "twolf" ] ()
   in
-  Alcotest.(check int) "cells" 6 (List.length r.Sweep.r_cells);
+  (* per workload: 4 variants x 2 ablations, less the baseline cell *)
+  Alcotest.(check int) "cells" 14 (List.length r.Sweep.r_cells);
   Alcotest.(check (list pass)) "no mismatches" [] (Sweep.mismatches r);
+  Alcotest.(check int) "fused cells: 2 suppressions x 2 ablations x 2 workloads"
+    8 r.Sweep.r_fused_cells;
+  Alcotest.(check int) "sims: (itanium2, 2x-mem-latency) x 2 ablations x 2 workloads"
+    8 r.Sweep.r_sims;
+  let itanium2_cell w a =
+    if a = Sweep.baseline_ablation.Sweep.a_name then Sweep.baseline_of r w
+    else
+      List.find
+        (fun (c : Sweep.cell) ->
+          c.Sweep.c_workload = w && c.Sweep.c_variant = "itanium2"
+          && c.Sweep.c_ablation = a)
+        r.Sweep.r_cells
+  in
   List.iter
     (fun (c : Sweep.cell) ->
-      let b = Sweep.baseline_of r c.Sweep.c_workload in
-      let ds = Sweep.deltas r c in
-      let confined target =
+      let h = itanium2_cell c.Sweep.c_workload c.Sweep.c_ablation in
+      let name =
+        Printf.sprintf "%s/%s/%s" c.Sweep.c_workload c.Sweep.c_variant
+          c.Sweep.c_ablation
+      in
+      let suppressed target =
+        Alcotest.(check bool) (name ^ ": fused") true c.Sweep.c_fused;
+        Alcotest.(check bool) (name ^ ": never slower") true
+          (c.Sweep.c_cycles <= h.Sweep.c_cycles);
+        Alcotest.(check bool)
+          (name ^ ": targeted category charged on itanium2")
+          true
+          (h.Sweep.c_categories.(Accounting.index target) > 0.);
         List.iter
           (fun cat ->
-            if cat <> target then
-              Alcotest.(check (float 0.))
-                (Printf.sprintf "%s/%s: %s delta zero" c.Sweep.c_workload
-                   c.Sweep.c_variant (Accounting.name cat))
-                0.
-                ds.(Accounting.index cat))
-          Accounting.all_categories;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s/%s: targeted delta nonzero" c.Sweep.c_workload
-             c.Sweep.c_variant)
-          true
-          (ds.(Accounting.index target) < 0.)
+            let k = Accounting.index cat in
+            if cat = target then
+              Alcotest.(check int64)
+                (Printf.sprintf "%s: %s exactly 0.0" name (Accounting.name cat))
+                (Int64.bits_of_float 0.0)
+                (Int64.bits_of_float c.Sweep.c_categories.(k))
+            else
+              Alcotest.(check int64)
+                (Printf.sprintf "%s: %s bitwise itanium2's" name
+                   (Accounting.name cat))
+                (Int64.bits_of_float h.Sweep.c_categories.(k))
+                (Int64.bits_of_float c.Sweep.c_categories.(k)))
+          Accounting.all_categories
       in
       match c.Sweep.c_variant with
-      | "perfect-icache" ->
-          Alcotest.(check bool) "perfect-icache never slower" true
-            (c.Sweep.c_cycles <= b.Sweep.c_cycles);
-          confined Accounting.Front_end
-      | "perfect-predictor" ->
-          Alcotest.(check bool) "perfect-predictor never slower" true
-            (c.Sweep.c_cycles <= b.Sweep.c_cycles);
-          confined Accounting.Br_mispredict
+      | "perfect-icache" -> suppressed Accounting.Front_end
+      | "perfect-predictor" -> suppressed Accounting.Br_mispredict
       | "2x-mem-latency" ->
-          Alcotest.(check bool) "2x-mem-latency never faster" true
-            (c.Sweep.c_cycles >= b.Sweep.c_cycles)
+          Alcotest.(check bool) (name ^ ": not fused") false c.Sweep.c_fused;
+          Alcotest.(check bool) (name ^ ": never faster") true
+            (c.Sweep.c_cycles >= h.Sweep.c_cycles)
+      | "itanium2" ->
+          Alcotest.(check bool) (name ^ ": not fused") false c.Sweep.c_fused
       | v -> Alcotest.failf "unexpected variant %s" v)
     r.Sweep.r_cells;
   (* the tornado covers every (variant, ablation) combo exactly once *)
-  Alcotest.(check int) "tornado rows" 3 (List.length r.Sweep.r_tornado)
+  Alcotest.(check int) "tornado rows" 7 (List.length r.Sweep.r_tornado)
 
 let suite =
   [

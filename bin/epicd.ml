@@ -1,7 +1,7 @@
 (* epicd: a persistent compile/simulate service over a Unix-domain socket.
 
-   One process owns one Epic_serve.Session — a domain pool plus the
-   bounded content-addressed compile/run caches — and speaks the
+   One process owns one Epic_serve.Session — a domain pool plus its
+   bounded content-addressed artifact store — and speaks the
    newline-delimited JSON protocol of Epic_serve.Protocol: clients write
    one request object per line and read one response line per request,
    in order.
@@ -26,16 +26,22 @@ let () =
   let compile_cap = ref 64 in
   let run_cap = ref 256 in
   let quiet = ref false in
+  let reject msg = Printf.eprintf "epicd: %s\n%s\n" msg usage; exit 2 in
+  (* pool widths and cache capacities are counts: a whole number >= 1 *)
+  let count flag n =
+    match int_of_string_opt n with
+    | Some v when v >= 1 -> v
+    | _ -> reject (Printf.sprintf "%s needs a whole number >= 1, got %S" flag n)
+  in
   let rec parse_args = function
     | [] -> ()
     | "--socket" :: p :: rest -> socket_path := p; parse_args rest
-    | "-j" :: n :: rest | "--jobs" :: n :: rest ->
-        jobs := int_of_string n; parse_args rest
-    | "--compile-cache" :: n :: rest -> compile_cap := int_of_string n; parse_args rest
-    | "--run-cache" :: n :: rest -> run_cap := int_of_string n; parse_args rest
+    | ("-j" | "--jobs" as f) :: n :: rest -> jobs := count f n; parse_args rest
+    | ("--compile-cache" as f) :: n :: rest -> compile_cap := count f n; parse_args rest
+    | ("--run-cache" as f) :: n :: rest -> run_cap := count f n; parse_args rest
     | ("-q" | "--quiet") :: rest -> quiet := true; parse_args rest
     | ("-h" | "--help") :: _ -> print_endline usage; exit 0
-    | a :: _ -> Printf.eprintf "epicd: unknown argument %s\n%s\n" a usage; exit 2
+    | a :: _ -> reject ("unknown argument " ^ a)
   in
   parse_args (List.tl (Array.to_list Sys.argv));
   let session =

@@ -29,7 +29,6 @@ let create ~capacity =
 let capacity t = t.cap
 let length t = Hashtbl.length t.tbl
 let evictions t = t.evicted
-let mem t k = Hashtbl.mem t.tbl k
 
 (* Detach a node from the recency list (it stays in the table). *)
 let unlink t n =

@@ -1,10 +1,10 @@
 (** A bounded least-recently-used map: hash table plus intrusive doubly
     linked recency list, both O(1) per operation.  The building block of
-    {!Session}'s artifact caches.
+    each kind in {!Session}'s artifact store.
 
     Not thread-safe on its own — {!Session} serializes access under its
     lock.  [find] counts as a use (moves the entry to the
-    most-recently-used end); [mem] does not. *)
+    most-recently-used end). *)
 
 type ('k, 'v) t
 
@@ -20,9 +20,6 @@ val evictions : ('k, 'v) t -> int
 
 (** Look up and touch: the entry becomes most recently used. *)
 val find : ('k, 'v) t -> 'k -> 'v option
-
-(** Pure membership test; recency unchanged. *)
-val mem : ('k, 'v) t -> 'k -> bool
 
 (** Insert (or replace) at the most-recently-used end.  When the insert
     pushes the cache past capacity the least-recently-used entry is

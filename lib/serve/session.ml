@@ -112,9 +112,9 @@ let experiment_key (e : Epic_sim.Accounting.experiment) =
   let open Epic_sim.Accounting in
   let tgt =
     match e.target with
-    | Target_func f -> "f:" ^ f
-    | Target_category c -> "c:" ^ string_of_int (index c)
-    | Target_func_category (f, c) -> Printf.sprintf "fc:%s:%d" f (index c)
+    | Target_func f -> "func=" ^ f
+    | Target_category c -> "cat=" ^ string_of_int (index c)
+    | Target_func_category (f, c) -> Printf.sprintf "func=%s/cat=%d" f (index c)
   in
   Printf.sprintf "%s@%h" tgt e.speedup
 
@@ -133,7 +133,7 @@ let compile_key ~config ~desc ~train source =
        (config_key config) (int64s_key train)
        (Epic_mach.Machine_desc.digest d))
 
-(* ---- the session ------------------------------------------------------- *)
+(* ---- the artifact store ---------------------------------------------- *)
 
 type outcome = {
   o_code : int;
@@ -141,62 +141,56 @@ type outcome = {
   o_metrics : Metrics.run;
 }
 
+(* One kind of cached artifact: its own bounded LRU and its own counters.
+   [uncached] counts requests that bypassed the kind (today only trace
+   runs of the run kind). *)
+type 'v kind = {
+  name : string;
+  lru : (string, 'v) Lru.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable uncached : int;
+}
+
+let kind name capacity =
+  { name; lru = Lru.create ~capacity; hits = 0; misses = 0; uncached = 0 }
+
 type t = {
   pool_jobs : int;
   mu : Mutex.t;
   cond : Condition.t;
-  compile_cache : (string, Driver.compiled) Lru.t;
-  run_cache : (string, outcome) Lru.t;
-  ref_cache : (string, int * string) Lru.t;
-  ckpt_cache : (string, Epic_sim.Machine.checkpoint option) Lru.t;
-  fused_cache : (string, Driver.fused) Lru.t;
-  inflight : (string, unit) Hashtbl.t;
-      (* keys under construction, prefixed by kind ("c:", "r:", "f:",
-         "k:", "x:") so the five caches share one table and one condition
-         variable *)
-  mutable s_compile_hits : int;
-  mutable s_compile_misses : int;
-  mutable s_run_hits : int;
-  mutable s_run_misses : int;
-  mutable s_run_uncached : int;
-  mutable s_fused_hits : int;
-  mutable s_fused_misses : int;
-  mutable s_ref_hits : int;
-  mutable s_ref_misses : int;
-  mutable s_ckpt_hits : int;
-  mutable s_ckpt_misses : int;
-  mutable s_inflight_waits : int;
+  compiles : Driver.compiled kind;
+  runs : outcome kind;
+  references : (int * string) kind;
+  checkpoints : Epic_sim.Machine.checkpoint option kind;
+  fused : Driver.fused kind;
+  inflight : (string * string, unit) Hashtbl.t;
+      (* (kind name, key) pairs under construction: the five kinds share
+         one table and one condition variable *)
+  mutable inflight_waits : int;
 }
 
-let create ?(jobs = 1) ?(compile_capacity = 64) ?(run_capacity = 256)
-    ?(ckpt_capacity = 16) () =
+let create ?(jobs = 1) ?(compile_capacity = 64) ?(run_capacity = 256) () =
   if jobs < 1 then invalid_arg "Session.create: jobs must be >= 1";
   {
     pool_jobs = jobs;
     mu = Mutex.create ();
     cond = Condition.create ();
-    compile_cache = Lru.create ~capacity:compile_capacity;
-    run_cache = Lru.create ~capacity:run_capacity;
-    ref_cache = Lru.create ~capacity:run_capacity;
-    ckpt_cache = Lru.create ~capacity:ckpt_capacity;
-    fused_cache = Lru.create ~capacity:run_capacity;
+    compiles = kind "compile" compile_capacity;
+    runs = kind "run" run_capacity;
+    references = kind "reference" run_capacity;
+    checkpoints = kind "checkpoint" 16;
+    fused = kind "fused" run_capacity;
     inflight = Hashtbl.create 16;
-    s_compile_hits = 0;
-    s_compile_misses = 0;
-    s_run_hits = 0;
-    s_run_misses = 0;
-    s_run_uncached = 0;
-    s_fused_hits = 0;
-    s_fused_misses = 0;
-    s_ref_hits = 0;
-    s_ref_misses = 0;
-    s_ckpt_hits = 0;
-    s_ckpt_misses = 0;
-    s_inflight_waits = 0;
+    inflight_waits = 0;
   }
 
 let jobs t = t.pool_jobs
 let map t f arr = Pool.map ~jobs:t.pool_jobs f arr
+
+let locked t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* Exactly-once construction: the first domain to miss marks the key
    in-flight and builds outside the lock; later domains for the same key
@@ -204,57 +198,62 @@ let map t f arr = Pool.map ~jobs:t.pool_jobs f arr
    re-checks the cache on every wake-up — if the entry was evicted between
    insert and wake-up (tiny cache under pressure) it simply becomes the
    next builder, which is correct, just cold. *)
-let cached_or_build t cache ~kind ~on_hit ~on_miss key build =
-  let ikey = kind ^ key in
+let cached_or_build t k key build =
+  let ikey = (k.name, key) in
+  (* release the claim, publish the value if there is one, wake waiters *)
+  let finish v =
+    locked t (fun () ->
+        Hashtbl.remove t.inflight ikey;
+        Option.iter (fun v -> ignore (Lru.add k.lru key v)) v;
+        Condition.broadcast t.cond)
+  in
   Mutex.lock t.mu;
   let waited = ref false in
   let rec obtain () =
-    match Lru.find cache key with
+    match Lru.find k.lru key with
     | Some v ->
-        on_hit ();
+        k.hits <- k.hits + 1;
         Mutex.unlock t.mu;
         (v, true)
+    | None when Hashtbl.mem t.inflight ikey ->
+        if not !waited then begin
+          waited := true;
+          t.inflight_waits <- t.inflight_waits + 1
+        end;
+        Condition.wait t.cond t.mu;
+        obtain ()
     | None ->
-        if Hashtbl.mem t.inflight ikey then begin
-          if not !waited then begin
-            waited := true;
-            t.s_inflight_waits <- t.s_inflight_waits + 1
-          end;
-          Condition.wait t.cond t.mu;
-          obtain ()
-        end
-        else begin
-          Hashtbl.add t.inflight ikey ();
-          on_miss ();
-          Mutex.unlock t.mu;
-          let v =
-            try build ()
-            with e ->
-              Mutex.lock t.mu;
-              Hashtbl.remove t.inflight ikey;
-              Condition.broadcast t.cond;
-              Mutex.unlock t.mu;
-              raise e
-          in
-          Mutex.lock t.mu;
-          Hashtbl.remove t.inflight ikey;
-          ignore (Lru.add cache key v);
-          Condition.broadcast t.cond;
-          Mutex.unlock t.mu;
-          (v, false)
-        end
+        Hashtbl.add t.inflight ikey ();
+        k.misses <- k.misses + 1;
+        Mutex.unlock t.mu;
+        match build () with
+        | v ->
+            finish (Some v);
+            (v, false)
+        | exception e ->
+            finish None;
+            raise e
   in
   obtain ()
+
+(* Look up without counting a hit or a miss (recency is still touched). *)
+let peek t k key = locked t (fun () -> Lru.find k.lru key)
+
+(* Insert a value built as a side effect elsewhere — unless a builder has
+   claimed the key, whose own insert then wins. *)
+let seed t k key v =
+  locked t (fun () ->
+      if not (Hashtbl.mem t.inflight (k.name, key)) then
+        ignore (Lru.add k.lru key v))
+
+(* ---- entry points ------------------------------------------------------ *)
 
 let compile t ~config ~desc ~train source =
   let d = resolve_desc desc in
   let key = compile_key ~config ~desc:(Some d) ~train source in
   let compiled, hit =
-    cached_or_build t t.compile_cache ~kind:"c:"
-      ~on_hit:(fun () -> t.s_compile_hits <- t.s_compile_hits + 1)
-      ~on_miss:(fun () -> t.s_compile_misses <- t.s_compile_misses + 1)
-      key
-      (fun () -> Driver.compile ~config ~desc:d ~train source)
+    cached_or_build t t.compiles key (fun () ->
+        Driver.compile ~config ~desc:d ~train source)
   in
   (compiled, key, hit)
 
@@ -265,11 +264,7 @@ let compile_fn t : Driver.compile_fn =
 
 let reference t ~source ~input =
   let key = fnv1a64 ("src=" ^ fnv1a64 source ^ ";in=" ^ int64s_key input) in
-  cached_or_build t t.ref_cache ~kind:"f:"
-    ~on_hit:(fun () -> t.s_ref_hits <- t.s_ref_hits + 1)
-    ~on_miss:(fun () -> t.s_ref_misses <- t.s_ref_misses + 1)
-    key
-    (fun () ->
+  cached_or_build t t.references key (fun () ->
       let p = Epic_frontend.Lower.compile_source source in
       let code, out, _ = Epic_ir.Interp.run p input in
       (code, out))
@@ -295,9 +290,7 @@ let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workloa
       (* a cached outcome could not have filled this trace ring — the one
          genuinely uncacheable run shape (the compile cache still applies
          upstream) *)
-      Mutex.lock t.mu;
-      t.s_run_uncached <- t.s_run_uncached + 1;
-      Mutex.unlock t.mu;
+      locked t (fun () -> t.runs.uncached <- t.runs.uncached + 1);
       ( simulate ?trace ?sampling ~sample_period ~workload ~reference
           compiled ~input (),
         false )
@@ -315,10 +308,7 @@ let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workloa
              | Some p -> ";sm=" ^ Epic_sim.Sampling.key_fragment p))
       in
       let o, hit =
-        cached_or_build t t.run_cache ~kind:"r:"
-          ~on_hit:(fun () -> t.s_run_hits <- t.s_run_hits + 1)
-          ~on_miss:(fun () -> t.s_run_misses <- t.s_run_misses + 1)
-          rkey
+        cached_or_build t t.runs rkey
           (simulate ?sampling ~sample_period ~workload ~reference compiled
              ~input)
       in
@@ -341,11 +331,7 @@ let checkpoint_key ~key ~input ~at =
 let checkpoint t ~key ~at compiled input =
   let ckey = checkpoint_key ~key ~input ~at in
   let ck, hit =
-    cached_or_build t t.ckpt_cache ~kind:"k:"
-      ~on_hit:(fun () -> t.s_ckpt_hits <- t.s_ckpt_hits + 1)
-      ~on_miss:(fun () -> t.s_ckpt_misses <- t.s_ckpt_misses + 1)
-      ckey
-      (fun () ->
+    cached_or_build t t.checkpoints ckey (fun () ->
         let _, _, st = Driver.run ~checkpoint_at:at compiled input in
         st.Epic_sim.Machine.ck_saved)
   in
@@ -357,12 +343,12 @@ let checkpoint t ~key ~at compiled input =
    DESIGN.md §14) is content-addressed like any outcome: compile key +
    input + the canonical experiment-set serialization + the prefix
    position.  Prefix reuse is peek-don't-build: a checkpoint already in
-   the cache is resumed under the experiment set
+   the store is resumed under the experiment set
    (Accounting.resume_set, within an ulp of
    straight-through); an absent one is captured as a side effect of the
-   full run and seeded into the checkpoint cache for the next matrix —
-   never built eagerly, so a cold fused matrix costs exactly one full
-   simulation per workload. *)
+   full run and seeded into the store for the next matrix — never built
+   eagerly, so a cold fused matrix costs exactly one full simulation per
+   workload. *)
 let run_fused t ~key compiled ~experiments ~prefix_at input =
   let fkey =
     fnv1a64
@@ -370,11 +356,7 @@ let run_fused t ~key compiled ~experiments ~prefix_at input =
          (experiments_key experiments)
          (match prefix_at with None -> "-" | Some at -> string_of_int at))
   in
-  cached_or_build t t.fused_cache ~kind:"x:"
-    ~on_hit:(fun () -> t.s_fused_hits <- t.s_fused_hits + 1)
-    ~on_miss:(fun () -> t.s_fused_misses <- t.s_fused_misses + 1)
-    fkey
-    (fun () ->
+  cached_or_build t t.fused fkey (fun () ->
       let full ?checkpoint_at () =
         let code, output, st =
           Driver.run ?checkpoint_at ~experiments compiled input
@@ -383,33 +365,22 @@ let run_fused t ~key compiled ~experiments ~prefix_at input =
       in
       match prefix_at with
       | None -> fst (full ())
-      | Some at ->
+      | Some at -> (
           let ckey = checkpoint_key ~key ~input ~at in
-          let peek =
-            Mutex.lock t.mu;
-            let v = Lru.find t.ckpt_cache ckey in
-            Mutex.unlock t.mu;
-            v
-          in
-          (match peek with
+          match peek t t.checkpoints ckey with
           | Some (Some ck) ->
               (* warm prefix: replay only the suffix, experiments applied
                  to the checkpointed past *)
-              let code, output, st =
-                Driver.resume ~experiments compiled ck
-              in
+              let code, output, st = Driver.resume ~experiments compiled ck in
               Driver.fused_of_machine code output st ~resumed:true
           | Some None ->
               (* known too short for the prefix: plain full run *)
               fst (full ())
           | None ->
               (* cold: capture the prefix as a side effect (checkpoint
-                 capture never perturbs accounting) and seed the cache *)
+                 capture never perturbs accounting) and seed the store *)
               let f, st = full ~checkpoint_at:at () in
-              Mutex.lock t.mu;
-              if not (Hashtbl.mem t.inflight ("k:" ^ ckey)) then
-                ignore (Lru.add t.ckpt_cache ckey st.Epic_sim.Machine.ck_saved);
-              Mutex.unlock t.mu;
+              seed t t.checkpoints ckey st.Epic_sim.Machine.ck_saved;
               f))
 
 let fused_fn t : Driver.fused_fn =
@@ -461,91 +432,46 @@ type stats = {
   st_run_hits : int;
   st_run_misses : int;
   st_run_evictions : int;
-  st_run_entries : int;
   st_run_uncached : int;
-  st_fused_hits : int;
-  st_fused_misses : int;
-  st_fused_entries : int;
-  st_ref_hits : int;
-  st_ref_misses : int;
-  st_ckpt_hits : int;
-  st_ckpt_misses : int;
-  st_ckpt_entries : int;
   st_inflight_waits : int;
 }
 
 let stats t =
-  Mutex.lock t.mu;
-  let s =
-    {
-      st_compile_hits = t.s_compile_hits;
-      st_compile_misses = t.s_compile_misses;
-      st_compile_evictions = Lru.evictions t.compile_cache;
-      st_compile_entries = Lru.length t.compile_cache;
-      st_run_hits = t.s_run_hits;
-      st_run_misses = t.s_run_misses;
-      st_run_evictions = Lru.evictions t.run_cache;
-      st_run_entries = Lru.length t.run_cache;
-      st_run_uncached = t.s_run_uncached;
-      st_fused_hits = t.s_fused_hits;
-      st_fused_misses = t.s_fused_misses;
-      st_fused_entries = Lru.length t.fused_cache;
-      st_ref_hits = t.s_ref_hits;
-      st_ref_misses = t.s_ref_misses;
-      st_ckpt_hits = t.s_ckpt_hits;
-      st_ckpt_misses = t.s_ckpt_misses;
-      st_ckpt_entries = Lru.length t.ckpt_cache;
-      st_inflight_waits = t.s_inflight_waits;
-    }
-  in
-  Mutex.unlock t.mu;
-  s
+  locked t (fun () ->
+      {
+        st_compile_hits = t.compiles.hits;
+        st_compile_misses = t.compiles.misses;
+        st_compile_evictions = Lru.evictions t.compiles.lru;
+        st_compile_entries = Lru.length t.compiles.lru;
+        st_run_hits = t.runs.hits;
+        st_run_misses = t.runs.misses;
+        st_run_evictions = Lru.evictions t.runs.lru;
+        st_run_uncached = t.runs.uncached;
+        st_inflight_waits = t.inflight_waits;
+      })
 
 let stats_to_json t =
-  let s = stats t in
-  Epic_obs.Json.Obj
-    [
-      ("jobs", Epic_obs.Json.Int t.pool_jobs);
-      ( "compile",
-        Epic_obs.Json.Obj
-          [
-            ("hits", Epic_obs.Json.Int s.st_compile_hits);
-            ("misses", Epic_obs.Json.Int s.st_compile_misses);
-            ("evictions", Epic_obs.Json.Int s.st_compile_evictions);
-            ("entries", Epic_obs.Json.Int s.st_compile_entries);
-            ("capacity", Epic_obs.Json.Int (Lru.capacity t.compile_cache));
-          ] );
-      ( "run",
-        Epic_obs.Json.Obj
-          [
-            ("hits", Epic_obs.Json.Int s.st_run_hits);
-            ("misses", Epic_obs.Json.Int s.st_run_misses);
-            ("evictions", Epic_obs.Json.Int s.st_run_evictions);
-            ("entries", Epic_obs.Json.Int s.st_run_entries);
-            ("uncached", Epic_obs.Json.Int s.st_run_uncached);
-            ("capacity", Epic_obs.Json.Int (Lru.capacity t.run_cache));
-          ] );
-      ( "fused",
-        Epic_obs.Json.Obj
-          [
-            ("hits", Epic_obs.Json.Int s.st_fused_hits);
-            ("misses", Epic_obs.Json.Int s.st_fused_misses);
-            ("entries", Epic_obs.Json.Int s.st_fused_entries);
-            ("capacity", Epic_obs.Json.Int (Lru.capacity t.fused_cache));
-          ] );
-      ( "reference",
-        Epic_obs.Json.Obj
-          [
-            ("hits", Epic_obs.Json.Int s.st_ref_hits);
-            ("misses", Epic_obs.Json.Int s.st_ref_misses);
-          ] );
-      ( "checkpoint",
-        Epic_obs.Json.Obj
-          [
-            ("hits", Epic_obs.Json.Int s.st_ckpt_hits);
-            ("misses", Epic_obs.Json.Int s.st_ckpt_misses);
-            ("entries", Epic_obs.Json.Int s.st_ckpt_entries);
-            ("capacity", Epic_obs.Json.Int (Lru.capacity t.ckpt_cache));
-          ] );
-      ("inflight_waits", Epic_obs.Json.Int s.st_inflight_waits);
-    ]
+  let open Epic_obs.Json in
+  let block ?(extra = []) k =
+    ( k.name,
+      Obj
+        ([
+           ("hits", Int k.hits);
+           ("misses", Int k.misses);
+           ("evictions", Int (Lru.evictions k.lru));
+           ("entries", Int (Lru.length k.lru));
+           ("capacity", Int (Lru.capacity k.lru));
+         ]
+        @ extra) )
+  in
+  locked t (fun () ->
+      Obj
+        [
+          ("jobs", Int t.pool_jobs);
+          block t.compiles;
+          block ~extra:[ ("uncached", Int t.runs.uncached) ] t.runs;
+          block t.fused;
+          block t.references;
+          block t.checkpoints;
+          ("inflight_waits", Int t.inflight_waits);
+        ])

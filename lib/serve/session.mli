@@ -1,24 +1,32 @@
 (** A compile/simulate session: the stateful, reusable layer over the
     stateless {!Epic_core.Driver} core.
 
-    A session owns the parallelism width of its {!Epic_core.Pool} and two
-    bounded content-addressed artifact caches ({!Lru}):
+    A session owns the parallelism width of its {!Epic_core.Pool} and one
+    bounded content-addressed artifact store with five kinds, each its
+    own {!Lru} with its own counters:
 
-    - the {e compile cache}, keyed by (source hash, full
-      {!Epic_core.Config} serialization, train-input hash,
+    - [compile], keyed by (source hash, full {!Epic_core.Config}
+      serialization, train-input hash,
       {!Epic_mach.Machine_desc.digest}) — a [Driver.compiled] is
       deterministic in exactly those four ingredients, and compiling from
       source resets the domain-local instruction-id counter, so a cached
       program is safe to re-simulate on any domain;
-    - the {e run cache}, keyed by (compile key, run-input hash, sample
-      period, sampling plan), holding finished simulation outcomes;
-    - the {e fused cache}, keyed by (compile key, run-input hash,
-      experiment set, prefix position), holding finished fused
-      multi-experiment results ({!Epic_core.Driver.fused}).
+    - [run], keyed by (compile key, run-input hash, sample period,
+      sampling plan), holding finished simulation outcomes;
+    - [reference], keyed by (source hash, run-input hash), holding the
+      interpreter's (exit code, output);
+    - [checkpoint], keyed by (compile key, run-input hash, capture
+      position), holding machine-state snapshots;
+    - [fused], keyed by (compile key, run-input hash, experiment set,
+      prefix position), holding finished fused multi-experiment results
+      ({!Epic_core.Driver.fused}).
 
-    All caches are protected by one lock and an in-flight table with a
+    [compile_capacity] bounds [compile]; [run_capacity] bounds [run],
+    [reference] and [fused]; [checkpoint] holds at most 16 snapshots.
+
+    The store is protected by one lock and an in-flight table with a
     condition variable, so concurrent requests for the same key — e.g. a
-    burst of identical epicd requests fanned over the pool — compile
+    burst of identical epicd requests fanned over the pool — build
     exactly once: the first requester builds, the rest block and read the
     cached value.  All entry points are domain-safe.
 
@@ -32,16 +40,11 @@ type t
 
 (** [create ()] makes a fresh session.  [jobs] (default 1) is the domain
     pool width used by {!map}, {!suite}, {!sweep} and {!causal};
-    [compile_capacity] (default 64), [run_capacity] (default 256) and
-    [ckpt_capacity] (default 16) bound the caches.
+    [compile_capacity] (default 64) and [run_capacity] (default 256)
+    bound the store's kinds as listed above.
     @raise Invalid_argument if a capacity or [jobs] is < 1. *)
 val create :
-  ?jobs:int ->
-  ?compile_capacity:int ->
-  ?run_capacity:int ->
-  ?ckpt_capacity:int ->
-  unit ->
-  t
+  ?jobs:int -> ?compile_capacity:int -> ?run_capacity:int -> unit -> t
 
 val jobs : t -> int
 
@@ -95,14 +98,14 @@ type outcome = {
     and whether it hit. *)
 val reference : t -> source:string -> input:int64 array -> (int * string) * bool
 
-(** Simulate a cached-or-fresh compile through the run cache.
+(** Simulate a cached-or-fresh compile through the [run] kind.
     [sample_period] (default {!Epic_core.Experiments.sample_period})
     controls the PC profiler; [0] disables sampling.  [reference] is the
     interpreter's (code, output) for the mismatch check.  On a hit only
     the workload label is patched ([workload] names the request, the key
-    is content-addressed).  A request carrying [trace] bypasses the run
-    cache entirely (a hit could not replay the trace) — the only
-    uncacheable run shape; it still reuses the compile cache.
+    is content-addressed).  A request carrying [trace] bypasses the
+    [run] kind entirely (a hit could not replay the trace) and counts as
+    its [uncached] — the only uncacheable run shape.
     [sampling] instead joins the run-cache key (via
     {!Epic_sim.Sampling.key_fragment}) because the outcome is
     deterministic in the plan — plain unsampled requests keep the
@@ -125,8 +128,8 @@ val run :
 
     Machine-state checkpoints are session artifacts keyed like compiles:
     content-addressed by (compile key, input hash, capture position),
-    built exactly once under the in-flight table, bounded by their own
-    LRU. *)
+    built exactly once under the in-flight table, held in the store's
+    [checkpoint] kind. *)
 
 (** The content-addressed checkpoint key. *)
 val checkpoint_key : key:string -> input:int64 array -> at:int -> string
@@ -148,13 +151,14 @@ val checkpoint :
 (** {2 Fused multi-experiment runs}
 
     One detailed simulation carrying a whole virtual-speedup experiment
-    set (DESIGN.md §14), content-addressed in its own LRU. *)
+    set (DESIGN.md §14), content-addressed in the store's [fused]
+    kind. *)
 
 (** [run_fused t ~key compiled ~experiments ~prefix_at input] delivers a
-    {!Epic_core.Driver.fused} result through the fused cache.
+    {!Epic_core.Driver.fused} result through the [fused] kind.
     [prefix_at = Some g] enables checkpoint-prefix reuse,
     peek-don't-build: a checkpoint for (key, input, g) already in the
-    session's checkpoint cache is resumed under the experiment set
+    [checkpoint] kind is resumed under the experiment set
     (totals within an ulp of straight-through, [f_resumed = true]); a
     missing one is captured as a free side effect of the full run and
     seeded for the next matrix.  Returns the result and whether it
@@ -248,24 +252,19 @@ type stats = {
   st_run_hits : int;
   st_run_misses : int;
   st_run_evictions : int;
-  st_run_entries : int;
   st_run_uncached : int;  (** trace runs that bypassed the cache *)
-  st_fused_hits : int;
-  st_fused_misses : int;
-  st_fused_entries : int;
-  st_ref_hits : int;
-  st_ref_misses : int;
-  st_ckpt_hits : int;
-  st_ckpt_misses : int;
-  st_ckpt_entries : int;
   st_inflight_waits : int;
       (** requests that blocked on another domain building the same key *)
 }
 
+(** A snapshot of the counters the binaries and benchmarks read; the
+    full per-kind detail is in {!stats_to_json}. *)
 val stats : t -> stats
 
-(** The [session] JSON block ([epicc --json], epicd [stats]):
-    the {!stats} counters plus the cache capacities and jobs width.
-    {!Epic_core.Export.normalize_time} drops [session] sections whole —
-    traffic history, not results. *)
+(** The [session] JSON block ([epicc --json], epicd [stats]): [jobs],
+    [inflight_waits], and one block per kind ([compile], [run], [fused],
+    [reference], [checkpoint]) with the same [hits], [misses],
+    [evictions], [entries] and [capacity] keys; [run] also carries
+    [uncached].  {!Epic_core.Export.normalize_time} drops [session]
+    sections whole — traffic history, not results. *)
 val stats_to_json : t -> Epic_obs.Json.t

@@ -49,8 +49,7 @@ let test_lru_eviction_order () =
     (Lru.add c "d" 4);
   Alcotest.(check (list string)) "b gone" [ "d"; "a"; "c" ]
     (Lru.keys_mru_first c);
-  Alcotest.(check bool) "mem does not touch" true (Lru.mem c "c");
-  Alcotest.(check (option (pair string int))) "e evicts c (mem was no use)"
+  Alcotest.(check (option (pair string int))) "e evicts c"
     (Some ("c", 3))
     (Lru.add c "e" 5);
   Alcotest.(check int) "evictions counted" 2 (Lru.evictions c);
@@ -244,6 +243,72 @@ let test_trace_bypass_and_fused_caching () =
         row)
     f3_full.Epic_core.Driver.f_categories
 
+(* One counter of one kind's block in the stats JSON. *)
+let kind_counter s kind counter =
+  match Json.member kind (Session.stats_to_json s) with
+  | Some block -> (
+      match Json.member counter block with
+      | Some (Json.Int n) -> n
+      | _ -> Alcotest.failf "%s.%s missing" kind counter)
+  | None -> Alcotest.failf "%s block missing" kind
+
+(* [run_capacity] bounds the reference and fused kinds too: two inputs
+   through a one-entry store evict once per kind and keep one entry. *)
+let test_run_capacity_bounds_every_run_kind () =
+  let s = Session.create ~run_capacity:1 () in
+  let serve input =
+    ignore
+      (Session.compile_and_run s ~workload:"prog" ~config:ilp_cs ~desc:None
+         ~train:[| 5L |] ~input prog_a);
+    let compiled, key, _ =
+      Session.compile s ~config:ilp_cs ~desc:None ~train:[| 5L |] prog_a
+    in
+    ignore
+      (Session.run_fused s ~key compiled ~experiments:[] ~prefix_at:None input)
+  in
+  serve [| 5L |];
+  serve [| 6L |];
+  List.iter
+    (fun kind ->
+      Alcotest.(check int) (kind ^ " misses") 2 (kind_counter s kind "misses");
+      Alcotest.(check int) (kind ^ " evictions") 1
+        (kind_counter s kind "evictions");
+      Alcotest.(check int) (kind ^ " entries") 1 (kind_counter s kind "entries");
+      Alcotest.(check int) (kind ^ " capacity") 1
+        (kind_counter s kind "capacity"))
+    [ "run"; "reference"; "fused" ]
+
+(* A cold prefixed fused run seeds the checkpoint kind without counting a
+   miss; the next checkpoint request for that (key, input, at) hits and
+   hands back the seeded snapshot, which resumes to the plain run's
+   result. *)
+let test_fused_run_seeds_checkpoint () =
+  let s = Session.create () in
+  let input = [| 5L |] in
+  let compiled, key, _ =
+    Session.compile s ~config:ilp_cs ~desc:None ~train:input prog_a
+  in
+  let code, out, st = Epic_core.Driver.run compiled input in
+  let at = st.Epic_sim.Machine.c.Epic_sim.Machine.groups / 2 in
+  let _ =
+    Session.run_fused s ~key compiled ~experiments:[] ~prefix_at:(Some at) input
+  in
+  Alcotest.(check int) "one seeded entry" 1 (kind_counter s "checkpoint" "entries");
+  Alcotest.(check int) "seeding is not a miss" 0
+    (kind_counter s "checkpoint" "misses");
+  let ck1, ckey, hit1 = Session.checkpoint s ~key ~at compiled input in
+  let ck2, _, hit2 = Session.checkpoint s ~key ~at compiled input in
+  Alcotest.(check string) "same key" (Session.checkpoint_key ~key ~input ~at) ckey;
+  Alcotest.(check bool) "checkpoint hits the seeded entry" true (hit1 && hit2);
+  Alcotest.(check int) "never built" 0 (kind_counter s "checkpoint" "misses");
+  Alcotest.(check bool) "the stored snapshot, physically" true (ck1 == ck2);
+  match ck1 with
+  | None -> Alcotest.fail "program retires past the prefix; expected a snapshot"
+  | Some ck ->
+      let code', out', _ = Epic_core.Driver.resume compiled ck in
+      Alcotest.(check int) "resumed exit code" code code';
+      Alcotest.(check string) "resumed output" out out'
+
 (* Concurrency: N pool jobs demanding one key must compile exactly once —
    one miss, N-1 hits, every job handed the same physical artifact. *)
 let test_concurrent_hammer () =
@@ -292,12 +357,18 @@ let test_protocol_envelopes () =
   | Ok j ->
       let result = Option.get (Json.member "result" j) in
       List.iter
-        (fun path ->
-          Alcotest.(check bool) (path ^ " present") true
-            (match Json.member path result with
-            | Some (Json.Obj _) -> true
-            | _ -> false))
-        [ "compile"; "run"; "reference" ]
+        (fun kind ->
+          match Json.member kind result with
+          | Some (Json.Obj _ as block) ->
+              List.iter
+                (fun counter ->
+                  Alcotest.(check bool) (kind ^ "." ^ counter ^ " present") true
+                    (match Json.member counter block with
+                    | Some (Json.Int _) -> true
+                    | _ -> false))
+                [ "hits"; "misses"; "evictions"; "entries"; "capacity" ]
+          | _ -> Alcotest.fail (kind ^ " block missing"))
+        [ "compile"; "run"; "reference"; "checkpoint"; "fused" ]
   | Error e -> Alcotest.fail e
 
 let test_protocol_heaviness () =
@@ -329,6 +400,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cold_vs_hit;
     Alcotest.test_case "trace runs bypass; fused runs memoize and resume"
       `Slow test_trace_bypass_and_fused_caching;
+    Alcotest.test_case "run capacity bounds the reference and fused kinds"
+      `Slow test_run_capacity_bounds_every_run_kind;
+    Alcotest.test_case "cold prefixed fused run seeds the checkpoint kind"
+      `Slow test_fused_run_seeds_checkpoint;
     Alcotest.test_case "concurrent same-key requests compile once" `Quick
       test_concurrent_hammer;
     Alcotest.test_case "protocol envelopes and error paths" `Quick

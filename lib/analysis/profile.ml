@@ -11,8 +11,6 @@ type t = {
   branch_exec : (int, float) Hashtbl.t; (* instr id -> executions *)
   branch_taken : (int, float) Hashtbl.t; (* instr id -> taken count *)
   indirect_targets : (int, (string, float) Hashtbl.t) Hashtbl.t;
-  call_counts : (string, float) Hashtbl.t; (* callee -> dynamic calls *)
-  mutable train_executed : int;
 }
 
 let create () =
@@ -21,42 +19,34 @@ let create () =
     branch_exec = Hashtbl.create 256;
     branch_taken = Hashtbl.create 256;
     indirect_targets = Hashtbl.create 16;
-    call_counts = Hashtbl.create 64;
-    train_executed = 0;
   }
 
 let bump tbl key by =
   let cur = match Hashtbl.find_opt tbl key with Some c -> c | None -> 0. in
   Hashtbl.replace tbl key (cur +. by)
 
-(* Run the program on [input] and collect counts.  Returns the profile and
-   the program's (exit code, output) for sanity checking. *)
+(* Run the program on [input] and fold the interpreter's dense counts into
+   the keyed tables, summing where keys repeat (blocks of equally named
+   functions, instructions sharing an id).  Returns the profile and the
+   program's (exit code, output) for sanity checking. *)
 let collect (p : Program.t) (input : int64 array) =
   let prof = create () in
-  let hooks =
-    {
-      Interp.on_block =
-        (fun f b -> bump prof.block_counts (f.Func.name, b.Block.label) 1.);
-      on_branch =
-        (fun _ i taken ->
-          bump prof.branch_exec i.Instr.id 1.;
-          if taken then bump prof.branch_taken i.Instr.id 1.);
-      on_call = (fun callee -> bump prof.call_counts callee 1.);
-      on_indirect =
-        (fun i callee ->
-          let tbl =
-            match Hashtbl.find_opt prof.indirect_targets i.Instr.id with
-            | Some t -> t
-            | None ->
-                let t = Hashtbl.create 4 in
-                Hashtbl.replace prof.indirect_targets i.Instr.id t;
-                t
-          in
-          bump tbl callee 1.);
-    }
-  in
-  let code, out, st = Interp.run ~hooks p input in
-  prof.train_executed <- st.Interp.executed;
+  let code, out, st = Interp.run ~profile:true p input in
+  Interp.iter_block_counts st (fun f b n ->
+      bump prof.block_counts (f.Func.name, b.Block.label) (float n));
+  Interp.iter_branch_counts st (fun i ~exec ~taken ->
+      bump prof.branch_exec i.Instr.id (float exec);
+      if taken > 0 then bump prof.branch_taken i.Instr.id (float taken));
+  Interp.iter_indirect_counts st (fun i callee n ->
+      let tbl =
+        match Hashtbl.find_opt prof.indirect_targets i.Instr.id with
+        | Some t -> t
+        | None ->
+            let t = Hashtbl.create 4 in
+            Hashtbl.replace prof.indirect_targets i.Instr.id t;
+            t
+      in
+      bump tbl callee (float n));
   (prof, code, out)
 
 (* Write the collected counts into the IR's weight/probability attributes. *)

@@ -1,15 +1,18 @@
 (** Control-flow profiling (Figure 4's first phase): run the program under
     the reference interpreter on a training input and annotate the IR in
     place — block weights, branch taken probabilities, and per-site
-    indirect-call target histograms (for specialization). *)
+    indirect-call target histograms (for specialization).
+
+    The interpreter counts into dense per-function arrays
+    ([Interp.run ~profile:true]); [collect] folds those counts into the
+    keyed tables below, summing where keys repeat (blocks of equally named
+    functions, instructions sharing an id after [Instr.clone]). *)
 
 type t = {
   block_counts : (string * string, float) Hashtbl.t;
   branch_exec : (int, float) Hashtbl.t;
   branch_taken : (int, float) Hashtbl.t;
   indirect_targets : (int, (string, float) Hashtbl.t) Hashtbl.t;
-  call_counts : (string, float) Hashtbl.t;
-  mutable train_executed : int;
 }
 
 val create : unit -> t

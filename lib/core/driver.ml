@@ -160,6 +160,12 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
     Epic_analysis.Profile.reprofile p train;
     invalidate_weight_sensitive ()
   in
+  (* a reprofile between passes is a phase of its own; the ones nested in
+     specialization and inlining count towards those passes *)
+  let reprofile_phase () =
+    Passman.phase m ~name:"reprofile (train)" (fun _ ->
+        (reprofile (), Passman.Unchanged))
+  in
   let classical name = ignore (Epic_opt.Pipeline.run_classical_pm m ~name) in
   let changed ch = ch <> Passman.Unchanged in
   let n0 = Program.instr_count p in
@@ -195,7 +201,7 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
           Passman.mark_all_dirty m;
           ((), Passman.Unchanged));
       classical "classical (pre-region)";
-      reprofile ());
+      reprofile_phase ());
   let n1 = Program.instr_count p in
   (* low-level ILP phase *)
   if Config.is_ilp config then begin
@@ -203,24 +209,24 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
       let ch = Passman.run_pass m "loop peeling" in
       if changed ch then begin
         Verify.check_program p;
-        reprofile ()
+        reprofile_phase ()
       end
     end;
     if config.Config.enable_hyperblock then begin
       ignore (Passman.run_pass m "hyperblock formation");
       Verify.check_program p;
-      reprofile ()
+      reprofile_phase ()
     end;
     if config.Config.enable_superblock then begin
       ignore (Passman.run_pass m "superblock formation");
       Verify.check_program p;
-      reprofile ()
+      reprofile_phase ()
     end;
     if config.Config.enable_unroll then begin
       let ch = Passman.run_pass m "loop unrolling" in
       if changed ch then begin
         Verify.check_program p;
-        reprofile ()
+        reprofile_phase ()
       end
     end;
     (* post-region cleanup *)
@@ -234,7 +240,7 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
         classical "classical (post-height)"
       end
     end;
-    reprofile ();
+    reprofile_phase ();
     if Config.has_speculation config then begin
       ignore (Passman.run_pass m "control speculation");
       Verify.check_program p
@@ -292,9 +298,9 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
    from a deep copy of the pre-optimization IR snapshot, and record the
    level they landed on in [transform_stats.fallback]. *)
 let compile ?(config = Config.o_ns) ?desc ~(train : int64 array) (src : string) =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let p0 = Epic_frontend.Lower.compile_source src in
-  let parse_s = Sys.time () -. t0 in
+  let parse_s = Unix.gettimeofday () -. t0 in
   let post_parse_ids = Instr.id_counter () in
   let i1, b1, y1 = ir_measure p0 in
   let snapshot = Program.copy p0 in

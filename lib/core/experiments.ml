@@ -48,9 +48,9 @@ let run_one ?(train : int64 array option) ?reference ?desc
   (* time the simulation and its GC traffic (host observability; exports
      zero this under --normalize-time, so determinism diffs are unaffected) *)
   let gc0 = Gc.quick_stat () in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let code, out, st = Driver.run ~profile compiled w.Workload.reference in
-  let wall = Sys.time () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 in
   let gc1 = Gc.quick_stat () in
   let host =
     {

@@ -1,12 +1,19 @@
-(* High-level IR interpreter.  Executes the (virtual-register) IR directly,
-   at any point of the compilation pipeline before register allocation.  It
-   is the reference semantics for differential testing of transformations,
-   and — instrumented through the [hooks] — the engine behind control-flow
-   profiling (Section 3.1 of the paper).
+(* High-level IR interpreter.  Executes the IR directly, at any point of the
+   compilation pipeline: the reference semantics for differential testing
+   of transformations and — with [~profile:true] — the engine behind
+   control-flow profiling (Section 3.1 of the paper).
 
    It models the pieces of IA-64 semantics the structural transforms rely on:
    predicated execution, NaT bits produced by control-speculative loads to
-   invalid addresses, speculation checks, and compare types. *)
+   invalid addresses, speculation checks, and compare types.
+
+   Each run first predecodes the program (DESIGN.md §10): every function
+   becomes a [dfunc] whose blocks are instruction arrays with branch targets
+   and fall-throughs resolved to block indices, calls resolved to a function
+   slot, an intrinsic or a function-pointer operand, [Sym] operands resolved
+   to addresses, and registers renumbered densely per bank, so a frame holds
+   only the registers its function mentions.  Profile counts live in int
+   arrays of the [dfunc] and are read back through the [iter_*] functions. *)
 
 type value = Vi of int64 | Vf of float | Vp of bool | Vnat
 
@@ -14,20 +21,90 @@ exception Fault of string
 exception Exit_program of int
 exception Out_of_fuel
 
-type hooks = {
-  on_block : Func.t -> Block.t -> unit;
-  on_branch : Func.t -> Instr.t -> bool -> unit; (* executed branch, taken? *)
-  on_call : string -> unit;
-  on_indirect : Instr.t -> string -> unit; (* indirect call site -> callee *)
+(* --- predecoded form ------------------------------------------------------ *)
+
+(* A source operand.  Registers are slots of the frame's three banks:
+   integers (Int and Brr registers share it, as in the simulator), floats
+   and predicates.  Labels read as 0 and symbols as their address. *)
+type opnd = Int of int | Flt of int | Prd of int | Imm of int64 | Fimm of float
+
+(* A destination slot; [Drop] for the hardwired r0 and p0. *)
+type dst = Dint of int | Dflt of int | Dprd of int | Drop
+
+type guard = Always | If of int (* predicate slot *) | If_opnd of opnd
+
+type callee =
+  | Intrinsic of Intrinsics.kind
+  | Direct of int (* function slot *)
+  | Indirect of opnd * int (* function pointer, indirect-site index *)
+  | Undefined of string
+  | Bad_target
+
+type op =
+  | Cmp of {
+      fcmp : bool;
+      c : Opcode.icmp;
+      ct : Opcode.ctype;
+      pt : dst;
+      pf : dst;
+      a : opnd;
+      b : opnd;
+      arity_ok : bool;
+    }
+  | Ialu of { iop : Opcode.t; d : dst; a : opnd; b : opnd; spec : bool }
+  | Falu of { fop : Opcode.t; d : dst; a : opnd; b : opnd }
+  | Fneg of dst * opnd
+  | Cvt_fi of dst * opnd
+  | Cvt_if of dst * opnd
+  | Mov of dst * opnd
+  | Sxt of int * dst * opnd (* source width in bits *)
+  | Lea of dst * opnd * opnd
+  | Ld of {
+      size : int;
+      spec : Opcode.spec_kind;
+      d : dst;
+      fdst : bool; (* float destination: memory holds IEEE-754 bits *)
+      key : int; (* ALAT key of the destination *)
+      a : opnd;
+    }
+  | St of { size : int; a : opnd; v : opnd }
+  | Chk of { size : int; r : opnd; rd : dst; fdst : bool; a : opnd }
+  | Chka of { size : int; key : int; rd : dst; fdst : bool; a : opnd }
+  | Br of { site : int; target : int; label : string }
+      (* target: block index; -1 unknown label, -2 malformed *)
+  | Call of { callee : callee; args : opnd array; dsts : dst array }
+  | Ret of opnd array
+  | Nop
+  | Bad of exn (* malformed: raised when executed *)
+
+type dinstr = { g : guard; op : op }
+
+type dblock = {
+  block : Block.t;
+  code : dinstr array;
+  fall : int; (* layout successor; -1 at the end *)
 }
 
-let no_hooks =
-  {
-    on_block = (fun _ _ -> ());
-    on_branch = (fun _ _ _ -> ());
-    on_call = (fun _ -> ());
-    on_indirect = (fun _ _ -> ());
-  }
+type dfunc = {
+  func : Func.t;
+  blocks : dblock array;
+  params : dst array;
+  n_int : int;
+  n_flt : int;
+  n_prd : int;
+  entries : int array; (* profile: block-entry counts *)
+  br_instrs : Instr.t array; (* branch sites *)
+  br_exec : int array;
+  br_taken : int array;
+  ind_instrs : Instr.t array; (* indirect call sites *)
+  ind_counts : int array array; (* site -> function index -> calls *)
+}
+
+type code = {
+  funcs : dfunc array; (* program order *)
+  targets : callee array; (* what a call to function i's name runs *)
+  entry : callee;
+}
 
 type state = {
   program : Program.t;
@@ -40,597 +117,738 @@ type state = {
   mutable nat_faults : int; (* NaT consumed by a non-speculative op *)
   mutable wild_loads : int; (* speculative accesses to unmapped pages *)
   mutable alat_recoveries : int; (* chk.a found its entry invalidated *)
-  hooks : hooks;
-  vspans : (string, int * int * int) Hashtbl.t;
-      (* per-function virtual-register bank sizes (ints+brr, flts, prds);
-         a host-speed cache, computed on first call of each function *)
+  profiling : bool;
+  code : code;
 }
 
-(* One ALAT per frame would be unsound across our per-frame register files;
-   like the hardware we keep one ALAT, keyed by destination register, and
-   conservatively flush it at calls. *)
+(* Fixed slots: r0 and sp (r12) open the integer bank, p0 the predicate
+   bank; r0 reads 0 and p0 reads true because writes to them decode to
+   [Drop]. *)
+let r0_slot = 0
+let sp_slot = 1
+let p0_slot = 0
+let sp_dst = Dint sp_slot
 
-(* The frame's register file is flat (DESIGN.md §10): per-class arrays
-   mirroring the simulator's frame, instead of a [value Reg.Tbl.t].  Values
-   are coerced to the destination register's class at write time (with the
-   same [as_int]/[as_float]/[as_pred] conversions reads used to apply), so
-   every register access is a couple of array loads rather than a hashed
-   lookup on a boxed key.  Physical banks have the IA-64 geometry; virtual
-   banks are sized by the largest virtual id the function actually uses
-   (hand-built test programs use small ids; [Func.fresh_reg] ids start at
-   1000).  Branch registers never reach the executed IR and fold into the
-   integer banks, as in the simulator. *)
-type frame = {
-  func : Func.t;
-  pints : int64 array; (* physical r0-r127 (r0 writes dropped) *)
-  pinat : bool array;
-  pflts : float array; (* physical f0-f127 *)
-  pfnat : bool array;
-  pprds : bool array; (* physical p0-p63 (p0 pinned true) *)
-  vints : int64 array; (* virtual, indexed by id *)
-  vinat : bool array;
-  vflts : float array;
-  vfnat : bool array;
-  vprds : bool array;
-  alat : (int64 * int) Reg.Tbl.t; (* advanced-load entries: reg -> (addr, size) *)
-}
+let bank (r : Reg.t) =
+  match r.Reg.cls with Reg.Int | Reg.Brr -> 0 | Reg.Flt -> 1 | Reg.Prd -> 2
 
-let create ?(hooks = no_hooks) ?(fuel = 400_000_000) program input =
-  Program.assign_addresses program;
-  let mem = Memimage.create () in
-  Memimage.load_program mem program;
-  {
-    program;
-    mem;
-    heap = Program.heap_base;
-    output = Buffer.create 256;
-    input;
-    fuel;
-    executed = 0;
-    nat_faults = 0;
-    wild_loads = 0;
-    alat_recoveries = 0;
-    hooks;
-    vspans = Hashtbl.create 16;
-  }
-
-(* Virtual-register bank sizes for [f]: one more than the largest virtual id
-   of each class appearing anywhere in the function (params, destinations,
-   sources, qualifying predicates).  Every register the interpreter can
-   touch during a call appears in one of those positions. *)
-let compute_vspans (f : Func.t) =
-  let si = ref 0 and sf = ref 0 and sp = ref 0 in
-  let see (r : Reg.t) =
-    if not r.Reg.phys then
-      match r.Reg.cls with
-      | Reg.Int | Reg.Brr -> if r.Reg.id >= !si then si := r.Reg.id + 1
-      | Reg.Flt -> if r.Reg.id >= !sf then sf := r.Reg.id + 1
-      | Reg.Prd -> if r.Reg.id >= !sp then sp := r.Reg.id + 1
+let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
+  let regs = Hashtbl.create 64 in
+  let next = [| 2; 0; 1 |] in
+  Hashtbl.add regs (0, true, Reg.r0.Reg.id) r0_slot;
+  Hashtbl.add regs (0, true, Reg.sp.Reg.id) sp_slot;
+  Hashtbl.add regs (2, true, Reg.p0.Reg.id) p0_slot;
+  let slot (r : Reg.t) =
+    let key = (bank r, r.Reg.phys, r.Reg.id) in
+    match Hashtbl.find_opt regs key with
+    | Some s -> s
+    | None ->
+        let b = bank r in
+        let s = next.(b) in
+        next.(b) <- s + 1;
+        Hashtbl.add regs key s;
+        s
   in
-  List.iter see f.Func.params;
-  Func.iter_instrs f (fun (i : Instr.t) ->
-      List.iter see i.Instr.dsts;
-      List.iter (function Operand.Reg r -> see r | _ -> ()) i.Instr.srcs;
-      match i.Instr.pred with Some p -> see p | None -> ());
-  (!si, !sf, !sp)
-
-let vspans st (f : Func.t) =
-  match Hashtbl.find_opt st.vspans f.Func.name with
-  | Some s -> s
-  | None ->
-      let s = compute_vspans f in
-      Hashtbl.add st.vspans f.Func.name s;
-      s
-
-let fresh_frame st (f : Func.t) =
-  let si, sf, sp = vspans st f in
-  let pprds = Array.make Reg.num_prd false in
-  pprds.(0) <- true;
-  (* p0 hardwired *)
+  let reg r =
+    let s = slot r in
+    match bank r with 0 -> Int s | 1 -> Flt s | _ -> Prd s
+  in
+  let dst (r : Reg.t) =
+    let s = slot r in
+    match bank r with
+    | 0 -> if r.Reg.phys && s = r0_slot then Drop else Dint s
+    | 1 -> Dflt s
+    | _ -> if r.Reg.phys && s = p0_slot then Drop else Dprd s
+  in
+  let alat_key r = (3 * slot r) + bank r in
+  let opnd = function
+    | Operand.Reg r -> reg r
+    | Operand.Imm i -> Imm i
+    | Operand.Fimm x -> Fimm x
+    | Operand.Label _ -> Imm 0L
+    | Operand.Sym s -> (
+        match Hashtbl.find_opt globals s with
+        | Some a -> Imm a
+        | None -> (
+            match Hashtbl.find_opt func_index s with
+            | Some i -> Imm (Int64.add Program.code_base (Int64.of_int (i * 64)))
+            | None -> raise (Invalid_argument ("Program.func_address: no function " ^ s))))
+  in
+  let blocks = Array.of_list f.Func.blocks in
+  let labels = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri
+    (fun i (b : Block.t) ->
+      if not (Hashtbl.mem labels b.Block.label) then Hashtbl.add labels b.Block.label i)
+    blocks;
+  let brs = ref [] and n_br = ref 0 in
+  let inds = ref [] and n_ind = ref 0 in
+  let site acc n (i : Instr.t) =
+    acc := i :: !acc;
+    incr n;
+    !n - 1
+  in
+  let fault s = Bad (Fault s) in
+  let decode (i : Instr.t) =
+    let size sz = Opcode.size_bytes sz in
+    let fdst (r : Reg.t) = r.Reg.cls = Reg.Flt in
+    match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
+    | Opcode.Br, _, srcs ->
+        let s = site brs n_br i in
+        let target, label =
+          match srcs with
+          | [ Operand.Label l ] -> (
+              (match Hashtbl.find_opt labels l with Some t -> t | None -> -1), l)
+          | _ -> (-2, "")
+        in
+        Br { site = s; target; label }
+    | (Opcode.Cmp (c, ct) | Opcode.Fcmp (c, ct)), [ pt; pf ], srcs ->
+        let fcmp = match i.Instr.op with Opcode.Fcmp _ -> true | _ -> false in
+        let a, b, arity_ok =
+          match srcs with
+          | [ a; b ] -> (opnd a, opnd b, true)
+          | _ -> (Imm 0L, Imm 0L, false)
+        in
+        Cmp { fcmp; c; ct; pt = dst pt; pf = dst pf; a; b; arity_ok }
+    | (Opcode.Cmp _ | Opcode.Fcmp _), _, _ -> fault "cmp without two destinations"
+    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
+        | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
+        | Opcode.Sra ),
+        [ d ],
+        [ a; b ] ) ->
+        Ialu
+          {
+            iop = i.Instr.op;
+            d = dst d;
+            a = opnd a;
+            b = opnd b;
+            spec = i.Instr.attrs.Instr.speculated;
+          }
+    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
+        | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
+        | Opcode.Sra ),
+        _,
+        _ ) ->
+        fault ("bad ALU instruction " ^ Instr.to_string i)
+    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
+        Falu { fop = i.Instr.op; d = dst d; a = opnd a; b = opnd b }
+    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), _, _ ->
+        fault "bad FP instruction"
+    | Opcode.Fneg, [ d ], [ a ] -> Fneg (dst d, opnd a)
+    | Opcode.Fneg, _, _ -> fault "bad fneg"
+    | Opcode.Cvt_fi, [ d ], [ a ] -> Cvt_fi (dst d, opnd a)
+    | Opcode.Cvt_fi, _, _ -> fault "bad cvt.fi"
+    | Opcode.Cvt_if, [ d ], [ a ] -> Cvt_if (dst d, opnd a)
+    | Opcode.Cvt_if, _, _ -> fault "bad cvt.if"
+    | Opcode.Mov, [ d ], [ a ] -> Mov (dst d, opnd a)
+    | Opcode.Sxt sz, [ d ], [ a ] -> Sxt (8 * size sz, dst d, opnd a)
+    | (Opcode.Mov | Opcode.Sxt _), _, _ -> fault "bad mov"
+    | Opcode.Lea, [ d ], [ base; off ] -> Lea (dst d, opnd base, opnd off)
+    | Opcode.Lea, _, _ -> fault "bad lea"
+    | Opcode.Ld (sz, spec), [ d ], [ a ] ->
+        Ld { size = size sz; spec; d = dst d; fdst = fdst d; key = alat_key d; a = opnd a }
+    | Opcode.Ld _, _, _ -> fault "bad load"
+    | Opcode.St sz, _, [ a; v ] -> St { size = size sz; a = opnd a; v = opnd v }
+    | Opcode.St _, _, _ -> fault "bad store"
+    | Opcode.Chk sz, _, [ Operand.Reg r; a ] ->
+        Chk { size = size sz; r = reg r; rd = dst r; fdst = fdst r; a = opnd a }
+    | Opcode.Chk _, _, _ -> fault "bad chk"
+    | Opcode.Chka sz, _, [ Operand.Reg r; a ] ->
+        Chka { size = size sz; key = alat_key r; rd = dst r; fdst = fdst r; a = opnd a }
+    | Opcode.Chka _, _, _ -> fault "bad chk.a"
+    | Opcode.Br_call, ds, target :: args ->
+        let callee =
+          match target with
+          | Operand.Sym name -> resolve name
+          | Operand.Reg r -> Indirect (reg r, site inds n_ind i)
+          | _ -> Bad_target
+        in
+        Call
+          {
+            callee;
+            args = Array.of_list (List.map opnd args);
+            dsts = Array.of_list (List.map dst ds);
+          }
+    | Opcode.Br_call, _, [] -> fault "bad call"
+    | Opcode.Br_ret, _, srcs -> Ret (Array.of_list (List.map opnd srcs))
+    | (Opcode.Alloc | Opcode.Nop), _, _ -> Nop
+  in
+  let dinstr (i : Instr.t) =
+    let op = try decode i with Invalid_argument _ as e -> Bad e in
+    let g =
+      match (i.Instr.op, i.Instr.pred) with
+      | _, None -> Always
+      | (Opcode.Cmp _ | Opcode.Fcmp _), _ when List.length i.Instr.dsts <> 2 ->
+          Always (* the destination-arity fault ignores the guard *)
+      | _, Some p when p.Reg.cls = Reg.Prd -> If (slot p)
+      | _, Some p -> If_opnd (reg p)
+    in
+    { g; op }
+  in
+  let params = Array.of_list (List.map dst f.Func.params) in
+  let n = Array.length blocks in
+  let dblocks =
+    Array.mapi
+      (fun k (b : Block.t) ->
+        {
+          block = b;
+          code = Array.of_list (List.map dinstr b.Block.instrs);
+          fall = (if k + 1 < n then k + 1 else -1);
+        })
+      blocks
+  in
+  let br_instrs = Array.of_list (List.rev !brs) in
+  let ind_instrs = Array.of_list (List.rev !inds) in
   {
     func = f;
-    pints = Array.make Reg.num_int 0L;
-    pinat = Array.make Reg.num_int false;
-    pflts = Array.make Reg.num_flt 0.;
-    pfnat = Array.make Reg.num_flt false;
-    pprds;
-    vints = Array.make si 0L;
-    vinat = Array.make si false;
-    vflts = Array.make sf 0.;
-    vfnat = Array.make sf false;
-    vprds = Array.make sp false;
-    alat = Reg.Tbl.create 8;
+    blocks = dblocks;
+    params;
+    n_int = next.(0);
+    n_flt = next.(1);
+    n_prd = next.(2);
+    entries = Array.make n 0;
+    br_instrs;
+    br_exec = Array.make (Array.length br_instrs) 0;
+    br_taken = Array.make (Array.length br_instrs) 0;
+    ind_instrs;
+    ind_counts = Array.init (Array.length ind_instrs) (fun _ -> Array.make nfuncs 0);
   }
 
-let as_int = function
-  | Vi i -> `I i
-  | Vnat -> `Nat
-  | Vf f -> `I (Int64.of_float f)
-  | Vp b -> `I (if b then 1L else 0L)
+(* Resolution follows [Program.find_func]/[find_global]: the first
+   definition of a name wins, and an intrinsic name shadows a function. *)
+let decode (p : Program.t) =
+  let globals = Hashtbl.create 64 in
+  List.iter
+    (fun (g : Program.global) ->
+      if not (Hashtbl.mem globals g.Program.gname) then
+        Hashtbl.add globals g.Program.gname g.Program.address)
+    p.Program.globals;
+  let func_index = Hashtbl.create 64 in
+  List.iteri
+    (fun i (f : Func.t) ->
+      if not (Hashtbl.mem func_index f.Func.name) then Hashtbl.add func_index f.Func.name i)
+    p.Program.funcs;
+  let nfuncs = List.length p.Program.funcs in
+  let resolve name =
+    match Intrinsics.of_name name with
+    | Some k -> Intrinsic k
+    | None -> (
+        match Hashtbl.find_opt func_index name with
+        | Some s -> Direct s
+        | None -> Undefined name)
+  in
+  let funcs =
+    Array.of_list (List.map (decode_func ~globals ~func_index ~resolve ~nfuncs) p.Program.funcs)
+  in
+  {
+    funcs;
+    targets = Array.map (fun df -> resolve df.func.Func.name) funcs;
+    entry = resolve p.Program.entry;
+  }
 
-let as_float = function
-  | Vf f -> `F f
-  | Vi i -> `F (Int64.to_float i)
-  | Vnat -> `Nat
-  | Vp b -> `F (if b then 1. else 0.)
+(* --- frames --------------------------------------------------------------- *)
 
-let as_pred = function
-  | Vp b -> b
-  | Vi i -> not (Int64.equal i 0L)
-  | Vf _ | Vnat -> false
+(* The ALAT, keyed by destination register, lives in the frame: a callee
+   starts with an empty one and the caller's is flushed when a call
+   returns, which is the hardware's single ALAT conservatively flushed at
+   calls. *)
+type frame = {
+  ints : int64 array;
+  inat : bool array;
+  flts : float array;
+  fnat : bool array;
+  prds : bool array;
+  mutable alat : (int * int64 * int) list; (* key, address, size *)
+}
 
-let read_reg fr (r : Reg.t) =
-  let id = r.Reg.id in
-  match r.Reg.cls with
-  | Reg.Prd -> Vp (if r.Reg.phys then fr.pprds.(id) else fr.vprds.(id))
-  | Reg.Flt ->
-      if r.Reg.phys then
-        if fr.pfnat.(id) then Vnat else Vf fr.pflts.(id)
-      else if fr.vfnat.(id) then Vnat
-      else Vf fr.vflts.(id)
-  | Reg.Int | Reg.Brr ->
-      if r.Reg.phys then
-        if fr.pinat.(id) then Vnat else Vi fr.pints.(id)
-      else if fr.vinat.(id) then Vnat
-      else Vi fr.vints.(id)
+let new_frame df =
+  let prds = Array.make df.n_prd false in
+  prds.(p0_slot) <- true;
+  {
+    ints = Array.make df.n_int 0L;
+    inat = Array.make df.n_int false;
+    flts = Array.make df.n_flt 0.;
+    fnat = Array.make df.n_flt false;
+    prds;
+    alat = [];
+  }
 
-let write_reg fr (r : Reg.t) v =
-  let id = r.Reg.id in
-  match r.Reg.cls with
-  | Reg.Prd ->
-      if r.Reg.phys then begin
-        if id <> 0 then fr.pprds.(id) <- as_pred v (* p0 pinned *)
-      end
-      else fr.vprds.(id) <- as_pred v
-  | Reg.Flt -> (
-      let flts, fnat = if r.Reg.phys then (fr.pflts, fr.pfnat) else (fr.vflts, fr.vfnat) in
-      match as_float v with
-      | `F f ->
-          flts.(id) <- f;
-          fnat.(id) <- false
-      | `Nat -> fnat.(id) <- true)
-  | Reg.Int | Reg.Brr ->
-      if r.Reg.phys && id = 0 then () (* r0 hardwired zero *)
-      else
-        let ints, inat = if r.Reg.phys then (fr.pints, fr.pinat) else (fr.vints, fr.vinat) in
-        (match as_int v with
-        | `I i ->
-            ints.(id) <- i;
-            inat.(id) <- false
-        | `Nat -> inat.(id) <- true)
+(* Operand reads.  A non-integer value read as an integer (or the reverse)
+   converts like a register write of the other class would. *)
+let is_nat fr = function
+  | Int k -> fr.inat.(k)
+  | Flt k -> fr.fnat.(k)
+  | Prd _ | Imm _ | Fimm _ -> false
 
-let operand_value st fr (o : Operand.t) =
-  match o with
-  | Operand.Reg r -> read_reg fr r
-  | Operand.Imm i -> Vi i
-  | Operand.Fimm f -> Vf f
-  | Operand.Label _ -> Vi 0L
-  | Operand.Sym s -> (
-      match Program.find_global st.program s with
-      | Some g -> Vi g.Program.address
-      | None -> Vi (Program.func_address st.program s))
+(* [int_of]/[flt_of] assume the operand is not NaT. *)
+let int_of fr = function
+  | Int k -> fr.ints.(k)
+  | Flt k -> Int64.of_float fr.flts.(k)
+  | Prd k -> if fr.prds.(k) then 1L else 0L
+  | Imm i -> i
+  | Fimm f -> Int64.of_float f
 
-(* Integer binary operation with NaT propagation. *)
-let int_binop op a b =
-  match (a, b) with
-  | `Nat, _ | _, `Nat -> Vnat
-  | `I x, `I y -> (
-      match op with
-      | Opcode.Add -> Vi (Int64.add x y)
-      | Opcode.Sub -> Vi (Int64.sub x y)
-      | Opcode.Mul -> Vi (Int64.mul x y)
-      | Opcode.Div ->
-          if Int64.equal y 0L then raise (Fault "division by zero")
-          else Vi (Int64.div x y)
-      | Opcode.Rem ->
-          if Int64.equal y 0L then raise (Fault "remainder by zero")
-          else Vi (Int64.rem x y)
-      | Opcode.And -> Vi (Int64.logand x y)
-      | Opcode.Or -> Vi (Int64.logor x y)
-      | Opcode.Xor -> Vi (Int64.logxor x y)
-      | Opcode.Shl -> Vi (Int64.shift_left x (Int64.to_int y land 63))
-      | Opcode.Shr -> Vi (Int64.shift_right_logical x (Int64.to_int y land 63))
-      | Opcode.Sra -> Vi (Int64.shift_right x (Int64.to_int y land 63))
-      | _ -> invalid_arg "int_binop")
+let flt_of fr = function
+  | Int k -> Int64.to_float fr.ints.(k)
+  | Flt k -> fr.flts.(k)
+  | Prd k -> if fr.prds.(k) then 1. else 0.
+  | Imm i -> Int64.to_float i
+  | Fimm f -> f
 
-let flt_binop op a b =
-  match (a, b) with
-  | `Nat, _ | _, `Nat -> Vnat
-  | `F x, `F y -> (
-      match op with
-      | Opcode.Fadd -> Vf (x +. y)
-      | Opcode.Fsub -> Vf (x -. y)
-      | Opcode.Fmul -> Vf (x *. y)
-      | Opcode.Fdiv -> Vf (x /. y)
-      | _ -> invalid_arg "flt_binop")
+let pred_of fr = function
+  | Int k -> (not fr.inat.(k)) && not (Int64.equal fr.ints.(k) 0L)
+  | Prd k -> fr.prds.(k)
+  | Imm i -> not (Int64.equal i 0L)
+  | Flt _ | Fimm _ -> false
 
-let print_int_value st (i : int64) =
-  Buffer.add_string st.output (Int64.to_string i);
-  Buffer.add_char st.output '\n'
+let value fr = function
+  | Int k -> if fr.inat.(k) then Vnat else Vi fr.ints.(k)
+  | Flt k -> if fr.fnat.(k) then Vnat else Vf fr.flts.(k)
+  | Prd k -> Vp fr.prds.(k)
+  | Imm i -> Vi i
+  | Fimm f -> Vf f
 
-let do_intrinsic st (k : Intrinsics.kind) (args : value list) =
+(* Writes coerce to the destination's class. *)
+let write_int fr d x =
+  match d with
+  | Dint k ->
+      fr.ints.(k) <- x;
+      fr.inat.(k) <- false
+  | Dflt k ->
+      fr.flts.(k) <- Int64.to_float x;
+      fr.fnat.(k) <- false
+  | Dprd k -> fr.prds.(k) <- not (Int64.equal x 0L)
+  | Drop -> ()
+
+let write_flt fr d f =
+  match d with
+  | Dint k ->
+      fr.ints.(k) <- Int64.of_float f;
+      fr.inat.(k) <- false
+  | Dflt k ->
+      fr.flts.(k) <- f;
+      fr.fnat.(k) <- false
+  | Dprd k -> fr.prds.(k) <- false
+  | Drop -> ()
+
+let write_pred fr d b =
+  match d with
+  | Dint k ->
+      fr.ints.(k) <- (if b then 1L else 0L);
+      fr.inat.(k) <- false
+  | Dflt k ->
+      fr.flts.(k) <- (if b then 1. else 0.);
+      fr.fnat.(k) <- false
+  | Dprd k -> fr.prds.(k) <- b
+  | Drop -> ()
+
+let write_nat fr = function
+  | Dint k -> fr.inat.(k) <- true
+  | Dflt k -> fr.fnat.(k) <- true
+  | Dprd k -> fr.prds.(k) <- false
+  | Drop -> ()
+
+let write_value fr d = function
+  | Vi x -> write_int fr d x
+  | Vf f -> write_flt fr d f
+  | Vp b -> write_pred fr d b
+  | Vnat -> write_nat fr d
+
+(* --- semantics ------------------------------------------------------------ *)
+
+let int_binop op x y =
+  match op with
+  | Opcode.Add -> Int64.add x y
+  | Opcode.Sub -> Int64.sub x y
+  | Opcode.Mul -> Int64.mul x y
+  | Opcode.Div -> Int64.div x y
+  | Opcode.Rem -> Int64.rem x y
+  | Opcode.And -> Int64.logand x y
+  | Opcode.Or -> Int64.logor x y
+  | Opcode.Xor -> Int64.logxor x y
+  | Opcode.Shl -> Int64.shift_left x (Int64.to_int y land 63)
+  | Opcode.Shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
+  | Opcode.Sra -> Int64.shift_right x (Int64.to_int y land 63)
+  | _ -> invalid_arg "int_binop"
+
+let flt_binop op x y =
+  match op with
+  | Opcode.Fadd -> x +. y
+  | Opcode.Fsub -> x -. y
+  | Opcode.Fmul -> x *. y
+  | Opcode.Fdiv -> x /. y
+  | _ -> invalid_arg "flt_binop"
+
+let do_intrinsic st (k : Intrinsics.kind) (args : value array) =
   let geti n =
-    match List.nth_opt args n with
-    | Some v -> (
-        match as_int v with
-        | `I i -> i
-        | `Nat ->
-            st.nat_faults <- st.nat_faults + 1;
-            0L)
-    | None -> 0L
+    if n >= Array.length args then 0L
+    else
+      match args.(n) with
+      | Vi i -> i
+      | Vf f -> Int64.of_float f
+      | Vp b -> if b then 1L else 0L
+      | Vnat ->
+          st.nat_faults <- st.nat_faults + 1;
+          0L
   in
   match k with
   | Intrinsics.Print_int ->
-      print_int_value st (geti 0);
-      []
+      Buffer.add_string st.output (Int64.to_string (geti 0));
+      Buffer.add_char st.output '\n';
+      [||]
   | Intrinsics.Print_char ->
       Buffer.add_char st.output (Char.chr (Int64.to_int (geti 0) land 0xff));
-      []
+      [||]
   | Intrinsics.Malloc ->
       let bytes = Int64.to_int (geti 0) in
       let bytes = max 8 ((bytes + 15) / 16 * 16) in
       let addr = st.heap in
       st.heap <- Int64.add st.heap (Int64.of_int bytes);
       Memimage.map_range st.mem addr bytes;
-      [ Vi addr ]
+      [| Vi addr |]
   | Intrinsics.Input ->
       let i = Int64.to_int (geti 0) in
-      if i >= 0 && i < Array.length st.input then [ Vi st.input.(i) ] else [ Vi 0L ]
-  | Intrinsics.Input_len -> [ Vi (Int64.of_int (Array.length st.input)) ]
+      if i >= 0 && i < Array.length st.input then [| Vi st.input.(i) |] else [| Vi 0L |]
+  | Intrinsics.Input_len -> [| Vi (Int64.of_int (Array.length st.input)) |]
   | Intrinsics.Memcpy ->
       let dst = geti 0 and src = geti 1 and n = Int64.to_int (geti 2) in
       for i = 0 to n - 1 do
         let b = Memimage.read st.mem (Int64.add src (Int64.of_int i)) 1 in
         Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 b
       done;
-      []
+      [||]
   | Intrinsics.Memset ->
       let dst = geti 0 and v = geti 1 and n = Int64.to_int (geti 2) in
       for i = 0 to n - 1 do
         Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 v
       done;
-      []
+      [||]
   | Intrinsics.Exit -> raise (Exit_program (Int64.to_int (geti 0)))
 
-(* Execute a load, applying the speculation model.  A non-speculative access
-   to an unmapped or NULL page is a fatal fault; a speculative one yields NaT
+(* A load from a page that is not [Ok].  A non-speculative access to an
+   unmapped or NULL page is a fatal fault; a speculative one yields NaT
    ("deferred exception") and is counted as a wild load when off the NULL
    page. *)
-let do_load st (spec : Opcode.spec_kind) (addr : int64) size =
-  match Memimage.classify st.mem addr with
-  | Memimage.Ok -> Vi (Memimage.read st.mem addr size)
+let deferred_load st (spec : Opcode.spec_kind) addr = function
+  | Memimage.Ok -> assert false
   | Memimage.Null_page -> (
       match spec with
       | Opcode.Nonspec | Opcode.Spec_advanced ->
           raise (Fault (Printf.sprintf "load from NULL page 0x%Lx" addr))
-      | Opcode.Spec_general | Opcode.Spec_sentinel -> Vnat)
+      | Opcode.Spec_general | Opcode.Spec_sentinel -> ())
   | Memimage.Unmapped -> (
       match spec with
       | Opcode.Nonspec | Opcode.Spec_advanced ->
           raise (Fault (Printf.sprintf "load from unmapped 0x%Lx" addr))
       | Opcode.Spec_general | Opcode.Spec_sentinel ->
-          st.wild_loads <- st.wild_loads + 1;
-          Vnat)
+          st.wild_loads <- st.wild_loads + 1)
 
-(* Execute one function invocation; returns the list of returned values. *)
-let rec exec_call st (fname : string) (args : value list) (caller_sp : int64) =
-  st.hooks.on_call fname;
-  match Intrinsics.of_name fname with
-  | Some k -> do_intrinsic st k args
-  | None ->
-      let f = Program.find_func_exn st.program fname in
-      let fr = fresh_frame st f in
-      List.iteri
-        (fun i p -> match List.nth_opt args i with
-          | Some v -> write_reg fr p v
-          | None -> ())
-        f.Func.params;
-      write_reg fr Reg.sp (Vi caller_sp);
-      exec_block st fr (Func.entry f)
+let load_into fr d ~fdst bits =
+  if fdst then write_flt fr d (Int64.float_of_bits bits) else write_int fr d bits
 
-and exec_block st fr (b : Block.t) =
-  st.hooks.on_block fr.func b;
-  exec_instrs st fr b b.Block.instrs
+(* Speculation-check recovery: reload non-speculatively into the checked
+   register. *)
+let recover st fr ~size ~rd ~fdst a =
+  if is_nat fr a then st.nat_faults <- st.nat_faults + 1
+  else
+    let addr = int_of fr a in
+    match Memimage.classify st.mem addr with
+    | Memimage.Ok -> load_into fr rd ~fdst (Memimage.read st.mem addr size)
+    | acc -> deferred_load st Opcode.Nonspec addr acc
 
-and exec_instrs st fr (b : Block.t) = function
-  | [] -> (
-      (* Fall through to the next block in layout order. *)
-      match Func.fallthrough fr.func b with
-      | Some nb -> exec_block st fr nb
-      | None -> raise (Fault (fr.func.Func.name ^ ": fell off the end of " ^ b.Block.label)))
-  | (i : Instr.t) :: rest -> (
-      if st.fuel <= 0 then raise Out_of_fuel;
-      st.fuel <- st.fuel - 1;
-      st.executed <- st.executed + 1;
-      let guard = match i.Instr.pred with None -> true | Some p -> as_pred (read_reg fr p) in
-      let continue () = exec_instrs st fr b rest in
-      let goto label =
-        match Func.find_block fr.func label with
-        | Some nb -> exec_block st fr nb
-        | None -> raise (Fault ("branch to unknown label " ^ label))
-      in
-      match i.Instr.op with
-      | Opcode.Cmp (c, ct) | Opcode.Fcmp (c, ct) -> (
-          let fcmp = match i.Instr.op with Opcode.Fcmp _ -> true | _ -> false in
-          let pt, pf =
-            match i.Instr.dsts with
-            | [ pt; pf ] -> (pt, pf)
-            | _ -> raise (Fault "cmp without two destinations")
-          in
-          let cond () =
-            match i.Instr.srcs with
-            | [ a; b' ] ->
-                if fcmp then (
-                  match (as_float (operand_value st fr a), as_float (operand_value st fr b')) with
-                  | `F x, `F y -> Some (Opcode.eval_fcmp c x y)
-                  | _ -> None)
-                else (
-                  match (as_int (operand_value st fr a), as_int (operand_value st fr b')) with
-                  | `I x, `I y -> Some (Opcode.eval_icmp c x y)
-                  | _ -> None (* NaT input: both targets cleared *))
-            | _ -> raise (Fault "cmp arity")
-          in
-          match ct with
-          | Opcode.Norm ->
-              if guard then (
-                match cond () with
-                | Some r ->
-                    write_reg fr pt (Vp r);
-                    write_reg fr pf (Vp (not r))
-                | None ->
-                    write_reg fr pt (Vp false);
-                    write_reg fr pf (Vp false));
-              continue ()
-          | Opcode.Unc ->
-              (* unc clears both targets even when the guard is false *)
-              write_reg fr pt (Vp false);
-              write_reg fr pf (Vp false);
-              if guard then (
-                match cond () with
-                | Some r ->
-                    write_reg fr pt (Vp r);
-                    write_reg fr pf (Vp (not r))
-                | None -> ());
-              continue ()
-          | Opcode.Orform ->
-              if guard then (
-                match cond () with
-                | Some true ->
-                    write_reg fr pt (Vp true);
-                    write_reg fr pf (Vp true)
-                | Some false | None -> ());
-              continue ())
-      | _ when not guard ->
-          (* predicate-squashed: fetched but not executed *)
-          (match i.Instr.op with
-          | Opcode.Br -> st.hooks.on_branch fr.func i false
-          | _ -> ());
-          continue ()
-      | Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
-      | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
-      | Opcode.Sra -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a; b' ] ->
-              let va = as_int (operand_value st fr a)
-              and vb = as_int (operand_value st fr b') in
-              (* Div/Rem by zero under speculation must defer, not kill. *)
-              let v =
-                try int_binop i.Instr.op va vb
-                with Fault _ when i.Instr.attrs.Instr.speculated -> Vnat
-              in
-              write_reg fr d v;
-              continue ()
-          | _ -> raise (Fault ("bad ALU instruction " ^ Instr.to_string i)))
-      | Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a; b' ] ->
-              let v =
-                flt_binop i.Instr.op
-                  (as_float (operand_value st fr a))
-                  (as_float (operand_value st fr b'))
-              in
-              write_reg fr d v;
-              continue ()
-          | _ -> raise (Fault "bad FP instruction"))
-      | Opcode.Fneg -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a ] ->
-              (match as_float (operand_value st fr a) with
-              | `F x -> write_reg fr d (Vf (-.x))
-              | `Nat -> write_reg fr d Vnat);
-              continue ()
-          | _ -> raise (Fault "bad fneg"))
-      | Opcode.Cvt_fi -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a ] ->
-              (match as_float (operand_value st fr a) with
-              | `F x -> write_reg fr d (Vi (Int64.of_float x))
-              | `Nat -> write_reg fr d Vnat);
-              continue ()
-          | _ -> raise (Fault "bad cvt.fi"))
-      | Opcode.Cvt_if -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a ] ->
-              (match as_int (operand_value st fr a) with
-              | `I x -> write_reg fr d (Vf (Int64.to_float x))
-              | `Nat -> write_reg fr d Vnat);
-              continue ()
-          | _ -> raise (Fault "bad cvt.if"))
-      | Opcode.Mov | Opcode.Sxt _ -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a ] ->
-              let v = operand_value st fr a in
-              let v =
-                match (i.Instr.op, v) with
-                | Opcode.Sxt sz, Vi x ->
-                    let bits = 8 * Opcode.size_bytes sz in
-                    Vi (Int64.shift_right (Int64.shift_left x (64 - bits)) (64 - bits))
-                | _ -> v
-              in
-              write_reg fr d v;
-              continue ()
-          | _ -> raise (Fault "bad mov"))
-      | Opcode.Lea -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ base; off ] ->
-              let b' =
-                match operand_value st fr base with
-                | Vi x -> x
-                | _ -> raise (Fault "lea base")
-              in
-              let o =
-                match operand_value st fr off with Vi x -> x | _ -> 0L
-              in
-              write_reg fr d (Vi (Int64.add b' o));
-              continue ()
-          | _ -> raise (Fault "bad lea"))
-      | Opcode.Ld (sz, spec) -> (
-          match (i.Instr.dsts, i.Instr.srcs) with
-          | [ d ], [ a ] ->
-              (match as_int (operand_value st fr a) with
-              | `I addr ->
-                  let v = do_load st spec addr (Opcode.size_bytes sz) in
-                  (* Floats live in memory as IEEE-754 bit patterns. *)
-                  let v =
-                    match (v, d.Reg.cls) with
-                    | Vi bits, Reg.Flt -> Vf (Int64.float_of_bits bits)
-                    | _ -> v
-                  in
-                  if spec = Opcode.Spec_advanced then
-                    Reg.Tbl.replace fr.alat d (addr, Opcode.size_bytes sz);
-                  write_reg fr d v
-              | `Nat ->
-                  (* address is NaT: propagate (speculative chains) *)
-                  if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
-                  write_reg fr d Vnat);
-              continue ()
-          | _ -> raise (Fault "bad load"))
-      | Opcode.St sz -> (
-          match i.Instr.srcs with
-          | [ a; v ] ->
-              let stored =
-                match operand_value st fr v with
-                | Vf f -> Vi (Int64.bits_of_float f)
-                | x -> x
-              in
-              (match (as_int (operand_value st fr a), as_int stored) with
-              | `I addr, `I x -> (
-                  (* invalidate overlapping advanced-load entries; the ALAT
-                     is empty unless an advanced load is in flight, so check
-                     the size before scanning, and drop stale entries in
-                     place rather than via an intermediate list *)
-                  if Reg.Tbl.length fr.alat > 0 then begin
-                    let bytes = Opcode.size_bytes sz in
-                    Reg.Tbl.filter_map_inplace
-                      (fun _r ((a, n) as e) ->
-                        let lo = max (Int64.to_int a) (Int64.to_int addr) in
-                        let hi =
-                          min
-                            (Int64.to_int a + n)
-                            (Int64.to_int addr + bytes)
-                        in
-                        if lo < hi then None else Some e)
-                      fr.alat
-                  end;
-                  match Memimage.classify st.mem addr with
-                  | Memimage.Ok -> Memimage.write st.mem addr (Opcode.size_bytes sz) x
-                  | Memimage.Null_page | Memimage.Unmapped ->
-                      raise (Fault (Printf.sprintf "store to invalid 0x%Lx" addr)))
-              | `Nat, _ | _, `Nat -> st.nat_faults <- st.nat_faults + 1);
-              continue ()
-          | _ -> raise (Fault "bad store"))
-      | Opcode.Chk sz -> (
-          match i.Instr.srcs with
-          | [ Operand.Reg r; a ] -> (
-              match read_reg fr r with
-              | Vnat ->
-                  (* recovery: reload non-speculatively *)
-                  (match as_int (operand_value st fr a) with
-                  | `I addr ->
-                      let v = do_load st Opcode.Nonspec addr (Opcode.size_bytes sz) in
-                      let v =
-                        match (v, r.Reg.cls) with
-                        | Vi bits, Reg.Flt -> Vf (Int64.float_of_bits bits)
-                        | _ -> v
-                      in
-                      write_reg fr r v
-                  | `Nat -> st.nat_faults <- st.nat_faults + 1);
-                  continue ()
-              | _ -> continue ())
-          | _ -> raise (Fault "bad chk"))
-      | Opcode.Chka sz -> (
-          match i.Instr.srcs with
-          | [ Operand.Reg r; a ] ->
-              if Reg.Tbl.mem fr.alat r then continue ()
-              else begin
-                (* entry invalidated by an intervening store: recover *)
-                st.alat_recoveries <- st.alat_recoveries + 1;
-                (match as_int (operand_value st fr a) with
-                | `I addr ->
-                    let v = do_load st Opcode.Nonspec addr (Opcode.size_bytes sz) in
-                    let v =
-                      match (v, r.Reg.cls) with
-                      | Vi bits, Reg.Flt -> Vf (Int64.float_of_bits bits)
-                      | _ -> v
-                    in
-                    write_reg fr r v
-                | `Nat -> st.nat_faults <- st.nat_faults + 1);
-                continue ()
-              end
-          | _ -> raise (Fault "bad chk.a"))
-      | Opcode.Br -> (
-          match i.Instr.srcs with
-          | [ Operand.Label l ] ->
-              st.hooks.on_branch fr.func i true;
-              goto l
-          | _ -> raise (Fault "bad br"))
-      | Opcode.Br_call -> (
-          match i.Instr.srcs with
-          | target :: args ->
-              let argv = List.map (operand_value st fr) args in
-              let sp =
-                match as_int (read_reg fr Reg.sp) with `I s -> s | `Nat -> 0L
-              in
-              let results =
-                match target with
-                | Operand.Sym fname -> exec_call st fname argv sp
-                | Operand.Reg r -> (
-                    match as_int (read_reg fr r) with
-                    | `I addr -> (
-                        match Program.func_at_address st.program addr with
-                        | Some fname ->
-                            st.hooks.on_indirect i fname;
-                            exec_call st fname argv sp
-                        | None ->
-                            raise (Fault (Printf.sprintf "indirect call to 0x%Lx" addr)))
-                    | `Nat -> raise (Fault "indirect call through NaT"))
-                | _ -> raise (Fault "bad call target")
-              in
-              Reg.Tbl.reset fr.alat;
-              List.iteri
-                (fun n d ->
-                  match List.nth_opt results n with
-                  | Some v -> write_reg fr d v
-                  | None -> write_reg fr d (Vi 0L))
-                i.Instr.dsts;
-              continue ()
-          | [] -> raise (Fault "bad call"))
-      | Opcode.Br_ret -> List.map (operand_value st fr) i.Instr.srcs
-      | Opcode.Alloc | Opcode.Nop -> continue ())
+(* Compare outcome: 1 true, 0 false, -1 a NaT input. *)
+let compare_outcome fr ~fcmp c a b ~arity_ok =
+  if not arity_ok then raise (Fault "cmp arity");
+  if is_nat fr a || is_nat fr b then -1
+  else if
+    if fcmp then Opcode.eval_fcmp c (flt_of fr a) (flt_of fr b)
+    else Opcode.eval_icmp c (int_of fr a) (int_of fr b)
+  then 1
+  else 0
 
-(* Run the whole program; returns (exit_code, output). *)
-let run ?hooks ?fuel (p : Program.t) (input : int64 array) =
-  let st = create ?hooks ?fuel p input in
-  let init_sp = Int64.sub Program.stack_top 128L in
-  let code, st =
-    try
-      let results = exec_call st p.Program.entry [] init_sp in
-      let code =
-        match results with
-        | Vi i :: _ -> Int64.to_int i
-        | _ -> 0
-      in
-      (code, st)
-    with Exit_program c -> (c, st)
+let exec_cmp fr ~fcmp c (ct : Opcode.ctype) pt pf a b ~arity_ok guard =
+  match ct with
+  | Opcode.Norm ->
+      if guard then (
+        match compare_outcome fr ~fcmp c a b ~arity_ok with
+        | -1 ->
+            write_pred fr pt false;
+            write_pred fr pf false
+        | r ->
+            write_pred fr pt (r = 1);
+            write_pred fr pf (r <> 1))
+  | Opcode.Unc ->
+      (* unc clears both targets even when the guard is false *)
+      write_pred fr pt false;
+      write_pred fr pf false;
+      if guard then (
+        match compare_outcome fr ~fcmp c a b ~arity_ok with
+        | -1 -> ()
+        | r ->
+            write_pred fr pt (r = 1);
+            write_pred fr pf (r <> 1))
+  | Opcode.Orform ->
+      if guard && compare_outcome fr ~fcmp c a b ~arity_ok = 1 then begin
+        write_pred fr pt true;
+        write_pred fr pf true
+      end
+
+let exec_store st fr ~size a v =
+  if is_nat fr a || is_nat fr v then st.nat_faults <- st.nat_faults + 1
+  else
+    let addr = int_of fr a in
+    let x =
+      match v with
+      | Flt k -> Int64.bits_of_float fr.flts.(k)
+      | Fimm f -> Int64.bits_of_float f
+      | _ -> int_of fr v
+    in
+    (* invalidate overlapping advanced-load entries *)
+    if fr.alat <> [] then begin
+      let lo0 = Int64.to_int addr in
+      fr.alat <-
+        List.filter
+          (fun (_, a, n) ->
+            let lo = max (Int64.to_int a) lo0 in
+            let hi = min (Int64.to_int a + n) (lo0 + size) in
+            lo >= hi)
+          fr.alat
+    end;
+    match Memimage.classify st.mem addr with
+    | Memimage.Ok -> Memimage.write st.mem addr size x
+    | Memimage.Null_page | Memimage.Unmapped ->
+        raise (Fault (Printf.sprintf "store to invalid 0x%Lx" addr))
+
+(* Execute one function invocation; returns the returned values. *)
+let rec exec_call st slot (args : value array) (caller_sp : int64) =
+  let df = st.code.funcs.(slot) in
+  if Array.length df.blocks = 0 then
+    invalid_arg ("Func.entry: empty function " ^ df.func.Func.name);
+  let fr = new_frame df in
+  for i = 0 to min (Array.length args) (Array.length df.params) - 1 do
+    write_value fr df.params.(i) args.(i)
+  done;
+  write_int fr sp_dst caller_sp;
+  exec_block st df fr 0
+
+and call_target st target args sp =
+  match target with
+  | Intrinsic k -> do_intrinsic st k args
+  | Direct slot -> exec_call st slot args sp
+  | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)
+  | Indirect _ | Bad_target -> raise (Fault "bad call target")
+
+and exec_block st df fr bi =
+  if st.profiling then df.entries.(bi) <- df.entries.(bi) + 1;
+  exec_at st df fr df.blocks.(bi) 0
+
+and exec_at st df fr b k =
+  if k = Array.length b.code then
+    if b.fall < 0 then
+      raise (Fault (df.func.Func.name ^ ": fell off the end of " ^ b.block.Block.label))
+    else exec_block st df fr b.fall
+  else begin
+    if st.fuel <= 0 then raise Out_of_fuel;
+    st.fuel <- st.fuel - 1;
+    let i = b.code.(k) in
+    let guard =
+      match i.g with Always -> true | If p -> fr.prds.(p) | If_opnd o -> pred_of fr o
+    in
+    match i.op with
+    | Cmp { fcmp; c; ct; pt; pf; a; b = b'; arity_ok } ->
+        exec_cmp fr ~fcmp c ct pt pf a b' ~arity_ok guard;
+        exec_at st df fr b (k + 1)
+    | op when not guard ->
+        (* predicate-squashed: fetched but not executed *)
+        (match op with
+        | Br { site; _ } when st.profiling -> df.br_exec.(site) <- df.br_exec.(site) + 1
+        | _ -> ());
+        exec_at st df fr b (k + 1)
+    | Ialu { iop; d; a; b = b'; spec } ->
+        (if is_nat fr a || is_nat fr b' then write_nat fr d
+         else
+           let x = int_of fr a and y = int_of fr b' in
+           match iop with
+           | (Opcode.Div | Opcode.Rem) when Int64.equal y 0L ->
+               (* Div/Rem by zero under speculation must defer, not kill. *)
+               if spec then write_nat fr d
+               else
+                 raise
+                   (Fault
+                      (if iop = Opcode.Div then "division by zero"
+                       else "remainder by zero"))
+           | _ -> write_int fr d (int_binop iop x y));
+        exec_at st df fr b (k + 1)
+    | Falu { fop; d; a; b = b' } ->
+        if is_nat fr a || is_nat fr b' then write_nat fr d
+        else write_flt fr d (flt_binop fop (flt_of fr a) (flt_of fr b'));
+        exec_at st df fr b (k + 1)
+    | Fneg (d, a) ->
+        if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a);
+        exec_at st df fr b (k + 1)
+    | Cvt_fi (d, a) ->
+        if is_nat fr a then write_nat fr d
+        else write_int fr d (Int64.of_float (flt_of fr a));
+        exec_at st df fr b (k + 1)
+    | Cvt_if (d, a) ->
+        if is_nat fr a then write_nat fr d
+        else write_flt fr d (Int64.to_float (int_of fr a));
+        exec_at st df fr b (k + 1)
+    | Mov (d, a) ->
+        (match (d, a) with
+        | Dint x, Int y ->
+            fr.ints.(x) <- fr.ints.(y);
+            fr.inat.(x) <- fr.inat.(y)
+        | _ -> write_value fr d (value fr a));
+        exec_at st df fr b (k + 1)
+    | Sxt (bits, d, a) ->
+        (match a with
+        | (Int _ | Imm _) when not (is_nat fr a) ->
+            let s = 64 - bits in
+            write_int fr d (Int64.shift_right (Int64.shift_left (int_of fr a) s) s)
+        | _ -> write_value fr d (value fr a));
+        exec_at st df fr b (k + 1)
+    | Lea (d, base, off) ->
+        let base =
+          match base with
+          | Int x when not fr.inat.(x) -> fr.ints.(x)
+          | Imm x -> x
+          | _ -> raise (Fault "lea base")
+        in
+        let off =
+          match off with
+          | Int x when not fr.inat.(x) -> fr.ints.(x)
+          | Imm x -> x
+          | _ -> 0L
+        in
+        write_int fr d (Int64.add base off);
+        exec_at st df fr b (k + 1)
+    | Ld { size; spec; d; fdst; key; a } ->
+        (if is_nat fr a then begin
+           (* address is NaT: propagate (speculative chains) *)
+           if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
+           write_nat fr d
+         end
+         else
+           let addr = int_of fr a in
+           match Memimage.classify st.mem addr with
+           | Memimage.Ok ->
+               if spec = Opcode.Spec_advanced then
+                 fr.alat <-
+                   (key, addr, size) :: List.filter (fun (k', _, _) -> k' <> key) fr.alat;
+               load_into fr d ~fdst (Memimage.read st.mem addr size)
+           | acc ->
+               deferred_load st spec addr acc;
+               write_nat fr d);
+        exec_at st df fr b (k + 1)
+    | St { size; a; v } ->
+        exec_store st fr ~size a v;
+        exec_at st df fr b (k + 1)
+    | Chk { size; r; rd; fdst; a } ->
+        if is_nat fr r then recover st fr ~size ~rd ~fdst a;
+        exec_at st df fr b (k + 1)
+    | Chka { size; key; rd; fdst; a } ->
+        if not (List.exists (fun (k', _, _) -> k' = key) fr.alat) then begin
+          (* entry invalidated by an intervening store: recover *)
+          st.alat_recoveries <- st.alat_recoveries + 1;
+          recover st fr ~size ~rd ~fdst a
+        end;
+        exec_at st df fr b (k + 1)
+    | Br { site; target; label } ->
+        if target = -2 then raise (Fault "bad br");
+        if st.profiling then begin
+          df.br_exec.(site) <- df.br_exec.(site) + 1;
+          df.br_taken.(site) <- df.br_taken.(site) + 1
+        end;
+        if target < 0 then raise (Fault ("branch to unknown label " ^ label));
+        exec_block st df fr target
+    | Call { callee; args; dsts } ->
+        let argv = Array.map (value fr) args in
+        let sp = if fr.inat.(sp_slot) then 0L else fr.ints.(sp_slot) in
+        let results =
+          match callee with
+          | Indirect (o, site) ->
+              if is_nat fr o then raise (Fault "indirect call through NaT");
+              let addr = int_of fr o in
+              let off = Int64.to_int (Int64.sub addr Program.code_base) in
+              let fi = off / 64 in
+              if off < 0 || off mod 64 <> 0 || fi >= Array.length st.code.funcs then
+                raise (Fault (Printf.sprintf "indirect call to 0x%Lx" addr));
+              if st.profiling then begin
+                let h = df.ind_counts.(site) in
+                h.(fi) <- h.(fi) + 1
+              end;
+              call_target st st.code.targets.(fi) argv sp
+          | target -> call_target st target argv sp
+        in
+        fr.alat <- [];
+        for n = 0 to Array.length dsts - 1 do
+          if n < Array.length results then write_value fr dsts.(n) results.(n)
+          else write_int fr dsts.(n) 0L
+        done;
+        exec_at st df fr b (k + 1)
+    | Ret vs -> Array.map (value fr) vs
+    | Nop -> exec_at st df fr b (k + 1)
+    | Bad e -> raise e
+  end
+
+(* Run the whole program; returns (exit code, output, final state). *)
+let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 array) =
+  Program.assign_addresses p;
+  let mem = Memimage.create () in
+  Memimage.load_program mem p;
+  let st =
+    {
+      program = p;
+      mem;
+      heap = Program.heap_base;
+      output = Buffer.create 256;
+      input;
+      fuel;
+      executed = 0;
+      nat_faults = 0;
+      wild_loads = 0;
+      alat_recoveries = 0;
+      profiling = profile;
+      code = decode p;
+    }
   in
+  let init_sp = Int64.sub Program.stack_top 128L in
+  let code =
+    try
+      match call_target st st.code.entry [||] init_sp with
+      | [||] -> 0
+      | r -> ( match r.(0) with Vi i -> Int64.to_int i | _ -> 0)
+    with Exit_program c -> c
+  in
+  st.executed <- fuel - st.fuel;
   (code, Buffer.contents st.output, st)
+
+(* --- profile counts ------------------------------------------------------- *)
+
+let iter_block_counts st f =
+  Array.iter
+    (fun df ->
+      Array.iteri
+        (fun i n -> if n > 0 then f df.func df.blocks.(i).block n)
+        df.entries)
+    st.code.funcs
+
+let iter_branch_counts st f =
+  Array.iter
+    (fun df ->
+      Array.iteri
+        (fun s n -> if n > 0 then f df.br_instrs.(s) ~exec:n ~taken:df.br_taken.(s))
+        df.br_exec)
+    st.code.funcs
+
+let iter_indirect_counts st f =
+  Array.iter
+    (fun df ->
+      Array.iteri
+        (fun s h ->
+          Array.iteri
+            (fun fi n ->
+              if n > 0 then f df.ind_instrs.(s) st.code.funcs.(fi).func.Func.name n)
+            h)
+        df.ind_counts)
+    st.code.funcs

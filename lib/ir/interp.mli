@@ -4,8 +4,15 @@
     deferral for control-speculative loads, sentinel checks with in-place
     recovery, and an ALAT for data-speculative loads.
 
-    It is the semantic oracle for differential testing and, through
-    [hooks], the engine behind control-flow profiling. *)
+    It is the semantic oracle for differential testing and, with
+    [~profile:true], the engine behind control-flow profiling.  Each run
+    predecodes the program once (DESIGN.md §10): blocks become instruction
+    arrays with branch targets resolved to block indices, calls and symbols
+    are resolved up front, and each function's registers are renumbered
+    densely, so a call frame holds only the registers its function
+    mentions.  A profiled run counts block entries, branch executions and
+    indirect-call targets in dense int arrays, read back with the [iter_*]
+    functions below. *)
 
 type value = Vi of int64 | Vf of float | Vp of bool | Vnat
 
@@ -15,17 +22,8 @@ exception Exit_program of int  (** raised by the [exit] intrinsic *)
 
 exception Out_of_fuel  (** the dynamic instruction budget was exhausted *)
 
-(** Instrumentation callbacks (all default to no-ops). *)
-type hooks = {
-  on_block : Func.t -> Block.t -> unit;  (** every block entry *)
-  on_branch : Func.t -> Instr.t -> bool -> unit;
-      (** every executed direct branch, with its taken outcome *)
-  on_call : string -> unit;  (** every call, by callee name *)
-  on_indirect : Instr.t -> string -> unit;
-      (** every indirect call site with the resolved callee *)
-}
-
-val no_hooks : hooks
+type code
+(** The predecoded program of one run. *)
 
 (** Interpreter state; exposed so callers can read the event counters. *)
 type state = {
@@ -39,18 +37,34 @@ type state = {
   mutable nat_faults : int;  (** NaT consumed by a non-speculative op *)
   mutable wild_loads : int;  (** speculative accesses to unmapped pages *)
   mutable alat_recoveries : int;  (** chk.a entries found invalidated *)
-  hooks : hooks;
-  vspans : (string, int * int * int) Hashtbl.t;
-      (** internal host-speed cache: per-function virtual-register bank
-          sizes (see DESIGN.md §10); not meaningful to callers *)
+  profiling : bool;  (** the run counts profile events *)
+  code : code;
 }
 
 (** Run [program] with the given input vector (read by the [input]
     intrinsic); returns (exit code, printed output, final state).
-    [fuel] bounds the dynamic instruction count (default 4·10⁸). *)
+    [fuel] bounds the dynamic instruction count (default 4·10⁸).
+    [profile] (default false) turns on the profile counters. *)
 val run :
-  ?hooks:hooks ->
+  ?profile:bool ->
   ?fuel:int ->
   Program.t ->
   int64 array ->
   int * string * state
+
+(** {2 Profile counts of a [~profile:true] run}
+
+    Each iterator visits functions in program order and reports only
+    non-zero counts.  Instructions sharing an id (copies made by
+    [Instr.clone]) are reported separately; callers merge them. *)
+
+(** Entries into each block. *)
+val iter_block_counts : state -> (Func.t -> Block.t -> int -> unit) -> unit
+
+(** Executions of each direct branch (squashed ones included) and how many
+    were taken. *)
+val iter_branch_counts :
+  state -> (Instr.t -> exec:int -> taken:int -> unit) -> unit
+
+(** Calls from each indirect call site, per resolved callee name. *)
+val iter_indirect_counts : state -> (Instr.t -> string -> int -> unit) -> unit

@@ -9,9 +9,9 @@
    — are performed as single word-granularity [Bytes] reads/writes instead
    of per-byte loops, and the page handle of the most recent access is
    cached so consecutive accesses to the same page (stack traffic, array
-   walks) skip the page-table hash entirely.  Pages are never unmapped and
-   their [Bytes] handles never move, so the one-entry handle cache can
-   never go stale. *)
+   walks) skip the page-table hash entirely, in [classify] as well as in
+   the access itself.  Pages are never unmapped and their [Bytes] handles
+   never move, so the one-entry handle cache can never go stale. *)
 
 let page_bits = 9
 let page_size = 1 lsl page_bits (* 512 B; scaled from 16 kB (see DESIGN.md) *)
@@ -54,8 +54,10 @@ let is_mapped t (a : int64) = Hashtbl.mem t.pages (page_of_addr a)
    architected NaT page: speculative accesses to it complete cheaply. *)
 let classify t (a : int64) =
   if Int64.unsigned_compare a (Int64.of_int page_size) < 0 then Null_page
-  else if is_mapped t a then Ok
-  else Unmapped
+  else
+    let idx = page_of_addr a in
+    (* the cached handle is always a mapped page *)
+    if idx = t.last_idx || Hashtbl.mem t.pages idx then Ok else Unmapped
 
 (* The page backing [idx], mapping it on demand (the policy decision of
    whether an unmapped access is legal lives above this layer). *)

@@ -28,23 +28,28 @@ let escape_to buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* The C formatter behind [Printf]'s %g: the same bytes without the
+   format-interpretation overhead (float emission dominates a served run
+   response). *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Shortest decimal representation that round-trips; non-finite floats have
    no JSON spelling and become null. *)
 let float_repr f =
   if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then None
   else
-    let s = Printf.sprintf "%.15g" f in
-    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    let s = format_float "%.15g" f in
+    let s = if float_of_string s = f then s else format_float "%.17g" f in
     (* "1e17" and "1" are both valid JSON numbers; nothing to patch up *)
     Some s
 
+let indent buf ~pretty d =
+  if pretty then begin
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (2 * d) ' ')
+  end
+
 let rec emit buf ~pretty ~depth j =
-  let indent d =
-    if pretty then begin
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (2 * d) ' ')
-    end
-  in
   match j with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -58,30 +63,46 @@ let rec emit buf ~pretty ~depth j =
       escape_to buf s;
       Buffer.add_char buf '"'
   | List [] -> Buffer.add_string buf "[]"
-  | List xs ->
+  | List (x :: xs) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun k x ->
-          if k > 0 then Buffer.add_char buf ',';
-          indent (depth + 1);
-          emit buf ~pretty ~depth:(depth + 1) x)
-        xs;
-      indent depth;
+      emit_item buf ~pretty ~depth x;
+      emit_items buf ~pretty ~depth xs;
+      indent buf ~pretty depth;
       Buffer.add_char buf ']'
   | Obj [] -> Buffer.add_string buf "{}"
-  | Obj kvs ->
+  | Obj (kv :: kvs) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun k (key, v) ->
-          if k > 0 then Buffer.add_char buf ',';
-          indent (depth + 1);
-          Buffer.add_char buf '"';
-          escape_to buf key;
-          Buffer.add_string buf (if pretty then "\": " else "\":");
-          emit buf ~pretty ~depth:(depth + 1) v)
-        kvs;
-      indent depth;
+      emit_member buf ~pretty ~depth kv;
+      emit_members buf ~pretty ~depth kvs;
+      indent buf ~pretty depth;
       Buffer.add_char buf '}'
+
+(* Elements and members of a container at [depth]; the rest of a list is
+   comma-separated. *)
+and emit_item buf ~pretty ~depth x =
+  indent buf ~pretty (depth + 1);
+  emit buf ~pretty ~depth:(depth + 1) x
+
+and emit_items buf ~pretty ~depth = function
+  | [] -> ()
+  | x :: xs ->
+      Buffer.add_char buf ',';
+      emit_item buf ~pretty ~depth x;
+      emit_items buf ~pretty ~depth xs
+
+and emit_member buf ~pretty ~depth (key, v) =
+  indent buf ~pretty (depth + 1);
+  Buffer.add_char buf '"';
+  escape_to buf key;
+  Buffer.add_string buf (if pretty then "\": " else "\":");
+  emit buf ~pretty ~depth:(depth + 1) v
+
+and emit_members buf ~pretty ~depth = function
+  | [] -> ()
+  | kv :: kvs ->
+      Buffer.add_char buf ',';
+      emit_member buf ~pretty ~depth kv;
+      emit_members buf ~pretty ~depth kvs
 
 let to_buffer buf j = emit buf ~pretty:false ~depth:0 j
 

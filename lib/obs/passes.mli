@@ -5,7 +5,7 @@
 
 type record = {
   name : string;  (** phase name, in execution order *)
-  wall_s : float;  (** processor time spent in the phase *)
+  wall_s : float;  (** wall-clock time spent in the phase *)
   rounds : int;  (** fixed-point rounds run (1 for single-shot passes) *)
   instrs_before : int;
   instrs_after : int;

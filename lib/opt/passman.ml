@@ -140,9 +140,9 @@ let ir_measure (p : Program.t) =
 let phase t ~name ?(rounds_of = fun _ -> 1) ?(preserves = []) f =
   let i0, b0, y0 = ir_measure t.program in
   let c0 = Cache.stats t.cache in
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let r, changes = f t in
-  let dt = Sys.time () -. t0 in
+  let dt = Unix.gettimeofday () -. t0 in
   let i1, b1, y1 = ir_measure t.program in
   note_changes t ~preserves changes;
   Epic_obs.Passes.add t.obs ~name ~wall_s:dt ~rounds:(rounds_of r)

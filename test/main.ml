@@ -13,6 +13,7 @@ let () =
       ("sim", Test_sim.suite);
       ("hotpath", Test_hotpath.suite);
       ("integration", Test_integration.suite);
+      ("golden", Test_golden.suite);
       ("obs", Test_obs.suite);
       ("paper-shapes", Test_workload_shapes.suite);
       ("sweep", Test_sweep.suite);

@@ -150,6 +150,91 @@ let test_profile_branch_probs () =
       end);
   check cb "a hot conditional branch exists" true !found
 
+(* A branch and an [Instr.clone] of it share an id, so their counts merge
+   into one key and both copies are annotated with the sum: the loop
+   branch runs 4 times (3 taken), its clone once (not taken). *)
+let test_profile_cloned_branch_merge () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let f = Func.create "main" [] in
+  let bld = Builder.create f in
+  ignore (Builder.start_block bld "entry");
+  let i = Builder.fresh_int bld in
+  Builder.movi bld i 0;
+  ignore (Builder.start_block bld "loop");
+  Builder.add bld i (Operand.reg i) (Operand.imm 1);
+  let pt = Builder.fresh_pred bld and pf = Builder.fresh_pred bld in
+  Builder.cmp bld Opcode.Lt pt pf (Operand.reg i) (Operand.imm 4);
+  let br = Builder.emit ~pred:pt bld Opcode.Br ~srcs:[ Operand.Label "loop" ] in
+  let tail = Builder.start_block bld "tail" in
+  let qt = Builder.fresh_pred bld and qf = Builder.fresh_pred bld in
+  Builder.cmp bld Opcode.Eq qt qf (Operand.reg i) (Operand.imm 99);
+  let clone = Instr.clone br in
+  clone.Instr.pred <- Some qt;
+  clone.Instr.srcs <- [ Operand.Label "done" ];
+  Block.append tail clone;
+  ignore (Builder.start_block bld "done");
+  Builder.ret bld [ Operand.imm 0 ];
+  Program.add_func p f;
+  let prof, code, _ = Profile.collect p [||] in
+  check ci "clean run" 0 code;
+  check cf "merged executions" 5. (Hashtbl.find prof.Profile.branch_exec br.Instr.id);
+  check cf "merged taken" 3. (Hashtbl.find prof.Profile.branch_taken br.Instr.id);
+  Profile.annotate p prof;
+  List.iter
+    (fun (b : Instr.t) ->
+      check cf "weight is the merged count" 5. b.Instr.attrs.Instr.weight;
+      check cf "probability is the merged ratio" 0.6 b.Instr.attrs.Instr.taken_prob)
+    [ br; clone ]
+
+(* Blocks the training run never enters are annotated with weight 0 (and
+   their branches with probability 0), whatever they carried before. *)
+let test_profile_unexecuted_blocks () =
+  let p =
+    Epic_frontend.Lower.compile_source
+      {|
+int main() {
+  int i; int s;
+  s = 0;
+  for (i = 0; i < 3; i = i + 1) {
+    if (i > 100) { s = s + 7; while (s > 0) { s = s - 1; } }
+    s = s + i;
+  }
+  print_int(s);
+  return 0;
+}
+|}
+  in
+  let f = Program.find_func_exn p "main" in
+  List.iter
+    (fun (b : Block.t) ->
+      b.Block.weight <- 42.;
+      List.iter
+        (fun (i : Instr.t) ->
+          i.Instr.attrs.Instr.weight <- 42.;
+          i.Instr.attrs.Instr.taken_prob <- 0.5)
+        b.Block.instrs)
+    f.Func.blocks;
+  let prof = Profile.profile_and_annotate p [||] in
+  let cold =
+    List.filter
+      (fun (b : Block.t) -> not (Hashtbl.mem prof.Profile.block_counts ("main", b.Block.label)))
+      f.Func.blocks
+  in
+  check cb "some block never runs" true (cold <> []);
+  List.iter
+    (fun (b : Block.t) ->
+      check cf (b.Block.label ^ " weight") 0. b.Block.weight;
+      List.iter
+        (fun (i : Instr.t) ->
+          check cf "instr weight" 0. i.Instr.attrs.Instr.weight;
+          if i.Instr.op = Opcode.Br then
+            check cf "branch probability" 0. i.Instr.attrs.Instr.taken_prob)
+        b.Block.instrs)
+    cold;
+  check cb "executed blocks keep positive weights" true
+    (List.exists (fun (b : Block.t) -> b.Block.weight > 0.) f.Func.blocks)
+
 let test_profile_indirect_targets () =
   let p =
     Epic_frontend.Lower.compile_source
@@ -303,6 +388,8 @@ let suite =
     ("profile counts", `Quick, test_profile_counts);
     ("profile branch probabilities", `Quick, test_profile_branch_probs);
     ("profile indirect targets", `Quick, test_profile_indirect_targets);
+    ("profile merges cloned branch counts", `Quick, test_profile_cloned_branch_merge);
+    ("profile unexecuted blocks weigh zero", `Quick, test_profile_unexecuted_blocks);
     ("points-to distinct globals", `Quick, test_points_to_distinguishes_globals);
     ("points-to heap sites", `Quick, test_points_to_heap_sites);
     ("points-to copy flow", `Quick, test_points_to_flow_through_copy);

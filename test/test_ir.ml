@@ -355,6 +355,41 @@ let test_interp_fuel () =
        false
      with Interp.Out_of_fuel -> true)
 
+(* Registers are renumbered densely per function: ids far apart share a
+   small frame, and a register never written reads as zero (false for a
+   predicate). *)
+let test_interp_sparse_registers () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let f = Func.create "main" [] in
+  let bld = Builder.create f in
+  ignore (Builder.start_block bld "entry");
+  let v5 = Reg.virt 5 Reg.Int and v5000 = Reg.virt 5000 Reg.Int in
+  let vf = Reg.virt 4000 Reg.Flt and vp = Reg.virt 3000 Reg.Prd in
+  Builder.movi bld v5 7;
+  ignore (Builder.call bld "print_int" [ Operand.reg v5000 ]);
+  Builder.add bld v5000 (Operand.reg v5) (Operand.imm 1);
+  ignore (Builder.call bld "print_int" [ Operand.reg v5000 ]);
+  let t = Reg.virt 6 Reg.Int in
+  ignore (Builder.emit bld Opcode.Cvt_fi ~dsts:[ t ] ~srcs:[ Operand.reg vf ]);
+  ignore (Builder.call bld "print_int" [ Operand.reg t ]);
+  ignore (Builder.emit ~pred:vp bld Opcode.Br_call ~srcs:[ Operand.Sym "print_int"; Operand.imm 99 ]);
+  Builder.ret bld [ Operand.imm 0 ];
+  Program.add_func p f;
+  let code, out, _ = Interp.run p [||] in
+  check ci "exit" 0 code;
+  check cs "unwritten registers read zero" "0\n8\n0" (String.trim out)
+
+(* Every activation gets its own frame: the value computed before the
+   recursive call must survive ten thousand nested activations. *)
+let test_interp_deep_recursion () =
+  let _, out =
+    run_src
+      "int f(int n) { int x; x = n * 2; if (n == 0) { return 0; } return f(n - 1) + x; }\n\
+       int main() { print_int(f(10000)); return 0; }"
+  in
+  check cs "sum of 2n" "100010000" out
+
 let test_program_func_addresses () =
   let p = Epic_frontend.Lower.compile_source "int f() { return 1; }\nint main() { return 0; }" in
   let a = Program.func_address p "f" in
@@ -398,5 +433,7 @@ let suite =
     ("interp memcpy/memset", `Quick, test_interp_memcpy_memset);
     ("interp speculative NaT", `Quick, test_interp_spec_load_nat);
     ("interp fuel", `Quick, test_interp_fuel);
+    ("interp sparse register ids", `Quick, test_interp_sparse_registers);
+    ("interp deep recursion", `Quick, test_interp_deep_recursion);
     ("program function addresses", `Quick, test_program_func_addresses);
   ]

@@ -137,8 +137,40 @@ let reference ?(fuel = 4_000_000) (src : string) (input : int64 array) =
   let code, out, _ = Epic_ir.Interp.run ~fuel p input in
   (code, out)
 
+(* A sampling plan small enough that phases flip mid-block and inside
+   callees on programs of a few hundred groups. *)
+let tiny_plan = { Epic_sim.Sampling.interval = 64; detail = 8; warmup = 8 }
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* The machine's own equivalences on a run that already agrees with the
+   reference: a sampled run at [tiny_plan] keeps exit code and output, and
+   a checkpoint at half the groups, resumed, reproduces the full run's
+   cycles and category totals bit for bit.  Returns the failing leg. *)
+let machine_legs ~fuel compiled input (code, out, (st : Epic_sim.Machine.t)) =
+  let open Epic_sim in
+  let sc, so, _ = Driver.run ~fuel ~sampling:tiny_plan compiled input in
+  if (sc, so) <> (code, out) then Some ("sampled " ^ Sampling.key_fragment tiny_plan)
+  else
+    let _, _, cst =
+      Driver.run ~fuel ~checkpoint_at:(st.Machine.c.Machine.groups / 2) compiled input
+    in
+    match Machine.checkpoint cst with
+    | None -> Some "checkpoint not captured"
+    | Some ck ->
+        let rc, ro, rst = Driver.resume compiled ck in
+        if
+          (rc, ro) = (code, out)
+          && rst.Machine.cycle = st.Machine.cycle
+          && same_bits rst.Machine.acc.Accounting.totals st.Machine.acc.Accounting.totals
+        then None
+        else Some "checkpoint resume"
+
 (* Check one source at every configuration, both through the interpreter
-   (IR semantics after all transforms) and through the machine. *)
+   (IR semantics after all transforms) and through the machine, then the
+   machine's sampled and checkpoint-resume legs. *)
 let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
   match reference src input with
   | exception Epic_ir.Interp.Out_of_fuel -> Skipped
@@ -158,11 +190,19 @@ let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
                   ->
                     Skipped
                 | exception e -> Crash { config = name; exn = Printexc.to_string e }
-                | (ic, io), (mc, mo, _) ->
+                | (ic, io), ((mc, mo, _) as full) -> (
                     let ir_ok = (ic, io) = expected in
                     let machine_ok = (mc, mo) = expected in
-                    if ir_ok && machine_ok then go rest
-                    else Mismatch { config = name; ir_ok; machine_ok }))
+                    if not (ir_ok && machine_ok) then
+                      Mismatch { config = name; ir_ok; machine_ok }
+                    else
+                      match machine_legs ~fuel compiled input full with
+                      | None -> go rest
+                      | Some leg ->
+                          Mismatch
+                            { config = name ^ ", " ^ leg; ir_ok = true; machine_ok = false }
+                      | exception e ->
+                          Crash { config = name; exn = Printexc.to_string e })))
       in
       go configs
 

@@ -7,37 +7,51 @@
    Host-performance notes (DESIGN.md §10): accesses that fit inside one
    page — the overwhelming majority, since the simulated ABI aligns scalars
    — are performed as single word-granularity [Bytes] reads/writes instead
-   of per-byte loops, and the page handle of the most recent access is
-   cached so consecutive accesses to the same page (stack traffic, array
-   walks) skip the page-table hash entirely, in [classify] as well as in
-   the access itself.  Pages are never unmapped and their [Bytes] handles
-   never move, so the one-entry handle cache can never go stale. *)
+   of per-byte loops, and page handles are cached in a small direct-mapped
+   table (by the page index's low bits) so accesses that alternate among a
+   few pages (stack traffic, array walks) skip the page-table hash
+   entirely, in [classify] as well as in the access itself.  Pages are
+   never unmapped and their [Bytes] handles never move, so the handle
+   cache can never go stale. *)
 
 let page_bits = 9
 let page_size = 1 lsl page_bits (* 512 B; scaled from 16 kB (see DESIGN.md) *)
 
+(* The page table, keyed by page index: integer hashing and equality
+   rather than the polymorphic [Hashtbl.hash] and [compare]. *)
+module Pages = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (i : int) = i land max_int
+end)
+
+let handles = 64
+
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
+  pages : Bytes.t Pages.t;
   mutable mapped_count : int;
-  mutable last_idx : int; (* page index of [last_page]; -1 = empty cache *)
-  mutable last_page : Bytes.t;
+  (* direct-mapped cache of page handles, by the low bits of the page
+     index: [hidx] holds the index cached in each slot (-1 = empty) *)
+  hidx : int array;
+  hpage : Bytes.t array;
 }
 
 type access = Ok | Unmapped | Null_page
 
 let create () =
   {
-    pages = Hashtbl.create 64;
+    pages = Pages.create 64;
     mapped_count = 0;
-    last_idx = -1;
-    last_page = Bytes.empty;
+    hidx = Array.make handles (-1);
+    hpage = Array.make handles Bytes.empty;
   }
 
 let page_of_addr (a : int64) = Int64.to_int (Int64.shift_right_logical a 9)
 
 let map_page t idx =
-  if not (Hashtbl.mem t.pages idx) then begin
-    Hashtbl.add t.pages idx (Bytes.make page_size '\000');
+  if not (Pages.mem t.pages idx) then begin
+    Pages.add t.pages idx (Bytes.make page_size '\000');
     t.mapped_count <- t.mapped_count + 1
   end
 
@@ -48,7 +62,7 @@ let map_range t (addr : int64) (bytes : int) =
     map_page t i
   done
 
-let is_mapped t (a : int64) = Hashtbl.mem t.pages (page_of_addr a)
+let is_mapped t (a : int64) = Pages.mem t.pages (page_of_addr a)
 
 (* Classify an access without performing it.  The zero page is the
    architected NaT page: speculative accesses to it complete cheaply. *)
@@ -57,22 +71,24 @@ let classify t (a : int64) =
   else
     let idx = page_of_addr a in
     (* the cached handle is always a mapped page *)
-    if idx = t.last_idx || Hashtbl.mem t.pages idx then Ok else Unmapped
+    if t.hidx.(idx land (handles - 1)) = idx || Pages.mem t.pages idx then Ok
+    else Unmapped
 
 (* The page backing [idx], mapping it on demand (the policy decision of
    whether an unmapped access is legal lives above this layer). *)
 let page t idx =
-  if idx = t.last_idx then t.last_page
+  let slot = idx land (handles - 1) in
+  if Array.unsafe_get t.hidx slot = idx then Array.unsafe_get t.hpage slot
   else
     let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
+      match Pages.find t.pages idx with
+      | p -> p
+      | exception Not_found ->
           map_page t idx;
-          Hashtbl.find t.pages idx
+          Pages.find t.pages idx
     in
-    t.last_idx <- idx;
-    t.last_page <- p;
+    t.hidx.(slot) <- idx;
+    t.hpage.(slot) <- p;
     p
 
 let read_byte t (a : int64) =
@@ -135,16 +151,42 @@ let write t (a : int64) (size : int) (v : int64) =
     | _ -> write_slow t a size v
   else write_slow t a size v
 
+(* [read] and [write] with the value in a [Bytes] buffer at byte offset
+   [o] (native endianness) instead of a boxed [Int64], so an unboxed
+   producer or consumer allocates nothing. *)
+let read_into t (a : int64) (size : int) (dst : Bytes.t) (o : int) =
+  let off = Int64.to_int a land (page_size - 1) in
+  if off + size <= page_size then
+    let p = page t (page_of_addr a) in
+    match size with
+    | 8 -> Bytes.set_int64_ne dst o (Bytes.get_int64_le p off)
+    | 4 -> Bytes.set_int64_ne dst o (Int64.of_int32 (Bytes.get_int32_le p off))
+    | 1 -> Bytes.set_int64_ne dst o (Int64.of_int (Bytes.get_uint8 p off))
+    | _ -> Bytes.set_int64_ne dst o (read_slow t a size)
+  else Bytes.set_int64_ne dst o (read_slow t a size)
+
+let write_from t (a : int64) (size : int) (src : Bytes.t) (o : int) =
+  let v = Bytes.get_int64_ne src o in
+  let off = Int64.to_int a land (page_size - 1) in
+  if off + size <= page_size then
+    let p = page t (page_of_addr a) in
+    match size with
+    | 8 -> Bytes.set_int64_le p off v
+    | 4 -> Bytes.set_int32_le p off (Int64.to_int32 v)
+    | 1 -> Bytes.set_uint8 p off (Int64.to_int v land 0xff)
+    | _ -> write_slow t a size v
+  else write_slow t a size v
+
 (* Deep copy for checkpointing: every page's bytes are duplicated and the
-   one-entry handle cache reset (it would otherwise alias the source). *)
+   handle cache reset (it would otherwise alias the source). *)
 let copy t =
-  let pages = Hashtbl.create (max 64 (Hashtbl.length t.pages)) in
-  Hashtbl.iter (fun idx p -> Hashtbl.add pages idx (Bytes.copy p)) t.pages;
+  let pages = Pages.create (max 64 (Pages.length t.pages)) in
+  Pages.iter (fun idx p -> Pages.add pages idx (Bytes.copy p)) t.pages;
   {
     pages;
     mapped_count = t.mapped_count;
-    last_idx = -1;
-    last_page = Bytes.empty;
+    hidx = Array.make handles (-1);
+    hpage = Array.make handles Bytes.empty;
   }
 
 (* Initialize the image from a program's global data and map the stack and

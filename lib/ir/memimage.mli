@@ -30,6 +30,14 @@ val read : t -> int64 -> int -> int64
 
 val write : t -> int64 -> int -> int64 -> unit
 
+(** [read_into t a size dst o]: {!read}, storing the value into [dst] at
+    byte offset [o] in native endianness (no allocation). *)
+val read_into : t -> int64 -> int -> Bytes.t -> int -> unit
+
+(** [write_from t a size src o]: {!write} of the native-endian value held
+    in [src] at byte offset [o]. *)
+val write_from : t -> int64 -> int -> Bytes.t -> int -> unit
+
 (** Initialize the image from a program's globals and map the stack and the
     NaT page ([Program.assign_addresses] must have run). *)
 val load_program : t -> Program.t -> unit

@@ -33,7 +33,7 @@ let predict_and_update t (site : int) (taken : bool) =
   let predicted_taken = c >= 2 in
   let correct = predicted_taken = taken in
   if not correct then t.mispredictions <- t.mispredictions + 1;
-  t.counters.(idx) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  t.counters.(idx) <- (if taken then if c < 3 then c + 1 else 3 else if c > 0 then c - 1 else 0);
   t.history <-
     ((t.history lsl 1) lor (if taken then 1 else 0))
     land ((1 lsl t.history_bits) - 1);

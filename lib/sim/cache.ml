@@ -52,29 +52,30 @@ let set_of_line t (line : int) =
 (* Access [addr]; returns true on hit.  Misses allocate. *)
 let access t (addr : int64) =
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
+  let clock = t.clock + 1 in
+  t.clock <- clock;
   let line = line_of t addr in
-  let set = set_of_line t line in
-  let base = set * t.assoc in
-  let hit = ref (-1) in
-  let k = ref 0 in
-  while !hit < 0 && !k < t.assoc do
-    if t.tags.(base + !k) = line then hit := !k;
+  let base = set_of_line t line * t.assoc in
+  let last = base + t.assoc in
+  (* [base, last) is a set of [tags] and [age] by construction *)
+  let tags = t.tags and age = t.age in
+  let k = ref base in
+  while !k < last && Array.unsafe_get tags !k <> line do
     incr k
   done;
-  if !hit >= 0 then begin
-    t.age.(base + !hit) <- t.clock;
+  if !k < last then begin
+    Array.unsafe_set age !k clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* evict LRU way *)
-    let victim = ref 0 in
-    for k = 1 to t.assoc - 1 do
-      if t.age.(base + k) < t.age.(base + !victim) then victim := k
+    (* evict the LRU way (the first of equally old ones) *)
+    let victim = ref base in
+    for k = base + 1 to last - 1 do
+      if Array.unsafe_get age k < Array.unsafe_get age !victim then victim := k
     done;
-    t.tags.(base + !victim) <- line;
-    t.age.(base + !victim) <- t.clock;
+    Array.unsafe_set tags !victim line;
+    Array.unsafe_set age !victim clock;
     false
   end
 

@@ -5,7 +5,15 @@
     Architectural semantics match the reference interpreter (predication,
     NaT deferral, sentinel and ALAT recovery); timing comes from the
     in-order six-issue pipeline, the scaled memory hierarchy, the branch
-    predictor, the register stack engine and the OS page-walk model. *)
+    predictor, the register stack engine and the OS page-walk model.
+
+    One engine runs every mode (DESIGN.md §10): each function is decoded
+    once per machine into arrays of closure ops with registers, constants,
+    branch targets and call targets resolved; detailed and warm sampling
+    phases run the same ops, the timing model being a layer inside them
+    that only detail runs; and simulated frames live on an explicit stack,
+    which is what a checkpoint copies and {!resume} re-enters.  The
+    reference interpreter ([Epic_ir.Interp]) shares no code with it. *)
 
 exception Machine_fault of string
 exception Exit_program of int
@@ -29,30 +37,27 @@ type counters = {
 
 type reason = Rload | Rfload | Rlong
 
-(** Per-invocation register state (see DESIGN.md on the per-frame
-    simplification). *)
+(** One simulated invocation: its register file (integer bank unboxed),
+    scoreboard and position (block, group, next op). *)
 type frame
 
 type dfunc
-(** A function with its control flow predecoded against the layout:
-    blocks in an array with their [Layout.block_layout] resolved and
-    fall-through links wired, plus a label->block table (DESIGN.md §10).
-    Built once per function in {!run}; purely a host-speed structure. *)
+(** A function decoded against the layout and the machine description:
+    blocks in an array, issue groups as arrays of closure ops (DESIGN.md
+    §10).  Built on a function's first call; purely a host-speed
+    structure. *)
 
-type dblock
-(** One decoded block of a {!dfunc} (warm-path branch targets). *)
-
-type pending
-(** A call live at checkpoint-capture time (internal bookkeeping). *)
+type callee
+(** A call target resolved by name: a function slot or an intrinsic. *)
 
 type checkpoint
 (** A positional, fully deep-copied snapshot of the machine between two
-    issue groups: register frames, memory image, cache/TLB/predictor/RSE
-    state, accounting, counters and the call stack as (function, block
-    index, group index) coordinates.  It holds no pointers into the
-    program, layout or decoded tables, so it can be resumed against any
-    structurally identical compile of the same source, any number of
-    times (DESIGN.md §13). *)
+    issue groups: the frame stack, memory image, cache/TLB/predictor/RSE
+    state, accounting and counters, each frame's position given as
+    (function name, block index, group index, op index).  It holds no
+    pointers into the program, layout or decoded tables, so it can be
+    resumed against any structurally identical compile of the same
+    source, any number of times (DESIGN.md §13). *)
 
 val checkpoint_groups : checkpoint -> int
 (** The groups counter at capture — the checkpoint's position. *)
@@ -62,8 +67,6 @@ val checkpoint_cycle : checkpoint -> int
 type t = {
   program : Epic_ir.Program.t;
   layout : Epic_sched.Layout.t;
-  decoded : (string, dfunc) Hashtbl.t;
-      (** per-function predecoded control flow, keyed by function name *)
   mem : Epic_ir.Memimage.t;
   mutable heap : int64;
   output : Buffer.t;
@@ -82,16 +85,20 @@ type t = {
   mutable sb_work : int;
   mutable sb_last_cycle : int;
   mutable fuel : int;
+  mutable fuel_mark : int;
+  mutable squashed_mark : int;
+      (** ops count squashes only; [c.useful_ops] is settled from the fuel
+          spent since [fuel_mark] (every op retires useful or squashed) at
+          a checkpoint and at the end of a run *)
   mutable cur_func : string;
-  mutable cur_block : string;
+  mutable in_intrinsic : bool;
+      (** an intrinsic is running (its cycles and samples go to its
+          pseudo-function) *)
   trace : Epic_obs.Trace.t option;
       (** event-trace sink; [None] (the default) records nothing and
           changes no counter or cycle *)
   prof : Epic_obs.Profile.t option;  (** PC-sampling profiler, opt-in *)
-  mutable onat : bool;
-      (** host-speed scratch (DESIGN.md §10): NaT bit of the last operand
-          read, reported here instead of in a returned tuple *)
-  mutable ld_extra : int;  (** scratch: cache penalty of the last load *)
+  mutable onat : bool;  (** scratch: NaT bit of the last operand read *)
   mutable cur_bins : float array;
       (** scratch: cached accounting bins of [cur_bins_for] *)
   mutable cur_bins_for : string;
@@ -103,8 +110,20 @@ type t = {
   mutable cur_xbins : float array array;
       (** scratch: the set's cached bins for [cur_bins_for] *)
   syms : (string, int64) Hashtbl.t;  (** memoized symbol addresses *)
-  mutable free_frames : frame list;
-      (** pool of released call frames, cleared on reuse (DESIGN.md §10) *)
+  funcs : Epic_ir.Func.t array;  (** the program's functions, by slot *)
+  decoded : dfunc option array;  (** per slot, decoded on first call *)
+  by_addr : callee array;  (** function-pointer targets, by code slot *)
+  mutable stack : frame array;
+      (** the simulated call stack; [stack.(depth - 1)] runs, frames past
+          [depth] are kept for reuse *)
+  mutable depth : int;
+  mutable nframes : int;
+  mutable ctl : int;  (** the last op's control request *)
+  mutable callee : int;
+  mutable xv : Bytes.t;  (** call arguments / return values in flight *)
+  mutable xn : bool array;
+  mutable xc : int;
+  scratch : Bytes.t;  (** a loaded or stored value in transit *)
   mutable warm : bool;
       (** interval sampling (DESIGN.md §13): in a warm phase the timing
           model is bypassed — no charges, no clock, no stalls — while the
@@ -118,18 +137,11 @@ type t = {
   warm_l1d_lines : int array;
   warm_l2_lines : int array;
   warm_l1i_lines : int array;
-  mutable wjump : dblock option;
-      (** warm fast path taken-branch mailbox; [None] between groups *)
   mutable warm_ttl : int;
       (** warm groups left before the probe filters are flushed (bounds
           the LRU-recency staleness a filter hit introduces) *)
-  ck_track : bool;  (** checkpoint bookkeeping armed (run-long) *)
-  mutable ck_at : int;
+  mutable ck_at : int;  (** groups count to capture at; [max_int] = none *)
   mutable ck_saved : checkpoint option;
-  mutable ck_stack : pending list;
-  mutable pos_blk : int;
-  mutable pos_gi : int;
-  mutable pos_rest : int;
 }
 
 (** Run a laid-out program on the given input; returns (exit code, printed

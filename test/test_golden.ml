@@ -1,12 +1,27 @@
-(* Golden compile pins.  For every suite workload at O-NS and ILP-CS: the
-   final code size and an MD5 digest of the final IR — its text plus every
-   block weight, instruction weight and branch taken probability printed
-   exactly ([%h]).  The weights come from the train-input profile runs of
-   the reference interpreter, so a change to what the profiler counts, or
-   to what the compiler does with the counts, moves a pin. *)
+(* Golden compile and simulation pins.  For every suite workload at O-NS
+   and ILP-CS:
+
+   - compile: the final code size and an MD5 digest of the final IR — its
+     text plus every block weight, instruction weight and branch taken
+     probability printed exactly ([%h]).  The weights come from the
+     train-input profile runs of the reference interpreter, so a change to
+     what the profiler counts, or to what the compiler does with the
+     counts, moves a pin.
+   - simulation, on the reference input: exit code, an MD5 of the output,
+     total cycles ([%h]) and an MD5 of the full detailed-run record (the
+     nine category totals in [%h], every counter, the cache and DTLB
+     access/miss counts, RSE spills and fills); the default-plan sampled
+     estimate ([%h]) and its detailed group count.  A checkpoint taken at
+     half the groups and resumed must reproduce the full run's record
+     exactly, and so must the run that captured it.
+
+   gzip@ILP-CS additionally pins the trace event counts and the PC-sample
+   profile at period 97.  A failing simulation pin prints the full record
+   of the run, so the moved field is visible in the test log. *)
 
 open Epic_ir
 open Epic_core
+open Epic_sim
 
 let ir_digest (p : Program.t) =
   let b = Buffer.create 65536 in
@@ -54,6 +69,186 @@ let pins =
     ("twolf", Config.ILP_CS, 1856, "67e498c229d57c56e08f5f8df06cdeca");
   ]
 
+(* The full record of a finished run: everything a simulation pin covers
+   except the sampled estimate. *)
+let sim_record (code, out, (st : Machine.t)) =
+  let b = Buffer.create 1024 in
+  let c = st.Machine.c in
+  Printf.bprintf b "exit %d output %s cycle %d total %h\n" code
+    (Digest.to_hex (Digest.string out))
+    st.Machine.cycle
+    (Accounting.total st.Machine.acc);
+  Array.iter (fun v -> Printf.bprintf b "cat %h\n" v) st.Machine.acc.Accounting.totals;
+  Printf.bprintf b
+    "useful %d squashed %d nop %d kernel %d branches %d groups %d wild %d spec %d \
+     chk %d nat %d calls %d\n"
+    c.Machine.useful_ops c.Machine.squashed_ops c.Machine.nop_ops c.Machine.kernel_ops
+    c.Machine.branches c.Machine.groups c.Machine.wild_loads c.Machine.spec_loads
+    c.Machine.chk_recoveries c.Machine.nat_consumed c.Machine.calls;
+  List.iter
+    (fun (n, (k : Cache.t)) ->
+      Printf.bprintf b "%s %d/%d\n" n k.Cache.misses k.Cache.accesses)
+    [
+      ("l1i", st.Machine.l1i); ("l1d", st.Machine.l1d); ("l2", st.Machine.l2);
+      ("l3", st.Machine.l3);
+    ];
+  Printf.bprintf b "dtlb %d/%d rse %d/%d\n" st.Machine.dtlb.Tlb.misses
+    st.Machine.dtlb.Tlb.accesses st.Machine.rse.Rse.spills st.Machine.rse.Rse.fills;
+  Buffer.contents b
+
+type sim_pin = {
+  exit_code : int;
+  output_md5 : string;
+  cycles : string;  (** total cycles, [%h] *)
+  record_md5 : string;  (** MD5 of [sim_record] *)
+  sampled_est : string;  (** default-plan [s_est_cycles], [%h] *)
+  sampled_detail : int;  (** default-plan [s_detail_groups] *)
+  small_est : string;
+      (** [s_est_cycles] at [small_plan], [%h]: phases flip every few
+          groups, so warm/detail flips land inside callees *)
+}
+
+let small_plan = { Sampling.interval = 200; detail = 13; warmup = 0 }
+
+let check_sim what (c : Driver.compiled) (w : Epic_workloads.Workload.t) pin =
+  let input = w.Epic_workloads.Workload.reference in
+  let ((code, out, st) as full) = Driver.run c input in
+  let record = sim_record full in
+  let sampled_code, sampled_out, sst =
+    Driver.run ~sampling:Sampling.default_plan c input
+  in
+  let su = Option.get (Machine.sample_summary sst) in
+  let _, _, small = Driver.run ~sampling:small_plan c input in
+  let small_su = Option.get (Machine.sample_summary small) in
+  let got =
+    {
+      exit_code = code;
+      output_md5 = Digest.to_hex (Digest.string out);
+      cycles = Printf.sprintf "%h" (Accounting.total st.Machine.acc);
+      record_md5 = Digest.to_hex (Digest.string record);
+      sampled_est = Printf.sprintf "%h" su.Sampling.s_est_cycles;
+      sampled_detail = su.Sampling.s_detail_groups;
+      small_est = Printf.sprintf "%h" small_su.Sampling.s_est_cycles;
+    }
+  in
+  if got <> pin then
+    Alcotest.failf
+      "%s simulation pin moved; got@.  { exit_code = %d; output_md5 = %S; cycles = %S;@.    \
+       record_md5 = %S; sampled_est = %S; sampled_detail = %d; small_est = %S }@.\
+       full record:@.%s"
+      what got.exit_code got.output_md5 got.cycles got.record_md5 got.sampled_est
+      got.sampled_detail got.small_est record;
+  Alcotest.(check (pair int string))
+    (what ^ " sampled output") (code, out) (sampled_code, sampled_out);
+  let half = st.Machine.c.Machine.groups / 2 in
+  let ((_, _, cst) as captured) = Driver.run ~checkpoint_at:half c input in
+  Alcotest.(check string) (what ^ " capturing run") record (sim_record captured);
+  let ck = Option.get (Machine.checkpoint cst) in
+  Alcotest.(check int) (what ^ " checkpoint position") half (Machine.checkpoint_groups ck);
+  Alcotest.(check string) (what ^ " resumed run") record (sim_record (Driver.resume c ck))
+
+(* Generated at the commit that introduced them, before any change to the
+   simulator engine. *)
+let sim_pins : ((string * Config.level) * sim_pin) list =
+  [
+    ( ("gzip", Config.O_NS),
+      { exit_code = 0; output_md5 = "8a0393b6427f408330b9874ddbdd541b"; cycles = "0x1.29162p+21";
+        record_md5 = "46ba4f81c186c66ef70f9a091ef0ca6b"; sampled_est = "0x1.300e6cb569696p+21"; sampled_detail = 39424;
+        small_est = "0x1.26e4c3d6f3ec1p+21" } );
+    ( ("gzip", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "8a0393b6427f408330b9874ddbdd541b"; cycles = "0x1.00a458p+21";
+        record_md5 = "578fb98f21124b98075751e46aecd15c"; sampled_est = "0x1.078c301a92492p+21"; sampled_detail = 26112;
+        small_est = "0x1.0175673dc27a2p+21" } );
+    ( ("vpr", Config.O_NS),
+      { exit_code = 0; output_md5 = "8105ec62286c126a45b9300d8d256268"; cycles = "0x1.3fd78p+20";
+        record_md5 = "464a5825bf8883be0e2a4220e4cb75df"; sampled_est = "0x1.3ff8d1318b3a6p+20"; sampled_detail = 33792;
+        small_est = "0x1.3f6d9f6a366f1p+20" } );
+    ( ("vpr", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "8105ec62286c126a45b9300d8d256268"; cycles = "0x1.00d2p+20";
+        record_md5 = "02735d916f95a1c2ec339b7112f49d5c"; sampled_est = "0x1.00f52796aaaabp+20"; sampled_detail = 32256;
+        small_est = "0x1.ff0cdab1a586dp+19" } );
+    ( ("gcc", Config.O_NS),
+      { exit_code = 0; output_md5 = "a00ab7338733c6d036c91d46167fd253"; cycles = "0x1.afb76p+20";
+        record_md5 = "79ff6888a8567b1018b69ccc440877d2"; sampled_est = "0x1.abadf6ce66667p+20"; sampled_detail = 32768;
+        small_est = "0x1.ab61298216608p+20" } );
+    ( ("gcc", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "a00ab7338733c6d036c91d46167fd253"; cycles = "0x1.f24d8p+20";
+        record_md5 = "f027c66f421d04229b982d99aba8433e"; sampled_est = "0x1.f5372308p+20"; sampled_detail = 36352;
+        small_est = "0x1.ed0ec9fd1673dp+20" } );
+    ( ("mcf", Config.O_NS),
+      { exit_code = 0; output_md5 = "26e603822f8adcc482e0342e2cfc4ae4"; cycles = "0x1.93b1p+22";
+        record_md5 = "137d4186f32620bb679fe2cd46646241"; sampled_est = "0x1.9a62bf2799999p+22"; sampled_detail = 25088;
+        small_est = "0x1.97e0347b82fcp+22" } );
+    ( ("mcf", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "26e603822f8adcc482e0342e2cfc4ae4"; cycles = "0x1.983e0cp+22";
+        record_md5 = "612bec7082e93da9ff2fb7a851fbc41a"; sampled_est = "0x1.9a9858b7ca1bp+22"; sampled_detail = 24064;
+        small_est = "0x1.88763d38eaf7bp+22" } );
+    ( ("crafty", Config.O_NS),
+      { exit_code = 0; output_md5 = "bd1fbbb4a8add965a2bc8ac16975db98"; cycles = "0x1.95aa6p+20";
+        record_md5 = "6b394665f833952f30c6b2c4721bbf2e"; sampled_est = "0x1.91aa54b777778p+20"; sampled_detail = 50688;
+        small_est = "0x1.955a46053c28fp+20" } );
+    ( ("crafty", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "bd1fbbb4a8add965a2bc8ac16975db98"; cycles = "0x1.f4b7cp+19";
+        record_md5 = "e31cab18eaa3de638c5fb53c578d508e"; sampled_est = "0x1.efb4a9c7711ddp+19"; sampled_detail = 26624;
+        small_est = "0x1.f73a4deed19c5p+19" } );
+    ( ("parser", Config.O_NS),
+      { exit_code = 0; output_md5 = "660f9e41b0c91af52aa4d45908b16986"; cycles = "0x1.0a15d4p+22";
+        record_md5 = "f09df9cbc13d7a546e458b92bda374ee"; sampled_est = "0x1.0af857dd64ac9p+22"; sampled_detail = 95744;
+        small_est = "0x1.07e388de14725p+22" } );
+    ( ("parser", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "660f9e41b0c91af52aa4d45908b16986"; cycles = "0x1.05fe7p+22";
+        record_md5 = "2ea7cca19733083435654d3d02b42be6"; sampled_est = "0x1.05e1bd699999ap+22"; sampled_detail = 78848;
+        small_est = "0x1.043e0cca67f02p+22" } );
+    ( ("eon", Config.O_NS),
+      { exit_code = 0; output_md5 = "60b105c402cb0e996ff5eefa86416261"; cycles = "0x1.ef60ep+19";
+        record_md5 = "ea3059f9bbb243046748cdaeaa1232c5"; sampled_est = "0x1.ef7cea838e38ep+19"; sampled_detail = 32256;
+        small_est = "0x1.eb1aac9dd261dp+19" } );
+    ( ("eon", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "60b105c402cb0e996ff5eefa86416261"; cycles = "0x1.5c02ap+19";
+        record_md5 = "74e5466f38af4dfc815bb904b2c2585d"; sampled_est = "0x1.5b49dae94a529p+19"; sampled_detail = 20480;
+        small_est = "0x1.575297a30c62ap+19" } );
+    ( ("perlbmk", Config.O_NS),
+      { exit_code = 0; output_md5 = "7dffaa43b15654910397a43c0e50acfe"; cycles = "0x1.393bdp+20";
+        record_md5 = "d87292d8d56e7372b3b226d4a2eb7ae6"; sampled_est = "0x1.39340c1f49249p+20"; sampled_detail = 33280;
+        small_est = "0x1.386d651fa32b7p+20" } );
+    ( ("perlbmk", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "7dffaa43b15654910397a43c0e50acfe"; cycles = "0x1.0ca4fp+20";
+        record_md5 = "d2bea50fd760f191be573d722eb74eae"; sampled_est = "0x1.0cd2222db6db7p+20"; sampled_detail = 26112;
+        small_est = "0x1.0b46d539ed1a6p+20" } );
+    ( ("gap", Config.O_NS),
+      { exit_code = 0; output_md5 = "2cfe768a50ffddecc159f8ed7dca9db6"; cycles = "0x1.16c66p+19";
+        record_md5 = "893202bbca2350451f47669aadd90b4f"; sampled_est = "0x1.14fb16caaaaabp+19"; sampled_detail = 16896;
+        small_est = "0x1.150f7c2b3563cp+19" } );
+    ( ("gap", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "2cfe768a50ffddecc159f8ed7dca9db6"; cycles = "0x1.ec77p+18";
+        record_md5 = "6316700e9fdf7fcb08333608a383dc94"; sampled_est = "0x1.e44d6d2p+18"; sampled_detail = 14848;
+        small_est = "0x1.e75e3c70d39a2p+18" } );
+    ( ("vortex", Config.O_NS),
+      { exit_code = 0; output_md5 = "efd3140f994391bb1d88b05a659f8399"; cycles = "0x1.48ca8p+19";
+        record_md5 = "af3cfdff45b903aefa497c98157367a9"; sampled_est = "0x1.4c652e5e147aep+19"; sampled_detail = 17408;
+        small_est = "0x1.46ecfad6e6fcap+19" } );
+    ( ("vortex", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "efd3140f994391bb1d88b05a659f8399"; cycles = "0x1.37cb2p+19";
+        record_md5 = "0ea12df3584caf3188c23a42f0525bc3"; sampled_est = "0x1.37760b5ae147bp+19"; sampled_detail = 17408;
+        small_est = "0x1.368085be8f872p+19" } );
+    ( ("bzip2", Config.O_NS),
+      { exit_code = 0; output_md5 = "d6ac926b870eb0c4d07e732c40bf6fc8"; cycles = "0x1.309aep+20";
+        record_md5 = "3361fc074e8035939a5aeffaf1294b8c"; sampled_est = "0x1.318598f19999ap+20"; sampled_detail = 37888;
+        small_est = "0x1.2e6e5e3a334e2p+20" } );
+    ( ("bzip2", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "d6ac926b870eb0c4d07e732c40bf6fc8"; cycles = "0x1.df312p+19";
+        record_md5 = "3ca343711bf0f9fad8b6fd4eac85d62b"; sampled_est = "0x1.e0a86d8p+19"; sampled_detail = 28160;
+        small_est = "0x1.db2c0d0e7d95bp+19" } );
+    ( ("twolf", Config.O_NS),
+      { exit_code = 0; output_md5 = "b6c3cec291678e227ca5d913784b139d"; cycles = "0x1.0009p+19";
+        record_md5 = "e22c458a501c400552cfd04ff4df88e6"; sampled_est = "0x1.039c443ae8ba2p+19"; sampled_detail = 15872;
+        small_est = "0x1.fc6715dea5fe5p+18" } );
+    ( ("twolf", Config.ILP_CS),
+      { exit_code = 0; output_md5 = "b6c3cec291678e227ca5d913784b139d"; cycles = "0x1.afff4p+18";
+        record_md5 = "f5f54254c3070b340c12a32cc38132d9"; sampled_est = "0x1.ae6dd19999999p+18"; sampled_detail = 14848;
+        small_est = "0x1.abd5d55dcedabp+18" } );
+  ]
+
 let test_pins name () =
   let w = Epic_workloads.Suite.find_exn name in
   List.iter
@@ -66,9 +261,46 @@ let test_pins name () =
         let what = Printf.sprintf "%s@%s" name (Config.level_name level) in
         Alcotest.(check int) (what ^ " code bytes") bytes
           c.Driver.transform_stats.Driver.code_bytes;
-        Alcotest.(check string) (what ^ " IR digest") digest (ir_digest c.Driver.program)
+        Alcotest.(check string) (what ^ " IR digest") digest (ir_digest c.Driver.program);
+        check_sim what c w (List.assoc (name, level) sim_pins)
       end)
     pins
+
+(* gzip@ILP-CS with the observability instruments on: exact per-kind trace
+   event counts, and the PC-sample profile at period 97 — its sample total
+   plus an MD5 of the per-(function, block) sample counts. *)
+let trace_pin =
+  [
+    ("l1i-miss", 25); ("l1d-miss", 69642); ("l2-miss", 32838); ("dtlb-walk", 31184);
+    ("wild-load", 825); ("br-mispredict", 17336); ("rse-spill", 0); ("rse-fill", 0);
+    ("spec-load", 164871); ("chk-recovery", 0); ("nat-deferral", 392);
+  ]
+
+let profile_pin = (21674, "2e6f05d4745d396cc469dfbb9f02d5be")
+
+let test_observed () =
+  let w = Epic_workloads.Suite.find_exn "gzip" in
+  let c =
+    Driver.compile ~config:(Experiments.config_for w Config.ILP_CS)
+      ~train:w.Epic_workloads.Workload.train w.Epic_workloads.Workload.source
+  in
+  let trace = Epic_obs.Trace.create () in
+  let profile = Epic_obs.Profile.create ~period:97 () in
+  ignore (Driver.run ~trace ~profile c w.Epic_workloads.Workload.reference);
+  let counts =
+    List.map
+      (fun k -> (Epic_obs.Trace.kind_name k, Epic_obs.Trace.count trace k))
+      Epic_obs.Trace.all_kinds
+  in
+  let blocks =
+    String.concat "\n"
+      (List.map
+         (fun ((f, b), n) -> Printf.sprintf "%s/%s %d" f b n)
+         (Epic_obs.Profile.by_block profile))
+  in
+  let got = (Epic_obs.Profile.samples profile, Digest.to_hex (Digest.string blocks)) in
+  Alcotest.(check (list (pair string int))) "trace event counts" trace_pin counts;
+  Alcotest.(check (pair int string)) "profile samples and blocks" profile_pin got
 
 let slow = [ "gcc"; "parser"; "crafty" ]
 
@@ -79,3 +311,4 @@ let suite =
         (if List.mem name slow then `Slow else `Quick),
         test_pins name ))
     Epic_workloads.Suite.names
+  @ [ ("gzip ILP-CS trace and profile pins", `Quick, test_observed) ]

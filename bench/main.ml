@@ -1,13 +1,12 @@
-(* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (one sub-command per artifact; default = all), and
-   times the compiler phases themselves with Bechamel.
+(* The paper-artifact harness: regenerates every table and figure of the
+   paper's evaluation section (one sub-command per artifact; default = all).
+   Host performance is measured by perfbench/, not here.
 
      dune exec bench/main.exe                 # all tables + figures
      dune exec bench/main.exe table1 fig5     # a subset
-     dune exec bench/main.exe phases          # Bechamel phase timings only
 
    Artifacts: table1 fig2 fig5 fig6 fig7 fig8 fig10 stats spec_model
-   profvar ablations phases.
+   profvar ablations data_spec.
 
    `--json FILE` additionally writes the whole suite result (per-workload,
    per-config cycles, category arrays, counters, pass timings, profiles)
@@ -55,86 +54,8 @@ let explicit_artifacts = [ "sweep"; "causal"; "sample_acc" ]
 
 let all_artifacts =
   suite_artifacts
-  @ [ "spec_model"; "profvar"; "ablations"; "data_spec"; "phases" ]
+  @ [ "spec_model"; "profvar"; "ablations"; "data_spec" ]
   @ explicit_artifacts
-
-(* --- Bechamel: compiler-phase timings ----------------------------------- *)
-
-let phase_benchmarks () =
-  let open Bechamel in
-  let w = Epic_workloads.Suite.find_exn "crafty" in
-  let src = w.Epic_workloads.Workload.source in
-  let train = w.Epic_workloads.Workload.train in
-  let prepared_ir () =
-    let p = Epic_frontend.Lower.compile_source src in
-    ignore (Epic_analysis.Profile.profile_and_annotate p train);
-    ignore (Epic_analysis.Points_to.analyze p);
-    Epic_opt.Pipeline.run_classical p;
-    Epic_analysis.Profile.reprofile p train;
-    p
-  in
-  let tests =
-    [
-      Test.make ~name:"frontend: parse+lower crafty"
-        (Staged.stage (fun () -> ignore (Epic_frontend.Lower.compile_source src)));
-      Test.make ~name:"profile: train run"
-        (Staged.stage (fun () ->
-             let p = Epic_frontend.Lower.compile_source src in
-             ignore (Epic_analysis.Profile.profile_and_annotate p train)));
-      Test.make ~name:"classical optimization"
-        (Staged.stage (fun () ->
-             let p = Epic_frontend.Lower.compile_source src in
-             ignore (Epic_analysis.Profile.profile_and_annotate p train);
-             ignore (Epic_analysis.Points_to.analyze p);
-             Epic_opt.Pipeline.run_classical p));
-      Test.make ~name:"region formation (hyper+super+peel)"
-        (Staged.stage (fun () ->
-             let p = prepared_ir () in
-             ignore (Epic_ilp.Peel.run p);
-             Epic_analysis.Profile.reprofile p train;
-             Epic_ilp.Hyperblock.run p;
-             Epic_analysis.Profile.reprofile p train;
-             Epic_ilp.Superblock.run p));
-      Test.make ~name:"backend (regalloc+schedule+layout)"
-        (Staged.stage (fun () ->
-             let p = prepared_ir () in
-             Epic_sched.Regalloc.run p;
-             Epic_sched.List_sched.run p;
-             ignore (Epic_sched.Layout.build p)));
-      Test.make ~name:"full ILP-CS compile (crafty)"
-        (Staged.stage (fun () ->
-             ignore
-               (Epic_core.Driver.compile ~config:Epic_core.Config.ilp_cs ~train src)));
-      Test.make ~name:"simulate crafty train (ILP-CS)"
-        (Staged.stage
-           (let compiled =
-              Epic_core.Driver.compile ~config:Epic_core.Config.ilp_cs ~train src
-            in
-            fun () -> ignore (Epic_core.Driver.run compiled train)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.8) ~kde:(Some 300) () in
-    Benchmark.all cfg instances test
-  in
-  Printf.printf "\n== Compiler phase timings (Bechamel, monotonic clock) ==\n\n";
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name raw ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Bechamel.Measure.run |])
-              Toolkit.Instance.monotonic_clock raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Printf.printf "  %-44s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "  %-44s (no estimate)\n" name)
-        results)
-    tests
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -268,7 +189,6 @@ let () =
     Epic_core.Report.print_ablations (Epic_core.Experiments.ablations ());
   if wanted "data_spec" then
     Epic_core.Report.print_data_spec (Epic_core.Experiments.data_spec_experiment ());
-  if wanted "phases" then phase_benchmarks ();
   if wanted "sweep" then begin
     let open Epic_sweep.Sweep in
     let vs =

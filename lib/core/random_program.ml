@@ -45,8 +45,22 @@ module Gen = struct
             return (Printf.sprintf "(%s %s %s)" a op b));
            (let* a = expr (depth - 1) in
             return (Printf.sprintf "helper(%s)" a));
+           (let* args = list_repeat 10 atom in
+            return (Printf.sprintf "wide(%s)" (String.concat ", " args)));
          ])
         st
+
+  (* The body of [wide]: its ten parameters summed in a random order, some
+     scaled.  Inlined at a call with constant arguments, this is a long
+     accumulator chain for height reduction. *)
+  let wide_sum =
+    let term i =
+      let* k = int_range 1 5 in
+      return (if k = 1 then Printf.sprintf "p%d" i else Printf.sprintf "p%d * %d" i k)
+    in
+    let* terms = flatten_l (List.init 10 term) in
+    let* terms = shuffle_l terms in
+    return (String.concat " + " terms)
 
   let assign =
     let* v = int_range 0 3 in
@@ -88,6 +102,7 @@ module Gen = struct
   let program =
     let* body = block 3 in
     let* helper_body = expr 2 in
+    let* wide_body = wide_sum in
     let* seed = int_range 0 1000 in
     return
       (Printf.sprintf
@@ -97,6 +112,10 @@ int v0; int v1; int v2; int v3; int v4; int v5;
 int helper(int x) {
   int v0; int v1; int v2; int v3;
   v0 = x; v1 = x * 3; v2 = 7; v3 = 1;
+  return (%s) %% 100000;
+}
+int wide(int p0, int p1, int p2, int p3, int p4, int p5, int p6, int p7, int p8,
+         int p9) {
   return (%s) %% 100000;
 }
 int main() {
@@ -109,7 +128,7 @@ int main() {
   return 0;
 }
 |}
-         helper_body seed body)
+         helper_body wide_body seed body)
 end
 
 (** The configurations a program is checked under: the paper's four levels

@@ -49,27 +49,24 @@ let find_chain_from (b : Block.t) (live_out : Reg.Set.t) (instrs : Instr.t array
         if k >= Array.length instrs then (chain, terms, cur_dst)
         else
           let i = instrs.(k) in
-          let continues =
-            candidate i op
-            &&
-            match i.Instr.srcs with
-            | [ Operand.Reg a; _ ] when Reg.equal a cur_dst -> true
-            | [ _; Operand.Reg b' ] when Reg.equal b' cur_dst -> true
-            | _ -> false
-          in
-          if
-            continues
-            && uses_in_block b cur_dst = 1
-            && not (Reg.Set.mem cur_dst live_out)
-          then
-            let other =
+          let other =
+            if not (candidate i op) then None
+            else
               match i.Instr.srcs with
-              | [ Operand.Reg a; o ] when Reg.equal a cur_dst -> o
-              | [ o; _ ] -> o
-              | _ -> assert false
-            in
-            grow (k + 1) (k :: chain) (other :: terms) (List.hd i.Instr.dsts)
-          else (chain, terms, cur_dst)
+              | [ Operand.Reg a; o ] when Reg.equal a cur_dst -> Some o
+              | [ o; Operand.Reg b' ] when Reg.equal b' cur_dst -> Some o
+              | _ -> None
+          in
+          match other with
+          (* an [add _, 0] link ends the chain: [rebalance] finishes every
+             Add tree with one, and letting it extend a chain again makes
+             [run_block] rebalance the same links forever *)
+          | Some (Operand.Imm 0L) when op = Opcode.Add -> (chain, terms, cur_dst)
+          | Some o
+            when uses_in_block b cur_dst = 1 && not (Reg.Set.mem cur_dst live_out)
+            ->
+              grow (k + 1) (k :: chain) (o :: terms) (List.hd i.Instr.dsts)
+          | _ -> (chain, terms, cur_dst)
       in
       let first = instrs.(start) in
       let base = List.nth first.Instr.srcs 0 in

@@ -430,7 +430,9 @@ let test_export_host_section () =
 
 (* [f] is decoded on its first call, while [main]'s two arguments are in
    flight; decoding [f]'s ten-argument call to [g] grows the transfer
-   buffer, which must keep them. *)
+   buffer, which must keep them.  At every level: the inlined sum of [g]'s
+   parameters is an accumulator chain that height reduction must rebalance
+   once and leave, not rescan forever. *)
 let test_decode_keeps_call_arguments () =
   let src =
     {|
@@ -441,10 +443,16 @@ int f(int x, int y) { return g(x, y, 1, 2, 3, 4, 5, 6, 7, 8) + x * y; }
 int main() { print_int(f(input(0), 200)); print_int(f(3, 4)); return 0; }
 |}
   in
-  let c = Epic_core.Driver.compile ~config:Epic_core.Config.gcc_like ~train:[| 1L |] src in
-  let code, out, _ = Epic_core.Driver.run c [| 100L |] in
-  check ci "exit code" 0 code;
-  check cs "output" "20570\n93\n" out
+  List.iter
+    (fun level ->
+      let name = Epic_core.Config.level_name level in
+      let c =
+        Epic_core.Driver.compile ~config:(Epic_core.Config.make level) ~train:[| 1L |] src
+      in
+      let code, out, _ = Epic_core.Driver.run c [| 100L |] in
+      check ci (name ^ " exit code") 0 code;
+      check cs (name ^ " output") "20570\n93\n" out)
+    Epic_core.Experiments.levels
 
 (* --- Machine: register ids out of range -------------------------------- *)
 

@@ -120,6 +120,30 @@ let qcheck_selfcheck_across_driver =
           | Epic_core.Random_program.Crash _ ->
               false))
 
+(* The same contract on every suite workload at every level, each compiled
+   with its own pointer-analysis setting as the suite does. *)
+let test_selfcheck_suite () =
+  Cache.self_check := true;
+  Fun.protect
+    ~finally:(fun () -> Cache.self_check := false)
+    (fun () ->
+      List.iter
+        (fun (w : Epic_workloads.Workload.t) ->
+          List.iter
+            (fun level ->
+              let config =
+                {
+                  (Epic_core.Config.make level) with
+                  Epic_core.Config.pointer_analysis =
+                    w.Epic_workloads.Workload.pointer_analysis;
+                }
+              in
+              ignore
+                (Epic_core.Driver.compile ~config ~train:w.Epic_workloads.Workload.train
+                   w.Epic_workloads.Workload.source))
+            Epic_core.Experiments.levels)
+        Epic_workloads.Suite.all)
+
 (* --- dirty-function fixed point ≡ whole-program fixed point -------------- *)
 
 (* The legacy whole-program fixed point, cache-free: bounded rounds of every
@@ -191,6 +215,8 @@ let suite =
     Alcotest.test_case "self-check catches stale entries" `Quick
       test_selfcheck_catches_stale_entry;
     QCheck_alcotest.to_alcotest qcheck_selfcheck_across_driver;
+    Alcotest.test_case "cache self-check: suite x 4 levels"
+      `Slow test_selfcheck_suite;
     Alcotest.test_case "worklist fixed point = whole-program oracle (suite)"
       `Slow test_fixed_point_matches_oracle;
     Alcotest.test_case "clean worklist runs no rounds" `Quick

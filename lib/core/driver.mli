@@ -45,8 +45,21 @@ and transform_stats = {
     [compile]). *)
 val reset_pass_stats : unit -> unit
 
+(** [profiler p train] is the profiling step of one compile: each call
+    runs [p] on [train] under the reference interpreter, annotates the IR
+    with the counts and returns the profile.  The first call's exit code
+    and output are the reference; a later call (a reprofile after the phase
+    named [after]) that does not reproduce them raises [Failure] naming
+    that phase, so a transform that miscompiles the train input fails at
+    the pass that broke it.  {!compile_ir} profiles and reprofiles through
+    one. *)
+val profiler :
+  Epic_ir.Program.t -> int64 array -> after:string -> Epic_analysis.Profile.t
+
 (** Compile an already-lowered program under [config], profiling on the
-    [train] input.  The program is transformed in place.  [passes]
+    [train] input.  Every reprofile must reproduce the first profile run's
+    exit code and output (see {!profiler}).  The program is transformed in
+    place.  [passes]
     accumulates the per-phase instrumentation records (a fresh registry is
     used when omitted; either way the records land in [pass_records]).
 

@@ -13,13 +13,25 @@
    slot, an intrinsic or a function-pointer operand, [Sym] operands resolved
    to addresses, and registers renumbered densely per bank, so a frame holds
    only the registers its function mentions.  Profile counts live in int
-   arrays of the [dfunc] and are read back through the [iter_*] functions. *)
+   arrays of the [dfunc] and are read back through the [iter_*] functions.
+
+   Executing an instruction allocates nothing.  Integer registers live
+   unboxed in a [Bytes] bank, eight bytes per slot; the operand shapes
+   that dominate train runs decode to ops of their own (register-register
+   and register-immediate ALU ops, constants, register moves, loads and
+   stores through a register address, register-register compares); memory
+   is reached through [Memimage]'s bank-offset entry points; and a call
+   binds its arguments straight into the callee's bank, on a frame reused
+   from the callee's own stack of frames. *)
 
 type value = Vi of int64 | Vf of float | Vp of bool | Vnat
 
 exception Fault of string
 exception Exit_program of int
 exception Out_of_fuel
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* --- predecoded form ------------------------------------------------------ *)
 
@@ -40,7 +52,27 @@ type callee =
   | Undefined of string
   | Bad_target
 
+type alu = Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sra
+type falu = Fadd | Fsub | Fmul | Fdiv
+
+(* The shape ops name integer slots directly: [d] is never r0 (a write to
+   r0 decodes to the generic op, which drops it). *)
 type op =
+  | Alu_rr of { aop : alu; d : int; a : int; b : int; spec : bool }
+  | Alu_ri of { aop : alu; d : int; a : int; imm : int64; spec : bool }
+  | Const of int * int64 (* mov of an immediate; lea of two *)
+  | Move of int * int (* integer register to integer register *)
+  | Ld_r of { size : int; spec : Opcode.spec_kind; d : int; key : int; a : int }
+  | St_r of { size : int; a : int; v : int }
+  | Icmp_rr of { c : Opcode.icmp; ct : Opcode.ctype; pt : dst; pf : dst; a : int; b : int }
+  | Icmp_ri of {
+      c : Opcode.icmp;
+      ct : Opcode.ctype;
+      pt : dst;
+      pf : dst;
+      a : int;
+      imm : int64;
+    }
   | Cmp of {
       fcmp : bool;
       c : Opcode.icmp;
@@ -51,8 +83,8 @@ type op =
       b : opnd;
       arity_ok : bool;
     }
-  | Ialu of { iop : Opcode.t; d : dst; a : opnd; b : opnd; spec : bool }
-  | Falu of { fop : Opcode.t; d : dst; a : opnd; b : opnd }
+  | Ialu of { aop : alu; d : dst; a : opnd; b : opnd; spec : bool }
+  | Falu of { fop : falu; d : dst; a : opnd; b : opnd }
   | Fneg of dst * opnd
   | Cvt_fi of dst * opnd
   | Cvt_if of dst * opnd
@@ -85,6 +117,19 @@ type dblock = {
   fall : int; (* layout successor; -1 at the end *)
 }
 
+(* The ALAT, keyed by destination register, lives in the frame: a callee
+   starts with an empty one and the caller's is flushed when a call
+   returns, which is the hardware's single ALAT conservatively flushed at
+   calls. *)
+type frame = {
+  ints : Bytes.t; (* slot k at byte offset 8k *)
+  inat : bool array;
+  flts : float array;
+  fnat : bool array;
+  prds : bool array;
+  mutable alat : (int * int64 * int) list; (* key, address, size *)
+}
+
 type dfunc = {
   func : Func.t;
   blocks : dblock array;
@@ -98,12 +143,19 @@ type dfunc = {
   br_taken : int array;
   ind_instrs : Instr.t array; (* indirect call sites *)
   ind_counts : int array array; (* site -> function index -> calls *)
+  (* frames by recursion depth: [frames.(depth)] is the next invocation's,
+     [no_frame] where none was made yet *)
+  mutable frames : frame array;
+  mutable depth : int;
 }
 
 type code = {
   funcs : dfunc array; (* program order *)
   targets : callee array; (* what a call to function i's name runs *)
   entry : callee;
+  scratch : Bytes.t;
+      (* two words: an address (offset 0) and a value (offset 8) that are
+         not in a register bank, and an intrinsic's result (offset 0) *)
 }
 
 type state = {
@@ -127,7 +179,6 @@ type state = {
 let r0_slot = 0
 let sp_slot = 1
 let p0_slot = 0
-let sp_dst = Dint sp_slot
 
 let bank (r : Reg.t) =
   match r.Reg.cls with Reg.Int | Reg.Brr -> 0 | Reg.Flt -> 1 | Reg.Prd -> 2
@@ -188,6 +239,35 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     !n - 1
   in
   let fault s = Bad (Fault s) in
+  let alu (i : Instr.t) aop d a b =
+    let spec = i.Instr.attrs.Instr.speculated in
+    match (dst d, opnd a, opnd b) with
+    | Dint d, Int a, Int b -> Alu_rr { aop; d; a; b; spec }
+    | Dint d, Int a, Imm imm -> Alu_ri { aop; d; a; imm; spec }
+    | d, a, b -> Ialu { aop; d; a; b; spec }
+  in
+  let cmp ~fcmp c ct pt pf srcs =
+    match srcs with
+    | [ a; b ] -> (
+        match (fcmp, opnd a, opnd b, dst pt, dst pf) with
+        | false, Int a, Int b, pt, pf -> Icmp_rr { c; ct; pt; pf; a; b }
+        | false, Int a, Imm imm, pt, pf -> Icmp_ri { c; ct; pt; pf; a; imm }
+        | _, a, b, pt, pf -> Cmp { fcmp; c; ct; pt; pf; a; b; arity_ok = true })
+    | _ ->
+        Cmp { fcmp; c; ct; pt = dst pt; pf = dst pf; a = Imm 0L; b = Imm 0L; arity_ok = false }
+  in
+  let falu fop d a b = Falu { fop; d = dst d; a = opnd a; b = opnd b } in
+  let mov d a =
+    match (dst d, opnd a) with
+    | Dint d, Int a -> Move (d, a)
+    | Dint d, Imm v -> Const (d, v)
+    | d, a -> Mov (d, a)
+  in
+  let lea d base off =
+    match (dst d, opnd base, opnd off) with
+    | Dint d, Imm b, Imm o -> Const (d, Int64.add b o)
+    | d, base, off -> Lea (d, base, off)
+  in
   let decode (i : Instr.t) =
     let size sz = Opcode.size_bytes sz in
     let fdst (r : Reg.t) = r.Reg.cls = Reg.Flt in
@@ -201,36 +281,30 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
           | _ -> (-2, "")
         in
         Br { site = s; target; label }
-    | (Opcode.Cmp (c, ct) | Opcode.Fcmp (c, ct)), [ pt; pf ], srcs ->
-        let fcmp = match i.Instr.op with Opcode.Fcmp _ -> true | _ -> false in
-        let a, b, arity_ok =
-          match srcs with
-          | [ a; b ] -> (opnd a, opnd b, true)
-          | _ -> (Imm 0L, Imm 0L, false)
-        in
-        Cmp { fcmp; c; ct; pt = dst pt; pf = dst pf; a; b; arity_ok }
+    | Opcode.Cmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:false c ct pt pf srcs
+    | Opcode.Fcmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:true c ct pt pf srcs
     | (Opcode.Cmp _ | Opcode.Fcmp _), _, _ -> fault "cmp without two destinations"
-    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
-        | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
-        | Opcode.Sra ),
-        [ d ],
-        [ a; b ] ) ->
-        Ialu
-          {
-            iop = i.Instr.op;
-            d = dst d;
-            a = opnd a;
-            b = opnd b;
-            spec = i.Instr.attrs.Instr.speculated;
-          }
+    | Opcode.Add, [ d ], [ a; b ] -> alu i Add d a b
+    | Opcode.Sub, [ d ], [ a; b ] -> alu i Sub d a b
+    | Opcode.Mul, [ d ], [ a; b ] -> alu i Mul d a b
+    | Opcode.Div, [ d ], [ a; b ] -> alu i Div d a b
+    | Opcode.Rem, [ d ], [ a; b ] -> alu i Rem d a b
+    | Opcode.And, [ d ], [ a; b ] -> alu i And d a b
+    | Opcode.Or, [ d ], [ a; b ] -> alu i Or d a b
+    | Opcode.Xor, [ d ], [ a; b ] -> alu i Xor d a b
+    | Opcode.Shl, [ d ], [ a; b ] -> alu i Shl d a b
+    | Opcode.Shr, [ d ], [ a; b ] -> alu i Shr d a b
+    | Opcode.Sra, [ d ], [ a; b ] -> alu i Sra d a b
     | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
         | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
         | Opcode.Sra ),
         _,
         _ ) ->
         fault ("bad ALU instruction " ^ Instr.to_string i)
-    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
-        Falu { fop = i.Instr.op; d = dst d; a = opnd a; b = opnd b }
+    | Opcode.Fadd, [ d ], [ a; b ] -> falu Fadd d a b
+    | Opcode.Fsub, [ d ], [ a; b ] -> falu Fsub d a b
+    | Opcode.Fmul, [ d ], [ a; b ] -> falu Fmul d a b
+    | Opcode.Fdiv, [ d ], [ a; b ] -> falu Fdiv d a b
     | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), _, _ ->
         fault "bad FP instruction"
     | Opcode.Fneg, [ d ], [ a ] -> Fneg (dst d, opnd a)
@@ -239,15 +313,21 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     | Opcode.Cvt_fi, _, _ -> fault "bad cvt.fi"
     | Opcode.Cvt_if, [ d ], [ a ] -> Cvt_if (dst d, opnd a)
     | Opcode.Cvt_if, _, _ -> fault "bad cvt.if"
-    | Opcode.Mov, [ d ], [ a ] -> Mov (dst d, opnd a)
+    | Opcode.Mov, [ d ], [ a ] -> mov d a
     | Opcode.Sxt sz, [ d ], [ a ] -> Sxt (8 * size sz, dst d, opnd a)
     | (Opcode.Mov | Opcode.Sxt _), _, _ -> fault "bad mov"
-    | Opcode.Lea, [ d ], [ base; off ] -> Lea (dst d, opnd base, opnd off)
+    | Opcode.Lea, [ d ], [ base; off ] -> lea d base off
     | Opcode.Lea, _, _ -> fault "bad lea"
-    | Opcode.Ld (sz, spec), [ d ], [ a ] ->
-        Ld { size = size sz; spec; d = dst d; fdst = fdst d; key = alat_key d; a = opnd a }
+    | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
+        match (dst d, opnd a) with
+        | Dint di, Int a when not (fdst d) ->
+            Ld_r { size = size sz; spec; d = di; key = alat_key d; a }
+        | dd, a -> Ld { size = size sz; spec; d = dd; fdst = fdst d; key = alat_key d; a })
     | Opcode.Ld _, _, _ -> fault "bad load"
-    | Opcode.St sz, _, [ a; v ] -> St { size = size sz; a = opnd a; v = opnd v }
+    | Opcode.St sz, _, [ a; v ] -> (
+        match (opnd a, opnd v) with
+        | Int a, Int v -> St_r { size = size sz; a; v }
+        | a, v -> St { size = size sz; a; v })
     | Opcode.St _, _, _ -> fault "bad store"
     | Opcode.Chk sz, _, [ Operand.Reg r; a ] ->
         Chk { size = size sz; r = reg r; rd = dst r; fdst = fdst r; a = opnd a }
@@ -311,6 +391,8 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     br_taken = Array.make (Array.length br_instrs) 0;
     ind_instrs;
     ind_counts = Array.init (Array.length ind_instrs) (fun _ -> Array.make nfuncs 0);
+    frames = [||];
+    depth = 0;
   }
 
 (* Resolution follows [Program.find_func]/[find_global]: the first
@@ -343,28 +425,19 @@ let decode (p : Program.t) =
     funcs;
     targets = Array.map (fun df -> resolve df.func.Func.name) funcs;
     entry = resolve p.Program.entry;
+    scratch = Bytes.create 16;
   }
 
 (* --- frames --------------------------------------------------------------- *)
 
-(* The ALAT, keyed by destination register, lives in the frame: a callee
-   starts with an empty one and the caller's is flushed when a call
-   returns, which is the hardware's single ALAT conservatively flushed at
-   calls. *)
-type frame = {
-  ints : int64 array;
-  inat : bool array;
-  flts : float array;
-  fnat : bool array;
-  prds : bool array;
-  mutable alat : (int * int64 * int) list; (* key, address, size *)
-}
+let no_frame =
+  { ints = Bytes.empty; inat = [||]; flts = [||]; fnat = [||]; prds = [||]; alat = [] }
 
 let new_frame df =
   let prds = Array.make df.n_prd false in
   prds.(p0_slot) <- true;
   {
-    ints = Array.make df.n_int 0L;
+    ints = Bytes.make (8 * df.n_int) '\000';
     inat = Array.make df.n_int false;
     flts = Array.make df.n_flt 0.;
     fnat = Array.make df.n_flt false;
@@ -372,69 +445,90 @@ let new_frame df =
     alat = [];
   }
 
+(* The frame of a new invocation of [df], every register reading 0 (p0
+   true) as in a fresh one. *)
+let enter df =
+  let d = df.depth in
+  if d = Array.length df.frames then begin
+    let grown = Array.make (max 4 (2 * d)) no_frame in
+    Array.blit df.frames 0 grown 0 d;
+    df.frames <- grown
+  end;
+  df.depth <- d + 1;
+  let fr = df.frames.(d) in
+  if fr == no_frame then begin
+    let fr = new_frame df in
+    df.frames.(d) <- fr;
+    fr
+  end
+  else begin
+    Bytes.fill fr.ints 0 (Bytes.length fr.ints) '\000';
+    Array.fill fr.inat 0 df.n_int false;
+    Array.fill fr.flts 0 df.n_flt 0.;
+    Array.fill fr.fnat 0 df.n_flt false;
+    Array.fill fr.prds 0 df.n_prd false;
+    fr.prds.(p0_slot) <- true;
+    fr.alat <- [];
+    fr
+  end
+
 (* Operand reads.  A non-integer value read as an integer (or the reverse)
    converts like a register write of the other class would. *)
-let is_nat fr = function
+let[@inline] is_nat fr = function
   | Int k -> fr.inat.(k)
   | Flt k -> fr.fnat.(k)
   | Prd _ | Imm _ | Fimm _ -> false
 
-(* [int_of]/[flt_of] assume the operand is not NaT. *)
-let int_of fr = function
-  | Int k -> fr.ints.(k)
+(* [int_of]/[flt_of] assume the operand is not NaT.  Every arm computes
+   its value, an immediate included (an identity the compiler keeps): an
+   arm that merely returned the boxed immediate would make the inlined
+   read box the register arms too. *)
+let[@inline] int_of fr = function
+  | Int k -> get64 fr.ints (k lsl 3)
   | Flt k -> Int64.of_float fr.flts.(k)
   | Prd k -> if fr.prds.(k) then 1L else 0L
-  | Imm i -> i
+  | Imm i -> Int64.add i 0L
   | Fimm f -> Int64.of_float f
 
-let flt_of fr = function
-  | Int k -> Int64.to_float fr.ints.(k)
+let[@inline] flt_of fr = function
+  | Int k -> Int64.to_float (get64 fr.ints (k lsl 3))
   | Flt k -> fr.flts.(k)
   | Prd k -> if fr.prds.(k) then 1. else 0.
   | Imm i -> Int64.to_float i
-  | Fimm f -> f
+  | Fimm f -> Int64.float_of_bits (Int64.bits_of_float f)
 
 let pred_of fr = function
-  | Int k -> (not fr.inat.(k)) && not (Int64.equal fr.ints.(k) 0L)
+  | Int k -> (not fr.inat.(k)) && not (Int64.equal (get64 fr.ints (k lsl 3)) 0L)
   | Prd k -> fr.prds.(k)
   | Imm i -> not (Int64.equal i 0L)
   | Flt _ | Fimm _ -> false
 
-let value fr = function
-  | Int k -> if fr.inat.(k) then Vnat else Vi fr.ints.(k)
-  | Flt k -> if fr.fnat.(k) then Vnat else Vf fr.flts.(k)
-  | Prd k -> Vp fr.prds.(k)
-  | Imm i -> Vi i
-  | Fimm f -> Vf f
-
 (* Writes coerce to the destination's class. *)
-let write_int fr d x =
+let[@inline] set_int fr k x =
+  set64 fr.ints (k lsl 3) x;
+  fr.inat.(k) <- false
+
+let[@inline] write_int fr d x =
   match d with
-  | Dint k ->
-      fr.ints.(k) <- x;
-      fr.inat.(k) <- false
+  | Dint k -> set_int fr k x
   | Dflt k ->
       fr.flts.(k) <- Int64.to_float x;
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- not (Int64.equal x 0L)
   | Drop -> ()
 
-let write_flt fr d f =
+let[@inline] write_flt fr d f =
   match d with
-  | Dint k ->
-      fr.ints.(k) <- Int64.of_float f;
-      fr.inat.(k) <- false
+  | Dint k -> set_int fr k (Int64.of_float f)
   | Dflt k ->
       fr.flts.(k) <- f;
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- false
   | Drop -> ()
 
-let write_pred fr d b =
+let[@inline] write_pred fr d b =
   match d with
-  | Dint k ->
-      fr.ints.(k) <- (if b then 1L else 0L);
-      fr.inat.(k) <- false
+  | Dint k -> set_int fr k (if b then 1L else 0L)
   | Dflt k ->
       fr.flts.(k) <- (if b then 1. else 0.);
       fr.fnat.(k) <- false
@@ -447,81 +541,147 @@ let write_nat fr = function
   | Dprd k -> fr.prds.(k) <- false
   | Drop -> ()
 
-let write_value fr d = function
-  | Vi x -> write_int fr d x
-  | Vf f -> write_flt fr d f
-  | Vp b -> write_pred fr d b
-  | Vnat -> write_nat fr d
+(* Write operand [a] of frame [src] to [d] of frame [dst], converting to
+   the destination's class: a move, or binding an argument or a result
+   across a call. *)
+let transfer src a dst d =
+  match a with
+  | Int k -> if src.inat.(k) then write_nat dst d else write_int dst d (get64 src.ints (k lsl 3))
+  | Flt k -> if src.fnat.(k) then write_nat dst d else write_flt dst d src.flts.(k)
+  | Prd k -> write_pred dst d src.prds.(k)
+  | Imm i -> write_int dst d i
+  | Fimm f -> write_flt dst d f
 
 (* --- semantics ------------------------------------------------------------ *)
 
-let int_binop op x y =
-  match op with
-  | Opcode.Add -> Int64.add x y
-  | Opcode.Sub -> Int64.sub x y
-  | Opcode.Mul -> Int64.mul x y
-  | Opcode.Div -> Int64.div x y
-  | Opcode.Rem -> Int64.rem x y
-  | Opcode.And -> Int64.logand x y
-  | Opcode.Or -> Int64.logor x y
-  | Opcode.Xor -> Int64.logxor x y
-  | Opcode.Shl -> Int64.shift_left x (Int64.to_int y land 63)
-  | Opcode.Shr -> Int64.shift_right_logical x (Int64.to_int y land 63)
-  | Opcode.Sra -> Int64.shift_right x (Int64.to_int y land 63)
-  | _ -> invalid_arg "int_binop"
+(* [alu] stores [x op y] at byte offset [o] of [bank]; the caller has
+   ruled out a zero divisor. *)
+let[@inline] alu bank o aop x y =
+  match aop with
+  | Add -> set64 bank o (Int64.add x y)
+  | Sub -> set64 bank o (Int64.sub x y)
+  | Mul -> set64 bank o (Int64.mul x y)
+  | Div -> set64 bank o (Int64.div x y)
+  | Rem -> set64 bank o (Int64.rem x y)
+  | And -> set64 bank o (Int64.logand x y)
+  | Or -> set64 bank o (Int64.logor x y)
+  | Xor -> set64 bank o (Int64.logxor x y)
+  | Shl -> set64 bank o (Int64.shift_left x (Int64.to_int y land 63))
+  | Shr -> set64 bank o (Int64.shift_right_logical x (Int64.to_int y land 63))
+  | Sra -> set64 bank o (Int64.shift_right x (Int64.to_int y land 63))
 
-let flt_binop op x y =
-  match op with
-  | Opcode.Fadd -> x +. y
-  | Opcode.Fsub -> x -. y
-  | Opcode.Fmul -> x *. y
-  | Opcode.Fdiv -> x /. y
-  | _ -> invalid_arg "flt_binop"
+(* Div/Rem by zero under speculation must defer, not kill. *)
+let divide_by_zero fr d aop ~spec =
+  if spec then write_nat fr d
+  else raise (Fault (if aop = Div then "division by zero" else "remainder by zero"))
 
-let do_intrinsic st (k : Intrinsics.kind) (args : value array) =
+let[@inline] zero_divisor aop y = (aop = Div || aop = Rem) && Int64.equal y 0L
+
+let[@inline] icmp (c : Opcode.icmp) (x : int64) (y : int64) =
+  match c with
+  | Opcode.Eq -> Int64.equal x y
+  | Opcode.Ne -> not (Int64.equal x y)
+  | Opcode.Lt -> x < y
+  | Opcode.Le -> x <= y
+  | Opcode.Gt -> x > y
+  | Opcode.Ge -> x >= y
+  | Opcode.Ltu -> Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
+  | Opcode.Geu -> Int64.sub x Int64.min_int >= Int64.sub y Int64.min_int
+
+let[@inline] fcmp (c : Opcode.icmp) (x : float) (y : float) =
+  match c with
+  | Opcode.Eq -> x = y
+  | Opcode.Ne -> x <> y
+  | Opcode.Lt | Opcode.Ltu -> x < y
+  | Opcode.Le -> x <= y
+  | Opcode.Gt -> x > y
+  | Opcode.Ge | Opcode.Geu -> x >= y
+
+(* Write a compare's targets.  [r] is the outcome: 1 true, 0 false, -1 a
+   NaT input; it is only read under a true guard. *)
+let[@inline] set_targets fr (ct : Opcode.ctype) pt pf guard r =
+  match ct with
+  | Opcode.Norm ->
+      if guard then begin
+        write_pred fr pt (r = 1);
+        write_pred fr pf (r = 0)
+      end
+  | Opcode.Unc ->
+      (* unc clears both targets even when the guard is false *)
+      write_pred fr pt false;
+      write_pred fr pf false;
+      if guard && r >= 0 then begin
+        write_pred fr pt (r = 1);
+        write_pred fr pf (r = 0)
+      end
+  | Opcode.Orform ->
+      if guard && r = 1 then begin
+        write_pred fr pt true;
+        write_pred fr pf true
+      end
+
+let compare_outcome fr ~fcmp:is_f c a b ~arity_ok =
+  if not arity_ok then raise (Fault "cmp arity");
+  if is_nat fr a || is_nat fr b then -1
+  else if
+    if is_f then fcmp c (flt_of fr a) (flt_of fr b) else icmp c (int_of fr a) (int_of fr b)
+  then 1
+  else 0
+
+let[@inline] falu fr d fop x y =
+  match fop with
+  | Fadd -> write_flt fr d (x +. y)
+  | Fsub -> write_flt fr d (x -. y)
+  | Fmul -> write_flt fr d (x *. y)
+  | Fdiv -> write_flt fr d (x /. y)
+
+(* [do_intrinsic] leaves its result, if any, at offset 0 of the scratch
+   words and returns how many it has (0 or 1). *)
+let do_intrinsic st fr (k : Intrinsics.kind) (args : opnd array) =
   let geti n =
     if n >= Array.length args then 0L
-    else
-      match args.(n) with
-      | Vi i -> i
-      | Vf f -> Int64.of_float f
-      | Vp b -> if b then 1L else 0L
-      | Vnat ->
-          st.nat_faults <- st.nat_faults + 1;
-          0L
+    else if is_nat fr args.(n) then begin
+      st.nat_faults <- st.nat_faults + 1;
+      0L
+    end
+    else int_of fr args.(n)
+  in
+  let result x =
+    set64 st.code.scratch 0 x;
+    1
   in
   match k with
   | Intrinsics.Print_int ->
       Buffer.add_string st.output (Int64.to_string (geti 0));
       Buffer.add_char st.output '\n';
-      [||]
+      0
   | Intrinsics.Print_char ->
       Buffer.add_char st.output (Char.chr (Int64.to_int (geti 0) land 0xff));
-      [||]
+      0
   | Intrinsics.Malloc ->
       let bytes = Int64.to_int (geti 0) in
       let bytes = max 8 ((bytes + 15) / 16 * 16) in
       let addr = st.heap in
       st.heap <- Int64.add st.heap (Int64.of_int bytes);
       Memimage.map_range st.mem addr bytes;
-      [| Vi addr |]
+      result addr
   | Intrinsics.Input ->
       let i = Int64.to_int (geti 0) in
-      if i >= 0 && i < Array.length st.input then [| Vi st.input.(i) |] else [| Vi 0L |]
-  | Intrinsics.Input_len -> [| Vi (Int64.of_int (Array.length st.input)) |]
+      result (if i >= 0 && i < Array.length st.input then st.input.(i) else 0L)
+  | Intrinsics.Input_len -> result (Int64.of_int (Array.length st.input))
   | Intrinsics.Memcpy ->
       let dst = geti 0 and src = geti 1 and n = Int64.to_int (geti 2) in
       for i = 0 to n - 1 do
         let b = Memimage.read st.mem (Int64.add src (Int64.of_int i)) 1 in
         Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 b
       done;
-      [||]
+      0
   | Intrinsics.Memset ->
       let dst = geti 0 and v = geti 1 and n = Int64.to_int (geti 2) in
       for i = 0 to n - 1 do
         Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 v
       done;
-      [||]
+      0
   | Intrinsics.Exit -> raise (Exit_program (Int64.to_int (geti 0)))
 
 (* A load from a page that is not [Ok].  A non-speculative access to an
@@ -542,100 +702,116 @@ let deferred_load st (spec : Opcode.spec_kind) addr = function
       | Opcode.Spec_general | Opcode.Spec_sentinel ->
           st.wild_loads <- st.wild_loads + 1)
 
-let load_into fr d ~fdst bits =
-  if fdst then write_flt fr d (Int64.float_of_bits bits) else write_int fr d bits
+let rec alat_has key = function
+  | [] -> false
+  | (k, _, _) :: tl -> k = key || alat_has key tl
+
+(* Record an advanced load; a key holds at most one entry. *)
+let alat_add fr key addr size =
+  fr.alat <- (key, addr, size) :: List.filter (fun (k, _, _) -> k <> key) fr.alat
+
+(* A store to [lo0, lo0 + size) invalidates the overlapping entries. *)
+let alat_store fr lo0 size =
+  fr.alat <-
+    List.filter
+      (fun (_, a, n) ->
+        let lo = max (Int64.to_int a) lo0 in
+        let hi = min (Int64.to_int a + n) (lo0 + size) in
+        lo >= hi)
+      fr.alat
+
+(* A load through the address in the scratch words into [d]: the generic
+   shapes and speculation-check recovery. *)
+let load st fr ~size ~spec ~d ~fdst ~key =
+  let scratch = st.code.scratch in
+  match Memimage.load_at st.mem scratch 0 size scratch 8 with
+  | Memimage.Ok ->
+      if spec = Opcode.Spec_advanced then alat_add fr key (get64 scratch 0) size;
+      let bits = get64 scratch 8 in
+      if fdst then write_flt fr d (Int64.float_of_bits bits) else write_int fr d bits
+  | acc ->
+      deferred_load st spec (get64 scratch 0) acc;
+      write_nat fr d
 
 (* Speculation-check recovery: reload non-speculatively into the checked
    register. *)
 let recover st fr ~size ~rd ~fdst a =
   if is_nat fr a then st.nat_faults <- st.nat_faults + 1
-  else
-    let addr = int_of fr a in
-    match Memimage.classify st.mem addr with
-    | Memimage.Ok -> load_into fr rd ~fdst (Memimage.read st.mem addr size)
-    | acc -> deferred_load st Opcode.Nonspec addr acc
+  else begin
+    set64 st.code.scratch 0 (int_of fr a);
+    load st fr ~size ~spec:Opcode.Nonspec ~d:rd ~fdst ~key:0
+  end
 
-(* Compare outcome: 1 true, 0 false, -1 a NaT input. *)
-let compare_outcome fr ~fcmp c a b ~arity_ok =
-  if not arity_ok then raise (Fault "cmp arity");
-  if is_nat fr a || is_nat fr b then -1
-  else if
-    if fcmp then Opcode.eval_fcmp c (flt_of fr a) (flt_of fr b)
-    else Opcode.eval_icmp c (int_of fr a) (int_of fr b)
-  then 1
-  else 0
-
-let exec_cmp fr ~fcmp c (ct : Opcode.ctype) pt pf a b ~arity_ok guard =
-  match ct with
-  | Opcode.Norm ->
-      if guard then (
-        match compare_outcome fr ~fcmp c a b ~arity_ok with
-        | -1 ->
-            write_pred fr pt false;
-            write_pred fr pf false
-        | r ->
-            write_pred fr pt (r = 1);
-            write_pred fr pf (r <> 1))
-  | Opcode.Unc ->
-      (* unc clears both targets even when the guard is false *)
-      write_pred fr pt false;
-      write_pred fr pf false;
-      if guard then (
-        match compare_outcome fr ~fcmp c a b ~arity_ok with
-        | -1 -> ()
-        | r ->
-            write_pred fr pt (r = 1);
-            write_pred fr pf (r <> 1))
-  | Opcode.Orform ->
-      if guard && compare_outcome fr ~fcmp c a b ~arity_ok = 1 then begin
-        write_pred fr pt true;
-        write_pred fr pf true
-      end
+(* A store of the value at offset [vo] of [vbank] to the address at offset
+   [ao] of [abank]. *)
+let store st fr ~size abank ao vbank vo =
+  if fr.alat <> [] then alat_store fr (Int64.to_int (get64 abank ao)) size;
+  match Memimage.store_at st.mem abank ao size vbank vo with
+  | Memimage.Ok -> ()
+  | Memimage.Null_page | Memimage.Unmapped ->
+      raise (Fault (Printf.sprintf "store to invalid 0x%Lx" (get64 abank ao)))
 
 let exec_store st fr ~size a v =
   if is_nat fr a || is_nat fr v then st.nat_faults <- st.nat_faults + 1
-  else
-    let addr = int_of fr a in
-    let x =
-      match v with
-      | Flt k -> Int64.bits_of_float fr.flts.(k)
-      | Fimm f -> Int64.bits_of_float f
-      | _ -> int_of fr v
-    in
-    (* invalidate overlapping advanced-load entries *)
-    if fr.alat <> [] then begin
-      let lo0 = Int64.to_int addr in
-      fr.alat <-
-        List.filter
-          (fun (_, a, n) ->
-            let lo = max (Int64.to_int a) lo0 in
-            let hi = min (Int64.to_int a + n) (lo0 + size) in
-            lo >= hi)
-          fr.alat
-    end;
-    match Memimage.classify st.mem addr with
-    | Memimage.Ok -> Memimage.write st.mem addr size x
-    | Memimage.Null_page | Memimage.Unmapped ->
-        raise (Fault (Printf.sprintf "store to invalid 0x%Lx" addr))
+  else begin
+    let scratch = st.code.scratch in
+    set64 scratch 0 (int_of fr a);
+    (match v with
+    | Flt k -> set64 scratch 8 (Int64.bits_of_float fr.flts.(k))
+    | Fimm f -> set64 scratch 8 (Int64.bits_of_float f)
+    | _ -> set64 scratch 8 (int_of fr v));
+    store st fr ~size scratch 0 scratch 8
+  end
 
-(* Execute one function invocation; returns the returned values. *)
-let rec exec_call st slot (args : value array) (caller_sp : int64) =
+(* Invoke function [slot] from frame [fr] (which supplies the arguments and
+   the stack pointer); returns the operands of the [ret] that ended it, to
+   be read in the callee's frame, [frames.(depth)] again after the return. *)
+let rec invoke st fr slot (args : opnd array) =
   let df = st.code.funcs.(slot) in
   if Array.length df.blocks = 0 then
     invalid_arg ("Func.entry: empty function " ^ df.func.Func.name);
-  let fr = new_frame df in
+  let cfr = enter df in
   for i = 0 to min (Array.length args) (Array.length df.params) - 1 do
-    write_value fr df.params.(i) args.(i)
+    transfer fr args.(i) cfr df.params.(i)
   done;
-  write_int fr sp_dst caller_sp;
-  exec_block st df fr 0
+  set_int cfr sp_slot
+    (if fr.inat.(sp_slot) then 0L else get64 fr.ints (sp_slot lsl 3));
+  let vs = exec_block st df cfr 0 in
+  df.depth <- df.depth - 1;
+  vs
 
-and call_target st target args sp =
-  match target with
-  | Intrinsic k -> do_intrinsic st k args
-  | Direct slot -> exec_call st slot args sp
+and call st df fr callee args dsts =
+  match callee with
+  | Direct slot ->
+      let vs = invoke st fr slot args in
+      let cdf = st.code.funcs.(slot) in
+      let cfr = cdf.frames.(cdf.depth) in
+      fr.alat <- [];
+      for n = 0 to Array.length dsts - 1 do
+        if n < Array.length vs then transfer cfr vs.(n) fr dsts.(n)
+        else write_int fr dsts.(n) 0L
+      done
+  | Intrinsic k ->
+      let n = do_intrinsic st fr k args in
+      fr.alat <- [];
+      for i = 0 to Array.length dsts - 1 do
+        write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
+      done
+  | Indirect (o, site) ->
+      if is_nat fr o then raise (Fault "indirect call through NaT");
+      let off = Int64.to_int (Int64.sub (int_of fr o) Program.code_base) in
+      let fi = off / 64 in
+      if off < 0 || off mod 64 <> 0 || fi >= Array.length st.code.funcs then
+        raise (Fault (Printf.sprintf "indirect call to 0x%Lx" (int_of fr o)));
+      if st.profiling then begin
+        let h = df.ind_counts.(site) in
+        h.(fi) <- h.(fi) + 1
+      end;
+      (match st.code.targets.(fi) with
+      | Indirect _ -> raise (Fault "bad call target")
+      | target -> call st df fr target args dsts)
   | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)
-  | Indirect _ | Bad_target -> raise (Fault "bad call target")
+  | Bad_target -> raise (Fault "bad call target")
 
 and exec_block st df fr bi =
   if st.profiling then df.entries.(bi) <- df.entries.(bi) + 1;
@@ -649,13 +825,28 @@ and exec_at st df fr b k =
   else begin
     if st.fuel <= 0 then raise Out_of_fuel;
     st.fuel <- st.fuel - 1;
-    let i = b.code.(k) in
+    let i = Array.unsafe_get b.code k in
     let guard =
       match i.g with Always -> true | If p -> fr.prds.(p) | If_opnd o -> pred_of fr o
     in
     match i.op with
+    | Icmp_rr { c; ct; pt; pf; a; b = b' } ->
+        let r =
+          if fr.inat.(a) || fr.inat.(b') then -1
+          else if icmp c (get64 fr.ints (a lsl 3)) (get64 fr.ints (b' lsl 3)) then 1
+          else 0
+        in
+        set_targets fr ct pt pf guard r;
+        exec_at st df fr b (k + 1)
+    | Icmp_ri { c; ct; pt; pf; a; imm } ->
+        let r =
+          if fr.inat.(a) then -1 else if icmp c (get64 fr.ints (a lsl 3)) imm then 1 else 0
+        in
+        set_targets fr ct pt pf guard r;
+        exec_at st df fr b (k + 1)
     | Cmp { fcmp; c; ct; pt; pf; a; b = b'; arity_ok } ->
-        exec_cmp fr ~fcmp c ct pt pf a b' ~arity_ok guard;
+        let r = if guard then compare_outcome fr ~fcmp c a b' ~arity_ok else 0 in
+        set_targets fr ct pt pf guard r;
         exec_at st df fr b (k + 1)
     | op when not guard ->
         (* predicate-squashed: fetched but not executed *)
@@ -663,24 +854,70 @@ and exec_at st df fr b k =
         | Br { site; _ } when st.profiling -> df.br_exec.(site) <- df.br_exec.(site) + 1
         | _ -> ());
         exec_at st df fr b (k + 1)
-    | Ialu { iop; d; a; b = b'; spec } ->
+    | Alu_ri { aop; d; a; imm; spec } ->
+        (if fr.inat.(a) then fr.inat.(d) <- true
+         else if zero_divisor aop imm then divide_by_zero fr (Dint d) aop ~spec
+         else begin
+           alu fr.ints (d lsl 3) aop (get64 fr.ints (a lsl 3)) imm;
+           fr.inat.(d) <- false
+         end);
+        exec_at st df fr b (k + 1)
+    | Alu_rr { aop; d; a; b = b'; spec } ->
+        (if fr.inat.(a) || fr.inat.(b') then fr.inat.(d) <- true
+         else
+           let y = get64 fr.ints (b' lsl 3) in
+           if zero_divisor aop y then divide_by_zero fr (Dint d) aop ~spec
+           else begin
+             alu fr.ints (d lsl 3) aop (get64 fr.ints (a lsl 3)) y;
+             fr.inat.(d) <- false
+           end);
+        exec_at st df fr b (k + 1)
+    | Const (d, v) ->
+        set_int fr d v;
+        exec_at st df fr b (k + 1)
+    | Move (d, a) ->
+        set64 fr.ints (d lsl 3) (get64 fr.ints (a lsl 3));
+        fr.inat.(d) <- fr.inat.(a);
+        exec_at st df fr b (k + 1)
+    | Ld_r { size; spec; d; key; a } ->
+        (if fr.inat.(a) then begin
+           (* address is NaT: propagate (speculative chains) *)
+           if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
+           fr.inat.(d) <- true
+         end
+         else if spec = Opcode.Spec_advanced then begin
+           set64 st.code.scratch 0 (get64 fr.ints (a lsl 3));
+           load st fr ~size ~spec ~d:(Dint d) ~fdst:false ~key
+         end
+         else
+           match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
+           | Memimage.Ok -> fr.inat.(d) <- false
+           | acc ->
+               deferred_load st spec (get64 fr.ints (a lsl 3)) acc;
+               fr.inat.(d) <- true);
+        exec_at st df fr b (k + 1)
+    | St_r { size; a; v } ->
+        if fr.inat.(a) || fr.inat.(v) then st.nat_faults <- st.nat_faults + 1
+        else store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3);
+        exec_at st df fr b (k + 1)
+    | Ialu { aop; d; a; b = b'; spec } ->
         (if is_nat fr a || is_nat fr b' then write_nat fr d
          else
-           let x = int_of fr a and y = int_of fr b' in
-           match iop with
-           | (Opcode.Div | Opcode.Rem) when Int64.equal y 0L ->
-               (* Div/Rem by zero under speculation must defer, not kill. *)
-               if spec then write_nat fr d
-               else
-                 raise
-                   (Fault
-                      (if iop = Opcode.Div then "division by zero"
-                       else "remainder by zero"))
-           | _ -> write_int fr d (int_binop iop x y));
+           let y = int_of fr b' in
+           if zero_divisor aop y then divide_by_zero fr d aop ~spec
+           else
+             match d with
+             | Dint k ->
+                 alu fr.ints (k lsl 3) aop (int_of fr a) y;
+                 fr.inat.(k) <- false
+             | Drop -> ()
+             | _ ->
+                 alu st.code.scratch 0 aop (int_of fr a) y;
+                 write_int fr d (get64 st.code.scratch 0));
         exec_at st df fr b (k + 1)
     | Falu { fop; d; a; b = b' } ->
         if is_nat fr a || is_nat fr b' then write_nat fr d
-        else write_flt fr d (flt_binop fop (flt_of fr a) (flt_of fr b'));
+        else falu fr d fop (flt_of fr a) (flt_of fr b');
         exec_at st df fr b (k + 1)
     | Fneg (d, a) ->
         if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a);
@@ -694,51 +931,36 @@ and exec_at st df fr b k =
         else write_flt fr d (Int64.to_float (int_of fr a));
         exec_at st df fr b (k + 1)
     | Mov (d, a) ->
-        (match (d, a) with
-        | Dint x, Int y ->
-            fr.ints.(x) <- fr.ints.(y);
-            fr.inat.(x) <- fr.inat.(y)
-        | _ -> write_value fr d (value fr a));
+        transfer fr a fr d;
         exec_at st df fr b (k + 1)
     | Sxt (bits, d, a) ->
         (match a with
         | (Int _ | Imm _) when not (is_nat fr a) ->
             let s = 64 - bits in
             write_int fr d (Int64.shift_right (Int64.shift_left (int_of fr a) s) s)
-        | _ -> write_value fr d (value fr a));
+        | _ -> transfer fr a fr d);
         exec_at st df fr b (k + 1)
     | Lea (d, base, off) ->
-        let base =
-          match base with
-          | Int x when not fr.inat.(x) -> fr.ints.(x)
-          | Imm x -> x
-          | _ -> raise (Fault "lea base")
-        in
         let off =
           match off with
-          | Int x when not fr.inat.(x) -> fr.ints.(x)
+          | Int x when not fr.inat.(x) -> get64 fr.ints (x lsl 3)
           | Imm x -> x
           | _ -> 0L
         in
-        write_int fr d (Int64.add base off);
+        (match base with
+        | Int x when not fr.inat.(x) -> write_int fr d (Int64.add (get64 fr.ints (x lsl 3)) off)
+        | Imm x -> write_int fr d (Int64.add x off)
+        | _ -> raise (Fault "lea base"));
         exec_at st df fr b (k + 1)
     | Ld { size; spec; d; fdst; key; a } ->
         (if is_nat fr a then begin
-           (* address is NaT: propagate (speculative chains) *)
            if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
            write_nat fr d
          end
-         else
-           let addr = int_of fr a in
-           match Memimage.classify st.mem addr with
-           | Memimage.Ok ->
-               if spec = Opcode.Spec_advanced then
-                 fr.alat <-
-                   (key, addr, size) :: List.filter (fun (k', _, _) -> k' <> key) fr.alat;
-               load_into fr d ~fdst (Memimage.read st.mem addr size)
-           | acc ->
-               deferred_load st spec addr acc;
-               write_nat fr d);
+         else begin
+           set64 st.code.scratch 0 (int_of fr a);
+           load st fr ~size ~spec ~d ~fdst ~key
+         end);
         exec_at st df fr b (k + 1)
     | St { size; a; v } ->
         exec_store st fr ~size a v;
@@ -747,7 +969,7 @@ and exec_at st df fr b k =
         if is_nat fr r then recover st fr ~size ~rd ~fdst a;
         exec_at st df fr b (k + 1)
     | Chka { size; key; rd; fdst; a } ->
-        if not (List.exists (fun (k', _, _) -> k' = key) fr.alat) then begin
+        if not (alat_has key fr.alat) then begin
           (* entry invalidated by an intervening store: recover *)
           st.alat_recoveries <- st.alat_recoveries + 1;
           recover st fr ~size ~rd ~fdst a
@@ -762,34 +984,33 @@ and exec_at st df fr b k =
         if target < 0 then raise (Fault ("branch to unknown label " ^ label));
         exec_block st df fr target
     | Call { callee; args; dsts } ->
-        let argv = Array.map (value fr) args in
-        let sp = if fr.inat.(sp_slot) then 0L else fr.ints.(sp_slot) in
-        let results =
-          match callee with
-          | Indirect (o, site) ->
-              if is_nat fr o then raise (Fault "indirect call through NaT");
-              let addr = int_of fr o in
-              let off = Int64.to_int (Int64.sub addr Program.code_base) in
-              let fi = off / 64 in
-              if off < 0 || off mod 64 <> 0 || fi >= Array.length st.code.funcs then
-                raise (Fault (Printf.sprintf "indirect call to 0x%Lx" addr));
-              if st.profiling then begin
-                let h = df.ind_counts.(site) in
-                h.(fi) <- h.(fi) + 1
-              end;
-              call_target st st.code.targets.(fi) argv sp
-          | target -> call_target st target argv sp
-        in
-        fr.alat <- [];
-        for n = 0 to Array.length dsts - 1 do
-          if n < Array.length results then write_value fr dsts.(n) results.(n)
-          else write_int fr dsts.(n) 0L
-        done;
+        call st df fr callee args dsts;
         exec_at st df fr b (k + 1)
-    | Ret vs -> Array.map (value fr) vs
+    | Ret vs -> vs
     | Nop -> exec_at st df fr b (k + 1)
     | Bad e -> raise e
   end
+
+(* The entry function's exit code: its first returned value when that is
+   a non-NaT integer, else 0. *)
+let run_entry st =
+  let boot = { no_frame with ints = Bytes.make 16 '\000'; inat = [| false; false |] } in
+  set_int boot sp_slot (Int64.sub Program.stack_top 128L);
+  match st.code.entry with
+  | Direct slot -> (
+      let vs = invoke st boot slot [||] in
+      let df = st.code.funcs.(slot) in
+      let fr = df.frames.(df.depth) in
+      if Array.length vs = 0 then 0
+      else
+        match vs.(0) with
+        | Int k when not fr.inat.(k) -> Int64.to_int (get64 fr.ints (k lsl 3))
+        | Imm i -> Int64.to_int i
+        | _ -> 0)
+  | Intrinsic k ->
+      if do_intrinsic st boot k [||] = 0 then 0 else Int64.to_int (get64 st.code.scratch 0)
+  | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)
+  | Indirect _ | Bad_target -> raise (Fault "bad call target")
 
 (* Run the whole program; returns (exit code, output, final state). *)
 let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 array) =
@@ -812,15 +1033,9 @@ let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 
       code = decode p;
     }
   in
-  let init_sp = Int64.sub Program.stack_top 128L in
-  let code =
-    try
-      match call_target st st.code.entry [||] init_sp with
-      | [||] -> 0
-      | r -> ( match r.(0) with Vi i -> Int64.to_int i | _ -> 0)
-    with Exit_program c -> c
-  in
+  let code = try run_entry st with Exit_program c -> c in
   st.executed <- fuel - st.fuel;
+  Array.iter (fun df -> df.frames <- [||]) st.code.funcs;
   (code, Buffer.contents st.output, st)
 
 (* --- profile counts ------------------------------------------------------- *)

@@ -177,6 +177,62 @@ let write_from t (a : int64) (size : int) (src : Bytes.t) (o : int) =
     | _ -> write_slow t a size v
   else write_slow t a size v
 
+(* Bank-offset access, for a caller whose addresses and values live in an
+   unboxed register bank: the address is the native-endian word of [src] at
+   byte offset [ao], and the value moves to or from [buf] at offset [o].
+   The access is classified as by [classify] and performed only when [Ok];
+   the classification is returned.  One page-handle probe serves both, and
+   nothing is allocated on the in-page path. *)
+let mapped_page t idx =
+  let slot = idx land (handles - 1) in
+  if Array.unsafe_get t.hidx slot = idx then Array.unsafe_get t.hpage slot
+  else
+    match Pages.find t.pages idx with
+    | p ->
+        t.hidx.(slot) <- idx;
+        t.hpage.(slot) <- p;
+        p
+    | exception Not_found -> Bytes.empty
+
+let load_at t (src : Bytes.t) (ao : int) (size : int) (buf : Bytes.t) (o : int) =
+  let a = Bytes.get_int64_ne src ao in
+  let idx = Int64.to_int (Int64.shift_right_logical a page_bits) in
+  if idx = 0 then Null_page
+  else
+    let p = mapped_page t idx in
+    if Bytes.length p = 0 then Unmapped
+    else begin
+      let off = Int64.to_int a land (page_size - 1) in
+      (if off + size <= page_size then
+         match size with
+         | 8 -> Bytes.set_int64_ne buf o (Bytes.get_int64_le p off)
+         | 4 -> Bytes.set_int64_ne buf o (Int64.of_int32 (Bytes.get_int32_le p off))
+         | 1 -> Bytes.set_int64_ne buf o (Int64.of_int (Bytes.get_uint8 p off))
+         | _ -> Bytes.set_int64_ne buf o (read_slow t a size)
+       else Bytes.set_int64_ne buf o (read_slow t a size));
+      Ok
+    end
+
+let store_at t (src : Bytes.t) (ao : int) (size : int) (buf : Bytes.t) (o : int) =
+  let a = Bytes.get_int64_ne src ao in
+  let idx = Int64.to_int (Int64.shift_right_logical a page_bits) in
+  if idx = 0 then Null_page
+  else
+    let p = mapped_page t idx in
+    if Bytes.length p = 0 then Unmapped
+    else begin
+      let v = Bytes.get_int64_ne buf o in
+      let off = Int64.to_int a land (page_size - 1) in
+      (if off + size <= page_size then
+         match size with
+         | 8 -> Bytes.set_int64_le p off v
+         | 4 -> Bytes.set_int32_le p off (Int64.to_int32 v)
+         | 1 -> Bytes.set_uint8 p off (Int64.to_int v land 0xff)
+         | _ -> write_slow t a size v
+       else write_slow t a size v);
+      Ok
+    end
+
 (* Deep copy for checkpointing: every page's bytes are duplicated and the
    handle cache reset (it would otherwise alias the source). *)
 let copy t =

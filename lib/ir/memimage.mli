@@ -38,6 +38,19 @@ val read_into : t -> int64 -> int -> Bytes.t -> int -> unit
     in [src] at byte offset [o]. *)
 val write_from : t -> int64 -> int -> Bytes.t -> int -> unit
 
+(** [load_at t src ao size buf o]: the load of [size] bytes from the
+    address held (native-endian) in [src] at byte offset [ao], into [buf] at
+    byte offset [o] — performed only when the access classifies as [Ok]
+    ({!classify}); returns the classification.  Allocates nothing on the
+    in-page path, so a caller keeping addresses in an unboxed register bank
+    stays unboxed. *)
+val load_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
+
+(** [store_at t src ao size buf o]: the store of the value held in [buf] at
+    byte offset [o] to the address held in [src] at [ao], performed only
+    when it classifies as [Ok]; returns the classification. *)
+val store_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
+
 (** Initialize the image from a program's globals and map the stack and the
     NaT page ([Program.assign_addresses] must have run). *)
 val load_program : t -> Program.t -> unit

@@ -204,6 +204,42 @@ let test_mark_dirty_revisits () =
   ignore (Epic_opt.Pipeline.run_classical_pm m ~name:"classical (redo)");
   check cb "revisited function re-optimized" true (Func.instr_count f < n_before)
 
+(* --- reprofiles check their run ------------------------------------------ *)
+
+(* A pass that miscompiles the train input is caught by the next reprofile,
+   which names it: here a pass registered next to the classical ones
+   rewrites [main]'s print to print a constant. *)
+let test_reprofile_names_diverging_phase () =
+  let p = lower loopy_src in
+  let m = Epic_opt.Passman.create p in
+  Epic_opt.Pipeline.register_classical m;
+  Epic_opt.Passman.register m
+    (Epic_opt.Passman.func_pass "corrupt print" (fun _ (f : Func.t) ->
+         f.Func.name = "main"
+         && List.exists
+              (fun (b : Block.t) ->
+                List.exists
+                  (fun (i : Instr.t) ->
+                    match i.Instr.srcs with
+                    | Operand.Sym "print_int" :: _ :: _ ->
+                        i.Instr.srcs <- [ Operand.Sym "print_int"; Operand.imm 7 ];
+                        true
+                    | _ -> false)
+                  b.Block.instrs)
+              f.Func.blocks));
+  let profile = Epic_core.Driver.profiler p [||] in
+  ignore (profile ~after:"lowering");
+  ignore (Epic_opt.Pipeline.run_classical_pm m ~name:"classical");
+  ignore (profile ~after:"classical");
+  check cb "the pass changed main" true
+    (Epic_opt.Passman.run_pass m "corrupt print" <> Epic_opt.Passman.Unchanged);
+  match profile ~after:"corrupt print" with
+  | _ -> Alcotest.fail "a diverging train run was accepted"
+  | exception Failure msg ->
+      let prefix = "reprofile after corrupt print:" in
+      check cs "the failure names the phase" prefix
+        (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
 let suite =
   [
     Alcotest.test_case "cache hit returns cached value" `Quick
@@ -223,4 +259,6 @@ let suite =
       test_clean_worklist_runs_no_rounds;
     Alcotest.test_case "mark_dirty revisits a function" `Quick
       test_mark_dirty_revisits;
+    Alcotest.test_case "a diverging reprofile names the phase" `Quick
+      test_reprofile_names_diverging_phase;
   ]

@@ -7,8 +7,6 @@ open Epic_ir
 type t = {
   live_in : (string, Reg.Set.t) Hashtbl.t;
   live_out : (string, Reg.Set.t) Hashtbl.t;
-  use : (string, Reg.Set.t) Hashtbl.t;
-  def : (string, Reg.Set.t) Hashtbl.t;
 }
 
 let never_tracked (r : Reg.t) = Reg.equal r Reg.r0 || Reg.equal r Reg.p0
@@ -51,50 +49,61 @@ let local_sets (b : Block.t) =
     b.Block.instrs;
   (!use, !def)
 
+(* The fixed point runs on arrays indexed by label slot — one slot per
+   distinct label, so the result is the per-label solution even if a label
+   repeats — with every block's successor slots resolved once up front. *)
 let compute (f : Func.t) =
-  let use = Hashtbl.create 16 and def = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
+  let slots : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let slot_of (b : Block.t) =
+    match Hashtbl.find_opt slots b.Block.label with
+    | Some s -> s
+    | None ->
+        let s = Hashtbl.length slots in
+        Hashtbl.add slots b.Block.label s;
+        s
+  in
+  let blocks = Array.of_list f.Func.blocks in
+  let slot = Array.map slot_of blocks in
+  let n = Hashtbl.length slots in
+  let use = Array.make n Reg.Set.empty and def = Array.make n Reg.Set.empty in
+  Array.iteri
+    (fun k b ->
       let u, d = local_sets b in
-      Hashtbl.replace use b.Block.label u;
-      Hashtbl.replace def b.Block.label d)
-    f.Func.blocks;
-  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      Hashtbl.replace live_in b.Block.label Reg.Set.empty;
-      Hashtbl.replace live_out b.Block.label Reg.Set.empty)
-    f.Func.blocks;
+      use.(slot.(k)) <- u;
+      def.(slot.(k)) <- d)
+    blocks;
+  let succs =
+    Array.map
+      (fun b -> Array.of_list (List.filter_map (Hashtbl.find_opt slots) (Func.successors f b)))
+      blocks
+  in
+  let live_in = Array.make n Reg.Set.empty and live_out = Array.make n Reg.Set.empty in
   let changed = ref true in
   while !changed do
     changed := false;
     (* iterate in reverse layout order for fast convergence *)
-    List.iter
-      (fun b ->
-        let label = b.Block.label in
-        let out =
-          List.fold_left
-            (fun acc s ->
-              match Hashtbl.find_opt live_in s with
-              | Some l -> Reg.Set.union acc l
-              | None -> acc)
-            Reg.Set.empty (Func.successors f b)
-        in
-        let inn =
-          Reg.Set.union (Hashtbl.find use label)
-            (Reg.Set.diff out (Hashtbl.find def label))
-        in
-        if not (Reg.Set.equal out (Hashtbl.find live_out label)) then begin
-          Hashtbl.replace live_out label out;
-          changed := true
-        end;
-        if not (Reg.Set.equal inn (Hashtbl.find live_in label)) then begin
-          Hashtbl.replace live_in label inn;
-          changed := true
-        end)
-      (List.rev f.Func.blocks)
+    for k = Array.length blocks - 1 downto 0 do
+      let s = slot.(k) in
+      let out =
+        Array.fold_left (fun acc t -> Reg.Set.union acc live_in.(t)) Reg.Set.empty succs.(k)
+      in
+      let inn = Reg.Set.union use.(s) (Reg.Set.diff out def.(s)) in
+      if not (Reg.Set.equal out live_out.(s)) then begin
+        live_out.(s) <- out;
+        changed := true
+      end;
+      if not (Reg.Set.equal inn live_in.(s)) then begin
+        live_in.(s) <- inn;
+        changed := true
+      end
+    done
   done;
-  { live_in; live_out; use; def }
+  let by_label a =
+    let t = Hashtbl.create (max 16 (2 * n)) in
+    Array.iteri (fun k (b : Block.t) -> Hashtbl.replace t b.Block.label a.(slot.(k))) blocks;
+    t
+  in
+  { live_in = by_label live_in; live_out = by_label live_out }
 
 (* Structural equality of two liveness solutions: same per-block live-in and
    live-out sets.  Used by the analysis cache's debug self-check. *)
@@ -118,32 +127,32 @@ let live_in t label =
 let live_out t label =
   match Hashtbl.find_opt t.live_out label with Some s -> s | None -> Reg.Set.empty
 
+(* Registers live just before [i], from those live just after it.  At a
+   side-exit branch the target's live-in joins the set: a value dead on the
+   fall-through path may still be observed at the exit. *)
+let transfer t (i : Instr.t) after =
+  let live =
+    match Instr.branch_target i with
+    | Some target -> Reg.Set.union after (live_in t target)
+    | None -> after
+  in
+  let live =
+    if killing_def i then List.fold_left (fun l r -> Reg.Set.remove r l) live (Instr.defs i)
+    else live
+  in
+  List.fold_left
+    (fun l r -> if never_tracked r then l else Reg.Set.add r l)
+    live (Instr.uses i)
+
 (* Live registers immediately before each instruction of [b], as a list
    parallel to [b.instrs] (computed backwards from the fall-through
-   live-out).  At each side-exit branch the target's live-in joins the set:
-   a value dead on the fall-through path may still be observed at the
-   exit. *)
+   live-out). *)
 let per_instr t (f : Func.t) (b : Block.t) =
   ignore f;
-  let out = live_out t b.Block.label in
   let rec go acc live = function
     | [] -> acc
     | (i : Instr.t) :: rest ->
-        let live =
-          match Instr.branch_target i with
-          | Some target -> Reg.Set.union live (live_in t target)
-          | None -> live
-        in
-        let live =
-          if killing_def i then
-            Reg.Set.diff live (Reg.Set.of_list (Instr.defs i))
-          else live
-        in
-        let live =
-          List.fold_left
-            (fun l r -> if never_tracked r then l else Reg.Set.add r l)
-            live (Instr.uses i)
-        in
+        let live = transfer t i live in
         go (live :: acc) live rest
   in
-  go [] out (List.rev b.Block.instrs)
+  go [] (live_out t b.Block.label) (List.rev b.Block.instrs)

@@ -139,14 +139,12 @@ let successors f b =
     else
       match fallthrough f b with Some n -> [ n.Block.label ] | None -> []
   in
-  let seen = Hashtbl.create 4 in
-  List.filter
-    (fun l ->
-      if Hashtbl.mem seen l then false
-      else (
-        Hashtbl.add seen l ();
-        true))
-    (targets @ fall)
+  (* first occurrence of each label, in order; the lists are short *)
+  let rec dedup seen = function
+    | [] -> []
+    | l :: tl -> if List.mem l seen then dedup seen tl else l :: dedup (l :: seen) tl
+  in
+  dedup [] (targets @ fall)
 
 (* Map from block label to the labels of its predecessors. *)
 let predecessors f =

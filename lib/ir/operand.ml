@@ -15,7 +15,9 @@ let equal a b =
   match (a, b) with
   | Reg r1, Reg r2 -> Reg.equal r1 r2
   | Imm i1, Imm i2 -> Int64.equal i1 i2
-  | Fimm f1, Fimm f2 -> Float.equal f1 f2
+  | Fimm f1, Fimm f2 ->
+      (* bit identity: [Float.equal] would merge 0.0 with -0.0 *)
+      Int64.equal (Int64.bits_of_float f1) (Int64.bits_of_float f2)
   | Label l1, Label l2 | Sym l1, Sym l2 -> String.equal l1 l2
   | (Reg _ | Imm _ | Fimm _ | Label _ | Sym _), _ -> false
 

@@ -10,6 +10,9 @@ type t =
 val reg : Reg.t -> t
 val imm : int -> t
 val imm64 : int64 -> t
+
+(** Structural identity.  Float immediates compare by bit pattern, so [0.0]
+    and [-0.0] differ. *)
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -14,13 +14,22 @@ type cls =
 
 type t = { id : int; cls : cls; phys : bool }
 
-let compare a b =
-  match compare a.cls b.cls with
-  | 0 -> ( match compare a.phys b.phys with 0 -> compare a.id b.id | c -> c)
-  | c -> c
+(* Class then virtual/physical then id, as the polymorphic compare of the
+   fields ordered them (Int < Flt < Prd < Brr, virtual < physical): register
+   allocation and scheduling consume [Set]/[Map] iteration order, so the
+   order is pinned.  Integer ranks keep it off the polymorphic path. *)
+let cls_rank = function Int -> 0 | Flt -> 1 | Prd -> 2 | Brr -> 3
 
-let equal a b = a.id = b.id && a.cls = b.cls && a.phys = b.phys
-let hash r = Hashtbl.hash (r.id, r.cls, r.phys)
+let compare a b =
+  let ra = (cls_rank a.cls lsl 1) lor Bool.to_int a.phys
+  and rb = (cls_rank b.cls lsl 1) lor Bool.to_int b.phys in
+  if ra <> rb then Int.compare ra rb else Int.compare a.id b.id
+
+let equal a b = a.id = b.id && a.cls == b.cls && a.phys = b.phys
+
+(* A record hashes like the tuple of its fields, so this is the value
+   [Hashtbl.hash (r.id, r.cls, r.phys)] without building the tuple. *)
+let hash (r : t) = Hashtbl.hash r
 let virt id cls = { id; cls; phys = false }
 let phys id cls = { id; cls; phys = true }
 

@@ -1,6 +1,7 @@
 (* Global dead-code elimination driven by liveness: an instruction with no
    side effects whose definitions are all dead after it is removed.  Iterates
-   to a fixed point (removals expose more dead code). *)
+   to a fixed point: a removal inside a block is seen by the rest of that
+   block's walk at once, one across blocks by the next round. *)
 
 open Epic_ir
 open Epic_analysis
@@ -25,49 +26,51 @@ let has_side_effect (i : Instr.t) =
 let dce_preserves =
   Cache.[ Dominance; Loops; Memdep; Callgraph; Points_to ]
 
+(* Does [i] stay, given the registers live just after it? *)
+let needed (i : Instr.t) after =
+  if has_side_effect i then true
+  else if i.Instr.dsts = [] then
+    (* no side effect and defines nothing: dead (e.g. nop) *)
+    i.Instr.op = Opcode.Nop
+  else
+    List.exists
+      (fun (d : Reg.t) -> Reg.Set.mem d after || Reg.equal d Reg.sp)
+      i.Instr.dsts
+
+(* One backward walk over [b] from its cached live-out.  A removed
+   instruction neither kills nor uses anything, so a whole dead chain
+   inside the block goes in one walk.  True if anything was removed. *)
+let sweep_block live (b : Block.t) =
+  let rec go kept after = function
+    | [] -> kept
+    | (i : Instr.t) :: rest ->
+        if needed i after then go (i :: kept) (Liveness.transfer live i after) rest
+        else go kept after rest
+  in
+  let kept = go [] (Liveness.live_out live b.Block.label) (List.rev b.Block.instrs) in
+  if List.compare_lengths kept b.Block.instrs = 0 then false
+  else begin
+    b.Block.instrs <- kept;
+    true
+  end
+
+(* A removal can still leave stale liveness behind — a loop-carried
+   register whose only use went keeps its definition before the loop
+   alive — so every changed round is confirmed by a fresh liveness. *)
 let run_func ?cache (f : Func.t) =
   let cache = match cache with Some c -> c | None -> Cache.create () in
-  let changed = ref false in
-  let rec pass () =
+  let rec pass changed =
     let live = Cache.liveness cache f in
-    let pass_changed = ref false in
-    List.iter
-      (fun (b : Block.t) ->
-        let per = Liveness.per_instr live f b in
-        (* [per] has live-before each instr; we need live-after: pair instr k
-           with live-before of instr k+1 (or block live-out for the last). *)
-        let live_afters =
-          match per with
-          | [] -> []
-          | _ :: tl -> tl @ [ Liveness.live_out live b.Block.label ]
-        in
-        let keep =
-          List.map2
-            (fun (i : Instr.t) after ->
-              if has_side_effect i then true
-              else if i.Instr.dsts = [] then
-                (* no side effect and defines nothing: dead (e.g. nop) *)
-                i.Instr.op = Opcode.Nop
-              else
-                List.exists
-                  (fun (d : Reg.t) ->
-                    Reg.Set.mem d after || Reg.equal d Reg.sp)
-                  i.Instr.dsts)
-            b.Block.instrs live_afters
-        in
-        let before = List.length b.Block.instrs in
-        b.Block.instrs <-
-          List.filteri (fun k _ -> List.nth keep k) b.Block.instrs;
-        if List.length b.Block.instrs <> before then pass_changed := true)
-      f.Func.blocks;
-    if !pass_changed then begin
-      changed := true;
+    let removed =
+      List.fold_left (fun acc b -> sweep_block live b || acc) false f.Func.blocks
+    in
+    if removed then begin
       Cache.invalidate cache ~preserve:dce_preserves f.Func.name;
-      pass ()
+      pass true
     end
+    else changed
   in
-  pass ();
-  !changed
+  pass false
 
 let run ?cache (p : Program.t) =
   List.fold_left (fun acc f -> run_func ?cache f || acc) false p.Program.funcs

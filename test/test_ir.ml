@@ -35,6 +35,33 @@ let test_reg_set_map () =
   let m = Reg.Map.add (Reg.virt 1 Reg.Int) "x" Reg.Map.empty in
   check cb "map lookup" true (Reg.Map.mem (Reg.virt 1 Reg.Int) m)
 
+(* Register allocation and scheduling consume [Reg.Set]/[Reg.Map] iteration
+   order, so [Reg.compare] must keep the order of the polymorphic compare
+   on (class, physical, id): Int < Flt < Prd < Brr, virtual < physical,
+   then id.  [Reg.hash] must keep the value it had as the hash of the
+   (id, class, physical) tuple, which orders [Reg.Tbl] iteration. *)
+let test_reg_compare_order () =
+  let regs =
+    List.concat_map
+      (fun cls ->
+        List.concat_map
+          (fun id -> [ Reg.virt id cls; Reg.phys id cls ])
+          [ 0; 1; 12; 127 ])
+      Reg.[ Int; Flt; Prd; Brr ]
+  in
+  let sign c = Int.compare c 0 in
+  List.iter
+    (fun (a : Reg.t) ->
+      check ci "hash" (Hashtbl.hash (a.Reg.id, a.Reg.cls, a.Reg.phys)) (Reg.hash a);
+      List.iter
+        (fun (b : Reg.t) ->
+          check ci
+            (Printf.sprintf "%s vs %s" (Reg.to_string a) (Reg.to_string b))
+            (sign (Stdlib.compare (a.Reg.cls, a.Reg.phys, a.Reg.id) (b.Reg.cls, b.Reg.phys, b.Reg.id)))
+            (sign (Reg.compare a b)))
+        regs)
+    regs
+
 (* --- Opcode --------------------------------------------------------------- *)
 
 let test_opcode_classes () =
@@ -403,6 +430,7 @@ let suite =
     ("reg stacked", `Quick, test_reg_stacked);
     ("reg printing", `Quick, test_reg_printing);
     ("reg set/map", `Quick, test_reg_set_map);
+    ("reg compare order pin", `Quick, test_reg_compare_order);
     ("opcode classes", `Quick, test_opcode_classes);
     ("opcode may_fault", `Quick, test_opcode_may_fault);
     ("eval icmp", `Quick, test_eval_icmp);

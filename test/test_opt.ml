@@ -247,6 +247,167 @@ int main() {
   Program.iter_instrs p (fun i -> if Instr.callee i = Some "a" then direct := true);
   check cb "direct call to dominant target" true !direct
 
+(* --- local CSE keys expressions structurally ------------------------------ *)
+
+(* Keys built from printed operands ([%g]) once merged [x * 0.1] with
+   [x * 0.1000001]: the GCC-level binary printed the first product twice,
+   and the O-NS compile's reprofile caught the diverged train run. *)
+let float_cse_src =
+  {|
+int main() {
+  float x;
+  x = (float) input(0);
+  print_int((int) (x * 0.1 * 100000000.0));
+  print_int((int) (x * 0.1000001 * 100000000.0));
+  return 0;
+}
+|}
+
+let test_cse_float_immediates () =
+  let input = [| 5L |] in
+  let reference = run (Epic_frontend.Lower.compile_source float_cse_src) input in
+  check cs "frontend IR" "50000000\n50000049\n" (snd reference);
+  List.iter
+    (fun (name, config) ->
+      let c = Epic_core.Driver.compile ~config ~train:input float_cse_src in
+      let code, out, _ = Epic_core.Driver.run c input in
+      check (Alcotest.pair ci cs) name reference (code, out))
+    [ ("gcc", Epic_core.Config.gcc_like); ("o-ns", Epic_core.Config.o_ns) ]
+
+(* Sources that print alike but differ ([Imm 1] / [Fimm 1.], [0.1] /
+   [0.1000001], [0.] / [-0.]) keep apart; identical expressions merge. *)
+let test_cse_structural_keys () =
+  Instr.reset_ids ();
+  let f = Func.create "f" [] in
+  let bld = Builder.create f in
+  let b = Builder.start_block bld "entry" in
+  let x = Builder.fresh_int bld and y = Builder.fresh bld Reg.Flt in
+  let op (o : Opcode.t) src imm =
+    let d = Builder.fresh bld (match src with Operand.Reg r -> r.Reg.cls | _ -> Reg.Int) in
+    Builder.binop bld o d src imm;
+    d
+  in
+  let a1 = op Opcode.Add (Operand.Reg x) (Operand.Imm 1L) in
+  ignore (op Opcode.Add (Operand.Reg x) (Operand.Fimm 1.));
+  ignore (op Opcode.Fmul (Operand.Reg y) (Operand.Fimm 0.1));
+  let f2 = op Opcode.Fmul (Operand.Reg y) (Operand.Fimm 0.1000001) in
+  ignore (op Opcode.Fadd (Operand.Reg y) (Operand.Fimm 0.));
+  ignore (op Opcode.Fadd (Operand.Reg y) (Operand.Fimm (-0.)));
+  ignore (op Opcode.Add (Operand.Reg x) (Operand.Imm 1L));
+  ignore (op Opcode.Fmul (Operand.Reg y) (Operand.Fimm 0.1000001));
+  Builder.ret bld [];
+  check cb "changed" true (Epic_opt.Local_cse.run_func f);
+  let shape (i : Instr.t) =
+    match (i.Instr.op, i.Instr.srcs) with
+    | Opcode.Mov, [ Operand.Reg r ] when Reg.equal r a1 -> "mov a1"
+    | Opcode.Mov, [ Operand.Reg r ] when Reg.equal r f2 -> "mov f2"
+    | Opcode.Mov, _ -> "mov ?"
+    | _ -> "kept"
+  in
+  check (Alcotest.list cs) "value numbers"
+    [ "kept"; "kept"; "kept"; "kept"; "kept"; "kept"; "mov a1"; "mov f2"; "kept" ]
+    (List.map shape b.Block.instrs)
+
+(* --- one-walk DCE computes the iterated per-instruction fixed point ------- *)
+
+(* The reference algorithm: under a fresh liveness, drop every instruction
+   whose definitions are dead after it ([Liveness.per_instr] gives the
+   live-before sets), and repeat until nothing changes. *)
+let dce_oracle (p : Program.t) =
+  let open Epic_analysis in
+  List.iter
+    (fun (f : Func.t) ->
+      let rec round () =
+        let live = Liveness.compute f in
+        let changed = ref false in
+        List.iter
+          (fun (b : Block.t) ->
+            let afters =
+              match Liveness.per_instr live f b with
+              | [] -> []
+              | _ :: tl -> tl @ [ Liveness.live_out live b.Block.label ]
+            in
+            let kept =
+              List.filter_map
+                (fun (i, after) -> if Epic_opt.Dce.needed i after then Some i else None)
+                (List.combine b.Block.instrs afters)
+            in
+            if List.compare_lengths kept b.Block.instrs <> 0 then begin
+              b.Block.instrs <- kept;
+              changed := true
+            end)
+          f.Func.blocks;
+        if !changed then round ()
+      in
+      round ())
+    p.Program.funcs
+
+(* DCE and the oracle leave the same IR text, on [p] as given and again
+   after the straight-line cleanups have exposed more dead code; returns the
+   instructions DCE removed. *)
+let dce_matches_oracle name (p : Program.t) =
+  let compare_at stage =
+    let q = Program.copy p in
+    let before = Program.instr_count p in
+    ignore (Epic_opt.Dce.run p);
+    dce_oracle q;
+    check cs (name ^ stage) (Fmt.str "%a" Program.pp q) (Fmt.str "%a" Program.pp p);
+    before - Program.instr_count p
+  in
+  let removed = compare_at "" in
+  ignore (Epic_opt.Constfold.run p);
+  ignore (Epic_opt.Copyprop.run p);
+  ignore (Epic_opt.Strength.run p);
+  ignore (Epic_opt.Local_cse.run p);
+  removed + compare_at " after cleanups"
+
+let test_dce_oracle_suite () =
+  let removed =
+    List.fold_left
+      (fun acc (w : Epic_workloads.Workload.t) ->
+        let p = Epic_frontend.Lower.compile_source w.Epic_workloads.Workload.source in
+        ignore (Epic_analysis.Profile.profile_and_annotate p w.Epic_workloads.Workload.train);
+        ignore (Epic_opt.Inline.run p);
+        acc + dce_matches_oracle w.Epic_workloads.Workload.name p)
+      0 Epic_workloads.Suite.all
+  in
+  check cb "dead code found" true (removed > 0)
+
+let test_dce_oracle_random () =
+  let rand = Random.State.make [| 20 |] in
+  List.iteri
+    (fun k src ->
+      let p = Epic_frontend.Lower.compile_source src in
+      ignore (Epic_opt.Inline.run p);
+      ignore (dce_matches_oracle (Printf.sprintf "random program %d" k) p))
+    (QCheck.Gen.generate ~rand ~n:50 Epic_core.Random_program.Gen.program)
+
+(* A dead copy in a loop is the only use of a value defined before the
+   loop.  Removing the copy leaves that value live around the back edge in
+   the cached liveness; only a recompute shows its definition dead. *)
+let test_dce_loop_carried () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let f = Func.create "main" [] in
+  let bld = Builder.create f in
+  ignore (Builder.start_block bld "entry");
+  let v = Builder.fresh_int bld and i = Builder.fresh_int bld in
+  Builder.movi bld v 7;
+  Builder.movi bld i 0;
+  ignore (Builder.start_block bld "loop");
+  Builder.mov bld (Builder.fresh_int bld) (Operand.Reg v);
+  Builder.add bld i (Operand.Reg i) (Operand.imm 1);
+  ignore (Builder.cbr bld Opcode.Lt (Operand.Reg i) (Operand.imm 10) "loop");
+  ignore (Builder.start_block bld "exit");
+  Builder.ret bld [ Operand.Reg i ];
+  Program.add_func p f;
+  check ci "removed" 2 (dce_matches_oracle "loop-carried" p);
+  check cb "definition before the loop removed" false
+    (List.exists
+       (fun (b : Block.t) ->
+         List.exists (fun (ins : Instr.t) -> List.exists (Reg.equal v) ins.Instr.dsts) b.Block.instrs)
+       f.Func.blocks)
+
 let suite =
   [
     ("constfold folds", `Quick, test_constfold_folds);
@@ -263,4 +424,9 @@ let suite =
     ("inline skips recursion", `Quick, test_inline_skips_recursive);
     ("inline zero budget", `Quick, test_inline_budget_zero);
     ("indirect call specialization", `Quick, test_indirect_specialization);
+    ("cse keeps float immediates apart", `Quick, test_cse_float_immediates);
+    ("cse structural keys", `Quick, test_cse_structural_keys);
+    ("dce matches the iterated oracle: suite", `Quick, test_dce_oracle_suite);
+    ("dce matches the iterated oracle: random programs", `Quick, test_dce_oracle_random);
+    ("dce loop-carried dead value", `Quick, test_dce_loop_carried);
   ]

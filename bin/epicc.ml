@@ -255,16 +255,10 @@ let run_cell session ~file ~level ~sentinel ~no_pa ~input ~train ~dump_ir
              main document's profile field null rather than duplicating *)
           let json_profile = if profile_out = None then profile else None in
           let ref_code, ref_out = reference in
-          let metrics =
-            Epic_core.Metrics.of_machine ~workload ?profile:json_profile
-              compiled st
-              ~output_matches:(code = ref_code && out = ref_out)
-          in
-          {
-            Session.o_code = code;
-            Session.o_output = out;
-            Session.o_metrics = metrics;
-          }
+          Session.outcome ~code ~output:out
+            (Epic_core.Metrics.of_machine ~workload ?profile:json_profile
+               compiled st
+               ~output_matches:(code = ref_code && out = ref_out))
         end
         else begin
           let sp =

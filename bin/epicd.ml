@@ -12,13 +12,26 @@
    concurrent identical keys compile exactly once, the rest wait on the
    in-flight table and read the cache.  Heavy matrix requests (suite,
    sweep, causal) parallelize internally, so they run serially after the
-   light ones.  Responses are written back per client in request order. *)
+   light ones.  Responses are written back per client in request order.
+
+   A client's pending (not yet newline-terminated) bytes are capped at
+   [max_line] bytes: a client that exceeds it gets one error response and
+   is disconnected, so a line that never ends cannot grow the daemon
+   without bound. *)
 
 module Protocol = Epic_serve.Protocol
 module Session = Epic_serve.Session
 
 let usage =
   "usage: epicd [--socket PATH] [-j N] [--compile-cache N] [--run-cache N] [-q]"
+
+(* The longest request line accepted, in bytes.  A run request is mostly
+   its source text; the largest suite workload is a few tens of KB. *)
+let max_line = 8 * 1024 * 1024
+
+(* Per-client input state: the bytes of an incomplete line, and whether
+   the client overflowed [max_line] this round. *)
+type client = { pending : Buffer.t; mutable overflowed : bool }
 
 let () =
   let socket_path = ref "epicd.sock" in
@@ -57,24 +70,26 @@ let () =
   if not !quiet then
     Printf.eprintf "epicd: listening on %s (jobs=%d, compile-cache=%d, run-cache=%d)\n%!"
       !socket_path !jobs !compile_cap !run_cap;
-  (* per-client input buffer: bytes received but not yet a complete line *)
-  let clients : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
+  let clients : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 8 in
   let close_client fd =
     Hashtbl.remove clients fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
   let write_all fd s =
-    let b = Bytes.of_string s in
-    let n = Bytes.length b in
+    let n = String.length s in
     let rec go off =
-      if off < n then
-        match Unix.write fd b off (n - off) with
+      if off >= n then true
+      else
+        match Unix.write_substring fd s off (n - off) with
         | written -> go (off + written)
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            close_client fd
+            close_client fd;
+            false
     in
     go 0
   in
+  (* one response line, written in place (no concatenated copy) *)
+  let respond fd line = if write_all fd line then ignore (write_all fd "\n") in
   let chunk = Bytes.create 65536 in
   let shutting_down = ref false in
   while not !shutting_down do
@@ -83,33 +98,52 @@ let () =
     (* accept new connections first so their first burst lands this loop *)
     if List.mem srv readable then begin
       let fd, _ = Unix.accept srv in
-      Hashtbl.replace clients fd (Buffer.create 4096)
+      Hashtbl.replace clients fd
+        { pending = Buffer.create 4096; overflowed = false }
     end;
-    (* drain readable clients into their line buffers *)
+    (* drain readable clients: only the new chunk is scanned for line ends,
+       and a line is copied out once *)
     let batch = ref [] in
     List.iter
       (fun fd ->
         if fd <> srv then
           match Hashtbl.find_opt clients fd with
           | None -> ()
-          | Some buf -> (
+          | Some c -> (
               match Unix.read fd chunk 0 (Bytes.length chunk) with
               | 0 -> close_client fd
               | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  (* split off every complete line now in the buffer *)
-                  let data = Buffer.contents buf in
-                  Buffer.clear buf;
+                  let rec newline i =
+                    if i >= n then None
+                    else if Bytes.unsafe_get chunk i = '\n' then Some i
+                    else newline (i + 1)
+                  in
                   let rec lines start =
-                    match String.index_from_opt data start '\n' with
-                    | Some nl ->
-                        let line = String.sub data start (nl - start) in
-                        if String.trim line <> "" then
-                          batch := (fd, line) :: !batch;
-                        lines (nl + 1)
-                    | None ->
-                        Buffer.add_substring buf data start
-                          (String.length data - start)
+                    if not c.overflowed then
+                      match newline start with
+                      | Some nl ->
+                          if Buffer.length c.pending + (nl - start) > max_line
+                          then c.overflowed <- true
+                          else begin
+                            let line =
+                              if Buffer.length c.pending = 0 then
+                                Bytes.sub_string chunk start (nl - start)
+                              else begin
+                                Buffer.add_subbytes c.pending chunk start
+                                  (nl - start);
+                                let l = Buffer.contents c.pending in
+                                Buffer.reset c.pending;
+                                l
+                              end
+                            in
+                            if String.trim line <> "" then
+                              batch := (fd, line) :: !batch;
+                            lines (nl + 1)
+                          end
+                      | None ->
+                          if Buffer.length c.pending + (n - start) > max_line
+                          then c.overflowed <- true
+                          else Buffer.add_subbytes c.pending chunk start (n - start)
                   in
                   lines 0
               | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
@@ -146,9 +180,17 @@ let () =
       heavy;
     Array.iteri
       (fun i (fd, r) ->
-        if Hashtbl.mem clients fd then write_all fd (responses.(i) ^ "\n");
+        if Hashtbl.mem clients fd then respond fd responses.(i);
         if Protocol.is_shutdown r then shutting_down := true)
-      entries
+      entries;
+    (* an over-long line: its client's earlier lines were answered above;
+       now one error response, then disconnect *)
+    Hashtbl.fold (fun fd c acc -> if c.overflowed then fd :: acc else acc) clients []
+    |> List.iter (fun fd ->
+           respond fd
+             (Protocol.error_response
+                (Printf.sprintf "request line exceeds %d bytes" max_line));
+           close_client fd)
   done;
   if not !quiet then Printf.eprintf "epicd: shutting down\n%!";
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;

@@ -70,15 +70,19 @@ type t = {
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* One plain loop: no closure, and the accumulator stays an unboxed local,
+   so hashing allocates nothing per byte (request sources are kilobytes). *)
 let fnv1a64 (s : string) =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
+  Printf.sprintf "%016Lx" !h
 
-let digest (d : t) =
+let compute_digest (d : t) =
   let {
     name = _name;
     bundles_per_cycle;
@@ -164,7 +168,28 @@ let digest (d : t) =
   int chk_recovery_penalty;
   int rse_physical;
   int rse_spill_cost_per_reg;
-  Printf.sprintf "%016Lx" (fnv1a64 (Buffer.contents buf))
+  fnv1a64 (Buffer.contents buf)
+
+(* The record is immutable, so a value's digest never changes: memoize it
+   per physical value.  Every request of a served session keys on the same
+   few descriptions (usually [itanium2]), so a short most-recent-first list
+   swapped atomically is a domain-safe memo; a lost race only recomputes. *)
+let memo_capacity = 16
+let memo : (t * string) list Atomic.t = Atomic.make []
+
+let digest (d : t) =
+  let rec find = function
+    | [] -> None
+    | (d', h) :: rest -> if d' == d then Some h else find rest
+  in
+  let seen = Atomic.get memo in
+  match find seen with
+  | Some h -> h
+  | None ->
+      let h = compute_digest d in
+      let kept = List.filteri (fun i _ -> i < memo_capacity - 1) seen in
+      ignore (Atomic.compare_and_set memo seen ((d, h) :: kept));
+      h
 
 let itanium2 =
   {

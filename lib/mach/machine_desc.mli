@@ -61,5 +61,12 @@ val itanium2 : t
     is stable across processes and OCaml versions (no [Marshal]).  The
     serialization destructures the full record, so adding or removing a
     field without updating it is a compile error — the cache-key
-    discipline of lib/serve rests on this. *)
+    discipline of lib/serve rests on this.  The description is immutable,
+    so the digest is computed once per physical value (a domain-safe
+    memo). *)
 val digest : t -> string
+
+(** FNV-1a (64-bit) of a string as 16 lowercase hex digits: the content
+    hash behind {!digest} and every cache key of lib/serve.  Stable across
+    processes and OCaml versions, unlike [Hashtbl.hash]. *)
+val fnv1a64 : string -> string

@@ -111,6 +111,21 @@ let to_string ?(pretty = false) j =
   emit buf ~pretty ~depth:0 j;
   Buffer.contents buf
 
+let to_string_with_encoded fields key encoded =
+  let buf = Buffer.create (String.length encoded + 256) in
+  Buffer.add_char buf '{';
+  List.iter
+    (fun kv ->
+      emit_member buf ~pretty:false ~depth:0 kv;
+      Buffer.add_char buf ',')
+    fields;
+  Buffer.add_char buf '"';
+  escape_to buf key;
+  Buffer.add_string buf "\":";
+  Buffer.add_string buf encoded;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 let to_file file j =
   Out_channel.with_open_text file (fun oc ->
       output_string oc (to_string ~pretty:true j);
@@ -120,23 +135,34 @@ let to_file file j =
 
 exception Fail of string * int
 
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The parser reads bytes in place: [peek] returns '\000' at the end of
+   input rather than an option per byte.  No token starts with NUL, so only
+   the end-of-input and string checks need [!pos < n]. *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Fail (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
+  let skip_ws () =
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
+    do
+      advance ()
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if peek () = c then advance () else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
@@ -146,11 +172,17 @@ let of_string s =
     end
     else fail ("expected " ^ word)
   in
+  (* exactly four hex digits *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      let d = hex_digit s.[!pos + i] in
+      if d < 0 then fail "bad \\u escape";
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   (* encode a Unicode code point as UTF-8 *)
   let add_utf8 buf cp =
@@ -171,50 +203,78 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
     end
   in
+  (* advance over a run of bytes that need no unescaping *)
+  let skip_plain () =
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+    do
+      advance ()
+    done
+  in
+  (* one escape sequence, the backslash already consumed *)
+  let escape buf =
+    let simple c =
+      Buffer.add_char buf c;
+      advance ()
+    in
+    match peek () with
+    | '"' -> simple '"'
+    | '\\' -> simple '\\'
+    | '/' -> simple '/'
+    | 'n' -> simple '\n'
+    | 't' -> simple '\t'
+    | 'r' -> simple '\r'
+    | 'b' -> simple '\b'
+    | 'f' -> simple '\012'
+    | 'u' ->
+        advance ();
+        let cp = hex4 () in
+        let cp =
+          (* combine a surrogate pair when one follows *)
+          if cp >= 0xd800 && cp <= 0xdbff
+             && !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+          then begin
+            pos := !pos + 2;
+            let lo = hex4 () in
+            if lo >= 0xdc00 && lo <= 0xdfff then
+              0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00)
+            else fail "invalid low surrogate"
+          end
+          else cp
+        in
+        add_utf8 buf cp
+    | _ -> fail "bad escape"
+  in
+  (* A string without escapes is one [String.sub]; otherwise each run of
+     plain bytes is copied with one [Buffer.add_substring]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
+    let start = !pos in
+    skip_plain ();
+    if !pos >= n then fail "unterminated string";
+    if peek () = '"' then begin
+      advance ();
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (!pos - start + 64) in
+      Buffer.add_substring buf s start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        if peek () = '"' then advance ()
+        else begin
           advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char buf '"'; advance ()
-          | Some '\\' -> Buffer.add_char buf '\\'; advance ()
-          | Some '/' -> Buffer.add_char buf '/'; advance ()
-          | Some 'n' -> Buffer.add_char buf '\n'; advance ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              let cp = hex4 () in
-              let cp =
-                (* combine a surrogate pair when one follows *)
-                if cp >= 0xd800 && cp <= 0xdbff
-                   && !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  if lo >= 0xdc00 && lo <= 0xdfff then
-                    0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00)
-                  else fail "invalid low surrogate"
-                end
-                else cp
-              in
-              add_utf8 buf cp
-          | _ -> fail "bad escape");
-          go ())
-      | Some c ->
-          Buffer.add_char buf c;
-          advance ();
+          escape buf;
+          let run = !pos in
+          skip_plain ();
+          Buffer.add_substring buf s run (!pos - run);
           go ()
-    in
-    go ();
-    Buffer.contents buf
+        end
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
@@ -223,7 +283,7 @@ let of_string s =
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
     in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
+    while !pos < n && is_num_char (String.unsafe_get s !pos) do
       advance ()
     done;
     let text = String.sub s start (!pos - start) in
@@ -242,16 +302,16 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
+    if !pos >= n then fail "unexpected end of input";
     match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some '[' ->
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> Str (parse_string ())
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if peek () = ']' then begin
           advance ();
           List []
         end
@@ -260,20 +320,20 @@ let of_string s =
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 items (v :: acc)
-            | Some ']' ->
+            | ']' ->
                 advance ();
                 List.rev (v :: acc)
             | _ -> fail "expected ',' or ']'"
           in
           List (items [])
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if peek () = '}' then begin
           advance ();
           Obj []
         end
@@ -286,18 +346,18 @@ let of_string s =
             let v = parse_value () in
             skip_ws ();
             match peek () with
-            | Some ',' ->
+            | ',' ->
                 advance ();
                 pairs ((k, v) :: acc)
-            | Some '}' ->
+            | '}' ->
                 advance ();
                 List.rev ((k, v) :: acc)
             | _ -> fail "expected ',' or '}'"
           in
           Obj (pairs [])
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   match
     let v = parse_value () in

@@ -22,6 +22,12 @@ val to_string : ?pretty:bool -> t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+(** [to_string_with_encoded fields key encoded] is
+    [to_string (Obj (fields @ [ (key, v) ]))] for the [v] whose compact
+    serialization is [encoded]: stored bytes are spliced in, not
+    re-emitted. *)
+val to_string_with_encoded : (string * t) list -> string -> string -> string
+
 (** Write to [file] (pretty-printed, trailing newline). *)
 val to_file : string -> t -> unit
 

@@ -230,11 +230,8 @@ let is_shutdown r = match r.op with Shutdown -> true | _ -> false
 
 (* ---- execute ----------------------------------------------------------- *)
 
-let envelope r ?(extra = []) body =
-  Json.to_string
-    (Json.Obj
-       ([ ("id", r.req_id); ("ok", Json.Bool true); ("op", Json.Str r.req_op) ]
-       @ extra @ body))
+let head r = [ ("id", r.req_id); ("ok", Json.Bool true); ("op", Json.Str r.req_op) ]
+let envelope r ?(extra = []) body = Json.to_string (Json.Obj (head r @ extra @ body))
 
 let error_envelope r msg =
   Json.to_string
@@ -245,6 +242,9 @@ let error_envelope r msg =
          ("op", Json.Str r.req_op);
          ("error", Json.Str msg);
        ])
+
+let error_response msg =
+  error_envelope { req_id = Json.Null; req_op = "?"; op = Bad msg } msg
 
 let maybe_normalize normalize doc =
   if normalize then Export.normalize_time doc else doc
@@ -316,21 +316,25 @@ let execute session r =
           Session.compile_and_run session ?sampling ~sample_period ~workload
             ~config ~desc:None ~train ~input source
         in
-        let doc =
-          maybe_normalize normalize
-            (Export.run_to_json served.Session.s_outcome.Session.o_metrics)
+        let o = served.Session.s_outcome in
+        (* the stored result bytes, unless normalization asks for a
+           different document *)
+        let result =
+          if normalize then
+            Json.to_string
+              (Export.normalize_time (Export.run_to_json o.Session.o_metrics))
+          else o.Session.o_result
         in
-        envelope r
-          ~extra:
-            [
+        Json.to_string_with_encoded
+          (head r
+          @ [
               ("cached", Json.Bool served.Session.s_run_hit);
               ("compile_cached", Json.Bool served.Session.s_compile_hit);
               ("key", Json.Str served.Session.s_key);
-              ("exit_code", Json.Int served.Session.s_outcome.Session.o_code);
-              ( "output",
-                Json.Str served.Session.s_outcome.Session.o_output );
-            ]
-          [ ("result", doc) ]
+              ("exit_code", Json.Int o.Session.o_code);
+              ("output", Json.Str o.Session.o_output);
+            ])
+          "result" result
     | Suite { workloads; normalize } ->
         let workloads = Option.map workload_list workloads in
         let s = Session.suite session ?workloads () in

@@ -51,6 +51,10 @@ val is_heavy : request -> bool
 
 val is_shutdown : request -> bool
 
+(** The error response for input that never became a request (no [id],
+    [op] ["?"]), e.g. a line over the daemon's length cap. *)
+val error_response : string -> string
+
 (** Execute against the session; returns the compact one-line response
     (no trailing newline).  Catches exceptions into error responses. *)
 val execute : Session.t -> request -> string

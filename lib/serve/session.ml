@@ -10,19 +10,10 @@ module Pool = Epic_core.Pool
 
 (* ---- content hashing --------------------------------------------------- *)
 
-(* FNV-1a 64-bit, the same digest Machine_desc uses: tiny, dependency-free,
-   and stable across processes (unlike Hashtbl.hash, which is documented to
-   vary between OCaml versions). *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv1a64 (s : string) =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+(* FNV-1a 64-bit, the same hash Machine_desc digests with: tiny,
+   dependency-free, and stable across processes (unlike Hashtbl.hash, which
+   is documented to vary between OCaml versions). *)
+let fnv1a64 = Epic_mach.Machine_desc.fnv1a64
 
 let int64s_key (a : int64 array) =
   let buf = Buffer.create (8 * Array.length a) in
@@ -126,12 +117,20 @@ let resolve_desc = function
   | Some d -> d
   | None -> Epic_mach.Itanium.desc ()
 
-let compile_key ~config ~desc ~train source =
-  let d = resolve_desc desc in
+(* Every key naming a source is built from the source's hash, so a request
+   hashes its source once and derives the compile and reference keys from
+   that one hash. *)
+let compile_key_hashed ~src ~config ~desc ~train =
   fnv1a64
-    (Printf.sprintf "src=%s;cfg=%s;train=%s;desc=%s" (fnv1a64 source)
-       (config_key config) (int64s_key train)
-       (Epic_mach.Machine_desc.digest d))
+    (Printf.sprintf "src=%s;cfg=%s;train=%s;desc=%s" src (config_key config)
+       (int64s_key train)
+       (Epic_mach.Machine_desc.digest desc))
+
+let compile_key ~config ~desc ~train source =
+  compile_key_hashed ~src:(fnv1a64 source) ~config ~desc:(resolve_desc desc)
+    ~train
+
+let reference_key ~src ~input = fnv1a64 ("src=" ^ src ^ ";in=" ^ input)
 
 (* ---- the artifact store ---------------------------------------------- *)
 
@@ -139,7 +138,20 @@ type outcome = {
   o_code : int;
   o_output : string;
   o_metrics : Metrics.run;
+  o_result : string;
 }
+
+(* The result document is encoded here, once, when the outcome is built:
+   a run-cache hit then serves stored bytes.  Eager on purpose — identical
+   hits fan over the domain pool, and a shared [Lazy.t] forced from two
+   domains at once raises. *)
+let outcome ~code ~output metrics =
+  {
+    o_code = code;
+    o_output = output;
+    o_metrics = metrics;
+    o_result = Epic_obs.Json.to_string (Epic_core.Export.run_to_json metrics);
+  }
 
 (* One kind of cached artifact: its own bounded LRU and its own counters.
    [uncached] counts requests that bypassed the kind (today only trace
@@ -248,26 +260,34 @@ let seed t k key v =
 
 (* ---- entry points ------------------------------------------------------ *)
 
-let compile t ~config ~desc ~train source =
+let compile_hashed t ~src ~config ~desc ~train source =
   let d = resolve_desc desc in
-  let key = compile_key ~config ~desc:(Some d) ~train source in
+  let key = compile_key_hashed ~src ~config ~desc:d ~train in
   let compiled, hit =
     cached_or_build t t.compiles key (fun () ->
         Driver.compile ~config ~desc:d ~train source)
   in
   (compiled, key, hit)
 
+let compile t ~config ~desc ~train source =
+  compile_hashed t ~src:(fnv1a64 source) ~config ~desc ~train source
+
 let compile_fn t : Driver.compile_fn =
  fun ~config ~desc ~train source ->
   let compiled, _, _ = compile t ~config ~desc ~train source in
   compiled
 
-let reference t ~source ~input =
-  let key = fnv1a64 ("src=" ^ fnv1a64 source ^ ";in=" ^ int64s_key input) in
-  cached_or_build t t.references key (fun () ->
+(* [input_key] is [int64s_key input], shared with the run key. *)
+let reference_hashed t ~src ~input_key source input =
+  cached_or_build t t.references (reference_key ~src ~input:input_key)
+    (fun () ->
       let p = Epic_frontend.Lower.compile_source source in
       let code, out, _ = Epic_ir.Interp.run p input in
       (code, out))
+
+let reference t ~source ~input =
+  reference_hashed t ~src:(fnv1a64 source) ~input_key:(int64s_key input)
+    source input
 
 let simulate ?trace ?sampling ~sample_period ~workload
     ~reference:(ref_code, ref_out) compiled ~input () =
@@ -276,15 +296,13 @@ let simulate ?trace ?sampling ~sample_period ~workload
       Some (Epic_obs.Profile.create ~period:sample_period ())
     else None
   in
-  let code, out, st = Driver.run ?trace ?profile ?sampling compiled input in
-  let ok = code = ref_code && out = ref_out in
-  let metrics =
-    Metrics.of_machine ~workload ?profile compiled st ~output_matches:ok
-  in
-  { o_code = code; o_output = out; o_metrics = metrics }
+  let code, output, st = Driver.run ?trace ?profile ?sampling compiled input in
+  let ok = code = ref_code && output = ref_out in
+  outcome ~code ~output
+    (Metrics.of_machine ~workload ?profile compiled st ~output_matches:ok)
 
-let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workload ~reference ~key
-    compiled input =
+let run_keyed t ?trace ?sampling ~sample_period ~workload ~reference ~key
+    ~input_key compiled input =
   match trace with
   | Some _ ->
       (* a cached outcome could not have filled this trace ring — the one
@@ -301,8 +319,7 @@ let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workloa
          stay valid *)
       let rkey =
         fnv1a64
-          (Printf.sprintf "c=%s;in=%s;sp=%d%s" key (int64s_key input)
-             sample_period
+          (Printf.sprintf "c=%s;in=%s;sp=%d%s" key input_key sample_period
              (match sampling with
              | None -> ""
              | Some p -> ";sm=" ^ Epic_sim.Sampling.key_fragment p))
@@ -314,8 +331,15 @@ let run t ?trace ?sampling ?(sample_period = Experiments.sample_period) ~workloa
       in
       (* the key is content-addressed; only the caller's label differs *)
       if hit && o.o_metrics.Metrics.workload <> workload then
-        ({ o with o_metrics = { o.o_metrics with Metrics.workload } }, hit)
+        ( outcome ~code:o.o_code ~output:o.o_output
+            { o.o_metrics with Metrics.workload },
+          hit )
       else (o, hit)
+
+let run t ?trace ?sampling ?(sample_period = Experiments.sample_period)
+    ~workload ~reference ~key compiled input =
+  run_keyed t ?trace ?sampling ~sample_period ~workload ~reference ~key
+    ~input_key:(int64s_key input) compiled input
 
 (* ---- checkpoints ------------------------------------------------------- *)
 
@@ -395,13 +419,18 @@ type served = {
   s_run_hit : bool;
 }
 
-let compile_and_run t ?trace ?sampling ?sample_period ~workload ~config ~desc
+let compile_and_run t ?trace ?sampling
+    ?(sample_period = Experiments.sample_period) ~workload ~config ~desc
     ~train ~input source =
-  let compiled, key, compile_hit = compile t ~config ~desc ~train source in
-  let reference, _ = reference t ~source ~input in
+  let src = fnv1a64 source in
+  let input_key = int64s_key input in
+  let compiled, key, compile_hit =
+    compile_hashed t ~src ~config ~desc ~train source
+  in
+  let reference, _ = reference_hashed t ~src ~input_key source input in
   let outcome, run_hit =
-    run t ?trace ?sampling ?sample_period ~workload ~reference ~key compiled
-      input
+    run_keyed t ?trace ?sampling ~sample_period ~workload ~reference ~key
+      ~input_key compiled input
   in
   { s_outcome = outcome; s_key = key; s_compile_hit = compile_hit; s_run_hit = run_hit }
 

@@ -82,16 +82,23 @@ val compile :
     and what callers with their own harness can pass explicitly. *)
 val compile_fn : t -> Epic_core.Driver.compile_fn
 
-(** A finished simulation: exit code, program output, metrics.  Cached
-    outcomes carry no [host] section (host timings describe the run that
-    populated the cache, not the request), so a cache hit is
-    byte-identical to the cold outcome even before
-    {!Epic_core.Export.normalize_time}. *)
+(** A finished simulation: exit code, program output, metrics, and the
+    metrics' result document already serialized.  Cached outcomes carry
+    no [host] section (host timings describe the run that populated the
+    cache, not the request), so a cache hit is byte-identical to the cold
+    outcome even before {!Epic_core.Export.normalize_time}. *)
 type outcome = {
   o_code : int;
   o_output : string;
   o_metrics : Epic_core.Metrics.run;
+  o_result : string;
+      (** [Json.to_string (Export.run_to_json o_metrics)], encoded once
+          when the outcome is built, so a run-cache hit serves stored
+          bytes *)
 }
+
+(** Build an outcome, encoding its result document. *)
+val outcome : code:int -> output:string -> Epic_core.Metrics.run -> outcome
 
 (** Reference interpretation of [source] on [input] (lower once,
     interpret), cached by (source, input).  Returns (exit code, output)
@@ -103,9 +110,10 @@ val reference : t -> source:string -> input:int64 array -> (int * string) * bool
     controls the PC profiler; [0] disables sampling.  [reference] is the
     interpreter's (code, output) for the mismatch check.  On a hit only
     the workload label is patched ([workload] names the request, the key
-    is content-addressed).  A request carrying [trace] bypasses the
-    [run] kind entirely (a hit could not replay the trace) and counts as
-    its [uncached] — the only uncacheable run shape.
+    is content-addressed, and the result document is re-encoded).  A
+    request carrying [trace] bypasses the [run] kind entirely (a hit
+    could not replay the trace) and counts as its [uncached] — the only
+    uncacheable run shape.
     [sampling] instead joins the run-cache key (via
     {!Epic_sim.Sampling.key_fragment}) because the outcome is
     deterministic in the plan — plain unsampled requests keep the
@@ -185,9 +193,10 @@ type served = {
 }
 
 (** The whole request path: compile (cached), reference (cached), run
-    (cached).  Labels, defaults and profile period match what [epicc]
-    historically produced, so served documents diff cleanly against batch
-    ones. *)
+    (cached).  The source is hashed once; the compile and reference keys
+    both derive from that hash.  Labels, defaults and profile period match
+    what [epicc] historically produced, so served documents diff cleanly
+    against batch ones. *)
 val compile_and_run :
   t ->
   ?trace:Epic_obs.Trace.t ->

@@ -38,6 +38,43 @@ let test_json_unicode_escapes () =
   | Ok (Json.Str s) -> check cs "surrogate pair" "\xf0\x9f\x98\x80" s
   | _ -> Alcotest.fail "surrogate pair parse failed"
 
+(* Malformed input is an [Error] naming a position, never an exception. *)
+let test_json_malformed () =
+  List.iter
+    (fun (text, want) ->
+      match Json.of_string text with
+      | Ok _ -> Alcotest.failf "%S parsed" text
+      | Error m -> check cs text want m
+      | exception e -> Alcotest.failf "%S raised %s" text (Printexc.to_string e))
+    [
+      ({|"abc|}, "at offset 4: unterminated string");
+      ({|"ab\|}, "at offset 4: bad escape");
+      ({|"a\qb"|}, "at offset 3: bad escape");
+      ({|"\u12"|}, "at offset 3: truncated \\u escape");
+      ({|"\u12_3"|}, "at offset 3: bad \\u escape");
+      ({|"\uZZZZ"|}, "at offset 3: bad \\u escape");
+      ({|"\ud83d\u0041"|}, "at offset 13: invalid low surrogate");
+      ("", "at offset 0: unexpected end of input");
+      ("[1,", "at offset 3: unexpected end of input");
+      ({|{"a" 1}|}, "at offset 5: expected ':'");
+      ("1\0002", "at offset 1: trailing garbage");
+    ];
+  (* runs of plain bytes around escapes, and a raw NUL inside a string *)
+  match Json.of_string "\"ab\\\"cd\\\\ef\\ngh\xc3\xa9i\000j\"" with
+  | Ok (Json.Str s) -> check cs "runs and escapes" "ab\"cd\\ef\ngh\xc3\xa9i\000j" s
+  | _ -> Alcotest.fail "mixed string parse failed"
+
+(* Splicing stored bytes as the last member emits what the whole tree
+   emits. *)
+let test_json_encoded_member () =
+  let fields = [ ("id", Json.Int 3); ("k\"ey", Json.Str "v\n") ] in
+  let v = Json.Obj [ ("x", Json.List [ Json.Float 0.1; Json.Null ]) ] in
+  check cs "spliced equals emitted"
+    (Json.to_string (Json.Obj (fields @ [ ("result", v) ])))
+    (Json.to_string_with_encoded fields "result" (Json.to_string v));
+  check cs "no leading fields" {|{"r":[]}|}
+    (Json.to_string_with_encoded [] "r" "[]")
+
 let test_json_numbers () =
   (match roundtrip (Json.Float 0.1) with
   | Json.Float f -> check cf "0.1 round-trips" 0.1 f
@@ -270,6 +307,10 @@ let suite =
   [
     Alcotest.test_case "json: string escaping" `Quick test_json_string_escaping;
     Alcotest.test_case "json: unicode escapes" `Quick test_json_unicode_escapes;
+    Alcotest.test_case "json: malformed input is an error" `Quick
+      test_json_malformed;
+    Alcotest.test_case "json: spliced encoded member" `Quick
+      test_json_encoded_member;
     Alcotest.test_case "json: numbers" `Quick test_json_numbers;
     Alcotest.test_case "json: structures" `Quick test_json_structures;
     Alcotest.test_case "trace: ring wrap keeps exact counts" `Quick test_trace_ring_wrap;

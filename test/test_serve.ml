@@ -329,6 +329,106 @@ let test_concurrent_hammer () =
   Alcotest.(check int) "compiled exactly once" 1 st.Session.st_compile_misses;
   Alcotest.(check int) "everyone else hit" 7 st.Session.st_compile_hits
 
+(* Key pins: hex literals recorded before the keys were derived from one
+   source hash per request.  A change here silently invalidates every warm
+   cache, so it must be a deliberate test update. *)
+let test_keys_pinned () =
+  let k1 =
+    Session.compile_key ~config:ilp_cs ~desc:None ~train:[| 5L |] prog_a
+  in
+  Alcotest.(check string) "compile key" "2bbe39f87fd4bb2a" k1;
+  let k2 =
+    Session.compile_key ~config:Epic_core.Config.gcc_like
+      ~desc:(Some { Desc.itanium2 with Desc.mem_latency = 280 })
+      ~train:[||] prog_a
+  in
+  Alcotest.(check string) "compile key, gcc level and 2x memory latency"
+    "8302066729c0cf35" k2;
+  Alcotest.(check string) "compile key, wide train values" "9b8ec9322d59057c"
+    (Session.compile_key ~config:ilp_cs ~desc:None
+       ~train:[| -3L; 0L; 1234567890123L |] prog_a);
+  Alcotest.(check string) "checkpoint key" "38a84d619460de51"
+    (Session.checkpoint_key ~key:k1 ~input:[| 5L |] ~at:100);
+  Alcotest.(check string) "checkpoint key, negative input" "3b10acf44afb7828"
+    (Session.checkpoint_key ~key:k2 ~input:[| -1L; 2L |] ~at:0);
+  let s = Session.create () in
+  let line =
+    Json.to_string
+      (Json.Obj
+         [
+           ("op", Json.Str "run");
+           ("source", Json.Str prog_a);
+           ("input", Json.List [ Json.Int 5 ]);
+         ])
+  in
+  match Json.of_string (Protocol.execute s (Protocol.parse line)) with
+  | Ok j ->
+      Alcotest.(check bool) "run response key" true
+        (Json.member "key" j = Some (Json.Str "2bbe39f87fd4bb2a"))
+  | Error e -> Alcotest.fail e
+
+(* A [run] response splices the outcome's stored result bytes into its
+   envelope.  Each response must equal the envelope emitted from the
+   whole tree: cold, hit, relabeled hit, normalized, and sampled (cold and
+   hit).  The tree comes from repeating the request through
+   [Session.compile_and_run], which hits the outcome the response served
+   (pass records carry wall times, so a second session's tree would
+   differ). *)
+let test_served_bytes () =
+  let s = Session.create () in
+  let check what ?(workload = "prog") ?sampling ?(normalize = false)
+      ~compile_hit ~run_hit id =
+    let line =
+      Json.to_string
+        (Json.Obj
+           ([
+              ("id", Json.Int id);
+              ("op", Json.Str "run");
+              ("source", Json.Str prog_a);
+              ("workload", Json.Str workload);
+              ("input", Json.List [ Json.Int 5 ]);
+            ]
+           @ (match sampling with
+             | None -> []
+             | Some spec -> [ ("sampling", Json.Str spec) ])
+           @ if normalize then [ ("normalize_time", Json.Bool true) ] else []))
+    in
+    let got = Protocol.execute s (Protocol.parse line) in
+    let served =
+      Session.compile_and_run s
+        ?sampling:(Option.map Epic_sim.Sampling.parse_spec sampling)
+        ~workload ~config:ilp_cs ~desc:None ~train:[| 5L |] ~input:[| 5L |]
+        prog_a
+    in
+    Alcotest.(check bool) (what ^ ": outcome cached") true
+      served.Session.s_run_hit;
+    let o = served.Session.s_outcome in
+    let doc = Epic_core.Export.run_to_json o.Session.o_metrics in
+    let expected =
+      Json.to_string
+        (Json.Obj
+           [
+             ("id", Json.Int id);
+             ("ok", Json.Bool true);
+             ("op", Json.Str "run");
+             ("cached", Json.Bool run_hit);
+             ("compile_cached", Json.Bool compile_hit);
+             ("key", Json.Str served.Session.s_key);
+             ("exit_code", Json.Int o.Session.o_code);
+             ("output", Json.Str o.Session.o_output);
+             ( "result",
+               if normalize then Epic_core.Export.normalize_time doc else doc );
+           ])
+    in
+    Alcotest.(check string) what expected got
+  in
+  check "cold run" ~compile_hit:false ~run_hit:false 1;
+  check "hit" ~compile_hit:true ~run_hit:true 2;
+  check "relabeled hit" ~workload:"other-name" ~compile_hit:true ~run_hit:true 3;
+  check "normalize_time" ~normalize:true ~compile_hit:true ~run_hit:true 4;
+  check "sampled run" ~sampling:"64:16:8" ~compile_hit:true ~run_hit:false 5;
+  check "sampled hit" ~sampling:"64:16:8" ~compile_hit:true ~run_hit:true 6
+
 (* --- Protocol ----------------------------------------------------------- *)
 
 let test_protocol_envelopes () =
@@ -371,6 +471,25 @@ let test_protocol_envelopes () =
         [ "compile"; "run"; "reference"; "checkpoint"; "fused" ]
   | Error e -> Alcotest.fail e
 
+(* A malformed \u escape is a parse error, never an exception (epicd
+   parses outside any handler), and it takes exactly four hex digits. *)
+let test_protocol_bad_unicode_escape () =
+  let s = Session.create () in
+  List.iter
+    (fun line ->
+      match Protocol.parse line with
+      | exception e ->
+          Alcotest.failf "%s raised %s" line (Printexc.to_string e)
+      | r -> (
+          match Json.of_string (Protocol.execute s r) with
+          | Ok j ->
+              Alcotest.(check bool) (line ^ " is an error response") true
+                (Json.member "ok" j = Some (Json.Bool false))
+          | Error e -> Alcotest.fail e))
+    [ {|{"op":"ping","id":"\uZZZZ"}|}; {|{"op":"ping","id":"\u12_3"}|} ];
+  Alcotest.(check bool) "four hex digits still decode" true
+    (Json.of_string {|"\u00e9\u00C9"|} = Ok (Json.Str "\xc3\xa9\xc3\x89"))
+
 let test_protocol_heaviness () =
   Alcotest.(check bool) "run is light" false
     (Protocol.is_heavy (Protocol.parse {|{"op":"run","source":"int main(){return 0;}"}|}));
@@ -409,4 +528,10 @@ let suite =
     Alcotest.test_case "protocol envelopes and error paths" `Quick
       test_protocol_envelopes;
     Alcotest.test_case "protocol op classification" `Quick test_protocol_heaviness;
+    Alcotest.test_case "bad \\u escapes are error responses" `Quick
+      test_protocol_bad_unicode_escape;
+    Alcotest.test_case "session and response keys are pinned" `Quick
+      test_keys_pinned;
+    Alcotest.test_case "served run bytes equal the tree-built envelope" `Quick
+      test_served_bytes;
   ]

@@ -11,6 +11,7 @@ let () =
       ("ilp", Test_ilp.suite);
       ("sched", Test_sched.suite);
       ("sim", Test_sim.suite);
+      ("isa", Test_isa.suite);
       ("hotpath", Test_hotpath.suite);
       ("integration", Test_integration.suite);
       ("golden", Test_golden.suite);

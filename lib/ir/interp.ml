@@ -24,10 +24,7 @@
    binds its arguments straight into the callee's bank, on a frame reused
    from the callee's own stack of frames. *)
 
-type value = Vi of int64 | Vf of float | Vp of bool | Vnat
-
 exception Fault of string
-exception Exit_program of int
 exception Out_of_fuel
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -62,7 +59,7 @@ type op =
   | Alu_ri of { aop : alu; d : int; a : int; imm : int64; spec : bool }
   | Const of int * int64 (* mov of an immediate; lea of two *)
   | Move of int * int (* integer register to integer register *)
-  | Ld_r of { size : int; spec : Opcode.spec_kind; d : int; key : int; a : int }
+  | Ld_r of { size : int; spec : Opcode.spec_kind; d : int; a : int } (* not ld.a *)
   | St_r of { size : int; a : int; v : int }
   | Icmp_rr of { c : Opcode.icmp; ct : Opcode.ctype; pt : dst; pf : dst; a : int; b : int }
   | Icmp_ri of {
@@ -117,17 +114,16 @@ type dblock = {
   fall : int; (* layout successor; -1 at the end *)
 }
 
-(* The ALAT, keyed by destination register, lives in the frame: a callee
-   starts with an empty one and the caller's is flushed when a call
-   returns, which is the hardware's single ALAT conservatively flushed at
-   calls. *)
+(* The ALAT lives in the frame: a callee starts with an empty one and the
+   caller's is flushed when a call returns, which is the hardware's single
+   ALAT conservatively flushed at calls. *)
 type frame = {
   ints : Bytes.t; (* slot k at byte offset 8k *)
   inat : bool array;
   flts : float array;
   fnat : bool array;
   prds : bool array;
-  mutable alat : (int * int64 * int) list; (* key, address, size *)
+  alat : Isa.Alat.t;
 }
 
 type dfunc = {
@@ -154,16 +150,16 @@ type code = {
   targets : callee array; (* what a call to function i's name runs *)
   entry : callee;
   scratch : Bytes.t;
-      (* two words: an address (offset 0) and a value (offset 8) that are
-         not in a register bank, and an intrinsic's result (offset 0) *)
+      (* an address (offset 0) and a value (offset 8) that are not in a
+         register bank; an intrinsic's arguments (one word each) and
+         result (offset 0) *)
+  arg_nats : bool array; (* the NaT bits of an intrinsic's arguments *)
 }
 
 type state = {
   program : Program.t;
   mem : Memimage.t;
-  mutable heap : int64;
-  output : Buffer.t;
-  input : int64 array;
+  rt : Intrinsics.runtime;
   mutable fuel : int; (* remaining dynamic instructions *)
   mutable executed : int;
   mutable nat_faults : int; (* NaT consumed by a non-speculative op *)
@@ -211,7 +207,7 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     | 1 -> Dflt s
     | _ -> if r.Reg.phys && s = p0_slot then Drop else Dprd s
   in
-  let alat_key r = (3 * slot r) + bank r in
+  let alat_key (r : Reg.t) = Isa.Alat.key r.Reg.cls (slot r) in
   let opnd = function
     | Operand.Reg r -> reg r
     | Operand.Imm i -> Imm i
@@ -238,7 +234,6 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     incr n;
     !n - 1
   in
-  let fault s = Bad (Fault s) in
   let alu (i : Instr.t) aop d a b =
     let spec = i.Instr.attrs.Instr.speculated in
     match (dst d, opnd a, opnd b) with
@@ -283,7 +278,6 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
         Br { site = s; target; label }
     | Opcode.Cmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:false c ct pt pf srcs
     | Opcode.Fcmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:true c ct pt pf srcs
-    | (Opcode.Cmp _ | Opcode.Fcmp _), _, _ -> fault "cmp without two destinations"
     | Opcode.Add, [ d ], [ a; b ] -> alu i Add d a b
     | Opcode.Sub, [ d ], [ a; b ] -> alu i Sub d a b
     | Opcode.Mul, [ d ], [ a; b ] -> alu i Mul d a b
@@ -295,46 +289,29 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     | Opcode.Shl, [ d ], [ a; b ] -> alu i Shl d a b
     | Opcode.Shr, [ d ], [ a; b ] -> alu i Shr d a b
     | Opcode.Sra, [ d ], [ a; b ] -> alu i Sra d a b
-    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem
-        | Opcode.And | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr
-        | Opcode.Sra ),
-        _,
-        _ ) ->
-        fault ("bad ALU instruction " ^ Instr.to_string i)
     | Opcode.Fadd, [ d ], [ a; b ] -> falu Fadd d a b
     | Opcode.Fsub, [ d ], [ a; b ] -> falu Fsub d a b
     | Opcode.Fmul, [ d ], [ a; b ] -> falu Fmul d a b
     | Opcode.Fdiv, [ d ], [ a; b ] -> falu Fdiv d a b
-    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), _, _ ->
-        fault "bad FP instruction"
     | Opcode.Fneg, [ d ], [ a ] -> Fneg (dst d, opnd a)
-    | Opcode.Fneg, _, _ -> fault "bad fneg"
     | Opcode.Cvt_fi, [ d ], [ a ] -> Cvt_fi (dst d, opnd a)
-    | Opcode.Cvt_fi, _, _ -> fault "bad cvt.fi"
     | Opcode.Cvt_if, [ d ], [ a ] -> Cvt_if (dst d, opnd a)
-    | Opcode.Cvt_if, _, _ -> fault "bad cvt.if"
     | Opcode.Mov, [ d ], [ a ] -> mov d a
     | Opcode.Sxt sz, [ d ], [ a ] -> Sxt (8 * size sz, dst d, opnd a)
-    | (Opcode.Mov | Opcode.Sxt _), _, _ -> fault "bad mov"
     | Opcode.Lea, [ d ], [ base; off ] -> lea d base off
-    | Opcode.Lea, _, _ -> fault "bad lea"
     | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
         match (dst d, opnd a) with
-        | Dint di, Int a when not (fdst d) ->
-            Ld_r { size = size sz; spec; d = di; key = alat_key d; a }
+        | Dint di, Int a when (not (fdst d)) && spec <> Opcode.Spec_advanced ->
+            Ld_r { size = size sz; spec; d = di; a }
         | dd, a -> Ld { size = size sz; spec; d = dd; fdst = fdst d; key = alat_key d; a })
-    | Opcode.Ld _, _, _ -> fault "bad load"
     | Opcode.St sz, _, [ a; v ] -> (
         match (opnd a, opnd v) with
         | Int a, Int v -> St_r { size = size sz; a; v }
         | a, v -> St { size = size sz; a; v })
-    | Opcode.St _, _, _ -> fault "bad store"
     | Opcode.Chk sz, _, [ Operand.Reg r; a ] ->
         Chk { size = size sz; r = reg r; rd = dst r; fdst = fdst r; a = opnd a }
-    | Opcode.Chk _, _, _ -> fault "bad chk"
     | Opcode.Chka sz, _, [ Operand.Reg r; a ] ->
         Chka { size = size sz; key = alat_key r; rd = dst r; fdst = fdst r; a = opnd a }
-    | Opcode.Chka _, _, _ -> fault "bad chk.a"
     | Opcode.Br_call, ds, target :: args ->
         let callee =
           match target with
@@ -348,9 +325,9 @@ let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
             args = Array.of_list (List.map opnd args);
             dsts = Array.of_list (List.map dst ds);
           }
-    | Opcode.Br_call, _, [] -> fault "bad call"
     | Opcode.Br_ret, _, srcs -> Ret (Array.of_list (List.map opnd srcs))
     | (Opcode.Alloc | Opcode.Nop), _, _ -> Nop
+    | _ -> Bad (Fault (Isa.malformed i))
   in
   let dinstr (i : Instr.t) =
     let op = try decode i with Invalid_argument _ as e -> Bad e in
@@ -425,13 +402,15 @@ let decode (p : Program.t) =
     funcs;
     targets = Array.map (fun df -> resolve df.func.Func.name) funcs;
     entry = resolve p.Program.entry;
-    scratch = Bytes.create 16;
+    scratch = Bytes.create 24;
+    arg_nats = Array.make 3 false;
   }
 
 (* --- frames --------------------------------------------------------------- *)
 
 let no_frame =
-  { ints = Bytes.empty; inat = [||]; flts = [||]; fnat = [||]; prds = [||]; alat = [] }
+  let alat = Isa.Alat.create () in
+  { ints = Bytes.empty; inat = [||]; flts = [||]; fnat = [||]; prds = [||]; alat }
 
 let new_frame df =
   let prds = Array.make df.n_prd false in
@@ -442,7 +421,7 @@ let new_frame df =
     flts = Array.make df.n_flt 0.;
     fnat = Array.make df.n_flt false;
     prds;
-    alat = [];
+    alat = Isa.Alat.create ();
   }
 
 (* The frame of a new invocation of [df], every register reading 0 (p0
@@ -468,7 +447,7 @@ let enter df =
     Array.fill fr.fnat 0 df.n_flt false;
     Array.fill fr.prds 0 df.n_prd false;
     fr.prds.(p0_slot) <- true;
-    fr.alat <- [];
+    Isa.Alat.flush fr.alat;
     fr
   end
 
@@ -638,118 +617,58 @@ let[@inline] falu fr d fop x y =
 (* [do_intrinsic] leaves its result, if any, at offset 0 of the scratch
    words and returns how many it has (0 or 1). *)
 let do_intrinsic st fr (k : Intrinsics.kind) (args : opnd array) =
-  let geti n =
-    if n >= Array.length args then 0L
-    else if is_nat fr args.(n) then begin
-      st.nat_faults <- st.nat_faults + 1;
-      0L
-    end
-    else int_of fr args.(n)
-  in
-  let result x =
-    set64 st.code.scratch 0 x;
-    1
-  in
-  match k with
-  | Intrinsics.Print_int ->
-      Buffer.add_string st.output (Int64.to_string (geti 0));
-      Buffer.add_char st.output '\n';
-      0
-  | Intrinsics.Print_char ->
-      Buffer.add_char st.output (Char.chr (Int64.to_int (geti 0) land 0xff));
-      0
-  | Intrinsics.Malloc ->
-      let bytes = Int64.to_int (geti 0) in
-      let bytes = max 8 ((bytes + 15) / 16 * 16) in
-      let addr = st.heap in
-      st.heap <- Int64.add st.heap (Int64.of_int bytes);
-      Memimage.map_range st.mem addr bytes;
-      result addr
-  | Intrinsics.Input ->
-      let i = Int64.to_int (geti 0) in
-      result (if i >= 0 && i < Array.length st.input then st.input.(i) else 0L)
-  | Intrinsics.Input_len -> result (Int64.of_int (Array.length st.input))
-  | Intrinsics.Memcpy ->
-      let dst = geti 0 and src = geti 1 and n = Int64.to_int (geti 2) in
-      for i = 0 to n - 1 do
-        let b = Memimage.read st.mem (Int64.add src (Int64.of_int i)) 1 in
-        Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 b
-      done;
-      0
-  | Intrinsics.Memset ->
-      let dst = geti 0 and v = geti 1 and n = Int64.to_int (geti 2) in
-      for i = 0 to n - 1 do
-        Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 v
-      done;
-      0
-  | Intrinsics.Exit -> raise (Exit_program (Int64.to_int (geti 0)))
+  let n = min (Array.length args) (Intrinsics.arity k) in
+  let buf = st.code.scratch and nats = st.code.arg_nats in
+  for j = 0 to n - 1 do
+    let a = args.(j) in
+    nats.(j) <- is_nat fr a;
+    if not nats.(j) then set64 buf (j lsl 3) (int_of fr a)
+  done;
+  st.nat_faults <- st.nat_faults + Intrinsics.nat_args k nats n;
+  Intrinsics.call st.rt st.mem k buf nats n;
+  Intrinsics.results k
 
-(* A load from a page that is not [Ok].  A non-speculative access to an
-   unmapped or NULL page is a fatal fault; a speculative one yields NaT
-   ("deferred exception") and is counted as a wild load when off the NULL
-   page. *)
-let deferred_load st (spec : Opcode.spec_kind) addr = function
-  | Memimage.Ok -> assert false
-  | Memimage.Null_page -> (
-      match spec with
-      | Opcode.Nonspec | Opcode.Spec_advanced ->
-          raise (Fault (Printf.sprintf "load from NULL page 0x%Lx" addr))
-      | Opcode.Spec_general | Opcode.Spec_sentinel -> ())
-  | Memimage.Unmapped -> (
-      match spec with
-      | Opcode.Nonspec | Opcode.Spec_advanced ->
-          raise (Fault (Printf.sprintf "load from unmapped 0x%Lx" addr))
-      | Opcode.Spec_general | Opcode.Spec_sentinel ->
-          st.wild_loads <- st.wild_loads + 1)
-
-let rec alat_has key = function
-  | [] -> false
-  | (k, _, _) :: tl -> k = key || alat_has key tl
-
-(* Record an advanced load; a key holds at most one entry. *)
-let alat_add fr key addr size =
-  fr.alat <- (key, addr, size) :: List.filter (fun (k, _, _) -> k <> key) fr.alat
-
-(* A store to [lo0, lo0 + size) invalidates the overlapping entries. *)
-let alat_store fr lo0 size =
-  fr.alat <-
-    List.filter
-      (fun (_, a, n) ->
-        let lo = max (Int64.to_int a) lo0 in
-        let hi = min (Int64.to_int a + n) (lo0 + size) in
-        lo >= hi)
-      fr.alat
+(* A load from a page that is not [Ok]: a fatal fault, or a deferral (the
+   destination becomes NaT), counted as a wild load off the NULL page. *)
+let deferred_load st spec addr acc =
+  Option.iter (fun m -> raise (Fault m)) (Isa.access_fault spec acc addr);
+  if acc = Memimage.Unmapped then st.wild_loads <- st.wild_loads + 1
 
 (* A load through the address in the scratch words into [d]: the generic
-   shapes and speculation-check recovery. *)
+   shapes and ld.a. *)
 let load st fr ~size ~spec ~d ~fdst ~key =
   let scratch = st.code.scratch in
   match Memimage.load_at st.mem scratch 0 size scratch 8 with
   | Memimage.Ok ->
-      if spec = Opcode.Spec_advanced then alat_add fr key (get64 scratch 0) size;
+      if spec = Opcode.Spec_advanced then
+        Isa.Alat.insert fr.alat key (Int64.to_int (get64 scratch 0)) size;
       let bits = get64 scratch 8 in
       if fdst then write_flt fr d (Int64.float_of_bits bits) else write_int fr d bits
   | acc ->
       deferred_load st spec (get64 scratch 0) acc;
       write_nat fr d
 
-(* Speculation-check recovery: reload non-speculatively into the checked
-   register. *)
+(* Speculation-check recovery into the checked register. *)
 let recover st fr ~size ~rd ~fdst a =
-  if is_nat fr a then st.nat_faults <- st.nat_faults + 1
-  else begin
-    set64 st.code.scratch 0 (int_of fr a);
-    load st fr ~size ~spec:Opcode.Nonspec ~d:rd ~fdst ~key:0
-  end
+  let nat = is_nat fr a in
+  let addr = if nat then 0L else int_of fr a in
+  match Isa.recover st.mem ~nat addr ~size st.code.scratch 8 with
+  | Isa.Reloaded ->
+      let bits = get64 st.code.scratch 8 in
+      if fdst then write_flt fr rd (Int64.float_of_bits bits) else write_int fr rd bits
+  | Isa.Nat_address ->
+      st.nat_faults <- st.nat_faults + 1;
+      write_nat fr rd
+  | Isa.Recovery_fault m -> raise (Fault m)
 
 (* A store of the value at offset [vo] of [vbank] to the address at offset
    [ao] of [abank]. *)
 let store st fr ~size abank ao vbank vo =
-  if fr.alat <> [] then alat_store fr (Int64.to_int (get64 abank ao)) size;
+  if fr.alat.Isa.Alat.count > 0 then
+    Isa.Alat.snoop fr.alat (Int64.to_int (get64 abank ao)) size;
   match Memimage.store_at st.mem abank ao size vbank vo with
   | Memimage.Ok -> ()
-  | Memimage.Null_page | Memimage.Unmapped ->
-      raise (Fault (Printf.sprintf "store to invalid 0x%Lx" (get64 abank ao)))
+  | acc -> Option.iter (fun m -> raise (Fault m)) (Isa.access_fault Opcode.Nonspec acc (get64 abank ao))
 
 let exec_store st fr ~size a v =
   if is_nat fr a || is_nat fr v then st.nat_faults <- st.nat_faults + 1
@@ -786,14 +705,14 @@ and call st df fr callee args dsts =
       let vs = invoke st fr slot args in
       let cdf = st.code.funcs.(slot) in
       let cfr = cdf.frames.(cdf.depth) in
-      fr.alat <- [];
+      Isa.Alat.flush fr.alat;
       for n = 0 to Array.length dsts - 1 do
         if n < Array.length vs then transfer cfr vs.(n) fr dsts.(n)
         else write_int fr dsts.(n) 0L
       done
   | Intrinsic k ->
       let n = do_intrinsic st fr k args in
-      fr.alat <- [];
+      Isa.Alat.flush fr.alat;
       for i = 0 to Array.length dsts - 1 do
         write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
       done
@@ -879,15 +798,11 @@ and exec_at st df fr b k =
         set64 fr.ints (d lsl 3) (get64 fr.ints (a lsl 3));
         fr.inat.(d) <- fr.inat.(a);
         exec_at st df fr b (k + 1)
-    | Ld_r { size; spec; d; key; a } ->
+    | Ld_r { size; spec; d; a } ->
         (if fr.inat.(a) then begin
            (* address is NaT: propagate (speculative chains) *)
            if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
            fr.inat.(d) <- true
-         end
-         else if spec = Opcode.Spec_advanced then begin
-           set64 st.code.scratch 0 (get64 fr.ints (a lsl 3));
-           load st fr ~size ~spec ~d:(Dint d) ~fdst:false ~key
          end
          else
            match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
@@ -969,7 +884,7 @@ and exec_at st df fr b k =
         if is_nat fr r then recover st fr ~size ~rd ~fdst a;
         exec_at st df fr b (k + 1)
     | Chka { size; key; rd; fdst; a } ->
-        if not (alat_has key fr.alat) then begin
+        if not (Isa.Alat.mem fr.alat key) then begin
           (* entry invalidated by an intervening store: recover *)
           st.alat_recoveries <- st.alat_recoveries + 1;
           recover st fr ~size ~rd ~fdst a
@@ -1021,9 +936,7 @@ let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 
     {
       program = p;
       mem;
-      heap = Program.heap_base;
-      output = Buffer.create 256;
-      input;
+      rt = { Intrinsics.heap = Program.heap_base; output = Buffer.create 256; input };
       fuel;
       executed = 0;
       nat_faults = 0;
@@ -1033,10 +946,10 @@ let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 
       code = decode p;
     }
   in
-  let code = try run_entry st with Exit_program c -> c in
+  let code = try run_entry st with Intrinsics.Exit_program c -> c in
   st.executed <- fuel - st.fuel;
   Array.iter (fun df -> df.frames <- [||]) st.code.funcs;
-  (code, Buffer.contents st.output, st)
+  (code, Buffer.contents st.rt.Intrinsics.output, st)
 
 (* --- profile counts ------------------------------------------------------- *)
 

@@ -2,7 +2,8 @@
     directly, at any point of the pipeline, with the IA-64 semantics the
     structural transforms rely on — predication, compare types, NaT
     deferral for control-speculative loads, sentinel checks with in-place
-    recovery, and an ALAT for data-speculative loads.
+    recovery, and an ALAT for data-speculative loads.  The rules it shares
+    with the machine simulator come from {!Isa} and {!Intrinsics}.
 
     It is the semantic oracle for differential testing and, with
     [~profile:true], the engine behind control-flow profiling.  Each run
@@ -14,11 +15,7 @@
     indirect-call targets in dense int arrays, read back with the [iter_*]
     functions below. *)
 
-type value = Vi of int64 | Vf of float | Vp of bool | Vnat
-
 exception Fault of string  (** architectural fault: the program is wrong *)
-
-exception Exit_program of int  (** raised by the [exit] intrinsic *)
 
 exception Out_of_fuel  (** the dynamic instruction budget was exhausted *)
 
@@ -29,9 +26,7 @@ type code
 type state = {
   program : Program.t;
   mem : Memimage.t;
-  mutable heap : int64;
-  output : Buffer.t;
-  input : int64 array;
+  rt : Intrinsics.runtime;  (** heap pointer, output and input *)
   mutable fuel : int;
   mutable executed : int;  (** dynamic instructions executed *)
   mutable nat_faults : int;  (** NaT consumed by a non-speculative op *)

@@ -16,10 +16,7 @@ type access =
   | Null_page  (** the architected NaT page at address 0 *)
 
 val create : unit -> t
-val page_of_addr : int64 -> int
-val map_page : t -> int -> unit
 val map_range : t -> int64 -> int -> unit
-val is_mapped : t -> int64 -> bool
 
 (** Classify an access without performing it. *)
 val classify : t -> int64 -> access
@@ -50,6 +47,16 @@ val load_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
     byte offset [o] to the address held in [src] at [ao], performed only
     when it classifies as [Ok]; returns the classification. *)
 val store_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
+
+(** [blit t ~src ~dst n]: copy [n] bytes from [src] to [dst] as a forward
+    byte-by-byte copy would — a destination overlapping the source from
+    above replicates it — mapping every page touched, source and
+    destination, on demand.  Nothing happens when [n <= 0]. *)
+val blit : t -> src:int64 -> dst:int64 -> int -> unit
+
+(** [fill t dst n c]: set [n] bytes from [dst] to [c], mapping pages on
+    demand; nothing when [n <= 0]. *)
+val fill : t -> int64 -> int -> char -> unit
 
 (** Initialize the image from a program's globals and map the stack and the
     NaT page ([Program.assign_addresses] must have run). *)

@@ -25,7 +25,6 @@ open Epic_mach
 open Epic_sched
 
 exception Machine_fault of string
-exception Exit_program of int
 exception Out_of_fuel
 
 type counters = {
@@ -85,7 +84,7 @@ type frame = {
   ireason : reason array;
   fready : int array;
   freason : reason array;
-  alat : (int, int64 * int) Hashtbl.t; (* reg id -> (addr, bytes); flushed at calls *)
+  mutable alat : Isa.Alat.t; (* keyed by (bank, register id); flushed at calls *)
   mutable bi : int; (* block index in [df.df_blocks] *)
   mutable gi : int;
   mutable k : int;
@@ -166,7 +165,7 @@ and ck_frame = {
   kf_ireason : reason array;
   kf_fready : int array;
   kf_freason : reason array;
-  kf_alat : (int * (int64 * int)) list;
+  kf_alat : Isa.Alat.t;
 }
 
 and checkpoint = {
@@ -196,16 +195,14 @@ and checkpoint = {
    intrinsic names take precedence) at decode. *)
 and callee =
   | Fn of int (* function slot *)
-  | Intrinsic of Intrinsics.kind * string (* and its pseudo-function name *)
+  | Intrinsic of Intrinsics.kind * string (* and its name, the pseudo-function binned *)
   | Missing of string
 
 and t = {
   program : Program.t;
   layout : Layout.t;
   mem : Memimage.t;
-  mutable heap : int64;
-  output : Buffer.t;
-  input : int64 array;
+  rt : Intrinsics.runtime;
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;
@@ -295,9 +292,7 @@ let checkpoint_cycle ck = ck.ck_cycle
 
 let callee_of_name (funcs : Func.t array) name =
   match Intrinsics.of_name name with
-  | Some k ->
-      (* the pseudo-function name the intrinsic's cycles are binned under *)
-      Intrinsic (k, fst (List.find (fun (_, k') -> k' = k) Intrinsics.all))
+  | Some k -> Intrinsic (k, name)
   | None -> (
       let rec find i =
         if i >= Array.length funcs then Missing name
@@ -317,7 +312,7 @@ let fresh_frame df =
     ireason = Array.make Reg.num_int Rload;
     fready = Array.make Reg.num_flt 0;
     freason = Array.make Reg.num_flt Rfload;
-    alat = Hashtbl.create 8;
+    alat = Isa.Alat.create ();
     bi = 0;
     gi = 0;
     k = 0;
@@ -356,6 +351,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
   | _ -> ());
   let output = Buffer.create 256 in
   Option.iter (fun ck -> Buffer.add_string output ck.ck_output) from;
+  let heap = restore (fun ck -> ck.ck_heap) (fun () -> Program.heap_base) in
   let funcs = Array.of_list program.Program.funcs in
   {
     program;
@@ -367,9 +363,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
           let mem = Memimage.create () in
           Memimage.load_program mem program;
           mem);
-    heap = restore (fun ck -> ck.ck_heap) (fun () -> Program.heap_base);
-    output;
-    input;
+    rt = { Intrinsics.heap; output; input };
     l1i = restore (fun ck -> Cache.copy ck.ck_l1i) (cache "L1I" desc.Machine_desc.l1i);
     l1d = restore (fun ck -> Cache.copy ck.ck_l1d) (cache "L1D" desc.Machine_desc.l1d);
     l2 = restore (fun ck -> Cache.copy ck.ck_l2) (cache "L2" desc.Machine_desc.l2);
@@ -635,21 +629,16 @@ let translate_walk st (addr : int64) (spec : Opcode.spec_kind) =
             charge st Accounting.Micropipe st.desc.Machine_desc.vhpt_walk_cycles;
             advance st st.desc.Machine_desc.vhpt_walk_cycles;
             true)
-    | Memimage.Null_page -> (
-        match spec with
-        | Opcode.Nonspec | Opcode.Spec_advanced ->
-            raise (Machine_fault (Printf.sprintf "NULL access 0x%Lx" addr))
-        | _ ->
+    | acc -> (
+        Option.iter (fun m -> raise (Machine_fault m)) (Isa.access_fault spec acc addr);
+        match (acc, spec) with
+        | Memimage.Null_page, _ ->
             (* architected NaT page: cheap *)
             emit st Epic_obs.Trace.Nat_deferral addr;
             charge st Accounting.Micropipe st.desc.Machine_desc.nat_page_cycles;
             advance st st.desc.Machine_desc.nat_page_cycles;
-            false)
-    | Memimage.Unmapped -> (
-        match spec with
-        | Opcode.Nonspec | Opcode.Spec_advanced ->
-            raise (Machine_fault (Printf.sprintf "unmapped access 0x%Lx" addr))
-        | Opcode.Spec_general ->
+            false
+        | _, Opcode.Spec_general ->
             (* wild load: failed walk + uncached page-table query (kernel) *)
             emit st Epic_obs.Trace.Wild_load addr;
             st.c.wild_loads <- st.c.wild_loads + 1;
@@ -658,7 +647,7 @@ let translate_walk st (addr : int64) (spec : Opcode.spec_kind) =
             charge st Accounting.Kernel st.desc.Machine_desc.wild_walk_cycles;
             advance st st.desc.Machine_desc.wild_walk_cycles;
             false
-        | Opcode.Spec_sentinel ->
+        | _ ->
             emit st Epic_obs.Trace.Nat_deferral addr;
             false)
 
@@ -690,17 +679,6 @@ let store_timing st addr =
       st.sb_work <- 24
     end
   end
-
-(* ALAT snoop: a store invalidates overlapping advanced loads.  The table
-   is empty in the common case, so check the size first. *)
-let alat_snoop fr (addr : int64) bytes =
-  if Hashtbl.length fr.alat > 0 then
-    Hashtbl.filter_map_inplace
-      (fun _rid ((a, n) as e) ->
-        let lo = max (Int64.to_int a) (Int64.to_int addr) in
-        let hi = min (Int64.to_int a + n) (Int64.to_int addr + bytes) in
-        if lo < hi then None else Some e)
-      fr.alat
 
 (* --- operands and registers ------------------------------------------------ *)
 
@@ -830,22 +808,10 @@ let[@inline] icmp (c : Opcode.icmp) a b =
 
 (* --- intrinsics ---------------------------------------------------------- *)
 
-(* Run an intrinsic on the transferred arguments; its result (if any) is
-   bound to [binds] like a call's. *)
+(* Run an intrinsic ({!Intrinsics.call}) on the transferred arguments; its
+   result (if any) is bound to [binds] like a call's.  The machine adds the
+   timing: the base cost, and the cache traffic of memcpy and memset. *)
 let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int array) =
-  let geti n =
-    if n >= st.xc then 0L
-    else if st.xn.(n) then begin
-      st.c.nat_consumed <- st.c.nat_consumed + 1;
-      0L
-    end
-    else get64 st.xv (n lsl 3)
-  in
-  let result v =
-    set64 st.xv 0 v;
-    st.xn.(0) <- false;
-    1
-  in
   let caller = st.cur_func in
   (* settle samples owed to the caller before entering the pseudo-function *)
   sample_tick st;
@@ -854,62 +820,26 @@ let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int arra
   let cost = Intrinsics.base_cost k in
   charge st Accounting.Unstalled cost;
   advance st cost;
-  let nresults =
-    match k with
-    | Intrinsics.Print_int ->
-        Buffer.add_string st.output (Int64.to_string (geti 0));
-        Buffer.add_char st.output '\n';
-        0
-    | Intrinsics.Print_char ->
-        Buffer.add_char st.output (Char.chr (Int64.to_int (geti 0) land 0xff));
-        0
-    | Intrinsics.Malloc ->
-        let bytes = max 8 ((Int64.to_int (geti 0) + 15) / 16 * 16) in
-        let addr = st.heap in
-        st.heap <- Int64.add st.heap (Int64.of_int bytes);
-        Memimage.map_range st.mem addr bytes;
-        result addr
-    | Intrinsics.Input ->
-        let i = Int64.to_int (geti 0) in
-        result (if i >= 0 && i < Array.length st.input then st.input.(i) else 0L)
-    | Intrinsics.Input_len -> result (Int64.of_int (Array.length st.input))
-    | Intrinsics.Memcpy ->
-        let dst = geti 0 and src = geti 1 and n = Int64.to_int (geti 2) in
-        for i = 0 to n - 1 do
-          let b = Memimage.read st.mem (Int64.add src (Int64.of_int i)) 1 in
-          Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 b
-        done;
-        (* cache traffic per touched line *)
-        let lines = max 1 (n / 64) in
-        for i = 0 to lines - 1 do
-          let off = Int64.of_int (i * 64) in
-          let e1 = dcache_extra st (Int64.add src off) ~is_float:false in
-          let e2 = dcache_extra st (Int64.add dst off) ~is_float:false in
-          let e = (e1 + e2) / 4 in
-          charge st Accounting.Unstalled (1 + e);
-          advance st (1 + e)
-        done;
-        0
-    | Intrinsics.Memset ->
-        let dst = geti 0 and v = geti 1 and n = Int64.to_int (geti 2) in
-        for i = 0 to n - 1 do
-          Memimage.write st.mem (Int64.add dst (Int64.of_int i)) 1 v
-        done;
-        let lines = max 1 (n / 64) in
-        for i = 0 to lines - 1 do
-          let e = dcache_extra st (Int64.add dst (Int64.of_int (i * 64))) ~is_float:false in
-          charge st Accounting.Unstalled (1 + (e / 4));
-          advance st (1 + (e / 4))
-        done;
-        0
-    | Intrinsics.Exit -> raise (Exit_program (Int64.to_int (geti 0)))
-  in
+  st.c.nat_consumed <- st.c.nat_consumed + Intrinsics.nat_args k st.xn st.xc;
+  Intrinsics.call st.rt st.mem k st.xv st.xn st.xc;
+  (match k with
+  | Intrinsics.Memcpy | Intrinsics.Memset ->
+      (* per 64-byte line: the source's access (memcpy), then the target's *)
+      let arg j = Intrinsics.arg st.xv st.xn st.xc j in
+      for i = 0 to max 1 (Int64.to_int (arg 2) / 64) - 1 do
+        let line a = dcache_extra st (Int64.add a (Int64.of_int (i * 64))) ~is_float:false in
+        let src = if k = Intrinsics.Memcpy then line (arg 1) else 0 in
+        let e = (src + line (arg 0)) / 4 in
+        charge st Accounting.Unstalled (1 + e);
+        advance st (1 + e)
+      done
+  | _ -> ());
   (* attribute the intrinsic's cycles to the pseudo-function, matching the
      per-function accounting bins *)
   sample_tick st;
   st.cur_func <- caller;
   st.in_intrinsic <- false;
-  st.xc <- nresults;
+  st.xc <- Intrinsics.results k;
   bind_regs st fr binds ~pad:true
 
 (* --- decode ---------------------------------------------------------------
@@ -1157,15 +1087,6 @@ let decode_div x (i : Instr.t) (d : Reg.t) a b : op =
       if not st.warm then mark_ready st fr dcode 4 Rlong
     end
 
-(* Load into integer register [id] (straight into the register file; r0
-   still performs the access). *)
-let load_int st fr id addr bytes =
-  if id = 0 then Memimage.read_into st.mem addr bytes st.scratch 0
-  else begin
-    Memimage.read_into st.mem addr bytes fr.ints (id lsl 3);
-    Array.unsafe_set fr.nat id false
-  end
-
 let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : op =
   let st = x.x_st in
   let a = src_i x a in
@@ -1174,6 +1095,7 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
   let adv = spec = Opcode.Spec_advanced in
   let nonspec = spec = Opcode.Nonspec in
   let did = d.Reg.id and dcode = reg_code d in
+  let key = Isa.Alat.key d.Reg.cls did in
   fun fr ->
     let untimed = st.warm || fr.gwarm in
     if not nonspec then st.c.spec_loads <- st.c.spec_loads + 1;
@@ -1188,7 +1110,7 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
     end
     else if not (translate st addr spec) then wr_i fr did 0L true
     else begin
-      if adv then Hashtbl.replace fr.alat did (addr, bytes);
+      if adv then Isa.Alat.insert fr.alat key (Int64.to_int addr) bytes;
       let extra = dcache st ~untimed addr ~is_float in
       if is_float then begin
         Memimage.read_into st.mem addr bytes st.scratch 0;
@@ -1196,7 +1118,12 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
         if extra > 0 then mark_ready st fr dcode extra Rfload
       end
       else begin
-        load_int st fr did addr bytes;
+        (* straight into the register file; r0 still performs the access *)
+        if did = 0 then Memimage.read_into st.mem addr bytes st.scratch 0
+        else begin
+          Memimage.read_into st.mem addr bytes fr.ints (did lsl 3);
+          Array.unsafe_set fr.nat did false
+        end;
         if extra > 0 then mark_ready st fr dcode extra Rload
       end
     end
@@ -1214,46 +1141,46 @@ let decode_store x (sz : Opcode.size) a v : op =
       st.c.nat_consumed <- st.c.nat_consumed + 1;
       if not untimed then charge st Accounting.Misc 2
     end
-    else if translate st addr Opcode.Nonspec then begin
-      alat_snoop fr addr bytes;
+    else begin
+      (* a non-speculative translation succeeds or faults *)
+      ignore (translate st addr Opcode.Nonspec);
+      if fr.alat.Isa.Alat.count > 0 then Isa.Alat.snoop fr.alat (Int64.to_int addr) bytes;
       set64 st.scratch 0 data;
       Memimage.write_from st.mem addr bytes st.scratch 0;
       if untimed then dcache_warm st addr ~is_float:false else store_timing st addr
     end
-    else raise (Machine_fault "store deferred (impossible)")
 
 
 (* chk.s / chk.a: when the checked register is deferred (a NaT, or no ALAT
-   entry) redirect the pipeline and reload non-speculatively. *)
+   entry) redirect the pipeline and recover ({!Isa.recover}). *)
 let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
   let st = x.x_st in
   let a = src_i x a in
   let rid = r.Reg.id and rflt = r.Reg.cls = Reg.Flt and rcode = reg_code r in
+  let key = Isa.Alat.key r.Reg.cls rid in
   let bytes = Opcode.size_bytes sz in
-  let msg =
-    if alat then "chk.a recovery with NaT address" else "chk recovery with NaT address"
-  in
   fun fr ->
     if not st.warm then if rflt then stall_f st fr rid else stall_i st fr rid;
-    let deferred =
-      if alat then not (Hashtbl.mem fr.alat rid) else (not rflt) && fr.nat.(rid)
-    in
+    let deferred = if alat then not (Isa.Alat.mem fr.alat key) else (not rflt) && fr.nat.(rid) in
     if deferred then begin
       st.c.chk_recoveries <- st.c.chk_recoveries + 1;
       charge st Accounting.Misc st.desc.Machine_desc.chk_recovery_penalty;
       advance st st.desc.Machine_desc.chk_recovery_penalty;
       let addr = Sys.opaque_identity (rd_i st fr st.warm a) in
       emit st Epic_obs.Trace.Chk_recovery addr;
-      if st.onat then raise (Machine_fault msg);
-      (* a non-speculative translation either succeeds or faults *)
-      ignore (translate st addr Opcode.Nonspec);
-      let extra = dcache st ~untimed:st.warm addr ~is_float:rflt in
-      if rflt then begin
-        Memimage.read_into st.mem addr bytes st.scratch 0;
-        fr.flts.(rid) <- Int64.float_of_bits (get64 st.scratch 0)
-      end
-      else load_int st fr rid addr bytes;
-      if extra > 0 then mark_ready st fr rcode extra Rload
+      match Isa.recover st.mem ~nat:st.onat addr ~size:bytes st.scratch 0 with
+      | Isa.Reloaded ->
+          (* the timing of the non-speculative access, which cannot fault now *)
+          ignore (translate st addr Opcode.Nonspec);
+          let extra = dcache st ~untimed:st.warm addr ~is_float:rflt in
+          if rflt then fr.flts.(rid) <- Int64.float_of_bits (get64 st.scratch 0)
+          else wr_i fr rid (get64 st.scratch 0) false;
+          if extra > 0 then mark_ready st fr rcode extra Rload
+      | Isa.Nat_address ->
+          (* float registers carry no NaT bit here *)
+          st.c.nat_consumed <- st.c.nat_consumed + 1;
+          if not rflt then wr_i fr rid 0L true
+      | Isa.Recovery_fault m -> raise (Machine_fault m)
     end
 
 let decode_branch x (i : Instr.t) (l : string) : op =
@@ -1289,7 +1216,7 @@ let[@inline] transfer st fr untimed (vals : src array) =
 let decode_call x (i : Instr.t) : op =
   let st = x.x_st in
   match i.Instr.srcs with
-  | [] -> fault "bad call"
+  | [] -> fault (Isa.malformed i)
   | target :: args ->
       let args = Array.of_list (List.map (src_v x) args) in
       ensure_transfer x.x_st (Array.length args);
@@ -1318,9 +1245,7 @@ let decode_call x (i : Instr.t) : op =
         Branch_pred.record_unconditional st.bp;
         transfer st fr untimed args;
         let c = resolve fr untimed in
-        (* the ALAT is flushed at calls; skip the reset (which allocates a
-           fresh bucket array) when it is already empty *)
-        if Hashtbl.length fr.alat > 0 then Hashtbl.reset fr.alat;
+        Isa.Alat.flush fr.alat;
         match c with
         | Fn slot ->
             st.callee <- slot;
@@ -1346,19 +1271,12 @@ let decode_instr x (i : Instr.t) : op =
     match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
     | Opcode.Cmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:false pt pf a b
     | Opcode.Fcmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:true pt pf a b
-    | (Opcode.Cmp _ | Opcode.Fcmp _), [ _; _ ], _ -> live (fault "cmp arity")
-    | (Opcode.Cmp _ | Opcode.Fcmp _), _, _ -> live (fault "cmp without two dests")
     | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.And | Opcode.Or | Opcode.Xor
         | Opcode.Shl | Opcode.Shr | Opcode.Sra ),
         [ d ],
         [ a; b ] ) ->
         timed (decode_alu x i.Instr.op d a b)
     | (Opcode.Div | Opcode.Rem), [ d ], [ a; b ] -> live (decode_div x i d a b)
-    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.And
-        | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr | Opcode.Sra ),
-        _,
-        _ ) ->
-        live (fault "bad ALU")
     | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
         let a = src_f a and b = src_f b in
         let did = d.Reg.id and dcode = reg_code d in
@@ -1376,23 +1294,19 @@ let decode_instr x (i : Instr.t) : op =
             fr.flts.(did) <-
               (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb);
             if slow && not untimed then mark_ready st fr dcode 8 Rfload)
-    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), _, _ -> live (fault "bad FP op")
     | Opcode.Fneg, [ d ], [ a ] ->
         let a = src_f a and did = d.Reg.id in
         timed (fun fr ->
             fr.flts.(did) <- -.rd_f st fr (st.warm || fr.gwarm) a)
-    | Opcode.Fneg, _, _ -> live (fault "bad fneg")
     | Opcode.Cvt_fi, [ d ], [ a ] ->
         let a = src_f a and did = d.Reg.id in
         timed (fun fr ->
             let v = rd_f st fr (st.warm || fr.gwarm) a in
             wr_i fr did (Int64.of_float v) st.onat)
-    | Opcode.Cvt_fi, _, _ -> live (fault "bad cvt.fi")
     | Opcode.Cvt_if, [ d ], [ a ] ->
         let a = src_i x a and did = d.Reg.id in
         timed (fun fr ->
             fr.flts.(did) <- Int64.to_float (rd_i st fr (st.warm || fr.gwarm) a))
-    | Opcode.Cvt_if, _, _ -> live (fault "bad cvt.if")
     | (Opcode.Mov | Opcode.Sxt _), [ d ], [ a ] ->
         let did = d.Reg.id in
         if d.Reg.cls = Reg.Flt then
@@ -1422,7 +1336,6 @@ let decode_instr x (i : Instr.t) : op =
                   let v = rd_i st fr (st.warm || fr.gwarm) a in
                   let v = if sh = 0 then v else Int64.shift_right (Int64.shift_left v sh) sh in
                   wr_i fr did v st.onat)
-    | (Opcode.Mov | Opcode.Sxt _), _, _ -> live (fault "bad mov")
     | Opcode.Lea, [ d ], [ base; off ] ->
         let did = d.Reg.id in
         timed
@@ -1437,20 +1350,15 @@ let decode_instr x (i : Instr.t) : op =
                 let untimed = st.warm || fr.gwarm in
                 let vb = rd_i st fr untimed base in
                 wr_i fr did (Int64.add vb (rd_i st fr untimed off)) false)
-    | Opcode.Lea, _, _ -> live (fault "bad lea")
     | Opcode.Ld (sz, spec), [ d ], [ a ] -> timed (decode_load x sz spec d a)
-    | Opcode.Ld _, _, _ -> live (fault "bad load")
     | Opcode.St sz, _, [ a; v ] -> timed (decode_store x sz a v)
-    | Opcode.St _, _, _ -> live (fault "bad store")
     | Opcode.Chk sz, _, [ Operand.Reg r; a ] -> live (decode_check x sz r a ~alat:false)
-    | Opcode.Chk _, _, _ -> live (fault "bad chk")
     | Opcode.Chka sz, _, [ Operand.Reg r; a ] -> live (decode_check x sz r a ~alat:true)
-    | Opcode.Chka _, _, _ -> live (fault "bad chk.a")
     | Opcode.Br, _, [ Operand.Label l ] -> timed (decode_branch x i l)
-    | Opcode.Br, _, _ -> live (fault "bad br")
     | Opcode.Br_call, _, _ -> live (decode_call x i)
     | Opcode.Br_ret, _, _ -> live (decode_ret x i)
     | (Opcode.Alloc | Opcode.Nop), _, _ -> timed (fun _ -> ())
+    | _ -> live (fault (Isa.malformed i))
 
 (* Ops that may end their group's straight-line run. *)
 let transfers (i : Instr.t) =
@@ -1576,7 +1484,7 @@ let push_frame st df =
       for r = 0 to df.df_pspan - 1 do
         Array.unsafe_set fr.prds r false
       done;
-      if Hashtbl.length fr.alat > 0 then Hashtbl.reset fr.alat;
+      Isa.Alat.flush fr.alat;
       fr
     end
     else begin
@@ -1706,7 +1614,7 @@ let ck_frame_of (fr : frame) =
     kf_ireason = Array.copy fr.ireason;
     kf_fready = Array.copy fr.fready;
     kf_freason = Array.copy fr.freason;
-    kf_alat = Hashtbl.fold (fun k v acc -> (k, v) :: acc) fr.alat [];
+    kf_alat = Isa.Alat.copy fr.alat;
   }
 
 (* Capture a checkpoint; fires once, at the start of a group.  Every piece
@@ -1724,9 +1632,9 @@ let save_checkpoint st =
         ck_sb_work = st.sb_work;
         ck_sb_last_cycle = st.sb_last_cycle;
         ck_fuel = st.fuel;
-        ck_heap = st.heap;
-        ck_output = Buffer.contents st.output;
-        ck_input = Array.copy st.input;
+        ck_heap = st.rt.Intrinsics.heap;
+        ck_output = Buffer.contents st.rt.Intrinsics.output;
+        ck_input = Array.copy st.rt.Intrinsics.input;
         ck_counters = { st.c with useful_ops = st.c.useful_ops };
         ck_mem = Memimage.copy st.mem;
         ck_l1i = Cache.copy st.l1i;
@@ -1898,7 +1806,7 @@ let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
           push_call st ints;
           execute st
       | Intrinsic _ | Missing _ -> invalid_arg "Machine.run: the entry is an intrinsic"
-    with Exit_program c -> c
+    with Intrinsics.Exit_program c -> c
   in
   settle st;
   (* settle any samples still owed to the last attribution point *)
@@ -1908,7 +1816,7 @@ let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
       st.warm <- false;
       st.sample_summary <- Some (Sampling.finalize sa st.acc ~total_groups:st.c.groups)
   | None -> ());
-  (code, Buffer.contents st.output, st)
+  (code, Buffer.contents st.rt.Intrinsics.output, st)
 
 let checkpoint st = st.ck_saved
 let sample_summary st = st.sample_summary
@@ -1954,13 +1862,13 @@ let resume ?fuel ?trace ?profile ?experiments ?desc (p : Program.t)
       Array.blit kf.kf_ireason 0 fr.ireason 0 (Array.length kf.kf_ireason);
       Array.blit kf.kf_fready 0 fr.fready 0 (Array.length kf.kf_fready);
       Array.blit kf.kf_freason 0 fr.freason 0 (Array.length kf.kf_freason);
-      List.iter (fun (k, v) -> Hashtbl.replace fr.alat k v) kf.kf_alat;
+      fr.alat <- Isa.Alat.copy kf.kf_alat;
       fr.bi <- kf.kf_blk;
       fr.gi <- kf.kf_gi;
       fr.k <- kf.kf_op)
     ck.ck_frames;
   st.cur_func <- st.stack.(st.depth - 1).df.df_name;
-  let code = try execute st with Exit_program c -> c in
+  let code = try execute st with Intrinsics.Exit_program c -> c in
   settle st;
   sample_tick st;
-  (code, Buffer.contents st.output, st)
+  (code, Buffer.contents st.rt.Intrinsics.output, st)

@@ -12,11 +12,11 @@
     branch targets and call targets resolved; detailed and warm sampling
     phases run the same ops, the timing model being a layer inside them
     that only detail runs; and simulated frames live on an explicit stack,
-    which is what a checkpoint copies and {!resume} re-enters.  The
-    reference interpreter ([Epic_ir.Interp]) shares no code with it. *)
+    which is what a checkpoint copies and {!resume} re-enters.  With the
+    reference interpreter ([Epic_ir.Interp]) it shares only the
+    architectural rules of [Epic_ir.Isa] and the intrinsics. *)
 
 exception Machine_fault of string
-exception Exit_program of int
 exception Out_of_fuel
 
 (** Retired-operation and event counters (the Pfmon counter set). *)
@@ -68,9 +68,7 @@ type t = {
   program : Epic_ir.Program.t;
   layout : Epic_sched.Layout.t;
   mem : Epic_ir.Memimage.t;
-  mutable heap : int64;
-  output : Buffer.t;
-  input : int64 array;
+  rt : Epic_ir.Intrinsics.runtime;  (** heap pointer, output and input *)
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;

@@ -17,7 +17,12 @@
    A client's pending (not yet newline-terminated) bytes are capped at
    [max_line] bytes: a client that exceeds it gets one error response and
    is disconnected, so a line that never ends cannot grow the daemon
-   without bound. *)
+   without bound.
+
+   Client sockets are non-blocking.  Responses are queued per client and
+   written as its socket accepts them, so a client that pipelines
+   requests and never reads its responses stalls nobody else; while its
+   unsent output exceeds [max_unsent] bytes, its requests are not read. *)
 
 module Protocol = Epic_serve.Protocol
 module Session = Epic_serve.Session
@@ -29,9 +34,21 @@ let usage =
    its source text; the largest suite workload is a few tens of KB. *)
 let max_line = 8 * 1024 * 1024
 
-(* Per-client input state: the bytes of an incomplete line, and whether
-   the client overflowed [max_line] this round. *)
-type client = { pending : Buffer.t; mutable overflowed : bool }
+(* The unsent output past which a client's requests wait unread. *)
+let max_unsent = 1024 * 1024
+
+(* Per-client state: the bytes of an incomplete line, whether the client
+   overflowed [max_line] this round, and the response pieces not yet
+   written ([out_off] bytes of the first one are), [unsent] bytes in all.
+   A [closing] client is disconnected once its output is written. *)
+type client = {
+  pending : Buffer.t;
+  mutable overflowed : bool;
+  out : string Queue.t;
+  mutable out_off : int;
+  mutable unsent : int;
+  mutable closing : bool;
+}
 
 let () =
   let socket_path = ref "epicd.sock" in
@@ -75,31 +92,66 @@ let () =
     Hashtbl.remove clients fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
-  let write_all fd s =
-    let n = String.length s in
-    let rec go off =
-      if off >= n then true
-      else
-        match Unix.write_substring fd s off (n - off) with
-        | written -> go (off + written)
+  (* write what the client's socket accepts now *)
+  let rec flush fd c =
+    match Queue.peek_opt c.out with
+    | None -> if c.closing then close_client fd
+    | Some s -> (
+        let len = String.length s - c.out_off in
+        match Unix.single_write_substring fd s c.out_off len with
+        | w ->
+            c.unsent <- c.unsent - w;
+            if w < len then c.out_off <- c.out_off + w
+            else begin
+              ignore (Queue.pop c.out);
+              c.out_off <- 0
+            end;
+            flush fd c
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-            close_client fd;
-            false
-    in
-    go 0
+            close_client fd)
   in
-  (* one response line, written in place (no concatenated copy) *)
-  let respond fd line = if write_all fd line then ignore (write_all fd "\n") in
+  let flush_all () =
+    Hashtbl.fold (fun fd c acc -> if c.unsent > 0 || c.closing then (fd, c) :: acc else acc)
+      clients []
+    |> List.iter (fun (fd, c) -> flush fd c)
+  in
+  (* queue one response line (no concatenated copy) *)
+  let respond fd line =
+    match Hashtbl.find_opt clients fd with
+    | None -> ()
+    | Some c ->
+        Queue.push line c.out;
+        Queue.push "\n" c.out;
+        c.unsent <- c.unsent + String.length line + 1
+  in
   let chunk = Bytes.create 65536 in
   let shutting_down = ref false in
   while not !shutting_down do
-    let fds = srv :: Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [] in
-    let readable, _, _ = Unix.select fds [] [] (-1.0) in
+    let fds =
+      srv
+      :: Hashtbl.fold
+           (fun fd c acc -> if c.closing || c.unsent > max_unsent then acc else fd :: acc)
+           clients []
+    in
+    let waiting = Hashtbl.fold (fun fd c acc -> if c.unsent > 0 then fd :: acc else acc) clients [] in
+    let readable, writable, _ = Unix.select fds waiting [] (-1.0) in
+    List.iter
+      (fun fd -> Option.iter (flush fd) (Hashtbl.find_opt clients fd))
+      writable;
     (* accept new connections first so their first burst lands this loop *)
     if List.mem srv readable then begin
       let fd, _ = Unix.accept srv in
+      Unix.set_nonblock fd;
       Hashtbl.replace clients fd
-        { pending = Buffer.create 4096; overflowed = false }
+        {
+          pending = Buffer.create 4096;
+          overflowed = false;
+          out = Queue.create ();
+          out_off = 0;
+          unsent = 0;
+          closing = false;
+        }
     end;
     (* drain readable clients: only the new chunk is scanned for line ends,
        and a line is copied out once *)
@@ -146,6 +198,7 @@ let () =
                           else Buffer.add_subbytes c.pending chunk start (n - start)
                   in
                   lines 0
+              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
               | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
                   close_client fd))
       readable;
@@ -180,18 +233,35 @@ let () =
       heavy;
     Array.iteri
       (fun i (fd, r) ->
-        if Hashtbl.mem clients fd then respond fd responses.(i);
+        respond fd responses.(i);
         if Protocol.is_shutdown r then shutting_down := true)
       entries;
     (* an over-long line: its client's earlier lines were answered above;
        now one error response, then disconnect *)
-    Hashtbl.fold (fun fd c acc -> if c.overflowed then fd :: acc else acc) clients []
-    |> List.iter (fun fd ->
-           respond fd
-             (Protocol.error_response
-                (Printf.sprintf "request line exceeds %d bytes" max_line));
-           close_client fd)
+    Hashtbl.iter
+      (fun fd c ->
+        if c.overflowed && not c.closing then begin
+          respond fd
+            (Protocol.error_response
+               (Printf.sprintf "request line exceeds %d bytes" max_line));
+          c.closing <- true
+        end)
+      clients;
+    flush_all ()
   done;
+  (* queued responses, the shutdown reply among them, get a bounded last
+     chance to reach clients that read them *)
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec drain () =
+    let waiting = Hashtbl.fold (fun fd c acc -> if c.unsent > 0 then fd :: acc else acc) clients [] in
+    let left = deadline -. Unix.gettimeofday () in
+    if waiting <> [] && left > 0. then begin
+      let _, writable, _ = Unix.select [] waiting [] left in
+      List.iter (fun fd -> Option.iter (flush fd) (Hashtbl.find_opt clients fd)) writable;
+      drain ()
+    end
+  in
+  drain ();
   if not !quiet then Printf.eprintf "epicd: shutting down\n%!";
   Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) clients;
   (try Unix.close srv with Unix.Unix_error _ -> ());

@@ -187,9 +187,22 @@ let machine_legs ~fuel compiled input (code, out, (st : Epic_sim.Machine.t)) =
         then None
         else Some "checkpoint resume"
 
+(* The interpreter's fuel on the compiled IR, whose [executed] run took
+   [n] instructions: fuel [n] must finish and [n - 1] run out.  Predicated
+   ILP-CS hyperblocks put guarded branches and returns in the middle of
+   blocks, where the interpreter's per-segment charging has to stop. *)
+let fuel_boundary_holds (compiled : Driver.compiled) input n =
+  let finishes fuel =
+    match Epic_ir.Interp.run ~fuel compiled.Driver.program input with
+    | _ -> true
+    | exception Epic_ir.Interp.Out_of_fuel -> false
+  in
+  finishes n && (n = 0 || not (finishes (n - 1)))
+
 (* Check one source at every configuration, both through the interpreter
    (IR semantics after all transforms) and through the machine, then the
-   machine's sampled and checkpoint-resume legs. *)
+   interpreter's fuel boundary and the machine's sampled and
+   checkpoint-resume legs. *)
 let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
   match reference src input with
   | exception Epic_ir.Interp.Out_of_fuel -> Skipped
@@ -202,18 +215,22 @@ let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
             | exception e -> Crash { config = name; exn = Printexc.to_string e }
             | compiled -> (
                 match
-                  ( Driver.run_reference ~fuel compiled input,
+                  ( Epic_ir.Interp.run ~fuel compiled.Driver.program input,
                     Driver.run ~fuel compiled input )
                 with
                 | exception (Epic_ir.Interp.Out_of_fuel | Epic_sim.Machine.Out_of_fuel)
                   ->
                     Skipped
                 | exception e -> Crash { config = name; exn = Printexc.to_string e }
-                | (ic, io), ((mc, mo, _) as full) -> (
+                | (ic, io, ist), ((mc, mo, _) as full) -> (
                     let ir_ok = (ic, io) = expected in
                     let machine_ok = (mc, mo) = expected in
                     if not (ir_ok && machine_ok) then
                       Mismatch { config = name; ir_ok; machine_ok }
+                    else if not (fuel_boundary_holds compiled input ist.Epic_ir.Interp.executed)
+                    then
+                      Mismatch
+                        { config = name ^ ", fuel boundary"; ir_ok = false; machine_ok = true }
                     else
                       match machine_legs ~fuel compiled input full with
                       | None -> go rest

@@ -22,9 +22,11 @@ type outcome =
 val reference : ?fuel:int -> string -> int64 array -> int * string
 
 (** Compile at every configuration; compare interpreter and machine
-    behaviour against the reference.  Where both agree, two more machine
-    legs run: a sampled run at a tiny plan ([i64:d8:w8], so phases flip
-    mid-block and inside callees) must keep the exit code and output, and a
+    behaviour against the reference.  Where both agree, three more legs
+    run: the interpreter on the compiled IR must finish under exactly the
+    instruction count of its run as fuel and run out under one less; a
+    sampled machine run at a tiny plan ([i64:d8:w8], so phases flip
+    mid-block and inside callees) must keep the exit code and output; and a
     checkpoint at half the groups, resumed, must reproduce the full run's
     cycles and category totals bit for bit.  A failing leg is reported as a
     [Mismatch] whose [config] names the configuration and the leg. *)

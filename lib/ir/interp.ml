@@ -7,22 +7,23 @@
    predicated execution, NaT bits produced by control-speculative loads to
    invalid addresses, speculation checks, and compare types.
 
-   Each run first predecodes the program (DESIGN.md §10): every function
-   becomes a [dfunc] whose blocks are instruction arrays with branch targets
-   and fall-throughs resolved to block indices, calls resolved to a function
-   slot, an intrinsic or a function-pointer operand, [Sym] operands resolved
-   to addresses, and registers renumbered densely per bank, so a frame holds
-   only the registers its function mentions.  Profile counts live in int
-   arrays of the [dfunc] and are read back through the [iter_*] functions.
+   Each run first decodes the program (DESIGN.md §10).  Registers are
+   renumbered densely per bank, so a frame holds only the registers its
+   function mentions; branch targets and fall-throughs resolve to block
+   indices, calls to a function slot, an intrinsic or a function-pointer
+   operand, and [Sym] operands to addresses.  Every instruction becomes a
+   closure specialized on its operand shape, opcode, compare relation and
+   type, and guard, so executing it dispatches on nothing.  A block is an
+   array of segments, each ending at a [br], [br.call] or [br.ret] (or at
+   the block's end); a segment whose instructions the remaining fuel
+   covers is charged once.  Profile counts live in int arrays of the
+   decoded function and are read back through the [iter_*] functions.
 
-   Executing an instruction allocates nothing.  Integer registers live
-   unboxed in a [Bytes] bank, eight bytes per slot; the operand shapes
-   that dominate train runs decode to ops of their own (register-register
-   and register-immediate ALU ops, constants, register moves, loads and
-   stores through a register address, register-register compares); memory
-   is reached through [Memimage]'s bank-offset entry points; and a call
-   binds its arguments straight into the callee's bank, on a frame reused
-   from the callee's own stack of frames. *)
+   Executing an instruction allocates nothing: integer registers live
+   unboxed in a [Bytes] bank, eight bytes per slot; memory is reached
+   through [Memimage]'s bank-offset entry points; and a call binds its
+   arguments straight into the callee's bank, on a frame reused from the
+   callee's own stack of frames. *)
 
 exception Fault of string
 exception Out_of_fuel
@@ -30,89 +31,24 @@ exception Out_of_fuel
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* --- predecoded form ------------------------------------------------------ *)
+(* --- decoded form --------------------------------------------------------- *)
 
-(* A source operand.  Registers are slots of the frame's three banks:
-   integers (Int and Brr registers share it, as in the simulator), floats
-   and predicates.  Labels read as 0 and symbols as their address. *)
+(* A source operand of the shapes no closure is specialized for.  Registers
+   are slots of the frame's three banks: integers (Int and Brr registers
+   share it, as in the simulator), floats and predicates.  Labels read as 0
+   and symbols as their address. *)
 type opnd = Int of int | Flt of int | Prd of int | Imm of int64 | Fimm of float
 
-(* A destination slot; [Drop] for the hardwired r0 and p0. *)
-type dst = Dint of int | Dflt of int | Dprd of int | Drop
+(* A destination slot.  Writes to the hardwired r0 and p0 go to a sink slot
+   of their bank, which nothing reads. *)
+type dst = Dint of int | Dflt of int | Dprd of int
 
 type guard = Always | If of int (* predicate slot *) | If_opnd of opnd
 
 type callee =
   | Intrinsic of Intrinsics.kind
   | Direct of int (* function slot *)
-  | Indirect of opnd * int (* function pointer, indirect-site index *)
   | Undefined of string
-  | Bad_target
-
-type alu = Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sra
-type falu = Fadd | Fsub | Fmul | Fdiv
-
-(* The shape ops name integer slots directly: [d] is never r0 (a write to
-   r0 decodes to the generic op, which drops it). *)
-type op =
-  | Alu_rr of { aop : alu; d : int; a : int; b : int; spec : bool }
-  | Alu_ri of { aop : alu; d : int; a : int; imm : int64; spec : bool }
-  | Const of int * int64 (* mov of an immediate; lea of two *)
-  | Move of int * int (* integer register to integer register *)
-  | Ld_r of { size : int; spec : Opcode.spec_kind; d : int; a : int } (* not ld.a *)
-  | St_r of { size : int; a : int; v : int }
-  | Icmp_rr of { c : Opcode.icmp; ct : Opcode.ctype; pt : dst; pf : dst; a : int; b : int }
-  | Icmp_ri of {
-      c : Opcode.icmp;
-      ct : Opcode.ctype;
-      pt : dst;
-      pf : dst;
-      a : int;
-      imm : int64;
-    }
-  | Cmp of {
-      fcmp : bool;
-      c : Opcode.icmp;
-      ct : Opcode.ctype;
-      pt : dst;
-      pf : dst;
-      a : opnd;
-      b : opnd;
-      arity_ok : bool;
-    }
-  | Ialu of { aop : alu; d : dst; a : opnd; b : opnd; spec : bool }
-  | Falu of { fop : falu; d : dst; a : opnd; b : opnd }
-  | Fneg of dst * opnd
-  | Cvt_fi of dst * opnd
-  | Cvt_if of dst * opnd
-  | Mov of dst * opnd
-  | Sxt of int * dst * opnd (* source width in bits *)
-  | Lea of dst * opnd * opnd
-  | Ld of {
-      size : int;
-      spec : Opcode.spec_kind;
-      d : dst;
-      fdst : bool; (* float destination: memory holds IEEE-754 bits *)
-      key : int; (* ALAT key of the destination *)
-      a : opnd;
-    }
-  | St of { size : int; a : opnd; v : opnd }
-  | Chk of { size : int; r : opnd; rd : dst; fdst : bool; a : opnd }
-  | Chka of { size : int; key : int; rd : dst; fdst : bool; a : opnd }
-  | Br of { site : int; target : int; label : string }
-      (* target: block index; -1 unknown label, -2 malformed *)
-  | Call of { callee : callee; args : opnd array; dsts : dst array }
-  | Ret of opnd array
-  | Nop
-  | Bad of exn (* malformed: raised when executed *)
-
-type dinstr = { g : guard; op : op }
-
-type dblock = {
-  block : Block.t;
-  code : dinstr array;
-  fall : int; (* layout successor; -1 at the end *)
-}
 
 (* The ALAT lives in the frame: a callee starts with an empty one and the
    caller's is flushed when a call returns, which is the hardware's single
@@ -124,6 +60,30 @@ type frame = {
   fnat : bool array;
   prds : bool array;
   alat : Isa.Alat.t;
+}
+
+(* A decoded instruction: a closure over its slots and constants. *)
+type op = frame -> unit
+
+(* How a segment ends. *)
+type exit =
+  | Fall (* the end of the block: on to its layout successor *)
+  | Jump of { site : int; target : int } (* an unguarded br to a known label *)
+  | Br of { g : guard; site : int; target : int; label : string }
+      (* target: block index; -1 unknown label, -2 malformed *)
+  | Step of op (* a br.call (its guard inside); then the next segment *)
+  | Ret of { g : guard; vs : opnd array }
+
+type seg = {
+  ops : op array;
+  cost : int; (* instructions: the ops and the exit's, if any *)
+  exit : exit;
+}
+
+type dblock = {
+  block : Block.t;
+  segs : seg array;
+  fall : int; (* layout successor; -1 at the end *)
 }
 
 type dfunc = {
@@ -145,10 +105,11 @@ type dfunc = {
   mutable depth : int;
 }
 
+(* Filled in by [decode], whose closures capture the state. *)
 type code = {
-  funcs : dfunc array; (* program order *)
-  targets : callee array; (* what a call to function i's name runs *)
-  entry : callee;
+  mutable funcs : dfunc array; (* program order *)
+  mutable targets : callee array; (* what a call to function i's name runs *)
+  mutable entry : callee;
   scratch : Bytes.t;
       (* an address (offset 0) and a value (offset 8) that are not in a
          register bank; an intrinsic's arguments (one word each) and
@@ -169,242 +130,14 @@ type state = {
   code : code;
 }
 
-(* Fixed slots: r0 and sp (r12) open the integer bank, p0 the predicate
-   bank; r0 reads 0 and p0 reads true because writes to them decode to
-   [Drop]. *)
+(* Fixed slots: r0, sp (r12) and the sink of r0's writes open the integer
+   bank; p0 and the sink of p0's writes the predicate bank.  r0 reads 0
+   and p0 true because nothing writes them. *)
 let r0_slot = 0
 let sp_slot = 1
+let r0_sink = 2
 let p0_slot = 0
-
-let bank (r : Reg.t) =
-  match r.Reg.cls with Reg.Int | Reg.Brr -> 0 | Reg.Flt -> 1 | Reg.Prd -> 2
-
-let decode_func ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
-  let regs = Hashtbl.create 64 in
-  let next = [| 2; 0; 1 |] in
-  Hashtbl.add regs (0, true, Reg.r0.Reg.id) r0_slot;
-  Hashtbl.add regs (0, true, Reg.sp.Reg.id) sp_slot;
-  Hashtbl.add regs (2, true, Reg.p0.Reg.id) p0_slot;
-  let slot (r : Reg.t) =
-    let key = (bank r, r.Reg.phys, r.Reg.id) in
-    match Hashtbl.find_opt regs key with
-    | Some s -> s
-    | None ->
-        let b = bank r in
-        let s = next.(b) in
-        next.(b) <- s + 1;
-        Hashtbl.add regs key s;
-        s
-  in
-  let reg r =
-    let s = slot r in
-    match bank r with 0 -> Int s | 1 -> Flt s | _ -> Prd s
-  in
-  let dst (r : Reg.t) =
-    let s = slot r in
-    match bank r with
-    | 0 -> if r.Reg.phys && s = r0_slot then Drop else Dint s
-    | 1 -> Dflt s
-    | _ -> if r.Reg.phys && s = p0_slot then Drop else Dprd s
-  in
-  let alat_key (r : Reg.t) = Isa.Alat.key r.Reg.cls (slot r) in
-  let opnd = function
-    | Operand.Reg r -> reg r
-    | Operand.Imm i -> Imm i
-    | Operand.Fimm x -> Fimm x
-    | Operand.Label _ -> Imm 0L
-    | Operand.Sym s -> (
-        match Hashtbl.find_opt globals s with
-        | Some a -> Imm a
-        | None -> (
-            match Hashtbl.find_opt func_index s with
-            | Some i -> Imm (Int64.add Program.code_base (Int64.of_int (i * 64)))
-            | None -> raise (Invalid_argument ("Program.func_address: no function " ^ s))))
-  in
-  let blocks = Array.of_list f.Func.blocks in
-  let labels = Hashtbl.create (2 * Array.length blocks) in
-  Array.iteri
-    (fun i (b : Block.t) ->
-      if not (Hashtbl.mem labels b.Block.label) then Hashtbl.add labels b.Block.label i)
-    blocks;
-  let brs = ref [] and n_br = ref 0 in
-  let inds = ref [] and n_ind = ref 0 in
-  let site acc n (i : Instr.t) =
-    acc := i :: !acc;
-    incr n;
-    !n - 1
-  in
-  let alu (i : Instr.t) aop d a b =
-    let spec = i.Instr.attrs.Instr.speculated in
-    match (dst d, opnd a, opnd b) with
-    | Dint d, Int a, Int b -> Alu_rr { aop; d; a; b; spec }
-    | Dint d, Int a, Imm imm -> Alu_ri { aop; d; a; imm; spec }
-    | d, a, b -> Ialu { aop; d; a; b; spec }
-  in
-  let cmp ~fcmp c ct pt pf srcs =
-    match srcs with
-    | [ a; b ] -> (
-        match (fcmp, opnd a, opnd b, dst pt, dst pf) with
-        | false, Int a, Int b, pt, pf -> Icmp_rr { c; ct; pt; pf; a; b }
-        | false, Int a, Imm imm, pt, pf -> Icmp_ri { c; ct; pt; pf; a; imm }
-        | _, a, b, pt, pf -> Cmp { fcmp; c; ct; pt; pf; a; b; arity_ok = true })
-    | _ ->
-        Cmp { fcmp; c; ct; pt = dst pt; pf = dst pf; a = Imm 0L; b = Imm 0L; arity_ok = false }
-  in
-  let falu fop d a b = Falu { fop; d = dst d; a = opnd a; b = opnd b } in
-  let mov d a =
-    match (dst d, opnd a) with
-    | Dint d, Int a -> Move (d, a)
-    | Dint d, Imm v -> Const (d, v)
-    | d, a -> Mov (d, a)
-  in
-  let lea d base off =
-    match (dst d, opnd base, opnd off) with
-    | Dint d, Imm b, Imm o -> Const (d, Int64.add b o)
-    | d, base, off -> Lea (d, base, off)
-  in
-  let decode (i : Instr.t) =
-    let size sz = Opcode.size_bytes sz in
-    let fdst (r : Reg.t) = r.Reg.cls = Reg.Flt in
-    match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
-    | Opcode.Br, _, srcs ->
-        let s = site brs n_br i in
-        let target, label =
-          match srcs with
-          | [ Operand.Label l ] -> (
-              (match Hashtbl.find_opt labels l with Some t -> t | None -> -1), l)
-          | _ -> (-2, "")
-        in
-        Br { site = s; target; label }
-    | Opcode.Cmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:false c ct pt pf srcs
-    | Opcode.Fcmp (c, ct), [ pt; pf ], srcs -> cmp ~fcmp:true c ct pt pf srcs
-    | Opcode.Add, [ d ], [ a; b ] -> alu i Add d a b
-    | Opcode.Sub, [ d ], [ a; b ] -> alu i Sub d a b
-    | Opcode.Mul, [ d ], [ a; b ] -> alu i Mul d a b
-    | Opcode.Div, [ d ], [ a; b ] -> alu i Div d a b
-    | Opcode.Rem, [ d ], [ a; b ] -> alu i Rem d a b
-    | Opcode.And, [ d ], [ a; b ] -> alu i And d a b
-    | Opcode.Or, [ d ], [ a; b ] -> alu i Or d a b
-    | Opcode.Xor, [ d ], [ a; b ] -> alu i Xor d a b
-    | Opcode.Shl, [ d ], [ a; b ] -> alu i Shl d a b
-    | Opcode.Shr, [ d ], [ a; b ] -> alu i Shr d a b
-    | Opcode.Sra, [ d ], [ a; b ] -> alu i Sra d a b
-    | Opcode.Fadd, [ d ], [ a; b ] -> falu Fadd d a b
-    | Opcode.Fsub, [ d ], [ a; b ] -> falu Fsub d a b
-    | Opcode.Fmul, [ d ], [ a; b ] -> falu Fmul d a b
-    | Opcode.Fdiv, [ d ], [ a; b ] -> falu Fdiv d a b
-    | Opcode.Fneg, [ d ], [ a ] -> Fneg (dst d, opnd a)
-    | Opcode.Cvt_fi, [ d ], [ a ] -> Cvt_fi (dst d, opnd a)
-    | Opcode.Cvt_if, [ d ], [ a ] -> Cvt_if (dst d, opnd a)
-    | Opcode.Mov, [ d ], [ a ] -> mov d a
-    | Opcode.Sxt sz, [ d ], [ a ] -> Sxt (8 * size sz, dst d, opnd a)
-    | Opcode.Lea, [ d ], [ base; off ] -> lea d base off
-    | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
-        match (dst d, opnd a) with
-        | Dint di, Int a when (not (fdst d)) && spec <> Opcode.Spec_advanced ->
-            Ld_r { size = size sz; spec; d = di; a }
-        | dd, a -> Ld { size = size sz; spec; d = dd; fdst = fdst d; key = alat_key d; a })
-    | Opcode.St sz, _, [ a; v ] -> (
-        match (opnd a, opnd v) with
-        | Int a, Int v -> St_r { size = size sz; a; v }
-        | a, v -> St { size = size sz; a; v })
-    | Opcode.Chk sz, _, [ Operand.Reg r; a ] ->
-        Chk { size = size sz; r = reg r; rd = dst r; fdst = fdst r; a = opnd a }
-    | Opcode.Chka sz, _, [ Operand.Reg r; a ] ->
-        Chka { size = size sz; key = alat_key r; rd = dst r; fdst = fdst r; a = opnd a }
-    | Opcode.Br_call, ds, target :: args ->
-        let callee =
-          match target with
-          | Operand.Sym name -> resolve name
-          | Operand.Reg r -> Indirect (reg r, site inds n_ind i)
-          | _ -> Bad_target
-        in
-        Call
-          {
-            callee;
-            args = Array.of_list (List.map opnd args);
-            dsts = Array.of_list (List.map dst ds);
-          }
-    | Opcode.Br_ret, _, srcs -> Ret (Array.of_list (List.map opnd srcs))
-    | (Opcode.Alloc | Opcode.Nop), _, _ -> Nop
-    | _ -> Bad (Fault (Isa.malformed i))
-  in
-  let dinstr (i : Instr.t) =
-    let op = try decode i with Invalid_argument _ as e -> Bad e in
-    let g =
-      match (i.Instr.op, i.Instr.pred) with
-      | _, None -> Always
-      | (Opcode.Cmp _ | Opcode.Fcmp _), _ when List.length i.Instr.dsts <> 2 ->
-          Always (* the destination-arity fault ignores the guard *)
-      | _, Some p when p.Reg.cls = Reg.Prd -> If (slot p)
-      | _, Some p -> If_opnd (reg p)
-    in
-    { g; op }
-  in
-  let params = Array.of_list (List.map dst f.Func.params) in
-  let n = Array.length blocks in
-  let dblocks =
-    Array.mapi
-      (fun k (b : Block.t) ->
-        {
-          block = b;
-          code = Array.of_list (List.map dinstr b.Block.instrs);
-          fall = (if k + 1 < n then k + 1 else -1);
-        })
-      blocks
-  in
-  let br_instrs = Array.of_list (List.rev !brs) in
-  let ind_instrs = Array.of_list (List.rev !inds) in
-  {
-    func = f;
-    blocks = dblocks;
-    params;
-    n_int = next.(0);
-    n_flt = next.(1);
-    n_prd = next.(2);
-    entries = Array.make n 0;
-    br_instrs;
-    br_exec = Array.make (Array.length br_instrs) 0;
-    br_taken = Array.make (Array.length br_instrs) 0;
-    ind_instrs;
-    ind_counts = Array.init (Array.length ind_instrs) (fun _ -> Array.make nfuncs 0);
-    frames = [||];
-    depth = 0;
-  }
-
-(* Resolution follows [Program.find_func]/[find_global]: the first
-   definition of a name wins, and an intrinsic name shadows a function. *)
-let decode (p : Program.t) =
-  let globals = Hashtbl.create 64 in
-  List.iter
-    (fun (g : Program.global) ->
-      if not (Hashtbl.mem globals g.Program.gname) then
-        Hashtbl.add globals g.Program.gname g.Program.address)
-    p.Program.globals;
-  let func_index = Hashtbl.create 64 in
-  List.iteri
-    (fun i (f : Func.t) ->
-      if not (Hashtbl.mem func_index f.Func.name) then Hashtbl.add func_index f.Func.name i)
-    p.Program.funcs;
-  let nfuncs = List.length p.Program.funcs in
-  let resolve name =
-    match Intrinsics.of_name name with
-    | Some k -> Intrinsic k
-    | None -> (
-        match Hashtbl.find_opt func_index name with
-        | Some s -> Direct s
-        | None -> Undefined name)
-  in
-  let funcs =
-    Array.of_list (List.map (decode_func ~globals ~func_index ~resolve ~nfuncs) p.Program.funcs)
-  in
-  {
-    funcs;
-    targets = Array.map (fun df -> resolve df.func.Func.name) funcs;
-    entry = resolve p.Program.entry;
-    scratch = Bytes.create 24;
-    arg_nats = Array.make 3 false;
-  }
+let p0_sink = 1
 
 (* --- frames --------------------------------------------------------------- *)
 
@@ -425,7 +158,8 @@ let new_frame df =
   }
 
 (* The frame of a new invocation of [df], every register reading 0 (p0
-   true) as in a fresh one. *)
+   true) as in a fresh one.  A reused frame is cleared with plain loops:
+   [Array.fill] is a runtime call. *)
 let enter df =
   let d = df.depth in
   if d = Array.length df.frames then begin
@@ -442,14 +176,35 @@ let enter df =
   end
   else begin
     Bytes.fill fr.ints 0 (Bytes.length fr.ints) '\000';
-    Array.fill fr.inat 0 df.n_int false;
-    Array.fill fr.flts 0 df.n_flt 0.;
-    Array.fill fr.fnat 0 df.n_flt false;
-    Array.fill fr.prds 0 df.n_prd false;
+    for k = 0 to df.n_int - 1 do
+      Array.unsafe_set fr.inat k false
+    done;
+    for k = 0 to df.n_flt - 1 do
+      Array.unsafe_set fr.flts k 0.;
+      Array.unsafe_set fr.fnat k false
+    done;
+    for k = 0 to df.n_prd - 1 do
+      Array.unsafe_set fr.prds k false
+    done;
     fr.prds.(p0_slot) <- true;
     Isa.Alat.flush fr.alat;
     fr
   end
+
+(* --- registers and operands ------------------------------------------------ *)
+
+(* Integer slots.  A decoded slot always lies inside its function's banks,
+   which is what makes the unchecked accessors safe. *)
+let[@inline] nat fr k = Array.unsafe_get fr.inat k
+let[@inline] nat2 fr a b = Array.unsafe_get fr.inat a || Array.unsafe_get fr.inat b
+let[@inline] geti fr k = get64 fr.ints (k lsl 3)
+
+let[@inline] seti fr k x =
+  set64 fr.ints (k lsl 3) x;
+  Array.unsafe_set fr.inat k false
+
+(* The result is deferred: the destination becomes NaT. *)
+let[@inline] defer fr k = Array.unsafe_set fr.inat k true
 
 (* Operand reads.  A non-integer value read as an integer (or the reverse)
    converts like a register write of the other class would. *)
@@ -482,43 +237,40 @@ let pred_of fr = function
   | Imm i -> not (Int64.equal i 0L)
   | Flt _ | Fimm _ -> false
 
-(* Writes coerce to the destination's class. *)
-let[@inline] set_int fr k x =
-  set64 fr.ints (k lsl 3) x;
-  fr.inat.(k) <- false
+let[@inline] guard_ok fr = function
+  | Always -> true
+  | If p -> Array.unsafe_get fr.prds p
+  | If_opnd o -> pred_of fr o
 
+(* Writes coerce to the destination's class. *)
 let[@inline] write_int fr d x =
   match d with
-  | Dint k -> set_int fr k x
+  | Dint k -> seti fr k x
   | Dflt k ->
       fr.flts.(k) <- Int64.to_float x;
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- not (Int64.equal x 0L)
-  | Drop -> ()
 
 let[@inline] write_flt fr d f =
   match d with
-  | Dint k -> set_int fr k (Int64.of_float f)
+  | Dint k -> seti fr k (Int64.of_float f)
   | Dflt k ->
       fr.flts.(k) <- f;
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- false
-  | Drop -> ()
 
 let[@inline] write_pred fr d b =
   match d with
-  | Dint k -> set_int fr k (if b then 1L else 0L)
+  | Dint k -> seti fr k (if b then 1L else 0L)
   | Dflt k ->
       fr.flts.(k) <- (if b then 1. else 0.);
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- b
-  | Drop -> ()
 
 let write_nat fr = function
   | Dint k -> fr.inat.(k) <- true
   | Dflt k -> fr.fnat.(k) <- true
   | Dprd k -> fr.prds.(k) <- false
-  | Drop -> ()
 
 (* Write operand [a] of frame [src] to [d] of frame [dst], converting to
    the destination's class: a move, or binding an argument or a result
@@ -531,30 +283,30 @@ let transfer src a dst d =
   | Imm i -> write_int dst d i
   | Fimm f -> write_flt dst d f
 
-(* --- semantics ------------------------------------------------------------ *)
+(* --- semantics shared by the closures ------------------------------------ *)
 
-(* [alu] stores [x op y] at byte offset [o] of [bank]; the caller has
-   ruled out a zero divisor. *)
-let[@inline] alu bank o aop x y =
-  match aop with
-  | Add -> set64 bank o (Int64.add x y)
-  | Sub -> set64 bank o (Int64.sub x y)
-  | Mul -> set64 bank o (Int64.mul x y)
-  | Div -> set64 bank o (Int64.div x y)
-  | Rem -> set64 bank o (Int64.rem x y)
-  | And -> set64 bank o (Int64.logand x y)
-  | Or -> set64 bank o (Int64.logor x y)
-  | Xor -> set64 bank o (Int64.logxor x y)
-  | Shl -> set64 bank o (Int64.shift_left x (Int64.to_int y land 63))
-  | Shr -> set64 bank o (Int64.shift_right_logical x (Int64.to_int y land 63))
-  | Sra -> set64 bank o (Int64.shift_right x (Int64.to_int y land 63))
+(* [alu buf o op x y] stores [x op y] at byte offset [o] of [buf]; the
+   caller has ruled out a zero divisor. *)
+let[@inline] alu buf o (op : Opcode.t) x y =
+  match op with
+  | Opcode.Add -> set64 buf o (Int64.add x y)
+  | Opcode.Sub -> set64 buf o (Int64.sub x y)
+  | Opcode.Mul -> set64 buf o (Int64.mul x y)
+  | Opcode.Div -> set64 buf o (Int64.div x y)
+  | Opcode.Rem -> set64 buf o (Int64.rem x y)
+  | Opcode.And -> set64 buf o (Int64.logand x y)
+  | Opcode.Or -> set64 buf o (Int64.logor x y)
+  | Opcode.Xor -> set64 buf o (Int64.logxor x y)
+  | Opcode.Shl -> set64 buf o (Int64.shift_left x (Int64.to_int y land 63))
+  | Opcode.Shr -> set64 buf o (Int64.shift_right_logical x (Int64.to_int y land 63))
+  | _ -> set64 buf o (Int64.shift_right x (Int64.to_int y land 63))
 
 (* Div/Rem by zero under speculation must defer, not kill. *)
-let divide_by_zero fr d aop ~spec =
+let divide_by_zero fr d (op : Opcode.t) ~spec =
   if spec then write_nat fr d
-  else raise (Fault (if aop = Div then "division by zero" else "remainder by zero"))
+  else raise (Fault (if op = Opcode.Div then "division by zero" else "remainder by zero"))
 
-let[@inline] zero_divisor aop y = (aop = Div || aop = Rem) && Int64.equal y 0L
+let[@inline] ltu x y = Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
 
 let[@inline] icmp (c : Opcode.icmp) (x : int64) (y : int64) =
   match c with
@@ -564,8 +316,8 @@ let[@inline] icmp (c : Opcode.icmp) (x : int64) (y : int64) =
   | Opcode.Le -> x <= y
   | Opcode.Gt -> x > y
   | Opcode.Ge -> x >= y
-  | Opcode.Ltu -> Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
-  | Opcode.Geu -> Int64.sub x Int64.min_int >= Int64.sub y Int64.min_int
+  | Opcode.Ltu -> ltu x y
+  | Opcode.Geu -> not (ltu x y)
 
 let[@inline] fcmp (c : Opcode.icmp) (x : float) (y : float) =
   match c with
@@ -576,43 +328,25 @@ let[@inline] fcmp (c : Opcode.icmp) (x : float) (y : float) =
   | Opcode.Gt -> x > y
   | Opcode.Ge | Opcode.Geu -> x >= y
 
-(* Write a compare's targets.  [r] is the outcome: 1 true, 0 false, -1 a
-   NaT input; it is only read under a true guard. *)
-let[@inline] set_targets fr (ct : Opcode.ctype) pt pf guard r =
+(* Write a compare's targets under a true guard.  [r] is the outcome: 1
+   true, 0 false, -1 a NaT input. *)
+let set_targets fr (ct : Opcode.ctype) pt pf r =
   match ct with
   | Opcode.Norm ->
-      if guard then begin
-        write_pred fr pt (r = 1);
-        write_pred fr pf (r = 0)
-      end
+      write_pred fr pt (r = 1);
+      write_pred fr pf (r = 0)
   | Opcode.Unc ->
-      (* unc clears both targets even when the guard is false *)
       write_pred fr pt false;
       write_pred fr pf false;
-      if guard && r >= 0 then begin
+      if r >= 0 then begin
         write_pred fr pt (r = 1);
         write_pred fr pf (r = 0)
       end
   | Opcode.Orform ->
-      if guard && r = 1 then begin
+      if r = 1 then begin
         write_pred fr pt true;
         write_pred fr pf true
       end
-
-let compare_outcome fr ~fcmp:is_f c a b ~arity_ok =
-  if not arity_ok then raise (Fault "cmp arity");
-  if is_nat fr a || is_nat fr b then -1
-  else if
-    if is_f then fcmp c (flt_of fr a) (flt_of fr b) else icmp c (int_of fr a) (int_of fr b)
-  then 1
-  else 0
-
-let[@inline] falu fr d fop x y =
-  match fop with
-  | Fadd -> write_flt fr d (x +. y)
-  | Fsub -> write_flt fr d (x -. y)
-  | Fmul -> write_flt fr d (x *. y)
-  | Fdiv -> write_flt fr d (x /. y)
 
 (* [do_intrinsic] leaves its result, if any, at offset 0 of the scratch
    words and returns how many it has (0 or 1). *)
@@ -670,17 +404,7 @@ let store st fr ~size abank ao vbank vo =
   | Memimage.Ok -> ()
   | acc -> Option.iter (fun m -> raise (Fault m)) (Isa.access_fault Opcode.Nonspec acc (get64 abank ao))
 
-let exec_store st fr ~size a v =
-  if is_nat fr a || is_nat fr v then st.nat_faults <- st.nat_faults + 1
-  else begin
-    let scratch = st.code.scratch in
-    set64 scratch 0 (int_of fr a);
-    (match v with
-    | Flt k -> set64 scratch 8 (Int64.bits_of_float fr.flts.(k))
-    | Fimm f -> set64 scratch 8 (Int64.bits_of_float f)
-    | _ -> set64 scratch 8 (int_of fr v));
-    store st fr ~size scratch 0 scratch 8
-  end
+(* --- execution ------------------------------------------------------------ *)
 
 (* Invoke function [slot] from frame [fr] (which supplies the arguments and
    the stack pointer); returns the operands of the [ret] that ended it, to
@@ -693,204 +417,73 @@ let rec invoke st fr slot (args : opnd array) =
   for i = 0 to min (Array.length args) (Array.length df.params) - 1 do
     transfer fr args.(i) cfr df.params.(i)
   done;
-  set_int cfr sp_slot
-    (if fr.inat.(sp_slot) then 0L else get64 fr.ints (sp_slot lsl 3));
+  seti cfr sp_slot (if fr.inat.(sp_slot) then 0L else get64 fr.ints (sp_slot lsl 3));
   let vs = exec_block st df cfr 0 in
   df.depth <- df.depth - 1;
   vs
 
-and call st df fr callee args dsts =
+and call_direct st fr slot args dsts =
+  let vs = invoke st fr slot args in
+  let cdf = st.code.funcs.(slot) in
+  let cfr = cdf.frames.(cdf.depth) in
+  Isa.Alat.flush fr.alat;
+  for n = 0 to Array.length dsts - 1 do
+    if n < Array.length vs then transfer cfr vs.(n) fr dsts.(n) else write_int fr dsts.(n) 0L
+  done
+
+and call_intrinsic st fr k args dsts =
+  let n = do_intrinsic st fr k args in
+  Isa.Alat.flush fr.alat;
+  for i = 0 to Array.length dsts - 1 do
+    write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
+  done
+
+and call_to st fr callee args dsts =
   match callee with
-  | Direct slot ->
-      let vs = invoke st fr slot args in
-      let cdf = st.code.funcs.(slot) in
-      let cfr = cdf.frames.(cdf.depth) in
-      Isa.Alat.flush fr.alat;
-      for n = 0 to Array.length dsts - 1 do
-        if n < Array.length vs then transfer cfr vs.(n) fr dsts.(n)
-        else write_int fr dsts.(n) 0L
-      done
-  | Intrinsic k ->
-      let n = do_intrinsic st fr k args in
-      Isa.Alat.flush fr.alat;
-      for i = 0 to Array.length dsts - 1 do
-        write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
-      done
-  | Indirect (o, site) ->
-      if is_nat fr o then raise (Fault "indirect call through NaT");
-      let off = Int64.to_int (Int64.sub (int_of fr o) Program.code_base) in
-      let fi = off / 64 in
-      if off < 0 || off mod 64 <> 0 || fi >= Array.length st.code.funcs then
-        raise (Fault (Printf.sprintf "indirect call to 0x%Lx" (int_of fr o)));
-      if st.profiling then begin
-        let h = df.ind_counts.(site) in
-        h.(fi) <- h.(fi) + 1
-      end;
-      (match st.code.targets.(fi) with
-      | Indirect _ -> raise (Fault "bad call target")
-      | target -> call st df fr target args dsts)
+  | Direct slot -> call_direct st fr slot args dsts
+  | Intrinsic k -> call_intrinsic st fr k args dsts
   | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)
-  | Bad_target -> raise (Fault "bad call target")
 
 and exec_block st df fr bi =
   if st.profiling then df.entries.(bi) <- df.entries.(bi) + 1;
-  exec_at st df fr df.blocks.(bi) 0
+  exec_seg st df fr (Array.unsafe_get df.blocks bi) 0
 
-and exec_at st df fr b k =
-  if k = Array.length b.code then
-    if b.fall < 0 then
-      raise (Fault (df.func.Func.name ^ ": fell off the end of " ^ b.block.Block.label))
-    else exec_block st df fr b.fall
+(* Run segment [si] of block [b].  When the fuel does not cover the whole
+   segment it runs op by op, so [Out_of_fuel] fires at the instruction it
+   would have fired at one at a time. *)
+and exec_seg st df fr b si =
+  let s = Array.unsafe_get b.segs si in
+  let ops = s.ops in
+  if st.fuel >= s.cost then begin
+    st.fuel <- st.fuel - s.cost;
+    for k = 0 to Array.length ops - 1 do
+      (Array.unsafe_get ops k) fr
+    done
+  end
   else begin
-    if st.fuel <= 0 then raise Out_of_fuel;
-    st.fuel <- st.fuel - 1;
-    let i = Array.unsafe_get b.code k in
-    let guard =
-      match i.g with Always -> true | If p -> fr.prds.(p) | If_opnd o -> pred_of fr o
-    in
-    match i.op with
-    | Icmp_rr { c; ct; pt; pf; a; b = b' } ->
-        let r =
-          if fr.inat.(a) || fr.inat.(b') then -1
-          else if icmp c (get64 fr.ints (a lsl 3)) (get64 fr.ints (b' lsl 3)) then 1
-          else 0
-        in
-        set_targets fr ct pt pf guard r;
-        exec_at st df fr b (k + 1)
-    | Icmp_ri { c; ct; pt; pf; a; imm } ->
-        let r =
-          if fr.inat.(a) then -1 else if icmp c (get64 fr.ints (a lsl 3)) imm then 1 else 0
-        in
-        set_targets fr ct pt pf guard r;
-        exec_at st df fr b (k + 1)
-    | Cmp { fcmp; c; ct; pt; pf; a; b = b'; arity_ok } ->
-        let r = if guard then compare_outcome fr ~fcmp c a b' ~arity_ok else 0 in
-        set_targets fr ct pt pf guard r;
-        exec_at st df fr b (k + 1)
-    | op when not guard ->
-        (* predicate-squashed: fetched but not executed *)
-        (match op with
-        | Br { site; _ } when st.profiling -> df.br_exec.(site) <- df.br_exec.(site) + 1
-        | _ -> ());
-        exec_at st df fr b (k + 1)
-    | Alu_ri { aop; d; a; imm; spec } ->
-        (if fr.inat.(a) then fr.inat.(d) <- true
-         else if zero_divisor aop imm then divide_by_zero fr (Dint d) aop ~spec
-         else begin
-           alu fr.ints (d lsl 3) aop (get64 fr.ints (a lsl 3)) imm;
-           fr.inat.(d) <- false
-         end);
-        exec_at st df fr b (k + 1)
-    | Alu_rr { aop; d; a; b = b'; spec } ->
-        (if fr.inat.(a) || fr.inat.(b') then fr.inat.(d) <- true
-         else
-           let y = get64 fr.ints (b' lsl 3) in
-           if zero_divisor aop y then divide_by_zero fr (Dint d) aop ~spec
-           else begin
-             alu fr.ints (d lsl 3) aop (get64 fr.ints (a lsl 3)) y;
-             fr.inat.(d) <- false
-           end);
-        exec_at st df fr b (k + 1)
-    | Const (d, v) ->
-        set_int fr d v;
-        exec_at st df fr b (k + 1)
-    | Move (d, a) ->
-        set64 fr.ints (d lsl 3) (get64 fr.ints (a lsl 3));
-        fr.inat.(d) <- fr.inat.(a);
-        exec_at st df fr b (k + 1)
-    | Ld_r { size; spec; d; a } ->
-        (if fr.inat.(a) then begin
-           (* address is NaT: propagate (speculative chains) *)
-           if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
-           fr.inat.(d) <- true
-         end
-         else
-           match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
-           | Memimage.Ok -> fr.inat.(d) <- false
-           | acc ->
-               deferred_load st spec (get64 fr.ints (a lsl 3)) acc;
-               fr.inat.(d) <- true);
-        exec_at st df fr b (k + 1)
-    | St_r { size; a; v } ->
-        if fr.inat.(a) || fr.inat.(v) then st.nat_faults <- st.nat_faults + 1
-        else store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3);
-        exec_at st df fr b (k + 1)
-    | Ialu { aop; d; a; b = b'; spec } ->
-        (if is_nat fr a || is_nat fr b' then write_nat fr d
-         else
-           let y = int_of fr b' in
-           if zero_divisor aop y then divide_by_zero fr d aop ~spec
-           else
-             match d with
-             | Dint k ->
-                 alu fr.ints (k lsl 3) aop (int_of fr a) y;
-                 fr.inat.(k) <- false
-             | Drop -> ()
-             | _ ->
-                 alu st.code.scratch 0 aop (int_of fr a) y;
-                 write_int fr d (get64 st.code.scratch 0));
-        exec_at st df fr b (k + 1)
-    | Falu { fop; d; a; b = b' } ->
-        if is_nat fr a || is_nat fr b' then write_nat fr d
-        else falu fr d fop (flt_of fr a) (flt_of fr b');
-        exec_at st df fr b (k + 1)
-    | Fneg (d, a) ->
-        if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a);
-        exec_at st df fr b (k + 1)
-    | Cvt_fi (d, a) ->
-        if is_nat fr a then write_nat fr d
-        else write_int fr d (Int64.of_float (flt_of fr a));
-        exec_at st df fr b (k + 1)
-    | Cvt_if (d, a) ->
-        if is_nat fr a then write_nat fr d
-        else write_flt fr d (Int64.to_float (int_of fr a));
-        exec_at st df fr b (k + 1)
-    | Mov (d, a) ->
-        transfer fr a fr d;
-        exec_at st df fr b (k + 1)
-    | Sxt (bits, d, a) ->
-        (match a with
-        | (Int _ | Imm _) when not (is_nat fr a) ->
-            let s = 64 - bits in
-            write_int fr d (Int64.shift_right (Int64.shift_left (int_of fr a) s) s)
-        | _ -> transfer fr a fr d);
-        exec_at st df fr b (k + 1)
-    | Lea (d, base, off) ->
-        let off =
-          match off with
-          | Int x when not fr.inat.(x) -> get64 fr.ints (x lsl 3)
-          | Imm x -> x
-          | _ -> 0L
-        in
-        (match base with
-        | Int x when not fr.inat.(x) -> write_int fr d (Int64.add (get64 fr.ints (x lsl 3)) off)
-        | Imm x -> write_int fr d (Int64.add x off)
-        | _ -> raise (Fault "lea base"));
-        exec_at st df fr b (k + 1)
-    | Ld { size; spec; d; fdst; key; a } ->
-        (if is_nat fr a then begin
-           if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
-           write_nat fr d
-         end
-         else begin
-           set64 st.code.scratch 0 (int_of fr a);
-           load st fr ~size ~spec ~d ~fdst ~key
-         end);
-        exec_at st df fr b (k + 1)
-    | St { size; a; v } ->
-        exec_store st fr ~size a v;
-        exec_at st df fr b (k + 1)
-    | Chk { size; r; rd; fdst; a } ->
-        if is_nat fr r then recover st fr ~size ~rd ~fdst a;
-        exec_at st df fr b (k + 1)
-    | Chka { size; key; rd; fdst; a } ->
-        if not (Isa.Alat.mem fr.alat key) then begin
-          (* entry invalidated by an intervening store: recover *)
-          st.alat_recoveries <- st.alat_recoveries + 1;
-          recover st fr ~size ~rd ~fdst a
-        end;
-        exec_at st df fr b (k + 1)
-    | Br { site; target; label } ->
+    for k = 0 to Array.length ops - 1 do
+      if st.fuel <= 0 then raise Out_of_fuel;
+      st.fuel <- st.fuel - 1;
+      (Array.unsafe_get ops k) fr
+    done;
+    if s.cost > Array.length ops then begin
+      if st.fuel <= 0 then raise Out_of_fuel;
+      st.fuel <- st.fuel - 1
+    end
+  end;
+  match s.exit with
+  | Fall ->
+      if b.fall < 0 then
+        raise (Fault (df.func.Func.name ^ ": fell off the end of " ^ b.block.Block.label));
+      exec_block st df fr b.fall
+  | Jump { site; target } ->
+      if st.profiling then begin
+        df.br_exec.(site) <- df.br_exec.(site) + 1;
+        df.br_taken.(site) <- df.br_taken.(site) + 1
+      end;
+      exec_block st df fr target
+  | Br { g; site; target; label } ->
+      if guard_ok fr g then begin
         if target = -2 then raise (Fault "bad br");
         if st.profiling then begin
           df.br_exec.(site) <- df.br_exec.(site) + 1;
@@ -898,19 +491,582 @@ and exec_at st df fr b k =
         end;
         if target < 0 then raise (Fault ("branch to unknown label " ^ label));
         exec_block st df fr target
-    | Call { callee; args; dsts } ->
-        call st df fr callee args dsts;
-        exec_at st df fr b (k + 1)
-    | Ret vs -> vs
-    | Nop -> exec_at st df fr b (k + 1)
-    | Bad e -> raise e
+      end
+      else begin
+        (* predicate-squashed: fetched but not executed *)
+        if st.profiling then df.br_exec.(site) <- df.br_exec.(site) + 1;
+        exec_seg st df fr b (si + 1)
+      end
+  | Step op ->
+      op fr;
+      exec_seg st df fr b (si + 1)
+  | Ret { g; vs } -> if guard_ok fr g then vs else exec_seg st df fr b (si + 1)
+
+(* --- decode: instructions to closures -------------------------------------- *)
+
+(* [body] under guard [g]: a false guard squashes it (fetched, not
+   executed). *)
+let guarded g (body : op) : op =
+  match g with
+  | Always -> body
+  | If p -> fun fr -> if Array.unsafe_get fr.prds p then body fr
+  | If_opnd o -> fun fr -> if pred_of fr o then body fr
+
+let nop : op = fun _ -> ()
+let fault e : op = fun _ -> raise e
+
+(* [d := a op b] on integer slots, NaT if either source is. *)
+let alu_rr (op : Opcode.t) ~spec d a b : op =
+  let dd = Dint d in
+  match op with
+  | Opcode.Add ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.add (geti fr a) (geti fr b))
+  | Opcode.Sub ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.sub (geti fr a) (geti fr b))
+  | Opcode.Mul ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.mul (geti fr a) (geti fr b))
+  | Opcode.And ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logand (geti fr a) (geti fr b))
+  | Opcode.Or ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logor (geti fr a) (geti fr b))
+  | Opcode.Xor ->
+      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logxor (geti fr a) (geti fr b))
+  | Opcode.Shl ->
+      fun fr ->
+        if nat2 fr a b then defer fr d
+        else seti fr d (Int64.shift_left (geti fr a) (Int64.to_int (geti fr b) land 63))
+  | Opcode.Shr ->
+      fun fr ->
+        if nat2 fr a b then defer fr d
+        else seti fr d (Int64.shift_right_logical (geti fr a) (Int64.to_int (geti fr b) land 63))
+  | Opcode.Sra ->
+      fun fr ->
+        if nat2 fr a b then defer fr d
+        else seti fr d (Int64.shift_right (geti fr a) (Int64.to_int (geti fr b) land 63))
+  | Opcode.Div ->
+      fun fr ->
+        if nat2 fr a b then defer fr d
+        else if Int64.equal (geti fr b) 0L then divide_by_zero fr dd op ~spec
+        else seti fr d (Int64.div (geti fr a) (geti fr b))
+  | _ ->
+      fun fr ->
+        if nat2 fr a b then defer fr d
+        else if Int64.equal (geti fr b) 0L then divide_by_zero fr dd op ~spec
+        else seti fr d (Int64.rem (geti fr a) (geti fr b))
+
+(* [d := a op imm]; a shift amount and a zero divisor are resolved here. *)
+let alu_ri (op : Opcode.t) ~spec d a imm : op =
+  let s = Int64.to_int imm land 63 and dd = Dint d in
+  match op with
+  | Opcode.Add -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.add (geti fr a) imm)
+  | Opcode.Sub -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.sub (geti fr a) imm)
+  | Opcode.Mul -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.mul (geti fr a) imm)
+  | Opcode.And ->
+      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logand (geti fr a) imm)
+  | Opcode.Or -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logor (geti fr a) imm)
+  | Opcode.Xor ->
+      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logxor (geti fr a) imm)
+  | Opcode.Shl ->
+      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_left (geti fr a) s)
+  | Opcode.Shr ->
+      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_right_logical (geti fr a) s)
+  | Opcode.Sra ->
+      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_right (geti fr a) s)
+  | _ when Int64.equal imm 0L ->
+      fun fr -> if nat fr a then defer fr d else divide_by_zero fr dd op ~spec
+  | Opcode.Div -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.div (geti fr a) imm)
+  | _ -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.rem (geti fr a) imm)
+
+(* Any other operand shape. *)
+let alu_any (op : Opcode.t) ~spec scratch d a b : op =
+ fun fr ->
+  if is_nat fr a || is_nat fr b then write_nat fr d
+  else
+    let y = int_of fr b in
+    if (op = Opcode.Div || op = Opcode.Rem) && Int64.equal y 0L then divide_by_zero fr d op ~spec
+    else begin
+      alu scratch 0 op (int_of fr a) y;
+      write_int fr d (get64 scratch 0)
+    end
+
+let falu (op : Opcode.t) d a b : op =
+  match op with
+  | Opcode.Fadd ->
+      fun fr ->
+        if is_nat fr a || is_nat fr b then write_nat fr d
+        else write_flt fr d (flt_of fr a +. flt_of fr b)
+  | Opcode.Fsub ->
+      fun fr ->
+        if is_nat fr a || is_nat fr b then write_nat fr d
+        else write_flt fr d (flt_of fr a -. flt_of fr b)
+  | Opcode.Fmul ->
+      fun fr ->
+        if is_nat fr a || is_nat fr b then write_nat fr d
+        else write_flt fr d (flt_of fr a *. flt_of fr b)
+  | _ ->
+      fun fr ->
+        if is_nat fr a || is_nat fr b then write_nat fr d
+        else write_flt fr d (flt_of fr a /. flt_of fr b)
+
+(* Integer compares of two slots, or of a slot and an immediate, into two
+   predicate slots, as [Norm] writes them and [Unc] under a true guard:
+   [pt := r; pf := not r], both false on a NaT input. *)
+let[@inline] set_pair fr pt pf r =
+  Array.unsafe_set fr.prds pt r;
+  Array.unsafe_set fr.prds pf (not r)
+
+let[@inline] clear_pair fr pt pf =
+  Array.unsafe_set fr.prds pt false;
+  Array.unsafe_set fr.prds pf false
+
+let icmp_rr (c : Opcode.icmp) pt pf a b : op =
+  match c with
+  | Opcode.Eq ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf
+        else set_pair fr pt pf (Int64.equal (geti fr a) (geti fr b))
+  | Opcode.Ne ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf
+        else set_pair fr pt pf (not (Int64.equal (geti fr a) (geti fr b)))
+  | Opcode.Lt ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a < geti fr b)
+  | Opcode.Le ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a <= geti fr b)
+  | Opcode.Gt ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a > geti fr b)
+  | Opcode.Ge ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a >= geti fr b)
+  | Opcode.Ltu ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (ltu (geti fr a) (geti fr b))
+  | Opcode.Geu ->
+      fun fr ->
+        if nat2 fr a b then clear_pair fr pt pf
+        else set_pair fr pt pf (not (ltu (geti fr a) (geti fr b)))
+
+let icmp_ri (c : Opcode.icmp) pt pf a v : op =
+  match c with
+  | Opcode.Eq ->
+      fun fr ->
+        if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (Int64.equal (geti fr a) v)
+  | Opcode.Ne ->
+      fun fr ->
+        if nat fr a then clear_pair fr pt pf
+        else set_pair fr pt pf (not (Int64.equal (geti fr a) v))
+  | Opcode.Lt ->
+      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a < v)
+  | Opcode.Le ->
+      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a <= v)
+  | Opcode.Gt ->
+      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a > v)
+  | Opcode.Ge ->
+      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a >= v)
+  | Opcode.Ltu ->
+      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (ltu (geti fr a) v)
+  | Opcode.Geu ->
+      fun fr ->
+        if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (not (ltu (geti fr a) v))
+
+(* Any other compare: floats, other operand shapes, non-predicate targets,
+   or-form. *)
+let cmp_any ~fcmp:is_f c ct pt pf a b : op =
+  if is_f then fun fr ->
+    let r =
+      if is_nat fr a || is_nat fr b then -1 else if fcmp c (flt_of fr a) (flt_of fr b) then 1 else 0
+    in
+    set_targets fr ct pt pf r
+  else fun fr ->
+    let r =
+      if is_nat fr a || is_nat fr b then -1 else if icmp c (int_of fr a) (int_of fr b) then 1 else 0
+    in
+    set_targets fr ct pt pf r
+
+(* A compare under guard [g]: a false guard squashes it, except that unc
+   clears both targets. *)
+let cmp_guarded g (ct : Opcode.ctype) pt pf (body : op) : op =
+  match (g, ct) with
+  | If p, Opcode.Unc ->
+      fun fr ->
+        if Array.unsafe_get fr.prds p then body fr
+        else begin
+          write_pred fr pt false;
+          write_pred fr pf false
+        end
+  | If_opnd o, Opcode.Unc ->
+      fun fr ->
+        if pred_of fr o then body fr
+        else begin
+          write_pred fr pt false;
+          write_pred fr pf false
+        end
+  | _ -> guarded g body
+
+let ld_r st ~size ~spec d a : op =
+  let nonspec = spec = Opcode.Nonspec in
+  fun fr ->
+    if nat fr a then begin
+      (* address is NaT: propagate (speculative chains) *)
+      if nonspec then st.nat_faults <- st.nat_faults + 1;
+      defer fr d
+    end
+    else
+      match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
+      | Memimage.Ok -> Array.unsafe_set fr.inat d false
+      | acc ->
+          deferred_load st spec (geti fr a) acc;
+          defer fr d
+
+let ld_any st ~size ~spec ~d ~fdst ~key a : op =
+ fun fr ->
+  if is_nat fr a then begin
+    if spec = Opcode.Nonspec then st.nat_faults <- st.nat_faults + 1;
+    write_nat fr d
   end
+  else begin
+    set64 st.code.scratch 0 (int_of fr a);
+    load st fr ~size ~spec ~d ~fdst ~key
+  end
+
+let st_r st ~size a v : op =
+ fun fr ->
+  if nat2 fr a v then st.nat_faults <- st.nat_faults + 1
+  else store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3)
+
+let st_any st ~size a v : op =
+ fun fr ->
+  if is_nat fr a || is_nat fr v then st.nat_faults <- st.nat_faults + 1
+  else begin
+    let scratch = st.code.scratch in
+    set64 scratch 0 (int_of fr a);
+    (match v with
+    | Flt k -> set64 scratch 8 (Int64.bits_of_float fr.flts.(k))
+    | Fimm f -> set64 scratch 8 (Int64.bits_of_float f)
+    | _ -> set64 scratch 8 (int_of fr v));
+    store st fr ~size scratch 0 scratch 8
+  end
+
+let const d v : op = fun fr -> seti fr d v
+
+(* --- decode: functions and programs ---------------------------------------- *)
+
+let bank (r : Reg.t) =
+  match r.Reg.cls with Reg.Int | Reg.Brr -> 0 | Reg.Flt -> 1 | Reg.Prd -> 2
+
+let transfers (i : Instr.t) =
+  match i.Instr.op with Opcode.Br | Opcode.Br_call | Opcode.Br_ret -> true | _ -> false
+
+let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
+  let regs = Hashtbl.create 64 in
+  let next = [| 3; 0; 2 |] in
+  Hashtbl.add regs (0, true, Reg.r0.Reg.id) r0_slot;
+  Hashtbl.add regs (0, true, Reg.sp.Reg.id) sp_slot;
+  Hashtbl.add regs (2, true, Reg.p0.Reg.id) p0_slot;
+  let slot (r : Reg.t) =
+    let key = (bank r, r.Reg.phys, r.Reg.id) in
+    match Hashtbl.find_opt regs key with
+    | Some s -> s
+    | None ->
+        let b = bank r in
+        let s = next.(b) in
+        next.(b) <- s + 1;
+        Hashtbl.add regs key s;
+        s
+  in
+  let reg r =
+    let s = slot r in
+    match bank r with 0 -> Int s | 1 -> Flt s | _ -> Prd s
+  in
+  let dst (r : Reg.t) =
+    let s = slot r in
+    match bank r with
+    | 0 -> Dint (if r.Reg.phys && s = r0_slot then r0_sink else s)
+    | 1 -> Dflt s
+    | _ -> Dprd (if r.Reg.phys && s = p0_slot then p0_sink else s)
+  in
+  let alat_key (r : Reg.t) = Isa.Alat.key r.Reg.cls (slot r) in
+  let opnd = function
+    | Operand.Reg r -> reg r
+    | Operand.Imm i -> Imm i
+    | Operand.Fimm x -> Fimm x
+    | Operand.Label _ -> Imm 0L
+    | Operand.Sym s -> (
+        match Hashtbl.find_opt globals s with
+        | Some a -> Imm a
+        | None -> (
+            match Hashtbl.find_opt func_index s with
+            | Some i -> Imm (Int64.add Program.code_base (Int64.of_int (i * 64)))
+            | None -> raise (Invalid_argument ("Program.func_address: no function " ^ s))))
+  in
+  let blocks = Array.of_list f.Func.blocks in
+  let labels = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri
+    (fun i (b : Block.t) ->
+      if not (Hashtbl.mem labels b.Block.label) then Hashtbl.add labels b.Block.label i)
+    blocks;
+  let brs = ref [] and n_br = ref 0 in
+  let inds = ref [] in
+  let alu (i : Instr.t) op d a b =
+    let spec = i.Instr.attrs.Instr.speculated in
+    match (dst d, opnd a, opnd b) with
+    | Dint d, Int a, Int b -> alu_rr op ~spec d a b
+    | Dint d, Int a, Imm imm -> alu_ri op ~spec d a imm
+    | d, a, b -> alu_any op ~spec st.code.scratch d a b
+  in
+  let cmp ~fcmp g c ct pt pf srcs =
+    let body =
+      match srcs with
+      | [ a; b ] -> (
+          match (fcmp, ct, opnd a, opnd b, dst pt, dst pf) with
+          | false, (Opcode.Norm | Opcode.Unc), Int a, Int b, Dprd pt, Dprd pf ->
+              icmp_rr c pt pf a b
+          | false, (Opcode.Norm | Opcode.Unc), Int a, Imm v, Dprd pt, Dprd pf ->
+              icmp_ri c pt pf a v
+          | _, _, a, b, pt, pf -> cmp_any ~fcmp c ct pt pf a b)
+      | _ -> fault (Fault "cmp arity")
+    in
+    cmp_guarded g ct (dst pt) (dst pf) body
+  in
+  let mov d a : op =
+    match (dst d, opnd a) with
+    | Dint d, Int a ->
+        fun fr ->
+          set64 fr.ints (d lsl 3) (geti fr a);
+          Array.unsafe_set fr.inat d (nat fr a)
+    | Dint d, Imm v -> const d v
+    | d, a -> fun fr -> transfer fr a fr d
+  in
+  (* sign extension from [bits]; any other source class moves unchanged *)
+  let sxt bits d a : op =
+    let s = 64 - bits in
+    match (dst d, opnd a) with
+    | Dint d, Int a ->
+        fun fr ->
+          if nat fr a then defer fr d
+          else seti fr d (Int64.shift_right (Int64.shift_left (geti fr a) s) s)
+    | d, Imm v ->
+        let v = Int64.shift_right (Int64.shift_left v s) s in
+        fun fr -> write_int fr d v
+    | d, Int a ->
+        fun fr ->
+          if nat fr a then write_nat fr d
+          else write_int fr d (Int64.shift_right (Int64.shift_left (geti fr a) s) s)
+    | d, a -> fun fr -> transfer fr a fr d
+  in
+  let lea d base off : op =
+    match (dst d, opnd base, opnd off) with
+    | Dint d, Imm b, Imm o -> const d (Int64.add b o)
+    | Dint d, Int b, Imm o ->
+        fun fr -> if nat fr b then raise (Fault "lea base") else seti fr d (Int64.add (geti fr b) o)
+    | d, base, off -> (
+        fun fr ->
+          let off =
+            match off with
+            | Int x when not fr.inat.(x) -> get64 fr.ints (x lsl 3)
+            | Imm x -> x
+            | _ -> 0L
+          in
+          match base with
+          | Int x when not fr.inat.(x) -> write_int fr d (Int64.add (get64 fr.ints (x lsl 3)) off)
+          | Imm x -> write_int fr d (Int64.add x off)
+          | _ -> raise (Fault "lea base"))
+  in
+  (* br.call: a direct or intrinsic target is resolved here, a function
+     pointer when the call runs *)
+  let call (i : Instr.t) target args : op =
+    let indirect =
+      match target with
+      | Operand.Reg r ->
+          let h = Array.make nfuncs 0 in
+          inds := (i, h) :: !inds;
+          Some (reg r, h)
+      | _ -> None
+    in
+    let args = Array.of_list (List.map opnd args) in
+    let dsts = Array.of_list (List.map dst i.Instr.dsts) in
+    match (target, indirect) with
+    | Operand.Sym name, _ -> (
+        match resolve name with
+        | Direct slot -> fun fr -> call_direct st fr slot args dsts
+        | Intrinsic k -> fun fr -> call_intrinsic st fr k args dsts
+        | Undefined name -> fault (Invalid_argument ("Program.find_func: no function " ^ name)))
+    | _, Some (o, h) ->
+        fun fr ->
+          if is_nat fr o then raise (Fault "indirect call through NaT");
+          let off = Int64.to_int (Int64.sub (int_of fr o) Program.code_base) in
+          let fi = off / 64 in
+          if off < 0 || off mod 64 <> 0 || fi >= Array.length st.code.funcs then
+            raise (Fault (Printf.sprintf "indirect call to 0x%Lx" (int_of fr o)));
+          if st.profiling then h.(fi) <- h.(fi) + 1;
+          call_to st fr st.code.targets.(fi) args dsts
+    | _ -> fault (Fault "bad call target")
+  in
+  let body (i : Instr.t) : op =
+    let size sz = Opcode.size_bytes sz in
+    let fdst (r : Reg.t) = r.Reg.cls = Reg.Flt in
+    match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
+    | ( (( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.And
+         | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr | Opcode.Sra ) as op),
+        [ d ],
+        [ a; b ] ) ->
+        alu i op d a b
+    | ((Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv) as op), [ d ], [ a; b ] ->
+        falu op (dst d) (opnd a) (opnd b)
+    | Opcode.Fneg, [ d ], [ a ] ->
+        let d = dst d and a = opnd a in
+        fun fr -> if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a)
+    | Opcode.Cvt_fi, [ d ], [ a ] ->
+        let d = dst d and a = opnd a in
+        fun fr ->
+          if is_nat fr a then write_nat fr d else write_int fr d (Int64.of_float (flt_of fr a))
+    | Opcode.Cvt_if, [ d ], [ a ] ->
+        let d = dst d and a = opnd a in
+        fun fr ->
+          if is_nat fr a then write_nat fr d else write_flt fr d (Int64.to_float (int_of fr a))
+    | Opcode.Mov, [ d ], [ a ] -> mov d a
+    | Opcode.Sxt sz, [ d ], [ a ] -> sxt (8 * size sz) d a
+    | Opcode.Lea, [ d ], [ base; off ] -> lea d base off
+    | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
+        match (dst d, opnd a) with
+        | Dint di, Int a when spec <> Opcode.Spec_advanced -> ld_r st ~size:(size sz) ~spec di a
+        | dd, a -> ld_any st ~size:(size sz) ~spec ~d:dd ~fdst:(fdst d) ~key:(alat_key d) a)
+    | Opcode.St sz, _, [ a; v ] -> (
+        match (opnd a, opnd v) with
+        | Int a, Int v -> st_r st ~size:(size sz) a v
+        | a, v -> st_any st ~size:(size sz) a v)
+    | Opcode.Chk sz, _, [ Operand.Reg r; a ] ->
+        let size = size sz and ro = reg r and rd = dst r and fdst = fdst r and a = opnd a in
+        fun fr -> if is_nat fr ro then recover st fr ~size ~rd ~fdst a
+    | Opcode.Chka sz, _, [ Operand.Reg r; a ] ->
+        let size = size sz and key = alat_key r and rd = dst r and fdst = fdst r and a = opnd a in
+        fun fr ->
+          if not (Isa.Alat.mem fr.alat key) then begin
+            (* entry invalidated by an intervening store: recover *)
+            st.alat_recoveries <- st.alat_recoveries + 1;
+            recover st fr ~size ~rd ~fdst a
+          end
+    | (Opcode.Alloc | Opcode.Nop), _, _ -> nop
+    | _ -> fault (Fault (Isa.malformed i))
+  in
+  let guard (i : Instr.t) =
+    match (i.Instr.op, i.Instr.pred) with
+    | _, None -> Always
+    | (Opcode.Cmp _ | Opcode.Fcmp _), _ when List.length i.Instr.dsts <> 2 ->
+        Always (* the destination-arity fault ignores the guard *)
+    | _, Some p when p.Reg.cls = Reg.Prd -> If (slot p)
+    | _, Some p -> If_opnd (reg p)
+  in
+  (* A symbol that does not resolve raises when its instruction runs. *)
+  let op g (i : Instr.t) : op =
+    try
+      match (i.Instr.op, i.Instr.dsts) with
+      | Opcode.Cmp (c, ct), [ pt; pf ] -> cmp ~fcmp:false g c ct pt pf i.Instr.srcs
+      | Opcode.Fcmp (c, ct), [ pt; pf ] -> cmp ~fcmp:true g c ct pt pf i.Instr.srcs
+      | _ -> guarded g (body i)
+    with Invalid_argument _ as e -> guarded g (fault e)
+  in
+  let exit g (i : Instr.t) =
+    match (i.Instr.op, i.Instr.srcs) with
+    | Opcode.Br, srcs -> (
+        brs := i :: !brs;
+        let site = !n_br in
+        incr n_br;
+        match srcs with
+        | [ Operand.Label l ] -> (
+            match (Hashtbl.find_opt labels l, g) with
+            | Some target, Always -> Jump { site; target }
+            | t, g -> Br { g; site; target = Option.value t ~default:(-1); label = l })
+        | _ -> Br { g; site; target = -2; label = "" })
+    | Opcode.Br_call, target :: args -> (
+        try Step (guarded g (call i target args))
+        with Invalid_argument _ as e -> Step (guarded g (fault e)))
+    | Opcode.Br_ret, srcs -> (
+        try Ret { g; vs = Array.of_list (List.map opnd srcs) }
+        with Invalid_argument _ as e -> Step (guarded g (fault e)))
+    | _ -> Step (guarded g (fault (Fault (Isa.malformed i))))
+  in
+  let decode_block (b : Block.t) =
+    let segs = ref [] and ops = ref [] in
+    let finish exit =
+      let ops' = Array.of_list (List.rev !ops) in
+      let cost = Array.length ops' + match exit with Fall -> 0 | _ -> 1 in
+      segs := { ops = ops'; cost; exit } :: !segs;
+      ops := []
+    in
+    List.iter
+      (fun i ->
+        let g = guard i in
+        if transfers i then finish (exit g i) else ops := op g i :: !ops)
+      b.Block.instrs;
+    finish Fall;
+    Array.of_list (List.rev !segs)
+  in
+  let params = Array.of_list (List.map dst f.Func.params) in
+  let n = Array.length blocks in
+  let dblocks =
+    Array.mapi
+      (fun k (b : Block.t) ->
+        { block = b; segs = decode_block b; fall = (if k + 1 < n then k + 1 else -1) })
+      blocks
+  in
+  let br_instrs = Array.of_list (List.rev !brs) in
+  let inds = List.rev !inds in
+  {
+    func = f;
+    blocks = dblocks;
+    params;
+    n_int = next.(0);
+    n_flt = next.(1);
+    n_prd = next.(2);
+    entries = Array.make n 0;
+    br_instrs;
+    br_exec = Array.make (Array.length br_instrs) 0;
+    br_taken = Array.make (Array.length br_instrs) 0;
+    ind_instrs = Array.of_list (List.map fst inds);
+    ind_counts = Array.of_list (List.map snd inds);
+    frames = [||];
+    depth = 0;
+  }
+
+(* Resolution follows [Program.find_func]/[find_global]: the first
+   definition of a name wins, and an intrinsic name shadows a function. *)
+let decode st (p : Program.t) =
+  let globals = Hashtbl.create 64 in
+  List.iter
+    (fun (g : Program.global) ->
+      if not (Hashtbl.mem globals g.Program.gname) then
+        Hashtbl.add globals g.Program.gname g.Program.address)
+    p.Program.globals;
+  let func_index = Hashtbl.create 64 in
+  List.iteri
+    (fun i (f : Func.t) ->
+      if not (Hashtbl.mem func_index f.Func.name) then Hashtbl.add func_index f.Func.name i)
+    p.Program.funcs;
+  let nfuncs = List.length p.Program.funcs in
+  let resolve name =
+    match Intrinsics.of_name name with
+    | Some k -> Intrinsic k
+    | None -> (
+        match Hashtbl.find_opt func_index name with
+        | Some s -> Direct s
+        | None -> Undefined name)
+  in
+  let funcs =
+    Array.of_list (List.map (decode_func st ~globals ~func_index ~resolve ~nfuncs) p.Program.funcs)
+  in
+  st.code.funcs <- funcs;
+  st.code.targets <- Array.map (fun df -> resolve df.func.Func.name) funcs;
+  st.code.entry <- resolve p.Program.entry
 
 (* The entry function's exit code: its first returned value when that is
    a non-NaT integer, else 0. *)
 let run_entry st =
   let boot = { no_frame with ints = Bytes.make 16 '\000'; inat = [| false; false |] } in
-  set_int boot sp_slot (Int64.sub Program.stack_top 128L);
+  seti boot sp_slot (Int64.sub Program.stack_top 128L);
   match st.code.entry with
   | Direct slot -> (
       let vs = invoke st boot slot [||] in
@@ -925,7 +1081,6 @@ let run_entry st =
   | Intrinsic k ->
       if do_intrinsic st boot k [||] = 0 then 0 else Int64.to_int (get64 st.code.scratch 0)
   | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)
-  | Indirect _ | Bad_target -> raise (Fault "bad call target")
 
 (* Run the whole program; returns (exit code, output, final state). *)
 let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 array) =
@@ -943,9 +1098,17 @@ let run ?(profile = false) ?(fuel = 400_000_000) (p : Program.t) (input : int64 
       wild_loads = 0;
       alat_recoveries = 0;
       profiling = profile;
-      code = decode p;
+      code =
+        {
+          funcs = [||];
+          targets = [||];
+          entry = Undefined p.Program.entry;
+          scratch = Bytes.create 24;
+          arg_nats = Array.make 3 false;
+        };
     }
   in
+  decode st p;
   let code = try run_entry st with Intrinsics.Exit_program c -> c in
   st.executed <- fuel - st.fuel;
   Array.iter (fun df -> df.frames <- [||]) st.code.funcs;

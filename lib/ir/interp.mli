@@ -7,11 +7,15 @@
 
     It is the semantic oracle for differential testing and, with
     [~profile:true], the engine behind control-flow profiling.  Each run
-    predecodes the program once (DESIGN.md §10): blocks become instruction
-    arrays with branch targets resolved to block indices, calls and symbols
-    are resolved up front, and each function's registers are renumbered
-    densely, so a call frame holds only the registers its function
-    mentions.  A profiled run counts block entries, branch executions and
+    decodes the program once (DESIGN.md §10): each function's registers
+    are renumbered densely, so a call frame holds only the registers its
+    function mentions; branch targets, calls and symbols are resolved up
+    front; and every instruction becomes a closure specialized on its
+    operand shape, opcode, compare relation and type, and guard.  A block
+    is an array of segments, each ending at a [br], [br.call] or [br.ret];
+    a segment the remaining fuel covers is charged once, otherwise it runs
+    instruction by instruction, so [Out_of_fuel] and [executed] are exact.
+    A profiled run counts block entries, branch executions and
     indirect-call targets in dense int arrays, read back with the [iter_*]
     functions below. *)
 

@@ -79,6 +79,7 @@ type frame = {
   ints : Bytes.t;
   nat : bool array;
   flts : float array;
+  fnat : bool array; (* a float register's NaT bit *)
   prds : bool array;
   iready : int array; (* global cycle at which the register's value is ready *)
   ireason : reason array;
@@ -160,6 +161,7 @@ and ck_frame = {
   kf_ints : Bytes.t;
   kf_nat : bool array;
   kf_flts : float array;
+  kf_fnat : bool array;
   kf_prds : bool array;
   kf_iready : int array;
   kf_ireason : reason array;
@@ -307,6 +309,7 @@ let fresh_frame df =
     ints = Bytes.make (Reg.num_int * 8) '\000';
     nat = Array.make Reg.num_int false;
     flts = Array.make Reg.num_flt 0.;
+    fnat = Array.make Reg.num_flt false;
     prds = Array.make Reg.num_prd false;
     iready = Array.make Reg.num_int 0;
     ireason = Array.make Reg.num_int Rload;
@@ -710,11 +713,11 @@ let[@inline] rd_i st fr untimed s =
       get64 fr.ints (id lsl 3)
   | Rf id ->
       if not untimed then stall_f st fr id;
-      st.onat <- false;
+      st.onat <- Array.unsafe_get fr.fnat id;
       Int64.of_float (Array.unsafe_get fr.flts id)
   | Rb id ->
       if not untimed then stall_f st fr id;
-      st.onat <- false;
+      st.onat <- Array.unsafe_get fr.fnat id;
       Int64.bits_of_float (Array.unsafe_get fr.flts id)
   | Rp id ->
       if not untimed then stall_i st fr id;
@@ -736,7 +739,7 @@ let[@inline] rd_f st fr untimed s =
   match s with
   | Rf id ->
       if not untimed then stall_f st fr id;
-      st.onat <- false;
+      st.onat <- Array.unsafe_get fr.fnat id;
       Array.unsafe_get fr.flts id
   | Ri id ->
       if not untimed then stall_i st fr id;
@@ -755,6 +758,12 @@ let[@inline] wr_i fr id v n =
     Array.unsafe_set fr.nat id n
   end
 
+(* A float register write and its NaT bit (checked: a float op's
+   destination need not be a float register). *)
+let[@inline] wr_f fr id v n =
+  fr.flts.(id) <- v;
+  fr.fnat.(id) <- n
+
 let wr_p fr id v = if id <> 0 then fr.prds.(id) <- v
 
 (* Bind [vals] transferred values ([xv]/[xn]) to registers encoded as in
@@ -765,8 +774,12 @@ let bind_regs st fr (regs : int array) ~pad =
   for j = 0 to n - 1 do
     let r = regs.(j) in
     let v = if j < st.xc then get64 st.xv (j lsl 3) else 0L in
-    if r < 0 then fr.flts.(-1 - r) <- Int64.float_of_bits v
-    else wr_i fr r v (j < st.xc && st.xn.(j))
+    let n = j < st.xc && st.xn.(j) in
+    if r < 0 then begin
+      fr.flts.(-1 - r) <- Int64.float_of_bits v;
+      fr.fnat.(-1 - r) <- n
+    end
+    else wr_i fr r v n
   done
 
 (* Grow the transfer buffer to [n] values at decode.  Decoding happens on
@@ -1106,15 +1119,16 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
     if na then begin
       (* NaT address: propagate deferral *)
       if nonspec then st.c.nat_consumed <- st.c.nat_consumed + 1;
-      wr_i fr did 0L true
+      if is_float then wr_f fr did 0. true else wr_i fr did 0L true
     end
-    else if not (translate st addr spec) then wr_i fr did 0L true
+    else if not (translate st addr spec) then
+      if is_float then wr_f fr did 0. true else wr_i fr did 0L true
     else begin
       if adv then Isa.Alat.insert fr.alat key (Int64.to_int addr) bytes;
       let extra = dcache st ~untimed addr ~is_float in
       if is_float then begin
         Memimage.read_into st.mem addr bytes st.scratch 0;
-        Array.unsafe_set fr.flts did (Int64.float_of_bits (get64 st.scratch 0));
+        wr_f fr did (Int64.float_of_bits (get64 st.scratch 0)) false;
         if extra > 0 then mark_ready st fr dcode extra Rfload
       end
       else begin
@@ -1161,7 +1175,9 @@ let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
   let bytes = Opcode.size_bytes sz in
   fun fr ->
     if not st.warm then if rflt then stall_f st fr rid else stall_i st fr rid;
-    let deferred = if alat then not (Isa.Alat.mem fr.alat key) else (not rflt) && fr.nat.(rid) in
+    let deferred =
+      if alat then not (Isa.Alat.mem fr.alat key) else if rflt then fr.fnat.(rid) else fr.nat.(rid)
+    in
     if deferred then begin
       st.c.chk_recoveries <- st.c.chk_recoveries + 1;
       charge st Accounting.Misc st.desc.Machine_desc.chk_recovery_penalty;
@@ -1173,13 +1189,12 @@ let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
           (* the timing of the non-speculative access, which cannot fault now *)
           ignore (translate st addr Opcode.Nonspec);
           let extra = dcache st ~untimed:st.warm addr ~is_float:rflt in
-          if rflt then fr.flts.(rid) <- Int64.float_of_bits (get64 st.scratch 0)
+          if rflt then wr_f fr rid (Int64.float_of_bits (get64 st.scratch 0)) false
           else wr_i fr rid (get64 st.scratch 0) false;
           if extra > 0 then mark_ready st fr rcode extra Rload
       | Isa.Nat_address ->
-          (* float registers carry no NaT bit here *)
           st.c.nat_consumed <- st.c.nat_consumed + 1;
-          if not rflt then wr_i fr rid 0L true
+          if rflt then wr_f fr rid 0. true else wr_i fr rid 0L true
       | Isa.Recovery_fault m -> raise (Machine_fault m)
     end
 
@@ -1218,6 +1233,16 @@ let decode_call x (i : Instr.t) : op =
   match i.Instr.srcs with
   | [] -> fault (Isa.malformed i)
   | target :: args ->
+      (* an intrinsic takes integers: a float argument converts, as an
+         integer-context read does, where a function receives its bits *)
+      let converted =
+        let is_float = function
+          | Operand.Reg r -> r.Reg.cls = Reg.Flt
+          | Operand.Fimm _ -> true
+          | _ -> false
+        in
+        if List.exists is_float args then Some (Array.of_list (List.map (src_i x) args)) else None
+      in
       let args = Array.of_list (List.map (src_v x) args) in
       ensure_transfer x.x_st (Array.length args);
       let binds = Array.of_list (List.map reg_code i.Instr.dsts) in
@@ -1250,7 +1275,9 @@ let decode_call x (i : Instr.t) : op =
         | Fn slot ->
             st.callee <- slot;
             st.ctl <- ctl_call
-        | Intrinsic (k, pseudo) -> do_intrinsic st fr k pseudo binds
+        | Intrinsic (k, pseudo) ->
+            Option.iter (transfer st fr true) converted;
+            do_intrinsic st fr k pseudo binds
         | Missing name -> ignore (Program.find_func_exn st.program name)
 
 let decode_ret x (i : Instr.t) : op =
@@ -1290,14 +1317,17 @@ let decode_instr x (i : Instr.t) : op =
         timed (fun fr ->
             let untimed = st.warm || fr.gwarm in
             let va = rd_f st fr untimed a in
+            let na = st.onat in
             let vb = rd_f st fr untimed b in
-            fr.flts.(did) <-
-              (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb);
+            wr_f fr did
+              (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb)
+              (na || st.onat);
             if slow && not untimed then mark_ready st fr dcode 8 Rfload)
     | Opcode.Fneg, [ d ], [ a ] ->
         let a = src_f a and did = d.Reg.id in
         timed (fun fr ->
-            fr.flts.(did) <- -.rd_f st fr (st.warm || fr.gwarm) a)
+            let v = rd_f st fr (st.warm || fr.gwarm) a in
+            wr_f fr did (-.v) st.onat)
     | Opcode.Cvt_fi, [ d ], [ a ] ->
         let a = src_f a and did = d.Reg.id in
         timed (fun fr ->
@@ -1306,13 +1336,15 @@ let decode_instr x (i : Instr.t) : op =
     | Opcode.Cvt_if, [ d ], [ a ] ->
         let a = src_i x a and did = d.Reg.id in
         timed (fun fr ->
-            fr.flts.(did) <- Int64.to_float (rd_i st fr (st.warm || fr.gwarm) a))
+            let v = rd_i st fr (st.warm || fr.gwarm) a in
+            wr_f fr did (Int64.to_float v) st.onat)
     | (Opcode.Mov | Opcode.Sxt _), [ d ], [ a ] ->
         let did = d.Reg.id in
         if d.Reg.cls = Reg.Flt then
           let a = src_f a in
           timed (fun fr ->
-              fr.flts.(did) <- rd_f st fr (st.warm || fr.gwarm) a)
+              let v = rd_f st fr (st.warm || fr.gwarm) a in
+              wr_f fr did v st.onat)
         else
           let sh =
             match i.Instr.op with
@@ -1479,6 +1511,7 @@ let push_frame st df =
       done;
       for r = 0 to df.df_fspan - 1 do
         Array.unsafe_set fr.flts r 0.;
+        Array.unsafe_set fr.fnat r false;
         Array.unsafe_set fr.fready r 0
       done;
       for r = 0 to df.df_pspan - 1 do
@@ -1609,6 +1642,7 @@ let ck_frame_of (fr : frame) =
     kf_ints = Bytes.copy fr.ints;
     kf_nat = Array.copy fr.nat;
     kf_flts = Array.copy fr.flts;
+    kf_fnat = Array.copy fr.fnat;
     kf_prds = Array.copy fr.prds;
     kf_iready = Array.copy fr.iready;
     kf_ireason = Array.copy fr.ireason;
@@ -1857,6 +1891,7 @@ let resume ?fuel ?trace ?profile ?experiments ?desc (p : Program.t)
       Bytes.blit kf.kf_ints 0 fr.ints 0 (Bytes.length kf.kf_ints);
       Array.blit kf.kf_nat 0 fr.nat 0 (Array.length kf.kf_nat);
       Array.blit kf.kf_flts 0 fr.flts 0 (Array.length kf.kf_flts);
+      Array.blit kf.kf_fnat 0 fr.fnat 0 (Array.length kf.kf_fnat);
       Array.blit kf.kf_prds 0 fr.prds 0 (Array.length kf.kf_prds);
       Array.blit kf.kf_iready 0 fr.iready 0 (Array.length kf.kf_iready);
       Array.blit kf.kf_ireason 0 fr.ireason 0 (Array.length kf.kf_ireason);

@@ -287,6 +287,74 @@ let test_interp_executed_count_exact () =
   check ci "returns 3" 3 code;
   check ci "exactly three instructions executed" 3 st.Interp.executed
 
+(* A program whose blocks hold a call, a taken and an untaken guarded
+   branch, a guarded return and [exit()] in their middle, and a recursive
+   call.  Under every fuel from 0 to N + 1, where N is the unbounded
+   run's count, the run runs out of fuel exactly when fuel < N, and
+   otherwise executes N instructions with the unbounded run's profile. *)
+let test_interp_fuel_sweep () =
+  Instr.reset_ids ();
+  let p = Program.create () in
+  let n = Reg.virt 1 Reg.Int in
+  let f = Func.create "down" [ n ] in
+  let bld = Builder.create f in
+  ignore (Builder.start_block bld "entry");
+  let pt = Builder.fresh_pred bld and pf = Builder.fresh_pred bld in
+  Builder.cmp bld Opcode.Eq pt pf (Operand.Reg n) (Operand.imm 0);
+  ignore (Builder.emit bld ~pred:pt Opcode.Br_ret ~srcs:[ Operand.imm 0 ]);
+  let m = Builder.fresh_int bld and r = Builder.fresh_int bld in
+  Builder.sub bld m (Operand.Reg n) (Operand.imm 1);
+  ignore (Builder.call bld ~dsts:[ r ] "down" [ Operand.Reg m ]);
+  Builder.add bld r (Operand.Reg r) (Operand.Reg n);
+  Builder.ret bld [ Operand.Reg r ];
+  Program.add_func p f;
+  let f = Func.create "main" [] in
+  let bld = Builder.create f in
+  ignore (Builder.start_block bld "entry");
+  let x = Builder.fresh_int bld in
+  ignore (Builder.call bld ~dsts:[ x ] "down" [ Operand.imm 4 ]);
+  let pt = Builder.fresh_pred bld and pf = Builder.fresh_pred bld in
+  Builder.cmp bld Opcode.Gt pt pf (Operand.Reg x) (Operand.imm 100);
+  Builder.br bld ~pred:pt "never";
+  ignore (Builder.call bld "print_int" [ Operand.Reg x ]);
+  Builder.br bld ~pred:pf "last";
+  ignore (Builder.call bld "print_int" [ Operand.imm 999 ]);
+  ignore (Builder.start_block bld "never");
+  Builder.ret bld [ Operand.imm 1 ];
+  ignore (Builder.start_block bld "last");
+  Builder.add bld x (Operand.Reg x) (Operand.imm 1);
+  ignore (Builder.call bld "exit" [ Operand.Reg x ]);
+  ignore (Builder.call bld "print_int" [ Operand.imm 999 ]);
+  Builder.ret bld [ Operand.imm 0 ];
+  Program.add_func p f;
+  Program.assign_addresses p;
+  let profile st =
+    let acc = ref [] in
+    Interp.iter_block_counts st (fun f b k ->
+        acc := Printf.sprintf "%s:%s %d" f.Func.name b.Block.label k :: !acc);
+    Interp.iter_branch_counts st (fun i ~exec ~taken ->
+        acc := Printf.sprintf "br %d %d/%d" i.Instr.id taken exec :: !acc);
+    List.rev !acc
+  in
+  let code, out, st = Interp.run ~profile:true p [||] in
+  check ci "exit code" 11 code;
+  check cs "output" "10\n" out;
+  (* down(4..1): 6 instructions each, down(0): 2; main: 7 *)
+  let n = st.Interp.executed in
+  check ci "executed" 33 n;
+  for fuel = 0 to n + 1 do
+    match Interp.run ~profile:true ~fuel p [||] with
+    | _, _, st' ->
+        check cb (Printf.sprintf "fuel %d >= %d" fuel n) true (fuel >= n);
+        check ci (Printf.sprintf "fuel %d: executed" fuel) n st'.Interp.executed;
+        check
+          Alcotest.(list string)
+          (Printf.sprintf "fuel %d: profile" fuel)
+          (profile st) (profile st')
+    | exception Interp.Out_of_fuel ->
+        check cb (Printf.sprintf "fuel %d < %d runs out" fuel n) true (fuel < n)
+  done
+
 (* --- Interp: operand-shape corner cases ----------------------------------- *)
 
 (* Build a one-function program with [body], run it and return (exit code,
@@ -854,6 +922,7 @@ let suite =
     ("interp wild/nat counters", `Quick, test_interp_counters_wild_and_nat);
     ("interp alat counters", `Quick, test_interp_counters_alat);
     ("interp executed count", `Quick, test_interp_executed_count_exact);
+    ("interp executed count under every fuel", `Quick, test_interp_fuel_sweep);
     ("interp shapes: r0 writes dropped", `Quick, test_shape_r0_writes_dropped);
     ("interp shapes: NaT propagation", `Quick, test_shape_nat_propagation);
     ("interp shapes: div/rem by zero", `Quick, test_shape_div_by_zero);

@@ -444,8 +444,41 @@ let intrinsics =
           [ 0x680000; 0x690000; 0x6a0000; 0x6a0000 - 8 ]);
   ]
 
+(* --- float registers ---------------------------------------------------------- *)
+
+(* A float register carries its own NaT bit, set by a deferred load and
+   cleared by chk.s recovery; an intrinsic reads a float argument as an
+   integer-context read converts it. *)
+let float_regs =
+  [
+    case "a deferred float load leaves the integer register of its number" "5\n" ~nat:0
+      (fun bld ->
+        Builder.movi bld (int_reg 14) 5;
+        ignore (Builder.load ~spec:Opcode.Spec_sentinel bld (flt_reg 14) (imm unmapped));
+        print bld (int_reg 14));
+    case "chk.s recovers a float register" "77\n" ~nat:0 (fun bld ->
+        let a = int_reg 20 and c = int_reg 21 and v = int_reg 22 in
+        Builder.add bld a (r Reg.sp) (imm 16);
+        Builder.add bld c (r Reg.sp) (imm 32);
+        store bld (r a) (imm 77);
+        (* a block of its own, so the scheduler keeps the check below the
+           store it recovers from *)
+        ignore (Builder.start_block bld "speculate");
+        ignore (Builder.load ~spec:Opcode.Spec_sentinel bld (flt_reg 14) (imm unmapped));
+        chks bld (flt_reg 14) (r a);
+        (* the float register's bits, through memory *)
+        store bld (r c) (r (flt_reg 14));
+        ignore (Builder.load bld v (r c));
+        print bld v);
+    case "an intrinsic converts a float argument" "2\n" ~nat:0 (fun bld ->
+        ignore
+          (Builder.emit bld Opcode.Fadd ~dsts:[ flt_reg 8 ]
+             ~srcs:[ Operand.Fimm 2.5; Operand.Fimm 0.0 ]);
+        call bld "print_int" [ r (flt_reg 8) ]);
+  ]
+
 let cases =
-  [ shifts; sign_extension ] @ compares @ spec_loads @ alat @ checks @ intrinsics
+  [ shifts; sign_extension ] @ compares @ spec_loads @ alat @ checks @ intrinsics @ float_regs
 
 (* --- running ----------------------------------------------------------------- *)
 

@@ -140,22 +140,26 @@ let () =
     if !jobs >= 1 then !jobs
     else min (Domain.recommended_domain_count ()) (max 1 n_jobs)
   in
-  (* One session for the whole invocation: the suite, the sweep and the
-     causal matrix all compile through its content-addressed artifact
-     cache (the sweep baseline, the suite's ILP-CS column and the causal
-     baselines share entries).  The pool width is the
-     suite's; Pool.map never spawns more domains than there are jobs, so
-     narrower artifacts are unaffected. *)
+  (* One session for the whole invocation: every artifact's matrix runs
+     on its backend, so compiles and reference interpretations are shared
+     across the suite, the Section 4 experiments, the sweep and the causal
+     matrix (the sweep baseline, the suite's ILP-CS column and the causal
+     baselines share entries; each (source, input) is interpreted once).
+     The pool width is the suite's; Pool.map never spawns more domains
+     than there are jobs, so narrower artifacts are unaffected. *)
   let session =
     Epic_serve.Session.create ~jobs:(auto_jobs (4 * List.length workloads)) ()
   in
   let jobs = Epic_serve.Session.jobs session in
+  let backend = Epic_serve.Session.backend session in
   (* --json needs the suite even if only non-suite artifacts were named. *)
   let needs_suite = List.exists wanted suite_artifacts || json_file <> None in
   (if needs_suite then begin
      Printf.eprintf "running the %d-workload suite under 4 configurations (-j %d)...\n%!"
        (List.length workloads) jobs;
-     let s = Epic_serve.Session.suite session ~workloads ~progress:true () in
+     let s =
+       Epic_core.Experiments.run_suite ~workloads ~progress:true backend
+     in
      (match json_file with
      | Some f ->
          let doc = Epic_core.Export.suite_to_json s in
@@ -182,13 +186,15 @@ let () =
      if wanted "stats" then Epic_core.Report.print_stats s
    end);
   if wanted "spec_model" then
-    Epic_core.Report.print_spec_model (Epic_core.Experiments.spec_model_experiment ());
+    Epic_core.Report.print_spec_model
+      (Epic_core.Experiments.spec_model_experiment backend);
   if wanted "profvar" then
-    Epic_core.Report.print_profvar (Epic_core.Experiments.profile_variation ());
+    Epic_core.Report.print_profvar (Epic_core.Experiments.profile_variation backend);
   if wanted "ablations" then
-    Epic_core.Report.print_ablations (Epic_core.Experiments.ablations ());
+    Epic_core.Report.print_ablations (Epic_core.Experiments.ablations backend);
   if wanted "data_spec" then
-    Epic_core.Report.print_data_spec (Epic_core.Experiments.data_spec_experiment ());
+    Epic_core.Report.print_data_spec
+      (Epic_core.Experiments.data_spec_experiment backend);
   if wanted "sweep" then begin
     let open Epic_sweep.Sweep in
     let vs =
@@ -213,8 +219,7 @@ let () =
     Printf.eprintf "running the sensitivity sweep (%d variants, -j %d)...\n%!"
       (List.length vs) jobs;
     let r =
-      Epic_serve.Session.sweep session ~variants:vs ~progress:true
-        ~workloads:sweep_workloads ()
+      run ~variants:vs ~progress:true ~workloads:sweep_workloads backend
     in
     print_report Fmt.stdout r;
     (match mismatches r with
@@ -255,7 +260,10 @@ let () =
       "running the sampled-simulation accuracy harness (%d workloads, full + \
        sampled, sequential)...\n%!"
       (List.length workloads);
-    let rep = Epic_sample.Sample.run ~plan:!sample_plan ~jobs:1 ~workloads () in
+    let rep =
+      Epic_sample.Sample.run ~plan:!sample_plan ~workloads
+        { backend with Epic_core.Matrix.jobs = 1 }
+    in
     Epic_sample.Sample.print Fmt.stdout rep;
     (match !sample_json with
     | None -> ()
@@ -273,8 +281,8 @@ let () =
     in
     Printf.eprintf "running the causal-profiling matrix (-j %d)...\n%!" jobs;
     let r =
-      Epic_serve.Session.causal session ~factors:(default_factors)
-        ~progress:true ~workloads:causal_workloads ()
+      run ~factors:default_factors ~progress:true ~workloads:causal_workloads
+        backend
     in
     print_report Fmt.stdout r;
     (match r.r_fusion with

@@ -126,9 +126,10 @@ let () =
     die "causal: --fused-check runs both paths; drop --serial";
   let report =
     try
-      Epic_serve.Session.causal session ?targets:!sel_targets ~factors:!factors
-        ~split_funcs:!split ~serial:!serial ~big_inputs:!big_inputs
-        ~progress:true ~workloads:!workloads ()
+      run ?targets:!sel_targets ~factors:!factors ~split_funcs:!split
+        ~serial:!serial ~big_inputs:!big_inputs ~progress:true
+        ~workloads:!workloads
+        (Epic_serve.Session.backend session)
     with Invalid_argument msg -> die ("causal: " ^ msg)
   in
   print_report Fmt.stdout report;
@@ -156,9 +157,9 @@ let () =
        cache-vs-itself tautology) *)
     Fmt.epr "fused-check: re-running the matrix serially...@.";
     let serial_report =
-      Epic_serve.Session.causal session ?targets:!sel_targets ~factors:!factors
-        ~split_funcs:!split ~serial:true ~big_inputs:!big_inputs
-        ~workloads:!workloads ()
+      run ?targets:!sel_targets ~factors:!factors ~split_funcs:!split
+        ~serial:true ~big_inputs:!big_inputs ~workloads:!workloads
+        (Epic_serve.Session.backend session)
     in
     let bits = Int64.bits_of_float in
     let diffs = ref [] in

@@ -123,9 +123,9 @@ let () =
   let session = Epic_serve.Session.create ~jobs () in
   let report =
     try
-      Epic_serve.Session.sweep session ~variants:vs ~ablations:abs_
-        ?sampling:!sampling ~big_inputs:!big_inputs
-        ~progress:true ~workloads:!workloads ()
+      run ~variants:vs ~ablations:abs_ ?sampling:!sampling
+        ~big_inputs:!big_inputs ~progress:true ~workloads:!workloads
+        (Epic_serve.Session.backend session)
     with Invalid_argument msg -> die ("sweep: " ^ msg)
   in
   print_report Fmt.stdout report;

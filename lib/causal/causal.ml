@@ -123,11 +123,9 @@ let plan ?(split_funcs = 0) ?(func_bins = []) ~top_funcs ~prof_by_func
   in
   funcs @ cats @ splits
 
-(* Phase-1 product: everything a workload's phase-2 cells and report need,
-   reduced to plain shareable data (the machine state itself stays in the
-   domain that ran it). *)
+(* A baseline reduced to what its workload's cells and report need (the
+   machine state itself stays in the domain that ran it). *)
 type base = {
-  b_reference : int * string;
   b_cycles : float;
   b_categories : float array;
   b_func_bins : (string * float array) list;
@@ -138,52 +136,34 @@ type base = {
   b_output_ok : bool;
   b_groups : int;
       (* issue groups the baseline executed: sizes the checkpoint-prefix
-         position the fused path may reuse *)
+         position the fused grid may reuse *)
 }
 
-let run_baseline ~(compile : Driver.compile_fn) (w : Workload.t) =
-  let config = Experiments.config_for w Config.ILP_CS in
-  let compiled =
-    compile ~config ~desc:None ~train:w.Workload.train w.Workload.source
-  in
-  let trace = Epic_obs.Trace.create () in
-  let profile = Epic_obs.Profile.create ~period:Experiments.sample_period () in
-  let code, out, st = Driver.run ~trace ~profile compiled w.Workload.reference in
-  let ref_code, ref_out = Experiments.reference_output w in
+let baseline (s : Matrix.sim) =
+  let st = Option.get s.Matrix.machine in
   let acc = st.Epic_sim.Machine.acc in
   {
-    b_reference = (ref_code, ref_out);
     b_cycles = Acc.total acc;
-    b_categories = Array.copy acc.Acc.totals;
+    b_categories = s.Matrix.accounts.(0);
     b_func_bins =
       List.map (fun f -> (f, Array.copy (Acc.bins acc f))) (Acc.functions acc);
-    b_prof_by_func = Epic_obs.Profile.by_func profile;
-    b_obs = Export.obs_to_json ~trace ~profile ();
-    b_output_ok = code = ref_code && out = ref_out;
+    b_prof_by_func = Epic_obs.Profile.by_func (Option.get s.Matrix.profile);
+    b_obs = Export.obs_to_json ?trace:s.Matrix.trace ?profile:s.Matrix.profile ();
+    b_output_ok = s.Matrix.output_ok;
     b_groups = st.Epic_sim.Machine.c.Epic_sim.Machine.groups;
   }
 
-(* One matrix cell: recompile from source (resets the domain-local
-   instruction-id counter, so ids are identical whichever domain runs the
-   cell) and simulate carrying the virtual speedup as a set of one.  The
-   binary is the same as the baseline's — the experiment only exists at
-   accounting time. *)
-let run_cell ~(compile : Driver.compile_fn) ~(base : base) (w : Workload.t)
-    (t : target) (factor : float) =
-  let config = Experiments.config_for w Config.ILP_CS in
-  let compiled =
-    compile ~config ~desc:None ~train:w.Workload.train w.Workload.source
-  in
-  let experiments = [ { Acc.target = t; speedup = factor } ] in
-  let code, out, st = Driver.run ~experiments compiled w.Workload.reference in
-  let ref_code, ref_out = base.b_reference in
-  let cycles = Acc.total (Epic_sim.Machine.fused_accounts st).(0) in
-  {
-    p_factor = factor;
-    p_cycles = cycles;
-    p_speedup = (base.b_cycles -. cycles) /. base.b_cycles;
-    p_output_ok = code = ref_code && out = ref_out;
-  }
+(* One (target, factor) cell reduced to its curve point, and whether its
+   simulation resumed a checkpoint prefix. *)
+let point ~(base : base) factor (s : Matrix.sim) =
+  let cycles = Array.fold_left ( +. ) 0. s.Matrix.accounts.(0) in
+  ( {
+      p_factor = factor;
+      p_cycles = cycles;
+      p_speedup = (base.b_cycles -. cycles) /. base.b_cycles;
+      p_output_ok = s.Matrix.output_ok;
+    },
+    s.Matrix.resumed )
 
 let curve_of_points ~(base : base) (t : target) (points : point list) =
   let func_bins f = List.assoc_opt f base.b_func_bins in
@@ -267,9 +247,8 @@ let aggregate (reports : wreport list) =
          | n -> n)
 
 let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
-    ?(split_funcs = 0) ?(compile = Driver.default_compile)
-    ?(fused = Driver.default_fused) ?(serial = false) ?(big_inputs = false)
-    ?(progress = false) ~jobs ~workloads () =
+    ?(split_funcs = 0) ?(serial = false) ?(big_inputs = false) ?progress
+    ~workloads backend =
   let t0 = Unix.gettimeofday () in
   if factors = [] then invalid_arg "Causal.run: empty factor list";
   List.iter
@@ -278,16 +257,16 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
         invalid_arg (Fmt.str "Causal.run: factor %g outside (0, 1]" f))
     factors;
   let factors = List.sort_uniq compare factors in
-  let ws = Array.of_list (List.map Suite.find_exn workloads) in
-  let ws = if big_inputs then Array.map Workload.scale ws else ws in
-  (* Phase 1: per-workload reference + instrumented baseline, shared
-     read-only by that workload's cells. *)
-  let bases =
-    Pool.map ~jobs
-      (fun (w : Workload.t) ->
-        if progress then Fmt.epr "  causal baseline %s...@." w.Workload.short;
-        run_baseline ~compile w)
-      ws
+  let ws = List.map Suite.find_exn workloads in
+  let ws = if big_inputs then List.map Workload.scale ws else ws in
+  let cell w reduce = Matrix.cell w (Experiments.config_for w Config.ILP_CS) reduce in
+  (* the instrumented baselines first: the planner reads their profiles *)
+  let bases, _ =
+    Matrix.run ?progress backend
+      (List.map
+         (fun w ->
+           { (cell w baseline) with Matrix.traced = true; period = Experiments.sample_period })
+         ws)
   in
   let plans =
     Array.map
@@ -299,141 +278,84 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
               ~prof_by_func:b.b_prof_by_func ~categories:b.b_categories ())
       bases
   in
-  (* Phase 2: the full (workload x target x factor) matrix, deterministic
-     workload-major order (Pool.map returns index order).  The experiment
-     hook lives purely at accounting time, so the per-workload grid fuses
-     into ONE detailed simulation carrying every (target, factor)
-     experiment at once — per-cell results bit-identical to the serial
-     path (each fused accumulator runs the same charge sequence the serial
-     run would; CI diffs the two cell-for-cell).  [serial] keeps the
-     one-simulation-per-cell path for that cross-check. *)
-  let specs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun wi plan_w ->
-              List.concat_map
-                (fun t -> List.map (fun f -> (wi, t, f)) factors)
-                plan_w)
-            (Array.to_list plans)))
+  (* Then the (workload x target x factor) grid, workload-major.  The
+     experiment hook lives purely at accounting time, so the planner
+     merges each workload's grid into ONE detailed simulation through the
+     backend's fused store, a checkpoint prefix at mid-run reusable by the
+     next matrix — each cell bit-identical to its serial run (CI diffs the
+     two cell for cell).  [serial] keeps one simulation per cell for that
+     cross-check. *)
+  let grid =
+    List.concat
+      (List.mapi
+         (fun wi w ->
+           let base = bases.(wi) in
+           let plan =
+             if serial || base.b_groups < 2 then Matrix.Full
+             else Matrix.Prefix (base.b_groups / 2)
+           in
+           List.concat_map
+             (fun t ->
+               List.map
+                 (fun f ->
+                   {
+                     (cell w (point ~base f)) with
+                     Matrix.experiments = [ { Acc.target = t; speedup = f } ];
+                     plan;
+                   })
+                 factors)
+             plans.(wi))
+         ws)
   in
-  let cells, fusion =
-    if serial then
-      ( Pool.map ~jobs
-          (fun (wi, t, f) ->
-            let w = ws.(wi) in
-            if progress then
-              Fmt.epr "  causal %s / %s / %g...@." w.Workload.short
-                (target_name t) f;
-            run_cell ~compile ~base:bases.(wi) w t f)
-          specs,
-        None )
-    else begin
-      (* per-workload experiment lists in the same target-major,
-         factor-minor order as [specs] *)
-      let wexps =
-        Array.map
-          (fun plan_w ->
-            List.concat_map
-              (fun t ->
-                List.map (fun f -> { Acc.target = t; speedup = f }) factors)
-              plan_w)
-          plans
-      in
-      let results =
-        Pool.map ~jobs
-          (fun wi ->
-            let w = ws.(wi) in
-            let exps = wexps.(wi) in
-            if exps = [] then None
-            else begin
-              if progress then
-                Fmt.epr "  causal fused %s (%d experiments)...@."
-                  w.Workload.short (List.length exps);
-              let config = Experiments.config_for w Config.ILP_CS in
-              let b = bases.(wi) in
-              (* a mid-run prefix: long enough to amortize, early enough
-                 that every run reaches it (2+ groups guaranteed) *)
-              let prefix_at =
-                if b.b_groups >= 2 then Some (b.b_groups / 2) else None
-              in
-              Some
-                (fused ~config ~desc:None ~train:w.Workload.train
-                   ~input:w.Workload.reference ~experiments:exps ~prefix_at
-                   w.Workload.source)
-            end)
-          (Array.init (Array.length ws) (fun i -> i))
-      in
-      (* unpack per-experiment totals back into cells, in [specs] order *)
-      let idx = Array.make (Array.length ws) 0 in
-      let cells =
-        Array.map
-          (fun (wi, _, f) ->
-            let fz =
-              match results.(wi) with
-              | Some fz -> fz
-              | None -> assert false (* specs nonempty => plan nonempty *)
-            in
-            let i = idx.(wi) in
-            idx.(wi) <- i + 1;
-            let b = bases.(wi) in
-            let ref_code, ref_out = b.b_reference in
-            let cycles =
-              Array.fold_left ( +. ) 0. fz.Driver.f_categories.(i)
-            in
-            {
-              p_factor = f;
-              p_cycles = cycles;
-              p_speedup = (b.b_cycles -. cycles) /. b.b_cycles;
-              p_output_ok =
-                fz.Driver.f_code = ref_code && fz.Driver.f_output = ref_out;
-            })
-          specs
-      in
-      let sims = Array.to_list results |> List.filter_map (fun x -> x) in
-      ( cells,
-        Some
-          {
-            fz_cells = Array.length specs;
-            fz_sims = List.length sims;
-            fz_resumed =
-              List.length (List.filter (fun f -> f.Driver.f_resumed) sims);
-          } )
-    end
-  in
-  let reports =
-    List.mapi
-      (fun wi (w : Workload.t) ->
-        let b = bases.(wi) in
-        let curves =
-          List.map
-            (fun t ->
-              let points =
-                List.concat
-                  (List.mapi
-                     (fun i (wj, tj, _) ->
-                       if wj = wi && tj = t then [ cells.(i) ] else [])
-                     (Array.to_list specs))
-              in
-              curve_of_points ~base:b t points)
-            plans.(wi)
-        in
-        {
-          c_workload = w.Workload.short;
-          c_base_cycles = b.b_cycles;
-          c_base_categories = b.b_categories;
-          c_obs = b.b_obs;
-          c_curves = rank_curves curves;
-          c_output_ok = b.b_output_ok;
-        })
-      (Array.to_list ws)
+  let cells, sims = Matrix.run ?progress ~merge:(not serial) backend grid in
+  (* unpack the cells back into per-workload curves, in grid order *)
+  let next = ref 0 in
+  let reports, resumed =
+    List.split
+      (List.mapi
+         (fun wi (w : Workload.t) ->
+           let base = bases.(wi) in
+           let resumed = ref false in
+           let curves =
+             List.map
+               (fun t ->
+                 let points =
+                   List.map
+                     (fun _ ->
+                       let p, r = cells.(!next) in
+                       incr next;
+                       if r then resumed := true;
+                       p)
+                     factors
+                 in
+                 curve_of_points ~base t points)
+               plans.(wi)
+           in
+           ( {
+               c_workload = w.Workload.short;
+               c_base_cycles = base.b_cycles;
+               c_base_categories = base.b_categories;
+               c_obs = base.b_obs;
+               c_curves = rank_curves curves;
+               c_output_ok = base.b_output_ok;
+             },
+             !resumed ))
+         ws)
   in
   {
     r_workloads = workloads;
     r_factors = factors;
     r_reports = reports;
     r_aggregate = aggregate reports;
-    r_fusion = fusion;
+    r_fusion =
+      (if serial then None
+       else
+         Some
+           {
+             fz_cells = Array.length cells;
+             fz_sims = sims;
+             fz_resumed = List.length (List.filter Fun.id resumed);
+           });
     r_wall_s = Unix.gettimeofday () -. t0;
   }
 

@@ -132,46 +132,38 @@ val plan :
   unit ->
   target list
 
-(** Execute the causal matrix on the {!Epic_core.Pool} domain pool in two
-    phases, like the sweep's: phase 1 computes each workload's
-    reference output and its baseline run (with the trace and PC-sampling
-    instruments attached); phase 2 delivers every (workload, target,
-    factor) cell.  By default the per-workload (target x factor) grid is
-    {e fused} into one detailed simulation carrying every experiment at
-    once (the hook lives purely at accounting time, so each fused cell is
-    bit-identical to its serial run); [serial:true] runs one simulation
-    per cell, each carrying its experiment as a set of one — the
-    reference the CI gate diffs the fused grid against.  Results are in deterministic workload-major order
-    regardless of [jobs].
+(** Execute the causal matrix as two {!Epic_core.Matrix} cell lists on
+    [backend]: first each workload's baseline run (with the trace and
+    PC-sampling instruments attached), then every (workload, target,
+    factor) cell.  By default the planner merges a workload's
+    (target x factor) grid into one detailed simulation through the
+    backend's fused store, carrying every experiment at once (the hook
+    lives purely at accounting time, so each fused cell is bit-identical
+    to its serial run) with a mid-run checkpoint prefix a repeated matrix
+    may resume; [serial:true] runs one simulation per cell, each carrying
+    its experiment as a set of one — the reference the CI gate diffs the
+    fused grid against.  Results are in deterministic workload-major
+    order whatever the backend's width.
 
     [targets] fixes one target list for every workload; omitted, each
     workload gets its own plan ({!plan}, with [top_funcs] profile-hot
     functions, default 3, and [split_funcs] per-(function, category)
     splits, default 0).  [factors] defaults to {!default_factors}.
-    [compile] substitutes the compile entry point of every baseline and
-    serial cell (default {!Epic_core.Driver.default_compile}) and [fused]
-    the fused-matrix entry point (default
-    {!Epic_core.Driver.default_fused}) — the hooks {!Epic_serve} supplies
-    so causal matrices share the session's content-addressed caches and
-    reuse checkpoint prefixes across repeated matrices.  [big_inputs]
-    substitutes each workload's scaled evaluation input
+    [big_inputs] substitutes each workload's scaled evaluation input
     ({!Epic_workloads.Workload.scale}).
 
-    @raise Invalid_argument on an unknown workload, [jobs < 1], an empty
-    factor list or a factor outside (0, 1]. *)
+    @raise Invalid_argument on an unknown workload, an empty factor list
+    or a factor outside (0, 1]. *)
 val run :
   ?targets:target list ->
   ?factors:float list ->
   ?top_funcs:int ->
   ?split_funcs:int ->
-  ?compile:Epic_core.Driver.compile_fn ->
-  ?fused:Epic_core.Driver.fused_fn ->
   ?serial:bool ->
   ?big_inputs:bool ->
   ?progress:bool ->
-  jobs:int ->
   workloads:string list ->
-  unit ->
+  Epic_core.Matrix.backend ->
   report
 
 (** The workload's report.  @raise Not_found if absent. *)

@@ -65,3 +65,36 @@ let name c =
 
 let is_ilp c = match c.level with ILP_NS | ILP_CS -> true | Gcc_like | O_NS -> false
 let has_speculation c = c.level = ILP_CS
+
+type ablation = { a_name : string; a_isolates : string; a_tweak : t -> t }
+
+let ablations =
+  List.map
+    (fun (a_name, a_isolates, a_tweak) -> { a_name; a_isolates; a_tweak })
+    [
+      ( "ILP-CS",
+        "the full ILP + control-speculation configuration (baseline)",
+        Fun.id );
+      ( "no-hyperblock",
+        "if-conversion's share of the region-formation gains (Fig. 7)",
+        fun c -> { c with enable_hyperblock = false } );
+      ( "no-peel",
+        "loop peeling's contribution to straightened control flow",
+        fun c -> { c with enable_peel = false } );
+      ( "no-unroll",
+        "unrolling's ILP exposure vs its code-growth cost (Sec. 3.2)",
+        fun c -> { c with enable_unroll = false } );
+      ( "no-tail-dup",
+        "superblock tail duplication's share of code growth (Fig. 5)",
+        fun c ->
+          {
+            c with
+            superblock = { c.superblock with Epic_ilp.Superblock.growth_budget = 0.0 };
+          } );
+      ( "no-inline",
+        "cross-function ILP from inlining vs its I-cache pressure",
+        fun c -> { c with inline_budget = 1.0 } );
+      ( "no-height-red",
+        "dependence-height reduction on critical recurrence paths",
+        fun c -> { c with enable_height_reduction = false } );
+    ]

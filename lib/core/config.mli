@@ -56,3 +56,17 @@ val is_ilp : t -> bool
 
 (** Does this configuration apply control speculation? *)
 val has_speculation : t -> bool
+
+(** A named compiler ablation: a tweak applied to a workload's ILP-CS
+    configuration. *)
+type ablation = {
+  a_name : string;  (** flag-safe: usable as a command-line value *)
+  a_isolates : string;
+      (** one line: which paper finding this ablation isolates *)
+  a_tweak : t -> t;
+}
+
+(** The compiler ablations the sweep and the [ablations] artifact share:
+    the identity baseline [ILP-CS] first, then [no-hyperblock], [no-peel],
+    [no-unroll], [no-tail-dup], [no-inline], [no-height-red]. *)
+val ablations : ablation list

@@ -349,21 +349,6 @@ let compile ?(config = Config.o_ns) ?desc ~(train : int64 array) (src : string) 
     with Epic_sched.Regalloc.Out_of_registers _ ->
       retry ~fallback:"o-ns" { config with Config.level = Config.O_NS })
 
-(* The shape of a compile entry point, for dependency inversion: the
-   experiment layers (Experiments, Sweep, Causal) take a [compile_fn] so a
-   caching session (lib/serve) can substitute itself without this library
-   depending on it.  [desc] is a plain option — not an optional argument —
-   so the arrow type stays first-class. *)
-type compile_fn =
-  config:Config.t ->
-  desc:Epic_mach.Machine_desc.t option ->
-  train:int64 array ->
-  string ->
-  compiled
-
-let default_compile : compile_fn =
- fun ~config ~desc ~train src -> compile ~config ?desc ~train src
-
 (* Run a compiled binary on the machine simulator. *)
 let run ?fuel ?trace ?profile ?experiments ?sampling ?checkpoint_at
     (c : compiled) (input : int64 array) =
@@ -393,21 +378,6 @@ type fused = {
          straight-through run, not bit-identical) *)
 }
 
-(* The shape of a fused-matrix entry point, mirroring [compile_fn]: the
-   causal planner takes a [fused_fn] so the caching session can substitute
-   its checkpoint-prefix-reusing, memoizing implementation.  [prefix_at]
-   is the issue-group position a reusable checkpoint prefix may be taken
-   at ([None] = never); the default implementation ignores it. *)
-type fused_fn =
-  config:Config.t ->
-  desc:Epic_mach.Machine_desc.t option ->
-  train:int64 array ->
-  input:int64 array ->
-  experiments:Epic_sim.Accounting.experiment list ->
-  prefix_at:int option ->
-  string ->
-  fused
-
 let fused_of_machine code output (st : Epic_sim.Machine.t) ~resumed =
   {
     f_code = code;
@@ -419,12 +389,6 @@ let fused_of_machine code output (st : Epic_sim.Machine.t) ~resumed =
         (Epic_sim.Machine.fused_accounts st);
     f_resumed = resumed;
   }
-
-let default_fused : fused_fn =
- fun ~config ~desc ~train ~input ~experiments ~prefix_at:_ src ->
-  let c = compile ~config ?desc ~train src in
-  let code, output, st = run ~experiments c input in
-  fused_of_machine code output st ~resumed:false
 
 (* Reference semantics: the pre-backend program still runs on the
    high-level interpreter (scheduling does not change IR meaning), so a

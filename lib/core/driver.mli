@@ -88,23 +88,6 @@ val compile :
   string ->
   compiled
 
-(** The shape of a compile entry point, for dependency inversion: the
-    experiment layers ({!Experiments}, [Epic_sweep.Sweep],
-    [Epic_causal.Causal]) accept a [compile_fn] so a caching session
-    ([Epic_serve.Session]) can substitute its content-addressed cache
-    without a dependency cycle.  [desc] is a plain option (not an optional
-    argument) to keep the arrow type first-class. *)
-type compile_fn =
-  config:Config.t ->
-  desc:Epic_mach.Machine_desc.t option ->
-  train:int64 array ->
-  string ->
-  compiled
-
-(** [compile] as a {!compile_fn}: [default_compile ~config ~desc ~train src]
-    is [compile ~config ?desc ~train src]. *)
-val default_compile : compile_fn
-
 (** Run a compiled binary on the Itanium-2-class simulator; returns
     (exit code, program output, final machine state with all counters).
     [trace] and [profile] enable the opt-in observability instruments;
@@ -147,28 +130,9 @@ type fused = {
           not bit-identical) *)
 }
 
-(** The shape of a fused-matrix entry point, mirroring {!compile_fn}: the
-    causal planner accepts a [fused_fn] so the caching session can
-    substitute its checkpoint-prefix-reusing, memoizing implementation.
-    [prefix_at] is the issue-group position a reusable checkpoint prefix
-    may be captured/reused at ([None] = never); {!default_fused} ignores
-    it. *)
-type fused_fn =
-  config:Config.t ->
-  desc:Epic_mach.Machine_desc.t option ->
-  train:int64 array ->
-  input:int64 array ->
-  experiments:Epic_sim.Accounting.experiment list ->
-  prefix_at:int option ->
-  string ->
-  fused
-
 (** Build a {!fused} result from a finished [?experiments] machine. *)
 val fused_of_machine :
   int -> string -> Epic_sim.Machine.t -> resumed:bool -> fused
-
-(** Compile and run fused, with no caching and no prefix reuse. *)
-val default_fused : fused_fn
 
 (** Run the compiled program's IR on the reference interpreter (scheduling
     does not change IR meaning, so this cross-checks the simulator). *)

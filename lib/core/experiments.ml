@@ -1,7 +1,8 @@
-(* Experiment harness: compiles and runs the twelve-workload suite under the
-   four configurations and derives every table and figure of the paper's
-   evaluation section.  Results are memoized so one suite run feeds all the
-   tables (like one SPEC run feeding many counters). *)
+(* Experiment harness: the twelve-workload suite under the four
+   configurations and the Section 4 experiments, each a Matrix cell list,
+   and every table and figure of the paper's evaluation section derived
+   from them.  One suite run feeds all the tables (like one SPEC run
+   feeding many counters). *)
 
 open Epic_workloads
 
@@ -21,96 +22,51 @@ let config_for (w : Workload.t) (level : Config.level) =
   let base = Config.make level in
   { base with Config.pointer_analysis = w.Workload.pointer_analysis }
 
-(* Reference output: the program as lowered (unoptimized), interpreted. *)
-let reference_output (w : Workload.t) =
-  let p = Epic_frontend.Lower.compile_source w.Workload.source in
-  let code, out, _ = Epic_ir.Interp.run p w.Workload.reference in
-  (code, out)
-
 (* Sampling period for the suite's PC profiler (the Pfmon address-sampling
    stand-in feeding Figure 10).  Prime, to avoid aliasing with periodic
    code; small enough that per-function shares converge within 5% of the
    exact accounting on every workload. *)
 let sample_period = 97
 
-let run_one ?(train : int64 array option) ?reference ?desc
-    ?(compile = Driver.default_compile) (w : Workload.t) (level : Config.level)
-    =
-  let config = config_for w level in
-  let train = match train with Some t -> t | None -> w.Workload.train in
-  let compiled = compile ~config ~desc ~train w.Workload.source in
-  (* the reference interpretation is per-workload, not per-level: suite
-     runs compute it once and pass it in *)
-  let ref_code, ref_out =
-    match reference with Some r -> r | None -> reference_output w
+(* One suite cell: the workload at [level] on its reference input, with
+   the PC profiler attached; the reducer builds the run's metrics with the
+   host block of its simulation. *)
+let suite_cell ?desc (w : Workload.t) (level : Config.level) =
+  let reduce (s : Matrix.sim) =
+    if not s.Matrix.output_ok then
+      Fmt.epr "WARNING: %s/%s output mismatch@." w.Workload.short
+        (Config.name s.Matrix.compiled.Driver.config);
+    Metrics.of_machine ~workload:w.Workload.short ?profile:s.Matrix.profile
+      ~host:s.Matrix.host s.Matrix.compiled (Option.get s.Matrix.machine)
+      ~output_matches:s.Matrix.output_ok
   in
-  let profile = Epic_obs.Profile.create ~period:sample_period () in
-  (* time the simulation and its GC traffic (host observability; exports
-     zero this under --normalize-time, so determinism diffs are unaffected) *)
-  let gc0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let code, out, st = Driver.run ~profile compiled w.Workload.reference in
-  let wall = Unix.gettimeofday () -. t0 in
-  let gc1 = Gc.quick_stat () in
-  let host =
-    {
-      Metrics.h_wall_s = wall;
-      h_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-      h_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-      h_minor_collections = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
-      h_major_collections = gc1.Gc.major_collections - gc0.Gc.major_collections;
-    }
-  in
-  let ok = code = ref_code && out = ref_out in
-  if not ok then
-    Fmt.epr "WARNING: %s/%s output mismatch@." w.Workload.short (Config.name config);
-  Metrics.of_machine ~workload:w.Workload.short ~profile ~host compiled st ~output_matches:ok
+  { (Matrix.cell w (config_for w level) reduce) with desc; period = sample_period }
+
+let run_one ?desc w level =
+  (fst (Matrix.run (Matrix.direct ~jobs:1) [ suite_cell ?desc w level ])).(0)
 
 let levels = [ Config.Gcc_like; Config.O_NS; Config.ILP_NS; Config.ILP_CS ]
 
-(* The suite is 12 workloads x 4 levels = 48 independent compile+simulate
-   jobs, sharded over a domain pool ([Pool.map]).  Determinism: each job
-   compiles its program from source, which resets the domain-local
+(* The suite is 12 workloads x 4 levels = 48 cells.  Determinism: each
+   compile starts from source, which resets the domain-local
    instruction-id counter, so the ids — and with them branch-predictor
    indexing and sample attribution — are identical whichever domain runs
-   the job.  Reference outputs are computed once per workload (phase 1) and
-   shared read-only with the 4 per-level jobs (phase 2).  Results come back
-   in index order, so [runs] is ordered exactly as the sequential walk. *)
-let run_suite ?(workloads = Suite.all) ?(progress = false) ?(jobs = 1)
-    ?compile () =
-  let ws = Array.of_list workloads in
-  let references =
-    Pool.map ~jobs
-      (fun (w : Workload.t) ->
-        if progress then Fmt.epr "  reference %s...@." w.Workload.short;
-        reference_output w)
-      ws
-  in
+   the cell, and [runs] is ordered exactly as the sequential walk. *)
+let run_suite ?(workloads = Suite.all) ?progress backend =
   let pairs =
-    Array.of_list
-      (List.concat_map
-         (fun wi -> List.map (fun level -> (wi, level)) levels)
-         (List.init (Array.length ws) Fun.id))
+    List.concat_map (fun w -> List.map (fun level -> (w, level)) levels) workloads
   in
-  let results =
-    Pool.map ~jobs
-      (fun (wi, level) ->
-        let w = ws.(wi) in
-        if progress then
-          Fmt.epr "  running %s / %s...@." w.Workload.short (Config.level_name level);
-        run_one ~reference:references.(wi) ?compile w level)
-      pairs
+  let results, _ =
+    Matrix.run ?progress backend
+      (List.map (fun (w, level) -> suite_cell w level) pairs)
   in
   let runs =
-    Array.to_list
-      (Array.mapi
-         (fun i (wi, level) -> (ws.(wi).Workload.short, level, results.(i)))
-         pairs)
+    List.mapi (fun i ((w : Workload.t), level) -> (w.Workload.short, level, results.(i))) pairs
   in
   { runs; index = index_runs runs }
 
 (* Runs whose simulated output diverged from the reference interpreter.
-   [run_one] warns as it happens; this is the machine-checkable record the
+   [suite_cell]'s reducer warns as it happens; this is the machine-checkable record the
    bench harness and CI gate on. *)
 let mismatches (s : suite_result) =
   List.filter_map
@@ -394,6 +350,25 @@ let structural_stats (s : suite_result) =
     avg_achieved_ipc_cs = avg (fun w -> Metrics.achieved_ipc (get_exn s w Config.ILP_CS));
   }
 
+(* --- Section 4 experiments: per-workload cell groups ------------------ *)
+
+(* [variants] are the cells each workload contributes, in order; [row]
+   turns one workload's results, in that order, into its rows. *)
+let per_workload backend workloads variants row =
+  let ws = List.map Suite.find_exn workloads in
+  let results, _ =
+    Matrix.run backend (List.concat_map (fun w -> List.map (fun v -> v w) variants) ws)
+  in
+  let k = List.length variants in
+  List.mapi (fun i w -> row w (Array.sub results (i * k) k)) ws
+
+let machine (s : Matrix.sim) = Option.get s.Matrix.machine
+let total (s : Matrix.sim) = Epic_sim.Accounting.total (machine s).Epic_sim.Machine.acc
+
+(* An ILP-CS cell of [w] with [tweak] applied to its configuration. *)
+let ilp_cs ?(tweak = Fun.id) reduce w =
+  Matrix.cell w (tweak (config_for w Config.ILP_CS)) reduce
+
 (* --- Section 4.3: speculation models (Figure 9's cost structure) --------- *)
 
 type spec_model_row = {
@@ -405,33 +380,30 @@ type spec_model_row = {
   sentinel_recoveries : int;
 }
 
-let spec_model_experiment ?(workloads = [ "gcc"; "parser"; "perlbmk"; "gap" ]) () =
-  List.map
-    (fun short ->
-      let w = Suite.find_exn short in
-      let compile model =
-        let config =
-          {
-            (config_for w Config.ILP_CS) with
-            Config.spec_model = model;
-          }
-        in
-        let compiled = Driver.compile ~config ~train:w.Workload.train w.Workload.source in
-        let _, _, st = Driver.run compiled w.Workload.reference in
-        st
-      in
-      let open Epic_sim in
-      let g = compile Epic_ilp.Speculate.General in
-      let st = compile Epic_ilp.Speculate.Sentinel in
+let spec_model_experiment ?(workloads = [ "gcc"; "parser"; "perlbmk"; "gap" ])
+    backend =
+  let open Epic_sim in
+  let measure s =
+    let st = machine s in
+    ( Accounting.total st.Machine.acc,
+      Accounting.get st.Machine.acc Accounting.Kernel,
+      st.Machine.c.Machine.wild_loads,
+      st.Machine.c.Machine.chk_recoveries )
+  in
+  let model m = ilp_cs ~tweak:(fun c -> { c with Config.spec_model = m }) measure in
+  per_workload backend workloads
+    [ model Epic_ilp.Speculate.General; model Epic_ilp.Speculate.Sentinel ]
+    (fun w r ->
+      let general_cycles, general_kernel, general_wild, _ = r.(0) in
+      let sentinel_cycles, _, _, sentinel_recoveries = r.(1) in
       {
-        sm_bench = short;
-        general_cycles = Accounting.total g.Machine.acc;
-        general_kernel = Accounting.get g.Machine.acc Accounting.Kernel;
-        general_wild = g.Machine.c.Machine.wild_loads;
-        sentinel_cycles = Accounting.total st.Machine.acc;
-        sentinel_recoveries = st.Machine.c.Machine.chk_recoveries;
+        sm_bench = w.Workload.short;
+        general_cycles;
+        general_kernel;
+        general_wild;
+        sentinel_cycles;
+        sentinel_recoveries;
       })
-    workloads
 
 (* --- Section 4.6: profile variation -------------------------------------- *)
 
@@ -442,25 +414,20 @@ type profvar_row = {
   improvement_pct : float;
 }
 
-let profile_variation ?(workloads = [ "crafty"; "perlbmk"; "gap" ]) () =
-  List.map
-    (fun short ->
-      let w = Suite.find_exn short in
-      let cycles ~train =
-        let config = config_for w Config.ILP_CS in
-        let compiled = Driver.compile ~config ~train w.Workload.source in
-        let _, _, st = Driver.run compiled w.Workload.reference in
-        Epic_sim.Accounting.total st.Epic_sim.Machine.acc
-      in
-      let t = cycles ~train:w.Workload.train in
-      let r = cycles ~train:w.Workload.reference in
+let profile_variation ?(workloads = [ "crafty"; "perlbmk"; "gap" ]) backend =
+  per_workload backend workloads
+    [
+      ilp_cs total;
+      (fun w -> { (ilp_cs total w) with Matrix.train = w.Workload.reference });
+    ]
+    (fun w cycles ->
+      let t = cycles.(0) and r = cycles.(1) in
       {
-        pv_bench = short;
+        pv_bench = w.Workload.short;
         train_trained_cycles = t;
         ref_trained_cycles = r;
         improvement_pct = 100. *. (t -. r) /. t;
       })
-    workloads
 
 (* --- Extension: data speculation (paper Section 2) ----------------------- *)
 
@@ -477,31 +444,19 @@ type data_spec_row = {
    initial application [of data speculation], currently in progress, is
    providing a 5% speedup."  We reproduce the experiment: ILP-CS with and
    without the ld.a/chk.a extension. *)
-let data_spec_experiment ?(workloads = [ "gap"; "gzip"; "bzip2"; "vortex" ]) () =
-  List.map
-    (fun short ->
-      let w = Suite.find_exn short in
-      let run enable =
-        let config =
-          {
-            (config_for w Config.ILP_CS) with
-            Config.enable_data_speculation = enable;
-          }
-        in
-        let compiled = Driver.compile ~config ~train:w.Workload.train w.Workload.source in
-        let _, _, st = Driver.run compiled w.Workload.reference in
-        (compiled, st)
-      in
-      let _, st0 = run false in
-      let c1, st1 = run true in
-      {
-        ds_bench = short;
-        without_cycles = Epic_sim.Accounting.total st0.Epic_sim.Machine.acc;
-        with_cycles = Epic_sim.Accounting.total st1.Epic_sim.Machine.acc;
-        advanced = c1.Driver.transform_stats.Driver.advanced_loads;
-        recoveries = st1.Epic_sim.Machine.c.Epic_sim.Machine.chk_recoveries;
-      })
-    workloads
+let data_spec_experiment ?(workloads = [ "gap"; "gzip"; "bzip2"; "vortex" ])
+    backend =
+  let measure (s : Matrix.sim) =
+    ( total s,
+      s.Matrix.compiled.Driver.transform_stats.Driver.advanced_loads,
+      (machine s).Epic_sim.Machine.c.Epic_sim.Machine.chk_recoveries )
+  in
+  let data_spec enable =
+    ilp_cs ~tweak:(fun c -> { c with Config.enable_data_speculation = enable }) measure
+  in
+  per_workload backend workloads [ data_spec false; data_spec true ] (fun w r ->
+      let without_cycles, _, _ = r.(0) and with_cycles, advanced, recoveries = r.(1) in
+      { ds_bench = w.Workload.short; without_cycles; with_cycles; advanced; recoveries })
 
 (* --- Ablations of the design choices DESIGN.md calls out ----------------- *)
 
@@ -511,35 +466,12 @@ type ablation_row = {
   ab_cycles : float;
 }
 
-let ablations ?(workloads = [ "gzip"; "crafty"; "vortex"; "twolf" ]) () =
-  let variants =
-    [
-      ("full ILP-CS", fun (c : Config.t) -> c);
-      ("no hyperblock", fun c -> { c with Config.enable_hyperblock = false });
-      ("no peeling", fun c -> { c with Config.enable_peel = false });
-      ("no unrolling", fun c -> { c with Config.enable_unroll = false });
-      ( "no tail dup",
-        fun c ->
-          {
-            c with
-            Config.superblock =
-              { c.Config.superblock with Epic_ilp.Superblock.growth_budget = 0.0 };
-          } );
-      ( "no inlining",
-        fun c -> { c with Config.inline_budget = 1.0 } );
-      ( "no height red.",
-        fun c -> { c with Config.enable_height_reduction = false } );
-    ]
-  in
-  List.concat_map
-    (fun short ->
-      let w = Suite.find_exn short in
-      List.map
-        (fun (name, tweak) ->
-          let config = tweak (config_for w Config.ILP_CS) in
-          let compiled = Driver.compile ~config ~train:w.Workload.train w.Workload.source in
-          let _, _, st = Driver.run compiled w.Workload.reference in
-          { ab_name = name; ab_bench = short;
-            ab_cycles = Epic_sim.Accounting.total st.Epic_sim.Machine.acc })
-        variants)
-    workloads
+let ablations ?(workloads = [ "gzip"; "crafty"; "vortex"; "twolf" ]) backend =
+  List.concat
+    (per_workload backend workloads
+       (List.map (fun (a : Config.ablation) -> ilp_cs ~tweak:a.Config.a_tweak total) Config.ablations)
+       (fun w r ->
+         List.mapi
+           (fun i (a : Config.ablation) ->
+             { ab_name = a.Config.a_name; ab_bench = w.Workload.short; ab_cycles = r.(i) })
+           Config.ablations))

@@ -211,7 +211,9 @@ let print_ablations rows =
   in
   let base b =
     (List.find
-       (fun r -> r.Experiments.ab_name = "full ILP-CS" && r.Experiments.ab_bench = b)
+       (fun r ->
+         r.Experiments.ab_name = (List.hd Config.ablations).Config.a_name
+         && r.Experiments.ab_bench = b)
        rows)
       .Experiments.ab_cycles
   in

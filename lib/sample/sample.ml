@@ -1,6 +1,6 @@
 (* Measured-vs-extrapolated accuracy harness for sampled simulation
-   (DESIGN.md §13): each workload is compiled once, run in full and under
-   interval sampling, and the two accountings are compared — total-cycle
+   (DESIGN.md §13): each workload is run in full and under interval
+   sampling on the same ILP-CS binary, and the two accountings are compared — total-cycle
    relative error, per-category error (normalized by the *total*, so a
    tiny category cannot blow up a relative bound), and host-side speedup.
    The CI `sample-accuracy` job runs this over a subset and enforces the
@@ -11,6 +11,7 @@ module Machine = Epic_sim.Machine
 module Accounting = Epic_sim.Accounting
 module Sampling = Epic_sim.Sampling
 module Json = Epic_obs.Json
+module Matrix = Epic_core.Matrix
 
 (* Error budgets enforced by CI (and documented in EXPERIMENTS.md). *)
 let total_budget = 0.02
@@ -40,41 +41,34 @@ type report = {
   pass : bool;  (* geomean_err <= total_budget && worst_cat_err <= cat_budget *)
 }
 
-let geomean = function
-  | [] -> 0.
-  | xs ->
-      let n = float_of_int (List.length xs) in
-      exp (List.fold_left (fun a x -> a +. log (max x 1e-12)) 0. xs /. n)
+(* One side of a workload's comparison: what the full or the sampled
+   run's reducer keeps, including its simulation's wall time. *)
+type side = {
+  code : int;
+  output : string;
+  totals : float array;
+  summary : Sampling.summary option;
+  wall : float;
+}
 
-(* One workload: compile once, run full then sampled on the same binary. *)
-let measure_workload ~(plan : Sampling.plan) (w : Workload.t) =
-  let config =
-    {
-      (Epic_core.Config.make Epic_core.Config.ILP_CS) with
-      Epic_core.Config.pointer_analysis = w.Workload.pointer_analysis;
-    }
+let side (s : Matrix.sim) =
+  {
+    code = s.Matrix.code;
+    output = s.Matrix.output;
+    totals = s.Matrix.accounts.(0);
+    summary = Machine.sample_summary (Option.get s.Matrix.machine);
+    wall = s.Matrix.host.Epic_core.Metrics.h_wall_s;
+  }
+
+let row (w : Workload.t) full sampled =
+  let full_total = Array.fold_left ( +. ) 0. full.totals in
+  let sampled_total = Array.fold_left ( +. ) 0. sampled.totals in
+  let cat_err =
+    Array.init 9 (fun k ->
+        abs_float (sampled.totals.(k) -. full.totals.(k)) /. max full_total 1.)
   in
-  let compiled =
-    Epic_core.Driver.compile ~config ~train:w.Workload.train w.Workload.source
-  in
-  let input = w.Workload.reference in
-  let t0 = Unix.gettimeofday () in
-  let fcode, fout, fst_ = Epic_core.Driver.run compiled input in
-  let full_wall = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let scode, sout, sst = Epic_core.Driver.run ~sampling:plan compiled input in
-  let sampled_wall = Unix.gettimeofday () -. t1 in
-  let full_total = Accounting.total fst_.Machine.acc in
-  let sampled_total = Accounting.total sst.Machine.acc in
-  let cat_err = Array.make 9 0. in
-  for k = 0 to 8 do
-    cat_err.(k) <-
-      abs_float (sst.Machine.acc.Accounting.totals.(k)
-                -. fst_.Machine.acc.Accounting.totals.(k))
-      /. max full_total 1.
-  done;
   let detail_fraction, ci95_rel =
-    match Machine.sample_summary sst with
+    match sampled.summary with
     | Some su ->
         ( float_of_int su.Sampling.s_detail_groups
           /. float_of_int (max 1 su.Sampling.s_total_groups),
@@ -89,22 +83,29 @@ let measure_workload ~(plan : Sampling.plan) (w : Workload.t) =
     r_cat_err = cat_err;
     r_max_cat_err = Array.fold_left max 0. cat_err;
     r_detail_fraction = detail_fraction;
-    r_full_wall_s = full_wall;
-    r_sampled_wall_s = sampled_wall;
-    r_speedup = full_wall /. max sampled_wall 1e-9;
-    r_output_ok = fcode = scode && String.equal fout sout;
+    r_full_wall_s = full.wall;
+    r_sampled_wall_s = sampled.wall;
+    r_speedup = full.wall /. max sampled.wall 1e-9;
+    r_output_ok = full.code = sampled.code && String.equal full.output sampled.output;
     r_ci95_rel = ci95_rel;
   }
 
-let run ?(plan = Sampling.default_plan) ?(jobs = 1)
-    ?(workloads = Epic_workloads.Suite.all) () =
-  let rows =
-    if jobs <= 1 then List.map (measure_workload ~plan) workloads
-    else
-      Array.to_list
-        (Epic_core.Pool.map ~jobs (measure_workload ~plan)
-           (Array.of_list workloads))
+(* Each workload is two ILP-CS cells on one compile key: the full run and
+   the sampled run; with a caching backend the program compiles once. *)
+let run ?(plan = Sampling.default_plan) ?(workloads = Epic_workloads.Suite.all)
+    backend =
+  let cells =
+    List.concat_map
+      (fun w ->
+        let full =
+          Matrix.cell w (Epic_core.Experiments.config_for w Epic_core.Config.ILP_CS) side
+        in
+        [ full; { full with Matrix.plan = Matrix.Sampled plan } ])
+      workloads
   in
+  let sides, _ = Matrix.run backend cells in
+  let rows = List.mapi (fun i w -> row w sides.(2 * i) sides.((2 * i) + 1)) workloads in
+  let geomean = Epic_core.Metrics.geomean in
   let geomean_err = geomean (List.map (fun r -> 1. +. r.r_total_err) rows) -. 1. in
   let worst_cat_err = List.fold_left (fun a r -> max a r.r_max_cat_err) 0. rows in
   let outputs_ok = List.for_all (fun r -> r.r_output_ok) rows in

@@ -36,16 +36,16 @@ type report = {
           within {!cat_budget} *)
 }
 
-(** Compile and measure [workloads] (default: the full 12-benchmark suite)
-    under [plan] (default {!Epic_sim.Sampling.default_plan}).  [jobs] > 1
-    fans the per-workload work over a domain pool — compilation dominates
-    there, but wall-clock speedups are then cross-domain noisy; CI uses
-    [jobs:1] for trustworthy timing. *)
+(** Measure [workloads] (default: the full 12-benchmark suite) under
+    [plan] (default {!Epic_sim.Sampling.default_plan}): per workload, a
+    full and a sampled {!Epic_core.Matrix} cell on one compile key, each
+    timed by its simulation's host block.  At a [backend] width above 1
+    the wall-clock speedups are cross-domain noisy; CI runs width 1 for
+    trustworthy timing. *)
 val run :
   ?plan:Epic_sim.Sampling.plan ->
-  ?jobs:int ->
   ?workloads:Epic_workloads.Workload.t list ->
-  unit ->
+  Epic_core.Matrix.backend ->
   report
 
 val to_json : report -> Epic_obs.Json.t

@@ -337,14 +337,15 @@ let execute session r =
           "result" result
     | Suite { workloads; normalize } ->
         let workloads = Option.map workload_list workloads in
-        let s = Session.suite session ?workloads () in
+        let s = Epic_core.Experiments.run_suite ?workloads (Session.backend session) in
         envelope r
           [ ("result", maybe_normalize normalize (Export.suite_to_json s)) ]
     | Sweep { workloads; variants; ablations; big_inputs; normalize } ->
         let variants = Option.map variants_of variants in
         let ablations = Option.map ablations_of ablations in
         let report =
-          Session.sweep session ?variants ?ablations ~big_inputs ~workloads ()
+          Epic_sweep.Sweep.run ?variants ?ablations ~big_inputs ~workloads
+            (Session.backend session)
         in
         envelope r
           [
@@ -366,8 +367,8 @@ let execute session r =
           Option.map (List.map Epic_causal.Causal.parse_target) targets
         in
         let report =
-          Session.causal session ?targets ?factors ?top_funcs ?split_funcs
-            ~serial ~big_inputs ~workloads ()
+          Epic_causal.Causal.run ?targets ?factors ?top_funcs ?split_funcs
+            ~serial ~big_inputs ~workloads (Session.backend session)
         in
         envelope r
           [

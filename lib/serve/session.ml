@@ -272,11 +272,6 @@ let compile_hashed t ~src ~config ~desc ~train source =
 let compile t ~config ~desc ~train source =
   compile_hashed t ~src:(fnv1a64 source) ~config ~desc ~train source
 
-let compile_fn t : Driver.compile_fn =
- fun ~config ~desc ~train source ->
-  let compiled, _, _ = compile t ~config ~desc ~train source in
-  compiled
-
 (* [input_key] is [int64s_key input], shared with the run key. *)
 let reference_hashed t ~src ~input_key source input =
   cached_or_build t t.references (reference_key ~src ~input:input_key)
@@ -407,11 +402,6 @@ let run_fused t ~key compiled ~experiments ~prefix_at input =
               seed t t.checkpoints ckey st.Epic_sim.Machine.ck_saved;
               f))
 
-let fused_fn t : Driver.fused_fn =
- fun ~config ~desc ~train ~input ~experiments ~prefix_at source ->
-  let compiled, key, _ = compile t ~config ~desc ~train source in
-  fst (run_fused t ~key compiled ~experiments ~prefix_at input)
-
 type served = {
   s_outcome : outcome;
   s_key : string;
@@ -436,20 +426,18 @@ let compile_and_run t ?trace ?sampling
 
 (* ---- experiment matrices ---------------------------------------------- *)
 
-let suite t ?workloads ?progress () =
-  Experiments.run_suite ?workloads ?progress ~jobs:t.pool_jobs
-    ~compile:(compile_fn t) ()
-
-let sweep t ?variants ?ablations ?sampling ?big_inputs ?progress ~workloads ()
-    =
-  Epic_sweep.Sweep.run ?variants ?ablations ~compile:(compile_fn t) ?sampling
-    ?big_inputs ?progress ~jobs:t.pool_jobs ~workloads ()
-
-let causal t ?targets ?factors ?top_funcs ?split_funcs ?serial ?big_inputs
-    ?progress ~workloads () =
-  Epic_causal.Causal.run ?targets ?factors ?top_funcs ?split_funcs
-    ~compile:(compile_fn t) ~fused:(fused_fn t) ?serial ?big_inputs ?progress
-    ~jobs:t.pool_jobs ~workloads ()
+let backend t : Epic_core.Matrix.backend =
+  {
+    jobs = t.pool_jobs;
+    compile =
+      (fun ~config ~desc ~train source ->
+        let compiled, key, _ = compile t ~config ~desc ~train source in
+        (compiled, key));
+    reference = (fun ~source ~input -> fst (reference t ~source ~input));
+    fused =
+      (fun ~key compiled ~experiments ~prefix_at input ->
+        fst (run_fused t ~key compiled ~experiments ~prefix_at:(Some prefix_at) input));
+  }
 
 (* ---- accounting -------------------------------------------------------- *)
 

@@ -31,15 +31,15 @@
     cached value.  All entry points are domain-safe.
 
     Everything the binaries do routes through here: [epicc] and [epicd]
-    via {!compile_and_run}, the suite / sensitivity-sweep / causal
-    matrices via {!suite} / {!sweep} / {!causal}, which thread
-    {!compile_fn} — the session's cache as an
-    {!Epic_core.Driver.compile_fn} — into the experiment layers. *)
+    via {!compile_and_run}, and every experiment matrix — the suite, the
+    Section 4 experiments, the sensitivity sweep, the causal matrix, the
+    sampling accuracy harness — via {!backend}, the session's stores as
+    an {!Epic_core.Matrix.backend}. *)
 
 type t
 
 (** [create ()] makes a fresh session.  [jobs] (default 1) is the domain
-    pool width used by {!map}, {!suite}, {!sweep} and {!causal};
+    pool width used by {!map} and {!backend};
     [compile_capacity] (default 64) and [run_capacity] (default 256)
     bound the store's kinds as listed above.
     @raise Invalid_argument if a capacity or [jobs] is < 1. *)
@@ -76,11 +76,6 @@ val compile :
   train:int64 array ->
   string ->
   Epic_core.Driver.compiled * string * bool
-
-(** The session's cache as a {!Epic_core.Driver.compile_fn} — what
-    {!suite}, {!sweep} and {!causal} thread into the experiment layers,
-    and what callers with their own harness can pass explicitly. *)
-val compile_fn : t -> Epic_core.Driver.compile_fn
 
 (** A finished simulation: exit code, program output, metrics, and the
     metrics' result document already serialized.  Cached outcomes carry
@@ -180,10 +175,6 @@ val run_fused :
   int64 array ->
   Epic_core.Driver.fused * bool
 
-(** The session's fused path as a {!Epic_core.Driver.fused_fn} — what
-    {!causal} threads into the causal planner. *)
-val fused_fn : t -> Epic_core.Driver.fused_fn
-
 (** What one [epicc]/[epicd] request resolves to. *)
 type served = {
   s_outcome : outcome;
@@ -210,46 +201,15 @@ val compile_and_run :
   string ->
   served
 
-(** {2 Experiment matrices through the session cache}
+(** {2 Experiment matrices through the session}
 
-    Thin wrappers over the experiment layers with [~compile:(compile_fn t)]
-    and [~jobs:(jobs t)] applied — so one session reuses compiles across a
-    suite, a sweep and a causal matrix (the sweep baseline and the suite's
-    ILP-CS column, for instance, share cache entries). *)
-
-val suite :
-  t ->
-  ?workloads:Epic_workloads.Workload.t list ->
-  ?progress:bool ->
-  unit ->
-  Epic_core.Experiments.suite_result
-
-val sweep :
-  t ->
-  ?variants:Epic_sweep.Sweep.variant list ->
-  ?ablations:Epic_sweep.Sweep.ablation list ->
-  ?sampling:Epic_sim.Sampling.plan ->
-  ?big_inputs:bool ->
-  ?progress:bool ->
-  workloads:string list ->
-  unit ->
-  Epic_sweep.Sweep.report
-
-(** The causal matrix additionally threads [~fused:(fused_fn t)], so the
-    per-workload fused grids memoize and reuse checkpoint prefixes across
-    repeated matrices. *)
-val causal :
-  t ->
-  ?targets:Epic_causal.Causal.target list ->
-  ?factors:float list ->
-  ?top_funcs:int ->
-  ?split_funcs:int ->
-  ?serial:bool ->
-  ?big_inputs:bool ->
-  ?progress:bool ->
-  workloads:string list ->
-  unit ->
-  Epic_causal.Causal.report
+    The session as an {!Epic_core.Matrix.backend}: its width, and its
+    compile, reference and fused stores (the fused one reusing checkpoint
+    prefixes), so one session shares compiles and interpretations across
+    a suite, a sweep and a causal matrix — the sweep baseline and the
+    suite's ILP-CS column, for instance, share cache entries, and each
+    (source, input) pair is interpreted once. *)
+val backend : t -> Epic_core.Matrix.backend
 
 (** {2 Accounting} *)
 

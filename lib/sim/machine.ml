@@ -1251,12 +1251,12 @@ let decode_call x (i : Instr.t) : op =
         | Operand.Sym s ->
             let c = callee_of_name st.funcs s in
             fun _ _ -> c
-        | Operand.Reg r ->
-            let rid = r.Reg.id and rflt = r.Reg.cls = Reg.Flt in
+        | Operand.Reg _ ->
+            (* an integer-context read: a float register's value converts *)
+            let s = src_i x target in
             fun fr untimed ->
-              if not untimed then if rflt then stall_f st fr rid else stall_i st fr rid;
-              if fr.nat.(rid) then raise (Machine_fault "indirect call through NaT");
-              let addr = get64 fr.ints (rid lsl 3) in
+              let addr = rd_i st fr untimed s in
+              if st.onat then raise (Machine_fault "indirect call through NaT");
               let off = Int64.to_int (Int64.sub addr Program.code_base) in
               if off < 0 || off mod 64 <> 0 || off / 64 >= Array.length st.by_addr then
                 raise (Machine_fault (Printf.sprintf "indirect call to 0x%Lx" addr))

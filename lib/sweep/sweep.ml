@@ -21,7 +21,7 @@ type variant = {
   v_expect : expect;
 }
 
-type ablation = {
+type ablation = Config.ablation = {
   a_name : string;
   a_isolates : string;
   a_tweak : Config.t -> Config.t;
@@ -102,46 +102,8 @@ let variants =
     };
   ]
 
-let baseline_ablation =
-  {
-    a_name = "ILP-CS";
-    a_isolates = "the full ILP + control-speculation configuration (baseline)";
-    a_tweak = Fun.id;
-  }
-
-(* Mirrors Experiments.ablations, under sweep-friendly (flag-safe) names. *)
-let ablations =
-  baseline_ablation
-  :: List.map
-       (fun (a_name, a_isolates, a_tweak) -> { a_name; a_isolates; a_tweak })
-       [
-       ( "no-hyperblock",
-         "if-conversion's share of the region-formation gains (Fig. 7)",
-         fun c -> { c with Config.enable_hyperblock = false } );
-       ( "no-peel",
-         "loop peeling's contribution to straightened control flow",
-         fun c -> { c with Config.enable_peel = false } );
-       ( "no-unroll",
-         "unrolling's ILP exposure vs its code-growth cost (Sec. 3.2)",
-         fun c -> { c with Config.enable_unroll = false } );
-       ( "no-tail-dup",
-         "superblock tail duplication's share of code growth (Fig. 5)",
-         fun c ->
-           {
-             c with
-             Config.superblock =
-               {
-                 c.Config.superblock with
-                 Epic_ilp.Superblock.growth_budget = 0.0;
-               };
-           } );
-       ( "no-inline",
-         "cross-function ILP from inlining vs its I-cache pressure",
-         fun c -> { c with Config.inline_budget = 1.0 } );
-       ( "no-height-red",
-         "dependence-height reduction on critical recurrence paths",
-         fun c -> { c with Config.enable_height_reduction = false } );
-     ]
+let ablations = Config.ablations
+let baseline_ablation = List.hd ablations
 
 let find_variant name =
   List.find_opt (fun v -> v.v_name = name) (baseline_variant :: variants)
@@ -179,140 +141,72 @@ type report = {
   r_wall_s : float;
 }
 
-(* Compile-and-simulate one cell, [v] x [a], carrying each of [riders]
-   (suppression variants) as a factor-1.0 experiment on its category.
-   The variant's description governs both the planned schedule
-   (Driver.compile runs inside Itanium.with_desc) and the simulated
-   machine; the ablation tweaks the ILP-CS configuration.  Returns the
-   [v] cell, then one fused cell per rider: the machine evolution never
-   reads the accounting, so a rider shares the host's instruments, output
-   and reference verdict, and differs only in its accumulator.  Every
-   simulation runs with the trace and PC-sampling instruments attached —
-   both are observation-only (no counter or cycle changes), and their
-   summaries land in [c_obs] so sensitivity and causal reports share one
-   observability block (Export.obs_to_json). *)
-let run_cell ?sampling ~(compile : Driver.compile_fn) ~reference
-    (w : Workload.t) (v : variant) (a : ablation) (riders : variant list) =
-  let config = a.a_tweak (Experiments.config_for w Config.ILP_CS) in
-  let compiled =
-    compile ~config ~desc:(Some v.v_desc) ~train:w.Workload.train
-      w.Workload.source
-  in
-  let trace = Epic_obs.Trace.create () in
-  let profile =
-    Epic_obs.Profile.create ~period:Experiments.sample_period ()
-  in
-  let experiments =
-    List.map
-      (fun r ->
-        let c = Option.get r.v_suppresses in
-        { Acc.target = Acc.Target_category c; speedup = 1.0 })
-      riders
-  in
-  let code, out, st =
-    Driver.run ~trace ~profile ?sampling ~experiments compiled
-      w.Workload.reference
-  in
-  let ref_code, ref_out = reference in
-  let ok = code = ref_code && out = ref_out in
-  let obs = Export.obs_to_json ~trace ~profile () in
-  let cell (v : variant) fused (acc : Acc.t) =
+(* One matrix cell, [v] x [a], on the ablation's ILP-CS configuration
+   under the variant's description.  A suppression variant is the
+   itanium2 run carrying a factor-1.0 experiment on its category, so the
+   planner merges it into the simulation of its (workload, ablation)
+   itanium2 cell, which runs even when that cell is not itself in the
+   matrix.  Every simulation carries the trace and PC-sampling
+   instruments — both observation-only — whose summaries land in [c_obs],
+   so sensitivity and causal reports share one observability block. *)
+let cell ?sampling (w : Workload.t) (v : variant) (a : ablation) =
+  let reduce (s : Matrix.sim) =
+    let totals = s.Matrix.accounts.(0) in
     {
       c_workload = w.Workload.short;
       c_variant = v.v_name;
       c_ablation = a.a_name;
-      c_cycles = Acc.total acc;
-      c_categories = Array.copy acc.Acc.totals;
-      c_output_ok = ok;
-      c_obs = obs;
-      c_fused = fused;
+      c_cycles = Array.fold_left ( +. ) 0. totals;
+      c_categories = totals;
+      c_output_ok = s.Matrix.output_ok;
+      c_fused = v.v_suppresses <> None;
+      c_obs = Export.obs_to_json ?trace:s.Matrix.trace ?profile:s.Matrix.profile ();
     }
   in
-  let xacc = Epic_sim.Machine.fused_accounts st in
-  cell v false st.Epic_sim.Machine.acc
-  :: List.mapi (fun i r -> cell r true xacc.(i)) riders
-
-let geomean = function
-  | [] -> invalid_arg "Sweep.geomean: empty"
-  | l ->
-      let n = List.length l in
-      exp (List.fold_left (fun s x -> s +. log x) 0. l /. float_of_int n)
-
-let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
-    ?(compile = Driver.default_compile) ?sampling ?(big_inputs = false)
-    ?(progress = false) ~jobs ~workloads () =
-  let t0 = Unix.gettimeofday () in
-  let ws = Array.of_list (List.map Suite.find_exn workloads) in
-  let ws = if big_inputs then Array.map Workload.scale ws else ws in
-  (* Phase 1: one reference interpretation per workload, shared read-only
-     by every cell of that workload's row. *)
-  let references =
-    Pool.map ~jobs (fun w -> Experiments.reference_output w) ws
+  let c =
+    {
+      (Matrix.cell w (a.a_tweak (Experiments.config_for w Config.ILP_CS)) reduce) with
+      Matrix.plan =
+        (match sampling with Some p -> Matrix.Sampled p | None -> Matrix.Full);
+      traced = true;
+      period = Experiments.sample_period;
+    }
   in
-  (* Phase 2: the per-workload baseline cell plus the full matrix, in
-     deterministic workload-major order (Pool.map returns index order). *)
+  match v.v_suppresses with
+  | None -> { c with Matrix.desc = Some v.v_desc }
+  | Some cat ->
+      {
+        c with
+        Matrix.desc = Some baseline_variant.v_desc;
+        experiments = [ { Acc.target = Acc.Target_category cat; speedup = 1.0 } ];
+      }
+
+let run ?(variants = variants) ?(ablations = [ baseline_ablation ]) ?sampling
+    ?(big_inputs = false) ?progress ~workloads backend =
+  let t0 = Unix.gettimeofday () in
+  let ws = List.map Suite.find_exn workloads in
+  let ws = if big_inputs then List.map Workload.scale ws else ws in
+  (* the per-workload baseline cell, then the matrix, workload-major *)
   let non_baseline (v : variant) (a : ablation) =
     not (v.v_name = baseline_variant.v_name && a.a_name = baseline_ablation.a_name)
   in
   let specs =
-    List.concat
-      (List.mapi
-         (fun wi _ ->
-           (wi, baseline_variant, baseline_ablation)
-           :: List.concat_map
-                (fun v ->
-                  List.filter_map
-                    (fun a -> if non_baseline v a then Some (wi, v, a) else None)
-                    ablations)
-                variants)
-         (Array.to_list ws))
+    List.concat_map
+      (fun w ->
+        (w, baseline_variant, baseline_ablation)
+        :: List.concat_map
+             (fun v ->
+               List.filter_map
+                 (fun a -> if non_baseline v a then Some (w, v, a) else None)
+                 ablations)
+             variants)
+      ws
   in
-  (* One simulation per host, in first-appearance order: a suppression
-     cell rides the itanium2 simulation of its (workload, ablation) —
-     which runs even when that itanium2 cell is not itself in the matrix —
-     and every other cell hosts its own. *)
-  let hosts = Hashtbl.create 16 and order = ref [] in
-  List.iter
-    (fun (wi, (v : variant), (a : ablation)) ->
-      let host = if v.v_suppresses = None then v else baseline_variant in
-      let key = (wi, host.v_name, a.a_name) in
-      let riders =
-        match Hashtbl.find_opt hosts key with
-        | Some (_, riders) -> riders
-        | None ->
-            order := key :: !order;
-            []
-      in
-      let riders = if v.v_suppresses = None then riders else riders @ [ v ] in
-      Hashtbl.replace hosts key ((wi, host, a), riders))
-    specs;
-  let sims = Array.of_list (List.rev_map (Hashtbl.find hosts) !order) in
-  let results =
-    Pool.map ~jobs
-      (fun ((wi, (v : variant), (a : ablation)), riders) ->
-        let w = ws.(wi) in
-        if progress then
-          Fmt.epr "  sweeping %s / %s / %s%s...@." w.Workload.short v.v_name
-            a.a_name
-            (match riders with
-            | [] -> ""
-            | l -> Fmt.str " (+%d fused)" (List.length l));
-        (wi, run_cell ?sampling ~compile ~reference:references.(wi) w v a riders))
-      sims
+  let cells, sims =
+    Matrix.run ?progress backend
+      (List.map (fun (w, v, a) -> cell ?sampling w v a) specs)
   in
-  let by_spec = Hashtbl.create 64 in
-  Array.iter
-    (fun (wi, cells) ->
-      List.iter
-        (fun c -> Hashtbl.replace by_spec (wi, c.c_variant, c.c_ablation) c)
-        cells)
-    results;
-  let all =
-    List.map
-      (fun (wi, (v : variant), (a : ablation)) ->
-        Hashtbl.find by_spec (wi, v.v_name, a.a_name))
-      specs
-  in
+  let all = Array.to_list cells in
   let is_baseline c =
     c.c_variant = baseline_variant.v_name
     && c.c_ablation = baseline_ablation.a_name
@@ -339,7 +233,7 @@ let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
               else None)
             rest
         in
-        { t_variant = v; t_ablation = a; t_geomean_ratio = geomean ratios })
+        { t_variant = v; t_ablation = a; t_geomean_ratio = Metrics.geomean ratios })
       combos
     |> List.sort (fun a b ->
            compare
@@ -354,7 +248,7 @@ let run ?(variants = variants) ?(ablations = [ baseline_ablation ])
     r_cells = rest;
     r_tornado = tornado;
     r_fused_cells = List.length (List.filter (fun c -> c.c_fused) all);
-    r_sims = Array.length sims;
+    r_sims = sims;
     r_wall_s = Unix.gettimeofday () -. t0;
   }
 

@@ -1,8 +1,8 @@
 (** Machine-sensitivity sweeps: a declarative experiment matrix of named
     machine-description variants (one knob of {!Epic_mach.Machine_desc}
     turned at a time) crossed with compiler ablations (one
-    {!Epic_core.Config} knob), executed over the {!Epic_core.Pool} domain
-    runner, producing per-cell
+    {!Epic_core.Config} knob), run as one {!Epic_core.Matrix} cell list,
+    producing per-cell
     stall-category deltas against the [itanium2 x ILP-CS] baseline and a
     geomean tornado ordering.
 
@@ -38,7 +38,7 @@ type variant = {
 
 (** A named compiler ablation: a tweak applied to the workload's ILP-CS
     configuration. *)
-type ablation = {
+type ablation = Epic_core.Config.ablation = {
   a_name : string;
   a_isolates : string;
       (** one line: which paper finding this ablation isolates *)
@@ -50,10 +50,10 @@ type ablation = {
     [tiny-dtlb]. *)
 val variants : variant list
 
-(** The built-in compiler ablations, mirroring
-    {!Epic_core.Experiments.ablations}:
-    the identity baseline [ILP-CS] first, then [no-hyperblock], [no-peel],
-    [no-unroll], [no-tail-dup], [no-inline], [no-height-red]. *)
+(** The built-in compiler ablations, {!Epic_core.Config.ablations} (the
+    list the [ablations] artifact runs too): the identity baseline
+    [ILP-CS] first, then [no-hyperblock], [no-peel], [no-unroll],
+    [no-tail-dup], [no-inline], [no-height-red]. *)
 val ablations : ablation list
 
 (** [itanium2], targets nothing. *)
@@ -105,41 +105,30 @@ type report = {
   r_wall_s : float;  (** wall-clock seconds *)
 }
 
-(** Execute the matrix: per-workload reference outputs are computed once
-    (phase 1) and shared read-only, then every cell — the per-workload
-    baseline plus [workloads x variants x ablations] — is delivered on
-    the {!Epic_core.Pool} (phase 2).  Each suppression cell rides the
-    itanium2 simulation of its (workload, ablation) as a fused
-    experiment: one detailed run delivers that itanium2 cell (simulated
-    even when it is not itself in the matrix) plus every suppression cell
-    of the ablation.  Every other cell compiles and simulates on its own.
-    Results are in deterministic workload-major order regardless of
-    [jobs].
+(** Execute the matrix through {!Epic_core.Matrix.run} on [backend]: the
+    per-workload baseline cell plus [workloads x variants x ablations].  A
+    suppression cell is the itanium2 cell of its (workload, ablation)
+    carrying a factor-1.0 category experiment, so the planner merges it
+    into that simulation — which runs even when the itanium2 cell itself
+    is not in the matrix.  Every other cell compiles and simulates on its
+    own.  Results are in deterministic workload-major order whatever the
+    backend's width.
 
-    [compile] substitutes the compile entry point of every cell (default
-    {!Epic_core.Driver.default_compile}) — the hook [Epic_serve.Session]
-    supplies so sweeps share the session's content-addressed artifact
-    cache.
+    [sampling] runs every cell under interval sampling: cell cycles and
+    categories become extrapolated estimates, which trades a bounded
+    accuracy budget (EXPERIMENTS.md) for simulation speed on wide
+    matrices.  [big_inputs] substitutes each workload's scaled evaluation
+    input ({!Epic_workloads.Workload.scale}).
 
-    [sampling] runs every cell under interval sampling
-    ({!Epic_core.Driver.run} [?sampling]): cell cycles and categories
-    become extrapolated estimates, which trades a bounded accuracy budget
-    (EXPERIMENTS.md) for simulation speed on wide matrices.
-
-    [big_inputs] substitutes each workload's scaled evaluation input
-    ({!Epic_workloads.Workload.scale}).
-
-    @raise Invalid_argument on an unknown workload name or [jobs < 1]. *)
+    @raise Invalid_argument on an unknown workload name. *)
 val run :
   ?variants:variant list ->
   ?ablations:ablation list ->
-  ?compile:Epic_core.Driver.compile_fn ->
   ?sampling:Epic_sim.Sampling.plan ->
   ?big_inputs:bool ->
   ?progress:bool ->
-  jobs:int ->
   workloads:string list ->
-  unit ->
+  Epic_core.Matrix.backend ->
   report
 
 (** The baseline cell for a workload.  @raise Not_found if absent. *)

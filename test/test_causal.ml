@@ -453,8 +453,8 @@ let test_factor_one_category_deltas () =
     ]
   in
   let r =
-    Causal.run ~targets ~factors:[ 0.25; 0.5; 1.0 ] ~jobs:2
-      ~workloads:[ "gzip"; "twolf" ] ()
+    Causal.run ~targets ~factors:[ 0.25; 0.5; 1.0 ]
+      ~workloads:[ "gzip"; "twolf" ] (Epic_core.Matrix.direct ~jobs:2)
   in
   Alcotest.(check (list pass)) "no output mismatches" []
     (Causal.mismatches r);
@@ -509,8 +509,8 @@ let test_factor_one_category_deltas () =
    category AND (function, category) target kinds alike. *)
 let test_func_category_local_exactness () =
   let r =
-    Causal.run ~split_funcs:2 ~top_funcs:1 ~factors:[ 0.5; 1.0 ] ~jobs:2
-      ~workloads:[ "gzip" ] ()
+    Causal.run ~split_funcs:2 ~top_funcs:1 ~factors:[ 0.5; 1.0 ]
+      ~workloads:[ "gzip" ] (Epic_core.Matrix.direct ~jobs:2)
   in
   Alcotest.(check (list pass)) "no output mismatches" [] (Causal.mismatches r);
   let rows = Causal.check_local_exactness r in

@@ -57,17 +57,21 @@ let nat_reg bld = load ~spec:Opcode.Spec_general bld (imm unmapped)
 let chka bld d a = ignore (Builder.emit bld (Opcode.Chka Opcode.B8) ~dsts:[] ~srcs:[ r d; a ])
 let chks bld d a = ignore (Builder.emit bld (Opcode.Chk Opcode.B8) ~dsts:[] ~srcs:[ r d; a ])
 
-(* A one-function program around [body], register-allocated, scheduled
-   and laid out. *)
-let build body =
+(* A program of [main] around [body], plus a function [callee] around
+   [callee_body] when given, register-allocated, scheduled and laid out. *)
+let build ?callee_body body =
   Instr.reset_ids ();
   let p = Program.create () in
-  let f = Func.create "main" [] in
-  let bld = Builder.create f in
-  ignore (Builder.start_block bld "entry");
-  body bld;
-  Builder.ret bld [ imm 0 ];
-  Program.add_func p f;
+  let func name body =
+    let f = Func.create name [] in
+    let bld = Builder.create f in
+    ignore (Builder.start_block bld "entry");
+    body bld;
+    Builder.ret bld [ imm 0 ];
+    Program.add_func p f
+  in
+  func "main" body;
+  Option.iter (func "callee") callee_body;
   Program.assign_addresses p;
   Epic_sched.Regalloc.run p;
   Epic_sched.List_sched.run p;
@@ -107,13 +111,14 @@ type case = {
   expect : expect;
   nat : int option;
   recoveries : int option;
+  callee_body : (Builder.t -> unit) option;
 }
 
-let case ?(input = [||]) ?nat ?recoveries ?(code = 0) name out body =
-  { name; input; body; expect = Out (code, out); nat; recoveries }
+let case ?(input = [||]) ?nat ?recoveries ?(code = 0) ?callee_body name out body =
+  { name; input; body; expect = Out (code, out); nat; recoveries; callee_body }
 
 let faults name body =
-  { name; input = [||]; body; expect = Fault; nat = None; recoveries = None }
+  { name; input = [||]; body; expect = Fault; nat = None; recoveries = None; callee_body = None }
 
 let lines l = String.concat "" (List.map (fun s -> s ^ "\n") l)
 
@@ -475,6 +480,14 @@ let float_regs =
           (Builder.emit bld Opcode.Fadd ~dsts:[ flt_reg 8 ]
              ~srcs:[ Operand.Fimm 2.5; Operand.Fimm 0.0 ]);
         call bld "print_int" [ r (flt_reg 8) ]);
+    (* a function pointer converted to a float register and called
+       through it: the target is read in integer context *)
+    case "an indirect call through a float register" "5\n"
+      ~callee_body:(fun bld -> print bld (movi bld 5))
+      (fun bld ->
+        Builder.mov bld (int_reg 20) (Operand.Sym "callee");
+        ignore (Builder.emit bld Opcode.Cvt_if ~dsts:[ flt_reg 8 ] ~srcs:[ r (int_reg 20) ]);
+        ignore (Builder.call_indirect bld (flt_reg 8) []));
   ]
 
 let cases =
@@ -499,7 +512,7 @@ let check_engine c engine got =
   | _ -> fail ()
 
 let run_case c () =
-  let p, layout = build c.body in
+  let p, layout = build ?callee_body:c.callee_body c.body in
   check_engine c "the interpreter" (interp p c.input);
   check_engine c "the machine" (machine p layout c.input)
 

@@ -114,8 +114,8 @@ let test_suite_determinism () =
   let export s =
     Epic_obs.Json.to_string (Export.normalize_time (Export.suite_to_json s))
   in
-  let seq = Experiments.run_suite ~workloads () in
-  let par = Experiments.run_suite ~workloads ~jobs:4 () in
+  let seq = Experiments.run_suite ~workloads (Epic_core.Matrix.direct ~jobs:1) in
+  let par = Experiments.run_suite ~workloads (Epic_core.Matrix.direct ~jobs:4) in
   check ci "same number of runs" (List.length seq.Experiments.runs)
     (List.length par.Experiments.runs);
   List.iter2
@@ -126,6 +126,31 @@ let test_suite_determinism () =
   check Alcotest.string "suite JSON byte-identical at -j 4" (export seq) (export par);
   check ci "no output mismatches" 0 (List.length (Experiments.mismatches seq))
 
+(* The sweep and the causal matrix run on the same planner: a small
+   matrix of each on gzip gives the same normalized JSON at width 1 and 2.
+   The sweep merges a suppression variant into the itanium2 simulation
+   beside a recompiled geometry variant; the causal grid merges into one
+   prefixed simulation after the baseline. *)
+let test_sweep_causal_determinism () =
+  let norm j = Epic_obs.Json.to_string (Export.normalize_time j) in
+  let sweep jobs =
+    let variants =
+      List.filter_map Epic_sweep.Sweep.find_variant [ "perfect-icache"; "half-l2" ]
+    in
+    norm
+      (Epic_sweep.Sweep.to_json
+         (Epic_sweep.Sweep.run ~variants ~workloads:[ "gzip" ]
+            (Epic_core.Matrix.direct ~jobs)))
+  in
+  let causal jobs =
+    norm
+      (Epic_causal.Causal.to_json
+         (Epic_causal.Causal.run ~top_funcs:1 ~factors:[ 0.5; 1.0 ]
+            ~workloads:[ "gzip" ] (Epic_core.Matrix.direct ~jobs)))
+  in
+  check Alcotest.string "sweep JSON byte-identical at -j 2" (sweep 1) (sweep 2);
+  check Alcotest.string "causal JSON byte-identical at -j 2" (causal 1) (causal 2)
+
 let suite =
   [
     Alcotest.test_case "pool: map basics" `Quick test_map_basic;
@@ -135,4 +160,6 @@ let suite =
     Alcotest.test_case "pool: jobs=1 stays in caller" `Quick test_jobs1_no_domain;
     QCheck_alcotest.to_alcotest qcheck_pool_matches_sequential;
     Alcotest.test_case "suite: -j 4 byte-identical to -j 1" `Slow test_suite_determinism;
+    Alcotest.test_case "sweep and causal: -j 2 byte-identical to -j 1" `Slow
+      test_sweep_causal_determinism;
   ]

@@ -104,7 +104,9 @@ let test_sampling_checkpoint_exclusive () =
 (* The accuracy harness over the full 12-workload suite: the same gate CI
    enforces on a 3-workload subset, here on everything. *)
 let test_accuracy_budget () =
-  let rep = Epic_sample.Sample.run ~jobs:1 () in
+  let rep =
+    Epic_sample.Sample.run (Epic_serve.Session.backend (Epic_serve.Session.create ()))
+  in
   Alcotest.(check int) "all 12 workloads measured" 12
     (List.length rep.Epic_sample.Sample.rows);
   List.iter

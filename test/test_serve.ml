@@ -226,8 +226,8 @@ let test_trace_bypass_and_fused_caching () =
     f3.Epic_core.Driver.f_resumed;
   (* resumed totals within an ulp of straight-through *)
   let f3_full =
-    Epic_core.Driver.default_fused ~config:ilp_cs ~desc:None ~train:[| 5L |]
-      ~input:[| 5L |] ~experiments:exps' ~prefix_at:None prog_a
+    (Epic_core.Matrix.direct ~jobs:1).fused ~key compiled ~experiments:exps'
+      ~prefix_at:0 [| 5L |]
   in
   Array.iteri
     (fun i row ->
@@ -503,6 +503,30 @@ let test_protocol_heaviness () =
     (Protocol.is_heavy
        (Protocol.parse {|{"op":"sweep","workloads":["gzip"],"fuse":false}|}))
 
+(* One session, three matrices over the same two workloads: a suite
+   subset, a sweep and a causal matrix all read the reference input of
+   gzip and twolf, and the session's reference store interprets each
+   (source, input) pair exactly once. *)
+let test_matrices_share_references () =
+  let s = Session.create ~jobs:2 () in
+  let backend = Session.backend s in
+  let workloads = [ "gzip"; "twolf" ] in
+  ignore
+    (Epic_core.Experiments.run_suite
+       ~workloads:(List.map Epic_workloads.Suite.find_exn workloads)
+       backend);
+  ignore
+    (Epic_sweep.Sweep.run
+       ~variants:(List.filter_map Epic_sweep.Sweep.find_variant [ "perfect-icache" ])
+       ~workloads backend);
+  ignore
+    (Epic_causal.Causal.run
+       ~targets:[ Epic_causal.Causal.Target_category Epic_sim.Accounting.Front_end ]
+       ~factors:[ 1.0 ] ~workloads backend);
+  Alcotest.(check int) "one reference miss per (source, input)" 2
+    (kind_counter s "reference" "misses");
+  Alcotest.(check int) "every later matrix hits" 6 (kind_counter s "reference" "hits")
+
 let suite =
   [
     Alcotest.test_case "machine-desc digest is pinned" `Quick test_digest_pinned;
@@ -534,4 +558,6 @@ let suite =
       test_keys_pinned;
     Alcotest.test_case "served run bytes equal the tree-built envelope" `Quick
       test_served_bytes;
+    Alcotest.test_case "suite, sweep and causal share one interpretation"
+      `Slow test_matrices_share_references;
   ]

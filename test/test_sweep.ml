@@ -120,7 +120,8 @@ let test_sweep_matrix () =
     List.map (fun n -> Option.get (Sweep.find_ablation n)) [ "ILP-CS"; "no-peel" ]
   in
   let r =
-    Sweep.run ~variants ~ablations ~jobs:2 ~workloads:[ "gzip"; "twolf" ] ()
+    Sweep.run ~variants ~ablations ~workloads:[ "gzip"; "twolf" ]
+      (Epic_core.Matrix.direct ~jobs:2)
   in
   (* per workload: 4 variants x 2 ablations, less the baseline cell *)
   Alcotest.(check int) "cells" 14 (List.length r.Sweep.r_cells);

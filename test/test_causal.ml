@@ -225,6 +225,66 @@ let qcheck_fused_equals_serial =
         exps;
       true)
 
+(* Property: reading a fused set's accounts ([set_accounts]) is allowed at
+   any point mid-replay — what it returns equals the serial replays of the
+   prefix charged so far, and charging on afterwards still ends bitwise
+   equal to the serial replays of the whole trace.  A read that leaves an
+   accumulator inconsistent, or disturbs what later charges add up to,
+   fails here. *)
+let qcheck_fused_mid_reads =
+  let check_equal what i (got : Acc.t) (want : Acc.t) =
+    Array.iteri
+      (fun k v ->
+        if Int64.bits_of_float v <> Int64.bits_of_float want.Acc.totals.(k)
+        then
+          QCheck.Test.fail_reportf "%s: experiment %d total %d differs" what i
+            k)
+      got.Acc.totals;
+    Array.iter
+      (fun f ->
+        match Hashtbl.find_opt want.Acc.by_func f with
+        | None -> ()
+        | Some bw ->
+            Array.iteri
+              (fun k v ->
+                if Int64.bits_of_float v <> Int64.bits_of_float bw.(k) then
+                  QCheck.Test.fail_reportf "%s: experiment %d bin %s/%d differs"
+                    what i f k)
+              (Acc.bins got f))
+      funcs
+  in
+  QCheck.Test.make ~count:100
+    ~name:"fused replay read mid-trace == serial replays, bitwise"
+    (QCheck.make
+       QCheck.Gen.(
+         triple charge_trace_gen
+           (list_size (int_range 1 5) experiment_gen)
+           (list_size (int_range 1 6) (int_range 0 300))))
+    (fun (trace, exps, reads) ->
+      let s = Acc.make_set exps in
+      let bs = Array.make (Acc.set_size s) [||] in
+      let cur = ref (-1) in
+      let compare_prefix what n =
+        let prefix = List.filteri (fun j _ -> j < n) trace in
+        Array.iteri
+          (fun i got ->
+            check_equal what i got
+              (replay ~experiment:(List.nth exps i) prefix))
+          (Acc.set_accounts s)
+      in
+      List.iteri
+        (fun j (fi, ci, cyc) ->
+          if List.mem j reads then
+            compare_prefix (Printf.sprintf "read before event %d" j) j;
+          if !cur <> fi then begin
+            Acc.set_bins s bs funcs.(fi);
+            cur := fi
+          end;
+          Acc.charge_set s bs (cat_of_index ci) cyc)
+        trace;
+      compare_prefix "end of trace" (List.length trace);
+      true)
+
 (* The same identity end-to-end through the machine: one fused gzip
    simulation carrying mixed-kind experiments must reproduce, bitwise,
    each serial run that carries that experiment alone (a set of one), and
@@ -277,6 +337,115 @@ let test_fused_machine_identity () =
         (Int64.bits_of_float st_plain.Epic_sim.Machine.acc.Acc.totals.(k))
         (Int64.bits_of_float v))
     st_f.Epic_sim.Machine.acc.Acc.totals
+
+(* The fused identity under interval sampling: every experiment of a
+   fused sampled gzip run — mixed target kinds plus a no-op — must equal,
+   bitwise, the serial sampled run carrying it alone: extrapolated totals,
+   every per-function bin and the host's sampled estimate.  A category an
+   experiment cannot change must also equal, totals and bins, the plain
+   sampled run's own accounting, which no experiment machinery touches.
+   The plan is small so the run switches phase many times. *)
+let test_fused_sampled_identity () =
+  let w = Epic_workloads.Suite.find_exn "gzip" in
+  let config = Epic_core.Experiments.config_for w Epic_core.Config.ILP_CS in
+  let compiled =
+    Epic_core.Driver.compile ~config ~train:w.Epic_workloads.Workload.train
+      w.Epic_workloads.Workload.source
+  in
+  let input = w.Epic_workloads.Workload.reference in
+  let sampling =
+    { Epic_sim.Sampling.interval = 4096; detail = 256; warmup = 1024 }
+  in
+  let exps =
+    [
+      { Acc.target = Acc.Target_category Acc.Front_end; speedup = 1.0 };
+      { Acc.target = Acc.Target_category Acc.Br_mispredict; speedup = 0.5 };
+      { Acc.target = Acc.Target_func "deflate"; speedup = 0.25 };
+      { Acc.target = Acc.Target_func_category ("deflate", Acc.Unstalled);
+        speedup = 0.75;
+      };
+      { Acc.target = Acc.Target_category Acc.Int_load_bubble; speedup = 0.0 };
+    ]
+  in
+  let est st =
+    match Epic_sim.Machine.sample_summary st with
+    | Some s -> s.Epic_sim.Sampling.s_est_cycles
+    | None -> Alcotest.fail "sampled run has no summary"
+  in
+  let bits = Int64.bits_of_float in
+  let code_f, out_f, st_f =
+    Epic_core.Driver.run ~sampling ~experiments:exps compiled input
+  in
+  (match Epic_sim.Machine.sample_summary st_f with
+  | Some s ->
+      Alcotest.(check bool) "the run left detail several times" true
+        (s.Epic_sim.Sampling.s_phases >= 3)
+  | None -> Alcotest.fail "sampled run has no summary");
+  let fused = Epic_sim.Machine.fused_accounts st_f in
+  let _, _, st_plain = Epic_core.Driver.run ~sampling compiled input in
+  let plain = st_plain.Epic_sim.Machine.acc in
+  Array.iteri
+    (fun k v ->
+      Alcotest.(check int64)
+        (Printf.sprintf "host category %d equals the plain sampled run" k)
+        (bits plain.Acc.totals.(k)) (bits v))
+    st_f.Epic_sim.Machine.acc.Acc.totals;
+  let untouched (e : Acc.experiment) k =
+    e.Acc.speedup = 0.
+    ||
+    match e.Acc.target with
+    | Acc.Target_func _ -> false
+    | Acc.Target_category c | Acc.Target_func_category (_, c) ->
+        Acc.index c <> k
+  in
+  List.iteri
+    (fun i e ->
+      for k = 0 to 8 do
+        if untouched e k then begin
+          Alcotest.(check int64)
+            (Printf.sprintf "experiment %d untouched category %d = plain" i k)
+            (bits plain.Acc.totals.(k)) (bits fused.(i).Acc.totals.(k));
+          List.iter
+            (fun f ->
+              Alcotest.(check int64)
+                (Printf.sprintf "experiment %d untouched bin %s/%d = plain" i
+                   f k)
+                (bits (Acc.bins plain f).(k))
+                (bits (Acc.bins fused.(i) f).(k)))
+            (Acc.functions plain)
+        end
+      done)
+    exps;
+  List.iteri
+    (fun i e ->
+      let code_s, out_s, st_s =
+        Epic_core.Driver.run ~sampling ~experiments:[ e ] compiled input
+      in
+      Alcotest.(check int) "exit code" code_s code_f;
+      Alcotest.(check string) "output" out_s out_f;
+      Alcotest.(check int64)
+        (Printf.sprintf "experiment %d: s_est_cycles bitwise" i)
+        (bits (est st_s)) (bits (est st_f));
+      let serial = (Epic_sim.Machine.fused_accounts st_s).(0) in
+      Array.iteri
+        (fun k v ->
+          Alcotest.(check int64)
+            (Printf.sprintf "experiment %d category %d bitwise" i k)
+            (bits serial.Acc.totals.(k)) (bits v))
+        fused.(i).Acc.totals;
+      Alcotest.(check (list string))
+        (Printf.sprintf "experiment %d: same functions binned" i)
+        (Acc.functions serial) (Acc.functions fused.(i));
+      List.iter
+        (fun f ->
+          Array.iteri
+            (fun k v ->
+              Alcotest.(check int64)
+                (Printf.sprintf "experiment %d bin %s/%d bitwise" i f k)
+                (bits v) (bits (Acc.bins fused.(i) f).(k)))
+            (Acc.bins serial f))
+        (Acc.functions serial))
+    exps
 
 (* Checkpoint-prefix reuse under experiments: resuming a mid-run snapshot
    with a fused set applies each experiment to the checkpointed past
@@ -541,8 +710,11 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_func_scaling;
     QCheck_alcotest.to_alcotest qcheck_func_category_scaling;
     QCheck_alcotest.to_alcotest qcheck_fused_equals_serial;
+    QCheck_alcotest.to_alcotest qcheck_fused_mid_reads;
     Alcotest.test_case "fused machine run == serial runs, bitwise" `Slow
       test_fused_machine_identity;
+    Alcotest.test_case "fused sampled run == serial sampled runs, bitwise"
+      `Slow test_fused_sampled_identity;
     Alcotest.test_case "checkpoint resume under experiments" `Slow
       test_fused_checkpoint_resume;
     Alcotest.test_case "no-op experiment is byte-invisible" `Slow

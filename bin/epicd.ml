@@ -7,12 +7,14 @@
    in order.
 
    Batching: each select() wake-up drains every complete line already
-   buffered across all clients into one batch.  Light requests (ping,
-   stats, compile, run) are fanned over the session's domain pool —
-   concurrent identical keys compile exactly once, the rest wait on the
-   in-flight table and read the cache.  Heavy matrix requests (suite,
-   sweep, causal) parallelize internally, so they run serially after the
-   light ones.  Responses are written back per client in request order.
+   buffered across all clients into one batch, run by
+   Protocol.execute_batch in wire order.  Light requests (ping, stats,
+   compile, run) between two heavy ones are fanned over the session's
+   domain pool — concurrent identical keys compile exactly once, the rest
+   wait on the in-flight table and read the cache.  Heavy matrix requests
+   (suite, sweep, causal) parallelize internally, so each runs alone at
+   its own position, and a request pipelined after one sees its effects.
+   Responses are written back per client in request order.
 
    A client's pending (not yet newline-terminated) bytes are capped at
    [max_line] bytes: a client that exceeds it gets one error response and
@@ -207,30 +209,7 @@ let () =
       Array.of_list
         (List.map (fun (fd, line) -> (fd, Protocol.parse line)) (List.rev !batch))
     in
-    let responses = Array.make (Array.length entries) "" in
-    let light, heavy =
-      let l = ref [] and h = ref [] in
-      Array.iteri
-        (fun i (_, r) ->
-          if Protocol.is_heavy r then h := i :: !h else l := i :: !l)
-        entries;
-      (Array.of_list (List.rev !l), List.rev !h)
-    in
-    (* light requests fan out over the pool; the session's in-flight
-       table makes identical concurrent keys build exactly once *)
-    let light_resps =
-      Session.map session
-        (fun i ->
-          let _, r = entries.(i) in
-          Protocol.execute session r)
-        light
-    in
-    Array.iteri (fun k i -> responses.(i) <- light_resps.(k)) light;
-    List.iter
-      (fun i ->
-        let _, r = entries.(i) in
-        responses.(i) <- Protocol.execute session r)
-      heavy;
+    let responses = Protocol.execute_batch session (Array.map snd entries) in
     Array.iteri
       (fun i (fd, r) ->
         respond fd responses.(i);

@@ -378,3 +378,26 @@ let execute session r =
   with
   | Field msg -> error_envelope r msg
   | e -> error_envelope r (Printexc.to_string e)
+
+(* A batch in wire order: a heavy request runs alone at its own position,
+   so a request after it sees the session as the heavy one left it; each
+   maximal run of light requests between heavy ones fans over the pool
+   (the session's in-flight table makes identical concurrent keys build
+   exactly once). *)
+let execute_batch session (reqs : request array) =
+  let n = Array.length reqs in
+  let out = Array.make n "" in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j < n && not (is_heavy reqs.(!j)) do
+      incr j
+    done;
+    if !j > !i then
+      Array.blit
+        (Session.map session (execute session) (Array.sub reqs !i (!j - !i)))
+        0 out !i (!j - !i);
+    if !j < n then out.(!j) <- execute session reqs.(!j);
+    i := !j + 1
+  done;
+  out

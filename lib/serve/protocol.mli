@@ -45,8 +45,8 @@ type request
 val parse : string -> request
 
 (** Matrix ops ([suite], [sweep], [causal]) — they parallelize internally
-    over the session pool, so the daemon runs them serially rather than
-    fanning them into a batch. *)
+    over the session pool, so {!execute_batch} runs each alone rather than
+    fanning it out with its neighbours. *)
 val is_heavy : request -> bool
 
 val is_shutdown : request -> bool
@@ -58,3 +58,9 @@ val error_response : string -> string
 (** Execute against the session; returns the compact one-line response
     (no trailing newline).  Catches exceptions into error responses. *)
 val execute : Session.t -> request -> string
+
+(** Execute a batch of requests (the lines a daemon read in one wake-up)
+    with the effects of wire order: each heavy request runs alone at its
+    position, each maximal run of light requests between them fans over
+    the session's pool.  Response [i] answers request [i]. *)
+val execute_batch : Session.t -> request array -> string array

@@ -139,7 +139,13 @@ type outcome = {
   o_output : string;
   o_metrics : Metrics.run;
   o_result : string;
+  o_label_end : int;
 }
+
+(* [Export.run_to_json]'s first field is the workload label, so a result
+   document is this prefix followed by bytes the label does not touch. *)
+let label_prefix workload =
+  "{\"workload\":" ^ Epic_obs.Json.to_string (Epic_obs.Json.Str workload)
 
 (* The result document is encoded here, once, when the outcome is built:
    a run-cache hit then serves stored bytes.  Eager on purpose — identical
@@ -151,6 +157,23 @@ let outcome ~code ~output metrics =
     o_output = output;
     o_metrics = metrics;
     o_result = Epic_obs.Json.to_string (Epic_core.Export.run_to_json metrics);
+    o_label_end = String.length (label_prefix metrics.Metrics.workload);
+  }
+
+(* The same outcome under another label: the stored bytes after the old
+   label, spliced behind the new one instead of re-encoding the document. *)
+let relabel o workload =
+  let prefix = label_prefix workload in
+  let p = String.length prefix in
+  let rest = String.length o.o_result - o.o_label_end in
+  let b = Bytes.create (p + rest) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.blit_string o.o_result o.o_label_end b p rest;
+  {
+    o with
+    o_metrics = { o.o_metrics with Metrics.workload };
+    o_result = Bytes.unsafe_to_string b;
+    o_label_end = p;
   }
 
 (* One kind of cached artifact: its own bounded LRU and its own counters.
@@ -326,9 +349,7 @@ let run_keyed t ?trace ?sampling ~sample_period ~workload ~reference ~key
       in
       (* the key is content-addressed; only the caller's label differs *)
       if hit && o.o_metrics.Metrics.workload <> workload then
-        ( outcome ~code:o.o_code ~output:o.o_output
-            { o.o_metrics with Metrics.workload },
-          hit )
+        (relabel o workload, hit)
       else (o, hit)
 
 let run t ?trace ?sampling ?(sample_period = Experiments.sample_period)

@@ -90,6 +90,10 @@ type outcome = {
       (** [Json.to_string (Export.run_to_json o_metrics)], encoded once
           when the outcome is built, so a run-cache hit serves stored
           bytes *)
+  o_label_end : int;
+      (** where in [o_result] the workload label's value ends (it is the
+          document's first field): a hit under another label splices the
+          bytes from here behind the new label *)
 }
 
 (** Build an outcome, encoding its result document. *)

@@ -180,19 +180,48 @@ let apply_experiment_to_past t { target; speedup } =
 
 (* --- fused experiment sets ------------------------------------------------
    N concurrent virtual-speedup experiments over one simulated instruction
-   stream.  Each experiment owns a *full* accumulator with the experiment
-   installed through the ordinary [set_experiment], and fused charging
-   routes every charge through the ordinary [charge_bins] on each
-   accumulator — so a fused experiment sees exactly the float-operation
-   sequence a lone accumulator carrying only it would see, and its totals
-   and per-function bins are bit-identical to that accumulator's, by
-   construction (and independent of the set's other members).
+   stream.  Each experiment owns a full accumulator with the experiment
+   installed through the ordinary [set_experiment], but a charge is routed
+   only to the experiments that can change it: those whose filter admits
+   its category ([exp_keep <> 1.0] and [exp_cat] = -1 or the charge's
+   category).  Every charge also goes, unscaled and once, to [base].
+
+   That stays bit-exact because of what a serial run of one experiment
+   puts into a category it does not route: only unscaled
+   [float_of_int cycles] charges, so each such column (its total and every
+   function's bin) is an integer sum — exact in any order below 2^53 —
+   and therefore equal to [base]'s column bit for bit.  [set_accounts],
+   the only way to read the set, copies [base]'s unrouted columns over
+   first; a sampled run extrapolates [base] alongside the experiments
+   (see [Sampling.attach]).  A routed column sees exactly the charge
+   sequence the lone accumulator sees, through the same [charge_bins].
    The host accumulator (the machine's own) is charged as usual and stays
    bit-identical to a run with no experiments at all. *)
 type exp_set = {
   xexps : experiment array;
   xacc : t array; (* one accumulator per experiment, same order *)
+  base : t; (* every charge, unscaled *)
+  mutable base_bins : float array; (* [base]'s bins for the current function *)
+  route : int array array;
+      (* [route.(k)]: the experiments a category-[k] charge can change *)
+  unrouted : int array array;
+      (* [unrouted.(i)]: the categories experiment [i] takes from [base] *)
 }
+
+let routes (a : t) k = a.exp_keep <> 1.0 && (a.exp_cat = -1 || a.exp_cat = k)
+
+let set_of ~base (xexps : experiment array) (xacc : t array) =
+  let pick n keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
+  let n = Array.length xacc in
+  {
+    xexps;
+    xacc;
+    base;
+    base_bins = [||];
+    route = Array.init 9 (fun k -> pick n (fun i -> routes xacc.(i) k));
+    unrouted =
+      Array.map (fun a -> pick 9 (fun k -> not (routes a k))) xacc;
+  }
 
 let make_set (exps : experiment list) =
   let xexps = Array.of_list exps in
@@ -204,12 +233,14 @@ let make_set (exps : experiment list) =
         a)
       xexps
   in
-  { xexps; xacc }
+  set_of ~base:(create ()) xexps xacc
 
 (* A set for resuming a checkpointed prefix: each accumulator starts from
    a private copy of the prefix accounting with the experiment applied
    retroactively — within an ulp of the straight-through fused run, for
-   the same reason [apply_experiment_to_past] is (see above). *)
+   the same reason [apply_experiment_to_past] is (see above).  [base]
+   starts from a plain copy: the retroactive scaling touches only routed
+   columns, so the unrouted ones still equal the prefix's. *)
 let resume_set ~(past : t) (exps : experiment list) =
   let xexps = Array.of_list exps in
   let xacc =
@@ -221,17 +252,41 @@ let resume_set ~(past : t) (exps : experiment list) =
         a)
       xexps
   in
-  { xexps; xacc }
+  set_of ~base:(copy past) xexps xacc
 
 let set_size (s : exp_set) = Array.length s.xacc
-let set_accounts (s : exp_set) = s.xacc
 let set_experiments (s : exp_set) = s.xexps
+let set_base (s : exp_set) = s.base
+
+(* Copy [base]'s unrouted categories, totals and every function's bins,
+   into each experiment's accumulator: after this each equals the lone
+   accumulator of its serial run. *)
+let set_accounts (s : exp_set) =
+  Array.iteri
+    (fun i (a : t) ->
+      Array.iter (fun k -> a.totals.(k) <- s.base.totals.(k)) s.unrouted.(i))
+    s.xacc;
+  Hashtbl.iter
+    (fun f (bb : float array) ->
+      Array.iteri
+        (fun i a ->
+          let ks = s.unrouted.(i) in
+          if Array.length ks > 0 then begin
+            let b = bins a f in
+            Array.iter (fun k -> b.(k) <- bb.(k)) ks
+          end)
+        s.xacc)
+    s.base.by_func;
+  s.xacc
 
 (* Refill the caller's per-experiment bins scratch for [func]: slot [i]
-   becomes [func]'s live bins array in experiment [i]'s accumulator
-   (created on demand, exactly as a serial run's first charge under [func]
-   would create it). *)
+   becomes [func]'s live bins array in experiment [i]'s accumulator.  The
+   bins are created on demand in every accumulator, routed or not, exactly
+   as a serial run's first charge under [func] would create them — so
+   each accumulator's [by_func] layout (and fold order) is the serial
+   one. *)
 let set_bins (s : exp_set) (bs : float array array) (func : string) =
+  s.base_bins <- bins s.base func;
   for i = 0 to Array.length s.xacc - 1 do
     bs.(i) <- bins s.xacc.(i) func
   done
@@ -261,14 +316,20 @@ let charge_bins t (b : float array) (cat : category) (cycles : int) =
 let charge t (func : string) (cat : category) (cycles : int) =
   if cycles > 0 then charge_bins t (bins t func) cat cycles
 
-(* Fused hot path: one simulator charge fans out to every experiment's
-   accumulator through the ordinary [charge_bins], each against its own
-   cached bins for the current function (see [set_bins]). *)
+(* Fused hot path: one simulator charge goes to [base] and, through the
+   ordinary [charge_bins], to the experiments routed for its category,
+   each against its own cached bins for the current function (see
+   [set_bins]).  A speedup-0.0 experiment is routed nowhere. *)
 let charge_set (s : exp_set) (bs : float array array) (cat : category)
     (cycles : int) =
-  for i = 0 to Array.length s.xacc - 1 do
-    charge_bins s.xacc.(i) bs.(i) cat cycles
-  done
+  if cycles > 0 then begin
+    charge_bins s.base s.base_bins cat cycles;
+    let r = s.route.(index cat) in
+    for j = 0 to Array.length r - 1 do
+      let i = r.(j) in
+      charge_bins s.xacc.(i) bs.(i) cat cycles
+    done
+  end
 
 let total t = Array.fold_left ( +. ) 0. t.totals
 let get t cat = t.totals.(index cat)

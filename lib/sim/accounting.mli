@@ -103,16 +103,18 @@ val apply_experiment_to_past : t -> experiment -> unit
 
 (** A fused set of N concurrent virtual-speedup experiments carried by one
     simulation.  Each experiment owns a full private accumulator with the
-    experiment installed via {!set_experiment}, and fused charging routes
-    every charge through {!charge_bins} on each accumulator — so each
-    fused experiment's totals and per-function bins are bit-identical to
-    a lone accumulator with only that experiment installed, by
-    construction, whatever else the set carries.  The host accumulator
-    is charged separately as usual and is untouched by the set. *)
-type exp_set = {
-  xexps : experiment array;
-  xacc : t array;  (** one accumulator per experiment, same order *)
-}
+    experiment installed via {!set_experiment}.  A charge goes, unscaled,
+    to one base accumulator and, through {!charge_bins}, only to the
+    experiments whose filter admits its category (speedup <> 0 and the
+    experiment targets that category or every category).  The categories
+    an experiment does not route would receive only unscaled integer
+    charges in its serial run, so they equal the base's bit for bit;
+    {!set_accounts} copies them over.  Each fused experiment's totals and
+    per-function bins are therefore bit-identical to a lone accumulator
+    with only that experiment installed, whatever else the set carries.
+    The host accumulator is charged separately as usual and is untouched
+    by the set.  See DESIGN.md §14. *)
+type exp_set
 
 (** Fresh accumulators, one per experiment, experiments installed.
     @raise Invalid_argument if any speedup is outside [0, 1]. *)
@@ -121,19 +123,30 @@ val make_set : experiment list -> exp_set
 (** A set resuming from a checkpointed prefix: each accumulator is a
     private {!copy} of [past] with its experiment installed and applied
     retroactively via {!apply_experiment_to_past} — within an ulp of the
-    straight-through fused run. *)
+    straight-through fused run.  The base starts from a plain copy. *)
 val resume_set : past:t -> experiment list -> exp_set
 
 val set_size : exp_set -> int
-val set_accounts : exp_set -> t array
 val set_experiments : exp_set -> experiment array
+
+(** The experiments' accumulators, in the order the experiments were
+    given, each brought up to date first: its unrouted categories (totals
+    and every function's bin) are copied from the base.  Callable at any
+    point of a run; charging may go on afterwards. *)
+val set_accounts : exp_set -> t array
+
+(** The base accumulator: every charge, unscaled.  Read-only for callers;
+    a sampled run extrapolates it alongside the experiments, so that
+    {!set_accounts} after extrapolation copies extrapolated columns. *)
+val set_base : exp_set -> t
 
 (** [set_bins s bs func] refills the caller's per-experiment bins scratch
     for [func]: slot [i] becomes [func]'s live bins in accumulator [i]
-    (created on demand).  [Array.length bs] must be [set_size s]. *)
+    (created on demand in every accumulator, routed or not, and in the
+    base).  [Array.length bs] must be [set_size s]. *)
 val set_bins : exp_set -> float array array -> string -> unit
 
-(** [charge_set s bs cat cycles] fans one charge out to every experiment's
-    accumulator via {!charge_bins}, [bs] being the current function's
+(** [charge_set s bs cat cycles] charges the base and, via {!charge_bins},
+    every experiment routed for [cat], [bs] being the current function's
     per-experiment bins from {!set_bins}. *)
 val charge_set : exp_set -> float array array -> category -> int -> unit

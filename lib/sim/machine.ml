@@ -350,7 +350,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
   (* a sampled fused run tracks each experiment's accumulator so finalize
      can extrapolate it exactly as a serial sampled run of it would *)
   (match (sampling, exps) with
-  | Some sa, Some s -> Sampling.attach sa (Accounting.set_accounts s)
+  | Some sa, Some s -> Sampling.attach sa s
   | _ -> ());
   let output = Buffer.create 256 in
   Option.iter (fun ck -> Buffer.add_string output ck.ck_output) from;
@@ -433,8 +433,8 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
 
 (* --- timing primitives ---------------------------------------------------- *)
 
-(* Charge [n] cycles to [cat] on the host accumulator and on every fused
-   experiment's.  The clock is advanced by the callers, never from here, so
+(* Charge [n] cycles to [cat] on the host accumulator and on the fused
+   set (DESIGN.md §14).  The clock is advanced by the callers, never from here, so
    what an experiment does to a charge cannot change the machine's
    evolution. *)
 let charge st cat n =
@@ -452,9 +452,10 @@ let charge st cat n =
       st.cur_bins_for <- st.cur_func
     end;
     Accounting.charge_bins st.acc st.cur_bins cat n;
-    (* fused experiments: the same charge against each experiment's
-       private accumulator, through the same [charge_bins] — so every
-       fused cell is bit-identical to a run of that experiment alone *)
+    (* fused experiments: the same charge against the set's base and
+       each experiment that can change it, through the same [charge_bins]
+       — so every fused cell is bit-identical to a run of that experiment
+       alone *)
     match st.exps with
     | None -> ()
     | Some s -> Accounting.charge_set s st.cur_xbins cat n
@@ -1856,7 +1857,8 @@ let checkpoint st = st.ck_saved
 let sample_summary st = st.sample_summary
 
 (* The fused experiments' final accumulators, in the order the experiment
-   list was given; [[||]] when the run carried none. *)
+   list was given, their unrouted categories filled from the set's base;
+   [[||]] when the run carried none. *)
 let fused_accounts st =
   match st.exps with None -> [||] | Some s -> Accounting.set_accounts s
 

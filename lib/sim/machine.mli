@@ -103,8 +103,9 @@ type t = {
       (** the name (physically) that [cur_bins] was fetched for *)
   exps : Accounting.exp_set option;
       (** fused experiment set (DESIGN.md §14): when present, every charge
-          additionally fans out to each experiment's private accumulator;
-          [None] costs one option match per charge *)
+          additionally goes to the set's base and to each experiment whose
+          filter admits its category; [None] costs one option match per
+          charge *)
   mutable cur_xbins : float array array;
       (** scratch: the set's cached bins for [cur_bins_for] *)
   syms : (string, int64) Hashtbl.t;  (** memoized symbol addresses *)
@@ -155,8 +156,9 @@ type t = {
     {!Accounting.experiment}) in the one run: charges attributable to an
     experiment's target are scaled by [1 - speedup] in that experiment's
     private accumulator, while the clock and all architectural state
-    evolve exactly as without it.  Every accumulator is charged through
-    the same hot path, so experiment [i]'s final accounting (via
+    evolve exactly as without it.  Every routed charge goes through the
+    same hot path and the unrouted categories are filled from the set's
+    unscaled base, so experiment [i]'s final accounting (via
     {!fused_accounts}) is independent of the other members — a run of
     [[e]] alone gives the same bits — and the host accounting stays
     bit-identical to a run with no experiments.  A factor-1.0 category

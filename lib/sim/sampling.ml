@@ -70,7 +70,14 @@ let parse_spec (s : string) =
    host's.  Each track therefore records exactly the deltas a serial
    sampled run of that experiment would, and [finalize] feeds them through
    the same estimator — so a fused sampled experiment's totals and bins
-   are bit-identical to its serial sampled run's. *)
+   are bit-identical to its serial sampled run's.
+
+   The set's base is a track too.  An experiment's categories outside its
+   filter are never charged in its own accumulator, so its track records
+   nothing there; the estimator works column by column, though, so the
+   base's extrapolated columns are exactly what a serial run's would be,
+   and [Accounting.set_accounts] copies them over after [finalize] as it
+   does at any other point. *)
 type track = {
   tr_acc : Accounting.t;
   tr_snap : float array;  (* length 9 *)
@@ -105,15 +112,14 @@ let make (p : plan) =
     tracks = [];
   }
 
-(* Attach fused-experiment accumulators.  Must be called before the run
-   starts (their totals are still zero, matching the initial snapshot). *)
-let attach (sa : state) (accs : Accounting.t array) =
+(* Attach a fused set's accumulators, its base first.  Must be called
+   before the run starts (their totals are still those the initial
+   snapshot assumes: zero). *)
+let attach (sa : state) (s : Accounting.exp_set) =
   sa.tracks <-
-    Array.to_list
-      (Array.map
-         (fun a ->
-           { tr_acc = a; tr_snap = Array.make 9 0.; tr_recorded = [] })
-         accs)
+    List.map
+      (fun a -> { tr_acc = a; tr_snap = Array.make 9 0.; tr_recorded = [] })
+      (Accounting.set_base s :: Array.to_list (Accounting.set_accounts s))
 
 (* Re-snapshot at detail-phase entry: host totals plus every track's. *)
 let resnap (sa : state) (totals : float array) =

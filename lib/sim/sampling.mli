@@ -35,7 +35,9 @@ val parse_spec : string -> plan
     get their own phase-entry snapshot and recorded deltas, taken at the
     same groups-driven phase boundaries as the host's, then fed through
     the same estimator in {!finalize} — so a fused sampled experiment is
-    bit-identical to its serial sampled run. *)
+    bit-identical to its serial sampled run.  The set's base
+    ({!Accounting.set_base}) is tracked and extrapolated alongside, and
+    supplies each experiment's unrouted categories. *)
 type track = {
   tr_acc : Accounting.t;
   tr_snap : float array;  (** length 9 *)
@@ -61,10 +63,10 @@ type state = {
 
 val make : plan -> state
 
-val attach : state -> Accounting.t array -> unit
-(** Attach fused-experiment accumulators as tracks.  Must be called before
-    the run starts (their totals still zero, matching the initial
-    snapshot). *)
+val attach : state -> Accounting.exp_set -> unit
+(** Attach a fused set's base and experiment accumulators as tracks.
+    Must be called before the run starts (their totals still zero,
+    matching the initial snapshot). *)
 
 val resnap : state -> float array -> unit
 (** [resnap sa totals] re-snapshots at detail-phase entry: the host totals

@@ -147,6 +147,28 @@ let test_run_cache_byte_identity () =
   Alcotest.(check string) "label patched" "other-name"
     relabeled.Session.s_outcome.Session.o_metrics.Epic_core.Metrics.workload
 
+(* A relabeled run-cache hit splices its label in front of the stored
+   bytes: the result equals, byte for byte, the document encoded afresh
+   for the relabeled metrics — labels that need escaping included. *)
+let test_relabeled_hit_splices () =
+  let s = Session.create () in
+  let go workload =
+    Session.compile_and_run s ~workload ~config:ilp_cs ~desc:None
+      ~train:[| 5L |] ~input:[| 5L |] prog_a
+  in
+  let m = (go "prog").Session.s_outcome.Session.o_metrics in
+  List.iter
+    (fun workload ->
+      let served = go workload in
+      Alcotest.(check bool) (workload ^ ": hit") true served.Session.s_run_hit;
+      Alcotest.(check string)
+        (workload ^ ": spliced bytes = encoded document")
+        (Json.to_string
+           (Epic_core.Export.run_to_json
+              { m with Epic_core.Metrics.workload }))
+        served.Session.s_outcome.Session.o_result)
+    [ "other-name"; "x"; "quote\" and \\ newline\n"; "prog" ]
+
 (* Property: for random programs, a session cache hit returns the same
    bytes as the cold path.  (The cold path itself is the plain Driver, so
    this pins served == batch on arbitrary inputs, not just the suite.) *)
@@ -503,6 +525,40 @@ let test_protocol_heaviness () =
     (Protocol.is_heavy
        (Protocol.parse {|{"op":"sweep","workloads":["gzip"],"fuse":false}|}))
 
+(* A batch runs in wire order: a stats request pipelined after a suite
+   in one batch sees the suite's reference interpretation, and a ping
+   before it is answered too. *)
+let test_batch_wire_order () =
+  let s = Session.create ~jobs:2 () in
+  let resps =
+    Protocol.execute_batch s
+      (Array.map Protocol.parse
+         [|
+           {|{"id":1,"op":"ping"}|};
+           {|{"id":2,"op":"suite","workloads":["gzip"]}|};
+           {|{"id":3,"op":"stats"}|};
+         |])
+  in
+  Alcotest.(check int) "one response per request" 3 (Array.length resps);
+  let field name line =
+    match Json.of_string line with
+    | Ok j -> Json.member name j
+    | Error e -> Alcotest.fail e
+  in
+  Array.iteri
+    (fun i line ->
+      Alcotest.(check bool) (Printf.sprintf "response %d ok" i) true
+        (field "ok" line = Some (Json.Bool true));
+      Alcotest.(check bool) (Printf.sprintf "response %d in order" i) true
+        (field "id" line = Some (Json.Int (i + 1))))
+    resps;
+  let misses =
+    Option.bind (field "result" resps.(2)) (fun r ->
+        Option.bind (Json.member "reference" r) (Json.member "misses"))
+  in
+  Alcotest.(check bool) "stats sees the suite's reference miss" true
+    (match misses with Some (Json.Int n) -> n >= 1 | _ -> false)
+
 (* One session, three matrices over the same two workloads: a suite
    subset, a sweep and a causal matrix all read the reference input of
    gzip and twolf, and the session's reference store interprets each
@@ -540,6 +596,8 @@ let suite =
       test_session_eviction;
     Alcotest.test_case "run-cache hit is byte-identical to cold" `Slow
       test_run_cache_byte_identity;
+    Alcotest.test_case "relabeled run-cache hit splices its label" `Quick
+      test_relabeled_hit_splices;
     QCheck_alcotest.to_alcotest qcheck_cold_vs_hit;
     Alcotest.test_case "trace runs bypass; fused runs memoize and resume"
       `Slow test_trace_bypass_and_fused_caching;
@@ -560,4 +618,6 @@ let suite =
       test_served_bytes;
     Alcotest.test_case "suite, sweep and causal share one interpretation"
       `Slow test_matrices_share_references;
+    Alcotest.test_case "a batch runs heavy requests at their wire position"
+      `Slow test_batch_wire_order;
   ]

@@ -15,8 +15,9 @@
      half the groups and resumed must reproduce the full run's record
      exactly, and so must the run that captured it.
 
-   gzip@ILP-CS additionally pins the trace event counts and the PC-sample
-   profile at period 97.  A failing simulation pin prints the full record
+   gzip@ILP-CS additionally pins the trace event counts, the PC-sample
+   profile at period 97, and the category totals of five virtual-speedup
+   experiments, full and sampled.  A failing simulation pin prints the full record
    of the run, so the moved field is visible in the test log. *)
 
 open Epic_ir
@@ -302,6 +303,80 @@ let test_observed () =
   Alcotest.(check (list (pair string int))) "trace event counts" trace_pin counts;
   Alcotest.(check (pair int string)) "profile samples and blocks" profile_pin got
 
+(* gzip@ILP-CS under virtual-speedup experiments of every target kind,
+   plus a speedup-0.0 one: the nine category totals ([%h]) of each
+   experiment's accounting, in full detail and under a small sampling plan
+   that switches phase many times.  Pinned from runs that carried one
+   experiment each and scaled every matching charge as it was made; the
+   speedups are dyadic, so each scaled charge and every sum of them is
+   exact and any correct evaluation reproduces these bits. *)
+let experiment_set =
+  Accounting.
+    [
+      { target = Target_category Front_end; speedup = 1.0 };
+      { target = Target_category Br_mispredict; speedup = 0.5 };
+      { target = Target_func "deflate"; speedup = 0.25 };
+      { target = Target_func_category ("deflate", Unstalled); speedup = 0.75 };
+      { target = Target_category Int_load_bubble; speedup = 0.0 };
+    ]
+
+let experiment_pins =
+  [
+    ( "full",
+      [
+        [ "0x1.744e2p+19"; "0x0p+0"; "0x1.a5ccp+14"; "0x1.6033cp+18"; "0x1.7d0cp+19"; "0x0p+0";
+          "0x1.965p+16"; "0x0p+0"; "0x1.01dp+16" ];
+        [ "0x1.744e2p+19"; "0x0p+0"; "0x1.a5ccp+14"; "0x1.6033cp+18"; "0x1.7d0cp+19"; "0x1.d6p+10";
+          "0x1.965p+15"; "0x0p+0"; "0x1.01dp+16" ];
+        [ "0x1.218b08p+19"; "0x0p+0"; "0x1.a5ccp+14"; "0x1.08299p+18"; "0x1.1e4858p+19";
+          "0x1.96ep+10"; "0x1.30ed8p+16"; "0x0p+0"; "0x1.82b8p+15" ];
+        [ "0x1.f0136p+17"; "0x0p+0"; "0x1.a5ccp+14"; "0x1.6033cp+18"; "0x1.7d0cp+19"; "0x1.d6p+10";
+          "0x1.965p+16"; "0x0p+0"; "0x1.01dp+16" ];
+        [ "0x1.744e2p+19"; "0x0p+0"; "0x1.a5ccp+14"; "0x1.6033cp+18"; "0x1.7d0cp+19"; "0x1.d6p+10";
+          "0x1.965p+16"; "0x0p+0"; "0x1.01dp+16" ];
+      ] );
+    ( "4096:256:1024",
+      [
+        [ "0x1.74f48acfcfcfdp+19"; "0x0p+0"; "0x1.8e408c9696969p+14"; "0x1.70cda42d2d2d3p+18";
+          "0x1.8aee6b86c6c6cp+19"; "0x0p+0"; "0x1.a5a476ccccccdp+16"; "0x0p+0";
+          "0x1.097cff8787879p+16" ];
+        [ "0x1.74f48acfcfcfdp+19"; "0x0p+0"; "0x1.8e408c9696969p+14"; "0x1.70cda42d2d2d3p+18";
+          "0x1.8aee6b86c6c6cp+19"; "0x1.22p+9"; "0x1.a5a476ccccccdp+15"; "0x0p+0";
+          "0x1.097cff8787879p+16" ];
+        [ "0x1.2173ba19ededfp+19"; "0x0p+0"; "0x1.8e408c9696969p+14"; "0x1.149a3b21e1e1ep+18";
+          "0x1.28bfb1809c9cap+19"; "0x1.22p+9"; "0x1.3c5ae46bababap+16"; "0x0p+0";
+          "0x1.8e3b7f4b4b4b5p+15" ];
+        [ "0x1.e9c862b8a8a8bp+17"; "0x0p+0"; "0x1.8e408c9696969p+14"; "0x1.70cda42d2d2d3p+18";
+          "0x1.8aee6b86c6c6cp+19"; "0x1.22p+9"; "0x1.a5a476ccccccdp+16"; "0x0p+0";
+          "0x1.097cff8787879p+16" ];
+        [ "0x1.74f48acfcfcfdp+19"; "0x0p+0"; "0x1.8e408c9696969p+14"; "0x1.70cda42d2d2d3p+18";
+          "0x1.8aee6b86c6c6cp+19"; "0x1.22p+9"; "0x1.a5a476ccccccdp+16"; "0x0p+0";
+          "0x1.097cff8787879p+16" ];
+      ] );
+  ]
+
+let test_experiments () =
+  let w = Epic_workloads.Suite.find_exn "gzip" in
+  let c =
+    Driver.compile ~config:(Experiments.config_for w Config.ILP_CS)
+      ~train:w.Epic_workloads.Workload.train w.Epic_workloads.Workload.source
+  in
+  List.iter
+    (fun (plan, pins) ->
+      let sampling = if plan = "full" then None else Some (Sampling.parse_spec plan) in
+      let _, _, st =
+        Driver.run ?sampling ~experiments:experiment_set c w.Epic_workloads.Workload.reference
+      in
+      let got =
+        Array.to_list
+          (Array.map
+             (fun (a : Accounting.t) ->
+               List.map (Printf.sprintf "%h") (Array.to_list a.Accounting.totals))
+             (Machine.fused_accounts st))
+      in
+      Alcotest.(check (list (list string))) (plan ^ " experiment totals") pins got)
+    experiment_pins
+
 let slow = [ "gcc"; "parser"; "crafty" ]
 
 let suite =
@@ -311,4 +386,7 @@ let suite =
         (if List.mem name slow then `Slow else `Quick),
         test_pins name ))
     Epic_workloads.Suite.names
-  @ [ ("gzip ILP-CS trace and profile pins", `Quick, test_observed) ]
+  @ [
+      ("gzip ILP-CS trace and profile pins", `Quick, test_observed);
+      ("gzip ILP-CS experiment pins", `Quick, test_experiments);
+    ]

@@ -148,42 +148,6 @@ let test_short_run_exact () =
   | Some su ->
       Alcotest.check exact "scale exactly 1" 1.0 su.Epic_sim.Sampling.s_scale
 
-(* Checkpoints as session artifacts: content-addressed, built once. *)
-let test_session_checkpoint_cache () =
-  let open Epic_serve in
-  let session = Session.create () in
-  let w = gzip () in
-  let config = Epic_core.Experiments.config_for w Epic_core.Config.ILP_CS in
-  let compiled, key, _ =
-    Session.compile session ~config ~desc:None ~train:w.Workload.train
-      w.Workload.source
-  in
-  let ck1, ckey1, hit1 =
-    Session.checkpoint session ~key ~at:1000 compiled w.Workload.reference
-  in
-  let ck2, ckey2, hit2 =
-    Session.checkpoint session ~key ~at:1000 compiled w.Workload.reference
-  in
-  Alcotest.(check bool) "first build is a miss" false hit1;
-  Alcotest.(check bool) "repeat is a hit" true hit2;
-  Alcotest.(check string) "key is stable" ckey1 ckey2;
-  let _, ckey3, _ =
-    Session.checkpoint session ~key ~at:2000 compiled w.Workload.reference
-  in
-  Alcotest.(check bool) "capture position is part of the key" true
-    (ckey1 <> ckey3);
-  match (ck1, ck2) with
-  | Some a, Some b ->
-      Alcotest.(check bool) "hit returns the same artifact" true (a == b);
-      let code, out, st = Driver.resume compiled a in
-      let code0, out0, st0 = Driver.run compiled w.Workload.reference in
-      Alcotest.(check int) "resumed exit code" code0 code;
-      Alcotest.(check string) "resumed output" out0 out;
-      Alcotest.check exact "resumed cycles"
-        (Accounting.total st0.Machine.acc)
-        (Accounting.total st.Machine.acc)
-  | _ -> Alcotest.fail "gzip checkpoint at 1000 groups must capture"
-
 let suite =
   [
     Alcotest.test_case "checkpoint round-trip: gzip" `Slow test_roundtrip_gzip;
@@ -196,6 +160,4 @@ let suite =
       test_accuracy_budget;
     Alcotest.test_case "all-detail sampled run is exact" `Slow
       test_short_run_exact;
-    Alcotest.test_case "session checkpoint artifact cache" `Slow
-      test_session_checkpoint_cache;
   ]

@@ -285,17 +285,15 @@ let () =
         backend
     in
     print_report Fmt.stdout r;
-    (match r.r_fusion with
-    | Some fz ->
-        Printf.eprintf
-          "causal fusion: %d cells from %d detailed sims (%d saved, %.1f \
-           cells/sim) in %.1fs\n\
-           %!"
-          fz.fz_cells fz.fz_sims
-          (fz.fz_cells - fz.fz_sims)
-          (float_of_int fz.fz_cells /. float_of_int (max 1 fz.fz_sims))
-          r.r_wall_s
-    | None -> ());
+    (let fz = r.r_fusion in
+     Printf.eprintf
+       "causal fusion: %d cells from %d detailed sims (%d saved, %.1f \
+        cells/sim) in %.1fs\n\
+        %!"
+       fz.fz_cells fz.fz_sims
+       (fz.fz_cells - fz.fz_sims)
+       (float_of_int fz.fz_cells /. float_of_int (max 1 fz.fz_sims))
+       r.r_wall_s);
     (match mismatches r with
     | [] -> ()
     | l ->

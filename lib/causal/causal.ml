@@ -69,12 +69,10 @@ type agg = {
   g_rank_worst : int;
 }
 
-(* Fused-matrix accounting (DESIGN.md §14): how many cells the detailed
-   simulations actually paid for. *)
+(* How many cells the detailed simulations paid for (DESIGN.md §14). *)
 type fusion = {
   fz_cells : int; (* (target x factor) cells delivered *)
-  fz_sims : int; (* detailed fused simulations run (one per workload) *)
-  fz_resumed : int; (* of those, resumed from a cached checkpoint prefix *)
+  fz_sims : int; (* detailed simulations run: the baselines *)
 }
 
 type report = {
@@ -82,7 +80,7 @@ type report = {
   r_factors : float list;
   r_reports : wreport list;
   r_aggregate : agg list;
-  r_fusion : fusion option; (* None = the serial per-cell path ran *)
+  r_fusion : fusion;
   r_wall_s : float;
 }
 
@@ -123,8 +121,7 @@ let plan ?(split_funcs = 0) ?(func_bins = []) ~top_funcs ~prof_by_func
   in
   funcs @ cats @ splits
 
-(* A baseline reduced to what its workload's cells and report need (the
-   machine state itself stays in the domain that ran it). *)
+(* A baseline reduced to what its workload's curves and report need. *)
 type base = {
   b_cycles : float;
   b_categories : float array;
@@ -134,14 +131,10 @@ type base = {
   b_prof_by_func : (string * int) list;
   b_obs : Json.t;
   b_output_ok : bool;
-  b_groups : int;
-      (* issue groups the baseline executed: sizes the checkpoint-prefix
-         position the fused grid may reuse *)
 }
 
 let baseline (s : Matrix.sim) =
-  let st = Option.get s.Matrix.machine in
-  let acc = st.Epic_sim.Machine.acc in
+  let acc = s.Matrix.machine.Epic_sim.Machine.acc in
   {
     b_cycles = Acc.total acc;
     b_categories = s.Matrix.accounts.(0);
@@ -150,20 +143,19 @@ let baseline (s : Matrix.sim) =
     b_prof_by_func = Epic_obs.Profile.by_func (Option.get s.Matrix.profile);
     b_obs = Export.obs_to_json ?trace:s.Matrix.trace ?profile:s.Matrix.profile ();
     b_output_ok = s.Matrix.output_ok;
-    b_groups = st.Epic_sim.Machine.c.Epic_sim.Machine.groups;
   }
 
-(* One (target, factor) cell reduced to its curve point, and whether its
-   simulation resumed a checkpoint prefix. *)
-let point ~(base : base) factor (s : Matrix.sim) =
-  let cycles = Array.fold_left ( +. ) 0. s.Matrix.accounts.(0) in
-  ( {
-      p_factor = factor;
-      p_cycles = cycles;
-      p_speedup = (base.b_cycles -. cycles) /. base.b_cycles;
-      p_output_ok = s.Matrix.output_ok;
-    },
-    s.Matrix.resumed )
+(* One (target, factor) cell: its experiment read off the baseline run. *)
+let point ~(base : base) (s : Matrix.sim) target factor =
+  let cycles =
+    Acc.total (Epic_sim.Machine.read s.Matrix.machine { Acc.target; speedup = factor })
+  in
+  {
+    p_factor = factor;
+    p_cycles = cycles;
+    p_speedup = (base.b_cycles -. cycles) /. base.b_cycles;
+    p_output_ok = base.b_output_ok;
+  }
 
 let curve_of_points ~(base : base) (t : target) (points : point list) =
   let func_bins f = List.assoc_opt f base.b_func_bins in
@@ -247,8 +239,7 @@ let aggregate (reports : wreport list) =
          | n -> n)
 
 let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
-    ?(split_funcs = 0) ?(serial = false) ?(big_inputs = false) ?progress
-    ~workloads backend =
+    ?(split_funcs = 0) ?(big_inputs = false) ?progress ~workloads backend =
   let t0 = Unix.gettimeofday () in
   if factors = [] then invalid_arg "Causal.run: empty factor list";
   List.iter
@@ -259,103 +250,59 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
   let factors = List.sort_uniq compare factors in
   let ws = List.map Suite.find_exn workloads in
   let ws = if big_inputs then List.map Workload.scale ws else ws in
-  let cell w reduce = Matrix.cell w (Experiments.config_for w Config.ILP_CS) reduce in
-  (* the instrumented baselines first: the planner reads their profiles *)
-  let bases, _ =
+  (* One instrumented baseline per workload and nothing else: its reducer
+     plans the workload's targets from the run's own profile and bins,
+     then reads the whole (target x factor) grid off the run's accounting
+     (an experiment only scales charges nothing in the simulation reads,
+     DESIGN.md §14). *)
+  let profile (w : Workload.t) (s : Matrix.sim) =
+    let base = baseline s in
+    let targets =
+      match targets with
+      | Some ts -> ts
+      | None ->
+          plan ~split_funcs ~func_bins:base.b_func_bins ~top_funcs
+            ~prof_by_func:base.b_prof_by_func ~categories:base.b_categories ()
+    in
+    let curves =
+      List.map
+        (fun t -> curve_of_points ~base t (List.map (point ~base s t) factors))
+        targets
+    in
+    {
+      c_workload = w.Workload.short;
+      c_base_cycles = base.b_cycles;
+      c_base_categories = base.b_categories;
+      c_obs = base.b_obs;
+      c_curves = rank_curves curves;
+      c_output_ok = base.b_output_ok;
+    }
+  in
+  let reports, sims =
     Matrix.run ?progress backend
       (List.map
          (fun w ->
-           { (cell w baseline) with Matrix.traced = true; period = Experiments.sample_period })
+           {
+             (Matrix.cell w (Experiments.config_for w Config.ILP_CS) (profile w)) with
+             Matrix.traced = true;
+             period = Experiments.sample_period;
+           })
          ws)
   in
-  let plans =
-    Array.map
-      (fun (b : base) ->
-        match targets with
-        | Some ts -> ts
-        | None ->
-            plan ~split_funcs ~func_bins:b.b_func_bins ~top_funcs
-              ~prof_by_func:b.b_prof_by_func ~categories:b.b_categories ())
-      bases
-  in
-  (* Then the (workload x target x factor) grid, workload-major.  The
-     experiment hook lives purely at accounting time, so the planner
-     merges each workload's grid into ONE detailed simulation through the
-     backend's fused store, a checkpoint prefix at mid-run reusable by the
-     next matrix — each cell bit-identical to its serial run (CI diffs the
-     two cell for cell).  [serial] keeps one simulation per cell for that
-     cross-check. *)
-  let grid =
-    List.concat
-      (List.mapi
-         (fun wi w ->
-           let base = bases.(wi) in
-           let plan =
-             if serial || base.b_groups < 2 then Matrix.Full
-             else Matrix.Prefix (base.b_groups / 2)
-           in
-           List.concat_map
-             (fun t ->
-               List.map
-                 (fun f ->
-                   {
-                     (cell w (point ~base f)) with
-                     Matrix.experiments = [ { Acc.target = t; speedup = f } ];
-                     plan;
-                   })
-                 factors)
-             plans.(wi))
-         ws)
-  in
-  let cells, sims = Matrix.run ?progress ~merge:(not serial) backend grid in
-  (* unpack the cells back into per-workload curves, in grid order *)
-  let next = ref 0 in
-  let reports, resumed =
-    List.split
-      (List.mapi
-         (fun wi (w : Workload.t) ->
-           let base = bases.(wi) in
-           let resumed = ref false in
-           let curves =
-             List.map
-               (fun t ->
-                 let points =
-                   List.map
-                     (fun _ ->
-                       let p, r = cells.(!next) in
-                       incr next;
-                       if r then resumed := true;
-                       p)
-                     factors
-                 in
-                 curve_of_points ~base t points)
-               plans.(wi)
-           in
-           ( {
-               c_workload = w.Workload.short;
-               c_base_cycles = base.b_cycles;
-               c_base_categories = base.b_categories;
-               c_obs = base.b_obs;
-               c_curves = rank_curves curves;
-               c_output_ok = base.b_output_ok;
-             },
-             !resumed ))
-         ws)
-  in
+  let reports = Array.to_list reports in
   {
     r_workloads = workloads;
     r_factors = factors;
     r_reports = reports;
     r_aggregate = aggregate reports;
     r_fusion =
-      (if serial then None
-       else
-         Some
-           {
-             fz_cells = Array.length cells;
-             fz_sims = sims;
-             fz_resumed = List.length (List.filter Fun.id resumed);
-           });
+      {
+        fz_cells =
+          List.fold_left
+            (fun n wr -> n + (List.length wr.c_curves * List.length factors))
+            0 reports;
+        fz_sims = sims;
+      };
     r_wall_s = Unix.gettimeofday () -. t0;
   }
 
@@ -459,21 +406,18 @@ let curve_to_json (k : curve) =
              k.k_points) );
     ]
 
-let fusion_to_json = function
-  | None -> Json.Obj [ ("mode", Json.Str "serial") ]
-  | Some fz ->
-      Json.Obj
-        [
-          ("mode", Json.Str "fused");
-          ("cells", Json.Int fz.fz_cells);
-          ("sims", Json.Int fz.fz_sims);
-          ( "cells_per_sim",
-            Json.Float
-              (if fz.fz_sims = 0 then 0.
-               else float_of_int fz.fz_cells /. float_of_int fz.fz_sims) );
-          ("sims_saved", Json.Int (fz.fz_cells - fz.fz_sims));
-          ("resumed_prefixes", Json.Int fz.fz_resumed);
-        ]
+let fusion_to_json fz =
+  Json.Obj
+    [
+      ("mode", Json.Str "fused");
+      ("cells", Json.Int fz.fz_cells);
+      ("sims", Json.Int fz.fz_sims);
+      ( "cells_per_sim",
+        Json.Float
+          (if fz.fz_sims = 0 then 0.
+           else float_of_int fz.fz_cells /. float_of_int fz.fz_sims) );
+      ("sims_saved", Json.Int (fz.fz_cells - fz.fz_sims));
+    ]
 
 let to_json (r : report) =
   Json.Obj
@@ -523,19 +467,14 @@ let print_report ppf (r : report) =
   Fmt.pf ppf "factors:%a@."
     (fun ppf -> List.iter (fun f -> Fmt.pf ppf " %g" f))
     r.r_factors;
-  (match r.r_fusion with
-  | None -> Fmt.pf ppf "mode: serial (one simulation per cell)@."
-  | Some fz ->
-      Fmt.pf ppf
-        "mode: fused — %d cells from %d simulations (%.1f cells/sim, %d \
-         sims saved%s)@."
-        fz.fz_cells fz.fz_sims
-        (if fz.fz_sims = 0 then 0.
-         else float_of_int fz.fz_cells /. float_of_int fz.fz_sims)
-        (fz.fz_cells - fz.fz_sims)
-        (if fz.fz_resumed > 0 then
-           Fmt.str ", %d prefix resumes" fz.fz_resumed
-         else ""));
+  (let fz = r.r_fusion in
+   Fmt.pf ppf
+     "mode: fused — %d cells from %d simulations (%.1f cells/sim, %d sims \
+      saved)@."
+     fz.fz_cells fz.fz_sims
+     (if fz.fz_sims = 0 then 0.
+      else float_of_int fz.fz_cells /. float_of_int fz.fz_sims)
+     (fz.fz_cells - fz.fz_sims));
   List.iter
     (fun wr ->
       Fmt.pf ppf "@.%s  (baseline %.0f cycles%s)@." wr.c_workload

@@ -8,7 +8,7 @@
     profiling instead runs the unmodified program under a matrix of
     {e virtual speedups}: for each target (a function, or one of the nine
     stall categories) and each factor s, the cycles charged to the target
-    are scaled by [1 - s] at accounting time
+    are scaled by [1 - s] in the accounting
     ({!Epic_sim.Accounting.experiment}) while the clock, the caches, the
     predictor and the program semantics evolve exactly as in the baseline.
     The observed end-to-end total then directly measures the causal effect
@@ -97,12 +97,11 @@ type agg = {
   g_rank_worst : int;
 }
 
-(** Fused-matrix accounting: how many (target, factor) cells the detailed
-    simulations actually paid for (DESIGN.md §14). *)
+(** How many (target, factor) cells the detailed simulations paid for
+    (DESIGN.md §14). *)
 type fusion = {
   fz_cells : int;  (** cells delivered *)
-  fz_sims : int;  (** detailed fused simulations run (one per workload) *)
-  fz_resumed : int;  (** of those, resumed from a cached checkpoint prefix *)
+  fz_sims : int;  (** detailed simulations run: one baseline per workload *)
 }
 
 type report = {
@@ -110,7 +109,7 @@ type report = {
   r_factors : float list;  (** ascending *)
   r_reports : wreport list;  (** workload order *)
   r_aggregate : agg list;  (** by descending mean slope *)
-  r_fusion : fusion option;  (** [None] = the serial per-cell path ran *)
+  r_fusion : fusion;
   r_wall_s : float;
 }
 
@@ -132,18 +131,15 @@ val plan :
   unit ->
   target list
 
-(** Execute the causal matrix as two {!Epic_core.Matrix} cell lists on
-    [backend]: first each workload's baseline run (with the trace and
-    PC-sampling instruments attached), then every (workload, target,
-    factor) cell.  By default the planner merges a workload's
-    (target x factor) grid into one detailed simulation through the
-    backend's fused store, carrying every experiment at once (the hook
-    lives purely at accounting time, so each fused cell is bit-identical
-    to its serial run) with a mid-run checkpoint prefix a repeated matrix
-    may resume; [serial:true] runs one simulation per cell, each carrying
-    its experiment as a set of one — the reference the CI gate diffs the
-    fused grid against.  Results are in deterministic workload-major
-    order whatever the backend's width.
+(** Execute the causal matrix on [backend]: one {!Epic_core.Matrix} cell
+    per workload, its baseline run with the trace and PC-sampling
+    instruments attached, and nothing else.  Each baseline's reducer plans
+    the workload's targets from the run's own profile and bins, then reads
+    every (target x factor) cell off the run's accounting
+    ({!Epic_sim.Machine.read}): an experiment only scales charges that
+    nothing in the simulation reads, so it costs no simulation of its own.
+    Results are in deterministic workload-major order whatever the
+    backend's width.
 
     [targets] fixes one target list for every workload; omitted, each
     workload gets its own plan ({!plan}, with [top_funcs] profile-hot
@@ -159,7 +155,6 @@ val run :
   ?factors:float list ->
   ?top_funcs:int ->
   ?split_funcs:int ->
-  ?serial:bool ->
   ?big_inputs:bool ->
   ?progress:bool ->
   workloads:string list ->

@@ -358,37 +358,10 @@ let run ?fuel ?trace ?profile ?experiments ?sampling ?checkpoint_at
 (* Resume a checkpoint taken from a run of the same compiled binary (or a
    structurally identical recompile: the session cache's content keys
    guarantee that). *)
-let resume ?fuel ?trace ?profile ?experiments (c : compiled)
+let resume ?fuel ?trace ?profile (c : compiled)
     (ck : Epic_sim.Machine.checkpoint) =
-  Epic_sim.Machine.resume ?fuel ?trace ?profile ?experiments ~desc:c.desc
-    c.program c.layout ck
-
-(* The result of one fused multi-experiment simulation (DESIGN.md §14):
-   per-experiment category totals in the order the experiments were given,
-   plus the run's architectural outcome (which no experiment can change —
-   the hooks live purely at accounting time). *)
-type fused = {
-  f_code : int;
-  f_output : string;
-  f_categories : float array array;
-      (* f_categories.(i) = experiment i's nine category totals *)
-  f_resumed : bool;
-      (* the run resumed a cached checkpoint prefix instead of simulating
-         from the start (per-experiment totals then within an ulp of the
-         straight-through run, not bit-identical) *)
-}
-
-let fused_of_machine code output (st : Epic_sim.Machine.t) ~resumed =
-  {
-    f_code = code;
-    f_output = output;
-    f_categories =
-      Array.map
-        (fun (a : Epic_sim.Accounting.t) ->
-          Array.copy a.Epic_sim.Accounting.totals)
-        (Epic_sim.Machine.fused_accounts st);
-    f_resumed = resumed;
-  }
+  Epic_sim.Machine.resume ?fuel ?trace ?profile ~desc:c.desc c.program
+    c.layout ck
 
 (* Reference semantics: the pre-backend program still runs on the
    high-level interpreter (scheduling does not change IR meaning), so a

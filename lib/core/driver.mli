@@ -91,8 +91,8 @@ val compile :
 (** Run a compiled binary on the Itanium-2-class simulator; returns
     (exit code, program output, final machine state with all counters).
     [trace] and [profile] enable the opt-in observability instruments;
-    [experiments] carries a fused set of causal-profiling virtual speedups,
-    each member's accounting independent of the others (see
+    [experiments] names causal-profiling virtual speedups to read off the
+    finished run with {!Epic_sim.Machine.fused_accounts} (see
     {!Epic_sim.Machine.run}). *)
 val run :
   ?fuel:int ->
@@ -112,27 +112,9 @@ val resume :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiments:Epic_sim.Accounting.experiment list ->
   compiled ->
   Epic_sim.Machine.checkpoint ->
   int * string * Epic_sim.Machine.t
-
-(** The result of one fused multi-experiment simulation (DESIGN.md §14). *)
-type fused = {
-  f_code : int;
-  f_output : string;
-  f_categories : float array array;
-      (** [f_categories.(i)] = experiment [i]'s nine category totals, in
-          the order the experiment list was given *)
-  f_resumed : bool;
-      (** the run resumed a cached checkpoint prefix instead of simulating
-          from the start (totals then within an ulp of straight-through,
-          not bit-identical) *)
-}
-
-(** Build a {!fused} result from a finished [?experiments] machine. *)
-val fused_of_machine :
-  int -> string -> Epic_sim.Machine.t -> resumed:bool -> fused
 
 (** Run the compiled program's IR on the reference interpreter (scheduling
     does not change IR meaning, so this cross-checks the simulator). *)

@@ -37,7 +37,7 @@ let suite_cell ?desc (w : Workload.t) (level : Config.level) =
       Fmt.epr "WARNING: %s/%s output mismatch@." w.Workload.short
         (Config.name s.Matrix.compiled.Driver.config);
     Metrics.of_machine ~workload:w.Workload.short ?profile:s.Matrix.profile
-      ~host:s.Matrix.host s.Matrix.compiled (Option.get s.Matrix.machine)
+      ~host:s.Matrix.host s.Matrix.compiled s.Matrix.machine
       ~output_matches:s.Matrix.output_ok
   in
   { (Matrix.cell w (config_for w level) reduce) with desc; period = sample_period }
@@ -362,8 +362,7 @@ let per_workload backend workloads variants row =
   let k = List.length variants in
   List.mapi (fun i w -> row w (Array.sub results (i * k) k)) ws
 
-let machine (s : Matrix.sim) = Option.get s.Matrix.machine
-let total (s : Matrix.sim) = Epic_sim.Accounting.total (machine s).Epic_sim.Machine.acc
+let total (s : Matrix.sim) = Epic_sim.Accounting.total s.Matrix.machine.Epic_sim.Machine.acc
 
 (* An ILP-CS cell of [w] with [tweak] applied to its configuration. *)
 let ilp_cs ?(tweak = Fun.id) reduce w =
@@ -384,7 +383,7 @@ let spec_model_experiment ?(workloads = [ "gcc"; "parser"; "perlbmk"; "gap" ])
     backend =
   let open Epic_sim in
   let measure s =
-    let st = machine s in
+    let st = s.Matrix.machine in
     ( Accounting.total st.Machine.acc,
       Accounting.get st.Machine.acc Accounting.Kernel,
       st.Machine.c.Machine.wild_loads,
@@ -449,7 +448,7 @@ let data_spec_experiment ?(workloads = [ "gap"; "gzip"; "bzip2"; "vortex" ])
   let measure (s : Matrix.sim) =
     ( total s,
       s.Matrix.compiled.Driver.transform_stats.Driver.advanced_loads,
-      (machine s).Epic_sim.Machine.c.Epic_sim.Machine.chk_recoveries )
+      s.Matrix.machine.Epic_sim.Machine.c.Epic_sim.Machine.chk_recoveries )
   in
   let data_spec enable =
     ilp_cs ~tweak:(fun c -> { c with Config.enable_data_speculation = enable }) measure

@@ -56,7 +56,7 @@ let side (s : Matrix.sim) =
     code = s.Matrix.code;
     output = s.Matrix.output;
     totals = s.Matrix.accounts.(0);
-    summary = Machine.sample_summary (Option.get s.Matrix.machine);
+    summary = Machine.sample_summary s.Matrix.machine;
     wall = s.Matrix.host.Epic_core.Metrics.h_wall_s;
   }
 

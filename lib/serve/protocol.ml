@@ -35,7 +35,6 @@ type op =
       factors : float list option;
       top_funcs : int option;
       split_funcs : int option;
-      serial : bool;
       big_inputs : bool;
       normalize : bool;
     }
@@ -214,7 +213,6 @@ let parse line =
                           factors = floats_opt "factors" j;
                           top_funcs = int_opt "top_funcs" j;
                           split_funcs = int_opt "split_funcs" j;
-                          serial = bool ~default:false "serial" j;
                           big_inputs = bool ~default:false "big_inputs" j;
                           normalize = normalize_of j;
                         })
@@ -359,7 +357,6 @@ let execute session r =
           factors;
           top_funcs;
           split_funcs;
-          serial;
           big_inputs;
           normalize;
         } ->
@@ -368,7 +365,7 @@ let execute session r =
         in
         let report =
           Epic_causal.Causal.run ?targets ?factors ?top_funcs ?split_funcs
-            ~serial ~big_inputs ~workloads (Session.backend session)
+            ~big_inputs ~workloads (Session.backend session)
         in
         envelope r
           [

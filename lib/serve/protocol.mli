@@ -25,8 +25,8 @@
       inputs), [normalize_time];
     - [causal] — [workloads] (required), optional [targets] (names for
       {!Epic_causal.Causal.parse_target}), [factors], [top_funcs],
-      [split_funcs], [serial] (bool, default false: one simulation per
-      cell instead of the fused grid), [big_inputs], [normalize_time].
+      [split_funcs], [big_inputs], [normalize_time]; the grid is read
+      off each workload's baseline run, one simulation per workload.
 
     A response echoes [{"id", "ok", "op"}] and carries [result] on
     success ([error] on failure); [compile] and [run] responses add

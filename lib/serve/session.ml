@@ -96,23 +96,6 @@ let config_key (c : Config.t) =
   bool enable_data_speculation;
   Buffer.contents buf
 
-(* Canonical serialization of a virtual-speedup experiment (list): the
-   target's kind-tagged name plus the factor in %h (hex, exact), so a fused
-   experiment set is content-addressable exactly like a config. *)
-let experiment_key (e : Epic_sim.Accounting.experiment) =
-  let open Epic_sim.Accounting in
-  let tgt =
-    match e.target with
-    | Target_func f -> "func=" ^ f
-    | Target_category c -> "cat=" ^ string_of_int (index c)
-    | Target_func_category (f, c) -> Printf.sprintf "func=%s/cat=%d" f (index c)
-  in
-  Printf.sprintf "%s@%h" tgt e.speedup
-
-let experiments_key = function
-  | [] -> ""
-  | es -> ";ex=" ^ String.concat "," (List.map experiment_key es)
-
 let resolve_desc = function
   | Some d -> d
   | None -> Epic_mach.Itanium.desc ()
@@ -197,10 +180,8 @@ type t = {
   compiles : Driver.compiled kind;
   runs : outcome kind;
   references : (int * string) kind;
-  checkpoints : Epic_sim.Machine.checkpoint option kind;
-  fused : Driver.fused kind;
   inflight : (string * string, unit) Hashtbl.t;
-      (* (kind name, key) pairs under construction: the five kinds share
+      (* (kind name, key) pairs under construction: the three kinds share
          one table and one condition variable *)
   mutable inflight_waits : int;
 }
@@ -214,8 +195,6 @@ let create ?(jobs = 1) ?(compile_capacity = 64) ?(run_capacity = 256) () =
     compiles = kind "compile" compile_capacity;
     runs = kind "run" run_capacity;
     references = kind "reference" run_capacity;
-    checkpoints = kind "checkpoint" 16;
-    fused = kind "fused" run_capacity;
     inflight = Hashtbl.create 16;
     inflight_waits = 0;
   }
@@ -270,16 +249,6 @@ let cached_or_build t k key build =
             raise e
   in
   obtain ()
-
-(* Look up without counting a hit or a miss (recency is still touched). *)
-let peek t k key = locked t (fun () -> Lru.find k.lru key)
-
-(* Insert a value built as a side effect elsewhere — unless a builder has
-   claimed the key, whose own insert then wins. *)
-let seed t k key v =
-  locked t (fun () ->
-      if not (Hashtbl.mem t.inflight (k.name, key)) then
-        ignore (Lru.add k.lru key v))
 
 (* ---- entry points ------------------------------------------------------ *)
 
@@ -357,72 +326,6 @@ let run t ?trace ?sampling ?(sample_period = Experiments.sample_period)
   run_keyed t ?trace ?sampling ~sample_period ~workload ~reference ~key
     ~input_key:(int64s_key input) compiled input
 
-(* ---- checkpoints ------------------------------------------------------- *)
-
-(* Machine-state checkpoints are session artifacts like compiles: keyed by
-   content (compile key + input hash + capture position), built exactly
-   once under the in-flight table, bounded by their own LRU.  The cached
-   value is an [option]: [None] records that the program retires fewer
-   than [at] groups, which is just as deterministic as a captured snapshot
-   and saves re-running the prefix to rediscover it. *)
-let checkpoint_key ~key ~input ~at =
-  fnv1a64 (Printf.sprintf "c=%s;in=%s;at=%d" key (int64s_key input) at)
-
-let checkpoint t ~key ~at compiled input =
-  let ckey = checkpoint_key ~key ~input ~at in
-  let ck, hit =
-    cached_or_build t t.checkpoints ckey (fun () ->
-        let _, _, st = Driver.run ~checkpoint_at:at compiled input in
-        st.Epic_sim.Machine.ck_saved)
-  in
-  (ck, ckey, hit)
-
-(* ---- fused multi-experiment runs --------------------------------------- *)
-
-(* A fused run (one detailed simulation carrying a whole experiment set,
-   DESIGN.md §14) is content-addressed like any outcome: compile key +
-   input + the canonical experiment-set serialization + the prefix
-   position.  Prefix reuse is peek-don't-build: a checkpoint already in
-   the store is resumed under the experiment set
-   (Accounting.resume_set, within an ulp of
-   straight-through); an absent one is captured as a side effect of the
-   full run and seeded into the store for the next matrix — never built
-   eagerly, so a cold fused matrix costs exactly one full simulation per
-   workload. *)
-let run_fused t ~key compiled ~experiments ~prefix_at input =
-  let fkey =
-    fnv1a64
-      (Printf.sprintf "c=%s;in=%s%s;px=%s" key (int64s_key input)
-         (experiments_key experiments)
-         (match prefix_at with None -> "-" | Some at -> string_of_int at))
-  in
-  cached_or_build t t.fused fkey (fun () ->
-      let full ?checkpoint_at () =
-        let code, output, st =
-          Driver.run ?checkpoint_at ~experiments compiled input
-        in
-        (Driver.fused_of_machine code output st ~resumed:false, st)
-      in
-      match prefix_at with
-      | None -> fst (full ())
-      | Some at -> (
-          let ckey = checkpoint_key ~key ~input ~at in
-          match peek t t.checkpoints ckey with
-          | Some (Some ck) ->
-              (* warm prefix: replay only the suffix, experiments applied
-                 to the checkpointed past *)
-              let code, output, st = Driver.resume ~experiments compiled ck in
-              Driver.fused_of_machine code output st ~resumed:true
-          | Some None ->
-              (* known too short for the prefix: plain full run *)
-              fst (full ())
-          | None ->
-              (* cold: capture the prefix as a side effect (checkpoint
-                 capture never perturbs accounting) and seed the store *)
-              let f, st = full ~checkpoint_at:at () in
-              seed t t.checkpoints ckey st.Epic_sim.Machine.ck_saved;
-              f))
-
 type served = {
   s_outcome : outcome;
   s_key : string;
@@ -452,12 +355,9 @@ let backend t : Epic_core.Matrix.backend =
     jobs = t.pool_jobs;
     compile =
       (fun ~config ~desc ~train source ->
-        let compiled, key, _ = compile t ~config ~desc ~train source in
-        (compiled, key));
+        let compiled, _, _ = compile t ~config ~desc ~train source in
+        compiled);
     reference = (fun ~source ~input -> fst (reference t ~source ~input));
-    fused =
-      (fun ~key compiled ~experiments ~prefix_at input ->
-        fst (run_fused t ~key compiled ~experiments ~prefix_at:(Some prefix_at) input));
   }
 
 (* ---- accounting -------------------------------------------------------- *)
@@ -508,8 +408,6 @@ let stats_to_json t =
           ("jobs", Int t.pool_jobs);
           block t.compiles;
           block ~extra:[ ("uncached", Int t.runs.uncached) ] t.runs;
-          block t.fused;
           block t.references;
-          block t.checkpoints;
           ("inflight_waits", Int t.inflight_waits);
         ])

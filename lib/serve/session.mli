@@ -2,7 +2,7 @@
     stateless {!Epic_core.Driver} core.
 
     A session owns the parallelism width of its {!Epic_core.Pool} and one
-    bounded content-addressed artifact store with five kinds, each its
+    bounded content-addressed artifact store with three kinds, each its
     own {!Lru} with its own counters:
 
     - [compile], keyed by (source hash, full {!Epic_core.Config}
@@ -14,15 +14,11 @@
     - [run], keyed by (compile key, run-input hash, sample period,
       sampling plan), holding finished simulation outcomes;
     - [reference], keyed by (source hash, run-input hash), holding the
-      interpreter's (exit code, output);
-    - [checkpoint], keyed by (compile key, run-input hash, capture
-      position), holding machine-state snapshots;
-    - [fused], keyed by (compile key, run-input hash, experiment set,
-      prefix position), holding finished fused multi-experiment results
-      ({!Epic_core.Driver.fused}).
+      interpreter's (exit code, output).
 
-    [compile_capacity] bounds [compile]; [run_capacity] bounds [run],
-    [reference] and [fused]; [checkpoint] holds at most 16 snapshots.
+    [compile_capacity] bounds [compile]; [run_capacity] bounds [run] and
+    [reference].  Experiments need no store of their own: they are read
+    off a run's accounting ({!Epic_sim.Machine.read}).
 
     The store is protected by one lock and an in-flight table with a
     condition variable, so concurrent requests for the same key — e.g. a
@@ -116,9 +112,7 @@ val reference : t -> source:string -> input:int64 array -> (int * string) * bool
     [sampling] instead joins the run-cache key (via
     {!Epic_sim.Sampling.key_fragment}) because the outcome is
     deterministic in the plan — plain unsampled requests keep the
-    historical key form.  Counterfactual accountings are not run
-    outcomes: they come from {!run_fused}.  Returns the outcome and
-    whether it hit. *)
+    historical key form.  Returns the outcome and whether it hit. *)
 val run :
   t ->
   ?trace:Epic_obs.Trace.t ->
@@ -130,54 +124,6 @@ val run :
   Epic_core.Driver.compiled ->
   int64 array ->
   outcome * bool
-
-(** {2 Checkpoints}
-
-    Machine-state checkpoints are session artifacts keyed like compiles:
-    content-addressed by (compile key, input hash, capture position),
-    built exactly once under the in-flight table, held in the store's
-    [checkpoint] kind. *)
-
-(** The content-addressed checkpoint key. *)
-val checkpoint_key : key:string -> input:int64 array -> at:int -> string
-
-(** [checkpoint t ~key ~at compiled input] runs [compiled] on [input]
-    with one-shot capture armed at [at] retired groups (through the
-    cache) and returns the snapshot, its key, and whether it hit.
-    [None] means the program retires fewer than [at] groups — also a
-    cacheable fact.  Resume the snapshot with
-    {!Epic_core.Driver.resume}. *)
-val checkpoint :
-  t ->
-  key:string ->
-  at:int ->
-  Epic_core.Driver.compiled ->
-  int64 array ->
-  Epic_sim.Machine.checkpoint option * string * bool
-
-(** {2 Fused multi-experiment runs}
-
-    One detailed simulation carrying a whole virtual-speedup experiment
-    set (DESIGN.md §14), content-addressed in the store's [fused]
-    kind. *)
-
-(** [run_fused t ~key compiled ~experiments ~prefix_at input] delivers a
-    {!Epic_core.Driver.fused} result through the [fused] kind.
-    [prefix_at = Some g] enables checkpoint-prefix reuse,
-    peek-don't-build: a checkpoint for (key, input, g) already in the
-    [checkpoint] kind is resumed under the experiment set
-    (totals within an ulp of straight-through, [f_resumed = true]); a
-    missing one is captured as a free side effect of the full run and
-    seeded for the next matrix.  Returns the result and whether it
-    hit. *)
-val run_fused :
-  t ->
-  key:string ->
-  Epic_core.Driver.compiled ->
-  experiments:Epic_sim.Accounting.experiment list ->
-  prefix_at:int option ->
-  int64 array ->
-  Epic_core.Driver.fused * bool
 
 (** What one [epicc]/[epicd] request resolves to. *)
 type served = {
@@ -208,8 +154,8 @@ val compile_and_run :
 (** {2 Experiment matrices through the session}
 
     The session as an {!Epic_core.Matrix.backend}: its width, and its
-    compile, reference and fused stores (the fused one reusing checkpoint
-    prefixes), so one session shares compiles and interpretations across
+    compile and reference stores, so one session shares compiles and
+    interpretations across
     a suite, a sweep and a causal matrix — the sweep baseline and the
     suite's ILP-CS column, for instance, share cache entries, and each
     (source, input) pair is interpreted once. *)
@@ -235,8 +181,8 @@ type stats = {
 val stats : t -> stats
 
 (** The [session] JSON block ([epicc --json], epicd [stats]): [jobs],
-    [inflight_waits], and one block per kind ([compile], [run], [fused],
-    [reference], [checkpoint]) with the same [hits], [misses],
+    [inflight_waits], and one block per kind ([compile], [run],
+    [reference]) with the same [hits], [misses],
     [evictions], [entries] and [capacity] keys; [run] also carries
     [uncached].  {!Epic_core.Export.normalize_time} drops [session]
     sections whole — traffic history, not results. *)

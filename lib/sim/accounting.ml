@@ -46,10 +46,10 @@ let category_of_name s =
 
 (* A causal-profiling virtual speedup (COZ-style): scale the cycles charged
    to one target — a function or a stall category — by [1 - speedup],
-   leaving the clock and every model's state untouched.  The experiment
-   lives here, at the accounting layer, so the simulator's hot path needs
-   no knowledge of it beyond the one [exp_keep] comparison in
-   [charge_bins]. *)
+   leaving the clock and every model's state untouched.  Nothing in the
+   simulation reads the accounting, so an experiment is a function of the
+   plain run's bins, evaluated when it is read ([apply]); the charge path
+   knows nothing of it. *)
 type target =
   | Target_func of string
   | Target_category of category
@@ -65,27 +65,9 @@ type experiment = {
 type t = {
   totals : float array; (* length 9 *)
   by_func : (string, float array) Hashtbl.t;
-  (* Experiment state, decomposed for the hot path: [exp_keep] is the
-     charge multiplier (1.0 = no experiment: [charge_bins] pays one float
-     comparison and nothing else), [exp_cat] the targeted category index
-     (-1 = every category), and a function target is matched by physical
-     equality against its bins array ([exp_all_funcs] = no function
-     filter), so the active-experiment path is allocation-free too. *)
-  mutable exp_keep : float;
-  mutable exp_cat : int;
-  mutable exp_all_funcs : bool;
-  mutable exp_bins : float array;
 }
 
-let create () =
-  {
-    totals = Array.make 9 0.;
-    by_func = Hashtbl.create 32;
-    exp_keep = 1.0;
-    exp_cat = -1;
-    exp_all_funcs = true;
-    exp_bins = [||];
-  }
+let create () = { totals = Array.make 9 0.; by_func = Hashtbl.create 32 }
 
 let bins t (func : string) =
   match Hashtbl.find_opt t.by_func func with
@@ -95,241 +77,59 @@ let bins t (func : string) =
       Hashtbl.replace t.by_func func b;
       b
 
-let set_experiment t = function
-  | None ->
-      t.exp_keep <- 1.0;
-      t.exp_cat <- -1;
-      t.exp_all_funcs <- true;
-      t.exp_bins <- [||]
-  | Some { target; speedup } ->
-      if not (speedup >= 0. && speedup <= 1.) then
-        invalid_arg "Accounting.set_experiment: speedup must be in [0, 1]";
-      (* a 0% speedup leaves exp_keep at 1.0: the no-op experiment takes
-         the inactive fast path and is bit-identical to no experiment *)
-      t.exp_keep <- 1.0 -. speedup;
-      (match target with
-      | Target_category cat ->
-          t.exp_cat <- index cat;
-          t.exp_all_funcs <- true;
-          t.exp_bins <- [||]
-      | Target_func f ->
-          t.exp_cat <- -1;
-          t.exp_all_funcs <- false;
-          (* pin the target's bins now: matching is then one physical
-             equality against the array the caller already holds *)
-          t.exp_bins <- bins t f
-      | Target_func_category (f, cat) ->
-          (* both filters at once; [charge_bins] already conjoins them *)
-          t.exp_cat <- index cat;
-          t.exp_all_funcs <- false;
-          t.exp_bins <- bins t f)
-
-let experiment_active t = t.exp_keep <> 1.0
-
-(* Deep copy for checkpointing: totals and every per-function bin get
-   private arrays; the experiment state is reset to inactive (the resumer
-   installs its own with [set_experiment]).  [Hashtbl.copy] preserves the
-   table's internal layout, so a resumed run that adds the same functions
-   in the same order folds in the same order as the uninterrupted one. *)
+(* Deep copy: totals and every per-function bin get private arrays.
+   [Hashtbl.copy] preserves the table's internal layout, so a resumed run
+   that adds the same functions in the same order folds in the same order
+   as the uninterrupted one. *)
 let copy t =
   let by_func = Hashtbl.copy t.by_func in
   Hashtbl.filter_map_inplace (fun _ b -> Some (Array.copy b)) by_func;
-  {
-    totals = Array.copy t.totals;
-    by_func;
-    exp_keep = 1.0;
-    exp_cat = -1;
-    exp_all_funcs = true;
-    exp_bins = [||];
-  }
+  { totals = Array.copy t.totals; by_func }
 
-(* Retroactively apply an experiment to already-charged cycles: scale the
-   target's bins (and the totals they contributed) by [1 - speedup], as if
-   every matching past charge had gone through the active experiment.
-   Used when resuming a checkpointed prefix under an experiment the prefix
-   was simulated without; exact in real arithmetic, within an ulp or two
-   of the straight-through run in floats (and bit-exact at speedup 0 and,
-   for the bins themselves, at speedup 1). *)
-let apply_experiment_to_past t { target; speedup } =
+(* An experiment read off a finished (or running) accounting: a fresh
+   accounting equal to what charging every matching cycle scaled by
+   [keep = 1 - speedup] would have added up.  Every charge is a whole
+   number of cycles, so each bin and total is an integer sum, exact in
+   any order below 2^53; scaling that sum once is exact for a dyadic
+   [keep] and otherwise rounds once, where scaling each charge rounds
+   once per charge.  A function target's bins are created (as zeros if it
+   never charged), as a run carrying the experiment would have. *)
+let apply t { target; speedup } =
+  if not (speedup >= 0. && speedup <= 1.) then
+    invalid_arg "Accounting.apply: speedup must be in [0, 1]";
   let keep = 1.0 -. speedup in
-  if keep <> 1.0 then begin
-    let adjust (b : float array) k =
-      let old = b.(k) in
-      if old <> 0. then begin
-        let nw = old *. keep in
-        t.totals.(k) <- t.totals.(k) -. old +. nw;
-        b.(k) <- nw
-      end
-    in
-    match target with
-    | Target_category cat ->
-        let k = index cat in
-        Hashtbl.iter (fun _ b -> adjust b k) t.by_func
-    | Target_func f -> (
-        match Hashtbl.find_opt t.by_func f with
-        | None -> ()
-        | Some b ->
-            for k = 0 to 8 do
-              adjust b k
-            done)
-    | Target_func_category (f, cat) -> (
-        match Hashtbl.find_opt t.by_func f with
-        | None -> ()
-        | Some b -> adjust b (index cat))
-  end
-
-(* --- fused experiment sets ------------------------------------------------
-   N concurrent virtual-speedup experiments over one simulated instruction
-   stream.  Each experiment owns a full accumulator with the experiment
-   installed through the ordinary [set_experiment], but a charge is routed
-   only to the experiments that can change it: those whose filter admits
-   its category ([exp_keep <> 1.0] and [exp_cat] = -1 or the charge's
-   category).  Every charge also goes, unscaled and once, to [base].
-
-   That stays bit-exact because of what a serial run of one experiment
-   puts into a category it does not route: only unscaled
-   [float_of_int cycles] charges, so each such column (its total and every
-   function's bin) is an integer sum — exact in any order below 2^53 —
-   and therefore equal to [base]'s column bit for bit.  [set_accounts],
-   the only way to read the set, copies [base]'s unrouted columns over
-   first; a sampled run extrapolates [base] alongside the experiments
-   (see [Sampling.attach]).  A routed column sees exactly the charge
-   sequence the lone accumulator sees, through the same [charge_bins].
-   The host accumulator (the machine's own) is charged as usual and stays
-   bit-identical to a run with no experiments at all. *)
-type exp_set = {
-  xexps : experiment array;
-  xacc : t array; (* one accumulator per experiment, same order *)
-  base : t; (* every charge, unscaled *)
-  mutable base_bins : float array; (* [base]'s bins for the current function *)
-  route : int array array;
-      (* [route.(k)]: the experiments a category-[k] charge can change *)
-  unrouted : int array array;
-      (* [unrouted.(i)]: the categories experiment [i] takes from [base] *)
-}
-
-let routes (a : t) k = a.exp_keep <> 1.0 && (a.exp_cat = -1 || a.exp_cat = k)
-
-let set_of ~base (xexps : experiment array) (xacc : t array) =
-  let pick n keep = Array.of_list (List.filter keep (List.init n Fun.id)) in
-  let n = Array.length xacc in
-  {
-    xexps;
-    xacc;
-    base;
-    base_bins = [||];
-    route = Array.init 9 (fun k -> pick n (fun i -> routes xacc.(i) k));
-    unrouted =
-      Array.map (fun a -> pick 9 (fun k -> not (routes a k))) xacc;
-  }
-
-let make_set (exps : experiment list) =
-  let xexps = Array.of_list exps in
-  let xacc =
-    Array.map
-      (fun e ->
-        let a = create () in
-        set_experiment a (Some e);
-        a)
-      xexps
+  let r = copy t in
+  (* one (function, category) bin: the total loses what the bin loses *)
+  let scale_bin (b : float array) k =
+    r.totals.(k) <- r.totals.(k) -. b.(k) +. (keep *. b.(k));
+    b.(k) <- keep *. b.(k)
   in
-  set_of ~base:(create ()) xexps xacc
+  (match target with
+  | Target_category cat ->
+      let k = index cat in
+      r.totals.(k) <- keep *. r.totals.(k);
+      Hashtbl.iter (fun _ (b : float array) -> b.(k) <- keep *. b.(k)) r.by_func
+  | Target_func f ->
+      let b = bins r f in
+      for k = 0 to 8 do
+        scale_bin b k
+      done
+  | Target_func_category (f, cat) -> scale_bin (bins r f) (index cat));
+  r
 
-(* A set for resuming a checkpointed prefix: each accumulator starts from
-   a private copy of the prefix accounting with the experiment applied
-   retroactively — within an ulp of the straight-through fused run, for
-   the same reason [apply_experiment_to_past] is (see above).  [base]
-   starts from a plain copy: the retroactive scaling touches only routed
-   columns, so the unrouted ones still equal the prefix's. *)
-let resume_set ~(past : t) (exps : experiment list) =
-  let xexps = Array.of_list exps in
-  let xacc =
-    Array.map
-      (fun e ->
-        let a = copy past in
-        set_experiment a (Some e);
-        apply_experiment_to_past a e;
-        a)
-      xexps
-  in
-  set_of ~base:(copy past) xexps xacc
-
-let set_size (s : exp_set) = Array.length s.xacc
-let set_experiments (s : exp_set) = s.xexps
-let set_base (s : exp_set) = s.base
-
-(* Copy [base]'s unrouted categories, totals and every function's bins,
-   into each experiment's accumulator: after this each equals the lone
-   accumulator of its serial run. *)
-let set_accounts (s : exp_set) =
-  Array.iteri
-    (fun i (a : t) ->
-      Array.iter (fun k -> a.totals.(k) <- s.base.totals.(k)) s.unrouted.(i))
-    s.xacc;
-  Hashtbl.iter
-    (fun f (bb : float array) ->
-      Array.iteri
-        (fun i a ->
-          let ks = s.unrouted.(i) in
-          if Array.length ks > 0 then begin
-            let b = bins a f in
-            Array.iter (fun k -> b.(k) <- bb.(k)) ks
-          end)
-        s.xacc)
-    s.base.by_func;
-  s.xacc
-
-(* Refill the caller's per-experiment bins scratch for [func]: slot [i]
-   becomes [func]'s live bins array in experiment [i]'s accumulator.  The
-   bins are created on demand in every accumulator, routed or not, exactly
-   as a serial run's first charge under [func] would create them — so
-   each accumulator's [by_func] layout (and fold order) is the serial
-   one. *)
-let set_bins (s : exp_set) (bs : float array array) (func : string) =
-  s.base_bins <- bins s.base func;
-  for i = 0 to Array.length s.xacc - 1 do
-    bs.(i) <- bins s.xacc.(i) func
-  done
-
-(* Hot-path variant: the caller has already fetched (and may cache) the
-   function's bins, so a charge is two array updates with no string
-   hashing.  [charge] below remains the convenience form.  With no (or a
-   no-op) experiment the only overhead over the seed is the [exp_keep]
-   comparison; [c] stays the exact [float_of_int cycles], so inactive runs
-   are bit-identical to pre-hook accounting. *)
+(* The simulator's hot path: the caller has already fetched (and may
+   cache) the function's bins, so a charge is two array updates with no
+   string hashing.  [charge] below is the convenience form. *)
 let charge_bins t (b : float array) (cat : category) (cycles : int) =
   if cycles > 0 then begin
     let k = index cat in
     let c = float_of_int cycles in
-    let c =
-      if t.exp_keep = 1.0 then c
-      else if
-        (t.exp_cat = -1 || t.exp_cat = k)
-        && (t.exp_all_funcs || t.exp_bins == b)
-      then c *. t.exp_keep
-      else c
-    in
     t.totals.(k) <- t.totals.(k) +. c;
     b.(k) <- b.(k) +. c
   end
 
 let charge t (func : string) (cat : category) (cycles : int) =
   if cycles > 0 then charge_bins t (bins t func) cat cycles
-
-(* Fused hot path: one simulator charge goes to [base] and, through the
-   ordinary [charge_bins], to the experiments routed for its category,
-   each against its own cached bins for the current function (see
-   [set_bins]).  A speedup-0.0 experiment is routed nowhere. *)
-let charge_set (s : exp_set) (bs : float array array) (cat : category)
-    (cycles : int) =
-  if cycles > 0 then begin
-    charge_bins s.base s.base_bins cat cycles;
-    let r = s.route.(index cat) in
-    for j = 0 to Array.length r - 1 do
-      let i = r.(j) in
-      charge_bins s.xacc.(i) bs.(i) cat cycles
-    done
-  end
 
 let total t = Array.fold_left ( +. ) 0. t.totals
 let get t cat = t.totals.(index cat)

@@ -31,11 +31,12 @@ type target =
   | Target_category of category
   | Target_func_category of string * category
 
-(** A COZ-style virtual speedup: while active, every charge attributable
-    to [target] is scaled by [1 - speedup] — the clock, the cache/TLB/
-    predictor state and the program semantics are untouched, so the run's
-    accounting answers "what would end-to-end cycles be if this target
-    were [speedup] faster?". *)
+(** A COZ-style virtual speedup: every charge attributable to [target]
+    scaled by [1 - speedup] — the clock, the cache/TLB/predictor state and
+    the program semantics untouched — so the scaled accounting answers
+    "what would end-to-end cycles be if this target were [speedup]
+    faster?".  Since nothing in the simulation reads the accounting, an
+    experiment is evaluated when it is read ({!apply}). *)
 type experiment = {
   target : target;
   speedup : float;  (** fraction removed, in [0, 1]; 1.0 = target free *)
@@ -44,23 +45,9 @@ type experiment = {
 type t = {
   totals : float array;  (** length 9, indexed by [index] *)
   by_func : (string, float array) Hashtbl.t;
-  mutable exp_keep : float;  (** charge multiplier; 1.0 = inactive *)
-  mutable exp_cat : int;  (** targeted category index; -1 = all *)
-  mutable exp_all_funcs : bool;  (** no function filter *)
-  mutable exp_bins : float array;
-      (** the targeted function's bins, matched physically *)
 }
 
 val create : unit -> t
-
-(** Install (or clear, with [None]) the active virtual-speedup experiment.
-    With no experiment — or a no-op one ([speedup = 0.]) — charging is
-    bit-identical to an accounting that never had the hook.
-    @raise Invalid_argument if [speedup] is outside [0, 1]. *)
-val set_experiment : t -> experiment option -> unit
-
-(** Whether a non-no-op experiment is installed. *)
-val experiment_active : t -> bool
 
 (** [charge t func cat cycles] attributes cycles globally and to [func]. *)
 val charge : t -> string -> category -> int -> unit
@@ -89,64 +76,16 @@ val func_total : t -> string -> float
 val functions : t -> string list
 val pp : Format.formatter -> t -> unit
 
-(** Deep copy for checkpointing: private totals and bin arrays, the
-    experiment state reset to inactive (resumers install their own). *)
+(** Deep copy: private totals and bin arrays. *)
 val copy : t -> t
 
-(** Retroactively apply an experiment to already-charged cycles: scale the
-    target's bins (and their contribution to the totals) by [1 - speedup],
-    as if every matching past charge had gone through the experiment.
-    Used when resuming a checkpointed prefix under an experiment the
-    prefix was simulated without; exact in real arithmetic, within an ulp
-    of the straight-through run in floats. *)
-val apply_experiment_to_past : t -> experiment -> unit
-
-(** A fused set of N concurrent virtual-speedup experiments carried by one
-    simulation.  Each experiment owns a full private accumulator with the
-    experiment installed via {!set_experiment}.  A charge goes, unscaled,
-    to one base accumulator and, through {!charge_bins}, only to the
-    experiments whose filter admits its category (speedup <> 0 and the
-    experiment targets that category or every category).  The categories
-    an experiment does not route would receive only unscaled integer
-    charges in its serial run, so they equal the base's bit for bit;
-    {!set_accounts} copies them over.  Each fused experiment's totals and
-    per-function bins are therefore bit-identical to a lone accumulator
-    with only that experiment installed, whatever else the set carries.
-    The host accumulator is charged separately as usual and is untouched
-    by the set.  See DESIGN.md §14. *)
-type exp_set
-
-(** Fresh accumulators, one per experiment, experiments installed.
-    @raise Invalid_argument if any speedup is outside [0, 1]. *)
-val make_set : experiment list -> exp_set
-
-(** A set resuming from a checkpointed prefix: each accumulator is a
-    private {!copy} of [past] with its experiment installed and applied
-    retroactively via {!apply_experiment_to_past} — within an ulp of the
-    straight-through fused run.  The base starts from a plain copy. *)
-val resume_set : past:t -> experiment list -> exp_set
-
-val set_size : exp_set -> int
-val set_experiments : exp_set -> experiment array
-
-(** The experiments' accumulators, in the order the experiments were
-    given, each brought up to date first: its unrouted categories (totals
-    and every function's bin) are copied from the base.  Callable at any
-    point of a run; charging may go on afterwards. *)
-val set_accounts : exp_set -> t array
-
-(** The base accumulator: every charge, unscaled.  Read-only for callers;
-    a sampled run extrapolates it alongside the experiments, so that
-    {!set_accounts} after extrapolation copies extrapolated columns. *)
-val set_base : exp_set -> t
-
-(** [set_bins s bs func] refills the caller's per-experiment bins scratch
-    for [func]: slot [i] becomes [func]'s live bins in accumulator [i]
-    (created on demand in every accumulator, routed or not, and in the
-    base).  [Array.length bs] must be [set_size s]. *)
-val set_bins : exp_set -> float array array -> string -> unit
-
-(** [charge_set s bs cat cycles] charges the base and, via {!charge_bins},
-    every experiment routed for [cat], [bs] being the current function's
-    per-experiment bins from {!set_bins}. *)
-val charge_set : exp_set -> float array array -> category -> int -> unit
+(** [apply t e] is [e] read off [t]: a fresh accounting equal to what
+    scaling every charge [e] admits by [1 - speedup], as it was made,
+    would have added up.  A category experiment scales that column of the
+    totals and of every function's bins; a function experiment scales the
+    function's bins and moves each total by what its bin lost, creating
+    the bins (as zeros) if the function never charged.  Bitwise equal to
+    the scaled charges for a dyadic [1 - speedup] (every bin is an exact
+    integer sum), within one rounding otherwise.  [t] is not changed.
+    @raise Invalid_argument if [speedup] is outside [0, 1]. *)
+val apply : t -> experiment -> t

@@ -233,13 +233,9 @@ and t = {
   mutable onat : bool; (* scratch: NaT bit of the last operand read *)
   mutable cur_bins : float array; (* accounting bins of [cur_bins_for] *)
   mutable cur_bins_for : string; (* physically: the name [cur_bins] is for *)
-  (* Fused experiment set (DESIGN.md §14): [None] on ordinary runs — the
-     hot path pays one option match per charge.  When present, each charge
-     additionally fans out to every experiment's private accumulator;
-     [cur_xbins] caches those accumulators' bins for [cur_bins_for],
-     refreshed by the same function-change check as [cur_bins]. *)
-  exps : Accounting.exp_set option;
-  mutable cur_xbins : float array array;
+  (* the experiments the run was asked to carry, read off [acc] by
+     [fused_accounts] (DESIGN.md §14); the simulation never sees them *)
+  experiments : Accounting.experiment list;
   syms : (string, int64) Hashtbl.t; (* memoized symbol addresses *)
   (* the program's functions by slot (definition order), decoded on first
      call; [by_addr] gives a function pointer's callee *)
@@ -336,22 +332,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
   in
   let acc = restore (fun ck -> Accounting.copy ck.ck_acc) Accounting.create in
   let c = restore (fun ck -> { ck.ck_counters with useful_ops = ck.ck_counters.useful_ops }) fresh_counters in
-  let exps =
-    if experiments = [] then None
-    else
-      (* a resumed experiment starts from its own copy of the prefix
-         accounting with the experiment applied retroactively *)
-      Some
-        (restore
-           (fun ck -> Accounting.resume_set ~past:ck.ck_acc experiments)
-           (fun () -> Accounting.make_set experiments))
-  in
   let sampling = Option.map Sampling.make sampling in
-  (* a sampled fused run tracks each experiment's accumulator so finalize
-     can extrapolate it exactly as a serial sampled run of it would *)
-  (match (sampling, exps) with
-  | Some sa, Some s -> Sampling.attach sa s
-  | _ -> ());
   let output = Buffer.create 256 in
   Option.iter (fun ck -> Buffer.add_string output ck.ck_output) from;
   let heap = restore (fun ck -> ck.ck_heap) (fun () -> Program.heap_base) in
@@ -401,11 +382,7 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
     onat = false;
     cur_bins = [||];
     cur_bins_for = "\000"; (* sentinel: no function is named this *)
-    exps;
-    cur_xbins =
-      (match exps with
-      | None -> [||]
-      | Some s -> Array.make (Accounting.set_size s) [||]);
+    experiments;
     syms = Hashtbl.create 32;
     funcs;
     decoded = Array.make (Array.length funcs) None;
@@ -433,9 +410,9 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
 
 (* --- timing primitives ---------------------------------------------------- *)
 
-(* Charge [n] cycles to [cat] on the host accumulator and on the fused
-   set (DESIGN.md §14).  The clock is advanced by the callers, never from here, so
-   what an experiment does to a charge cannot change the machine's
+(* Charge [n] cycles to [cat].  The clock is advanced by the callers,
+   never from here, and nothing reads the accounting back, so an
+   experiment read off it afterwards cannot change the machine's
    evolution. *)
 let charge st cat n =
   if n > 0 && not st.warm then begin
@@ -446,19 +423,9 @@ let charge st cat n =
        every charge went through [Accounting.charge]. *)
     if not (st.cur_bins_for == st.cur_func) then begin
       st.cur_bins <- Accounting.bins st.acc st.cur_func;
-      (match st.exps with
-      | None -> ()
-      | Some s -> Accounting.set_bins s st.cur_xbins st.cur_func);
       st.cur_bins_for <- st.cur_func
     end;
-    Accounting.charge_bins st.acc st.cur_bins cat n;
-    (* fused experiments: the same charge against the set's base and
-       each experiment that can change it, through the same [charge_bins]
-       — so every fused cell is bit-identical to a run of that experiment
-       alone *)
-    match st.exps with
-    | None -> ()
-    | Some s -> Accounting.charge_set s st.cur_xbins cat n
+    Accounting.charge_bins st.acc st.cur_bins cat n
   end
 
 (* Bring [c.useful_ops] up to date (see [fuel_mark]). *)
@@ -1615,7 +1582,7 @@ let warm_flush_filters st =
    close-out can compute its delta. *)
 let sampling_step st (sa : Sampling.state) =
   if sa.Sampling.in_detail then begin
-    Sampling.record_phase sa st.acc.Accounting.totals ~len:sa.Sampling.phase_len;
+    Sampling.record_phase sa st.acc ~len:sa.Sampling.phase_len;
     sa.Sampling.in_detail <- false;
     st.warm <- true;
     (* the warm probe filters are stale across phases *)
@@ -1856,20 +1823,22 @@ let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
 let checkpoint st = st.ck_saved
 let sample_summary st = st.sample_summary
 
-(* The fused experiments' final accumulators, in the order the experiment
-   list was given, their unrouted categories filled from the set's base;
-   [[||]] when the run carried none. *)
-let fused_accounts st =
-  match st.exps with None -> [||] | Some s -> Accounting.set_accounts s
+(* An experiment read off the finished run's accounting (DESIGN.md §14):
+   a sampled run re-extrapolates it from its startup and measured
+   accountings, a full run applies it directly. *)
+let read st e =
+  match st.sampling with
+  | Some sa -> Sampling.read sa st.acc e
+  | None -> Accounting.apply st.acc e
+
+let fused_accounts st = Array.of_list (List.map (read st) st.experiments)
 
 (* Resume a checkpoint against a structurally identical (program, layout)
    pair: rebuild the machine from private copies of the checkpoint (so one
    checkpoint can seed any number of resumed runs, concurrently too), put
-   the frame stack back, and enter the block loop.  Each of [experiments]
-   is applied both retroactively to the checkpointed accounting and to the
-   remainder of the run.  Fuel defaults to the remaining fuel at capture,
+   the frame stack back, and enter the block loop.  Fuel defaults to the remaining fuel at capture,
    so a resumed run exhausts at the same point as the uninterrupted one. *)
-let resume ?fuel ?trace ?profile ?experiments ?desc (p : Program.t)
+let resume ?fuel ?trace ?profile ?desc (p : Program.t)
     (layout : Layout.t) (ck : checkpoint) =
   let desc = match desc with Some d -> d | None -> Itanium.desc () in
   if not (String.equal (Machine_desc.digest desc) ck.ck_desc_digest) then
@@ -1878,7 +1847,7 @@ let resume ?fuel ?trace ?profile ?experiments ?desc (p : Program.t)
   let st =
     create
       ~fuel:(match fuel with Some f -> f | None -> ck.ck_fuel)
-      ?trace ?profile ?experiments ~desc ~from:ck p layout (Array.copy ck.ck_input)
+      ?trace ?profile ~desc ~from:ck p layout (Array.copy ck.ck_input)
   in
   Array.iter
     (fun kf ->

@@ -101,13 +101,9 @@ type t = {
       (** scratch: cached accounting bins of [cur_bins_for] *)
   mutable cur_bins_for : string;
       (** the name (physically) that [cur_bins] was fetched for *)
-  exps : Accounting.exp_set option;
-      (** fused experiment set (DESIGN.md §14): when present, every charge
-          additionally goes to the set's base and to each experiment whose
-          filter admits its category; [None] costs one option match per
-          charge *)
-  mutable cur_xbins : float array array;
-      (** scratch: the set's cached bins for [cur_bins_for] *)
+  experiments : Accounting.experiment list;
+      (** the [?experiments] of {!run}, read off [acc] by
+          {!fused_accounts}; the simulation never sees them *)
   syms : (string, int64) Hashtbl.t;  (** memoized symbol addresses *)
   funcs : Epic_ir.Func.t array;  (** the program's functions, by slot *)
   decoded : dfunc option array;  (** per slot, decoded on first call *)
@@ -152,21 +148,14 @@ type t = {
     by default and, when off, leave every counter and cycle identical to a
     plain run.
 
-    [experiments] carries N causal-profiling virtual speedups (see
-    {!Accounting.experiment}) in the one run: charges attributable to an
-    experiment's target are scaled by [1 - speedup] in that experiment's
-    private accumulator, while the clock and all architectural state
-    evolve exactly as without it.  Every routed charge goes through the
-    same hot path and the unrouted categories are filled from the set's
-    unscaled base, so experiment [i]'s final accounting (via
-    {!fused_accounts}) is independent of the other members — a run of
-    [[e]] alone gives the same bits — and the host accounting stays
-    bit-identical to a run with no experiments.  A factor-1.0 category
-    experiment is how a "perfect" component is modelled: its category is
-    charged zero while everything else matches the baseline.  Composes
-    with [sampling] (per-experiment extrapolation tracks) and with
-    [checkpoint_at] (the snapshot carries host accounting only, so it
-    equals a plain run's).
+    [experiments] names N causal-profiling virtual speedups (see
+    {!Accounting.experiment}) to read off the finished run with
+    {!fused_accounts}.  Nothing in the simulation reads the accounting,
+    so an experiment is evaluated when it is read (DESIGN.md §14): the
+    run itself, its accounting included, is the plain run's.  A
+    factor-1.0 category experiment is how a "perfect" component is
+    modelled: its category is charged zero while everything else matches
+    the baseline.
 
     [desc] selects the machine description to simulate; the default is the
     domain's current description ({!Epic_mach.Itanium.desc}), normally
@@ -203,28 +192,30 @@ val checkpoint : t -> checkpoint option
 val sample_summary : t -> Sampling.summary option
 (** The extrapolation summary of a [?sampling] run. *)
 
+val read : t -> Accounting.experiment -> Accounting.t
+(** [read st e] is experiment [e] read off the finished run [st]:
+    {!Sampling.read} for a sampled run, {!Accounting.apply} otherwise.
+    Bitwise equal to a run that scaled every charge [e] admits as it was
+    made, for a dyadic [1 - speedup].
+    @raise Invalid_argument if the speedup is outside [0, 1]. *)
+
 val fused_accounts : t -> Accounting.t array
-(** The final accumulators of a [?experiments] run, in the order the list
-    was given; [[||]] when the run carried none.  Entry [i] is
-    bit-identical to entry [0] of a run carrying experiment [i] alone. *)
+(** The [?experiments] of the run read with {!read}, in the order the list
+    was given; [[||]] when the run named none. *)
 
 (** Resume a checkpoint against a structurally identical (program, layout)
     pair; returns (exit code, output, state) like {!run}, with the output
     including the checkpointed prefix.  The run is bit-identical — cycles,
     accounting, counters, output — to the uninterrupted one.
 
-    Each of [experiments] is applied retroactively to the checkpointed
-    prefix (exact in real arithmetic, within an ulp of a straight-through
-    run in floats) and exactly to the remainder, each experiment resuming
-    from its own copy of the prefix accounting.  [desc] must
-    digest-match the description at capture ([Invalid_argument]
-    otherwise).  [fuel] defaults to the fuel remaining at capture, so a
-    resumed run exhausts at the same point as the uninterrupted one. *)
+    [desc] must digest-match the description at capture
+    ([Invalid_argument] otherwise).  [fuel] defaults to the fuel remaining
+    at capture, so a resumed run exhausts at the same point as the
+    uninterrupted one. *)
 val resume :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?experiments:Accounting.experiment list ->
   ?desc:Machine_desc.t ->
   Epic_ir.Program.t ->
   Epic_sched.Layout.t ->

@@ -31,19 +31,6 @@ val parse_spec : string -> plan
 (** Parse ["INTERVAL:DETAIL"] or ["INTERVAL:DETAIL:WARMUP"]; the empty
     string is {!default_plan}.  Raises [Invalid_argument] on bad input. *)
 
-(** A per-experiment sampling track: a fused run's extra accumulators each
-    get their own phase-entry snapshot and recorded deltas, taken at the
-    same groups-driven phase boundaries as the host's, then fed through
-    the same estimator in {!finalize} — so a fused sampled experiment is
-    bit-identical to its serial sampled run.  The set's base
-    ({!Accounting.set_base}) is tracked and extrapolated alongside, and
-    supplies each experiment's unrouted categories. *)
-type track = {
-  tr_acc : Accounting.t;
-  tr_snap : float array;  (** length 9 *)
-  mutable tr_recorded : (int * float array) list;
-}
-
 (** Runtime phase state, created by {!Machine.run} from a plan and driven
     once per issue group.  Transparent because the per-group switch logic
     lives in the machine's hot loop (it flips the warm flag and snapshots
@@ -58,24 +45,23 @@ type state = {
   mutable recorded : (int * float array) list;
       (** closed detail phases, most recent first: (groups, cycles[9]) *)
   mutable n_recorded : int;
-  mutable tracks : track list;  (** fused-experiment accumulators, if any *)
+  mutable startup : Accounting.t option;
+      (** the accounting at the close of the startup (first) phase *)
+  mutable measured : Accounting.t option;
+      (** the accounting {!finalize} measured, kept when it extrapolated *)
+  mutable total_groups : int;  (** the groups {!finalize} extrapolated over *)
 }
 
 val make : plan -> state
 
-val attach : state -> Accounting.exp_set -> unit
-(** Attach a fused set's base and experiment accumulators as tracks.
-    Must be called before the run starts (their totals still zero,
-    matching the initial snapshot). *)
-
 val resnap : state -> float array -> unit
-(** [resnap sa totals] re-snapshots at detail-phase entry: the host totals
-    into [sa.snap] plus every track's own totals. *)
+(** [resnap sa totals] snapshots the totals at detail-phase entry. *)
 
-val record_phase : state -> float array -> len:int -> unit
-(** [record_phase sa totals ~len] closes a detail phase of [len] groups,
-    recording the category cycles charged since the phase-entry snapshot —
-    for the host and for every attached track.  Called by the machine at
+val record_phase : state -> Accounting.t -> len:int -> unit
+(** [record_phase sa acc ~len] closes a detail phase of [len] groups,
+    recording the category cycles charged since the phase-entry snapshot;
+    the first phase closed also keeps a copy of [acc] (the startup
+    phase's accounting, for {!read}).  Called by the machine at
     detail->warm transitions. *)
 
 type summary = {
@@ -93,7 +79,17 @@ type summary = {
 val finalize : state -> Accounting.t -> total_groups:int -> summary
 (** Close the open phase and scale the accounting in place — totals and
     every per-function bin — by [total_groups / detail_groups], so the
-    metrics/export pipeline reads extrapolated cycles unchanged.  Every
-    attached track is extrapolated the same way from its own recorded
-    deltas.  When the run never left detail the scale is exactly 1.0 and
-    the accounting is bit-identical to an unsampled run. *)
+    metrics/export pipeline reads extrapolated cycles unchanged; a copy of
+    the accounting as measured is kept for {!read}.  When the run never
+    left detail the scale is exactly 1.0 and the accounting is
+    bit-identical to an unsampled run. *)
+
+val read : state -> Accounting.t -> Accounting.experiment -> Accounting.t
+(** [read sa acc e] reads experiment [e] off a sampled run finalized into
+    [acc]: {!Accounting.apply} on the startup phase's and the measured
+    accounting, then the estimator of {!finalize} again on those two
+    phases.  Bitwise equal to a run that scaled each charge [e] admits as
+    it was made, for a dyadic [1 - speedup]; within one rounding per step
+    otherwise.  A run that never extrapolated is read with
+    {!Accounting.apply} directly.
+    @raise Invalid_argument if the speedup is outside [0, 1]. *)

@@ -129,8 +129,8 @@ let test_suite_determinism () =
 (* The sweep and the causal matrix run on the same planner: a small
    matrix of each on gzip gives the same normalized JSON at width 1 and 2.
    The sweep merges a suppression variant into the itanium2 simulation
-   beside a recompiled geometry variant; the causal grid merges into one
-   prefixed simulation after the baseline. *)
+   beside a recompiled geometry variant; the causal grid is read off the
+   single baseline simulation. *)
 let test_sweep_causal_determinism () =
   let norm j = Epic_obs.Json.to_string (Export.normalize_time j) in
   let sweep jobs =

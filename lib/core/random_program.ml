@@ -165,13 +165,23 @@ let same_bits a b =
   && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 (* The machine's own equivalences on a run that already agrees with the
-   reference: a sampled run at [tiny_plan] keeps exit code and output, and
-   a checkpoint at half the groups, resumed, reproduces the full run's
-   cycles and category totals bit for bit.  Returns the failing leg. *)
+   reference: the clock equals the accounted cycles (in a sampled run at
+   [tiny_plan], the cycles measured in its detail phases, so a stall that
+   leaks into a warm phase shows); the sampled run keeps exit code and
+   output; and a checkpoint at half the groups, resumed, reproduces the
+   full run's cycles and category totals bit for bit.  Returns the failing
+   leg. *)
 let machine_legs ~fuel compiled input (code, out, (st : Epic_sim.Machine.t)) =
   let open Epic_sim in
-  let sc, so, _ = Driver.run ~fuel ~sampling:tiny_plan compiled input in
-  if (sc, so) <> (code, out) then Some ("sampled " ^ Sampling.key_fragment tiny_plan)
+  let sc, so, sst = Driver.run ~fuel ~sampling:tiny_plan compiled input in
+  let measured =
+    match Machine.sample_summary sst with
+    | Some su -> su.Sampling.s_measured_cycles
+    | None -> nan
+  in
+  if float_of_int st.Machine.cycle <> Accounting.total st.Machine.acc then Some "clock"
+  else if (sc, so) <> (code, out) then Some ("sampled " ^ Sampling.key_fragment tiny_plan)
+  else if float_of_int sst.Machine.cycle <> measured then Some "sampled clock"
   else
     let _, _, cst =
       Driver.run ~fuel ~checkpoint_at:(st.Machine.c.Machine.groups / 2) compiled input
@@ -201,7 +211,7 @@ let fuel_boundary_holds (compiled : Driver.compiled) input n =
 
 (* Check one source at every configuration, both through the interpreter
    (IR semantics after all transforms) and through the machine, then the
-   interpreter's fuel boundary and the machine's sampled and
+   interpreter's fuel boundary and the machine's clock, sampled and
    checkpoint-resume legs. *)
 let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
   match reference src input with

@@ -197,9 +197,8 @@ let test_machine_accounting_sums_to_cycles () =
   in
   (* all cycles are accounted: total of the categories is the clock *)
   check cb "accounting total positive" true (Accounting.total st.Machine.acc > 0.);
-  check cb "clock close to accounted total" true
-    (abs_float (float_of_int st.Machine.cycle -. Accounting.total st.Machine.acc)
-    < 0.05 *. float_of_int st.Machine.cycle)
+  check (Alcotest.float 0.) "clock equals accounted total" (float_of_int st.Machine.cycle)
+    (Accounting.total st.Machine.acc)
 
 let test_machine_counts_branches () =
   let st =

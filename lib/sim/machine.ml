@@ -12,7 +12,8 @@
    slots or intrinsics) resolved at decode.  Detailed and warm sampling
    phases run the same op bodies; the timing model — stalls, ready times,
    cache/TLB penalties, the store buffer, mispredict, call/return and RSE
-   charges — is a layer inside them that runs only in detail.  Simulated
+   charges — is a layer of primitives inside them that reads the phase
+   itself and does nothing in a warm one, so no op knows it.  Simulated
    frames live on an explicit stack owned by the block loop, so a
    checkpoint copies that stack and resume simply re-enters the loop.
 
@@ -89,14 +90,6 @@ type frame = {
   mutable bi : int; (* block index in [df.df_blocks] *)
   mutable gi : int;
   mutable k : int;
-  (* The sampling phase the current group started in, and whether the
-     block is still on its warm path (entered warm, no detailed group since).
-     A group that started warm runs its ops untimed to its end even if a
-     callee flips the phase to detail; calls, returns, checks and
-     divides follow the live phase.  Ticks of the PC sampler are skipped on
-     a block's warm path, where the clock is frozen. *)
-  mutable gwarm : bool;
-  mutable bwarm : bool;
 }
 
 (* A function decoded against the layout and the machine description.
@@ -258,10 +251,11 @@ and t = {
   mutable xc : int;
   scratch : Bytes.t; (* eight bytes: a loaded or stored value in transit *)
   (* Interval sampling (DESIGN.md §13): in a warm phase [warm] is true and
-     the timing model is bypassed — no charges, no clock, no stalls — while
-     the functional state and the cache/TLB/predictor warming evolve.  The
-     [warm_*] fields are direct-mapped filters that keep warm-phase memory-
-     system probes cheap (same line/page as a recent probe = skip). *)
+     the timing primitives do nothing — no charges, no clock, no stalls —
+     while the functional state and the cache/TLB/predictor warming evolve;
+     no op reads it.  The [warm_*] fields are direct-mapped filters that
+     keep warm-phase memory-system probes cheap (same line/page as a recent
+     probe = skip). *)
   mutable warm : bool;
   sampling : Sampling.state option;
   mutable sample_summary : Sampling.summary option;
@@ -315,8 +309,6 @@ let fresh_frame df =
     bi = 0;
     gi = 0;
     k = 0;
-    gwarm = false;
-    bwarm = false;
   }
 
 (* Build a machine: fresh architectural state, or private copies of a
@@ -465,7 +457,8 @@ let sample_tick st =
 
 (* Scoreboard: wait for a register whose value is not ready yet, charging
    the wait to its reason's category.  Integer, branch and predicate
-   registers share the integer bank's ready slots. *)
+   registers share the integer bank's ready slots.  Nothing waits in a warm
+   phase, where the clock is frozen. *)
 let stall_wait st (ready : int array) (reasons : reason array) id =
   let r = Array.unsafe_get ready id in
   let cat =
@@ -478,16 +471,19 @@ let stall_wait st (ready : int array) (reasons : reason array) id =
   st.cycle <- r
 
 let[@inline] stall_i st fr id =
-  if Array.unsafe_get fr.iready id > st.cycle then stall_wait st fr.iready fr.ireason id
+  if Array.unsafe_get fr.iready id > st.cycle && not st.warm then
+    stall_wait st fr.iready fr.ireason id
 
 let[@inline] stall_f st fr id =
-  if Array.unsafe_get fr.fready id > st.cycle then stall_wait st fr.fready fr.freason id
+  if Array.unsafe_get fr.fready id > st.cycle && not st.warm then
+    stall_wait st fr.fready fr.freason id
 
 (* Mark a destination not ready for [extra] cycles ([r] encodes the bank:
    [-1 - id] for a float register).  Detail only: a ready time computed
    against a frozen clock would be meaningless in the next phase. *)
 let mark_ready st fr r extra reason =
-  if r < 0 then begin
+  if st.warm then ()
+  else if r < 0 then begin
     Array.unsafe_set fr.fready (-1 - r) (st.cycle + extra);
     Array.unsafe_set fr.freason (-1 - r) reason
   end
@@ -554,13 +550,9 @@ let[@inline] dcache_warm st (addr : int64) ~(is_float : bool) =
   end
 
 (* A data access's cache work: timed in detail (the penalty), a filtered
-   warming probe when [untimed]. *)
-let[@inline] dcache st ~untimed addr ~is_float =
-  if untimed then begin
-    dcache_warm st addr ~is_float;
-    0
-  end
-  else dcache_extra st addr ~is_float
+   warming probe (no penalty) in a warm phase. *)
+let[@inline] dcache st addr ~is_float =
+  if st.warm then (dcache_warm st addr ~is_float; 0) else dcache_extra st addr ~is_float
 
 let icache_penalty st (addr : int64) =
   let d = st.desc in
@@ -631,23 +623,23 @@ let[@inline] translate st (addr : int64) spec =
   Array.unsafe_get st.warm_tlb_pages (page land (warm_filter_size - 1)) = page)
   || translate_walk st addr spec
 
-let drain_store_buffer st =
-  let elapsed = st.cycle - st.sb_last_cycle in
-  st.sb_last_cycle <- st.cycle;
-  st.sb_work <- max 0 (st.sb_work - elapsed)
-
 (* A store's timing: it drains the store buffer and, on a cache miss,
-   queues work there; past 24 cycles of backlog the pipeline stalls. *)
+   queues work there; past 24 cycles of backlog the pipeline stalls.  A
+   warm phase only probes the cache, behind the line filter. *)
 let store_timing st addr =
-  drain_store_buffer st;
-  let extra = dcache_extra st addr ~is_float:false in
-  if extra > 0 then begin
-    st.sb_work <- st.sb_work + 3;
-    if st.sb_work > 24 then begin
-      let over = st.sb_work - 24 in
-      charge st Accounting.Micropipe over;
-      advance st over;
-      st.sb_work <- 24
+  if st.warm then dcache_warm st addr ~is_float:false
+  else begin
+    st.sb_work <- max 0 (st.sb_work - (st.cycle - st.sb_last_cycle));
+    st.sb_last_cycle <- st.cycle;
+    let extra = dcache_extra st addr ~is_float:false in
+    if extra > 0 then begin
+      st.sb_work <- st.sb_work + 3;
+      if st.sb_work > 24 then begin
+        let over = st.sb_work - 24 in
+        charge st Accounting.Micropipe over;
+        advance st over;
+        st.sb_work <- 24
+      end
     end
   end
 
@@ -670,29 +662,28 @@ type src =
   | Kf of float
   | Kerr of string
 
-(* Read an integer-context operand, waiting on its register unless
-   [untimed]; the NaT bit lands in [st.onat].  Inlined, so the value stays
-   unboxed. *)
-let[@inline] rd_i st fr untimed s =
+(* Read an integer-context operand, waiting on its register; the NaT bit
+   lands in [st.onat].  Inlined, so the value stays unboxed. *)
+let[@inline] rd_i st fr s =
   match s with
   | Ri id ->
-      if not untimed then stall_i st fr id;
+      stall_i st fr id;
       st.onat <- Array.unsafe_get fr.nat id;
       get64 fr.ints (id lsl 3)
   | Rf id ->
-      if not untimed then stall_f st fr id;
+      stall_f st fr id;
       st.onat <- Array.unsafe_get fr.fnat id;
       Int64.of_float (Array.unsafe_get fr.flts id)
   | Rb id ->
-      if not untimed then stall_f st fr id;
+      stall_f st fr id;
       st.onat <- Array.unsafe_get fr.fnat id;
       Int64.bits_of_float (Array.unsafe_get fr.flts id)
   | Rp id ->
-      if not untimed then stall_i st fr id;
+      stall_i st fr id;
       st.onat <- false;
       if Array.unsafe_get fr.prds id then 1L else 0L
   | Rp0 ->
-      if not untimed then stall_i st fr 0;
+      stall_i st fr 0;
       st.onat <- false;
       1L
   | K v ->
@@ -703,20 +694,20 @@ let[@inline] rd_i st fr untimed s =
       Int64.of_float f
   | Kerr msg -> invalid_arg msg
 
-let[@inline] rd_f st fr untimed s =
+let[@inline] rd_f st fr s =
   match s with
   | Rf id ->
-      if not untimed then stall_f st fr id;
+      stall_f st fr id;
       st.onat <- Array.unsafe_get fr.fnat id;
       Array.unsafe_get fr.flts id
   | Ri id ->
-      if not untimed then stall_i st fr id;
+      stall_i st fr id;
       st.onat <- Array.unsafe_get fr.nat id;
       Int64.to_float (get64 fr.ints (id lsl 3))
   | Kf f ->
       st.onat <- false;
       f
-  | Rb _ | Rp _ | Rp0 | K _ | Kerr _ -> rd_i st fr untimed s |> Int64.to_float
+  | Rb _ | Rp _ | Rp0 | K _ | Kerr _ -> rd_i st fr s |> Int64.to_float
 
 (* Writes to r0 and p0 are dropped; the integer bank's id 0 therefore
    always reads 0 with no NaT. *)
@@ -824,13 +815,11 @@ let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int arra
   bind_regs st fr binds ~pad:true
 
 (* --- decode ---------------------------------------------------------------
-   Every instruction becomes one op.  ALU, float, move, compare, load,
-   store, branch and nop ops ([phase_kind]) are untimed when the phase is
-   warm or their group started warm; calls, returns, checks and divides
-   follow the live phase only, and memory translation always does (the
-   split the sampled estimates are pinned with, see [frame]).  Malformed
-   instructions decode to ops that fault when they execute, behind their
-   qualifying predicate. *)
+   Every instruction becomes one op.  An op never reads the sampling phase:
+   the timing primitives it calls (stalls, ready marks, cache probes,
+   charges) follow the live phase themselves.  Malformed instructions
+   decode to ops that fault when they execute, behind their qualifying
+   predicate. *)
 
 let fault msg : op = fun _ -> raise (Machine_fault msg)
 
@@ -900,43 +889,37 @@ let regs_fit (i : Instr.t) =
 
 (* A branch's squash: the predictor still sees it, and a misprediction
    still flushes. *)
-let branch_squash st ~timed_kind (bid : int) : op =
+let branch_squash st (bid : int) : op =
   let bid64 = Int64.of_int bid in
-  fun fr ->
+  fun _ ->
   st.c.squashed_ops <- st.c.squashed_ops + 1;
   st.c.branches <- st.c.branches + 1;
   if not (Branch_pred.predict_and_update st.bp bid false) then begin
     emit st Epic_obs.Trace.Br_mispredict bid64;
-    if not (st.warm || (timed_kind && fr.gwarm)) then begin
-      charge st Accounting.Br_mispredict st.desc.Machine_desc.branch_mispredict_penalty;
-      advance st st.desc.Machine_desc.branch_mispredict_penalty
-    end
+    charge st Accounting.Br_mispredict st.desc.Machine_desc.branch_mispredict_penalty;
+    advance st st.desc.Machine_desc.branch_mispredict_penalty
   end
 
 let plain_squash st : op = fun _ -> st.c.squashed_ops <- st.c.squashed_ops + 1
 
-(* The guard value of predicate [p] (stalling on it unless untimed). *)
-let[@inline] guard_value st fr untimed pid =
-  if not untimed then stall_i st fr pid;
+(* The guard value of predicate [p], stalling on it. *)
+let[@inline] guard_value st fr pid =
+  stall_i st fr pid;
   pid = 0 || fr.prds.(pid)
 
-(* Wrap [body] with the instruction's qualifying predicate.  [phase_kind]
-   says whether the op belongs to the kinds untimed in a warm-started
-   group (see above). *)
-let guarded st (i : Instr.t) ~phase_kind (body : op) : op =
+(* Wrap [body] with the instruction's qualifying predicate: a false guard
+   squashes the op. *)
+let guarded st (i : Instr.t) (body : op) : op =
   match i.Instr.pred with
   | None -> body
   | Some p ->
       let pid = p.Reg.id in
       let squash =
         match i.Instr.op with
-        | Opcode.Br -> branch_squash st ~timed_kind:phase_kind i.Instr.id
+        | Opcode.Br -> branch_squash st i.Instr.id
         | _ -> plain_squash st
       in
-      if phase_kind then fun fr ->
-        if guard_value st fr (st.warm || fr.gwarm) pid then body fr else squash fr
-      else fun fr -> if guard_value st fr st.warm pid then body fr else squash fr
-
+      fun fr -> if guard_value st fr pid then body fr else squash fr
 
 (* A compare writes its predicate pair; [eval] gives -1 (deferred: a NaT
    input), 0 or 1, reading the second source first.  The guard does not
@@ -945,45 +928,42 @@ let decode_cmp x (i : Instr.t) cond ct ~fcmp pt pf a b : op =
   let st = x.x_st in
   let pt = pt.Reg.id and pf = pf.Reg.id in
   let gid = match i.Instr.pred with None -> -1 | Some p -> p.Reg.id in
-  let eval : frame -> bool -> int =
+  let eval : frame -> int =
     if fcmp then
       let a = src_f a and b = src_f b in
-      fun fr untimed ->
-        let y = rd_f st fr untimed b in
+      fun fr ->
+        let y = rd_f st fr b in
         let ny = st.onat in
-        let x = rd_f st fr untimed a in
+        let x = rd_f st fr a in
         if st.onat || ny then -1 else if Opcode.eval_fcmp cond x y then 1 else 0
     else
       match (src_i x a, src_i x b) with
       | Ri ia, Ri ib ->
-          fun fr untimed ->
-            if not untimed then begin
-              stall_i st fr ib;
-              stall_i st fr ia
-            end;
+          fun fr ->
+            stall_i st fr ib;
+            stall_i st fr ia;
             if Array.unsafe_get fr.nat ia || Array.unsafe_get fr.nat ib then -1
             else if icmp cond (get64 fr.ints (ia lsl 3)) (get64 fr.ints (ib lsl 3)) then 1
             else 0
       | Ri ia, K v ->
-          fun fr untimed ->
-            if not untimed then stall_i st fr ia;
+          fun fr ->
+            stall_i st fr ia;
             if Array.unsafe_get fr.nat ia then -1
             else if icmp cond (get64 fr.ints (ia lsl 3)) v then 1
             else 0
       | a, b ->
-          fun fr untimed ->
-            let y = rd_i st fr untimed b in
+          fun fr ->
+            let y = rd_i st fr b in
             let ny = st.onat in
-            let x = rd_i st fr untimed a in
+            let x = rd_i st fr a in
             if st.onat || ny then -1 else if icmp cond x y then 1 else 0
   in
   fun fr ->
-    let untimed = st.warm || fr.gwarm in
-    let g = gid < 0 || guard_value st fr untimed gid in
+    let g = gid < 0 || guard_value st fr gid in
     match ct with
     | Opcode.Norm -> (
         if g then
-          match eval fr untimed with
+          match eval fr with
           | -1 ->
               wr_p fr pt false;
               wr_p fr pf false
@@ -994,13 +974,13 @@ let decode_cmp x (i : Instr.t) cond ct ~fcmp pt pf a b : op =
         wr_p fr pt false;
         wr_p fr pf false;
         if g then
-          match eval fr untimed with
+          match eval fr with
           | -1 -> ()
           | r ->
               wr_p fr pt (r = 1);
               wr_p fr pf (r = 0))
     | Opcode.Orform ->
-        if g && eval fr untimed = 1 then begin
+        if g && eval fr = 1 then begin
           wr_p fr pt true;
           wr_p fr pf true
         end
@@ -1014,10 +994,8 @@ let decode_alu x (op : Opcode.t) (d : Reg.t) a b : op =
   | Ri ia, Ri ib when did <> 0 ->
       let oa = ia lsl 3 and ob = ib lsl 3 in
       fun fr ->
-        if not (st.warm || fr.gwarm) then begin
-          stall_i st fr ia;
-          stall_i st fr ib
-        end;
+        stall_i st fr ia;
+        stall_i st fr ib;
         if Array.unsafe_get fr.nat ia || Array.unsafe_get fr.nat ib then begin
           set64 fr.ints o 0L;
           Array.unsafe_set fr.nat did true
@@ -1029,7 +1007,7 @@ let decode_alu x (op : Opcode.t) (d : Reg.t) a b : op =
   | Ri ia, K v when did <> 0 ->
       let oa = ia lsl 3 in
       fun fr ->
-        if not (st.warm || fr.gwarm) then stall_i st fr ia;
+        stall_i st fr ia;
         if Array.unsafe_get fr.nat ia then begin
           set64 fr.ints o 0L;
           Array.unsafe_set fr.nat did true
@@ -1040,10 +1018,9 @@ let decode_alu x (op : Opcode.t) (d : Reg.t) a b : op =
         end
   | a, b ->
       fun fr ->
-        let untimed = st.warm || fr.gwarm in
-        let va = rd_i st fr untimed a in
+        let va = rd_i st fr a in
         let na = st.onat in
-        let vb = rd_i st fr untimed b in
+        let vb = rd_i st fr b in
         if na || st.onat then wr_i fr did 0L true else wr_i fr did (alu op va vb) false
 
 (* Divide and remainder: a zero divisor faults, or defers to NaT when the
@@ -1056,16 +1033,15 @@ let decode_div x (i : Instr.t) (d : Reg.t) a b : op =
   let msg = if is_div then "div by zero" else "rem by zero" in
   let speculated = i.Instr.attrs.Instr.speculated in
   fun fr ->
-    let untimed = st.warm in
-    let va = rd_i st fr untimed a in
+    let va = rd_i st fr a in
     let na = st.onat in
-    let vb = rd_i st fr untimed b in
+    let vb = rd_i st fr b in
     if na || st.onat then wr_i fr did 0L true
     else begin
       if Int64.equal vb 0L then
         if speculated then wr_i fr did 0L true else raise (Machine_fault msg)
       else wr_i fr did (if is_div then Int64.div va vb else Int64.rem va vb) false;
-      if not st.warm then mark_ready st fr dcode 4 Rlong
+      mark_ready st fr dcode 4 Rlong
     end
 
 let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : op =
@@ -1078,10 +1054,9 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
   let did = d.Reg.id and dcode = reg_code d in
   let key = Isa.Alat.key d.Reg.cls did in
   fun fr ->
-    let untimed = st.warm || fr.gwarm in
     if not nonspec then st.c.spec_loads <- st.c.spec_loads + 1;
     (* one box for the address, shared by every consumer below *)
-    let addr = Sys.opaque_identity (rd_i st fr untimed a) in
+    let addr = Sys.opaque_identity (rd_i st fr a) in
     let na = st.onat in
     if not nonspec then emit st Epic_obs.Trace.Spec_load addr;
     if na then begin
@@ -1093,7 +1068,7 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
       if is_float then wr_f fr did 0. true else wr_i fr did 0L true
     else begin
       if adv then Isa.Alat.insert fr.alat key (Int64.to_int addr) bytes;
-      let extra = dcache st ~untimed addr ~is_float in
+      let extra = dcache st addr ~is_float in
       if is_float then begin
         Memimage.read_into st.mem addr bytes st.scratch 0;
         wr_f fr did (Int64.float_of_bits (get64 st.scratch 0)) false;
@@ -1115,13 +1090,12 @@ let decode_store x (sz : Opcode.size) a v : op =
   let a = src_i x a and v = src_v x v in
   let bytes = Opcode.size_bytes sz in
   fun fr ->
-    let untimed = st.warm || fr.gwarm in
-    let addr = Sys.opaque_identity (rd_i st fr untimed a) in
+    let addr = Sys.opaque_identity (rd_i st fr a) in
     let na = st.onat in
-    let data = rd_i st fr untimed v in
+    let data = rd_i st fr v in
     if na || st.onat then begin
       st.c.nat_consumed <- st.c.nat_consumed + 1;
-      if not untimed then charge st Accounting.Misc 2
+      charge st Accounting.Misc 2
     end
     else begin
       (* a non-speculative translation succeeds or faults *)
@@ -1129,9 +1103,8 @@ let decode_store x (sz : Opcode.size) a v : op =
       if fr.alat.Isa.Alat.count > 0 then Isa.Alat.snoop fr.alat (Int64.to_int addr) bytes;
       set64 st.scratch 0 data;
       Memimage.write_from st.mem addr bytes st.scratch 0;
-      if untimed then dcache_warm st addr ~is_float:false else store_timing st addr
+      store_timing st addr
     end
-
 
 (* chk.s / chk.a: when the checked register is deferred (a NaT, or no ALAT
    entry) redirect the pipeline and recover ({!Isa.recover}). *)
@@ -1142,7 +1115,7 @@ let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
   let key = Isa.Alat.key r.Reg.cls rid in
   let bytes = Opcode.size_bytes sz in
   fun fr ->
-    if not st.warm then if rflt then stall_f st fr rid else stall_i st fr rid;
+    if rflt then stall_f st fr rid else stall_i st fr rid;
     let deferred =
       if alat then not (Isa.Alat.mem fr.alat key) else if rflt then fr.fnat.(rid) else fr.nat.(rid)
     in
@@ -1150,13 +1123,13 @@ let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
       st.c.chk_recoveries <- st.c.chk_recoveries + 1;
       charge st Accounting.Misc st.desc.Machine_desc.chk_recovery_penalty;
       advance st st.desc.Machine_desc.chk_recovery_penalty;
-      let addr = Sys.opaque_identity (rd_i st fr st.warm a) in
+      let addr = Sys.opaque_identity (rd_i st fr a) in
       emit st Epic_obs.Trace.Chk_recovery addr;
       match Isa.recover st.mem ~nat:st.onat addr ~size:bytes st.scratch 0 with
       | Isa.Reloaded ->
           (* the timing of the non-speculative access, which cannot fault now *)
           ignore (translate st addr Opcode.Nonspec);
-          let extra = dcache st ~untimed:st.warm addr ~is_float:rflt in
+          let extra = dcache st addr ~is_float:rflt in
           if rflt then wr_f fr rid (Int64.float_of_bits (get64 st.scratch 0)) false
           else wr_i fr rid (get64 st.scratch 0) false;
           if extra > 0 then mark_ready st fr rcode extra Rload
@@ -1172,23 +1145,21 @@ let decode_branch x (i : Instr.t) (l : string) : op =
   let bid64 = Int64.of_int bid in
   let target = match x.x_label l with Some bi -> ctl_jump + bi | None -> -1 in
   let conditional = i.Instr.pred <> None in
-  fun fr ->
+  fun _ ->
     st.c.branches <- st.c.branches + 1;
     if not conditional then Branch_pred.record_unconditional st.bp
     else if not (Branch_pred.predict_and_update st.bp bid true) then begin
       emit st Epic_obs.Trace.Br_mispredict bid64;
-      if not (st.warm || fr.gwarm) then begin
-        charge st Accounting.Br_mispredict st.desc.Machine_desc.branch_mispredict_penalty;
-        advance st st.desc.Machine_desc.branch_mispredict_penalty
-      end
+      charge st Accounting.Br_mispredict st.desc.Machine_desc.branch_mispredict_penalty;
+      advance st st.desc.Machine_desc.branch_mispredict_penalty
     end;
     if target < 0 then raise (Machine_fault ("branch to unknown label " ^ l));
     st.ctl <- target
 
 (* Evaluate [vals] (value context, in order) into the transfer buffer. *)
-let[@inline] transfer st fr untimed (vals : src array) =
+let[@inline] transfer st fr (vals : src array) =
   for j = 0 to Array.length vals - 1 do
-    set64 st.xv (j lsl 3) (rd_i st fr untimed (Array.unsafe_get vals j));
+    set64 st.xv (j lsl 3) (rd_i st fr (Array.unsafe_get vals j));
     Array.unsafe_set st.xn j st.onat
   done;
   st.xc <- Array.length vals
@@ -1214,37 +1185,37 @@ let decode_call x (i : Instr.t) : op =
       let args = Array.of_list (List.map (src_v x) args) in
       ensure_transfer x.x_st (Array.length args);
       let binds = Array.of_list (List.map reg_code i.Instr.dsts) in
-      let resolve : frame -> bool -> callee =
+      let resolve : frame -> callee =
         match target with
         | Operand.Sym s ->
             let c = callee_of_name st.funcs s in
-            fun _ _ -> c
+            fun _ -> c
         | Operand.Reg _ ->
             (* an integer-context read: a float register's value converts *)
             let s = src_i x target in
-            fun fr untimed ->
-              let addr = rd_i st fr untimed s in
+            fun fr ->
+              let addr = rd_i st fr s in
               if st.onat then raise (Machine_fault "indirect call through NaT");
               let off = Int64.to_int (Int64.sub addr Program.code_base) in
               if off < 0 || off mod 64 <> 0 || off / 64 >= Array.length st.by_addr then
                 raise (Machine_fault (Printf.sprintf "indirect call to 0x%Lx" addr))
               else st.by_addr.(off / 64)
-        | _ -> fun _ _ -> raise (Machine_fault "bad call target")
+        | _ -> fun _ -> raise (Machine_fault "bad call target")
       in
       fun fr ->
-        let untimed = st.warm in
         st.c.branches <- st.c.branches + 1;
         st.c.calls <- st.c.calls + 1;
         Branch_pred.record_unconditional st.bp;
-        transfer st fr untimed args;
-        let c = resolve fr untimed in
+        transfer st fr args;
+        let c = resolve fr in
         Isa.Alat.flush fr.alat;
         match c with
         | Fn slot ->
             st.callee <- slot;
             st.ctl <- ctl_call
         | Intrinsic (k, pseudo) ->
-            Option.iter (transfer st fr true) converted;
+            (* no stalls: the same registers were just read *)
+            Option.iter (transfer st fr) converted;
             do_intrinsic st fr k pseudo binds
         | Missing name -> ignore (Program.find_func_exn st.program name)
 
@@ -1255,110 +1226,111 @@ let decode_ret x (i : Instr.t) : op =
   fun fr ->
     st.c.branches <- st.c.branches + 1;
     Branch_pred.record_unconditional st.bp;
-    transfer st fr st.warm vals;
+    transfer st fr vals;
     st.ctl <- ctl_ret
+
+(* An instruction's op before its qualifying predicate (compares, which a
+   false guard does not squash, are decoded whole by [decode_instr]). *)
+let decode_body x (i : Instr.t) : op =
+  let st = x.x_st in
+  match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
+  | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.And | Opcode.Or | Opcode.Xor
+      | Opcode.Shl | Opcode.Shr | Opcode.Sra ),
+      [ d ],
+      [ a; b ] ) ->
+      decode_alu x i.Instr.op d a b
+  | (Opcode.Div | Opcode.Rem), [ d ], [ a; b ] -> decode_div x i d a b
+  | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
+      let a = src_f a and b = src_f b in
+      let did = d.Reg.id and dcode = reg_code d in
+      let code, slow =
+        match i.Instr.op with
+        | Opcode.Fadd -> (0, false)
+        | Opcode.Fsub -> (1, false)
+        | Opcode.Fmul -> (2, false)
+        | _ -> (3, true) (* fdiv: the result is ready 8 cycles late *)
+      in
+      fun fr ->
+        let va = rd_f st fr a in
+        let na = st.onat in
+        let vb = rd_f st fr b in
+        wr_f fr did
+          (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb)
+          (na || st.onat);
+        if slow then mark_ready st fr dcode 8 Rfload
+  | Opcode.Fneg, [ d ], [ a ] ->
+      let a = src_f a and did = d.Reg.id in
+      fun fr ->
+        let v = rd_f st fr a in
+        wr_f fr did (-.v) st.onat
+  | Opcode.Cvt_fi, [ d ], [ a ] ->
+      let a = src_f a and did = d.Reg.id in
+      fun fr ->
+        let v = rd_f st fr a in
+        wr_i fr did (Int64.of_float v) st.onat
+  | Opcode.Cvt_if, [ d ], [ a ] ->
+      let a = src_i x a and did = d.Reg.id in
+      fun fr ->
+        let v = rd_i st fr a in
+        wr_f fr did (Int64.to_float v) st.onat
+  | (Opcode.Mov | Opcode.Sxt _), [ d ], [ a ] -> (
+      let did = d.Reg.id in
+      if d.Reg.cls = Reg.Flt then
+        let a = src_f a in
+        fun fr ->
+          let v = rd_f st fr a in
+          wr_f fr did v st.onat
+      else
+        let sh =
+          match i.Instr.op with
+          | Opcode.Sxt sz -> 64 - (8 * Opcode.size_bytes sz)
+          | _ -> 0
+        in
+        match src_i x a with
+        | Ri ia when did <> 0 && sh = 0 ->
+            (* plain register copy: the dominant mov shape *)
+            fun fr ->
+              stall_i st fr ia;
+              set64 fr.ints (did lsl 3) (get64 fr.ints (ia lsl 3));
+              Array.unsafe_set fr.nat did (Array.unsafe_get fr.nat ia)
+        | K v when did <> 0 && sh = 0 ->
+            fun fr ->
+              set64 fr.ints (did lsl 3) v;
+              Array.unsafe_set fr.nat did false
+        | a ->
+            fun fr ->
+              let v = rd_i st fr a in
+              let v = if sh = 0 then v else Int64.shift_right (Int64.shift_left v sh) sh in
+              wr_i fr did v st.onat)
+  | Opcode.Lea, [ d ], [ base; off ] -> (
+      let did = d.Reg.id in
+      match (src_i x base, src_i x off) with
+      | Ri ib, K v when did <> 0 ->
+          fun fr ->
+            stall_i st fr ib;
+            set64 fr.ints (did lsl 3) (Int64.add (get64 fr.ints (ib lsl 3)) v);
+            Array.unsafe_set fr.nat did false
+      | base, off ->
+          fun fr ->
+            let vb = rd_i st fr base in
+            wr_i fr did (Int64.add vb (rd_i st fr off)) false)
+  | Opcode.Ld (sz, spec), [ d ], [ a ] -> decode_load x sz spec d a
+  | Opcode.St sz, _, [ a; v ] -> decode_store x sz a v
+  | Opcode.Chk sz, _, [ Operand.Reg r; a ] -> decode_check x sz r a ~alat:false
+  | Opcode.Chka sz, _, [ Operand.Reg r; a ] -> decode_check x sz r a ~alat:true
+  | Opcode.Br, _, [ Operand.Label l ] -> decode_branch x i l
+  | Opcode.Br_call, _, _ -> decode_call x i
+  | Opcode.Br_ret, _, _ -> decode_ret x i
+  | (Opcode.Alloc | Opcode.Nop), _, _ -> fun _ -> ()
+  | _ -> fault (Isa.malformed i)
 
 let decode_instr x (i : Instr.t) : op =
   if not (regs_fit i) then fun _ -> invalid_arg "index out of bounds"
   else
-    let st = x.x_st in
-    let timed = guarded st i ~phase_kind:true and live = guarded st i ~phase_kind:false in
     match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
     | Opcode.Cmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:false pt pf a b
     | Opcode.Fcmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:true pt pf a b
-    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.And | Opcode.Or | Opcode.Xor
-        | Opcode.Shl | Opcode.Shr | Opcode.Sra ),
-        [ d ],
-        [ a; b ] ) ->
-        timed (decode_alu x i.Instr.op d a b)
-    | (Opcode.Div | Opcode.Rem), [ d ], [ a; b ] -> live (decode_div x i d a b)
-    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
-        let a = src_f a and b = src_f b in
-        let did = d.Reg.id and dcode = reg_code d in
-        let code, slow =
-          match i.Instr.op with
-          | Opcode.Fadd -> (0, false)
-          | Opcode.Fsub -> (1, false)
-          | Opcode.Fmul -> (2, false)
-          | _ -> (3, true) (* fdiv: the result is ready 8 cycles late *)
-        in
-        timed (fun fr ->
-            let untimed = st.warm || fr.gwarm in
-            let va = rd_f st fr untimed a in
-            let na = st.onat in
-            let vb = rd_f st fr untimed b in
-            wr_f fr did
-              (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb)
-              (na || st.onat);
-            if slow && not untimed then mark_ready st fr dcode 8 Rfload)
-    | Opcode.Fneg, [ d ], [ a ] ->
-        let a = src_f a and did = d.Reg.id in
-        timed (fun fr ->
-            let v = rd_f st fr (st.warm || fr.gwarm) a in
-            wr_f fr did (-.v) st.onat)
-    | Opcode.Cvt_fi, [ d ], [ a ] ->
-        let a = src_f a and did = d.Reg.id in
-        timed (fun fr ->
-            let v = rd_f st fr (st.warm || fr.gwarm) a in
-            wr_i fr did (Int64.of_float v) st.onat)
-    | Opcode.Cvt_if, [ d ], [ a ] ->
-        let a = src_i x a and did = d.Reg.id in
-        timed (fun fr ->
-            let v = rd_i st fr (st.warm || fr.gwarm) a in
-            wr_f fr did (Int64.to_float v) st.onat)
-    | (Opcode.Mov | Opcode.Sxt _), [ d ], [ a ] ->
-        let did = d.Reg.id in
-        if d.Reg.cls = Reg.Flt then
-          let a = src_f a in
-          timed (fun fr ->
-              let v = rd_f st fr (st.warm || fr.gwarm) a in
-              wr_f fr did v st.onat)
-        else
-          let sh =
-            match i.Instr.op with
-            | Opcode.Sxt sz -> 64 - (8 * Opcode.size_bytes sz)
-            | _ -> 0
-          in
-          timed
-            (match src_i x a with
-            | Ri ia when did <> 0 && sh = 0 ->
-                (* plain register copy: the dominant mov shape *)
-                fun fr ->
-                  if not (st.warm || fr.gwarm) then stall_i st fr ia;
-                  set64 fr.ints (did lsl 3) (get64 fr.ints (ia lsl 3));
-                  Array.unsafe_set fr.nat did (Array.unsafe_get fr.nat ia)
-            | K v when did <> 0 && sh = 0 ->
-                fun fr ->
-                  set64 fr.ints (did lsl 3) v;
-                  Array.unsafe_set fr.nat did false
-            | a ->
-                fun fr ->
-                  let v = rd_i st fr (st.warm || fr.gwarm) a in
-                  let v = if sh = 0 then v else Int64.shift_right (Int64.shift_left v sh) sh in
-                  wr_i fr did v st.onat)
-    | Opcode.Lea, [ d ], [ base; off ] ->
-        let did = d.Reg.id in
-        timed
-          (match (src_i x base, src_i x off) with
-          | Ri ib, K v when did <> 0 ->
-              fun fr ->
-                if not (st.warm || fr.gwarm) then stall_i st fr ib;
-                set64 fr.ints (did lsl 3) (Int64.add (get64 fr.ints (ib lsl 3)) v);
-                Array.unsafe_set fr.nat did false
-          | base, off ->
-              fun fr ->
-                let untimed = st.warm || fr.gwarm in
-                let vb = rd_i st fr untimed base in
-                wr_i fr did (Int64.add vb (rd_i st fr untimed off)) false)
-    | Opcode.Ld (sz, spec), [ d ], [ a ] -> timed (decode_load x sz spec d a)
-    | Opcode.St sz, _, [ a; v ] -> timed (decode_store x sz a v)
-    | Opcode.Chk sz, _, [ Operand.Reg r; a ] -> live (decode_check x sz r a ~alat:false)
-    | Opcode.Chka sz, _, [ Operand.Reg r; a ] -> live (decode_check x sz r a ~alat:true)
-    | Opcode.Br, _, [ Operand.Label l ] -> timed (decode_branch x i l)
-    | Opcode.Br_call, _, _ -> live (decode_call x i)
-    | Opcode.Br_ret, _, _ -> live (decode_ret x i)
-    | (Opcode.Alloc | Opcode.Nop), _, _ -> timed (fun _ -> ())
-    | _ -> live (fault (Isa.malformed i))
+    | _ -> guarded x.x_st i (decode_body x i)
 
 (* Ops that may end their group's straight-line run. *)
 let transfers (i : Instr.t) =
@@ -1500,13 +1472,12 @@ let push_frame st df =
   st.depth <- st.depth + 1;
   fr
 
-let enter_block st fr bi =
+let enter_block fr bi =
   let db = fr.df.df_blocks.(bi) in
   if not db.db_laid then raise (Machine_fault ("no layout for block " ^ db.db_label));
   fr.bi <- bi;
   fr.gi <- 0;
   fr.k <- 0;
-  fr.bwarm <- st.warm;
   db
 
 (* Call [st.callee] with the transferred arguments; the stack pointer is
@@ -1534,7 +1505,7 @@ let push_call st (caller_ints : Bytes.t) =
   st.cur_func <- df.df_name;
   (* an empty function faults on entry, as [Func.entry] does *)
   if Array.length df.df_blocks = 0 then ignore (Func.entry df.df_func);
-  ignore (enter_block st fr 0)
+  ignore (enter_block fr 0)
 
 (* Pop the returning frame: attribution reverts to the caller, the return
    overhead and RSE refill are charged, and the caller's call binds the
@@ -1655,7 +1626,7 @@ let save_checkpoint st =
 (* A group's start: the sampling phase switch and the checkpoint trigger
    fire before the group counts, so a checkpoint's position is exactly
    "about to execute group [gi]"; then fetch and issue. *)
-let group_start st fr (g : dgroup) =
+let group_start st (g : dgroup) =
   (match st.sampling with
   | Some sa ->
       if sa.Sampling.left <= 0 then sampling_step st sa;
@@ -1663,7 +1634,6 @@ let group_start st fr (g : dgroup) =
   | None -> ());
   if st.c.groups >= st.ck_at then save_checkpoint st;
   st.c.groups <- st.c.groups + 1;
-  fr.gwarm <- st.warm;
   if st.warm then begin
     (* warm fetch: one I-side probe per group keeps the instruction
        hierarchy warm, behind the line filter *)
@@ -1679,7 +1649,6 @@ let group_start st fr (g : dgroup) =
     st.c.nop_ops <- st.c.nop_ops + g.g_nops
   end
   else begin
-    fr.bwarm <- false;
     let chunks = Array.length g.g_fetch in
     for k = 0 to chunks - 1 do
       let pen = icache_penalty st (Array.unsafe_get g.g_fetch k) in
@@ -1705,10 +1674,10 @@ let run_frame st fr =
     if fr.gi >= Array.length db.db_groups then
       if db.db_fall < 0 then
         raise (Machine_fault (fr.df.df_name ^ ": fell off " ^ db.db_label))
-      else cur := enter_block st fr db.db_fall
+      else cur := enter_block fr db.db_fall
     else begin
       let g = Array.unsafe_get db.db_groups fr.gi in
-      if fr.k = 0 then group_start st fr g;
+      if fr.k = 0 then group_start st g;
       let ops = g.g_ops in
       let k = ref fr.k in
       let p = g.g_pure in
@@ -1755,15 +1724,16 @@ let run_frame st fr =
       let c = st.ctl in
       if c = ctl_none || c >= ctl_jump then begin
         (* the group's cycles (issue, stalls, penalties) belong to the
-           current block *)
-        if not fr.bwarm then sample_tick st;
+           current block; a warm group's clock is frozen, so its tick
+           attributes nothing *)
+        sample_tick st;
         if c = ctl_none then begin
           fr.gi <- fr.gi + 1;
           fr.k <- 0
         end
         else begin
           st.ctl <- ctl_none;
-          cur := enter_block st fr (c - ctl_jump)
+          cur := enter_block fr (c - ctl_jump)
         end
       end
       else fr.k <- !k

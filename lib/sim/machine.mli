@@ -10,9 +10,11 @@
     One engine runs every mode (DESIGN.md §10): each function is decoded
     once per machine into arrays of closure ops with registers, constants,
     branch targets and call targets resolved; detailed and warm sampling
-    phases run the same ops, the timing model being a layer inside them
-    that only detail runs; and simulated frames live on an explicit stack,
-    which is what a checkpoint copies and {!resume} re-enters.  With the
+    phases run the same ops, the timing model being a layer of primitives
+    inside them (stalls, ready marks, cache probes, charges) that reads the
+    phase itself and does nothing in a warm phase, so no op reads it; and
+    simulated frames live on an explicit stack, which is what a checkpoint
+    copies and {!resume} re-enters.  With the
     reference interpreter ([Epic_ir.Interp]) it shares only the
     architectural rules of [Epic_ir.Isa] and the intrinsics. *)
 

@@ -285,14 +285,14 @@ let () =
         backend
     in
     print_report Fmt.stdout r;
-    (let fz = r.r_fusion in
+    (let gr = r.r_grid in
      Printf.eprintf
-       "causal fusion: %d cells from %d detailed sims (%d saved, %.1f \
+       "causal grid: %d cells from %d detailed sims (%d saved, %.1f \
         cells/sim) in %.1fs\n\
         %!"
-       fz.fz_cells fz.fz_sims
-       (fz.fz_cells - fz.fz_sims)
-       (float_of_int fz.fz_cells /. float_of_int (max 1 fz.fz_sims))
+       gr.gr_cells gr.gr_sims
+       (gr.gr_cells - gr.gr_sims)
+       (float_of_int gr.gr_cells /. float_of_int (max 1 gr.gr_sims))
        r.r_wall_s);
     (match mismatches r with
     | [] -> ()

@@ -5,7 +5,7 @@
 let usage =
   "causal [--workloads a,b,..] [--targets t,..] [--factors 10,25,..] [-j N]\n\
   \       [--split N] [--big-inputs] [--json FILE]\n\
-  \       [--normalize-time] [--check] [--fused-check] [--list]\n\n\
+  \       [--normalize-time] [--check] [--read-check] [--list]\n\n\
    Runs each workload (default: gzip,twolf) under a matrix of virtual\n\
    speedups — per target, the cycles charged to it are scaled by\n\
    (1 - factor) while the machine evolves untouched — and ranks targets\n\
@@ -16,12 +16,12 @@ let usage =
    with --split N — per-(function, category) splits of the N hottest\n\
    functions).  Factors are percentages (default 10,25,50,100).\n\
    The whole grid is read off each workload's one baseline simulation;\n\
-   --fused-check re-simulates every workload outside the session and\n\
+   --read-check re-simulates every workload outside the session and\n\
    exits 1 unless every cell is bit-identical to the experiment read off\n\
    that plain run and the grid had >= 5 cells per simulation.  Both\n\
    sides use the same read (Accounting.apply, Sampling.read): the read\n\
    itself is guarded by test_golden's experiment pins and test_causal's\n\
-   scaled-charge oracle, not by --fused-check.\n\
+   scaled-charge oracle, not by --read-check.\n\
    --big-inputs substitutes the ~10x scaled evaluation inputs.\n\
    --check adds factor 100 if absent and exits 1 unless every target\n\
    (category, function or func:category) saves at factor 100 exactly\n\
@@ -45,7 +45,7 @@ let () =
   let normalize = ref false in
   let check = ref false in
   let big_inputs = ref false in
-  let fused_check = ref false in
+  let read_check = ref false in
   let list_only = ref false in
   let rec parse = function
     | [] -> ()
@@ -93,8 +93,8 @@ let () =
     | "--big-inputs" :: rest ->
         big_inputs := true;
         parse rest
-    | "--fused-check" :: rest ->
-        fused_check := true;
+    | "--read-check" :: rest ->
+        read_check := true;
         parse rest
     | a :: _ -> die (Printf.sprintf "causal: unknown argument %S\n%s" a usage)
   in
@@ -144,7 +144,7 @@ let () =
       Epic_obs.Json.to_file f d;
       Fmt.pr "@.wrote %s@." f
   | None -> ());
-  if !fused_check then begin
+  if !read_check then begin
     (* the CI gate: simulate each workload again, plainly and outside the
        session, and demand that every cell equal, bitwise, its experiment
        read off that run — the matrix must be a pure function of a plain
@@ -184,19 +184,19 @@ let () =
               k.k_points)
           wr.c_curves)
       report.r_reports;
-    let fz = report.r_fusion in
-    if fz.fz_cells < 5 * fz.fz_sims then
+    let gr = report.r_grid in
+    if gr.gr_cells < 5 * gr.gr_sims then
       bad "cells_per_sim %.1f < 5 (%d cells from %d sims)"
-        (float_of_int fz.fz_cells /. float_of_int (max 1 fz.fz_sims))
-        fz.fz_cells fz.fz_sims;
-    List.iter (fun d -> Fmt.pr "fused-check: MISMATCH %s@." d) !diffs;
+        (float_of_int gr.gr_cells /. float_of_int (max 1 gr.gr_sims))
+        gr.gr_cells gr.gr_sims;
+    List.iter (fun d -> Fmt.pr "read-check: MISMATCH %s@." d) !diffs;
     if !diffs <> [] then exit 1;
     Fmt.pr
-      "fused-check: %d cells bit-identical to reads of plain runs; %d cells \
+      "read-check: %d cells bit-identical to reads of plain runs; %d cells \
        from %d sims (%.1f cells/sim, %d sims saved)@."
-      !cells fz.fz_cells fz.fz_sims
-      (float_of_int fz.fz_cells /. float_of_int (max 1 fz.fz_sims))
-      (fz.fz_cells - fz.fz_sims)
+      !cells gr.gr_cells gr.gr_sims
+      (float_of_int gr.gr_cells /. float_of_int (max 1 gr.gr_sims))
+      (gr.gr_cells - gr.gr_sims)
   end;
   if !check then begin
     (* the factor-1.0 identity: for every measured target of every kind —

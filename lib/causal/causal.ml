@@ -70,9 +70,9 @@ type agg = {
 }
 
 (* How many cells the detailed simulations paid for (DESIGN.md §14). *)
-type fusion = {
-  fz_cells : int; (* (target x factor) cells delivered *)
-  fz_sims : int; (* detailed simulations run: the baselines *)
+type grid = {
+  gr_cells : int; (* (target x factor) cells delivered *)
+  gr_sims : int; (* detailed simulations run: the baselines *)
 }
 
 type report = {
@@ -80,7 +80,7 @@ type report = {
   r_factors : float list;
   r_reports : wreport list;
   r_aggregate : agg list;
-  r_fusion : fusion;
+  r_grid : grid;
   r_wall_s : float;
 }
 
@@ -295,13 +295,13 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
     r_factors = factors;
     r_reports = reports;
     r_aggregate = aggregate reports;
-    r_fusion =
+    r_grid =
       {
-        fz_cells =
+        gr_cells =
           List.fold_left
             (fun n wr -> n + (List.length wr.c_curves * List.length factors))
             0 reports;
-        fz_sims = sims;
+        gr_sims = sims;
       };
     r_wall_s = Unix.gettimeofday () -. t0;
   }
@@ -406,17 +406,16 @@ let curve_to_json (k : curve) =
              k.k_points) );
     ]
 
-let fusion_to_json fz =
+let grid_to_json gr =
   Json.Obj
     [
-      ("mode", Json.Str "fused");
-      ("cells", Json.Int fz.fz_cells);
-      ("sims", Json.Int fz.fz_sims);
+      ("cells", Json.Int gr.gr_cells);
+      ("sims", Json.Int gr.gr_sims);
       ( "cells_per_sim",
         Json.Float
-          (if fz.fz_sims = 0 then 0.
-           else float_of_int fz.fz_cells /. float_of_int fz.fz_sims) );
-      ("sims_saved", Json.Int (fz.fz_cells - fz.fz_sims));
+          (if gr.gr_sims = 0 then 0.
+           else float_of_int gr.gr_cells /. float_of_int gr.gr_sims) );
+      ("sims_saved", Json.Int (gr.gr_cells - gr.gr_sims));
     ]
 
 let to_json (r : report) =
@@ -424,7 +423,7 @@ let to_json (r : report) =
     [
       ("causal", Json.Str "virtual-speedup");
       ("sample_period", Json.Int Experiments.sample_period);
-      ("fusion", fusion_to_json r.r_fusion);
+      ("grid", grid_to_json r.r_grid);
       ("workloads", Json.List (List.map (fun w -> Json.Str w) r.r_workloads));
       ("factors", Json.List (List.map (fun f -> Json.Float f) r.r_factors));
       ( "workload_reports",
@@ -467,14 +466,12 @@ let print_report ppf (r : report) =
   Fmt.pf ppf "factors:%a@."
     (fun ppf -> List.iter (fun f -> Fmt.pf ppf " %g" f))
     r.r_factors;
-  (let fz = r.r_fusion in
-   Fmt.pf ppf
-     "mode: fused — %d cells from %d simulations (%.1f cells/sim, %d sims \
-      saved)@."
-     fz.fz_cells fz.fz_sims
-     (if fz.fz_sims = 0 then 0.
-      else float_of_int fz.fz_cells /. float_of_int fz.fz_sims)
-     (fz.fz_cells - fz.fz_sims));
+  (let gr = r.r_grid in
+   Fmt.pf ppf "grid: %d cells from %d simulations (%.1f cells/sim, %d sims saved)@."
+     gr.gr_cells gr.gr_sims
+     (if gr.gr_sims = 0 then 0.
+      else float_of_int gr.gr_cells /. float_of_int gr.gr_sims)
+     (gr.gr_cells - gr.gr_sims));
   List.iter
     (fun wr ->
       Fmt.pf ppf "@.%s  (baseline %.0f cycles%s)@." wr.c_workload

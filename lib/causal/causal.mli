@@ -99,9 +99,9 @@ type agg = {
 
 (** How many (target, factor) cells the detailed simulations paid for
     (DESIGN.md §14). *)
-type fusion = {
-  fz_cells : int;  (** cells delivered *)
-  fz_sims : int;  (** detailed simulations run: one baseline per workload *)
+type grid = {
+  gr_cells : int;  (** cells delivered *)
+  gr_sims : int;  (** detailed simulations run: one baseline per workload *)
 }
 
 type report = {
@@ -109,7 +109,7 @@ type report = {
   r_factors : float list;  (** ascending *)
   r_reports : wreport list;  (** workload order *)
   r_aggregate : agg list;  (** by descending mean slope *)
-  r_fusion : fusion;
+  r_grid : grid;
   r_wall_s : float;
 }
 

@@ -89,9 +89,18 @@ def host():
 
 
 def commit():
-    out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+    """HEAD's hash, stamped -dirty when a tracked file other than the
+    Markdown documentation differs from it (a doc edit during a recording
+    does not change what was measured)."""
+    out = subprocess.run(["git", "describe", "--always", "--abbrev=40"],
                          stdout=subprocess.PIPE, text=True)
-    return out.stdout.strip() or "unknown"
+    head = out.stdout.strip()
+    if not head:
+        return "unknown"
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no",
+                            "--", ".", ":(exclude)*.md"],
+                           stdout=subprocess.PIPE, text=True).stdout.strip()
+    return head + ("-dirty" if dirty else "")
 
 
 def record(pr):

@@ -41,6 +41,20 @@ let ir_digest (p : Program.t) =
     p.Program.funcs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* Every [transform_stats] field, in declaration order. *)
+let stats_line (s : Driver.transform_stats) =
+  Printf.sprintf
+    "frontend %d classical %d final %d inlined %d specialized %d peeled %d unrolled %d \
+     hyperblocks %d superblocks %d tail_dup %d peel_instrs %d promoted %d marked %d \
+     advanced %d bundles %d bytes %d fallback %s"
+    s.Driver.instrs_after_frontend s.Driver.instrs_after_classical s.Driver.instrs_final
+    s.Driver.inlined_sites s.Driver.specialized_calls s.Driver.peeled_loops
+    s.Driver.unrolled_loops s.Driver.hyperblocks s.Driver.superblocks
+    s.Driver.tail_dup_instrs s.Driver.peel_instrs s.Driver.promoted_loads
+    s.Driver.marked_spec_loads s.Driver.advanced_loads s.Driver.static_bundles
+    s.Driver.code_bytes
+    (Option.value s.Driver.fallback ~default:"none")
+
 (* (workload, level, code bytes, IR digest) *)
 let pins =
   [
@@ -250,6 +264,60 @@ let sim_pins : ((string * Config.level) * sim_pin) list =
         small_est = "0x1.abd5d55dcedabp+18" } );
   ]
 
+(* Generated from the per-domain pass counters, before the passes returned
+   their counts as values. *)
+let stats_pins : ((string * Config.level) * string) list =
+  [
+    ( ("gzip", Config.O_NS),
+      "frontend 210 classical 240 final 240 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 97 bytes 1600 fallback none" );
+    ( ("gzip", Config.ILP_CS),
+      "frontend 210 classical 240 final 307 inlined 4 specialized 0 peeled 1 unrolled 2 hyperblocks 2 superblocks 6 tail_dup 11 peel_instrs 17 promoted 3 marked 10 advanced 0 bundles 126 bytes 2048 fallback none" );
+    ( ("vpr", Config.O_NS),
+      "frontend 226 classical 285 final 285 inlined 8 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 123 bytes 2112 fallback none" );
+    ( ("vpr", Config.ILP_CS),
+      "frontend 226 classical 285 final 401 inlined 8 specialized 0 peeled 0 unrolled 2 hyperblocks 5 superblocks 5 tail_dup 0 peel_instrs 0 promoted 4 marked 17 advanced 0 bundles 176 bytes 2944 fallback none" );
+    ( ("gcc", Config.O_NS),
+      "frontend 281 classical 360 final 360 inlined 7 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 158 bytes 2688 fallback none" );
+    ( ("gcc", Config.ILP_CS),
+      "frontend 281 classical 360 final 357 inlined 7 specialized 0 peeled 0 unrolled 1 hyperblocks 6 superblocks 4 tail_dup 0 peel_instrs 0 promoted 3 marked 1 advanced 0 bundles 154 bytes 2560 fallback none" );
+    ( ("mcf", Config.O_NS),
+      "frontend 161 classical 174 final 174 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 73 bytes 1216 fallback none" );
+    ( ("mcf", Config.ILP_CS),
+      "frontend 161 classical 174 final 287 inlined 4 specialized 0 peeled 0 unrolled 2 hyperblocks 1 superblocks 5 tail_dup 0 peel_instrs 0 promoted 12 marked 1 advanced 0 bundles 116 bytes 1984 fallback none" );
+    ( ("crafty", Config.O_NS),
+      "frontend 419 classical 529 final 529 inlined 11 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 224 bytes 3776 fallback none" );
+    ( ("crafty", Config.ILP_CS),
+      "frontend 419 classical 529 final 856 inlined 11 specialized 0 peeled 3 unrolled 9 hyperblocks 9 superblocks 17 tail_dup 21 peel_instrs 48 promoted 0 marked 7 advanced 0 bundles 359 bytes 5952 fallback none" );
+    ( ("parser", Config.O_NS),
+      "frontend 299 classical 367 final 367 inlined 7 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 146 bytes 2560 fallback none" );
+    ( ("parser", Config.ILP_CS),
+      "frontend 299 classical 367 final 465 inlined 7 specialized 0 peeled 2 unrolled 1 hyperblocks 1 superblocks 11 tail_dup 14 peel_instrs 42 promoted 0 marked 9 advanced 0 bundles 190 bytes 3200 fallback none" );
+    ( ("eon", Config.O_NS),
+      "frontend 177 classical 242 final 242 inlined 4 specialized 1 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 115 bytes 1984 fallback none" );
+    ( ("eon", Config.ILP_CS),
+      "frontend 177 classical 242 final 266 inlined 4 specialized 1 peeled 0 unrolled 0 hyperblocks 0 superblocks 4 tail_dup 35 peel_instrs 0 promoted 0 marked 9 advanced 0 bundles 126 bytes 2176 fallback none" );
+    ( ("perlbmk", Config.O_NS),
+      "frontend 284 classical 335 final 335 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 140 bytes 2304 fallback none" );
+    ( ("perlbmk", Config.ILP_CS),
+      "frontend 284 classical 335 final 325 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 8 superblocks 7 tail_dup 30 peel_instrs 0 promoted 1 marked 11 advanced 0 bundles 136 bytes 2304 fallback none" );
+    ( ("gap", Config.O_NS),
+      "frontend 174 classical 192 final 192 inlined 5 specialized 1 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 81 bytes 1472 fallback none" );
+    ( ("gap", Config.ILP_CS),
+      "frontend 174 classical 192 final 283 inlined 5 specialized 1 peeled 0 unrolled 2 hyperblocks 4 superblocks 4 tail_dup 6 peel_instrs 0 promoted 0 marked 5 advanced 0 bundles 114 bytes 1984 fallback none" );
+    ( ("vortex", Config.O_NS),
+      "frontend 298 classical 393 final 393 inlined 9 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 168 bytes 2880 fallback none" );
+    ( ("vortex", Config.ILP_CS),
+      "frontend 298 classical 393 final 458 inlined 9 specialized 0 peeled 0 unrolled 1 hyperblocks 3 superblocks 2 tail_dup 18 peel_instrs 0 promoted 0 marked 2 advanced 0 bundles 193 bytes 3328 fallback none" );
+    ( ("bzip2", Config.O_NS),
+      "frontend 220 classical 281 final 281 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 116 bytes 1920 fallback none" );
+    ( ("bzip2", Config.ILP_CS),
+      "frontend 220 classical 281 final 471 inlined 4 specialized 0 peeled 0 unrolled 6 hyperblocks 0 superblocks 10 tail_dup 21 peel_instrs 0 promoted 0 marked 4 advanced 0 bundles 196 bytes 3264 fallback none" );
+    ( ("twolf", Config.O_NS),
+      "frontend 180 classical 239 final 239 inlined 4 specialized 0 peeled 0 unrolled 0 hyperblocks 0 superblocks 0 tail_dup 0 peel_instrs 0 promoted 0 marked 0 advanced 0 bundles 98 bytes 1600 fallback none" );
+    ( ("twolf", Config.ILP_CS),
+      "frontend 180 classical 239 final 266 inlined 4 specialized 0 peeled 2 unrolled 0 hyperblocks 7 superblocks 4 tail_dup 1 peel_instrs 55 promoted 0 marked 5 advanced 0 bundles 112 bytes 1856 fallback none" );
+  ]
+
 let test_pins name () =
   let w = Epic_workloads.Suite.find_exn name in
   List.iter
@@ -263,6 +331,8 @@ let test_pins name () =
         Alcotest.(check int) (what ^ " code bytes") bytes
           c.Driver.transform_stats.Driver.code_bytes;
         Alcotest.(check string) (what ^ " IR digest") digest (ir_digest c.Driver.program);
+        Alcotest.(check string) (what ^ " transform stats") (List.assoc (name, level) stats_pins)
+          (stats_line c.Driver.transform_stats);
         check_sim what c w (List.assoc (name, level) sim_pins)
       end)
     pins

@@ -129,6 +129,48 @@ let test_profile_variation_direction () =
   let r = cycles ~train:w.Epic_workloads.Workload.reference in
   check cb "self-trained within 2x of cross-trained" true (r <= t *. 2.0 && t <= r *. 2.0)
 
+(* The register-pressure fallback: a 70-deep chain of nested if/else
+   hammocks, with the hyperblock guards lifted so that if-conversion would
+   need more predicates than the file holds.  The compile must land on the
+   no-unroll-no-hyperblock level and still match the reference. *)
+let test_fallback_recompile () =
+  let depth = 70 in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "int main() {\n  int x; int a; int b;\n  x = input(0); a = 0; b = 0;\n";
+  for i = 0 to depth - 1 do
+    Printf.bprintf b "  if (x > %d) { a = a + %d;\n" i i
+  done;
+  for i = depth - 1 downto 0 do
+    Printf.bprintf b "  } else { b = b + %d; }\n" i
+  done;
+  Buffer.add_string b "  print_int(a); print_int(b);\n  return 0;\n}\n";
+  let src = Buffer.contents b in
+  let config =
+    {
+      Epic_core.Config.ilp_cs with
+      Epic_core.Config.hyperblock =
+        {
+          Epic_ilp.Hyperblock.max_block_predicates = 100000;
+          max_path_instrs = 100000;
+          max_height_diff = 100000;
+          min_path_ratio = 0.0;
+        };
+    }
+  in
+  let compiled = Epic_core.Driver.compile ~config ~train:[| 40L |] src in
+  let s = compiled.Epic_core.Driver.transform_stats in
+  check (Alcotest.option cs) "fallback level" (Some "no-unroll-no-hyperblock")
+    s.Epic_core.Driver.fallback;
+  check ci "no hyperblocks at the fallback level" 0 s.Epic_core.Driver.hyperblocks;
+  List.iter
+    (fun x ->
+      let input = [| x |] in
+      let code, out, _ = Epic_core.Driver.run compiled input in
+      check (Alcotest.pair ci cs)
+        (Printf.sprintf "x = %Ld matches the reference" x)
+        (reference_behaviour src input) (code, out))
+    [ 40L; 7L; 100L ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_differential;
@@ -139,4 +181,5 @@ let suite =
     ("twolf end-to-end", `Slow, test_twolf_end_to_end);
     ("ILP speeds up kernels", `Slow, test_ilp_speeds_up_compute_kernel);
     ("profile variation direction", `Slow, test_profile_variation_direction);
+    ("register-pressure fallback", `Quick, test_fallback_recompile);
   ]

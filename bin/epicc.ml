@@ -209,7 +209,8 @@ let run_cell session ~file ~level ~sentinel ~no_pa ~input ~train ~dump_ir
               (match a.Epic_sched.Modulo.achieved_ii with
               | Some ii -> string_of_int ii
               | None -> "-"))
-          (Epic_sched.Modulo.analyze compiled.Epic_core.Driver.program)
+          (Epic_sched.Modulo.analyze ~desc:compiled.Epic_core.Driver.desc
+             compiled.Epic_core.Driver.program)
       end;
       let workload = Filename.basename file in
       let reference, _ = Session.reference session ~source:src ~input in

@@ -45,15 +45,13 @@ and transform_stats = {
          recompile landed on; [None] when the first attempt succeeded *)
 }
 
-let reset_pass_stats () =
-  Epic_ilp.Superblock.reset_stats ();
-  Epic_ilp.Hyperblock.reset_stats ();
-  Epic_ilp.Peel.reset_stats ();
-  Epic_ilp.Unroll.reset_stats ();
-  Epic_ilp.Speculate.reset_stats ();
-  Epic_ilp.Data_spec.reset_stats ();
-  Epic_ilp.Height.reset_stats ();
-  Epic_sched.Regalloc.reset_stats ()
+(* What the ILP transforms did in one compile: the pass closures of
+   [register_backend] add each function's counts in. *)
+type counts = {
+  mutable peeled : int; mutable peeled_instrs : int; mutable unrolled : int;
+  mutable regions : int; mutable traces : int; mutable duplicated : int;
+  mutable promoted : int; mutable marked : int; mutable advanced : int;
+}
 
 (* IR-size measurement for the frontend instrumentation record (the per-pass
    records are measured inside the pass manager): instruction and block
@@ -68,29 +66,42 @@ let ir_measure (p : Program.t) =
   (instrs, blocks, (instrs + 2) / 3 * 16)
 
 (* Register the ILP region and backend transforms on the manager, with
-   their preservation contracts.  The closures capture the configuration
-   and the driver's stat counters.  Region formation restructures the CFG
-   wholesale, so only the flow-insensitive points-to solution survives it;
-   the backend passes keep the CFG and invalidate the data-sensitive
-   analyses from inside (they thread the manager's cache). *)
-let register_backend m (config : Config.t) ~peeled ~unrolled =
+   their preservation contracts.  The closures capture the configuration,
+   the machine description the backend plans against and the compile's
+   [counts].  Region formation restructures the CFG wholesale, so only the
+   flow-insensitive points-to solution survives it; the backend passes keep
+   the CFG and invalidate the data-sensitive analyses from inside (they
+   thread the manager's cache). *)
+let register_backend m (config : Config.t) ~desc (k : counts) =
   let region = [ Cache.Points_to ] in
   Passman.register m
     (Passman.func_pass "loop peeling" ~requires:[ Cache.Loops ]
        ~preserves:region (fun c f ->
-         let n = Epic_ilp.Peel.run_func ~cache:c ~params:config.Config.peel f in
-         peeled := !peeled + n;
-         n > 0));
+         let loops, instrs =
+           Epic_ilp.Peel.run_func ~cache:c ~params:config.Config.peel f
+         in
+         k.peeled <- k.peeled + loops;
+         k.peeled_instrs <- k.peeled_instrs + instrs;
+         loops > 0));
   Passman.register m
     (Passman.func_pass "hyperblock formation" ~preserves:region (fun _ f ->
-         Epic_ilp.Hyperblock.run_func ~params:config.Config.hyperblock f));
+         let changed, regions =
+           Epic_ilp.Hyperblock.run_func ~params:config.Config.hyperblock f
+         in
+         k.regions <- k.regions + regions;
+         changed));
   Passman.register m
     (Passman.func_pass "superblock formation" ~preserves:region (fun _ f ->
-         Epic_ilp.Superblock.run_func ~params:config.Config.superblock f));
+         let changed, traces, duplicated =
+           Epic_ilp.Superblock.run_func ~params:config.Config.superblock f
+         in
+         k.traces <- k.traces + traces;
+         k.duplicated <- k.duplicated + duplicated;
+         changed));
   Passman.register m
     (Passman.func_pass "loop unrolling" ~preserves:region (fun _ f ->
          let n = Epic_ilp.Unroll.run_func ~params:config.Config.unroll f in
-         unrolled := !unrolled + n;
+         k.unrolled <- k.unrolled + n;
          n > 0));
   Passman.register m
     (Passman.func_pass "height reduction" ~requires:[ Cache.Liveness ]
@@ -100,17 +111,25 @@ let register_backend m (config : Config.t) ~peeled ~unrolled =
     (Passman.func_pass "control speculation"
        ~preserves:Cache.[ Callgraph; Points_to ]
        (fun _ f ->
-         Epic_ilp.Speculate.run_func
-           ~params:
-             {
-               Epic_ilp.Speculate.default_params with
-               Epic_ilp.Speculate.model = config.Config.spec_model;
-             }
-           f));
+         let promoted, marked =
+           Epic_ilp.Speculate.run_func
+             ~params:
+               {
+                 Epic_ilp.Speculate.default_params with
+                 Epic_ilp.Speculate.model = config.Config.spec_model;
+               }
+             f
+         in
+         k.promoted <- k.promoted + promoted;
+         k.marked <- k.marked + marked;
+         promoted + marked > 0));
   Passman.register m
     (Passman.func_pass "data speculation"
        ~preserves:Cache.[ Callgraph; Points_to ]
-       (fun _ f -> Epic_ilp.Data_spec.run_func f));
+       (fun _ f ->
+         let n = Epic_ilp.Data_spec.run_func f in
+         k.advanced <- k.advanced + n;
+         n > 0));
   Passman.register m
     (Passman.func_pass "cold-code sinking"
        ~preserves:Cache.[ Callgraph; Points_to ]
@@ -122,7 +141,7 @@ let register_backend m (config : Config.t) ~peeled ~unrolled =
        ~requires:Cache.[ Loops; Liveness ]
        ~preserves:Cache.[ Dominance; Loops; Callgraph; Points_to ]
        (fun c f ->
-         Epic_sched.Regalloc.run_func ~cache:c f;
+         ignore (Epic_sched.Regalloc.run_func ~cache:c f);
          true));
   Passman.register m
     (Passman.func_pass "list scheduling" ~requires:[ Cache.Liveness ]
@@ -130,7 +149,7 @@ let register_backend m (config : Config.t) ~peeled ~unrolled =
        (fun c f ->
          Epic_sched.List_sched.run_func ~cache:c
            ~reorder:(config.Config.level <> Config.Gcc_like)
-           f;
+           ~desc f;
          true))
 
 (* The profiling runs of one compile: [profiler p train] returns a function
@@ -158,19 +177,19 @@ let profiler (p : Program.t) (train : int64 array) =
 (* Compile IR under [config], profiling with [train] input.  [passes]
    accumulates the per-phase instrumentation: wall time, fixed-point
    rounds, IR-size deltas and analysis-cache hit/miss counters. *)
-let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
-    (p : Program.t) =
-  let desc = match desc with Some d -> d | None -> Epic_mach.Itanium.desc () in
-  Epic_mach.Itanium.with_desc desc @@ fun () ->
+let compile_ir ?(config = Config.o_ns) ?(desc = Epic_mach.Machine_desc.itanium2)
+    ?passes ~(train : int64 array) (p : Program.t) =
   let obs = match passes with Some pm -> pm | None -> Epic_obs.Passes.create () in
-  reset_pass_stats ();
   Verify.check_program p;
   let m = Passman.create ~obs p in
   Epic_opt.Pipeline.register_classical m;
   let cache = Passman.cache m in
   let inlined = ref 0 and specialized = ref 0 in
-  let peeled = ref 0 and unrolled = ref 0 in
-  register_backend m config ~peeled ~unrolled;
+  let k =
+    { peeled = 0; peeled_instrs = 0; unrolled = 0; regions = 0; traces = 0;
+      duplicated = 0; promoted = 0; marked = 0; advanced = 0 }
+  in
+  register_backend m config ~desc k;
   (* (Re)profiling rewrites execution weights in place.  No structure
      moves, so no function becomes dirty — the cleanup passes and LICM are
      weight-insensitive — but the weight-derived analyses (loop trip
@@ -283,7 +302,7 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
   Verify.check_program p;
   let layout =
     Passman.phase m ~name:"bundling and layout" (fun _ ->
-        (Epic_sched.Layout.build p, Passman.Unchanged))
+        (Epic_sched.Layout.build ~desc p, Passman.Unchanged))
   in
   {
     program = p;
@@ -298,15 +317,15 @@ let compile_ir ?(config = Config.o_ns) ?desc ?passes ~(train : int64 array)
         instrs_final = Program.instr_count p;
         inlined_sites = !inlined;
         specialized_calls = !specialized;
-        peeled_loops = !peeled;
-        unrolled_loops = !unrolled;
-        hyperblocks = (Epic_ilp.Hyperblock.stats ()).Epic_ilp.Hyperblock.regions_converted;
-        superblocks = (Epic_ilp.Superblock.stats ()).Epic_ilp.Superblock.traces_formed;
-        tail_dup_instrs = (Epic_ilp.Superblock.stats ()).Epic_ilp.Superblock.tail_dup_instrs;
-        peel_instrs = (Epic_ilp.Peel.stats ()).Epic_ilp.Peel.peel_instrs;
-        promoted_loads = (Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.promoted;
-        marked_spec_loads = (Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.marked;
-        advanced_loads = (Epic_ilp.Data_spec.stats ()).Epic_ilp.Data_spec.advanced;
+        peeled_loops = k.peeled;
+        unrolled_loops = k.unrolled;
+        hyperblocks = k.regions;
+        superblocks = k.traces;
+        tail_dup_instrs = k.duplicated;
+        peel_instrs = k.peeled_instrs;
+        promoted_loads = k.promoted;
+        marked_spec_loads = k.marked;
+        advanced_loads = k.advanced;
         static_bundles = Epic_sched.Layout.static_bundles layout;
         code_bytes = layout.Epic_sched.Layout.code_bytes;
         fallback = None;

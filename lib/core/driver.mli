@@ -41,10 +41,6 @@ and transform_stats = {
           [Some "o-ns"]); [None] when the first attempt succeeded *)
 }
 
-(** Reset the per-pass statistics counters (done automatically by
-    [compile]). *)
-val reset_pass_stats : unit -> unit
-
 (** [profiler p train] is the profiling step of one compile: each call
     runs [p] on [train] under the reference interpreter, annotates the IR
     with the counts and returns the profile.  The first call's exit code
@@ -64,10 +60,12 @@ val profiler :
     used when omitted; either way the records land in [pass_records]).
 
     [desc] is the machine description to compile for (planned latencies,
-    issue geometry); the whole phase sequence runs inside
-    {!Epic_mach.Itanium.with_desc}, and the description is recorded in the
-    result so {!run} simulates the same machine.  Default: the domain's
-    current description, normally {!Epic_mach.Machine_desc.itanium2}. *)
+    issue geometry, code-layout line size): the scheduler and the layout
+    take it as an argument, and it is recorded in the result so {!run}
+    simulates the same machine.  Default:
+    {!Epic_mach.Machine_desc.itanium2}.  The pass counts in
+    [transform_stats] are the values the transforms return, summed over
+    the compile's functions. *)
 val compile_ir :
   ?config:Config.t ->
   ?desc:Epic_mach.Machine_desc.t ->

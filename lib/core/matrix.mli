@@ -60,7 +60,7 @@ type 'r cell = {
   workload : Epic_workloads.Workload.t;  (** the source and its label *)
   config : Config.t;
   desc : Epic_mach.Machine_desc.t option;
-      (** [None]: the simulating domain's current description *)
+      (** [None]: {!Epic_mach.Machine_desc.itanium2} *)
   train : int64 array;
   input : int64 array;
   experiments : Epic_sim.Accounting.experiment list;

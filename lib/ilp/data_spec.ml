@@ -23,14 +23,6 @@ type params = {
 
 let default_params = { min_block_weight = 16.0; max_advances_per_block = 8; window = 24 }
 
-type stats = { mutable advanced : int; mutable checks : int }
-
-let stats_key = Domain.DLS.new_key (fun () -> { advanced = 0; checks = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).advanced <- 0;
-  (stats ()).checks <- 0
-
 (* Stores within [window] instructions above [idx] that may alias [ld] —
    the spurious dependences blocking hoisting. *)
 let blocking_stores (instrs : Instr.t array) (idx : int) (window : int) =
@@ -66,12 +58,13 @@ let insert_check (b : Block.t) (ld : Instr.t) =
         | i :: tl when i == ld -> i :: chk :: tl
         | i :: tl -> i :: ins tl
       in
-      b.Block.instrs <- ins b.Block.instrs;
-      (stats ()).checks <- (stats ()).checks + 1
+      b.Block.instrs <- ins b.Block.instrs
   | _ -> ()
 
+(* Returns the number of loads advanced in [b]. *)
 let run_block (ps : params) (b : Block.t) =
-  if b.Block.weight >= ps.min_block_weight then begin
+  if b.Block.weight < ps.min_block_weight then 0
+  else begin
     let instrs = Array.of_list b.Block.instrs in
     let advanced = ref [] in
     Array.iteri
@@ -89,21 +82,19 @@ let run_block (ps : params) (b : Block.t) =
             then begin
               i.Instr.op <- Opcode.Ld (sz, Opcode.Spec_advanced);
               i.Instr.attrs.Instr.speculated <- true;
-              advanced := i :: !advanced;
-              (stats ()).advanced <- (stats ()).advanced + 1
+              advanced := i :: !advanced
             end
         | _ -> ())
       instrs;
     (* insert the checks after the scan so indices stay stable *)
-    List.iter (insert_check b) (List.rev !advanced)
+    List.iter (insert_check b) (List.rev !advanced);
+    List.length !advanced
   end
 
-(* Returns true when any load was advanced in this function (every
-   mutation bumps the stats counters). *)
+(* Returns the number of loads advanced; the function was mutated when it is
+   non-zero (each check comes with an advanced load). *)
 let run_func ?(params = default_params) (f : Func.t) =
-  let a0 = (stats ()).advanced and c0 = (stats ()).checks in
-  List.iter (run_block params) f.Func.blocks;
-  (stats ()).advanced <> a0 || (stats ()).checks <> c0
+  List.fold_left (fun n b -> n + run_block params b) 0 f.Func.blocks
 
 let run ?(params = default_params) (p : Program.t) =
-  List.iter (fun f -> ignore (run_func ~params f)) p.Program.funcs
+  List.fold_left (fun n f -> n + run_func ~params f) 0 p.Program.funcs

@@ -12,11 +12,8 @@ type params = {
 
 val default_params : params
 
-type stats = { mutable advanced : int; mutable checks : int }
+(** Returns the number of loads advanced; the function was mutated when it
+    is non-zero. *)
+val run_func : ?params:params -> Epic_ir.Func.t -> int
 
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
-(** True when the function was mutated. *)
-val run_func : ?params:params -> Epic_ir.Func.t -> bool
-val run : ?params:params -> Epic_ir.Program.t -> unit
+val run : ?params:params -> Epic_ir.Program.t -> int

@@ -13,14 +13,6 @@
 open Epic_ir
 open Epic_analysis
 
-type stats = { mutable chains_rebalanced : int; mutable links_rewritten : int }
-
-let stats_key = Domain.DLS.new_key (fun () -> { chains_rebalanced = 0; links_rewritten = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).chains_rebalanced <- 0;
-  (stats ()).links_rewritten <- 0
-
 let associative = function
   | Opcode.Add | Opcode.Mul | Opcode.And | Opcode.Or | Opcode.Xor -> true
   | _ -> false
@@ -120,9 +112,7 @@ let rebalance (f : Func.t) (b : Block.t) op (chain : int list)
       else if List.mem k chain_set then ()
       else out := i :: !out)
     instrs;
-  b.Block.instrs <- List.rev !out;
-  (stats ()).chains_rebalanced <- (stats ()).chains_rebalanced + 1;
-  (stats ()).links_rewritten <- (stats ()).links_rewritten + List.length chain
+  b.Block.instrs <- List.rev !out
 
 let run_block (f : Func.t) (live : Liveness.t) (b : Block.t) =
   let live_out = Liveness.live_out live b.Block.label in

@@ -4,11 +4,8 @@
     height.  Only provably-safe chains are rewritten (single-use unguarded
     links, dead outside the block). *)
 
-type stats = { mutable chains_rebalanced : int; mutable links_rewritten : int }
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
+(** The [run] functions return true when a chain was rebalanced (the
+    code was mutated). *)
 val run_block :
   Epic_ir.Func.t -> Epic_analysis.Liveness.t -> Epic_ir.Block.t -> bool
 

@@ -42,14 +42,6 @@ let block_predicates (b : Block.t) =
     b.Block.instrs;
   Reg.Set.cardinal !s
 
-type stats = { mutable regions_converted : int; mutable branches_removed : int }
-
-let stats_key = Domain.DLS.new_key (fun () -> { regions_converted = 0; branches_removed = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).regions_converted <- 0;
-  (stats ()).branches_removed <- 0
-
 (* Can every instruction of this block be predicated? *)
 let arm_convertible (ps : params) (b : Block.t) =
   let body =
@@ -231,9 +223,7 @@ let convert_region (f : Func.t) (ps : params) preds (a : Block.t) =
                 @ [ Instr.create Opcode.Br ~srcs:[ Operand.Label join ] ];
               f.Func.blocks <-
                 List.filter (fun x -> not (List.memq x removed)) f.Func.blocks;
-              a.Block.kind <- Block.Hyper;
-              (stats ()).regions_converted <- (stats ()).regions_converted + 1;
-              (stats ()).branches_removed <- (stats ()).branches_removed + 1
+              a.Block.kind <- Block.Hyper
             in
             (match shape with
             | Triangle_taken (tb, join) -> finish (arm_instrs pt tb) join [ tb ]
@@ -244,12 +234,13 @@ let convert_region (f : Func.t) (ps : params) preds (a : Block.t) =
           end)
   | _ -> false
 
-(* Iterate conversion to a fixed point.  Returns true when the function was
-   mutated (a region converted, a fall-through materialized, or the closing
-   jump optimization fired). *)
+(* Iterate conversion to a fixed point, one region per round.  Returns
+   (mutated, regions converted); the function was mutated when a region
+   converted, a fall-through materialized, or the closing jump optimization
+   fired. *)
 let run_func ?(params = default_params) (f : Func.t) =
   let materialized = Jumpopt.materialize_fallthroughs f in
-  let converted = ref false in
+  let converted = ref 0 in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -258,10 +249,10 @@ let run_func ?(params = default_params) (f : Func.t) =
       (fun (a : Block.t) ->
         if (not !changed) && convert_region f params preds a then changed := true)
       f.Func.blocks;
-    if !changed then converted := true
+    if !changed then incr converted
   done;
   let cleaned = Jumpopt.run_func f in
-  materialized || !converted || cleaned
+  (materialized || !converted > 0 || cleaned, !converted)
 
 let run ?(params = default_params) (p : Program.t) =
-  List.iter (fun f -> ignore (run_func ~params f)) p.Program.funcs
+  List.fold_left (fun n f -> n + snd (run_func ~params f)) 0 p.Program.funcs

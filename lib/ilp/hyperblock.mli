@@ -14,11 +14,6 @@ type params = {
 
 val default_params : params
 
-type stats = { mutable regions_converted : int; mutable branches_removed : int }
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
 (** Distinct predicate registers appearing in a block (the pressure
     metric). *)
 val block_predicates : Epic_ir.Block.t -> int
@@ -29,7 +24,8 @@ val block_predicates : Epic_ir.Block.t -> int
 val complement_pred :
   Epic_ir.Block.t -> Epic_ir.Reg.t -> (Epic_ir.Instr.t * Epic_ir.Reg.t) option
 
+(** Returns (mutated, regions converted). *)
+val run_func : ?params:params -> Epic_ir.Func.t -> bool * int
 
-(** True when the function was mutated. *)
-val run_func : ?params:params -> Epic_ir.Func.t -> bool
-val run : ?params:params -> Epic_ir.Program.t -> unit
+(** Returns the number of regions converted. *)
+val run : ?params:params -> Epic_ir.Program.t -> int

@@ -28,17 +28,10 @@ let default_params =
     mark_remainder_cold = true;
   }
 
-type stats = { mutable loops_peeled : int; mutable peel_instrs : int }
-
-let stats_key = Domain.DLS.new_key (fun () -> { loops_peeled = 0; peel_instrs = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).loops_peeled <- 0;
-  (stats ()).peel_instrs <- 0
-
 (* Peel one iteration of [l].  The copy's back edges go to the original
    header (entering the remainder loop); all external entries are redirected
-   to the copy. *)
+   to the copy.  Returns the number of instructions copied, [None] when the
+   loop is not peeled. *)
 let peel_loop (f : Func.t) (ps : params) (l : Natural_loops.loop) =
   let body_blocks = List.filter_map (Func.find_block f) l.Natural_loops.body in
   let size = List.fold_left (fun n b -> n + Block.instr_count b) 0 body_blocks in
@@ -49,7 +42,7 @@ let peel_loop (f : Func.t) (ps : params) (l : Natural_loops.loop) =
            (int_of_float (float_of_int (Region_util.code_size f) *. ps.growth_budget))
     || List.exists (fun (b : Block.t) -> b.Block.kind = Block.Recovery) body_blocks
     || List.mem (Func.entry f).Block.label l.Natural_loops.body
-  then false
+  then None
   else begin
     ignore (Jumpopt.materialize_fallthroughs f);
     (* Order body blocks in layout order for a sensible copy layout. *)
@@ -102,9 +95,7 @@ let peel_loop (f : Func.t) (ps : params) (l : Natural_loops.loop) =
         b.Block.weight <- b.Block.weight *. reentry /. max l.Natural_loops.avg_trips 0.01;
         if ps.mark_remainder_cold && reentry < 0.25 then b.Block.cold <- true)
       body_blocks;
-    (stats ()).loops_peeled <- (stats ()).loops_peeled + 1;
-    (stats ()).peel_instrs <- (stats ()).peel_instrs + size;
-    true
+    Some size
   end
 
 let run_func ?cache ?(params = default_params) (f : Func.t) =
@@ -124,19 +115,21 @@ let run_func ?cache ?(params = default_params) (f : Func.t) =
   (* Peel only disjoint loops in one pass (the CFG changes invalidate the
      loop analysis); outer/overlapping loops can be handled on a later call. *)
   let touched = Hashtbl.create 16 in
-  let count = ref 0 in
+  let loops = ref 0 and instrs = ref 0 in
   List.iter
     (fun (l : Natural_loops.loop) ->
       let overlaps = List.exists (Hashtbl.mem touched) l.Natural_loops.body in
       if not overlaps then
-        if peel_loop f params l then begin
-          incr count;
-          List.iter (fun b -> Hashtbl.replace touched b ()) l.Natural_loops.body
-        end)
+        match peel_loop f params l with
+        | Some size ->
+            incr loops;
+            instrs := !instrs + size;
+            List.iter (fun b -> Hashtbl.replace touched b ()) l.Natural_loops.body
+        | None -> ())
     candidates;
-  if !count > 0 then
+  if !loops > 0 then
     Cache.invalidate cache ~preserve:[ Cache.Points_to ] f.Func.name;
-  !count
+  (!loops, !instrs)
 
 let run ?cache ?(params = default_params) (p : Program.t) =
-  List.fold_left (fun n f -> n + run_func ?cache ~params f) 0 p.Program.funcs
+  List.fold_left (fun n f -> n + fst (run_func ?cache ~params f)) 0 p.Program.funcs

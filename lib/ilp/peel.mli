@@ -14,14 +14,11 @@ type params = {
 
 val default_params : params
 
-type stats = { mutable loops_peeled : int; mutable peel_instrs : int }
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
+(** Returns (loops peeled, instructions copied into the peeled
+    iterations). *)
+val run_func :
+  ?cache:Epic_analysis.Cache.t -> ?params:params -> Epic_ir.Func.t -> int * int
 
 (** Returns the number of loops peeled. *)
-val run_func :
-  ?cache:Epic_analysis.Cache.t -> ?params:params -> Epic_ir.Func.t -> int
-
 val run :
   ?cache:Epic_analysis.Cache.t -> ?params:params -> Epic_ir.Program.t -> int

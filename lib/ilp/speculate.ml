@@ -32,19 +32,6 @@ type params = {
 let default_params =
   { model = General; promote = true; hoist_marks = true; max_promotions_per_block = 16 }
 
-type stats = {
-  mutable promoted : int;
-  mutable marked : int;
-  mutable checks_inserted : int;
-}
-
-let stats_key = Domain.DLS.new_key (fun () -> { promoted = 0; marked = 0; checks_inserted = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).promoted <- 0;
-  (stats ()).marked <- 0;
-  (stats ()).checks_inserted <- 0
-
 let spec_kind = function General -> Opcode.Spec_general | Sentinel -> Opcode.Spec_sentinel
 
 (* Instructions strictly after [after] that use or define [r]. *)
@@ -144,12 +131,12 @@ let insert_check (b : Block.t) (ld : Instr.t) (guard : Reg.t option) =
         | i :: tl when i == ld -> i :: chk :: tl
         | i :: tl -> i :: ins tl
       in
-      b.Block.instrs <- ins b.Block.instrs;
-      (stats ()).checks_inserted <- (stats ()).checks_inserted + 1
+      b.Block.instrs <- ins b.Block.instrs
   | _ -> ()
 
+(* Returns the number of loads promoted and marked in [b]. *)
 let run_block (ps : params) (f : Func.t) (b : Block.t) =
-  let promotions = ref 0 in
+  let promoted = ref 0 and marked = ref 0 in
   (* 1. predicate promotion in predicated regions (hyperblocks, and
      superblocks that inherited predicated code) *)
   if ps.promote && (b.Block.kind = Block.Hyper || b.Block.kind = Block.Super) then
@@ -157,14 +144,13 @@ let run_block (ps : params) (f : Func.t) (b : Block.t) =
       (fun (i : Instr.t) ->
         match (i.Instr.op, i.Instr.pred) with
         | Opcode.Ld (sz, Opcode.Nonspec), Some p
-          when !promotions < ps.max_promotions_per_block
+          when !promoted < ps.max_promotions_per_block
                && promotion_safe f b i p ->
             i.Instr.op <- Opcode.Ld (sz, spec_kind ps.model);
             i.Instr.pred <- None;
             i.Instr.attrs.Instr.speculated <- true;
             i.Instr.attrs.Instr.promoted <- true;
-            incr promotions;
-            (stats ()).promoted <- (stats ()).promoted + 1;
+            incr promoted;
             if ps.model = Sentinel then insert_check b i (Some p)
         | _ -> ())
       b.Block.instrs;
@@ -179,21 +165,27 @@ let run_block (ps : params) (f : Func.t) (b : Block.t) =
             | [ d ] when List.length (defs_of d b.Block.instrs) = 1 ->
                 i.Instr.op <- Opcode.Ld (sz, spec_kind ps.model);
                 i.Instr.attrs.Instr.speculated <- true;
-                (stats ()).marked <- (stats ()).marked + 1;
+                incr marked;
                 if ps.model = Sentinel then insert_check b i None
             | _ -> ())
         | _ -> ());
         if i.Instr.op = Opcode.Br then past_branch := true)
       b.Block.instrs
-  end
+  end;
+  (!promoted, !marked)
 
-(* Returns true when any load was promoted or marked in this function
-   (every mutation bumps one of the stats counters). *)
+(* Returns (loads promoted, loads marked); every mutation, a sentinel check
+   included, comes with one of them. *)
 let run_func ?(params = default_params) (f : Func.t) =
-  let p0 = (stats ()).promoted and m0 = (stats ()).marked in
-  let c0 = (stats ()).checks_inserted in
-  List.iter (run_block params f) f.Func.blocks;
-  (stats ()).promoted <> p0 || (stats ()).marked <> m0 || (stats ()).checks_inserted <> c0
+  List.fold_left
+    (fun (p, m) b ->
+      let p', m' = run_block params f b in
+      (p + p', m + m'))
+    (0, 0) f.Func.blocks
 
 let run ?(params = default_params) (p : Program.t) =
-  List.iter (fun f -> ignore (run_func ~params f)) p.Program.funcs
+  List.fold_left
+    (fun n f ->
+      let promoted, marked = run_func ~params f in
+      n + promoted + marked)
+    0 p.Program.funcs

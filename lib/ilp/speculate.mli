@@ -15,15 +15,9 @@ type params = {
 
 val default_params : params
 
-type stats = {
-  mutable promoted : int;
-  mutable marked : int;
-  mutable checks_inserted : int;
-}
+(** Returns (loads promoted, loads marked below side exits); the function
+    was mutated when either is non-zero. *)
+val run_func : ?params:params -> Epic_ir.Func.t -> int * int
 
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
-(** True when the function was mutated. *)
-val run_func : ?params:params -> Epic_ir.Func.t -> bool
-val run : ?params:params -> Epic_ir.Program.t -> unit
+(** Returns the number of loads speculated (promoted plus marked). *)
+val run : ?params:params -> Epic_ir.Program.t -> int

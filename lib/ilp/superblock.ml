@@ -17,19 +17,6 @@ type params = {
 let default_params =
   { min_edge_prob = 0.60; min_block_weight = 1.0; growth_budget = 0.25; max_trace_len = 16 }
 
-type stats = {
-  mutable traces_formed : int;
-  mutable blocks_merged : int;
-  mutable tail_dup_instrs : int;
-}
-
-let stats_key = Domain.DLS.new_key (fun () -> { traces_formed = 0; blocks_merged = 0; tail_dup_instrs = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).traces_formed <- 0;
-  (stats ()).blocks_merged <- 0;
-  (stats ()).tail_dup_instrs <- 0
-
 (* Select traces: lists of block labels, hottest seeds first. *)
 let select_traces (f : Func.t) (ps : params) =
   let visited = Hashtbl.create 32 in
@@ -76,11 +63,11 @@ let select_traces (f : Func.t) (ps : params) =
 
 (* Remove side entrances into [trace] (all blocks after the head) by
    duplicating the trace suffix for external predecessors.  Returns the
-   (possibly truncated) trace that is now single-entry. *)
+   (possibly truncated) trace that is now single-entry and the number of
+   instructions duplicated (the part of the growth budget spent). *)
 let remove_side_entrances (f : Func.t) (ps : params) (trace : string list) =
-  let budget =
-    ref (int_of_float (float_of_int (Region_util.code_size f) *. ps.growth_budget))
-  in
+  let budget0 = int_of_float (float_of_int (Region_util.code_size f) *. ps.growth_budget) in
+  let budget = ref budget0 in
   ignore (Jumpopt.materialize_fallthroughs f);
   let rec go kept = function
     | [] -> List.rev kept
@@ -109,7 +96,6 @@ let remove_side_entrances (f : Func.t) (ps : params) (trace : string list) =
           let size = List.fold_left (fun n b -> n + Block.instr_count b) 0 suffix_blocks in
           if size <= !budget then begin
             budget := !budget - size;
-            (stats ()).tail_dup_instrs <- (stats ()).tail_dup_instrs + size;
             (* entry ratio: fraction of weight entering from outside *)
             let total_w =
               match Func.find_block f label with Some b -> max b.Block.weight 1. | None -> 1.
@@ -144,12 +130,14 @@ let remove_side_entrances (f : Func.t) (ps : params) (trace : string list) =
             List.rev kept
         end
   in
-  go [] trace
+  let kept = go [] trace in
+  (kept, budget0 - !budget)
 
-(* Merge a single-entry trace into one superblock. *)
+(* Merge a single-entry trace into one superblock; false when the trace is
+   too short to form one. *)
 let merge_trace (f : Func.t) (trace : string list) =
   match trace with
-  | [] | [ _ ] -> ()
+  | [] | [ _ ] -> false
   | head_l :: rest ->
       let head = Func.find_block_exn f head_l in
       let stopped = ref false in
@@ -205,36 +193,39 @@ let merge_trace (f : Func.t) (trace : string list) =
             end
             else begin
               head.Block.instrs <- head.Block.instrs @ b.Block.instrs;
-              f.Func.blocks <- List.filter (fun x -> x != b) f.Func.blocks;
-              (stats ()).blocks_merged <- (stats ()).blocks_merged + 1
+              f.Func.blocks <- List.filter (fun x -> x != b) f.Func.blocks
             end
           end)
         rest;
       head.Block.kind <- Block.Super;
-      (stats ()).traces_formed <- (stats ()).traces_formed + 1
+      true
 
-(* Returns true when the function was mutated.  Detected via the stats
-   deltas plus block/instruction-count changes: trace merges bump
-   [traces_formed], side-entrance removal bumps [tail_dup_instrs], and the
-   remaining mutations (fall-through materialization, unreachable-block
-   removal) shift the counts. *)
+(* Returns (mutated, superblocks formed, instructions tail-duplicated).  A
+   function was mutated when a superblock formed, a suffix was duplicated,
+   or the remaining mutations (fall-through materialization,
+   unreachable-block removal) shifted the block or instruction count. *)
 let run_func ?(params = default_params) (f : Func.t) =
-  let traces0 = (stats ()).traces_formed and dup0 = (stats ()).tail_dup_instrs in
   let blocks0 = List.length f.Func.blocks and instrs0 = Func.instr_count f in
-  let traces = select_traces f params in
+  let formed = ref 0 and dup = ref 0 in
   List.iter
     (fun trace ->
       (* the trace may have been invalidated by earlier merges *)
       if List.for_all (fun l -> Func.find_block f l <> None) trace then begin
-        let t = remove_side_entrances f params trace in
-        merge_trace f t
+        let t, size = remove_side_entrances f params trace in
+        dup := !dup + size;
+        if merge_trace f t then incr formed
       end)
-    traces;
+    (select_traces f params);
   Func.remove_unreachable f;
-  (stats ()).traces_formed <> traces0
-  || (stats ()).tail_dup_instrs <> dup0
-  || List.length f.Func.blocks <> blocks0
-  || Func.instr_count f <> instrs0
+  ( !formed > 0 || !dup > 0
+    || List.length f.Func.blocks <> blocks0
+    || Func.instr_count f <> instrs0,
+    !formed,
+    !dup )
 
 let run ?(params = default_params) (p : Program.t) =
-  List.iter (fun f -> ignore (run_func ~params f)) p.Program.funcs
+  List.fold_left
+    (fun n f ->
+      let _, formed, _ = run_func ~params f in
+      n + formed)
+    0 p.Program.funcs

@@ -12,19 +12,8 @@ type params = {
 
 val default_params : params
 
-type stats = {
-  mutable traces_formed : int;
-  mutable blocks_merged : int;
-  mutable tail_dup_instrs : int;
-}
+(** Returns (mutated, superblocks formed, instructions tail-duplicated). *)
+val run_func : ?params:params -> Epic_ir.Func.t -> bool * int * int
 
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
-val select_traces : Epic_ir.Func.t -> params -> string list list
-val remove_side_entrances : Epic_ir.Func.t -> params -> string list -> string list
-val merge_trace : Epic_ir.Func.t -> string list -> unit
-
-(** True when the function was mutated. *)
-val run_func : ?params:params -> Epic_ir.Func.t -> bool
-val run : ?params:params -> Epic_ir.Program.t -> unit
+(** Returns the number of superblocks formed. *)
+val run : ?params:params -> Epic_ir.Program.t -> int

@@ -19,12 +19,6 @@ type params = {
 
 let default_params = { factor = 4; min_avg_trips = 6.0; max_body_instrs = 32 }
 
-type stats = { mutable loops_unrolled : int }
-
-let stats_key = Domain.DLS.new_key (fun () -> { loops_unrolled = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () = (stats ()).loops_unrolled <- 0
-
 (* A self-loop: a block whose terminator region is "(pt) br self" either as
    the final instruction (fall-through exit) or followed by one trailing
    unconditional branch to the exit.  Exactly one branch targets the block
@@ -93,7 +87,6 @@ let unroll_rotated (ps : params) (b : Block.t) =
     in
     b.Block.instrs <- build 1 body;
     b.Block.kind <- Block.Super;
-    (stats ()).loops_unrolled <- (stats ()).loops_unrolled + 1;
     true
   end
 
@@ -133,7 +126,6 @@ let unroll_block (f : Func.t) (ps : params) (b : Block.t) (latch : Instr.t)
       in
       b.Block.instrs <- build 1 (body @ [ early_exit () ]);
       b.Block.kind <- Block.Super;
-      (stats ()).loops_unrolled <- (stats ()).loops_unrolled + 1;
       true
 
 let run_func ?(params = default_params) (f : Func.t) =

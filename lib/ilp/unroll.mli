@@ -6,11 +6,6 @@ type params = { factor : int; min_avg_trips : float; max_body_instrs : int }
 
 val default_params : params
 
-type stats = { mutable loops_unrolled : int }
-
-val stats : unit -> stats
-val reset_stats : unit -> unit
-
 (** Returns the number of loops unrolled. *)
 val run_func : ?params:params -> Epic_ir.Func.t -> int
 

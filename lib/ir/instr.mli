@@ -29,7 +29,7 @@ type t = {
 }
 
 (** Reset the id counter (done per program by the frontend).  The counter
-    is domain-local ([Domain.DLS]): concurrent compilations on distinct
+    is domain-local (one per domain): concurrent compilations on distinct
     domains draw from independent counters, and because every compilation
     starts from a reset, the ids assigned to a program do not depend on
     which domain compiled it. *)

@@ -1,15 +1,10 @@
 (* The machine model used by the scheduler and bundler: execution unit
    classes, per-cycle issue capacities and planned operation latencies.  All
-   numbers come from the current machine description (Machine_desc.t); the
-   default is [Machine_desc.itanium2] (six-issue: up to two bundles per
-   cycle, figures following the Itanium 2 reference manual, scaled where
-   DESIGN.md says so).
-
-   The current description is domain-local state: each compile+simulate job
-   runs entirely in one domain, and [with_desc] scopes a variant description
-   to one compilation (the sensitivity sweeps run different variants on
-   different domains concurrently).  Reading it is a DLS array lookup, cheap
-   enough for the scheduler's inner loops. *)
+   numbers come from the machine description (Machine_desc.t) each function
+   is given; the driver passes the one it compiles for, normally
+   [Machine_desc.itanium2] (six-issue: up to two bundles per cycle, figures
+   following the Itanium 2 reference manual, scaled where DESIGN.md says
+   so). *)
 
 open Epic_ir
 
@@ -32,23 +27,9 @@ let class_of (op : Opcode.t) =
   | Opcode.Br | Opcode.Br_call | Opcode.Br_ret -> UB
   | Opcode.Nop -> UA
 
-(* --- the current machine description (domain-local) --------------------- *)
-
-let desc_key = Domain.DLS.new_key (fun () -> Machine_desc.itanium2)
-let desc () = Domain.DLS.get desc_key
-let set_desc d = Domain.DLS.set desc_key d
-
-(* Run [f] with [d] as the current description, restoring the previous one
-   afterwards (also on exception — the driver's register-pressure fallback
-   recompiles inside this scope). *)
-let with_desc d f =
-  let old = Domain.DLS.get desc_key in
-  Domain.DLS.set desc_key d;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set desc_key old) f
-
 (* Planned (static) result latency in cycles under description [d]: the
    delay the compiler must schedule between a producer and its consumer. *)
-let latency_in (d : Machine_desc.t) (op : Opcode.t) =
+let latency (d : Machine_desc.t) (op : Opcode.t) =
   match op with
   | Opcode.Add | Opcode.Sub | Opcode.And | Opcode.Or | Opcode.Xor
   | Opcode.Mov | Opcode.Lea | Opcode.Sxt _ ->
@@ -68,17 +49,15 @@ let latency_in (d : Machine_desc.t) (op : Opcode.t) =
   | Opcode.Br | Opcode.Br_call | Opcode.Br_ret | Opcode.Alloc | Opcode.Nop ->
       d.Machine_desc.lat_alu
 
-let latency (op : Opcode.t) = latency_in (desc ()) op
-
 (* Latency of a register dependence from [producer] to [consumer] through
    register [r].  IA-64 allows a compare and a branch that consumes its
    predicate in the same instruction group. *)
-let dep_latency (producer : Instr.t) (consumer : Instr.t) (r : Reg.t) =
+let dep_latency d (producer : Instr.t) (consumer : Instr.t) (r : Reg.t) =
   match (producer.Instr.op, consumer.Instr.op) with
   | (Opcode.Cmp _ | Opcode.Fcmp _), (Opcode.Br | Opcode.Br_call | Opcode.Br_ret)
     when r.Reg.cls = Reg.Prd ->
       0
-  | _ -> latency producer.Instr.op
+  | _ -> latency d producer.Instr.op
 
 (* Per-cycle issue capacities (itanium2: two bundles = six slots). *)
 type caps = {
@@ -91,8 +70,7 @@ type caps = {
   mutable st : int; (* store pipes within M *)
 }
 
-let fresh_caps () =
-  let d = desc () in
+let fresh_caps (d : Machine_desc.t) =
   {
     total = d.Machine_desc.issue_width;
     m = d.Machine_desc.m_slots;
@@ -155,4 +133,4 @@ let take caps (i : Instr.t) =
     ok
 
 (* Code-layout geometry the backend reads (function padding, fetch chunks). *)
-let l1i_line () = (desc ()).Machine_desc.l1i.Machine_desc.line
+let l1i_line (d : Machine_desc.t) = d.Machine_desc.l1i.Machine_desc.line

@@ -2,7 +2,8 @@
     scheduler plans against and the simulator charges for, in one record.
     [itanium2] is the canonical value; sensitivity sweeps (lib/sweep) run
     perturbed copies of it.  The compiler and the simulator read the same
-    description (threaded via {!Itanium.with_desc} and
+    description (an argument of the scheduler, the layout and
+    {!Itanium}'s helpers, passed by [Epic_core.Driver.compile_ir], and
     [Epic_sim.Machine.run ?desc]), so planned latencies and the event model
     never diverge.  A perfect component (I-cache, predictor) is not a
     description: it is a factor-1.0 category experiment

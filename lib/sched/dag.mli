@@ -22,7 +22,13 @@ val add_edge : t -> int -> int -> int -> unit
     checked register during recovery). *)
 val dep_defs : Epic_ir.Instr.t -> Epic_ir.Reg.t list
 
-val build : Epic_ir.Func.t -> Epic_analysis.Liveness.t -> Epic_ir.Block.t -> t
+(** Edge latencies are planned under [desc]. *)
+val build :
+  desc:Epic_mach.Machine_desc.t ->
+  Epic_ir.Func.t ->
+  Epic_analysis.Liveness.t ->
+  Epic_ir.Block.t ->
+  t
 
 (** Critical-path priority: longest latency-weighted path to any sink. *)
 val priorities : t -> int array

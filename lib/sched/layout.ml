@@ -46,7 +46,7 @@ let sink_cold_blocks (f : Func.t) =
   Func.layout_cold_last f;
   ignore (Epic_opt.Jumpopt.remove_fallthrough_branches f)
 
-let build (p : Program.t) =
+let build ~desc (p : Program.t) =
   let t =
     { by_block = Hashtbl.create 256; code_bytes = 0; total_bundles = 0; total_nops = 0 }
   in
@@ -101,7 +101,7 @@ let build (p : Program.t) =
             { label = b.Block.label; groups = Array.of_list groups })
         f.Func.blocks;
       (* pad between functions to a cache-line boundary *)
-      let line = Int64.of_int (Itanium.l1i_line ()) in
+      let line = Int64.of_int (Itanium.l1i_line desc) in
       let rem = Int64.rem !addr line in
       if not (Int64.equal rem 0L) then addr := Int64.add !addr (Int64.sub line rem))
     p.Program.funcs;

@@ -28,6 +28,8 @@ val groups_of_block : Epic_ir.Block.t -> Epic_ir.Instr.t list list
     (run before scheduling). *)
 val sink_cold_blocks : Epic_ir.Func.t -> unit
 
-val build : Epic_ir.Program.t -> t
+(** Lay out a scheduled program; functions are padded to the L1I line of
+    [desc]. *)
+val build : desc:Epic_mach.Machine_desc.t -> Epic_ir.Program.t -> t
 val block_layout : t -> string -> string -> block_layout option
 val static_bundles : t -> int

@@ -10,21 +10,8 @@ open Epic_ir
 open Epic_analysis
 open Epic_mach
 
-type stats = {
-  mutable blocks : int;
-  mutable planned_ops : int;
-  mutable planned_cycles : int;
-}
-
-let stats_key = Domain.DLS.new_key (fun () -> { blocks = 0; planned_ops = 0; planned_cycles = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).blocks <- 0;
-  (stats ()).planned_ops <- 0;
-  (stats ()).planned_cycles <- 0
-
-let schedule_block (f : Func.t) (live : Liveness.t) (b : Block.t) =
-  let g = Dag.build f live b in
+let schedule_block ~desc (f : Func.t) (live : Liveness.t) (b : Block.t) =
+  let g = Dag.build ~desc f live b in
   let n = Array.length g.Dag.instrs in
   if n = 0 then ()
   else begin
@@ -39,7 +26,7 @@ let schedule_block (f : Func.t) (live : Liveness.t) (b : Block.t) =
     let n_placed = ref 0 in
     let cycle = ref 0 in
     while !n_placed < n do
-      let caps = Itanium.fresh_caps () in
+      let caps = Itanium.fresh_caps desc in
       (* candidates: all preds placed, earliest <= cycle; latency-0 preds in
          the same cycle are fine because candidates are scanned in an order
          consistent with the DAG (by priority, ties by program order) and
@@ -94,10 +81,7 @@ let schedule_block (f : Func.t) (live : Liveness.t) (b : Block.t) =
     b.Block.instrs <-
       List.stable_sort
         (fun (a : Instr.t) (b' : Instr.t) -> compare a.Instr.cycle b'.Instr.cycle)
-        instrs;
-    (stats ()).blocks <- (stats ()).blocks + 1;
-    (stats ()).planned_ops <- (stats ()).planned_ops + n;
-    (stats ()).planned_cycles <- (stats ()).planned_cycles + !cycle
+        instrs
   end
 
 (* Program-order scheduling: instructions keep their order; an instruction
@@ -106,22 +90,22 @@ let schedule_block (f : Func.t) (live : Liveness.t) (b : Block.t) =
    compiler (our GCC 3.2 stand-in) that performs no global instruction
    scheduling — it still benefits from bundle-level parallelism of adjacent
    independent operations, and nothing more. *)
-let schedule_block_inorder (f : Func.t) (live : Liveness.t) (b : Block.t) =
-  let g = Dag.build f live b in
+let schedule_block_inorder ~desc (f : Func.t) (live : Liveness.t) (b : Block.t) =
+  let g = Dag.build ~desc f live b in
   let n = Array.length g.Dag.instrs in
   if n > 0 then begin
     let earliest = Array.make n 0 in
     let cycle = ref 0 in
-    let caps = ref (Itanium.fresh_caps ()) in
+    let caps = ref (Itanium.fresh_caps desc) in
     for j = 0 to n - 1 do
       let i = g.Dag.instrs.(j) in
       if earliest.(j) > !cycle then begin
         cycle := earliest.(j);
-        caps := Itanium.fresh_caps ()
+        caps := Itanium.fresh_caps desc
       end;
       while not (Itanium.take !caps i) do
         incr cycle;
-        caps := Itanium.fresh_caps ()
+        caps := Itanium.fresh_caps desc
       done;
       i.Instr.cycle <- !cycle;
       List.iter
@@ -129,21 +113,18 @@ let schedule_block_inorder (f : Func.t) (live : Liveness.t) (b : Block.t) =
           let e = !cycle + lat in
           if e > earliest.(s) then earliest.(s) <- e)
         g.Dag.succs.(j)
-    done;
-    (stats ()).blocks <- (stats ()).blocks + 1;
-    (stats ()).planned_ops <- (stats ()).planned_ops + n;
-    (stats ()).planned_cycles <- (stats ()).planned_cycles + !cycle + 1
+    done
   end
 
-let run_func ?cache ?(reorder = true) (f : Func.t) =
+let run_func ?cache ?(reorder = true) ~desc (f : Func.t) =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let live = Cache.liveness cache f in
   List.iter
-    (if reorder then schedule_block f live else schedule_block_inorder f live)
+    (if reorder then schedule_block ~desc f live else schedule_block_inorder ~desc f live)
     f.Func.blocks;
   (* scheduling reorders instructions within blocks (and always stamps
      issue cycles); only CFG-free global facts are kept *)
   Cache.invalidate cache ~preserve:Cache.[ Callgraph; Points_to ] f.Func.name
 
-let run ?cache ?(reorder = true) (p : Program.t) =
-  List.iter (run_func ?cache ~reorder) p.Program.funcs
+let run ?cache ?(reorder = true) ~desc (p : Program.t) =
+  List.iter (run_func ?cache ~reorder ~desc) p.Program.funcs

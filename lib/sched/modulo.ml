@@ -29,7 +29,7 @@ let eligible (b : Block.t) =
   && List.for_all (fun (i : Instr.t) -> not (Instr.is_call i)) b.Block.instrs
 
 (* ResMII: for each resource class, ceil(uses / per-cycle capacity). *)
-let res_mii (b : Block.t) =
+let res_mii desc (b : Block.t) =
   let m = ref 0 and i = ref 0 and f = ref 0 and br = ref 0 and total = ref 0 in
   List.iter
     (fun (ins : Instr.t) ->
@@ -42,7 +42,7 @@ let res_mii (b : Block.t) =
       | Itanium.UB -> incr br)
     b.Block.instrs;
   let ceil_div a b = (a + b - 1) / b in
-  let caps = Itanium.fresh_caps () in
+  let caps = Itanium.fresh_caps desc in
   List.fold_left max 1
     [
       ceil_div !total caps.Itanium.total;
@@ -58,7 +58,7 @@ let res_mii (b : Block.t) =
    whose latency sum must fit in II.  For single-def registers this reduces
    to: for each cross-iteration (use before def) pair, the chain latency
    from the def back around to itself. *)
-let rec_mii (b : Block.t) =
+let rec_mii desc (b : Block.t) =
   let instrs = Array.of_list b.Block.instrs in
   let n = Array.length instrs in
   (* def position of each register (last def in the block) *)
@@ -77,7 +77,7 @@ let rec_mii (b : Block.t) =
             match Reg.Tbl.find_opt reg_depth r with Some x -> max acc x | None -> acc)
           0 (Instr.uses i)
       in
-      depth.(k) <- d + Itanium.latency i.Instr.op;
+      depth.(k) <- d + Itanium.latency desc i.Instr.op;
       List.iter (fun r -> Reg.Tbl.replace reg_depth r depth.(k)) i.Instr.dsts)
     instrs;
   (* a cross-iteration edge exists when a use at position u reads a register
@@ -104,9 +104,9 @@ let achieved_ii (b : Block.t) =
       let maxc = List.fold_left (fun m (i : Instr.t) -> max m i.Instr.cycle) (-1) instrs in
       if maxc < 0 then None else Some (maxc + 1)
 
-let analyze_block (b : Block.t) =
+let analyze_block ~desc (b : Block.t) =
   if eligible b then
-    let r = res_mii b and c = rec_mii b in
+    let r = res_mii desc b and c = rec_mii desc b in
     Some
       {
         label = b.Block.label;
@@ -118,8 +118,8 @@ let analyze_block (b : Block.t) =
       }
   else None
 
-let analyze_func (f : Func.t) = List.filter_map analyze_block f.Func.blocks
+let analyze_func ~desc (f : Func.t) = List.filter_map (analyze_block ~desc) f.Func.blocks
 
-let analyze (p : Program.t) =
-  List.concat_map (fun f -> List.map (fun a -> (f.Func.name, a)) (analyze_func f))
+let analyze ~desc (p : Program.t) =
+  List.concat_map (fun f -> List.map (fun a -> (f.Func.name, a)) (analyze_func ~desc f))
     p.Program.funcs

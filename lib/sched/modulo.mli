@@ -16,10 +16,16 @@ type loop_analysis = {
 }
 
 (** Is this block an eligible software-pipelining candidate (a self-loop
-    without calls)? Returns its analysis if so. *)
-val analyze_block : Epic_ir.Block.t -> loop_analysis option
+    without calls)? Returns its analysis if so, with the bounds taken from
+    the resources and latencies of [desc]. *)
+val analyze_block :
+  desc:Epic_mach.Machine_desc.t -> Epic_ir.Block.t -> loop_analysis option
 
-val analyze_func : Epic_ir.Func.t -> loop_analysis list
+val analyze_func :
+  desc:Epic_mach.Machine_desc.t -> Epic_ir.Func.t -> loop_analysis list
 
 (** All eligible loops of a program, tagged with their function name. *)
-val analyze : Epic_ir.Program.t -> (string * loop_analysis) list
+val analyze :
+  desc:Epic_mach.Machine_desc.t ->
+  Epic_ir.Program.t ->
+  (string * loop_analysis) list

@@ -38,17 +38,6 @@ type interval = {
   mutable occurrences : int;
 }
 
-type stats = {
-  mutable spilled_vregs : int;
-  mutable spill_code : int;
-}
-
-let stats_key = Domain.DLS.new_key (fun () -> { spilled_vregs = 0; spill_code = 0 })
-let stats () = Domain.DLS.get stats_key
-let reset_stats () =
-  (stats ()).spilled_vregs <- 0;
-  (stats ()).spill_code <- 0
-
 (* Linearize: assign positions to all instructions in layout order; returns
    per-block (start, end) position ranges. *)
 let positions (f : Func.t) =
@@ -261,7 +250,6 @@ let insert_spill_code (f : Func.t) (slot_of : Reg.t -> int option) =
                     Instr.create (Opcode.Ld (Opcode.B8, Opcode.Nonspec))
                       ~dsts:[ vtmp ] ~srcs:[ Operand.Reg atmp ];
                   ];
-              (stats ()).spill_code <- (stats ()).spill_code + 2;
               vtmp
             in
             let spill_store (r : Reg.t) off =
@@ -283,7 +271,6 @@ let insert_spill_code (f : Func.t) (slot_of : Reg.t -> int option) =
                     Instr.create (Opcode.St Opcode.B8)
                       ~srcs:[ Operand.Reg atmp; Operand.Reg vtmp ];
                   ];
-              (stats ()).spill_code <- (stats ()).spill_code + 2;
               vtmp
             in
             let subst_use (r : Reg.t) =
@@ -395,7 +382,6 @@ let run_func ?cache (f : Func.t) =
     (fun k iv -> Reg.Tbl.replace slot_tbl iv.vreg (spill_base + (8 * k)))
     (int_spills @ flt_spills);
   let n_spills = List.length int_spills + List.length flt_spills in
-  (stats ()).spilled_vregs <- (stats ()).spilled_vregs + n_spills;
   if n_spills > 0 then set_frame_size f (spill_base + (8 * n_spills));
   (* rewrite registers *)
   let map (r : Reg.t) =
@@ -434,6 +420,8 @@ let run_func ?cache (f : Func.t) =
      the data-sensitive analyses are stale; the CFG is untouched *)
   Cache.invalidate cache
     ~preserve:Cache.[ Dominance; Loops; Callgraph; Points_to ]
-    f.Func.name
+    f.Func.name;
+  n_spills
 
-let run ?cache (p : Program.t) = List.iter (run_func ?cache) p.Program.funcs
+let run ?cache (p : Program.t) =
+  List.fold_left (fun n f -> n + run_func ?cache f) 0 p.Program.funcs

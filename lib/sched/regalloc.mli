@@ -10,9 +10,7 @@ exception Out_of_registers of string
 (** Raised only for predicate-file exhaustion; [Epic_core.Driver.compile]
     catches it and retries with less aggressive region formation. *)
 
-type stats = { mutable spilled_vregs : int; mutable spill_code : int }
+(** Returns the number of virtual registers spilled to the frame. *)
+val run_func : ?cache:Epic_analysis.Cache.t -> Epic_ir.Func.t -> int
 
-val stats : unit -> stats
-val reset_stats : unit -> unit
-val run_func : ?cache:Epic_analysis.Cache.t -> Epic_ir.Func.t -> unit
-val run : ?cache:Epic_analysis.Cache.t -> Epic_ir.Program.t -> unit
+val run : ?cache:Epic_analysis.Cache.t -> Epic_ir.Program.t -> int

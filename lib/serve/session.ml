@@ -98,7 +98,7 @@ let config_key (c : Config.t) =
 
 let resolve_desc = function
   | Some d -> d
-  | None -> Epic_mach.Itanium.desc ()
+  | None -> Epic_mach.Machine_desc.itanium2
 
 (* Every key naming a source is built from the source's hash, so a request
    hashes its source once and derives the compile and reference keys from

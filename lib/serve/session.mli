@@ -52,8 +52,8 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** The content-addressed compile key (16 hex digits, FNV-1a over the
     canonical serialization of all four ingredients).  [desc = None] is
-    resolved to the calling domain's current machine description first, so
-    an explicit [Some itanium2] and the default share cache entries. *)
+    resolved to {!Epic_mach.Machine_desc.itanium2} first, so an explicit
+    [Some itanium2] and the default share cache entries. *)
 val compile_key :
   config:Epic_core.Config.t ->
   desc:Epic_mach.Machine_desc.t option ->

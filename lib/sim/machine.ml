@@ -314,7 +314,7 @@ let fresh_frame df =
 (* Build a machine: fresh architectural state, or private copies of a
    checkpoint's ([from]). *)
 let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
-    ?(desc = Itanium.desc ()) ?sampling ?checkpoint_at ?from (program : Program.t)
+    ?(desc = Machine_desc.itanium2) ?sampling ?checkpoint_at ?from (program : Program.t)
     (layout : Layout.t) (input : int64 array) =
   Program.assign_addresses program;
   let restore f fresh = match from with Some ck -> f ck | None -> fresh () in
@@ -1095,7 +1095,8 @@ let decode_store x (sz : Opcode.size) a v : op =
     let data = rd_i st fr v in
     if na || st.onat then begin
       st.c.nat_consumed <- st.c.nat_consumed + 1;
-      charge st Accounting.Misc 2
+      charge st Accounting.Misc 2;
+      advance st 2
     end
     else begin
       (* a non-speculative translation succeeds or faults *)
@@ -1808,9 +1809,8 @@ let fused_accounts st = Array.of_list (List.map (read st) st.experiments)
    checkpoint can seed any number of resumed runs, concurrently too), put
    the frame stack back, and enter the block loop.  Fuel defaults to the remaining fuel at capture,
    so a resumed run exhausts at the same point as the uninterrupted one. *)
-let resume ?fuel ?trace ?profile ?desc (p : Program.t)
+let resume ?fuel ?trace ?profile ?(desc = Machine_desc.itanium2) (p : Program.t)
     (layout : Layout.t) (ck : checkpoint) =
-  let desc = match desc with Some d -> d | None -> Itanium.desc () in
   if not (String.equal (Machine_desc.digest desc) ck.ck_desc_digest) then
     invalid_arg "Machine.resume: machine description differs from capture";
   if Array.length ck.ck_frames = 0 then invalid_arg "Machine.resume: empty checkpoint stack";

@@ -159,12 +159,11 @@ type t = {
     modelled: its category is charged zero while everything else matches
     the baseline.
 
-    [desc] selects the machine description to simulate; the default is the
-    domain's current description ({!Epic_mach.Itanium.desc}), normally
+    [desc] selects the machine description to simulate; the default is
     {!Machine_desc.itanium2}.  For a run to be meaningful the program must
     have been scheduled under the same description (the driver guarantees
-    this by compiling inside [Itanium.with_desc] and passing the
-    description along).
+    this by scheduling under the description it records in its result and
+    passing it along).
 
     [sampling] runs under interval sampling (see {!Sampling}): detailed
     phases alternate with warm functional phases and the final accounting

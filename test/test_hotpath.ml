@@ -780,8 +780,8 @@ let test_param_out_of_range_faults () =
   Builder.ret bld [ Operand.Reg Reg.ret0 ];
   Program.add_func p main;
   Program.assign_addresses p;
-  Epic_sched.List_sched.run p;
-  let layout = Epic_sched.Layout.build p in
+  Epic_sched.List_sched.run ~desc:Epic_mach.Machine_desc.itanium2 p;
+  let layout = Epic_sched.Layout.build ~desc:Epic_mach.Machine_desc.itanium2 p in
   check cb "call faults" true
     (match Epic_sim.Machine.run p layout [||] with
     | _ -> false

@@ -40,13 +40,11 @@ int main() {
 let fill_then ~init src = init ^ src
 
 let test_hyperblock_converts_diamond () =
-  Epic_ilp.Hyperblock.reset_stats ();
   let p = prepared diamond_src in
   let before = run p [||] in
-  Epic_ilp.Hyperblock.run p;
+  let converted = Epic_ilp.Hyperblock.run p in
   Verify.check_program p;
-  check cb "at least one region converted" true
-    ((Epic_ilp.Hyperblock.stats ()).Epic_ilp.Hyperblock.regions_converted >= 1);
+  check cb "at least one region converted" true (converted >= 1);
   check (Alcotest.pair ci cs) "semantics preserved" before (run p [||]);
   (* predicated instructions now exist *)
   let predicated = ref 0 in
@@ -55,7 +53,7 @@ let test_hyperblock_converts_diamond () =
 
 let test_hyperblock_unc_compare () =
   let p = prepared diamond_src in
-  Epic_ilp.Hyperblock.run p;
+  ignore (Epic_ilp.Hyperblock.run p);
   let unc = ref false in
   Program.iter_instrs p (fun i ->
       match i.Instr.op with
@@ -64,7 +62,6 @@ let test_hyperblock_unc_compare () =
   check cb "defining compare became unconditional type" true !unc
 
 let test_hyperblock_skips_calls () =
-  Epic_ilp.Hyperblock.reset_stats ();
   let p =
     prepared
       {|
@@ -82,7 +79,7 @@ int main() {
 |}
   in
   let before = run p [||] in
-  Epic_ilp.Hyperblock.run p;
+  ignore (Epic_ilp.Hyperblock.run p);
   Verify.check_program p;
   check (Alcotest.pair ci cs) "still correct" before (run p [||]);
   (* no call may be predicated by the converter *)
@@ -90,16 +87,14 @@ int main() {
       if Instr.is_call i then check cb "calls unpredicated" true (i.Instr.pred = None))
 
 let test_superblock_forms_trace () =
-  Epic_ilp.Superblock.reset_stats ();
   let p = prepared diamond_src in
   let before = run p [||] in
-  Epic_ilp.Superblock.run p;
+  let formed = Epic_ilp.Superblock.run p in
   Verify.check_program p;
-  check cb "traces formed" true ((Epic_ilp.Superblock.stats ()).Epic_ilp.Superblock.traces_formed >= 1);
+  check cb "traces formed" true (formed >= 1);
   check (Alcotest.pair ci cs) "semantics preserved" before (run p [||])
 
 let test_superblock_tail_duplication () =
-  Epic_ilp.Superblock.reset_stats ();
   (* a join block with two hot predecessors forces duplication *)
   let src =
     {|
@@ -123,7 +118,7 @@ int main() {
   Epic_analysis.Profile.reprofile p [||];
   let before = run p [||] in
   (* keep the diamond from being if-converted so the superblock pass sees it *)
-  Epic_ilp.Superblock.run p;
+  ignore (Epic_ilp.Superblock.run p);
   Verify.check_program p;
   check (Alcotest.pair ci cs) "semantics preserved" before (run p [||])
 
@@ -148,7 +143,6 @@ int main() {
 |}
 
 let test_peel_one_trip_loop () =
-  Epic_ilp.Peel.reset_stats ();
   let p = prepared peel_src in
   ignore (Epic_opt.Inline.run p);
   Epic_analysis.Profile.reprofile p [||];
@@ -159,7 +153,6 @@ let test_peel_one_trip_loop () =
   check (Alcotest.pair ci cs) "semantics preserved" before (run p [||])
 
 let test_peel_skips_high_trip_loops () =
-  Epic_ilp.Peel.reset_stats ();
   let p =
     prepared
       {|
@@ -189,9 +182,8 @@ int main() {
 |}
 
 let test_unroll_hot_loop () =
-  Epic_ilp.Unroll.reset_stats ();
   let p = prepared unrollable_src in
-  Epic_ilp.Superblock.run p;
+  ignore (Epic_ilp.Superblock.run p);
   Epic_analysis.Profile.reprofile p [||];
   let before = run p [||] in
   let n = Epic_ilp.Unroll.run p in
@@ -234,9 +226,9 @@ let ilp_prepared src input =
   let p = prepared ~input src in
   ignore (Epic_ilp.Peel.run p);
   Epic_analysis.Profile.reprofile p input;
-  Epic_ilp.Hyperblock.run p;
+  ignore (Epic_ilp.Hyperblock.run p);
   Epic_analysis.Profile.reprofile p input;
-  Epic_ilp.Superblock.run p;
+  ignore (Epic_ilp.Superblock.run p);
   Epic_analysis.Profile.reprofile p input;
   ignore (Epic_ilp.Unroll.run p);
   Epic_opt.Pipeline.run_classical p;
@@ -244,37 +236,31 @@ let ilp_prepared src input =
   p
 
 let test_speculate_general_preserves () =
-  Epic_ilp.Speculate.reset_stats ();
   let p = ilp_prepared union_src [||] in
   let before = run p [||] in
-  Epic_ilp.Speculate.run p;
+  let speculated = Epic_ilp.Speculate.run p in
   Verify.check_program p;
-  check cb "loads were speculated" true
-    ((Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.promoted
-     + (Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.marked
-    > 0);
+  check cb "loads were speculated" true (speculated > 0);
   check (Alcotest.pair ci cs) "general speculation preserves semantics" before (run p [||]);
   (* promoted wild loads produce NaT in the interpreter without faulting *)
   let _, _, st = Interp.run p [||] in
   check cb "no NaT consumed by effects" true (st.Interp.nat_faults = 0)
 
 let test_speculate_sentinel_inserts_checks () =
-  Epic_ilp.Speculate.reset_stats ();
   let p = ilp_prepared union_src [||] in
   let before = run p [||] in
-  Epic_ilp.Speculate.run
-    ~params:
-      { Epic_ilp.Speculate.default_params with Epic_ilp.Speculate.model = Epic_ilp.Speculate.Sentinel }
-    p;
+  let speculated =
+    Epic_ilp.Speculate.run
+      ~params:
+        { Epic_ilp.Speculate.default_params with Epic_ilp.Speculate.model = Epic_ilp.Speculate.Sentinel }
+      p
+  in
   Verify.check_program p;
   let chks = ref 0 in
   Program.iter_instrs p (fun i ->
       match i.Instr.op with Opcode.Chk _ -> incr chks | _ -> ());
   check cb "chk.s present" true (!chks > 0);
-  check ci "one chk per speculated load"
-    ((Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.promoted
-    + (Epic_ilp.Speculate.stats ()).Epic_ilp.Speculate.marked)
-    !chks;
+  check ci "one chk per speculated load" speculated !chks;
   check (Alcotest.pair ci cs) "sentinel speculation preserves semantics" before (run p [||])
 
 let test_region_util_edge_probs () =
@@ -299,7 +285,7 @@ let test_full_ilp_pipeline_on_workloads () =
       let p2 = ilp_prepared
         (ignore p2; w.Epic_workloads.Workload.source)
         w.Epic_workloads.Workload.train in
-      Epic_ilp.Speculate.run p2;
+      ignore (Epic_ilp.Speculate.run p2);
       Verify.check_program p2;
       check (Alcotest.pair ci cs)
         (short ^ " ILP pipeline preserves semantics")
@@ -308,7 +294,6 @@ let test_full_ilp_pipeline_on_workloads () =
     [ "gzip"; "twolf" ]
 
 let test_height_reduction () =
-  Epic_ilp.Height.reset_stats ();
   let src =
     "int main() { int a; int b; int c; int d; int s; a = input(0); b = a * 3; c = a - 7; d = b ^ c; s = a + b + c + d + 5 + a + b + c; print_int(s); return 0; }"
   in
@@ -318,7 +303,6 @@ let test_height_reduction () =
   let changed = Epic_ilp.Height.run p in
   Verify.check_program p;
   check cb "a chain was rebalanced" true changed;
-  check cb "stats recorded" true ((Epic_ilp.Height.stats ()).Epic_ilp.Height.chains_rebalanced >= 1);
   check (Alcotest.pair ci cs) "height reduction preserves semantics" before (run p [| 4L |]);
   (* the dependence height of the rebalanced block must not be larger *)
   ignore (Epic_opt.Dce.run p)
@@ -341,7 +325,6 @@ let test_height_skips_guarded () =
   check cb "guarded link breaks the chain" false changed
 
 let test_data_speculation () =
-  Epic_ilp.Data_spec.reset_stats ();
   let src =
     {|
 int main() {

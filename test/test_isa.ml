@@ -73,9 +73,9 @@ let build ?callee_body body =
   func "main" body;
   Option.iter (func "callee") callee_body;
   Program.assign_addresses p;
-  Epic_sched.Regalloc.run p;
-  Epic_sched.List_sched.run p;
-  (p, Epic_sched.Layout.build p)
+  ignore (Epic_sched.Regalloc.run p);
+  Epic_sched.List_sched.run ~desc:Epic_mach.Machine_desc.itanium2 p;
+  (p, Epic_sched.Layout.build ~desc:Epic_mach.Machine_desc.itanium2 p)
 
 (* --- the engines ---------------------------------------------------------- *)
 
@@ -89,10 +89,14 @@ let interp p input =
       Ran { code; out; nat = st.Interp.nat_faults; recoveries = st.Interp.alat_recoveries }
   | exception Interp.Fault m -> Faulted m
 
+(* The machine's clock must equal its accounted cycles: every charge is
+   paired with a clock advance. *)
 let machine p layout input =
   match Machine.run p layout input with
   | code, out, st ->
       let c = st.Machine.c in
+      Alcotest.(check (float 0.)) "clock = accounted cycles"
+        (Epic_sim.Accounting.total st.Machine.acc) (float_of_int st.Machine.cycle);
       Ran { code; out; nat = c.Machine.nat_consumed; recoveries = c.Machine.chk_recoveries }
   | exception Machine.Machine_fault m -> Faulted m
 
@@ -324,6 +328,16 @@ let checks =
         let a = movi bld 17 and z = movi bld 0 and d = Builder.fresh_int bld in
         ignore (Builder.emit bld Opcode.Div ~dsts:[ d ] ~srcs:[ r a; r z ]);
         print bld d);
+    (* a store with a NaT address or NaT data is suppressed: one NaT
+       consumption each, charged to Misc on the clock too *)
+    case "NaT stores are suppressed" "5\n" ~nat:3 (fun bld ->
+        let a = stack_slot bld 16 in
+        store bld (r a) (imm 5);
+        let n = nat_reg bld in
+        store bld (r a) (r n);
+        store bld (r a) (r n);
+        store bld (r n) (imm 9);
+        print bld (load bld (r a)));
   ]
 
 (* --- intrinsics ------------------------------------------------------------ *)

@@ -9,6 +9,7 @@ open Epic_mach
 let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
+let desc = Machine_desc.itanium2
 
 (* --- helpers -------------------------------------------------------------- *)
 
@@ -27,7 +28,7 @@ let test_dag_raw_edge () =
   let b = Instr.create Opcode.Add ~dsts:[ vi 2 ] ~srcs:[ Operand.Reg (vi 1); Operand.imm 1 ] in
   let f, blk = func_of_block [ a; b ] in
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build f live blk in
+  let g = Dag.build ~desc f live blk in
   check cb "RAW edge exists" true (List.mem_assoc 1 g.Dag.succs.(0))
 
 let test_dag_memory_edges () =
@@ -35,7 +36,7 @@ let test_dag_memory_edges () =
   let ld = Instr.create (Opcode.Ld (Opcode.B8, Opcode.Nonspec)) ~dsts:[ vi 2 ] ~srcs:[ Operand.Reg (vi 1) ] in
   let f, blk = func_of_block [ st; ld ] in
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build f live blk in
+  let g = Dag.build ~desc f live blk in
   check cb "store->load ordered (unknown tags alias)" true (List.mem_assoc 1 g.Dag.succs.(0))
 
 let test_dag_branch_pins_store () =
@@ -52,7 +53,7 @@ let test_dag_branch_pins_store () =
   Block.append out (Instr.create Opcode.Br_ret ~srcs:[ Operand.imm 1 ]);
   Func.append_block f out;
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build f live b in
+  let g = Dag.build ~desc f live b in
   check cb "store before branch pinned above" true (List.mem_assoc 1 g.Dag.succs.(0));
   check cb "store after branch pinned below" true (List.mem_assoc 2 g.Dag.succs.(1))
 
@@ -71,7 +72,7 @@ let test_dag_speculative_load_free () =
   Block.append out (Instr.create Opcode.Br_ret ~srcs:[ Operand.imm 1 ]);
   Func.append_block f out;
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build f live b in
+  let g = Dag.build ~desc f live b in
   check cb "speculative load NOT pinned by branch" false (List.mem_assoc 1 g.Dag.succs.(0));
   check cb "non-speculative load pinned" true (List.mem_assoc 2 g.Dag.succs.(0))
 
@@ -83,8 +84,8 @@ let test_dag_speculative_load_free () =
    hold. *)
 let schedule_invariants (f : Func.t) (b : Block.t) =
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build f live b in
-  List_sched.schedule_block f live b;
+  let g = Dag.build ~desc f live b in
+  List_sched.schedule_block ~desc f live b;
   let arr = Array.of_list b.Block.instrs in
   Array.iter (fun (i : Instr.t) -> assert (i.Instr.cycle >= 0)) arr;
   Array.iteri
@@ -114,7 +115,7 @@ let schedule_invariants (f : Func.t) (b : Block.t) =
     arr;
   Hashtbl.iter
     (fun _ instrs ->
-      let caps = Itanium.fresh_caps () in
+      let caps = Itanium.fresh_caps desc in
       List.iter (fun i -> assert (Itanium.take caps i)) (List.rev instrs))
     by_cycle;
   true
@@ -146,7 +147,7 @@ let test_schedule_respects_latency () =
   let mul = List.find (fun (i : Instr.t) -> i.Instr.op = Opcode.Mul) b.Block.instrs in
   let add = List.find (fun (i : Instr.t) -> i.Instr.op = Opcode.Add) b.Block.instrs in
   check cb "mul latency respected" true
-    (add.Instr.cycle >= mul.Instr.cycle + Itanium.latency Opcode.Mul)
+    (add.Instr.cycle >= mul.Instr.cycle + Itanium.latency desc Opcode.Mul)
 
 let test_schedule_issue_width () =
   (* ten independent movs cannot fit in one six-wide cycle *)
@@ -204,7 +205,7 @@ let test_regalloc_all_physical () =
       "int main() { int a; int b; a = 1; b = a + 2; print_int(a * b); return 0; }"
   in
   let before = Interp.run p [||] in
-  Regalloc.run p;
+  ignore (Regalloc.run p);
   Program.iter_instrs p (fun i ->
       List.iter (fun (r : Reg.t) -> check cb "defs physical" true r.Reg.phys) (Instr.defs i);
       List.iter (fun (r : Reg.t) -> check cb "uses physical" true r.Reg.phys) (Instr.uses i));
@@ -228,7 +229,7 @@ int main() {
 }
 |}
   in
-  Regalloc.run p;
+  ignore (Regalloc.run p);
   let main = Program.find_func_exn p "main" in
   (* a and b live across calls: at least two stacked registers *)
   check cb "call-crossing values use the register stack" true (main.Func.n_stacked >= 2)
@@ -252,9 +253,7 @@ let test_regalloc_spill_pressure () =
   let p = Epic_frontend.Lower.compile_source src in
   let input = Array.init 130 Int64.of_int in
   let c0, o0, _ = Interp.run p input in
-  Regalloc.reset_stats ();
-  Regalloc.run p;
-  check cb "spills happened" true ((Regalloc.stats ()).Regalloc.spilled_vregs > 0);
+  check cb "spills happened" true (Regalloc.run p > 0);
   let c1, o1, _ = Interp.run p input in
   check (Alcotest.pair ci Alcotest.string) "spill code is correct" (c0, o0) (c1, o1)
 
@@ -311,10 +310,10 @@ let test_modulo_bounds () =
       Instr.create Opcode.Add ~dsts:[ vi 3 ] ~srcs:[ Operand.Reg (vi 3); Operand.imm 8 ];
       Instr.create ~pred:(Reg.virt 9 Reg.Prd) Opcode.Br ~srcs:[ Operand.Label "loop" ];
     ];
-  (match Modulo.analyze_block b with
+  (match Modulo.analyze_block ~desc b with
   | Some a ->
       (* the acc *= x recurrence costs a multiply (latency 3) per iteration *)
-      check cb "recurrence bound from the multiply" true (a.Modulo.rec_mii >= Itanium.latency Opcode.Mul);
+      check cb "recurrence bound from the multiply" true (a.Modulo.rec_mii >= Itanium.latency desc Opcode.Mul);
       check cb "mii >= both bounds" true
         (a.Modulo.mii >= a.Modulo.rec_mii && a.Modulo.mii >= a.Modulo.res_mii)
   | None -> Alcotest.fail "loop not recognized");
@@ -325,7 +324,7 @@ let test_modulo_bounds () =
         Instr.create (Opcode.Ld (Opcode.B8, Opcode.Nonspec)) ~dsts:[ vi (10 + k) ]
           ~srcs:[ Operand.Reg (vi 3) ])
     @ [ Instr.create ~pred:(Reg.virt 9 Reg.Prd) Opcode.Br ~srcs:[ Operand.Label "loop" ] ];
-  (match Modulo.analyze_block b2 with
+  (match Modulo.analyze_block ~desc b2 with
   | Some a -> check cb "five loads need >= 2 cycles on 4 M slots" true (a.Modulo.res_mii >= 2)
   | None -> Alcotest.fail "loop2 not recognized")
 
@@ -336,15 +335,15 @@ let test_modulo_skips_calls () =
       Instr.create Opcode.Br_call ~srcs:[ Operand.Sym "print_int"; Operand.imm 1 ];
       Instr.create ~pred:(Reg.virt 9 Reg.Prd) Opcode.Br ~srcs:[ Operand.Label "loop" ];
     ];
-  check cb "loops with calls are not eligible" true (Modulo.analyze_block b = None)
+  check cb "loops with calls are not eligible" true (Modulo.analyze_block ~desc b = None)
 
 let test_layout_addresses_monotonic () =
   let p = Epic_frontend.Lower.compile_source
       "int f() { return 2; }\nint main() { print_int(f()); return 0; }"
   in
-  Regalloc.run p;
-  List_sched.run p;
-  let l = Layout.build p in
+  ignore (Regalloc.run p);
+  List_sched.run ~desc p;
+  let l = Layout.build ~desc p in
   check cb "nonzero code" true (l.Layout.code_bytes > 0);
   Hashtbl.iter
     (fun _ (bl : Layout.block_layout) ->

@@ -247,9 +247,9 @@ let test_machine_wild_load_kernel_time () =
   Builder.ret bld [ Operand.imm 0 ];
   Program.add_func p f;
   Program.assign_addresses p;
-  Epic_sched.Regalloc.run p;
-  Epic_sched.List_sched.run p;
-  let layout = Epic_sched.Layout.build p in
+  ignore (Epic_sched.Regalloc.run p);
+  Epic_sched.List_sched.run ~desc:Epic_mach.Machine_desc.itanium2 p;
+  let layout = Epic_sched.Layout.build ~desc:Epic_mach.Machine_desc.itanium2 p in
   let _, _, st = Machine.run p layout [||] in
   check ci "one wild load" 1 st.Machine.c.Machine.wild_loads;
   check cb "kernel time charged" true (Accounting.get st.Machine.acc Accounting.Kernel > 0.)

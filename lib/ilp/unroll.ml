@@ -135,13 +135,7 @@ let run_func ?(params = default_params) (f : Func.t) =
       match self_loop_shape f b with
       | Some (latch, exit_label)
         when Block.instr_count b <= params.max_body_instrs
-             && avg_trips
-                  (if latch.Instr.pred = None then
-                     (* rotated: trips come from block weight vs. entries *)
-                     latch
-                   else latch)
-                  b
-                >= params.min_avg_trips
+             && avg_trips latch b >= params.min_avg_trips
              && not b.Block.cold ->
           if unroll_block f params b latch exit_label then incr count
       | _ -> ())

@@ -25,7 +25,7 @@
    arguments straight into the callee's bank, on a frame reused from the
    callee's own stack of frames. *)
 
-exception Fault of string
+exception Fault = Isa.Fault
 exception Out_of_fuel
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -33,17 +33,14 @@ external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* --- decoded form --------------------------------------------------------- *)
 
-(* A source operand of the shapes no closure is specialized for.  Registers
-   are slots of the frame's three banks: integers (Int and Brr registers
-   share it, as in the simulator), floats and predicates.  Labels read as 0
-   and symbols as their address. *)
-type opnd = Int of int | Flt of int | Prd of int | Imm of int64 | Fimm of float
-
-(* A destination slot.  Writes to the hardwired r0 and p0 go to a sink slot
-   of their bank, which nothing reads. *)
-type dst = Dint of int | Dflt of int | Dprd of int
-
-type guard = Always | If of int (* predicate slot *) | If_opnd of opnd
+(* Registers are slots of the frame's three banks: integers (Int and Brr
+   registers share it, as in the simulator), floats and predicates.
+   Labels read as 0 and symbols as their address.  Writes to the
+   hardwired r0 and p0 go to a sink slot of their bank, which nothing
+   reads. *)
+type opnd = Isa.opnd = Int of int | Flt of int | Prd of int | Imm of int64 | Fimm of float
+type dst = Isa.dst = Dint of int | Dflt of int | Dprd of int
+type guard = Isa.guard = Always | If of int (* predicate slot *) | If_opnd of opnd
 
 type callee =
   | Intrinsic of Intrinsics.kind
@@ -53,17 +50,18 @@ type callee =
 (* The ALAT lives in the frame: a callee starts with an empty one and the
    caller's is flushed when a call returns, which is the hardware's single
    ALAT conservatively flushed at calls. *)
-type frame = {
+type frame = Isa.bank = {
   ints : Bytes.t; (* slot k at byte offset 8k *)
   inat : bool array;
   flts : float array;
   fnat : bool array;
   prds : bool array;
-  alat : Isa.Alat.t;
+  mutable alat : Isa.Alat.t;
 }
 
-(* A decoded instruction: a closure over its slots and constants. *)
-type op = frame -> unit
+(* A decoded instruction: a closure over its slots and constants.  The
+   ALU and compare ops are {!Isa}'s own. *)
+type op = Isa.op
 
 (* How a segment ends. *)
 type exit =
@@ -141,21 +139,12 @@ let p0_sink = 1
 
 (* --- frames --------------------------------------------------------------- *)
 
-let no_frame =
-  let alat = Isa.Alat.create () in
-  { ints = Bytes.empty; inat = [||]; flts = [||]; fnat = [||]; prds = [||]; alat }
+let no_frame = Isa.new_bank ~ints:0 ~flts:0 ~prds:0
 
 let new_frame df =
-  let prds = Array.make df.n_prd false in
-  prds.(p0_slot) <- true;
-  {
-    ints = Bytes.make (8 * df.n_int) '\000';
-    inat = Array.make df.n_int false;
-    flts = Array.make df.n_flt 0.;
-    fnat = Array.make df.n_flt false;
-    prds;
-    alat = Isa.Alat.create ();
-  }
+  let fr = Isa.new_bank ~ints:df.n_int ~flts:df.n_flt ~prds:df.n_prd in
+  fr.prds.(p0_slot) <- true;
+  fr
 
 (* The frame of a new invocation of [df], every register reading 0 (p0
    true) as in a fresh one.  A reused frame is cleared with plain loops:
@@ -284,69 +273,6 @@ let transfer src a dst d =
   | Fimm f -> write_flt dst d f
 
 (* --- semantics shared by the closures ------------------------------------ *)
-
-(* [alu buf o op x y] stores [x op y] at byte offset [o] of [buf]; the
-   caller has ruled out a zero divisor. *)
-let[@inline] alu buf o (op : Opcode.t) x y =
-  match op with
-  | Opcode.Add -> set64 buf o (Int64.add x y)
-  | Opcode.Sub -> set64 buf o (Int64.sub x y)
-  | Opcode.Mul -> set64 buf o (Int64.mul x y)
-  | Opcode.Div -> set64 buf o (Int64.div x y)
-  | Opcode.Rem -> set64 buf o (Int64.rem x y)
-  | Opcode.And -> set64 buf o (Int64.logand x y)
-  | Opcode.Or -> set64 buf o (Int64.logor x y)
-  | Opcode.Xor -> set64 buf o (Int64.logxor x y)
-  | Opcode.Shl -> set64 buf o (Int64.shift_left x (Int64.to_int y land 63))
-  | Opcode.Shr -> set64 buf o (Int64.shift_right_logical x (Int64.to_int y land 63))
-  | _ -> set64 buf o (Int64.shift_right x (Int64.to_int y land 63))
-
-(* Div/Rem by zero under speculation must defer, not kill. *)
-let divide_by_zero fr d (op : Opcode.t) ~spec =
-  if spec then write_nat fr d
-  else raise (Fault (if op = Opcode.Div then "division by zero" else "remainder by zero"))
-
-let[@inline] ltu x y = Int64.sub x Int64.min_int < Int64.sub y Int64.min_int
-
-let[@inline] icmp (c : Opcode.icmp) (x : int64) (y : int64) =
-  match c with
-  | Opcode.Eq -> Int64.equal x y
-  | Opcode.Ne -> not (Int64.equal x y)
-  | Opcode.Lt -> x < y
-  | Opcode.Le -> x <= y
-  | Opcode.Gt -> x > y
-  | Opcode.Ge -> x >= y
-  | Opcode.Ltu -> ltu x y
-  | Opcode.Geu -> not (ltu x y)
-
-let[@inline] fcmp (c : Opcode.icmp) (x : float) (y : float) =
-  match c with
-  | Opcode.Eq -> x = y
-  | Opcode.Ne -> x <> y
-  | Opcode.Lt | Opcode.Ltu -> x < y
-  | Opcode.Le -> x <= y
-  | Opcode.Gt -> x > y
-  | Opcode.Ge | Opcode.Geu -> x >= y
-
-(* Write a compare's targets under a true guard.  [r] is the outcome: 1
-   true, 0 false, -1 a NaT input. *)
-let set_targets fr (ct : Opcode.ctype) pt pf r =
-  match ct with
-  | Opcode.Norm ->
-      write_pred fr pt (r = 1);
-      write_pred fr pf (r = 0)
-  | Opcode.Unc ->
-      write_pred fr pt false;
-      write_pred fr pf false;
-      if r >= 0 then begin
-        write_pred fr pt (r = 1);
-        write_pred fr pf (r = 0)
-      end
-  | Opcode.Orform ->
-      if r = 1 then begin
-        write_pred fr pt true;
-        write_pred fr pf true
-      end
 
 (* [do_intrinsic] leaves its result, if any, at offset 0 of the scratch
    words and returns how many it has (0 or 1). *)
@@ -504,207 +430,9 @@ and exec_seg st df fr b si =
 
 (* --- decode: instructions to closures -------------------------------------- *)
 
-(* [body] under guard [g]: a false guard squashes it (fetched, not
-   executed). *)
-let guarded g (body : op) : op =
-  match g with
-  | Always -> body
-  | If p -> fun fr -> if Array.unsafe_get fr.prds p then body fr
-  | If_opnd o -> fun fr -> if pred_of fr o then body fr
-
+let guarded = Isa.guarded
 let nop : op = fun _ -> ()
 let fault e : op = fun _ -> raise e
-
-(* [d := a op b] on integer slots, NaT if either source is. *)
-let alu_rr (op : Opcode.t) ~spec d a b : op =
-  let dd = Dint d in
-  match op with
-  | Opcode.Add ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.add (geti fr a) (geti fr b))
-  | Opcode.Sub ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.sub (geti fr a) (geti fr b))
-  | Opcode.Mul ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.mul (geti fr a) (geti fr b))
-  | Opcode.And ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logand (geti fr a) (geti fr b))
-  | Opcode.Or ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logor (geti fr a) (geti fr b))
-  | Opcode.Xor ->
-      fun fr -> if nat2 fr a b then defer fr d else seti fr d (Int64.logxor (geti fr a) (geti fr b))
-  | Opcode.Shl ->
-      fun fr ->
-        if nat2 fr a b then defer fr d
-        else seti fr d (Int64.shift_left (geti fr a) (Int64.to_int (geti fr b) land 63))
-  | Opcode.Shr ->
-      fun fr ->
-        if nat2 fr a b then defer fr d
-        else seti fr d (Int64.shift_right_logical (geti fr a) (Int64.to_int (geti fr b) land 63))
-  | Opcode.Sra ->
-      fun fr ->
-        if nat2 fr a b then defer fr d
-        else seti fr d (Int64.shift_right (geti fr a) (Int64.to_int (geti fr b) land 63))
-  | Opcode.Div ->
-      fun fr ->
-        if nat2 fr a b then defer fr d
-        else if Int64.equal (geti fr b) 0L then divide_by_zero fr dd op ~spec
-        else seti fr d (Int64.div (geti fr a) (geti fr b))
-  | _ ->
-      fun fr ->
-        if nat2 fr a b then defer fr d
-        else if Int64.equal (geti fr b) 0L then divide_by_zero fr dd op ~spec
-        else seti fr d (Int64.rem (geti fr a) (geti fr b))
-
-(* [d := a op imm]; a shift amount and a zero divisor are resolved here. *)
-let alu_ri (op : Opcode.t) ~spec d a imm : op =
-  let s = Int64.to_int imm land 63 and dd = Dint d in
-  match op with
-  | Opcode.Add -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.add (geti fr a) imm)
-  | Opcode.Sub -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.sub (geti fr a) imm)
-  | Opcode.Mul -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.mul (geti fr a) imm)
-  | Opcode.And ->
-      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logand (geti fr a) imm)
-  | Opcode.Or -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logor (geti fr a) imm)
-  | Opcode.Xor ->
-      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.logxor (geti fr a) imm)
-  | Opcode.Shl ->
-      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_left (geti fr a) s)
-  | Opcode.Shr ->
-      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_right_logical (geti fr a) s)
-  | Opcode.Sra ->
-      fun fr -> if nat fr a then defer fr d else seti fr d (Int64.shift_right (geti fr a) s)
-  | _ when Int64.equal imm 0L ->
-      fun fr -> if nat fr a then defer fr d else divide_by_zero fr dd op ~spec
-  | Opcode.Div -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.div (geti fr a) imm)
-  | _ -> fun fr -> if nat fr a then defer fr d else seti fr d (Int64.rem (geti fr a) imm)
-
-(* Any other operand shape. *)
-let alu_any (op : Opcode.t) ~spec scratch d a b : op =
- fun fr ->
-  if is_nat fr a || is_nat fr b then write_nat fr d
-  else
-    let y = int_of fr b in
-    if (op = Opcode.Div || op = Opcode.Rem) && Int64.equal y 0L then divide_by_zero fr d op ~spec
-    else begin
-      alu scratch 0 op (int_of fr a) y;
-      write_int fr d (get64 scratch 0)
-    end
-
-let falu (op : Opcode.t) d a b : op =
-  match op with
-  | Opcode.Fadd ->
-      fun fr ->
-        if is_nat fr a || is_nat fr b then write_nat fr d
-        else write_flt fr d (flt_of fr a +. flt_of fr b)
-  | Opcode.Fsub ->
-      fun fr ->
-        if is_nat fr a || is_nat fr b then write_nat fr d
-        else write_flt fr d (flt_of fr a -. flt_of fr b)
-  | Opcode.Fmul ->
-      fun fr ->
-        if is_nat fr a || is_nat fr b then write_nat fr d
-        else write_flt fr d (flt_of fr a *. flt_of fr b)
-  | _ ->
-      fun fr ->
-        if is_nat fr a || is_nat fr b then write_nat fr d
-        else write_flt fr d (flt_of fr a /. flt_of fr b)
-
-(* Integer compares of two slots, or of a slot and an immediate, into two
-   predicate slots, as [Norm] writes them and [Unc] under a true guard:
-   [pt := r; pf := not r], both false on a NaT input. *)
-let[@inline] set_pair fr pt pf r =
-  Array.unsafe_set fr.prds pt r;
-  Array.unsafe_set fr.prds pf (not r)
-
-let[@inline] clear_pair fr pt pf =
-  Array.unsafe_set fr.prds pt false;
-  Array.unsafe_set fr.prds pf false
-
-let icmp_rr (c : Opcode.icmp) pt pf a b : op =
-  match c with
-  | Opcode.Eq ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf
-        else set_pair fr pt pf (Int64.equal (geti fr a) (geti fr b))
-  | Opcode.Ne ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf
-        else set_pair fr pt pf (not (Int64.equal (geti fr a) (geti fr b)))
-  | Opcode.Lt ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a < geti fr b)
-  | Opcode.Le ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a <= geti fr b)
-  | Opcode.Gt ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a > geti fr b)
-  | Opcode.Ge ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (geti fr a >= geti fr b)
-  | Opcode.Ltu ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf else set_pair fr pt pf (ltu (geti fr a) (geti fr b))
-  | Opcode.Geu ->
-      fun fr ->
-        if nat2 fr a b then clear_pair fr pt pf
-        else set_pair fr pt pf (not (ltu (geti fr a) (geti fr b)))
-
-let icmp_ri (c : Opcode.icmp) pt pf a v : op =
-  match c with
-  | Opcode.Eq ->
-      fun fr ->
-        if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (Int64.equal (geti fr a) v)
-  | Opcode.Ne ->
-      fun fr ->
-        if nat fr a then clear_pair fr pt pf
-        else set_pair fr pt pf (not (Int64.equal (geti fr a) v))
-  | Opcode.Lt ->
-      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a < v)
-  | Opcode.Le ->
-      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a <= v)
-  | Opcode.Gt ->
-      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a > v)
-  | Opcode.Ge ->
-      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (geti fr a >= v)
-  | Opcode.Ltu ->
-      fun fr -> if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (ltu (geti fr a) v)
-  | Opcode.Geu ->
-      fun fr ->
-        if nat fr a then clear_pair fr pt pf else set_pair fr pt pf (not (ltu (geti fr a) v))
-
-(* Any other compare: floats, other operand shapes, non-predicate targets,
-   or-form. *)
-let cmp_any ~fcmp:is_f c ct pt pf a b : op =
-  if is_f then fun fr ->
-    let r =
-      if is_nat fr a || is_nat fr b then -1 else if fcmp c (flt_of fr a) (flt_of fr b) then 1 else 0
-    in
-    set_targets fr ct pt pf r
-  else fun fr ->
-    let r =
-      if is_nat fr a || is_nat fr b then -1 else if icmp c (int_of fr a) (int_of fr b) then 1 else 0
-    in
-    set_targets fr ct pt pf r
-
-(* A compare under guard [g]: a false guard squashes it, except that unc
-   clears both targets. *)
-let cmp_guarded g (ct : Opcode.ctype) pt pf (body : op) : op =
-  match (g, ct) with
-  | If p, Opcode.Unc ->
-      fun fr ->
-        if Array.unsafe_get fr.prds p then body fr
-        else begin
-          write_pred fr pt false;
-          write_pred fr pf false
-        end
-  | If_opnd o, Opcode.Unc ->
-      fun fr ->
-        if pred_of fr o then body fr
-        else begin
-          write_pred fr pt false;
-          write_pred fr pf false
-        end
-  | _ -> guarded g body
 
 let ld_r st ~size ~spec d a : op =
   let nonspec = spec = Opcode.Nonspec in
@@ -810,27 +538,6 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     blocks;
   let brs = ref [] and n_br = ref 0 in
   let inds = ref [] in
-  let alu (i : Instr.t) op d a b =
-    let spec = i.Instr.attrs.Instr.speculated in
-    match (dst d, opnd a, opnd b) with
-    | Dint d, Int a, Int b -> alu_rr op ~spec d a b
-    | Dint d, Int a, Imm imm -> alu_ri op ~spec d a imm
-    | d, a, b -> alu_any op ~spec st.code.scratch d a b
-  in
-  let cmp ~fcmp g c ct pt pf srcs =
-    let body =
-      match srcs with
-      | [ a; b ] -> (
-          match (fcmp, ct, opnd a, opnd b, dst pt, dst pf) with
-          | false, (Opcode.Norm | Opcode.Unc), Int a, Int b, Dprd pt, Dprd pf ->
-              icmp_rr c pt pf a b
-          | false, (Opcode.Norm | Opcode.Unc), Int a, Imm v, Dprd pt, Dprd pf ->
-              icmp_ri c pt pf a v
-          | _, _, a, b, pt, pf -> cmp_any ~fcmp c ct pt pf a b)
-      | _ -> fault (Fault "cmp arity")
-    in
-    cmp_guarded g ct (dst pt) (dst pf) body
-  in
   let mov d a : op =
     match (dst d, opnd a) with
     | Dint d, Int a ->
@@ -856,24 +563,6 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
           if nat fr a then write_nat fr d
           else write_int fr d (Int64.shift_right (Int64.shift_left (geti fr a) s) s)
     | d, a -> fun fr -> transfer fr a fr d
-  in
-  let lea d base off : op =
-    match (dst d, opnd base, opnd off) with
-    | Dint d, Imm b, Imm o -> const d (Int64.add b o)
-    | Dint d, Int b, Imm o ->
-        fun fr -> if nat fr b then raise (Fault "lea base") else seti fr d (Int64.add (geti fr b) o)
-    | d, base, off -> (
-        fun fr ->
-          let off =
-            match off with
-            | Int x when not fr.inat.(x) -> get64 fr.ints (x lsl 3)
-            | Imm x -> x
-            | _ -> 0L
-          in
-          match base with
-          | Int x when not fr.inat.(x) -> write_int fr d (Int64.add (get64 fr.ints (x lsl 3)) off)
-          | Imm x -> write_int fr d (Int64.add x off)
-          | _ -> raise (Fault "lea base"))
   in
   (* br.call: a direct or intrinsic target is resolved here, a function
      pointer when the call runs *)
@@ -909,13 +598,13 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     let size sz = Opcode.size_bytes sz in
     let fdst (r : Reg.t) = r.Reg.cls = Reg.Flt in
     match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
-    | ( (( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.And
-         | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr | Opcode.Sra ) as op),
+    | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.And
+        | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr | Opcode.Sra | Opcode.Lea ),
         [ d ],
         [ a; b ] ) ->
-        alu i op d a b
-    | ((Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv) as op), [ d ], [ a; b ] ->
-        falu op (dst d) (opnd a) (opnd b)
+        Isa.alu i.Instr.op ~spec:i.Instr.attrs.Instr.speculated (dst d) (opnd a) (opnd b)
+    | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
+        Isa.falu i.Instr.op (dst d) (opnd a) (opnd b)
     | Opcode.Fneg, [ d ], [ a ] ->
         let d = dst d and a = opnd a in
         fun fr -> if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a)
@@ -929,7 +618,6 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
           if is_nat fr a then write_nat fr d else write_flt fr d (Int64.to_float (int_of fr a))
     | Opcode.Mov, [ d ], [ a ] -> mov d a
     | Opcode.Sxt sz, [ d ], [ a ] -> sxt (8 * size sz) d a
-    | Opcode.Lea, [ d ], [ base; off ] -> lea d base off
     | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
         match (dst d, opnd a) with
         | Dint di, Int a when spec <> Opcode.Spec_advanced -> ld_r st ~size:(size sz) ~spec di a
@@ -953,19 +641,19 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     | _ -> fault (Fault (Isa.malformed i))
   in
   let guard (i : Instr.t) =
-    match (i.Instr.op, i.Instr.pred) with
-    | _, None -> Always
-    | (Opcode.Cmp _ | Opcode.Fcmp _), _ when List.length i.Instr.dsts <> 2 ->
-        Always (* the destination-arity fault ignores the guard *)
-    | _, Some p when p.Reg.cls = Reg.Prd -> If (slot p)
-    | _, Some p -> If_opnd (reg p)
+    match i.Instr.pred with
+    | None -> Always
+    | Some p when p.Reg.cls = Reg.Prd -> If (slot p)
+    | Some p -> If_opnd (reg p)
   in
   (* A symbol that does not resolve raises when its instruction runs. *)
   let op g (i : Instr.t) : op =
     try
-      match (i.Instr.op, i.Instr.dsts) with
-      | Opcode.Cmp (c, ct), [ pt; pf ] -> cmp ~fcmp:false g c ct pt pf i.Instr.srcs
-      | Opcode.Fcmp (c, ct), [ pt; pf ] -> cmp ~fcmp:true g c ct pt pf i.Instr.srcs
+      match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
+      | (Opcode.Cmp _ | Opcode.Fcmp _), [ pt; pf ], [ a; b ] -> (
+          match (dst pt, dst pf) with
+          | Dprd pt, Dprd pf -> Isa.cmp i.Instr.op g pt pf (opnd a) (opnd b)
+          | _ -> guarded g (body i))
       | _ -> guarded g (body i)
     with Invalid_argument _ as e -> guarded g (fault e)
   in
@@ -1065,7 +753,7 @@ let decode st (p : Program.t) =
 (* The entry function's exit code: its first returned value when that is
    a non-NaT integer, else 0. *)
 let run_entry st =
-  let boot = { no_frame with ints = Bytes.make 16 '\000'; inat = [| false; false |] } in
+  let boot = Isa.new_bank ~ints:2 ~flts:0 ~prds:0 in
   seti boot sp_slot (Int64.sub Program.stack_top 128L);
   match st.code.entry with
   | Direct slot -> (

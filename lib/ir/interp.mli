@@ -3,7 +3,9 @@
     structural transforms rely on — predication, compare types, NaT
     deferral for control-speculative loads, sentinel checks with in-place
     recovery, and an ALAT for data-speculative loads.  The rules it shares
-    with the machine simulator come from {!Isa} and {!Intrinsics}.
+    with the machine simulator come from {!Isa} and {!Intrinsics}; its
+    ALU and compare ops are {!Isa}'s own closures, its frames
+    {!Isa.bank}s.
 
     It is the semantic oracle for differential testing and, with
     [~profile:true], the engine behind control-flow profiling.  Each run
@@ -19,7 +21,9 @@
     indirect-call targets in dense int arrays, read back with the [iter_*]
     functions below. *)
 
-exception Fault of string  (** architectural fault: the program is wrong *)
+(** An architectural fault: the program is wrong.  The same exception as
+    {!Isa.Fault} and the machine simulator's [Machine_fault]. *)
+exception Fault of string
 
 exception Out_of_fuel  (** the dynamic instruction budget was exhausted *)
 

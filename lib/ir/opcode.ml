@@ -146,37 +146,3 @@ let to_string = function
   | Nop -> "nop"
 
 let pp ppf op = Fmt.string ppf (to_string op)
-
-(* Condition evaluation helpers shared by the interpreter and simulator. *)
-let eval_icmp c (a : int64) (b : int64) =
-  match c with
-  | Eq -> Int64.equal a b
-  | Ne -> not (Int64.equal a b)
-  | Lt -> Int64.compare a b < 0
-  | Le -> Int64.compare a b <= 0
-  | Gt -> Int64.compare a b > 0
-  | Ge -> Int64.compare a b >= 0
-  | Ltu -> Int64.unsigned_compare a b < 0
-  | Geu -> Int64.unsigned_compare a b >= 0
-
-let eval_fcmp c (a : float) (b : float) =
-  match c with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
-  | Ltu -> a < b
-  | Geu -> a >= b
-
-(* Negation used by branch reversal and if-conversion. *)
-let negate_icmp = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-  | Ltu -> Geu
-  | Geu -> Ltu

@@ -75,11 +75,3 @@ val size_to_string : size -> string
 val size_bytes : size -> int
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-
-(** Condition evaluation shared by the interpreter and the simulator. *)
-val eval_icmp : icmp -> int64 -> int64 -> bool
-
-val eval_fcmp : icmp -> float -> float -> bool
-
-(** The comparison computing the negation (used by branch reversal). *)
-val negate_icmp : icmp -> icmp

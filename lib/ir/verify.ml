@@ -33,7 +33,10 @@ let check_func ?(program : Program.t option) (f : Func.t) =
           (* Operand arity sanity for key opcodes. *)
           (match i.Instr.op with
           | Opcode.Cmp _ | Opcode.Fcmp _ ->
-              if List.length i.Instr.dsts <> 2 then
+              if
+                List.length i.Instr.dsts <> 2
+                || List.exists (fun (r : Reg.t) -> r.Reg.cls <> Reg.Prd) i.Instr.dsts
+              then
                 fail "%s: cmp must define two predicates: %a" f.Func.name
                   Instr.pp i
           | Opcode.St _ ->

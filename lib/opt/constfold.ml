@@ -5,20 +5,15 @@
 
 open Epic_ir
 
-let fold_int op (a : int64) (b : int64) : int64 option =
-  match op with
-  | Opcode.Add -> Some (Int64.add a b)
-  | Opcode.Sub -> Some (Int64.sub a b)
-  | Opcode.Mul -> Some (Int64.mul a b)
-  | Opcode.Div -> if Int64.equal b 0L then None else Some (Int64.div a b)
-  | Opcode.Rem -> if Int64.equal b 0L then None else Some (Int64.rem a b)
-  | Opcode.And -> Some (Int64.logand a b)
-  | Opcode.Or -> Some (Int64.logor a b)
-  | Opcode.Xor -> Some (Int64.logxor a b)
-  | Opcode.Shl -> Some (Int64.shift_left a (Int64.to_int b land 63))
-  | Opcode.Shr -> Some (Int64.shift_right_logical a (Int64.to_int b land 63))
-  | Opcode.Sra -> Some (Int64.shift_right a (Int64.to_int b land 63))
-  | _ -> None
+(* [Some (x op y)], or [None] when the op defers (a zero divisor): the
+   ALU's register-register op, run as a speculated instruction on a
+   scratch bank whose two slots hold [x] and [y]. *)
+let fold_int op (x : int64) (y : int64) : int64 option =
+  let bk = Isa.new_bank ~ints:2 ~flts:0 ~prds:0 in
+  Bytes.set_int64_ne bk.Isa.ints 0 x;
+  Bytes.set_int64_ne bk.Isa.ints 8 y;
+  Isa.alu op ~spec:true (Isa.Dint 0) (Isa.Int 0) (Isa.Int 1) bk;
+  if bk.Isa.inat.(0) then None else Some (Bytes.get_int64_ne bk.Isa.ints 0)
 
 (* Algebraic identities that do not need both operands constant. *)
 let identity op (a : Operand.t) (b : Operand.t) : Operand.t option =

@@ -40,7 +40,7 @@ let dep_defs (i : Instr.t) =
   | (Opcode.Chk _ | Opcode.Chka _), Some r -> r :: i.Instr.dsts
   | _ -> i.Instr.dsts
 
-let build ~desc (_f : Func.t) (live : Liveness.t) (b : Block.t) =
+let build ~desc (live : Liveness.t) (b : Block.t) =
   let instrs = Array.of_list b.Block.instrs in
   let n = Array.length instrs in
   let g = { instrs; succs = Array.make n []; preds = Array.make n []; n_edges = 0 } in

@@ -25,7 +25,6 @@ val dep_defs : Epic_ir.Instr.t -> Epic_ir.Reg.t list
 (** Edge latencies are planned under [desc]. *)
 val build :
   desc:Epic_mach.Machine_desc.t ->
-  Epic_ir.Func.t ->
   Epic_analysis.Liveness.t ->
   Epic_ir.Block.t ->
   t

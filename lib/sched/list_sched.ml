@@ -10,8 +10,8 @@ open Epic_ir
 open Epic_analysis
 open Epic_mach
 
-let schedule_block ~desc (f : Func.t) (live : Liveness.t) (b : Block.t) =
-  let g = Dag.build ~desc f live b in
+let schedule_block ~desc (live : Liveness.t) (b : Block.t) =
+  let g = Dag.build ~desc live b in
   let n = Array.length g.Dag.instrs in
   if n = 0 then ()
   else begin
@@ -90,8 +90,8 @@ let schedule_block ~desc (f : Func.t) (live : Liveness.t) (b : Block.t) =
    compiler (our GCC 3.2 stand-in) that performs no global instruction
    scheduling — it still benefits from bundle-level parallelism of adjacent
    independent operations, and nothing more. *)
-let schedule_block_inorder ~desc (f : Func.t) (live : Liveness.t) (b : Block.t) =
-  let g = Dag.build ~desc f live b in
+let schedule_block_inorder ~desc (live : Liveness.t) (b : Block.t) =
+  let g = Dag.build ~desc live b in
   let n = Array.length g.Dag.instrs in
   if n > 0 then begin
     let earliest = Array.make n 0 in
@@ -120,7 +120,7 @@ let run_func ?cache ?(reorder = true) ~desc (f : Func.t) =
   let cache = match cache with Some c -> c | None -> Cache.create () in
   let live = Cache.liveness cache f in
   List.iter
-    (if reorder then schedule_block ~desc f live else schedule_block_inorder ~desc f live)
+    (if reorder then schedule_block ~desc live else schedule_block_inorder ~desc live)
     f.Func.blocks;
   (* scheduling reorders instructions within blocks (and always stamps
      issue cycles); only CFG-free global facts are kept *)

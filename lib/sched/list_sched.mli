@@ -7,7 +7,6 @@
 
 val schedule_block :
   desc:Epic_mach.Machine_desc.t ->
-  Epic_ir.Func.t ->
   Epic_analysis.Liveness.t ->
   Epic_ir.Block.t ->
   unit

@@ -25,7 +25,7 @@ open Epic_ir
 open Epic_mach
 open Epic_sched
 
-exception Machine_fault of string
+exception Machine_fault = Isa.Fault
 exception Out_of_fuel
 
 type counters = {
@@ -60,10 +60,10 @@ let fresh_counters () =
 (* Stall reason attached to a not-yet-ready register. *)
 type reason = Rload | Rfload | Rlong
 
-(* Integer registers live unboxed, eight bytes per register id, so an ALU
-   write is a store rather than an [Int64] allocation.  Every id an op
-   touches is checked against the bank sizes at decode, which is what
-   makes the unchecked accessors safe. *)
+(* Registers live in an {!Isa.bank} by register id, integers unboxed,
+   eight bytes each, so an integer write is a store rather than an [Int64]
+   allocation.  Every id an op touches is checked against the bank sizes
+   at decode, which is what makes the unchecked accessors safe. *)
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -77,16 +77,11 @@ let warm_filter_size = 256
    after a call always has [k >= 1]. *)
 type frame = {
   mutable df : dfunc;
-  ints : Bytes.t;
-  nat : bool array;
-  flts : float array;
-  fnat : bool array; (* a float register's NaT bit *)
-  prds : bool array;
+  mutable regs : Isa.bank; (* its ALAT is keyed by (bank, register id) and flushed at calls *)
   iready : int array; (* global cycle at which the register's value is ready *)
   ireason : reason array;
   fready : int array;
   freason : reason array;
-  mutable alat : Isa.Alat.t; (* keyed by (bank, register id); flushed at calls *)
   mutable bi : int; (* block index in [df.df_blocks] *)
   mutable gi : int;
   mutable k : int;
@@ -151,16 +146,11 @@ and ck_frame = {
   kf_blk : int;
   kf_gi : int;
   kf_op : int;
-  kf_ints : Bytes.t;
-  kf_nat : bool array;
-  kf_flts : float array;
-  kf_fnat : bool array;
-  kf_prds : bool array;
+  kf_regs : Isa.bank;
   kf_iready : int array;
   kf_ireason : reason array;
   kf_fready : int array;
   kf_freason : reason array;
-  kf_alat : Isa.Alat.t;
 }
 
 and checkpoint = {
@@ -293,19 +283,19 @@ let callee_of_name (funcs : Func.t array) name =
       in
       find 0)
 
+(* Writes to r0 and p0 go to a slot past the architectural registers of
+   their bank, which nothing reads; r0 therefore reads 0 with no NaT. *)
+let r0_sink = Reg.num_int
+let p0_sink = Reg.num_prd
+
 let fresh_frame df =
   {
     df;
-    ints = Bytes.make (Reg.num_int * 8) '\000';
-    nat = Array.make Reg.num_int false;
-    flts = Array.make Reg.num_flt 0.;
-    fnat = Array.make Reg.num_flt false;
-    prds = Array.make Reg.num_prd false;
+    regs = Isa.new_bank ~ints:(r0_sink + 1) ~flts:Reg.num_flt ~prds:(p0_sink + 1);
     iready = Array.make Reg.num_int 0;
     ireason = Array.make Reg.num_int Rload;
     fready = Array.make Reg.num_flt 0;
     freason = Array.make Reg.num_flt Rfload;
-    alat = Isa.Alat.create ();
     bi = 0;
     gi = 0;
     k = 0;
@@ -668,20 +658,20 @@ let[@inline] rd_i st fr s =
   match s with
   | Ri id ->
       stall_i st fr id;
-      st.onat <- Array.unsafe_get fr.nat id;
-      get64 fr.ints (id lsl 3)
+      st.onat <- Array.unsafe_get fr.regs.inat id;
+      get64 fr.regs.ints (id lsl 3)
   | Rf id ->
       stall_f st fr id;
-      st.onat <- Array.unsafe_get fr.fnat id;
-      Int64.of_float (Array.unsafe_get fr.flts id)
+      st.onat <- Array.unsafe_get fr.regs.fnat id;
+      Int64.of_float (Array.unsafe_get fr.regs.flts id)
   | Rb id ->
       stall_f st fr id;
-      st.onat <- Array.unsafe_get fr.fnat id;
-      Int64.bits_of_float (Array.unsafe_get fr.flts id)
+      st.onat <- Array.unsafe_get fr.regs.fnat id;
+      Int64.bits_of_float (Array.unsafe_get fr.regs.flts id)
   | Rp id ->
       stall_i st fr id;
       st.onat <- false;
-      if Array.unsafe_get fr.prds id then 1L else 0L
+      if Array.unsafe_get fr.regs.prds id then 1L else 0L
   | Rp0 ->
       stall_i st fr 0;
       st.onat <- false;
@@ -698,12 +688,12 @@ let[@inline] rd_f st fr s =
   match s with
   | Rf id ->
       stall_f st fr id;
-      st.onat <- Array.unsafe_get fr.fnat id;
-      Array.unsafe_get fr.flts id
+      st.onat <- Array.unsafe_get fr.regs.fnat id;
+      Array.unsafe_get fr.regs.flts id
   | Ri id ->
       stall_i st fr id;
-      st.onat <- Array.unsafe_get fr.nat id;
-      Int64.to_float (get64 fr.ints (id lsl 3))
+      st.onat <- Array.unsafe_get fr.regs.inat id;
+      Int64.to_float (get64 fr.regs.ints (id lsl 3))
   | Kf f ->
       st.onat <- false;
       f
@@ -713,17 +703,15 @@ let[@inline] rd_f st fr s =
    always reads 0 with no NaT. *)
 let[@inline] wr_i fr id v n =
   if id <> 0 then begin
-    set64 fr.ints (id lsl 3) v;
-    Array.unsafe_set fr.nat id n
+    set64 fr.regs.ints (id lsl 3) v;
+    Array.unsafe_set fr.regs.inat id n
   end
 
 (* A float register write and its NaT bit (checked: a float op's
    destination need not be a float register). *)
 let[@inline] wr_f fr id v n =
-  fr.flts.(id) <- v;
-  fr.fnat.(id) <- n
-
-let wr_p fr id v = if id <> 0 then fr.prds.(id) <- v
+  fr.regs.flts.(id) <- v;
+  fr.regs.fnat.(id) <- n
 
 (* Bind [vals] transferred values ([xv]/[xn]) to registers encoded as in
    [df_params]; with [pad], registers past the values read 0 (call
@@ -735,8 +723,8 @@ let bind_regs st fr (regs : int array) ~pad =
     let v = if j < st.xc then get64 st.xv (j lsl 3) else 0L in
     let n = j < st.xc && st.xn.(j) in
     if r < 0 then begin
-      fr.flts.(-1 - r) <- Int64.float_of_bits v;
-      fr.fnat.(-1 - r) <- n
+      fr.regs.flts.(-1 - r) <- Int64.float_of_bits v;
+      fr.regs.fnat.(-1 - r) <- n
     end
     else wr_i fr r v n
   done
@@ -752,31 +740,6 @@ let ensure_transfer st n =
     st.xv <- xv;
     st.xn <- xn
   end
-
-(* --- integer and float operations ----------------------------------------- *)
-
-let[@inline] alu (op : Opcode.t) a b =
-  match op with
-  | Opcode.Add -> Int64.add a b
-  | Opcode.Sub -> Int64.sub a b
-  | Opcode.Mul -> Int64.mul a b
-  | Opcode.And -> Int64.logand a b
-  | Opcode.Or -> Int64.logor a b
-  | Opcode.Xor -> Int64.logxor a b
-  | Opcode.Shl -> Int64.shift_left a (Int64.to_int b land 63)
-  | Opcode.Shr -> Int64.shift_right_logical a (Int64.to_int b land 63)
-  | _ -> Int64.shift_right a (Int64.to_int b land 63)
-
-let[@inline] icmp (c : Opcode.icmp) a b =
-  match c with
-  | Opcode.Eq -> Int64.equal a b
-  | Opcode.Ne -> not (Int64.equal a b)
-  | Opcode.Lt -> Int64.compare a b < 0
-  | Opcode.Le -> Int64.compare a b <= 0
-  | Opcode.Gt -> Int64.compare a b > 0
-  | Opcode.Ge -> Int64.compare a b >= 0
-  | Opcode.Ltu -> Int64.unsigned_compare a b < 0
-  | Opcode.Geu -> Int64.unsigned_compare a b >= 0
 
 (* --- intrinsics ---------------------------------------------------------- *)
 
@@ -829,19 +792,18 @@ type dctx = {
   x_label : string -> int option; (* first block bearing a label *)
 }
 
+(* A symbol's address; [Invalid_argument] when it does not resolve. *)
 let sym_address st (s : string) =
   match Hashtbl.find_opt st.syms s with
-  | Some a -> K a
-  | None -> (
-      match
+  | Some a -> a
+  | None ->
+      let a =
         match Program.find_global st.program s with
         | Some g -> g.Program.address
         | None -> Program.func_address st.program s
-      with
-      | a ->
-          Hashtbl.add st.syms s a;
-          K a
-      | exception Invalid_argument msg -> Kerr msg)
+      in
+      Hashtbl.add st.syms s a;
+      a
 
 (* Integer-context, float-context and value-context (bits) operands. *)
 let src_i x (o : Operand.t) =
@@ -854,7 +816,7 @@ let src_i x (o : Operand.t) =
   | Operand.Imm i -> K i
   | Operand.Fimm f -> K (Int64.of_float f)
   | Operand.Label _ -> K 0L
-  | Operand.Sym s -> sym_address x.x_st s
+  | Operand.Sym s -> ( try K (sym_address x.x_st s) with Invalid_argument msg -> Kerr msg)
 
 let src_f (o : Operand.t) =
   match o with
@@ -870,6 +832,33 @@ let src_v x (o : Operand.t) =
   | _ -> src_i x o
 
 let reg_code (r : Reg.t) = if r.Reg.cls = Reg.Flt then -1 - r.Reg.id else r.Reg.id
+
+(* The {!Isa} view of an operand: registers by id, p0 as the constant 1.
+   A symbol that does not resolve raises [Invalid_argument]. *)
+let isa_opnd x (o : Operand.t) : Isa.opnd =
+  match o with
+  | Operand.Reg r -> (
+      match r.Reg.cls with
+      | Reg.Flt -> Isa.Flt r.Reg.id
+      | Reg.Prd -> if r.Reg.id = 0 then Isa.Imm 1L else Isa.Prd r.Reg.id
+      | _ -> Isa.Int r.Reg.id)
+  | Operand.Imm i -> Isa.Imm i
+  | Operand.Fimm f -> Isa.Fimm f
+  | Operand.Label _ -> Isa.Imm 0L
+  | Operand.Sym s -> Isa.Imm (sym_address x.x_st s)
+
+let isa_dst (r : Reg.t) : Isa.dst =
+  match r.Reg.cls with
+  | Reg.Flt -> Isa.Dflt r.Reg.id
+  | Reg.Prd -> Isa.Dprd (if r.Reg.id = 0 then p0_sink else r.Reg.id)
+  | _ -> Isa.Dint (if r.Reg.id = 0 then r0_sink else r.Reg.id)
+
+(* What a source waits for: its register as in [reg_code], or nothing. *)
+let no_wait = min_int
+let wait_code (o : Operand.t) = match o with Operand.Reg r -> reg_code r | _ -> no_wait
+
+let[@inline] wait st fr w =
+  if w >= 0 then stall_i st fr w else if w <> no_wait then stall_f st fr (-1 - w)
 
 (* A register id fits its bank (integer-bank state backs the predicate
    and branch registers too). *)
@@ -905,7 +894,7 @@ let plain_squash st : op = fun _ -> st.c.squashed_ops <- st.c.squashed_ops + 1
 (* The guard value of predicate [p], stalling on it. *)
 let[@inline] guard_value st fr pid =
   stall_i st fr pid;
-  pid = 0 || fr.prds.(pid)
+  pid = 0 || fr.regs.prds.(pid)
 
 (* Wrap [body] with the instruction's qualifying predicate: a false guard
    squashes the op. *)
@@ -921,128 +910,59 @@ let guarded st (i : Instr.t) (body : op) : op =
       in
       fun fr -> if guard_value st fr pid then body fr else squash fr
 
-(* A compare writes its predicate pair; [eval] gives -1 (deferred: a NaT
-   input), 0 or 1, reading the second source first.  The guard does not
-   squash a compare: [Unc] clears both targets even under a false guard. *)
-let decode_cmp x (i : Instr.t) cond ct ~fcmp pt pf a b : op =
+(* A compare: {!Isa.cmp} behind its guard, which it applies itself (unc
+   clears both targets under a false guard), so a compare never counts as
+   squashed.  Under a true guard it waits for its sources, the second
+   first. *)
+let decode_cmp x (i : Instr.t) (pt : Reg.t) (pf : Reg.t) a b : op =
   let st = x.x_st in
-  let pt = pt.Reg.id and pf = pf.Reg.id in
+  let slot (p : Reg.t) = if p.Reg.id = 0 then p0_sink else p.Reg.id in
   let gid = match i.Instr.pred with None -> -1 | Some p -> p.Reg.id in
-  let eval : frame -> int =
-    if fcmp then
-      let a = src_f a and b = src_f b in
-      fun fr ->
-        let y = rd_f st fr b in
-        let ny = st.onat in
-        let x = rd_f st fr a in
-        if st.onat || ny then -1 else if Opcode.eval_fcmp cond x y then 1 else 0
-    else
-      match (src_i x a, src_i x b) with
-      | Ri ia, Ri ib ->
-          fun fr ->
-            stall_i st fr ib;
-            stall_i st fr ia;
-            if Array.unsafe_get fr.nat ia || Array.unsafe_get fr.nat ib then -1
-            else if icmp cond (get64 fr.ints (ia lsl 3)) (get64 fr.ints (ib lsl 3)) then 1
-            else 0
-      | Ri ia, K v ->
-          fun fr ->
-            stall_i st fr ia;
-            if Array.unsafe_get fr.nat ia then -1
-            else if icmp cond (get64 fr.ints (ia lsl 3)) v then 1
-            else 0
-      | a, b ->
-          fun fr ->
-            let y = rd_i st fr b in
-            let ny = st.onat in
-            let x = rd_i st fr a in
-            if st.onat || ny then -1 else if icmp cond x y then 1 else 0
-  in
-  fun fr ->
-    let g = gid < 0 || guard_value st fr gid in
-    match ct with
-    | Opcode.Norm -> (
-        if g then
-          match eval fr with
-          | -1 ->
-              wr_p fr pt false;
-              wr_p fr pf false
-          | r ->
-              wr_p fr pt (r = 1);
-              wr_p fr pf (r = 0))
-    | Opcode.Unc -> (
-        wr_p fr pt false;
-        wr_p fr pf false;
-        if g then
-          match eval fr with
-          | -1 -> ()
-          | r ->
-              wr_p fr pt (r = 1);
-              wr_p fr pf (r = 0))
-    | Opcode.Orform ->
-        if g && eval fr = 1 then begin
-          wr_p fr pt true;
-          wr_p fr pf true
-        end
+  let g = if gid <= 0 then Isa.Always else Isa.If gid in
+  let body = Isa.cmp i.Instr.op g (slot pt) (slot pf) (isa_opnd x a) (isa_opnd x b) in
+  let wa = wait_code a and wb = wait_code b in
+  if gid < 0 then fun fr ->
+    wait st fr wb;
+    wait st fr wa;
+    body fr.regs
+  else fun fr ->
+    if guard_value st fr gid then begin
+      wait st fr wb;
+      wait st fr wa
+    end;
+    body fr.regs
 
-(* Integer ALU: [dst := a op b], NaT if either source is. *)
-let decode_alu x (op : Opcode.t) (d : Reg.t) a b : op =
+(* An {!Isa} ALU op [d := a op b], after waiting for [a] then [b].  A
+   divide's result is ready 4 cycles late unless a source is NaT, an
+   fdiv's 8 cycles late. *)
+let decode_alu x (i : Instr.t) (d : Reg.t) a b : op =
   let st = x.x_st in
-  let did = d.Reg.id in
-  let o = did lsl 3 in
-  match (src_i x a, src_i x b) with
-  | Ri ia, Ri ib when did <> 0 ->
-      let oa = ia lsl 3 and ob = ib lsl 3 in
+  let wa = wait_code a and wb = wait_code b and dcode = reg_code d in
+  let a = isa_opnd x a and b = isa_opnd x b and d = isa_dst d in
+  match i.Instr.op with
+  | Opcode.Div | Opcode.Rem ->
+      let body = Isa.alu i.Instr.op ~spec:i.Instr.attrs.Instr.speculated d a b in
       fun fr ->
-        stall_i st fr ia;
-        stall_i st fr ib;
-        if Array.unsafe_get fr.nat ia || Array.unsafe_get fr.nat ib then begin
-          set64 fr.ints o 0L;
-          Array.unsafe_set fr.nat did true
-        end
-        else begin
-          set64 fr.ints o (alu op (get64 fr.ints oa) (get64 fr.ints ob));
-          Array.unsafe_set fr.nat did false
-        end
-  | Ri ia, K v when did <> 0 ->
-      let oa = ia lsl 3 in
+        wait st fr wa;
+        wait st fr wb;
+        let clean = not (Isa.is_nat fr.regs a || Isa.is_nat fr.regs b) in
+        body fr.regs;
+        if clean then mark_ready st fr dcode 4 Rlong
+  | Opcode.Fdiv ->
+      let body = Isa.falu Opcode.Fdiv d a b in
       fun fr ->
-        stall_i st fr ia;
-        if Array.unsafe_get fr.nat ia then begin
-          set64 fr.ints o 0L;
-          Array.unsafe_set fr.nat did true
-        end
-        else begin
-          set64 fr.ints o (alu op (get64 fr.ints oa) v);
-          Array.unsafe_set fr.nat did false
-        end
-  | a, b ->
+        wait st fr wa;
+        wait st fr wb;
+        body fr.regs;
+        mark_ready st fr dcode 8 Rfload
+  | op ->
+      let body =
+        if Opcode.is_float op then Isa.falu op d a b else Isa.alu op ~spec:false d a b
+      in
       fun fr ->
-        let va = rd_i st fr a in
-        let na = st.onat in
-        let vb = rd_i st fr b in
-        if na || st.onat then wr_i fr did 0L true else wr_i fr did (alu op va vb) false
-
-(* Divide and remainder: a zero divisor faults, or defers to NaT when the
-   instruction was speculated; the result is ready 4 cycles late. *)
-let decode_div x (i : Instr.t) (d : Reg.t) a b : op =
-  let st = x.x_st in
-  let a = src_i x a and b = src_i x b in
-  let did = d.Reg.id and dcode = reg_code d in
-  let is_div = match i.Instr.op with Opcode.Div -> true | _ -> false in
-  let msg = if is_div then "div by zero" else "rem by zero" in
-  let speculated = i.Instr.attrs.Instr.speculated in
-  fun fr ->
-    let va = rd_i st fr a in
-    let na = st.onat in
-    let vb = rd_i st fr b in
-    if na || st.onat then wr_i fr did 0L true
-    else begin
-      if Int64.equal vb 0L then
-        if speculated then wr_i fr did 0L true else raise (Machine_fault msg)
-      else wr_i fr did (if is_div then Int64.div va vb else Int64.rem va vb) false;
-      mark_ready st fr dcode 4 Rlong
-    end
+        wait st fr wa;
+        wait st fr wb;
+        body fr.regs
 
 let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : op =
   let st = x.x_st in
@@ -1067,7 +987,7 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
     else if not (translate st addr spec) then
       if is_float then wr_f fr did 0. true else wr_i fr did 0L true
     else begin
-      if adv then Isa.Alat.insert fr.alat key (Int64.to_int addr) bytes;
+      if adv then Isa.Alat.insert fr.regs.alat key (Int64.to_int addr) bytes;
       let extra = dcache st addr ~is_float in
       if is_float then begin
         Memimage.read_into st.mem addr bytes st.scratch 0;
@@ -1078,8 +998,8 @@ let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : o
         (* straight into the register file; r0 still performs the access *)
         if did = 0 then Memimage.read_into st.mem addr bytes st.scratch 0
         else begin
-          Memimage.read_into st.mem addr bytes fr.ints (did lsl 3);
-          Array.unsafe_set fr.nat did false
+          Memimage.read_into st.mem addr bytes fr.regs.ints (did lsl 3);
+          Array.unsafe_set fr.regs.inat did false
         end;
         if extra > 0 then mark_ready st fr dcode extra Rload
       end
@@ -1101,7 +1021,7 @@ let decode_store x (sz : Opcode.size) a v : op =
     else begin
       (* a non-speculative translation succeeds or faults *)
       ignore (translate st addr Opcode.Nonspec);
-      if fr.alat.Isa.Alat.count > 0 then Isa.Alat.snoop fr.alat (Int64.to_int addr) bytes;
+      if fr.regs.alat.Isa.Alat.count > 0 then Isa.Alat.snoop fr.regs.alat (Int64.to_int addr) bytes;
       set64 st.scratch 0 data;
       Memimage.write_from st.mem addr bytes st.scratch 0;
       store_timing st addr
@@ -1118,7 +1038,7 @@ let decode_check x (sz : Opcode.size) (r : Reg.t) a ~(alat : bool) : op =
   fun fr ->
     if rflt then stall_f st fr rid else stall_i st fr rid;
     let deferred =
-      if alat then not (Isa.Alat.mem fr.alat key) else if rflt then fr.fnat.(rid) else fr.nat.(rid)
+      if alat then not (Isa.Alat.mem fr.regs.alat key) else if rflt then fr.regs.fnat.(rid) else fr.regs.inat.(rid)
     in
     if deferred then begin
       st.c.chk_recoveries <- st.c.chk_recoveries + 1;
@@ -1209,7 +1129,7 @@ let decode_call x (i : Instr.t) : op =
         Branch_pred.record_unconditional st.bp;
         transfer st fr args;
         let c = resolve fr in
-        Isa.Alat.flush fr.alat;
+        Isa.Alat.flush fr.regs.alat;
         match c with
         | Fn slot ->
             st.callee <- slot;
@@ -1230,35 +1150,17 @@ let decode_ret x (i : Instr.t) : op =
     transfer st fr vals;
     st.ctl <- ctl_ret
 
-(* An instruction's op before its qualifying predicate (compares, which a
-   false guard does not squash, are decoded whole by [decode_instr]). *)
+(* An instruction's op before its qualifying predicate (compares, which
+   apply their guard themselves, are decoded whole by [decode_instr]). *)
 let decode_body x (i : Instr.t) : op =
   let st = x.x_st in
   match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
-  | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.And | Opcode.Or | Opcode.Xor
-      | Opcode.Shl | Opcode.Shr | Opcode.Sra ),
+  | ( ( Opcode.Add | Opcode.Sub | Opcode.Mul | Opcode.Div | Opcode.Rem | Opcode.And
+      | Opcode.Or | Opcode.Xor | Opcode.Shl | Opcode.Shr | Opcode.Sra | Opcode.Lea | Opcode.Fadd
+      | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv ),
       [ d ],
       [ a; b ] ) ->
-      decode_alu x i.Instr.op d a b
-  | (Opcode.Div | Opcode.Rem), [ d ], [ a; b ] -> decode_div x i d a b
-  | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
-      let a = src_f a and b = src_f b in
-      let did = d.Reg.id and dcode = reg_code d in
-      let code, slow =
-        match i.Instr.op with
-        | Opcode.Fadd -> (0, false)
-        | Opcode.Fsub -> (1, false)
-        | Opcode.Fmul -> (2, false)
-        | _ -> (3, true) (* fdiv: the result is ready 8 cycles late *)
-      in
-      fun fr ->
-        let va = rd_f st fr a in
-        let na = st.onat in
-        let vb = rd_f st fr b in
-        wr_f fr did
-          (match code with 0 -> va +. vb | 1 -> va -. vb | 2 -> va *. vb | _ -> va /. vb)
-          (na || st.onat);
-        if slow then mark_ready st fr dcode 8 Rfload
+      decode_alu x i d a b
   | Opcode.Fneg, [ d ], [ a ] ->
       let a = src_f a and did = d.Reg.id in
       fun fr ->
@@ -1292,29 +1194,17 @@ let decode_body x (i : Instr.t) : op =
             (* plain register copy: the dominant mov shape *)
             fun fr ->
               stall_i st fr ia;
-              set64 fr.ints (did lsl 3) (get64 fr.ints (ia lsl 3));
-              Array.unsafe_set fr.nat did (Array.unsafe_get fr.nat ia)
+              set64 fr.regs.ints (did lsl 3) (get64 fr.regs.ints (ia lsl 3));
+              Array.unsafe_set fr.regs.inat did (Array.unsafe_get fr.regs.inat ia)
         | K v when did <> 0 && sh = 0 ->
             fun fr ->
-              set64 fr.ints (did lsl 3) v;
-              Array.unsafe_set fr.nat did false
+              set64 fr.regs.ints (did lsl 3) v;
+              Array.unsafe_set fr.regs.inat did false
         | a ->
             fun fr ->
               let v = rd_i st fr a in
               let v = if sh = 0 then v else Int64.shift_right (Int64.shift_left v sh) sh in
               wr_i fr did v st.onat)
-  | Opcode.Lea, [ d ], [ base; off ] -> (
-      let did = d.Reg.id in
-      match (src_i x base, src_i x off) with
-      | Ri ib, K v when did <> 0 ->
-          fun fr ->
-            stall_i st fr ib;
-            set64 fr.ints (did lsl 3) (Int64.add (get64 fr.ints (ib lsl 3)) v);
-            Array.unsafe_set fr.nat did false
-      | base, off ->
-          fun fr ->
-            let vb = rd_i st fr base in
-            wr_i fr did (Int64.add vb (rd_i st fr off)) false)
   | Opcode.Ld (sz, spec), [ d ], [ a ] -> decode_load x sz spec d a
   | Opcode.St sz, _, [ a; v ] -> decode_store x sz a v
   | Opcode.Chk sz, _, [ Operand.Reg r; a ] -> decode_check x sz r a ~alat:false
@@ -1325,13 +1215,17 @@ let decode_body x (i : Instr.t) : op =
   | (Opcode.Alloc | Opcode.Nop), _, _ -> fun _ -> ()
   | _ -> fault (Isa.malformed i)
 
+(* A symbol that does not resolve raises when its instruction runs. *)
 let decode_instr x (i : Instr.t) : op =
   if not (regs_fit i) then fun _ -> invalid_arg "index out of bounds"
   else
-    match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
-    | Opcode.Cmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:false pt pf a b
-    | Opcode.Fcmp (cond, ct), [ pt; pf ], [ a; b ] -> decode_cmp x i cond ct ~fcmp:true pt pf a b
-    | _ -> guarded x.x_st i (decode_body x i)
+    try
+      match (i.Instr.op, i.Instr.dsts, i.Instr.srcs) with
+      | (Opcode.Cmp _ | Opcode.Fcmp _), [ pt; pf ], [ a; b ]
+        when pt.Reg.cls = Reg.Prd && pf.Reg.cls = Reg.Prd ->
+          decode_cmp x i pt pf a b
+      | _ -> guarded x.x_st i (decode_body x i)
+    with Invalid_argument msg -> guarded x.x_st i (fun _ -> invalid_arg msg)
 
 (* Ops that may end their group's straight-line run. *)
 let transfers (i : Instr.t) =
@@ -1445,20 +1339,20 @@ let push_frame st df =
       fr.df <- df;
       (* plain loops: [Array.fill] is a runtime call that checks every slot
          for the write barrier *)
-      Bytes.fill fr.ints 0 (8 * df.df_ispan) '\000';
+      Bytes.fill fr.regs.ints 0 (8 * df.df_ispan) '\000';
       for r = 0 to df.df_ispan - 1 do
-        Array.unsafe_set fr.nat r false;
+        Array.unsafe_set fr.regs.inat r false;
         Array.unsafe_set fr.iready r 0
       done;
       for r = 0 to df.df_fspan - 1 do
-        Array.unsafe_set fr.flts r 0.;
-        Array.unsafe_set fr.fnat r false;
+        Array.unsafe_set fr.regs.flts r 0.;
+        Array.unsafe_set fr.regs.fnat r false;
         Array.unsafe_set fr.fready r 0
       done;
       for r = 0 to df.df_pspan - 1 do
-        Array.unsafe_set fr.prds r false
+        Array.unsafe_set fr.regs.prds r false
       done;
-      Isa.Alat.flush fr.alat;
+      Isa.Alat.flush fr.regs.alat;
       fr
     end
     else begin
@@ -1502,7 +1396,7 @@ let push_call st (caller_ints : Bytes.t) =
   let fr = push_frame st df in
   bind_regs st fr df.df_params ~pad:false;
   let sp = Reg.sp.Reg.id lsl 3 in
-  set64 fr.ints sp (get64 caller_ints sp);
+  set64 fr.regs.ints sp (get64 caller_ints sp);
   st.cur_func <- df.df_name;
   (* an empty function faults on entry, as [Func.entry] does *)
   if Array.length df.df_blocks = 0 then ignore (Func.entry df.df_func);
@@ -1579,16 +1473,11 @@ let ck_frame_of (fr : frame) =
     kf_blk = fr.bi;
     kf_gi = fr.gi;
     kf_op = fr.k;
-    kf_ints = Bytes.copy fr.ints;
-    kf_nat = Array.copy fr.nat;
-    kf_flts = Array.copy fr.flts;
-    kf_fnat = Array.copy fr.fnat;
-    kf_prds = Array.copy fr.prds;
+    kf_regs = Isa.copy_bank fr.regs;
     kf_iready = Array.copy fr.iready;
     kf_ireason = Array.copy fr.ireason;
     kf_fready = Array.copy fr.fready;
     kf_freason = Array.copy fr.freason;
-    kf_alat = Isa.Alat.copy fr.alat;
   }
 
 (* Capture a checkpoint; fires once, at the start of a group.  Every piece
@@ -1749,7 +1638,7 @@ let execute st =
     run_frame st fr;
     let c = st.ctl in
     st.ctl <- ctl_none;
-    if c = ctl_call then push_call st fr.ints else pop_return st
+    if c = ctl_call then push_call st fr.regs.ints else pop_return st
   done;
   if st.xc > 0 then Int64.to_int (get64 st.xv 0) else 0
 
@@ -1829,16 +1718,11 @@ let resume ?fuel ?trace ?profile ?(desc = Machine_desc.itanium2) (p : Program.t)
       if kf.kf_blk < 0 || kf.kf_blk >= Array.length df.df_blocks then
         raise (Machine_fault ("resume: bad block index in " ^ kf.kf_func));
       let fr = push_frame st df in
-      Bytes.blit kf.kf_ints 0 fr.ints 0 (Bytes.length kf.kf_ints);
-      Array.blit kf.kf_nat 0 fr.nat 0 (Array.length kf.kf_nat);
-      Array.blit kf.kf_flts 0 fr.flts 0 (Array.length kf.kf_flts);
-      Array.blit kf.kf_fnat 0 fr.fnat 0 (Array.length kf.kf_fnat);
-      Array.blit kf.kf_prds 0 fr.prds 0 (Array.length kf.kf_prds);
+      fr.regs <- Isa.copy_bank kf.kf_regs;
       Array.blit kf.kf_iready 0 fr.iready 0 (Array.length kf.kf_iready);
       Array.blit kf.kf_ireason 0 fr.ireason 0 (Array.length kf.kf_ireason);
       Array.blit kf.kf_fready 0 fr.fready 0 (Array.length kf.kf_fready);
       Array.blit kf.kf_freason 0 fr.freason 0 (Array.length kf.kf_freason);
-      fr.alat <- Isa.Alat.copy kf.kf_alat;
       fr.bi <- kf.kf_blk;
       fr.gi <- kf.kf_gi;
       fr.k <- kf.kf_op)

@@ -15,9 +15,13 @@
     phase itself and does nothing in a warm phase, so no op reads it; and
     simulated frames live on an explicit stack, which is what a checkpoint
     copies and {!resume} re-enters.  With the
-    reference interpreter ([Epic_ir.Interp]) it shares only the
-    architectural rules of [Epic_ir.Isa] and the intrinsics. *)
+    reference interpreter ([Epic_ir.Interp]) it shares the architectural
+    rules of [Epic_ir.Isa] and the intrinsics: a frame's registers are an
+    [Isa.bank], and its ALU and compare ops are [Isa]'s, run after the
+    op's stalls. *)
 
+(** An architectural fault: the same exception as [Epic_ir.Isa.Fault] and
+    [Epic_ir.Interp.Fault]. *)
 exception Machine_fault of string
 exception Out_of_fuel
 

@@ -82,7 +82,7 @@ let test_opcode_may_fault () =
   check cb "add does not" false (Opcode.may_fault Opcode.Add)
 
 let test_eval_icmp () =
-  let t = Opcode.eval_icmp in
+  let t = Isa.icmp in
   check cb "lt" true (t Opcode.Lt 1L 2L);
   check cb "ge" true (t Opcode.Ge 2L 2L);
   check cb "ne" false (t Opcode.Ne 5L 5L);
@@ -90,16 +90,16 @@ let test_eval_icmp () =
   check cb "unsigned ltu treats -1 as big" false (t Opcode.Ltu (-1L) 0L);
   check cb "geu" true (t Opcode.Geu (-1L) 5L)
 
+(* Each relation's negation, as branch reversal and if-conversion would
+   form it, never agrees with it. *)
 let test_negate_icmp () =
   List.iter
-    (fun c ->
-      let n = Opcode.negate_icmp c in
+    (fun (c, n) ->
       List.iter
-        (fun (a, b) ->
-          check cb "negation flips" (Opcode.eval_icmp c a b)
-            (not (Opcode.eval_icmp n a b)))
+        (fun (a, b) -> check cb "negation flips" (Isa.icmp c a b) (not (Isa.icmp n a b)))
         [ (1L, 2L); (2L, 1L); (3L, 3L); (-4L, 4L) ])
-    [ Opcode.Eq; Opcode.Ne; Opcode.Lt; Opcode.Le; Opcode.Gt; Opcode.Ge; Opcode.Ltu; Opcode.Geu ]
+    Opcode.
+      [ (Eq, Ne); (Ne, Eq); (Lt, Ge); (Le, Gt); (Gt, Le); (Ge, Lt); (Ltu, Geu); (Geu, Ltu) ]
 
 (* --- Instr ---------------------------------------------------------------- *)
 
@@ -197,6 +197,22 @@ let test_verify_catches_fallthrough_off_end () =
        Verify.check_func f;
        false
      with Verify.Ill_formed _ -> true)
+
+(* A compare's two targets must be predicates. *)
+let test_verify_catches_cmp_targets () =
+  let rejects dsts =
+    let f = mk_linear_func () in
+    Block.append (Func.find_block_exn f "a")
+      (Instr.create (Opcode.Cmp (Opcode.Eq, Opcode.Norm)) ~dsts
+         ~srcs:[ Operand.imm 1; Operand.imm 1 ]);
+    try
+      Verify.check_func f;
+      false
+    with Verify.Ill_formed _ -> true
+  in
+  check cb "integer targets rejected" true (rejects [ Reg.virt 2 Reg.Int; Reg.virt 3 Reg.Int ]);
+  check cb "one target rejected" true (rejects [ Reg.virt 2 Reg.Prd ]);
+  check cb "predicate targets accepted" false (rejects [ Reg.virt 2 Reg.Prd; Reg.virt 3 Reg.Prd ])
 
 (* --- Memimage ------------------------------------------------------------- *)
 
@@ -464,4 +480,5 @@ let suite =
     ("interp sparse register ids", `Quick, test_interp_sparse_registers);
     ("interp deep recursion", `Quick, test_interp_deep_recursion);
     ("program function addresses", `Quick, test_program_func_addresses);
+    ("verify cmp targets", `Quick, test_verify_catches_cmp_targets);
   ]

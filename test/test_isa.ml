@@ -510,9 +510,48 @@ let nat_stores =
         print bld (load bld (r a)));
   ]
 
+(* --- rules once diverging between the engines ------------------------------ *)
+
+(* lea is an add: a NaT base propagates.  A compare's targets are two
+   predicates, and a malformed compare faults behind its guard like any
+   other malformed instruction. *)
+let shared_rules =
+  [
+    case "lea of a NaT base is NaT" (lines [ "1"; "12" ]) ~nat:0 (fun bld ->
+        let n = nat_reg bld and five = movi bld 5 in
+        let d = Builder.fresh_int bld and e = Builder.fresh_int bld in
+        ignore (Builder.emit bld Opcode.Lea ~dsts:[ d ] ~srcs:[ r n; imm 7 ]);
+        ignore (Builder.emit bld Opcode.Lea ~dsts:[ e ] ~srcs:[ r five; imm 7 ]);
+        print_is_nat bld d;
+        print bld e);
+    faults "cmp with integer targets is malformed" (fun bld ->
+        let four = movi bld 4 and t = movi bld 7 and f = movi bld 7 in
+        ignore
+          (Builder.emit bld (Opcode.Cmp (Opcode.Eq, Opcode.Norm)) ~dsts:[ t; f ]
+             ~srcs:[ r four; r four ]);
+        print bld t;
+        print bld f);
+    case "a one-target cmp under a false guard is squashed" "4\n" (fun bld ->
+        let four = movi bld 4 in
+        let gt = Builder.fresh_pred bld and gf = Builder.fresh_pred bld in
+        Builder.cmp bld Opcode.Eq gt gf (r four) (imm 4);
+        ignore
+          (Builder.emit bld ~pred:gf (Opcode.Cmp (Opcode.Eq, Opcode.Norm))
+             ~dsts:[ Builder.fresh_pred bld ] ~srcs:[ r four; r four ]);
+        print bld four);
+    faults "a one-target cmp under a true guard faults" (fun bld ->
+        let four = movi bld 4 in
+        let gt = Builder.fresh_pred bld and gf = Builder.fresh_pred bld in
+        Builder.cmp bld Opcode.Eq gt gf (r four) (imm 4);
+        ignore
+          (Builder.emit bld ~pred:gt (Opcode.Cmp (Opcode.Eq, Opcode.Norm))
+             ~dsts:[ Builder.fresh_pred bld ] ~srcs:[ r four; r four ]);
+        print bld four);
+  ]
+
 let cases =
   [ shifts; sign_extension ]
-  @ compares @ spec_loads @ alat @ checks @ intrinsics @ float_regs @ nat_stores
+  @ compares @ spec_loads @ alat @ checks @ intrinsics @ float_regs @ nat_stores @ shared_rules
 
 (* --- running ----------------------------------------------------------------- *)
 
@@ -537,4 +576,186 @@ let run_case c () =
   check_engine c "the interpreter" (interp p c.input);
   check_engine c "the machine" (machine p layout c.input)
 
-let suite = List.map (fun c -> (c.name, `Quick, run_case c)) cases
+(* --- the shared ops, differentially ------------------------------------------- *)
+
+(* A bank of three slots per class; integer slots 1 and 2 hold the
+   sources. *)
+let bank () = Isa.new_bank ~ints:3 ~flts:3 ~prds:3
+
+type result = Value of int64 | Nat | Faulted of string
+
+let show_result = function
+  | Value v -> Int64.to_string v
+  | Nat -> "NaT"
+  | Faulted m -> "fault: " ^ m
+
+(* Values that reach the corner cases: 0 divisors, min_int / -1, shift
+   counts outside 0..63. *)
+let int64_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0L; 1L; -1L; 63L; 64L; 65L; 127L; -64L; Int64.min_int; Int64.max_int ];
+        map Int64.of_int (int_range (-300) 300);
+        ui64;
+      ])
+
+let int_ops =
+  Opcode.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Sra ]
+
+(* Every integer op in its register-register, register-immediate,
+   any-shape and constant forms, and constant folding, on one pair: each
+   form's NaT sources make the result NaT, and otherwise every form gives
+   the constant form's result. *)
+let alu_forms =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (((op, spec), (x, y)), (nx, ny)) -> (op, spec, x, y, nx, ny))
+        (pair (pair (pair (oneofl int_ops) bool) (pair int64_gen int64_gen)) (pair bool bool)))
+  in
+  let print (op, spec, x, y, nx, ny) =
+    Printf.sprintf "%s spec=%b %Ld%s %Ld%s" (Opcode.to_string op) spec x
+      (if nx then " (NaT)" else "") y (if ny then " (NaT)" else "")
+  in
+  QCheck.Test.make ~count:3000 ~name:"ALU forms and constant folding agree"
+    (QCheck.make ~print gen) (fun (op, spec, x, y, nx, ny) ->
+      let run a b =
+        let bk = bank () in
+        Bytes.set_int64_ne bk.Isa.ints 8 x;
+        Bytes.set_int64_ne bk.Isa.ints 16 y;
+        bk.Isa.inat.(1) <- nx;
+        bk.Isa.inat.(2) <- ny;
+        match Isa.alu op ~spec (Isa.Dint 0) a b bk with
+        | () -> if bk.Isa.inat.(0) then Nat else Value (Bytes.get_int64_ne bk.Isa.ints 0)
+        | exception Isa.Fault m -> Faulted m
+      in
+      let base = run (Isa.Imm x) (Isa.Imm y) in
+      let nat_if n = if n then Nat else base in
+      let forms =
+        [
+          ("reg-reg", run (Isa.Int 1) (Isa.Int 2), nat_if (nx || ny));
+          ("reg-imm", run (Isa.Int 1) (Isa.Imm y), nat_if nx);
+          ("any", run (Isa.Imm x) (Isa.Int 2), nat_if ny);
+        ]
+      in
+      List.iter
+        (fun (form, got, want) ->
+          if got <> want then
+            QCheck.Test.fail_reportf "%s: %s, constant form %s" form (show_result got)
+              (show_result want))
+        forms;
+      (match (base, op, Int64.equal y 0L) with
+      | Value _, (Opcode.Div | Opcode.Rem), true -> QCheck.Test.fail_report "a zero divisor gave a value"
+      | Faulted _, _, _ when spec -> QCheck.Test.fail_report "a speculated op faulted"
+      | Nat, _, _ when not spec -> QCheck.Test.fail_report "a non-speculated op deferred"
+      | _ -> ());
+      let fold = Epic_opt.Constfold.fold_int op x y in
+      if spec && fold <> (match base with Value v -> Some v | _ -> None) then
+        QCheck.Test.fail_report "constant folding disagrees";
+      true)
+
+(* The compare-target rule, written out: the targets after a compare of
+   type [ct], from targets [(pt0, pf0)], under a guard that is [guard], on
+   an input that holds, fails or is NaT. *)
+type input = Holds | Fails | Nat_input
+
+let targets_table ct ~guard input (pt0, pf0) =
+  match (ct, guard, input) with
+  | Opcode.Unc, false, _ -> (false, false)
+  | (Opcode.Norm | Opcode.Orform), false, _ -> (pt0, pf0)
+  | (Opcode.Norm | Opcode.Unc), true, Holds -> (true, false)
+  | (Opcode.Norm | Opcode.Unc), true, Fails -> (false, true)
+  | (Opcode.Norm | Opcode.Unc), true, Nat_input -> (false, false)
+  | Opcode.Orform, true, Holds -> (true, true)
+  | Opcode.Orform, true, (Fails | Nat_input) -> (pt0, pf0)
+
+(* Each relation by another route: signed and unsigned [compare]. *)
+let relation (c : Opcode.icmp) x y =
+  let s = Int64.compare x y and u = Int64.unsigned_compare x y in
+  match c with
+  | Opcode.Eq -> s = 0
+  | Opcode.Ne -> s <> 0
+  | Opcode.Lt -> s < 0
+  | Opcode.Le -> s <= 0
+  | Opcode.Gt -> s > 0
+  | Opcode.Ge -> s >= 0
+  | Opcode.Ltu -> u < 0
+  | Opcode.Geu -> u >= 0
+
+(* Every relation x compare type x guard (none, true, false) x NaT input
+   (none, first, second source) x operand form (register-register,
+   register-immediate, any shape, float registers). *)
+let compare_targets =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun ((((c, ct), (guard, nat)), (form, (x, y))), init) -> (c, ct, guard, nat, form, x, y, init))
+      (pair
+         (pair
+            (pair
+               (pair
+                  (oneofl Opcode.[ Eq; Ne; Lt; Le; Gt; Ge; Ltu; Geu ])
+                  (oneofl Opcode.[ Norm; Unc; Orform ]))
+               (pair (oneofl [ None; Some true; Some false ]) (int_bound 2)))
+            (pair (oneofl [ `Rr; `Ri; `Any; `Float ]) (pair int64_gen int64_gen)))
+         (pair bool bool))
+  in
+  let print (c, ct, guard, nat, form, x, y, (pt0, pf0)) =
+    Printf.sprintf "cmp.%s%s guard=%s nat=%d form=%s %Ld %Ld from (%b, %b)"
+      (Opcode.icmp_to_string c) (Opcode.ctype_suffix ct)
+      (match guard with None -> "none" | Some g -> string_of_bool g)
+      nat
+      (match form with `Rr -> "rr" | `Ri -> "ri" | `Any -> "any" | `Float -> "float")
+      x y pt0 pf0
+  in
+  QCheck.Test.make ~count:5000 ~name:"compare targets follow the table" (QCheck.make ~print gen)
+    (fun (c, ct, guard, nat, form, x, y, (pt0, pf0)) ->
+      let bk = bank () in
+      Bytes.set_int64_ne bk.Isa.ints 8 x;
+      Bytes.set_int64_ne bk.Isa.ints 16 y;
+      bk.Isa.flts.(1) <- Int64.to_float x;
+      bk.Isa.flts.(2) <- Int64.to_float y;
+      (* a NaT input only where the form has a register there *)
+      let nat =
+        match (form, nat) with
+        | (`Rr | `Float), n -> n
+        | `Ri, n -> if n = 1 then 1 else 0
+        | `Any, n -> if n = 2 then 2 else 0
+      in
+      if nat > 0 then begin
+        bk.Isa.inat.(nat) <- true;
+        bk.Isa.fnat.(nat) <- true
+      end;
+      let a, b, holds =
+        match form with
+        | `Rr -> (Isa.Int 1, Isa.Int 2, relation c x y)
+        | `Ri -> (Isa.Int 1, Isa.Imm y, relation c x y)
+        | `Any -> (Isa.Imm x, Isa.Int 2, relation c x y)
+        | `Float ->
+            let fx = Int64.to_float x and fy = Int64.to_float y in
+            let holds =
+              match c with
+              | Opcode.Eq -> fx = fy
+              | Opcode.Ne -> fx <> fy
+              | Opcode.Lt | Opcode.Ltu -> fx < fy
+              | Opcode.Le -> fx <= fy
+              | Opcode.Gt -> fx > fy
+              | Opcode.Ge | Opcode.Geu -> fx >= fy
+            in
+            (Isa.Flt 1, Isa.Flt 2, holds)
+      in
+      let op = if form = `Float then Opcode.Fcmp (c, ct) else Opcode.Cmp (c, ct) in
+      (* predicate slot 0 is the guard, 1 and 2 the targets *)
+      let g = match guard with None -> Isa.Always | Some _ -> Isa.If 0 in
+      bk.Isa.prds.(0) <- guard = Some true;
+      bk.Isa.prds.(1) <- pt0;
+      bk.Isa.prds.(2) <- pf0;
+      Isa.cmp op g 1 2 a b bk;
+      let input = if nat > 0 then Nat_input else if holds then Holds else Fails in
+      let want = targets_table ct ~guard:(guard <> Some false) input (pt0, pf0) in
+      (bk.Isa.prds.(1), bk.Isa.prds.(2)) = want)
+
+let suite =
+  List.map (fun c -> (c.name, `Quick, run_case c)) cases
+  @ List.map QCheck_alcotest.to_alcotest [ alu_forms; compare_targets ]

@@ -28,7 +28,7 @@ let test_dag_raw_edge () =
   let b = Instr.create Opcode.Add ~dsts:[ vi 2 ] ~srcs:[ Operand.Reg (vi 1); Operand.imm 1 ] in
   let f, blk = func_of_block [ a; b ] in
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build ~desc f live blk in
+  let g = Dag.build ~desc live blk in
   check cb "RAW edge exists" true (List.mem_assoc 1 g.Dag.succs.(0))
 
 let test_dag_memory_edges () =
@@ -36,7 +36,7 @@ let test_dag_memory_edges () =
   let ld = Instr.create (Opcode.Ld (Opcode.B8, Opcode.Nonspec)) ~dsts:[ vi 2 ] ~srcs:[ Operand.Reg (vi 1) ] in
   let f, blk = func_of_block [ st; ld ] in
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build ~desc f live blk in
+  let g = Dag.build ~desc live blk in
   check cb "store->load ordered (unknown tags alias)" true (List.mem_assoc 1 g.Dag.succs.(0))
 
 let test_dag_branch_pins_store () =
@@ -53,7 +53,7 @@ let test_dag_branch_pins_store () =
   Block.append out (Instr.create Opcode.Br_ret ~srcs:[ Operand.imm 1 ]);
   Func.append_block f out;
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build ~desc f live b in
+  let g = Dag.build ~desc live b in
   check cb "store before branch pinned above" true (List.mem_assoc 1 g.Dag.succs.(0));
   check cb "store after branch pinned below" true (List.mem_assoc 2 g.Dag.succs.(1))
 
@@ -72,7 +72,7 @@ let test_dag_speculative_load_free () =
   Block.append out (Instr.create Opcode.Br_ret ~srcs:[ Operand.imm 1 ]);
   Func.append_block f out;
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build ~desc f live b in
+  let g = Dag.build ~desc live b in
   check cb "speculative load NOT pinned by branch" false (List.mem_assoc 1 g.Dag.succs.(0));
   check cb "non-speculative load pinned" true (List.mem_assoc 2 g.Dag.succs.(0))
 
@@ -84,8 +84,8 @@ let test_dag_speculative_load_free () =
    hold. *)
 let schedule_invariants (f : Func.t) (b : Block.t) =
   let live = Epic_analysis.Liveness.compute f in
-  let g = Dag.build ~desc f live b in
-  List_sched.schedule_block ~desc f live b;
+  let g = Dag.build ~desc live b in
+  List_sched.schedule_block ~desc live b;
   let arr = Array.of_list b.Block.instrs in
   Array.iter (fun (i : Instr.t) -> assert (i.Instr.cycle >= 0)) arr;
   Array.iteri

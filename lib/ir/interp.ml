@@ -13,7 +13,8 @@
    indices, calls to a function slot, an intrinsic or a function-pointer
    operand, and [Sym] operands to addresses.  Every instruction becomes a
    closure specialized on its operand shape, opcode, compare relation and
-   type, and guard, so executing it dispatches on nothing.  A block is an
+   type, and guard, so executing it dispatches on nothing; the ALU and
+   compare closures are {!Isa}'s, built on the frame's {!Isa.bank}.  A block is an
    array of segments, each ending at a [br], [br.call] or [br.ret] (or at
    the block's end); a segment whose instructions the remaining fuel
    covers is charged once.  Profile counts live in int arrays of the
@@ -183,7 +184,10 @@ let enter df =
 (* --- registers and operands ------------------------------------------------ *)
 
 (* Integer slots.  A decoded slot always lies inside its function's banks,
-   which is what makes the unchecked accessors safe. *)
+   which is what makes the unchecked accessors safe.  The closures below
+   read and write the bank through these local copies of {!Isa}'s: the
+   dev build compiles with [-opaque], where a call into another module is
+   not inlined and boxes an [int64] it passes or returns. *)
 let[@inline] nat fr k = Array.unsafe_get fr.inat k
 let[@inline] nat2 fr a b = Array.unsafe_get fr.inat a || Array.unsafe_get fr.inat b
 let[@inline] geti fr k = get64 fr.ints (k lsl 3)
@@ -430,7 +434,6 @@ and exec_seg st df fr b si =
 
 (* --- decode: instructions to closures -------------------------------------- *)
 
-let guarded = Isa.guarded
 let nop : op = fun _ -> ()
 let fault e : op = fun _ -> raise e
 
@@ -653,9 +656,9 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
       | (Opcode.Cmp _ | Opcode.Fcmp _), [ pt; pf ], [ a; b ] -> (
           match (dst pt, dst pf) with
           | Dprd pt, Dprd pf -> Isa.cmp i.Instr.op g pt pf (opnd a) (opnd b)
-          | _ -> guarded g (body i))
-      | _ -> guarded g (body i)
-    with Invalid_argument _ as e -> guarded g (fault e)
+          | _ -> Isa.guarded g (body i))
+      | _ -> Isa.guarded g (body i)
+    with Invalid_argument _ as e -> Isa.guarded g (fault e)
   in
   let exit g (i : Instr.t) =
     match (i.Instr.op, i.Instr.srcs) with
@@ -670,12 +673,12 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
             | t, g -> Br { g; site; target = Option.value t ~default:(-1); label = l })
         | _ -> Br { g; site; target = -2; label = "" })
     | Opcode.Br_call, target :: args -> (
-        try Step (guarded g (call i target args))
-        with Invalid_argument _ as e -> Step (guarded g (fault e)))
+        try Step (Isa.guarded g (call i target args))
+        with Invalid_argument _ as e -> Step (Isa.guarded g (fault e)))
     | Opcode.Br_ret, srcs -> (
         try Ret { g; vs = Array.of_list (List.map opnd srcs) }
-        with Invalid_argument _ as e -> Step (guarded g (fault e)))
-    | _ -> Step (guarded g (fault (Fault (Isa.malformed i))))
+        with Invalid_argument _ as e -> Step (Isa.guarded g (fault e)))
+    | _ -> Step (Isa.guarded g (fault (Fault (Isa.malformed i))))
   in
   let decode_block (b : Block.t) =
     let segs = ref [] and ops = ref [] in

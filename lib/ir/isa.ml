@@ -287,12 +287,13 @@ let alu_ri (op : Opcode.t) ~spec d a y : op =
 
 (* Any other operand shape. *)
 let alu_any (op : Opcode.t) ~spec d a b : op =
- fun bk ->
-  if is_nat bk a || is_nat bk b then write_nat bk d
-  else
-    let y = int_of bk b in
-    if divides op && Int64.equal y 0L then zero_divisor op ~spec bk d
-    else write_int bk d (ialu op (int_of bk a) y)
+  let div = divides op in
+  fun bk ->
+    if is_nat bk a || is_nat bk b then write_nat bk d
+    else
+      let y = int_of bk b in
+      if div && Int64.equal y 0L then zero_divisor op ~spec bk d
+      else write_int bk d (ialu op (int_of bk a) y)
 
 let alu (op : Opcode.t) ~spec d a b : op =
   let op = if op = Opcode.Lea then Opcode.Add else op in

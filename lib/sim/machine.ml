@@ -9,7 +9,9 @@
    One engine (DESIGN.md §10): each function is decoded once per machine
    into arrays of closure ops, with registers, immediates, symbol
    addresses, branch targets (block indices) and call targets (function
-   slots or intrinsics) resolved at decode.  Detailed and warm sampling
+   slots or intrinsics) resolved at decode.  The ALU and compare ops are
+   {!Isa}'s, run on the frame's {!Isa.bank} after the op's stalls, so
+   the two engines compute with the same code.  Detailed and warm sampling
    phases run the same op bodies; the timing model — stalls, ready times,
    cache/TLB penalties, the store buffer, mispredict, call/return and RSE
    charges — is a layer of primitives inside them that reads the phase

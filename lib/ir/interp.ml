@@ -14,10 +14,10 @@
    operand, and [Sym] operands to addresses.  Every instruction becomes a
    closure specialized on its operand shape, opcode, compare relation and
    type, and guard, so executing it dispatches on nothing; the ALU and
-   compare closures are {!Isa}'s, built on the frame's {!Isa.bank}.  A block is an
-   array of segments, each ending at a [br], [br.call] or [br.ret] (or at
-   the block's end); a segment whose instructions the remaining fuel
-   covers is charged once.  Profile counts live in int arrays of the
+   compare closures are {!Isa}'s, built on the frame's {!Isa.bank}.  A
+   block is an array of segments, each ending at a [br], [br.call] or
+   [br.ret] (or at the block's end); a segment whose instructions the
+   remaining fuel covers is charged once.  Profile counts live in int arrays of the
    decoded function and are read back through the [iter_*] functions.
 
    Executing an instruction allocates nothing: integer registers live

@@ -701,8 +701,7 @@ let[@inline] rd_f st fr s =
       f
   | Rb _ | Rp _ | Rp0 | K _ | Kerr _ -> rd_i st fr s |> Int64.to_float
 
-(* Writes to r0 and p0 are dropped; the integer bank's id 0 therefore
-   always reads 0 with no NaT. *)
+(* A write to r0 is dropped (an {!Isa} op writes [r0_sink] instead). *)
 let[@inline] wr_i fr id v n =
   if id <> 0 then begin
     set64 fr.regs.ints (id lsl 3) v;

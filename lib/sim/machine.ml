@@ -79,7 +79,7 @@ let warm_filter_size = 256
    after a call always has [k >= 1]. *)
 type frame = {
   mutable df : dfunc;
-  mutable regs : Isa.bank; (* its ALAT is keyed by (bank, register id) and flushed at calls *)
+  regs : Isa.bank; (* its ALAT is keyed by (bank, register id) and flushed at calls *)
   iready : int array; (* global cycle at which the register's value is ready *)
   ireason : reason array;
   fready : int array;
@@ -861,6 +861,24 @@ let wait_code (o : Operand.t) = match o with Operand.Reg r -> reg_code r | _ -> 
 let[@inline] wait st fr w =
   if w >= 0 then stall_i st fr w else if w <> no_wait then stall_f st fr (-1 - w)
 
+(* [body] on the frame's bank after waiting for [w1] then [w2]; when
+   neither is a float register the wait needs no dispatch. *)
+let timed st w1 w2 (body : Isa.op) : op =
+  if w1 >= 0 && w2 >= 0 then fun fr ->
+    stall_i st fr w1;
+    stall_i st fr w2;
+    body fr.regs
+  else if w1 >= 0 && w2 = no_wait then fun fr ->
+    stall_i st fr w1;
+    body fr.regs
+  else if w1 = no_wait && w2 >= 0 then fun fr ->
+    stall_i st fr w2;
+    body fr.regs
+  else fun fr ->
+    wait st fr w1;
+    wait st fr w2;
+    body fr.regs
+
 (* A register id fits its bank (integer-bank state backs the predicate
    and branch registers too). *)
 let reg_fits (r : Reg.t) =
@@ -921,17 +939,8 @@ let decode_cmp x (i : Instr.t) (pt : Reg.t) (pf : Reg.t) a b : op =
   let gid = match i.Instr.pred with None -> -1 | Some p -> p.Reg.id in
   let g = if gid <= 0 then Isa.Always else Isa.If gid in
   let body = Isa.cmp i.Instr.op g (slot pt) (slot pf) (isa_opnd x a) (isa_opnd x b) in
-  let wa = wait_code a and wb = wait_code b in
-  if gid < 0 then fun fr ->
-    wait st fr wb;
-    wait st fr wa;
-    body fr.regs
-  else fun fr ->
-    if guard_value st fr gid then begin
-      wait st fr wb;
-      wait st fr wa
-    end;
-    body fr.regs
+  let run = timed st (wait_code b) (wait_code a) body in
+  if gid < 0 then run else fun fr -> if guard_value st fr gid then run fr else body fr.regs
 
 (* An {!Isa} ALU op [d := a op b], after waiting for [a] then [b].  A
    divide's result is ready 4 cycles late unless a source is NaT, an
@@ -956,14 +965,7 @@ let decode_alu x (i : Instr.t) (d : Reg.t) a b : op =
         wait st fr wb;
         body fr.regs;
         mark_ready st fr dcode 8 Rfload
-  | op ->
-      let body =
-        if Opcode.is_float op then Isa.falu op d a b else Isa.alu op ~spec:false d a b
-      in
-      fun fr ->
-        wait st fr wa;
-        wait st fr wb;
-        body fr.regs
+  | op -> timed st wa wb (if Opcode.is_float op then Isa.falu op d a b else Isa.alu op ~spec:false d a b)
 
 let decode_load x (sz : Opcode.size) (spec : Opcode.spec_kind) (d : Reg.t) a : op =
   let st = x.x_st in
@@ -1718,8 +1720,8 @@ let resume ?fuel ?trace ?profile ?(desc = Machine_desc.itanium2) (p : Program.t)
       in
       if kf.kf_blk < 0 || kf.kf_blk >= Array.length df.df_blocks then
         raise (Machine_fault ("resume: bad block index in " ^ kf.kf_func));
-      let fr = push_frame st df in
-      fr.regs <- Isa.copy_bank kf.kf_regs;
+      let fr = { (push_frame st df) with regs = Isa.copy_bank kf.kf_regs } in
+      st.stack.(st.depth - 1) <- fr;
       Array.blit kf.kf_iready 0 fr.iready 0 (Array.length kf.kf_iready);
       Array.blit kf.kf_ireason 0 fr.ireason 0 (Array.length kf.kf_ireason);
       Array.blit kf.kf_fready 0 fr.fready 0 (Array.length kf.kf_fready);

@@ -306,19 +306,7 @@ let alu (op : Opcode.t) ~spec d a b : op =
   | d, a, b -> alu_any op ~spec d a b
 
 let falu (op : Opcode.t) d a b : op =
-  match op with
-  | Opcode.Fadd ->
-      fun bk ->
-        write_flt bk d (fpu Opcode.Fadd (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
-  | Opcode.Fsub ->
-      fun bk ->
-        write_flt bk d (fpu Opcode.Fsub (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
-  | Opcode.Fmul ->
-      fun bk ->
-        write_flt bk d (fpu Opcode.Fmul (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
-  | _ ->
-      fun bk ->
-        write_flt bk d (fpu Opcode.Fdiv (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
+ fun bk -> write_flt bk d (fpu op (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
 
 (* --- compares ------------------------------------------------------------------- *)
 

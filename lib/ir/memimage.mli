@@ -40,12 +40,14 @@ val write_from : t -> int64 -> int -> Bytes.t -> int -> unit
     byte offset [o] — performed only when the access classifies as [Ok]
     ({!classify}); returns the classification.  Allocates nothing on the
     in-page path, so a caller keeping addresses in an unboxed register bank
-    stays unboxed. *)
+    stays unboxed.  The machine's loads take this path, one call that
+    probes the page-handle cache and reads. *)
 val load_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
 
 (** [store_at t src ao size buf o]: the store of the value held in [buf] at
     byte offset [o] to the address held in [src] at [ao], performed only
-    when it classifies as [Ok]; returns the classification. *)
+    when it classifies as [Ok]; returns the classification.  The machine's
+    stores take this path. *)
 val store_at : t -> Bytes.t -> int -> int -> Bytes.t -> int -> access
 
 (** [blit t ~src ~dst n]: copy [n] bytes from [src] to [dst] as a forward

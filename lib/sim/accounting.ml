@@ -117,19 +117,17 @@ let apply t { target; speedup } =
   | Target_func_category (f, cat) -> scale_bin (bins r f) (index cat));
   r
 
-(* The simulator's hot path: the caller has already fetched (and may
-   cache) the function's bins, so a charge is two array updates with no
-   string hashing.  [charge] below is the convenience form. *)
-let charge_bins t (b : float array) (cat : category) (cycles : int) =
+(* Attribute [cycles] to [cat], globally and in [func]'s bins.  The
+   simulator's charge path ([Machine.charge]) makes the same two additions
+   on bins it keeps in hand, with no string hashing. *)
+let charge t (func : string) (cat : category) (cycles : int) =
   if cycles > 0 then begin
+    let b = bins t func in
     let k = index cat in
     let c = float_of_int cycles in
     t.totals.(k) <- t.totals.(k) +. c;
     b.(k) <- b.(k) +. c
   end
-
-let charge t (func : string) (cat : category) (cycles : int) =
-  if cycles > 0 then charge_bins t (bins t func) cat cycles
 
 let total t = Array.fold_left ( +. ) 0. t.totals
 let get t cat = t.totals.(index cat)

@@ -53,14 +53,11 @@ val create : unit -> t
 val charge : t -> string -> category -> int -> unit
 
 (** [bins t func] is [func]'s per-function bin array, created on demand.
-    Callers may hold on to it and charge through {!charge_bins}; the array
-    is the live accounting state, not a copy. *)
+    The array is the live accounting state, not a copy: the simulator
+    holds on to the running function's bins and charges by adding the
+    cycles to [totals] and to the bins at the category's {!index}
+    ([Machine.charge]), as {!charge} does. *)
 val bins : t -> string -> float array
-
-(** [charge_bins t b cat cycles] is {!charge} with the per-function bins
-    already in hand — the simulator's hot path, skipping the name lookup.
-    [b] must come from {!bins} on the same [t]. *)
-val charge_bins : t -> float array -> category -> int -> unit
 
 (** Sum of all categories: the program's total cycles. *)
 val total : t -> float

@@ -5,7 +5,13 @@
    [line_bits] >= 2 (every real line is at least 4 bytes), so it is
    non-negative and below 2^62 — it always fits an OCaml int exactly, and
    the tag compare in the lookup loop is an unboxed integer compare
-   instead of a boxed [Int64] one. *)
+   instead of a boxed [Int64] one.
+
+   The (line, way) of the last access is kept so that a caller can decide
+   a repeated access to the same line without the set scan: tags change
+   only in [access] and [reset], [access] leaves [last_line] in
+   [tags.(last_way)] and [reset] clears it, so a matching [last_line]
+   names the way that [access] would find. *)
 
 type t = {
   name : string;
@@ -18,6 +24,8 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
+  mutable last_line : int; (* line of the last access; -1 = none *)
+  mutable last_way : int; (* its index in [tags] and [age] *)
 }
 
 let log2i n =
@@ -39,6 +47,8 @@ let create ~name ~size ~line ~assoc =
     clock = 0;
     accesses = 0;
     misses = 0;
+    last_line = -1;
+    last_way = 0;
   }
 
 let line_of t (addr : int64) =
@@ -63,8 +73,10 @@ let access t (addr : int64) =
   while !k < last && Array.unsafe_get tags !k <> line do
     incr k
   done;
+  t.last_line <- line;
   if !k < last then begin
     Array.unsafe_set age !k clock;
+    t.last_way <- !k;
     true
   end
   else begin
@@ -76,6 +88,7 @@ let access t (addr : int64) =
     done;
     Array.unsafe_set tags !victim line;
     Array.unsafe_set age !victim clock;
+    t.last_way <- !victim;
     false
   end
 
@@ -95,9 +108,12 @@ let reset t =
   Array.fill t.age 0 (Array.length t.age) 0;
   t.accesses <- 0;
   t.misses <- 0;
-  t.clock <- 0
+  t.clock <- 0;
+  t.last_line <- -1;
+  t.last_way <- 0
 
-(* Deep copy for checkpointing: same geometry, private tag/age arrays. *)
+(* Deep copy for checkpointing: same geometry, private tag/age arrays,
+   the same last (line, way). *)
 let copy t =
   {
     t with

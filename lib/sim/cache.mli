@@ -17,11 +17,21 @@ type t = {
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;
+  mutable last_line : int;
+      (** the line of the last {!access} ([-1] after {!create} and
+          {!reset}): while it is [>= 0], [tags.(last_way)] holds it *)
+  mutable last_way : int;
+      (** the index in [tags] and [age] of the way [last_line] was found
+          or installed in.  A caller may decide an access to [last_line]
+          itself, with the hit update {!access} would make:
+          [accesses + 1], [clock + 1], [age.(last_way) <- clock]
+          ([Machine.cache_access] does) *)
 }
 
 val create : name:string -> size:int -> line:int -> assoc:int -> t
 
-(** Access an address; true on hit.  Misses allocate (evicting LRU). *)
+(** Access an address; true on hit.  Misses allocate (evicting LRU).
+    Records the line and its way as [last_line] and [last_way]. *)
 val access : t -> int64 -> bool
 
 (** Probe without allocating. *)
@@ -33,5 +43,6 @@ val miss_rate : t -> float
 (** Line number of an address (a logical shift by [line_bits]). *)
 val line_of : t -> int64 -> int
 
-(** Deep copy (private tag/age arrays), for checkpointing. *)
+(** Deep copy (private tag/age arrays, the same [last_line] and
+    [last_way]), for checkpointing. *)
 val copy : t -> t

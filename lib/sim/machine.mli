@@ -124,7 +124,13 @@ type t = {
   mutable xv : Bytes.t;  (** call arguments / return values in flight *)
   mutable xn : bool array;
   mutable xc : int;
-  scratch : Bytes.t;  (** a loaded or stored value in transit *)
+  mutable xint : bool;
+      (** the first value in flight is integer-class (an integer register
+          or an integer constant); an exit code is read only off such a
+          value, and only when it is not NaT, as in the interpreter *)
+  scratch : Bytes.t;
+      (** a loaded or stored value in transit (bytes 0-7) and its address
+          (bytes 8-15) *)
   mutable warm : bool;
       (** interval sampling (DESIGN.md §13): in a warm phase the timing
           model is bypassed — no charges, no clock, no stalls — while the
@@ -144,6 +150,26 @@ type t = {
   mutable ck_at : int;  (** groups count to capture at; [max_int] = none *)
   mutable ck_saved : checkpoint option;
 }
+
+(** {2 The inlined hit paths}
+
+    The dev build compiles with [-opaque], so a call from the machine into
+    {!Cache} or {!Tlb} is an unknown call.  The machine decides the common
+    case of each access itself, inlined, and makes exactly the state update
+    the model's own function would; they are exported so that tests can
+    drive them beside the models (DESIGN.md §10). *)
+
+val cache_access : Cache.t -> int -> int64 -> bool
+(** [cache_access c line addr] is [Cache.access c addr], where [line] is
+    [addr]'s line in [c] ([Cache.line_of c addr]): a repeat of
+    [c.last_line] is a hit in [c.last_way] (accesses, clock and that way's
+    age advance), anything else calls [Cache.access].  Every L1I, L1D, L2
+    and L3 access of the machine goes through it. *)
+
+val tlb_lookup : Tlb.t -> int64 -> bool
+(** [tlb_lookup t addr] is [Tlb.lookup t addr]: a page found in the entry
+    its hint names is a hit made here (accesses, clock and the entry's age
+    advance), anything else calls [Tlb.lookup]. *)
 
 (** Run a laid-out program on the given input; returns (exit code, printed
     output, final machine state).  Output must equal the reference

@@ -9,8 +9,12 @@ type t = {
           so it always fits an OCaml int exactly *)
   age : int array;
   hint : int array;
-      (** by a page's low bits, the entry it was last found or filled in:
-          checked before scanning, verified against [pages] *)
+      (** by a page's low bits ([page land (Array.length hint - 1)], the
+          length a power of two), the entry it was last found or filled
+          in: checked before scanning, verified against [pages].  That
+          check is {!lookup}'s first step, which a caller may make itself
+          ([Machine.tlb_lookup] does): on a verified hint [e], the lookup's
+          update is [accesses + 1], [clock + 1], [age.(e) <- clock] *)
   mutable clock : int;
   mutable accesses : int;
   mutable misses : int;

@@ -698,6 +698,141 @@ let test_tlb_matches_scan () =
       check (Alcotest.array ci) "original untouched by its copy" m.sp t.Tlb.pages)
     [ (1, 1); (4, 1); (128, 1); (32, 64) ]
 
+(* --- Machine's inlined hit paths vs the models' own functions ------------- *)
+
+(* [Machine.cache_access] and [Machine.tlb_lookup] decide a repeated
+   access themselves and must leave every field exactly as the model's
+   own function would: each is driven beside a second model that only
+   goes through [Cache.access] (or [Tlb.lookup] and [Tlb.fill]), on
+   random streams with same-line repeats and set conflicts, across a
+   [reset] and a [copy] mid-stream. *)
+
+let check_caches what (want : Epic_sim.Cache.t) (got : Epic_sim.Cache.t) =
+  let open Epic_sim in
+  check (Alcotest.array ci) (what ^ ": tags") want.Cache.tags got.Cache.tags;
+  check (Alcotest.array ci) (what ^ ": age") want.Cache.age got.Cache.age;
+  check ci (what ^ ": clock") want.Cache.clock got.Cache.clock;
+  check ci (what ^ ": accesses") want.Cache.accesses got.Cache.accesses;
+  check ci (what ^ ": misses") want.Cache.misses got.Cache.misses
+
+let test_cache_hit_path_oracle () =
+  let open Epic_sim in
+  let d = Epic_mach.Machine_desc.itanium2 in
+  let geom name (g : Epic_mach.Machine_desc.cache_geom) =
+    (name, g.Epic_mach.Machine_desc.size, g.Epic_mach.Machine_desc.line,
+     g.Epic_mach.Machine_desc.assoc)
+  in
+  List.iter
+    (fun (name, size, line, assoc) ->
+      let create () = Cache.create ~name ~size ~line ~assoc in
+      let fast = ref (create ()) and slow = ref (create ()) in
+      let sets = !fast.Cache.sets in
+      let rng = Random.State.make [| size; line; assoc |] in
+      let prev = ref 0L and repeats = ref 0 in
+      let step_with what addr =
+        let f = !fast in
+        let l = Cache.line_of f addr in
+        if l = f.Cache.last_line then incr repeats;
+        let got = Machine.cache_access f l addr in
+        check cb (what ^ ": hit") (Cache.access !slow addr) got;
+        prev := addr
+      in
+      for step = 1 to 20_000 do
+        let what = Printf.sprintf "%s, step %d" name step in
+        let byte = Int64.of_int (Random.State.int rng line) in
+        let addr =
+          match Random.State.int rng 8 with
+          | 0 | 1 | 2 ->
+              (* another byte of the previous access's line *)
+              Int64.logor (Int64.logand !prev (Int64.of_int (-line))) byte
+          | 3 | 4 ->
+              (* set 0 of a few more lines than it has ways *)
+              Int64.add (Int64.of_int (Random.State.int rng (2 * assoc + 1) * sets * line)) byte
+          | 5 ->
+              (* high addresses: the line is a logical shift *)
+              Int64.logor 0xf000_0000_0000_0000L (Int64.of_int (Random.State.int rng (4 * size)))
+          | _ -> Int64.of_int (Random.State.int rng (4 * size))
+        in
+        step_with what addr;
+        if step mod 97 = 0 then check_caches what !slow !fast;
+        if step mod 2500 = 0 then begin
+          (* a reset forgets the last line: repeating it must miss *)
+          Cache.reset !fast;
+          Cache.reset !slow;
+          step_with (what ^ ", after a reset") !prev;
+          check_caches (what ^ ", after a reset") !slow !fast
+        end;
+        if step mod 3001 = 0 then begin
+          fast := Cache.copy !fast;
+          slow := Cache.copy !slow;
+          step_with (what ^ ", after a copy") !prev
+        end
+      done;
+      check_caches (name ^ ", at the end") !slow !fast;
+      check cb (Printf.sprintf "%s: %d repeats of the last line" name !repeats) true
+        (!repeats > 1000))
+    [
+      geom "L1I" d.Epic_mach.Machine_desc.l1i;
+      geom "L1D" d.Epic_mach.Machine_desc.l1d;
+      geom "L2" d.Epic_mach.Machine_desc.l2;
+      geom "L3" d.Epic_mach.Machine_desc.l3;
+      ("3 sets", 3 * 64 * 2, 64, 2);
+    ]
+
+let test_tlb_hit_path_oracle () =
+  let open Epic_sim in
+  List.iter
+    (fun (entries, stride) ->
+      let fast = ref (Tlb.create ~entries ()) and slow = ref (Tlb.create ~entries ()) in
+      let rng = Random.State.make [| entries; stride |] in
+      let prev = ref 0 and hinted = ref 0 in
+      let lookup what page =
+        let addr = Int64.of_int ((page lsl Epic_ir.Memimage.page_bits) + Random.State.int rng 64) in
+        let f = !fast in
+        let e = f.Tlb.hint.(page land (Array.length f.Tlb.hint - 1)) in
+        if e < entries && f.Tlb.pages.(e) = page then incr hinted;
+        let got = Machine.tlb_lookup f addr in
+        if not got then Tlb.fill f addr;
+        let want = Tlb.lookup !slow addr in
+        if not want then Tlb.fill !slow addr;
+        check cb (what ^ ": hit") want got;
+        prev := page
+      in
+      let check_tlbs what =
+        let w = !slow and g = !fast in
+        check (Alcotest.array ci) (what ^ ": pages") w.Tlb.pages g.Tlb.pages;
+        check (Alcotest.array ci) (what ^ ": age") w.Tlb.age g.Tlb.age;
+        check (Alcotest.array ci) (what ^ ": hint") w.Tlb.hint g.Tlb.hint;
+        check ci (what ^ ": clock") w.Tlb.clock g.Tlb.clock;
+        check ci (what ^ ": accesses") w.Tlb.accesses g.Tlb.accesses;
+        check ci (what ^ ": misses") w.Tlb.misses g.Tlb.misses
+      in
+      for step = 1 to 20_000 do
+        let what = Printf.sprintf "%d entries, step %d" entries step in
+        (* the previous page again, or one of a range a little wider than
+           the TLB (a stride of 64 pages puts them all in one hint slot) *)
+        let page =
+          if Random.State.bool rng then !prev
+          else stride * Random.State.int rng (entries + (entries / 2) + 1)
+        in
+        lookup what page;
+        if step mod 97 = 0 then check_tlbs what;
+        if step mod 2500 = 0 then begin
+          Tlb.reset !fast;
+          Tlb.reset !slow;
+          lookup (what ^ ", after a reset") !prev;
+          check_tlbs (what ^ ", after a reset")
+        end;
+        if step mod 3001 = 0 then begin
+          fast := Tlb.copy !fast;
+          slow := Tlb.copy !slow;
+          lookup (what ^ ", after a copy") !prev
+        end
+      done;
+      check_tlbs (Printf.sprintf "%d entries, at the end" entries);
+      check cb (Printf.sprintf "%d entries: %d hinted hits" entries !hinted) true (!hinted > 1000))
+    [ (1, 1); (4, 1); (Epic_mach.Machine_desc.itanium2.Epic_mach.Machine_desc.dtlb_entries, 1); (128, 64) ]
+
 (* --- Export: host section and its normalization -------------------------- *)
 
 let test_export_host_section () =
@@ -935,6 +1070,8 @@ let suite =
     ("cache mask geometry", `Quick, test_cache_mask_geometry);
     ("cache access/probe agree", `Quick, test_cache_access_probe_agree);
     ("tlb hints match a scan", `Quick, test_tlb_matches_scan);
+    ("machine cache hit path matches Cache.access", `Quick, test_cache_hit_path_oracle);
+    ("machine tlb hit path matches Tlb.lookup", `Quick, test_tlb_hit_path_oracle);
     ("export host section", `Quick, test_export_host_section);
     ("machine keeps call arguments across a decode", `Quick, test_decode_keeps_call_arguments);
     ("machine faults on an out-of-range parameter", `Quick, test_param_out_of_range_faults);

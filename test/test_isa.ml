@@ -549,9 +549,46 @@ let shared_rules =
         print bld four);
   ]
 
+(* --- the exit code ---------------------------------------------------------------- *)
+
+(* The exit code is the entry function's first returned value when that is
+   an integer register without NaT or an integer immediate; any other
+   value exits 0. *)
+let return_and_stop bld x =
+  Builder.ret bld [ x ];
+  (* the return [build] appends lands in a block of its own, never reached *)
+  ignore (Builder.start_block bld "unreached")
+
+let exit_codes =
+  [
+    case "an integer register return is the exit code" "" ~code:7 (fun bld ->
+        return_and_stop bld (r (movi bld 7)));
+    (* NaT, with the bits of 2 underneath in an engine that converts a NaT
+       float's value *)
+    case "a NaT integer return exits 0" "" (fun bld ->
+        ignore (Builder.load ~spec:Opcode.Spec_sentinel bld (flt_reg 14) (imm unmapped));
+        ignore
+          (Builder.emit bld Opcode.Fadd ~dsts:[ flt_reg 8 ]
+             ~srcs:[ r (flt_reg 14); Operand.Fimm 2.5 ]);
+        ignore (Builder.emit bld Opcode.Cvt_fi ~dsts:[ int_reg 20 ] ~srcs:[ r (flt_reg 8) ]);
+        return_and_stop bld (r (int_reg 20)));
+    case "a float return exits 0" "" (fun bld ->
+        ignore
+          (Builder.emit bld Opcode.Fadd ~dsts:[ flt_reg 8 ]
+             ~srcs:[ Operand.Fimm 2.5; Operand.Fimm 0.0 ]);
+        return_and_stop bld (r (flt_reg 8)));
+    case "a predicate return exits 0" "" (fun bld ->
+        let four = movi bld 4 in
+        let pt = Builder.fresh_pred bld and pf = Builder.fresh_pred bld in
+        Builder.cmp bld Opcode.Eq pt pf (r four) (imm 4);
+        return_and_stop bld (r pt));
+  ]
+
+(* New groups go at the end, so that no case's index moves. *)
 let cases =
   [ shifts; sign_extension ]
   @ compares @ spec_loads @ alat @ checks @ intrinsics @ float_regs @ nat_stores @ shared_rules
+  @ exit_codes
 
 (* --- running ----------------------------------------------------------------- *)
 

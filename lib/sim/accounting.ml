@@ -142,9 +142,3 @@ let func_total t fname =
   | None -> 0.
 
 let functions t = Hashtbl.fold (fun f _ acc -> f :: acc) t.by_func []
-
-let pp ppf t =
-  List.iter
-    (fun c -> Fmt.pf ppf "%-16s %12.0f@." (name c) (get t c))
-    all_categories;
-  Fmt.pf ppf "%-16s %12.0f@." "TOTAL" (total t)

@@ -71,7 +71,6 @@ val planned : t -> float
 
 val func_total : t -> string -> float
 val functions : t -> string list
-val pp : Format.formatter -> t -> unit
 
 (** Deep copy: private totals and bin arrays. *)
 val copy : t -> t

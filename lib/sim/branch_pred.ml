@@ -46,11 +46,5 @@ let rate t =
   if t.predictions = 0 then 1.0
   else 1.0 -. (float_of_int t.mispredictions /. float_of_int t.predictions)
 
-let reset t =
-  Array.fill t.counters 0 (Array.length t.counters) 2;
-  t.history <- 0;
-  t.predictions <- 0;
-  t.mispredictions <- 0
-
 (* Deep copy for checkpointing. *)
 let copy t = { t with counters = Array.copy t.counters }

@@ -20,7 +20,5 @@ val record_unconditional : t -> unit
 (** Correct-prediction rate (Figure 7's right axis). *)
 val rate : t -> float
 
-val reset : t -> unit
-
 (** Deep copy (private counter array), for checkpointing. *)
 val copy : t -> t

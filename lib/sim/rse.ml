@@ -71,12 +71,6 @@ let on_return t =
       t.fills <- t.fills + fills;
       fills * t.cost_per_reg
 
-let reset t =
-  t.frames <- [];
-  t.resident_total <- 0;
-  t.spills <- 0;
-  t.fills <- 0
-
 (* Deep copy for checkpointing: the frame list's cells are mutable, so each
    is duplicated (order preserved — innermost first). *)
 let copy t =

@@ -23,7 +23,5 @@ val on_call : t -> int -> int
 (** Pop the current frame, refilling the caller; returns fill cycles. *)
 val on_return : t -> int
 
-val reset : t -> unit
-
 (** Deep copy (private frame cells, order preserved), for checkpointing. *)
 val copy : t -> t

@@ -51,7 +51,7 @@ let () =
   (* Show what peeling does to the IR. *)
   let p = Epic_frontend.Lower.compile_source source in
   ignore (Epic_analysis.Profile.profile_and_annotate p input);
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   Epic_analysis.Profile.reprofile p input;
   let f = Epic_ir.Program.find_func_exn p "eval_queens" in
   Fmt.pr "=== eval_queens before peeling: %d blocks ===@."

@@ -16,9 +16,6 @@
 
 type kind = Dominance | Liveness | Loops | Memdep | Callgraph | Points_to
 
-val all_kinds : kind list
-val kind_name : kind -> string
-
 (** Per-block summary of the memory-ordering-relevant instructions (stores,
     and calls that may touch memory), as consumed by LICM's alias scan. *)
 type memdep_summary = (string, Epic_ir.Instr.t list) Hashtbl.t

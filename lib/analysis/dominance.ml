@@ -85,12 +85,6 @@ let dominates t a b =
   in
   if not (Hashtbl.mem t.idom b) then false else go b
 
-(* Children in the dominator tree. *)
-let children t label =
-  Hashtbl.fold
-    (fun l d acc -> if d = label && l <> label then l :: acc else acc)
-    t.idom []
-
 (* Blocks in reverse postorder (reachable blocks only). *)
 let rpo t = t.order
 

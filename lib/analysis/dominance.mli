@@ -5,20 +5,11 @@ type t
 
 val compute : Epic_ir.Func.t -> t
 
-(** Reverse postorder of the reachable blocks (used to build [compute]'s
-    fixed point; also a convenient traversal order for clients). *)
-val reverse_postorder : Epic_ir.Func.t -> string array
-
-val entry_label : t -> string
-
 (** [None] for the entry block. *)
 val immediate_dominator : t -> string -> string option
 
 (** Does [a] dominate [b]?  Reflexive; false for unreachable blocks. *)
 val dominates : t -> string -> string -> bool
-
-(** Children of a label in the dominator tree. *)
-val children : t -> string -> string list
 
 val rpo : t -> string array
 

@@ -4,9 +4,6 @@
 
 type t
 
-(** Always writes its destinations, regardless of its guard? *)
-val killing_def : Epic_ir.Instr.t -> bool
-
 val compute : Epic_ir.Func.t -> t
 
 (** Structural equality (same per-block live-in/live-out); used by the

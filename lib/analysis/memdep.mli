@@ -2,12 +2,8 @@
     dependences"): only the true, minimum set of arcs is drawn among loads,
     stores and calls. *)
 
-(** Do two tag sets possibly overlap?  [None] is unknown and overlaps all. *)
-val tags_may_alias : int list option -> int list option -> bool
-
 val may_alias : Epic_ir.Instr.t -> Epic_ir.Instr.t -> bool
 
-val intrinsic_touches_memory : Epic_ir.Intrinsics.kind -> bool
 val call_touches_memory : Epic_ir.Instr.t -> bool
 
 (** Ordering requirement between two memory-ish instructions, [a] preceding

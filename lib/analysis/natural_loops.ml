@@ -123,9 +123,6 @@ let equal a b =
 let innermost_first t =
   List.sort (fun a b -> compare (List.length a.body) (List.length b.body)) t.loops
 
-(* The loop (if any) with the given header. *)
-let find t header = List.find_opt (fun l -> l.header = header) t.loops
-
 let in_loop l label = List.mem label l.body
 
 (* Blocks outside the loop that the loop can exit to. *)

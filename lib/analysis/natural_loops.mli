@@ -21,7 +21,6 @@ val compute : ?dom:Dominance.t -> Epic_ir.Func.t -> t
     by the analysis cache's cached-equals-fresh self check. *)
 val equal : t -> t -> bool
 val innermost_first : t -> loop list
-val find : t -> string -> loop option
 val in_loop : loop -> string -> bool
 
 (** Labels outside the loop that the loop can exit to. *)

@@ -278,10 +278,3 @@ let analyze ?(enabled = true) (p : Program.t) =
     annotate_program an p;
     an
   end
-
-let loc_to_string t id =
-  match Hashtbl.find_opt t.loc_of_id id with
-  | Some (Lglobal g) -> "@" ^ g
-  | Some (Lframe f) -> "frame:" ^ f
-  | Some (Lheap s) -> Printf.sprintf "heap:%d" s
-  | None -> Printf.sprintf "loc:%d" id

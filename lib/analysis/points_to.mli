@@ -17,6 +17,3 @@ type t
     instruction's [mem_tag].  With [enabled:false] (the paper disables
     pointer analysis for eon and perlbmk) all tags are set to unknown. *)
 val analyze : ?enabled:bool -> Epic_ir.Program.t -> t
-
-(** Human-readable name of an abstract location id. *)
-val loc_to_string : t -> int -> string

@@ -15,8 +15,6 @@ type t = {
   indirect_targets : (int, (string, float) Hashtbl.t) Hashtbl.t;
 }
 
-val create : unit -> t
-
 (** Run on [input]; returns (profile, exit code, output). *)
 val collect : Epic_ir.Program.t -> int64 array -> t * int * string
 

@@ -306,9 +306,6 @@ let run ?targets ?(factors = default_factors) ?(top_funcs = 3)
     r_wall_s = Unix.gettimeofday () -. t0;
   }
 
-let report_of (r : report) w =
-  List.find (fun wr -> wr.c_workload = w) r.r_reports
-
 let curve_of (wr : wreport) t =
   List.find_opt (fun k -> k.k_target = t) wr.c_curves
 

@@ -161,9 +161,6 @@ val run :
   Epic_core.Matrix.backend ->
   report
 
-(** The workload's report.  @raise Not_found if absent. *)
-val report_of : report -> string -> wreport
-
 (** The target's curve in a workload report, if it was in the plan. *)
 val curve_of : wreport -> target -> curve option
 

@@ -26,13 +26,12 @@ type t = {
          "a limited initial application is providing a 5% speedup" on gap) *)
 }
 
-let make ?(spec_model = Epic_ilp.Speculate.General) ?(pointer_analysis = true)
-    ?(inline_budget = 1.6) level =
+let make level =
   {
     level;
-    spec_model;
-    pointer_analysis;
-    inline_budget;
+    spec_model = Epic_ilp.Speculate.General;
+    pointer_analysis = true;
+    inline_budget = 1.6;
     superblock = Epic_ilp.Superblock.default_params;
     hyperblock = Epic_ilp.Hyperblock.default_params;
     peel = Epic_ilp.Peel.default_params;

@@ -30,14 +30,9 @@ type t = {
 }
 
 (** [make level] builds a configuration with the defaults the experiments
-    use; optional arguments override the speculation model, pointer
-    analysis and inlining budget. *)
-val make :
-  ?spec_model:Epic_ilp.Speculate.model ->
-  ?pointer_analysis:bool ->
-  ?inline_budget:float ->
-  level ->
-  t
+    use: general speculation, pointer analysis on, an inlining budget of
+    1.6; a record update overrides any field. *)
+val make : level -> t
 
 val gcc_like : t
 val o_ns : t

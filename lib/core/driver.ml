@@ -75,8 +75,7 @@ let ir_measure (p : Program.t) =
 let register_backend m (config : Config.t) ~desc (k : counts) =
   let region = [ Cache.Points_to ] in
   Passman.register m
-    (Passman.func_pass "loop peeling" ~requires:[ Cache.Loops ]
-       ~preserves:region (fun c f ->
+    (Passman.func_pass "loop peeling" ~preserves:region (fun c f ->
          let loops, instrs =
            Epic_ilp.Peel.run_func ~cache:c ~params:config.Config.peel f
          in
@@ -104,7 +103,7 @@ let register_backend m (config : Config.t) ~desc (k : counts) =
          k.unrolled <- k.unrolled + n;
          n > 0));
   Passman.register m
-    (Passman.func_pass "height reduction" ~requires:[ Cache.Liveness ]
+    (Passman.func_pass "height reduction"
        ~preserves:Cache.[ Callgraph; Points_to ]
        (fun c f -> Epic_ilp.Height.run_func ~cache:c f));
   Passman.register m
@@ -138,13 +137,12 @@ let register_backend m (config : Config.t) ~desc (k : counts) =
          true));
   Passman.register m
     (Passman.func_pass "register allocation"
-       ~requires:Cache.[ Loops; Liveness ]
        ~preserves:Cache.[ Dominance; Loops; Callgraph; Points_to ]
        (fun c f ->
          ignore (Epic_sched.Regalloc.run_func ~cache:c f);
          true));
   Passman.register m
-    (Passman.func_pass "list scheduling" ~requires:[ Cache.Liveness ]
+    (Passman.func_pass "list scheduling"
        ~preserves:Cache.[ Callgraph; Points_to ]
        (fun c f ->
          Epic_sched.List_sched.run_func ~cache:c
@@ -181,8 +179,7 @@ let compile_ir ?(config = Config.o_ns) ?(desc = Epic_mach.Machine_desc.itanium2)
     ?passes ~(train : int64 array) (p : Program.t) =
   let obs = match passes with Some pm -> pm | None -> Epic_obs.Passes.create () in
   Verify.check_program p;
-  let m = Passman.create ~obs p in
-  Epic_opt.Pipeline.register_classical m;
+  let m = Epic_opt.Pipeline.manager ~obs p in
   let cache = Passman.cache m in
   let inlined = ref 0 and specialized = ref 0 in
   let k =
@@ -385,6 +382,6 @@ let resume ?fuel ?trace ?profile (c : compiled)
 (* Reference semantics: the pre-backend program still runs on the
    high-level interpreter (scheduling does not change IR meaning), so a
    compiled program can always be cross-checked. *)
-let run_reference ?fuel (c : compiled) (input : int64 array) =
-  let code, out, _ = Interp.run ?fuel c.program input in
+let run_reference (c : compiled) (input : int64 array) =
+  let code, out, _ = Interp.run c.program input in
   (code, out)

@@ -116,4 +116,4 @@ val resume :
 
 (** Run the compiled program's IR on the reference interpreter (scheduling
     does not change IR meaning, so this cross-checks the simulator). *)
-val run_reference : ?fuel:int -> compiled -> int64 array -> int * string
+val run_reference : compiled -> int64 array -> int * string

@@ -228,9 +228,7 @@ let check ?(fuel = 8_000_000) (src : string) (input : int64 array) : outcome =
                   ( Epic_ir.Interp.run ~fuel compiled.Driver.program input,
                     Driver.run ~fuel compiled input )
                 with
-                | exception (Epic_ir.Interp.Out_of_fuel | Epic_sim.Machine.Out_of_fuel)
-                  ->
-                    Skipped
+                | exception Epic_ir.Interp.Out_of_fuel -> Skipped
                 | exception e -> Crash { config = name; exn = Printexc.to_string e }
                 | (ic, io, ist), ((mc, mo, _) as full) -> (
                     let ir_ok = (ic, io) = expected in

@@ -8,10 +8,6 @@ module Gen : sig
   val program : string QCheck.Gen.t
 end
 
-(** The configurations a program is checked under: the paper's four levels
-    plus the sentinel- and data-speculation variants. *)
-val configs : (string * Config.t) list
-
 type outcome =
   | Agree
   | Skipped  (** the reference ran out of fuel; vacuous *)

@@ -15,17 +15,16 @@
 open Epic_ir
 open Epic_analysis
 
-type params = {
-  min_block_weight : float;
-  max_advances_per_block : int;
-  window : int; (* only consider stores at most this many instrs above *)
-}
-
-let default_params = { min_block_weight = 16.0; max_advances_per_block = 8; window = 24 }
+(* Only blocks at least this hot are considered, at most
+   [max_advances_per_block] loads are advanced in each, and only stores at
+   most [window] instructions above a load count as blocking it. *)
+let min_block_weight = 16.0
+let max_advances_per_block = 8
+let window = 24
 
 (* Stores within [window] instructions above [idx] that may alias [ld] —
    the spurious dependences blocking hoisting. *)
-let blocking_stores (instrs : Instr.t array) (idx : int) (window : int) =
+let blocking_stores (instrs : Instr.t array) (idx : int) =
   let ld = instrs.(idx) in
   let rec scan k acc =
     if k < 0 || idx - k > window then acc
@@ -62,8 +61,8 @@ let insert_check (b : Block.t) (ld : Instr.t) =
   | _ -> ()
 
 (* Returns the number of loads advanced in [b]. *)
-let run_block (ps : params) (b : Block.t) =
-  if b.Block.weight < ps.min_block_weight then 0
+let run_block (b : Block.t) =
+  if b.Block.weight < min_block_weight then 0
   else begin
     let instrs = Array.of_list b.Block.instrs in
     let advanced = ref [] in
@@ -71,8 +70,8 @@ let run_block (ps : params) (b : Block.t) =
       (fun idx (i : Instr.t) ->
         match i.Instr.op with
         | Opcode.Ld (sz, Opcode.Nonspec)
-          when List.length !advanced < ps.max_advances_per_block ->
-            let blockers = blocking_stores instrs idx ps.window in
+          when List.length !advanced < max_advances_per_block ->
+            let blockers = blocking_stores instrs idx in
             if
               blockers <> []
               && not (List.exists (fun s -> provably_same s i) blockers)
@@ -93,8 +92,5 @@ let run_block (ps : params) (b : Block.t) =
 
 (* Returns the number of loads advanced; the function was mutated when it is
    non-zero (each check comes with an advanced load). *)
-let run_func ?(params = default_params) (f : Func.t) =
-  List.fold_left (fun n b -> n + run_block params b) 0 f.Func.blocks
-
-let run ?(params = default_params) (p : Program.t) =
-  List.fold_left (fun n f -> n + run_func ~params f) 0 p.Program.funcs
+let run_func (f : Func.t) =
+  List.fold_left (fun n b -> n + run_block b) 0 f.Func.blocks

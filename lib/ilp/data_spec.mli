@@ -4,16 +4,6 @@
     their original position; the scheduler may then hoist them above the
     stores, and a genuinely conflicting store forces reload recovery. *)
 
-type params = {
-  min_block_weight : float;
-  max_advances_per_block : int;
-  window : int;
-}
-
-val default_params : params
-
 (** Returns the number of loads advanced; the function was mutated when it
     is non-zero. *)
-val run_func : ?params:params -> Epic_ir.Func.t -> int
-
-val run : ?params:params -> Epic_ir.Program.t -> int
+val run_func : Epic_ir.Func.t -> int

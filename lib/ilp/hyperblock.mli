@@ -14,10 +14,6 @@ type params = {
 
 val default_params : params
 
-(** Distinct predicate registers appearing in a block (the pressure
-    metric). *)
-val block_predicates : Epic_ir.Block.t -> int
-
 (** Find the complement of predicate [pt] in a block: the compare defining
     both [pt] and its complement with neither redefined since.  Shared with
     superblock branch reversal and unrolling. *)

@@ -34,5 +34,4 @@ val branch_targets : t -> string list
 (** True when control cannot fall through past the end of this block. *)
 val ends_in_unconditional : t -> bool
 
-val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit

@@ -9,12 +9,10 @@ type t = {
 
 let create func = { func; cur = None }
 
-let func b = b.func
-
 (* Start a new block with the given label and make it current.  Blocks are
    laid out in the order they are started. *)
-let start_block ?(kind = Block.Plain) b label =
-  let blk = Block.create ~kind label in
+let start_block b label =
+  let blk = Block.create label in
   Func.append_block b.func blk;
   b.cur <- Some blk;
   blk
@@ -23,8 +21,6 @@ let current b =
   match b.cur with
   | Some blk -> blk
   | None -> invalid_arg "Builder: no current block (call start_block first)"
-
-let set_current b blk = b.cur <- Some blk
 
 let emit ?pred ?(dsts = []) ?(srcs = []) b op =
   let i = Instr.create ?pred ~dsts ~srcs op in

@@ -11,15 +11,8 @@ type t
 (** A builder appending into [func]. *)
 val create : Func.t -> t
 
-val func : t -> Func.t
-
 (** Start (and switch to) a new block with the given label. *)
-val start_block : ?kind:Block.kind -> t -> string -> Block.t
-
-(** The block instructions are currently appended to. *)
-val current : t -> Block.t
-
-val set_current : t -> Block.t -> unit
+val start_block : t -> string -> Block.t
 
 (** Append a raw instruction. *)
 val emit :

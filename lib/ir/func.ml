@@ -107,14 +107,6 @@ let find_block_exn f label =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Func.find_block: no block %s in %s" label f.name)
 
-let block_index f label =
-  let rec go i = function
-    | [] -> None
-    | b :: _ when b.Block.label = label -> Some i
-    | _ :: tl -> go (i + 1) tl
-  in
-  go 0 f.blocks
-
 (* The block control falls through to when [b] does not take a branch, i.e.
    the next block in layout order.  [None] at the end of the layout.  The
    indexed fast path applies when [b] is the first block bearing its label

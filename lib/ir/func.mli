@@ -33,7 +33,6 @@ val fresh_reg : t -> Reg.cls -> Reg.t
 val fresh_label : t -> string -> string
 val find_block : t -> string -> Block.t option
 val find_block_exn : t -> string -> Block.t
-val block_index : t -> string -> int option
 
 (** The block control falls through to from [b] (the next in layout). *)
 val fallthrough : t -> Block.t -> Block.t option

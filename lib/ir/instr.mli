@@ -43,7 +43,6 @@ val id_counter : unit -> int
     assigns the same ids a recompile from source would. *)
 val restore_ids : int -> unit
 
-val fresh_id : unit -> int
 val create : ?pred:Reg.t -> ?dsts:Reg.t list -> ?srcs:Operand.t list -> Opcode.t -> t
 
 (** Structural copy with a fresh id; [origin] records provenance across

@@ -27,7 +27,7 @@
    callee's own stack of frames. *)
 
 exception Fault = Isa.Fault
-exception Out_of_fuel
+exception Out_of_fuel = Isa.Out_of_fuel
 
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"

@@ -25,7 +25,9 @@
     {!Isa.Fault} and the machine simulator's [Machine_fault]. *)
 exception Fault of string
 
-exception Out_of_fuel  (** the dynamic instruction budget was exhausted *)
+(** The dynamic instruction budget was exhausted: the same exception as
+    {!Isa.Out_of_fuel} and the machine simulator's [Out_of_fuel]. *)
+exception Out_of_fuel
 
 type code
 (** The predecoded program of one run. *)

@@ -13,7 +13,6 @@ type kind =
   | Memset
   | Exit
 
-val all : (string * kind) list
 val of_name : string -> kind option
 val is_intrinsic : string -> bool
 

@@ -12,6 +12,7 @@
    it with a constant opcode, which the compiler folds away. *)
 
 exception Fault of string
+exception Out_of_fuel
 
 let malformed i = "malformed instruction: " ^ Instr.to_string i
 

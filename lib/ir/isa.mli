@@ -13,6 +13,9 @@
 (** An architectural fault: the program is wrong. *)
 exception Fault of string
 
+(** The dynamic instruction budget was exhausted. *)
+exception Out_of_fuel
+
 (** The fault of an instruction whose operands do not fit its opcode. *)
 val malformed : Instr.t -> string
 
@@ -129,6 +132,3 @@ val cmp : Opcode.t -> guard -> int -> int -> opnd -> opnd -> op
 
 (** The relations: signed, and unsigned for [Ltu]/[Geu]. *)
 val icmp : Opcode.icmp -> int64 -> int64 -> bool
-
-(** The relations on floats; [Ltu]/[Geu] compare as [Lt]/[Ge]. *)
-val fcmp : Opcode.icmp -> float -> float -> bool

@@ -140,9 +140,9 @@ let[@inline] set t p (a : int64) size v =
     | 1 -> Bytes.set_uint8 p off (Int64.to_int v land 0xff)
     | _ -> write_slow t a size v
 
-(* [read] and [write] with the value in a [Bytes] buffer at byte offset
-   [o] (native endianness) instead of a boxed [Int64], so an unboxed
-   producer or consumer allocates nothing. *)
+(* [read] with the value stored into a [Bytes] buffer at byte offset [o]
+   (native endianness) instead of a boxed [Int64], so an unboxed consumer
+   allocates nothing. *)
 let read_into t (a : int64) (size : int) (dst : Bytes.t) (o : int) =
   get t (page t (page_of_addr a)) a size dst o
 
@@ -152,9 +152,6 @@ let read t (a : int64) (size : int) =
   Bytes.get_int64_ne b 0
 
 let write t (a : int64) (size : int) (v : int64) = set t (page t (page_of_addr a)) a size v
-
-let write_from t (a : int64) (size : int) (src : Bytes.t) (o : int) =
-  set t (page t (page_of_addr a)) a size (Bytes.get_int64_ne src o)
 
 (* Bank-offset access, for a caller whose addresses and values live in an
    unboxed register bank: the address is the native-endian word of [src] at

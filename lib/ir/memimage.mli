@@ -31,10 +31,6 @@ val write : t -> int64 -> int -> int64 -> unit
     byte offset [o] in native endianness (no allocation). *)
 val read_into : t -> int64 -> int -> Bytes.t -> int -> unit
 
-(** [write_from t a size src o]: {!write} of the native-endian value held
-    in [src] at byte offset [o]. *)
-val write_from : t -> int64 -> int -> Bytes.t -> int -> unit
-
 (** [load_at t src ao size buf o]: the load of [size] bytes from the
     address held (native-endian) in [src] at byte offset [ao], into [buf] at
     byte offset [o] — performed only when the access classifies as [Ok]

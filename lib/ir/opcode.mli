@@ -71,7 +71,5 @@ val may_fault : t -> bool
 val is_float : t -> bool
 val icmp_to_string : icmp -> string
 val ctype_suffix : ctype -> string
-val size_to_string : size -> string
 val size_bytes : size -> int
-val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -27,5 +27,3 @@ let pp ppf = function
   | Fimm f -> Fmt.pf ppf "%g" f
   | Label l -> Fmt.pf ppf ".%s" l
   | Sym s -> Fmt.pf ppf "@%s" s
-
-let to_string o = Fmt.str "%a" pp o

@@ -15,4 +15,3 @@ val imm64 : int64 -> t
     and [-0.0] differ. *)
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -46,11 +46,6 @@ let find_func_exn p name =
 
 let find_global p name = List.find_opt (fun g -> g.gname = name) p.globals
 
-let find_global_exn p name =
-  match find_global p name with
-  | Some g -> g
-  | None -> invalid_arg ("Program.find_global: no global " ^ name)
-
 (* Data segment base; the zero page is reserved as the architected NaT page
    used to absorb speculative NULL dereferences cheaply (paper footnote 8). *)
 let data_base = 0x10000L
@@ -94,4 +89,3 @@ let pp ppf p =
     p.globals;
   List.iter (fun f -> Fmt.pf ppf "@.%a" Func.pp f) p.funcs
 
-let to_string p = Fmt.str "%a" pp p

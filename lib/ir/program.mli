@@ -27,11 +27,9 @@ val add_global : t -> ?init:int64 array -> string -> size:int -> global
 val find_func : t -> string -> Func.t option
 val find_func_exn : t -> string -> Func.t
 val find_global : t -> string -> global option
-val find_global_exn : t -> string -> global
 
 (** {2 Address-space layout} (the zero page is the architected NaT page) *)
 
-val data_base : int64
 val heap_base : int64
 val stack_top : int64
 val code_base : int64
@@ -48,4 +46,3 @@ val assign_addresses : t -> unit
 val iter_instrs : t -> (Instr.t -> unit) -> unit
 val instr_count : t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -38,14 +38,11 @@ let r0 = phys 0 Int (* always zero *)
 let sp = phys 12 Int (* memory stack pointer *)
 let p0 = phys 0 Prd (* always-true predicate *)
 let ret0 = phys 8 Int (* first integer return register *)
-let fret0 = phys 8 Flt (* floating-point return register *)
-let b0 = phys 0 Brr (* return-address branch register *)
 
 (* Physical register file geometry (IA-64). *)
 let num_int = 128
 let num_flt = 128
 let num_prd = 64
-let num_brr = 8
 let first_stacked = 32 (* r32 is the first register-stack register *)
 let num_stacked_physical = 96 (* r32-r127 back the register stack *)
 
@@ -56,8 +53,6 @@ let cls_letter = function Int -> 'r' | Flt -> 'f' | Prd -> 'p' | Brr -> 'b'
 let pp ppf r =
   if r.phys then Fmt.pf ppf "%c%d" (cls_letter r.cls) r.id
   else Fmt.pf ppf "v%c%d" (cls_letter r.cls) r.id
-
-let to_string r = Fmt.str "%a" pp r
 
 module Ord = struct
   type nonrec t = t

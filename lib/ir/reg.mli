@@ -9,7 +9,6 @@ type cls =
 
 type t = { id : int; cls : cls; phys : bool }
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
@@ -26,15 +25,11 @@ val p0 : t  (** the always-true predicate *)
 
 val ret0 : t  (** r8, first integer return register *)
 
-val fret0 : t
-val b0 : t
-
 (** {2 Register-file geometry (IA-64)} *)
 
 val num_int : int
 val num_flt : int
 val num_prd : int
-val num_brr : int
 
 val first_stacked : int  (** r32 starts the register stack *)
 
@@ -43,9 +38,7 @@ val num_stacked_physical : int  (** 96 physical stacked registers *)
 (** Is this a physical register of the register stack (r32-r127)? *)
 val is_stacked : t -> bool
 
-val cls_letter : cls -> char
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 module Ord : sig
   type nonrec t = t

@@ -79,7 +79,3 @@ let check_program (p : Program.t) =
   | None -> fail "no entry function %s" p.Program.entry
   | Some _ -> ());
   List.iter (check_func ~program:p) p.Program.funcs
-
-(* True when every instruction of [f] has been assigned an issue cycle. *)
-let is_scheduled (f : Func.t) =
-  Func.fold_instrs f (fun ok i -> ok && i.Instr.cycle >= 0) true

@@ -8,6 +8,3 @@ exception Ill_formed of string
 val check_func : ?program:Program.t -> Func.t -> unit
 
 val check_program : Program.t -> unit
-
-(** Has every instruction been assigned an issue cycle? *)
-val is_scheduled : Func.t -> bool

@@ -104,8 +104,6 @@ and emit_members buf ~pretty ~depth = function
       emit_member buf ~pretty ~depth kv;
       emit_members buf ~pretty ~depth kvs
 
-let to_buffer buf j = emit buf ~pretty:false ~depth:0 j
-
 let to_string ?(pretty = false) j =
   let buf = Buffer.create 1024 in
   emit buf ~pretty ~depth:0 j;

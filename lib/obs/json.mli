@@ -20,8 +20,6 @@ type t =
     indentation. *)
 val to_string : ?pretty:bool -> t -> string
 
-val to_buffer : Buffer.t -> t -> unit
-
 (** [to_string_with_encoded fields key encoded] is
     [to_string (Obj (fields @ [ (key, v) ]))] for the [v] whose compact
     serialization is [encoded]: stored bytes are spliced in, not

@@ -17,7 +17,6 @@ type record = {
 type t = { mutable rev : record list }
 
 let create () = { rev = [] }
-let reset t = t.rev <- []
 
 let add t ~name ~wall_s ~rounds ~instrs:(instrs_before, instrs_after)
     ~blocks:(blocks_before, blocks_after) ~bytes:(bytes_before, bytes_after)
@@ -38,7 +37,6 @@ let add t ~name ~wall_s ~rounds ~instrs:(instrs_before, instrs_after)
     :: t.rev
 
 let records t = List.rev t.rev
-let total_wall_s t = List.fold_left (fun a r -> a +. r.wall_s) 0. t.rev
 
 let record_to_json r =
   Json.Obj
@@ -68,10 +66,3 @@ let record_to_json r =
                    ))
                  rows) );
         ])
-
-let to_json t =
-  Json.Obj
-    [
-      ("total_wall_s", Json.Float (total_wall_s t));
-      ("passes", Json.List (List.map record_to_json (records t)));
-    ]

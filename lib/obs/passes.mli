@@ -24,7 +24,6 @@ type record = {
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val add :
   t ->
@@ -41,6 +40,4 @@ val add :
 (** Records in execution order. *)
 val records : t -> record list
 
-val total_wall_s : t -> float
 val record_to_json : record -> Json.t
-val to_json : t -> Json.t

@@ -29,7 +29,6 @@ type kind =
           deferral); [addr] = faulting address *)
 
 val all_kinds : kind list
-val kind_index : kind -> int
 val kind_name : kind -> string
 
 type event = { cycle : int; kind : kind; func : string; addr : int64 }
@@ -39,8 +38,6 @@ type t
 (** [create ()] makes an enabled trace sink; [capacity] (default 65536)
     bounds the retained event window. *)
 val create : ?capacity:int -> unit -> t
-
-val capacity : t -> int
 
 val record : t -> cycle:int -> kind:kind -> func:string -> addr:int64 -> unit
 

@@ -1,5 +1,5 @@
 (* The pass manager: every transform of the Figure-4 pipeline is a
-   registered pass declaring the analyses it requires and preserves.  The
+   registered pass declaring the analyses it preserves.  The
    manager owns the per-function analysis cache (Epic_analysis.Cache), a
    dirty-function set driving the classical fixed point's worklist, and the
    per-phase instrumentation (wall time, rounds, IR deltas, cache hit/miss
@@ -15,50 +15,28 @@ type changes =
 
 type func_pass = {
   fp_name : string;
-  fp_requires : Cache.kind list;
   fp_preserves : Cache.kind list;
   fp_run : Cache.t -> Func.t -> bool;
 }
 
-type prog_pass = {
-  pp_name : string;
-  pp_requires : Cache.kind list;
-  pp_preserves : Cache.kind list;
-  pp_run : Cache.t -> Program.t -> changes;
-}
-
-type pass = Func_pass of func_pass | Prog_pass of prog_pass
-
-let pass_name = function
-  | Func_pass p -> p.fp_name
-  | Prog_pass p -> p.pp_name
-
-let func_pass ?(requires = []) ?(preserves = []) name run =
-  Func_pass
-    { fp_name = name; fp_requires = requires; fp_preserves = preserves; fp_run = run }
-
-let prog_pass ?(requires = []) ?(preserves = []) name run =
-  Prog_pass
-    { pp_name = name; pp_requires = requires; pp_preserves = preserves; pp_run = run }
+let func_pass ?(preserves = []) name run =
+  { fp_name = name; fp_preserves = preserves; fp_run = run }
 
 type t = {
   program : Program.t;
   cache : Cache.t;
   obs : Epic_obs.Passes.t;
-  registry : (string, pass) Hashtbl.t;
-  order : string list ref; (* registration order, for introspection *)
+  registry : (string, func_pass) Hashtbl.t;
   dirty : (string, unit) Hashtbl.t;
 }
 
-let create ?obs program =
-  let obs = match obs with Some o -> o | None -> Epic_obs.Passes.create () in
+let create ~obs program =
   let t =
     {
       program;
       cache = Cache.create ();
       obs;
       registry = Hashtbl.create 32;
-      order = ref [];
       dirty = Hashtbl.create 16;
     }
   in
@@ -69,22 +47,18 @@ let create ?obs program =
   t
 
 let cache t = t.cache
-let obs t = t.obs
 let program t = t.program
 
 let register t pass =
-  let name = pass_name pass in
+  let name = pass.fp_name in
   if Hashtbl.mem t.registry name then
     invalid_arg ("Passman.register: duplicate pass " ^ name);
-  Hashtbl.replace t.registry name pass;
-  t.order := name :: !(t.order)
+  Hashtbl.replace t.registry name pass
 
 let find t name =
   match Hashtbl.find_opt t.registry name with
   | Some p -> p
   | None -> invalid_arg ("Passman.find: unregistered pass " ^ name)
-
-let registered t = List.rev !(t.order)
 
 (* --- dirty-function tracking -------------------------------------------- *)
 
@@ -156,22 +130,17 @@ let phase t ~name ?(rounds_of = fun _ -> 1) ?(preserves = []) f =
    Changed/Unchanged; the manager invalidates and dirties exactly the
    changed ones. *)
 let run_pass t name =
-  match find t name with
-  | Func_pass fp ->
-      phase t ~name:fp.fp_name ~preserves:fp.fp_preserves (fun t ->
-          let changed =
-            List.filter_map
-              (fun (f : Func.t) ->
-                if fp.fp_run t.cache f then Some f.Func.name else None)
-              t.program.Program.funcs
-          in
-          match changed with
-          | [] -> (Unchanged, Unchanged)
-          | l -> (Changed l, Changed l))
-  | Prog_pass pp ->
-      phase t ~name:pp.pp_name ~preserves:pp.pp_preserves (fun t ->
-          let ch = pp.pp_run t.cache t.program in
-          (ch, ch))
+  let fp = find t name in
+  phase t ~name:fp.fp_name ~preserves:fp.fp_preserves (fun t ->
+      let changed =
+        List.filter_map
+          (fun (f : Func.t) ->
+            if fp.fp_run t.cache f then Some f.Func.name else None)
+          t.program.Program.funcs
+      in
+      match changed with
+      | [] -> (Unchanged, Unchanged)
+      | l -> (Changed l, Changed l))
 
 (* --- the classical fixed point as a dirty-function worklist -------------- *)
 
@@ -179,10 +148,11 @@ let run_pass t name =
    point — but only over the functions currently on the dirty worklist.  A
    function no pass has touched since it last reached its fixed point is
    skipped entirely: re-running the cleanup passes on it would be the
-   identity.  The optional [licm] pass then visits every function (LICM is
-   not skippable for clean functions: a second run can hoist chain tails
-   whose defining instruction the first run's scan order visited too late),
+   identity.  The [licm] pass then visits every function (LICM is not
+   skippable for clean functions: a second run can hoist chain tails whose
+   defining instruction the first run's scan order visited too late),
    followed by up to [post_rounds] more cleanup rounds where it moved code.
+   A function gets at most [max_rounds] cleanup rounds before LICM.
 
    Processing is per-function (each function runs to its own fixed point
    before the next starts); since every cleanup pass is intra-procedural
@@ -193,15 +163,12 @@ let run_pass t name =
    Returns the instrumented round count: max cleanup rounds over the dirty
    functions plus max post-LICM rounds over the functions LICM changed —
    the same count the classic whole-program iteration reports. *)
-let fixed_point t ~name ?(max_rounds = 8) ?(post_rounds = 3) ~cleanup ?licm ()
-    =
-  let as_func_pass n =
-    match find t n with
-    | Func_pass fp -> fp
-    | Prog_pass _ -> invalid_arg ("Passman.fixed_point: not a function pass: " ^ n)
-  in
-  let cleanup_passes = List.map as_func_pass cleanup in
-  let licm_pass = Option.map as_func_pass licm in
+let max_rounds = 8
+let post_rounds = 3
+
+let fixed_point t ~name ~cleanup ~licm =
+  let cleanup_passes = List.map (find t) cleanup in
+  let licm_pass = find t licm in
   let run_one (fp : func_pass) (f : Func.t) =
     let changed = fp.fp_run t.cache f in
     if changed then
@@ -236,23 +203,20 @@ let fixed_point t ~name ?(max_rounds = 8) ?(post_rounds = 3) ~cleanup ?licm ()
          pipeline gated its post-LICM rounds on "did LICM move anything
          anywhere" — cleanup over whatever is dirty: the functions LICM
          changed plus any whose phase-A budget ran out *)
-      (match licm_pass with
-      | Some lp ->
-          let moved_any = ref false in
-          List.iter
-            (fun (f : Func.t) ->
-              if run_one lp f then begin
-                moved_any := true;
-                mark_dirty t f.Func.name
-              end)
-            t.program.Program.funcs;
-          if !moved_any then
-            List.iter
-              (fun (f : Func.t) ->
-                let rounds = ref 0 in
-                let stable = go f rounds post_rounds in
-                if stable then mark_clean t f.Func.name;
-                if !rounds > !max_b then max_b := !rounds)
-              (dirty_funcs t)
-      | None -> ());
+      let moved_any = ref false in
+      List.iter
+        (fun (f : Func.t) ->
+          if run_one licm_pass f then begin
+            moved_any := true;
+            mark_dirty t f.Func.name
+          end)
+        t.program.Program.funcs;
+      if !moved_any then
+        List.iter
+          (fun (f : Func.t) ->
+            let rounds = ref 0 in
+            let stable = go f rounds post_rounds in
+            if stable then mark_clean t f.Func.name;
+            if !rounds > !max_b then max_b := !rounds)
+          (dirty_funcs t);
       (!max_a + !max_b, Unchanged))

@@ -1,7 +1,8 @@
 (** The pass manager behind the Figure-4 phase sequence.
 
     Every transform is a registered pass declaring the analyses it
-    {e requires} and {e preserves} (see {!Epic_analysis.Cache.kind}).
+    {e preserves} (see {!Epic_analysis.Cache.kind}); it fetches the ones it
+    needs from the cache itself.
     Passes report [Changed]/[Unchanged] per function; the manager drops only
     the non-preserved cache entries of the functions that actually changed
     and puts them on a dirty worklist.  The classical-optimization fixed
@@ -21,59 +22,31 @@ type changes =
 
 type func_pass = {
   fp_name : string;
-  fp_requires : Epic_analysis.Cache.kind list;
   fp_preserves : Epic_analysis.Cache.kind list;
   fp_run : Epic_analysis.Cache.t -> Epic_ir.Func.t -> bool;
       (** intra-procedural transform; true iff it mutated the function *)
 }
 
-type prog_pass = {
-  pp_name : string;
-  pp_requires : Epic_analysis.Cache.kind list;
-  pp_preserves : Epic_analysis.Cache.kind list;
-  pp_run : Epic_analysis.Cache.t -> Epic_ir.Program.t -> changes;
-}
-
-type pass = Func_pass of func_pass | Prog_pass of prog_pass
-
-val pass_name : pass -> string
-
 val func_pass :
-  ?requires:Epic_analysis.Cache.kind list ->
   ?preserves:Epic_analysis.Cache.kind list ->
   string ->
   (Epic_analysis.Cache.t -> Epic_ir.Func.t -> bool) ->
-  pass
-
-val prog_pass :
-  ?requires:Epic_analysis.Cache.kind list ->
-  ?preserves:Epic_analysis.Cache.kind list ->
-  string ->
-  (Epic_analysis.Cache.t -> Epic_ir.Program.t -> changes) ->
-  pass
+  func_pass
 
 type t
 
 (** A manager for one compilation of [program]: fresh analysis cache, all
-    functions initially dirty.  [obs] receives the per-phase records (a
-    fresh registry when omitted). *)
-val create : ?obs:Epic_obs.Passes.t -> Epic_ir.Program.t -> t
+    functions initially dirty.  [obs] receives the per-phase records. *)
+val create : obs:Epic_obs.Passes.t -> Epic_ir.Program.t -> t
 
 val cache : t -> Epic_analysis.Cache.t
-val obs : t -> Epic_obs.Passes.t
 val program : t -> Epic_ir.Program.t
 
 (** Register a pass by name; raises on duplicates. *)
-val register : t -> pass -> unit
-
-val find : t -> string -> pass
-
-(** Registered pass names, in registration order. *)
-val registered : t -> string list
+val register : t -> func_pass -> unit
 
 (** {1 Dirty-function worklist} *)
 
-val mark_dirty : t -> string -> unit
 val mark_all_dirty : t -> unit
 val is_dirty : t -> string -> bool
 
@@ -98,23 +71,14 @@ val phase :
   'a
 
 (** Run one registered pass over the whole program as an instrumented
-    phase; returns what changed.  Function passes visit every function and
-    report per-function changes. *)
+    phase: it visits every function; returns the functions it changed. *)
 val run_pass : t -> string -> changes
 
 (** The classical-optimization fixed point as a dirty-function worklist:
     the registered [cleanup] function passes iterate to a per-function
     fixed point over the dirty functions only (clean functions are
-    skipped); the optional [licm] pass then visits every function, with up
-    to [post_rounds] extra cleanup rounds where it moved code.  Functions
-    whose budget ran out while still changing stay dirty.  Returns the
-    round count (also recorded as the phase's [rounds]). *)
-val fixed_point :
-  t ->
-  name:string ->
-  ?max_rounds:int ->
-  ?post_rounds:int ->
-  cleanup:string list ->
-  ?licm:string ->
-  unit ->
-  int
+    skipped), at most 8 rounds each; the [licm] pass then visits every
+    function, with up to 3 extra cleanup rounds where it moved code.
+    Functions whose budget ran out while still changing stay dirty.
+    Returns the round count (also recorded as the phase's [rounds]). *)
+val fixed_point : t -> name:string -> cleanup:string list -> licm:string -> int

@@ -47,36 +47,25 @@ let register_classical (m : Passman.t) =
     (Passman.func_pass "local-cse" ~preserves:cse_preserves (fun _ f ->
          Local_cse.run_func f));
   Passman.register m
-    (Passman.func_pass "dce" ~requires:[ Cache.Liveness ]
-       ~preserves:Dce.dce_preserves
+    (Passman.func_pass "dce" ~preserves:Dce.dce_preserves
        (fun c f -> Dce.run_func ~cache:c f));
   Passman.register m
     (Passman.func_pass "jumpopt" ~preserves:[ Cache.Points_to ] (fun _ f ->
          Jumpopt.run_func f));
   Passman.register m
     (Passman.func_pass "licm"
-       ~requires:Cache.[ Dominance; Loops; Liveness; Memdep ]
        ~preserves:Cache.[ Callgraph; Points_to ]
        (fun c f -> Licm.run_func ~cache:c f))
 
 (* The classical fixed point on a pass manager: only the functions on the
    dirty worklist are iterated (LICM still sweeps every function).  Returns
    the round count, as the legacy entry point did. *)
-let run_classical_pm ?max_rounds (m : Passman.t) ~name =
-  let rounds =
-    Passman.fixed_point m ~name ?max_rounds ~cleanup:cleanup_passes
-      ~licm:"licm" ()
-  in
+let run_classical_pm (m : Passman.t) ~name =
+  let rounds = Passman.fixed_point m ~name ~cleanup:cleanup_passes ~licm:"licm" in
   Verify.check_program (Passman.program m);
   rounds
 
-(* Legacy whole-program entry points, kept for callers without a manager:
-   an ephemeral manager with every function initially dirty reduces to the
-   classic whole-program iteration. *)
-let run_classical_counted ?max_rounds (p : Program.t) =
-  let m = Passman.create p in
+let manager ?(obs = Epic_obs.Passes.create ()) (p : Program.t) =
+  let m = Passman.create ~obs p in
   register_classical m;
-  run_classical_pm ?max_rounds m ~name:"classical"
-
-let run_classical ?max_rounds (p : Program.t) =
-  ignore (run_classical_counted ?max_rounds p)
+  m

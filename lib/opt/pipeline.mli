@@ -9,20 +9,14 @@
     true if anything changed. *)
 val classical_pass : Epic_ir.Program.t -> bool
 
-(** The cleanup passes of the fixed point, in canonical order (as
-    registered by {!register_classical}). *)
-val cleanup_passes : string list
-
-(** Register the six cleanup passes plus ["licm"] (with their preservation
-    contracts) on a manager. *)
-val register_classical : Passman.t -> unit
+(** A manager for one compilation of a program ({!Passman.create}) with
+    the six cleanup passes plus ["licm"] registered, each with its
+    preservation contract.  [obs] receives the per-phase records (a fresh
+    registry when omitted). *)
+val manager : ?obs:Epic_obs.Passes.t -> Epic_ir.Program.t -> Passman.t
 
 (** The classical fixed point over the manager's dirty-function worklist,
-    instrumented as phase [name]; returns the round count. *)
-val run_classical_pm : ?max_rounds:int -> Passman.t -> name:string -> int
-
-val run_classical : ?max_rounds:int -> Epic_ir.Program.t -> unit
-
-(** Same as {!run_classical} but returns the number of fixed-point rounds
-    actually executed (feeding the per-pass instrumentation). *)
-val run_classical_counted : ?max_rounds:int -> Epic_ir.Program.t -> int
+    instrumented as phase [name]; returns the round count.  On a fresh
+    {!manager} every function starts dirty, which is the whole-program
+    iteration. *)
+val run_classical_pm : Passman.t -> name:string -> int

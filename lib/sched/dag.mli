@@ -16,12 +16,6 @@ type t = {
   mutable n_edges : int;
 }
 
-val add_edge : t -> int -> int -> int -> unit
-
-(** Registers defined for dependence purposes (a chk may rewrite its
-    checked register during recovery). *)
-val dep_defs : Epic_ir.Instr.t -> Epic_ir.Reg.t list
-
 (** Edge latencies are planned under [desc]. *)
 val build :
   desc:Epic_mach.Machine_desc.t ->

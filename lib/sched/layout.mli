@@ -21,9 +21,6 @@ type t = {
   mutable total_nops : int;
 }
 
-(** Group a scheduled block's instructions by issue cycle. *)
-val groups_of_block : Epic_ir.Block.t -> Epic_ir.Instr.t list list
-
 (** Sink cold-marked blocks to the function end, keeping control explicit
     (run before scheduling). *)
 val sink_cold_blocks : Epic_ir.Func.t -> unit

@@ -21,9 +21,6 @@ type loop_analysis = {
 val analyze_block :
   desc:Epic_mach.Machine_desc.t -> Epic_ir.Block.t -> loop_analysis option
 
-val analyze_func :
-  desc:Epic_mach.Machine_desc.t -> Epic_ir.Func.t -> loop_analysis list
-
 (** All eligible loops of a program, tagged with their function name. *)
 val analyze :
   desc:Epic_mach.Machine_desc.t ->

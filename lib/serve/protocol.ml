@@ -374,6 +374,8 @@ let execute session r =
           ]
   with
   | Field msg -> error_envelope r msg
+  | Epic_ir.Isa.Fault msg -> error_envelope r ("fault: " ^ msg)
+  | Epic_ir.Isa.Out_of_fuel -> error_envelope r "out of fuel"
   | e -> error_envelope r (Printexc.to_string e)
 
 (* A batch in wire order: a heavy request runs alone at its own position,

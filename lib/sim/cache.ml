@@ -97,8 +97,6 @@ let access_line t (line : int) =
     false
   end
 
-let access t (addr : int64) = access_line t (line_of t addr)
-
 (* Probe without allocating (used by tests). *)
 let probe t (addr : int64) =
   let line = line_of t addr in

@@ -18,27 +18,22 @@ type t = {
   mutable accesses : int;
   mutable misses : int;
   mutable last_line : int;
-      (** the line of the last {!access} ([-1] after {!create} and
+      (** the line of the last {!access_line} ([-1] after {!create} and
           {!reset}): while it is [>= 0], [tags.(last_way)] holds it *)
   mutable last_way : int;
       (** the index in [tags] and [age] of the way [last_line] was found
           or installed in.  A caller may decide an access to [last_line]
-          itself, with the hit update {!access} would make:
+          itself, with the hit update {!access_line} would make:
           [accesses + 1], [clock + 1], [age.(last_way) <- clock]
           ([Machine.cache_line] does, falling back to {!access_line}) *)
 }
 
 val create : name:string -> size:int -> line:int -> assoc:int -> t
 
-(** Access an address; true on hit.  Misses allocate (evicting LRU, the
-    first of equally old ways).  Records the line and its way as
-    [last_line] and [last_way].  One pass over the set finds the hit way
-    or the victim. *)
-val access : t -> int64 -> bool
-
-(** [access_line t line] is [access t addr] for an address of line [line]
-    ([line_of t addr]): the machine's miss path, which holds lines as
-    native ints. *)
+(** [access_line t line] accesses line [line] ([line_of t addr] of an
+    address); true on hit.  Misses allocate (evicting LRU, the first of
+    equally old ways).  Records the line and its way as [last_line] and
+    [last_way].  One pass over the set finds the hit way or the victim. *)
 val access_line : t -> int -> bool
 
 (** Probe without allocating. *)

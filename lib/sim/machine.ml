@@ -28,7 +28,7 @@ open Epic_mach
 open Epic_sched
 
 exception Machine_fault = Isa.Fault
-exception Out_of_fuel
+exception Out_of_fuel = Isa.Out_of_fuel
 
 type counters = {
   mutable useful_ops : int; (* retired, qualifying predicate true, non-nop *)

@@ -23,6 +23,9 @@
 (** An architectural fault: the same exception as [Epic_ir.Isa.Fault] and
     [Epic_ir.Interp.Fault]. *)
 exception Machine_fault of string
+
+(** The fuel ran out: the same exception as [Epic_ir.Isa.Out_of_fuel] and
+    [Epic_ir.Interp.Out_of_fuel]. *)
 exception Out_of_fuel
 
 (** Retired-operation and event counters (the Pfmon counter set). *)
@@ -82,7 +85,7 @@ type t = {
   dtlb : Tlb.t;
   bp : Branch_pred.t;
   rse : Rse.t;
-  desc : Machine_desc.t;  (** the machine description being simulated *)
+  desc : Epic_mach.Machine_desc.t;  (** the machine description being simulated *)
   acc : Accounting.t;  (** the nine-way cycle accounting *)
   c : counters;
   mutable cycle : int;  (** the global clock *)
@@ -196,10 +199,10 @@ val tlb_page : Tlb.t -> int -> bool
     the baseline.
 
     [desc] selects the machine description to simulate; the default is
-    {!Machine_desc.itanium2}.  For a run to be meaningful the program must
-    have been scheduled under the same description (the driver guarantees
-    this by scheduling under the description it records in its result and
-    passing it along).
+    {!Epic_mach.Machine_desc.itanium2}.  For a run to be meaningful the
+    program must have been scheduled under the same description (the
+    driver guarantees this by scheduling under the description it records
+    in its result and passing it along).
 
     [sampling] runs under interval sampling (see {!Sampling}): detailed
     phases alternate with warm functional phases and the final accounting
@@ -214,7 +217,7 @@ val run :
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
   ?experiments:Accounting.experiment list ->
-  ?desc:Machine_desc.t ->
+  ?desc:Epic_mach.Machine_desc.t ->
   ?sampling:Sampling.plan ->
   ?checkpoint_at:int ->
   Epic_ir.Program.t ->
@@ -253,7 +256,7 @@ val resume :
   ?fuel:int ->
   ?trace:Epic_obs.Trace.t ->
   ?profile:Epic_obs.Profile.t ->
-  ?desc:Machine_desc.t ->
+  ?desc:Epic_mach.Machine_desc.t ->
   Epic_ir.Program.t ->
   Epic_sched.Layout.t ->
   checkpoint ->

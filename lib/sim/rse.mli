@@ -4,12 +4,15 @@
     costing the cycles Figure 5 shows as "register stack engine".  Geometry
     and per-register cost default to {!Epic_mach.Machine_desc.itanium2}. *)
 
-type frame = { size : int; mutable resident : int }
-
-type t = {
+type t = private {
   physical : int;
   cost_per_reg : int;
-  mutable frames : frame list;
+  mutable size : int array;  (** frame sizes, outermost first *)
+  mutable resident : int array;  (** resident registers of each frame *)
+  mutable depth : int;  (** frames on the stack *)
+  mutable lo : int;
+      (** oldest frame that may hold resident registers: every frame below
+          it is spilled whole, every frame above it resident whole *)
   mutable resident_total : int;
   mutable spills : int;
   mutable fills : int;
@@ -23,5 +26,5 @@ val on_call : t -> int -> int
 (** Pop the current frame, refilling the caller; returns fill cycles. *)
 val on_return : t -> int
 
-(** Deep copy (private frame cells, order preserved), for checkpointing. *)
+(** Deep copy (private arrays), for checkpointing. *)
 val copy : t -> t

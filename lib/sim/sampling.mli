@@ -19,10 +19,6 @@ val default_plan : plan
 (** [{interval = 16384; detail = 512; warmup = 4096}], tuned on the
     12-workload suite (EXPERIMENTS.md accuracy table). *)
 
-val validate : plan -> unit
-(** Raises [Invalid_argument] unless [0 < detail < interval] and
-    [warmup >= 0]. *)
-
 val key_fragment : plan -> string
 (** Canonical ["i<interval>:d<detail>:w<warmup>"] form, used in
     content-addressed cache keys (the session run cache). *)
@@ -53,6 +49,8 @@ type state = {
 }
 
 val make : plan -> state
+(** Raises [Invalid_argument] unless [0 < detail < interval] and
+    [warmup >= 0]. *)
 
 val resnap : state -> float array -> unit
 (** [resnap sa totals] snapshots the totals at detail-phase entry. *)

@@ -79,8 +79,6 @@ let lookup_page t page =
     end
   end
 
-let lookup t (addr : int64) = lookup_page t (page_of addr)
-
 (* Install a translation of page [page] (absent, after a successful walk)
    in the least recently used entry, the first of equally old ones: the
    entry the missed lookup's scan found, or a scan of its own when a
@@ -100,8 +98,6 @@ let fill_page t page =
   t.pages.(victim) <- page;
   t.age.(victim) <- t.clock;
   t.hint.(page land (hints - 1)) <- victim
-
-let fill t (addr : int64) = fill_page t (page_of addr)
 
 let reset t =
   Array.fill t.pages 0 t.entries (-1);

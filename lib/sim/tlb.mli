@@ -12,7 +12,7 @@ type t = {
       (** by a page's low bits ([page land (Array.length hint - 1)], the
           length a power of two), the entry it was last found or filled
           in: checked before scanning, verified against [pages].  That
-          check is {!lookup}'s first step, which a caller may make itself
+          check is {!lookup_page}'s first step, which a caller may make itself
           ([Machine.tlb_page] does): on a verified hint [e], the lookup's
           update is [accesses + 1], [clock + 1], [age.(e) <- clock] *)
   mutable clock : int;
@@ -28,20 +28,13 @@ type t = {
 val create : ?entries:int -> unit -> t
 val page_of : int64 -> int
 
-(** Lookup without filling; counts the access.  A miss's scan also finds
+(** [lookup_page t page] looks up page [page] ([page_of addr] of an
+    address) without filling; counts the access.  A miss's scan also finds
     the entry a fill would evict. *)
-val lookup : t -> int64 -> bool
-
-(** [lookup_page t page] is [lookup t addr] for an address of page [page]
-    ([page_of addr]): the machine's miss path, which holds pages as
-    native ints. *)
 val lookup_page : t -> int -> bool
 
 (** Install a translation of an absent page (after a successful walk) in
     the least recently used entry, the first of equally old ones. *)
-val fill : t -> int64 -> unit
-
-(** [fill_page t page] is [fill t addr] for an address of page [page]. *)
 val fill_page : t -> int -> unit
 
 val reset : t -> unit

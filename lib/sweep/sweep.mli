@@ -134,14 +134,8 @@ val run :
 (** The baseline cell for a workload.  @raise Not_found if absent. *)
 val baseline_of : report -> string -> cell
 
-(** Per-category deltas of a cell vs its workload's baseline
-    (cell - baseline, length 9). *)
-val deltas : report -> cell -> float array
-
 (** Cells whose simulated output diverged from the reference. *)
 val mismatches : report -> cell list
-
-val desc_to_json : Epic_mach.Machine_desc.t -> Epic_obs.Json.t
 
 (** The sensitivity document.  Schema (stable; additions only):
     [sweep], [baseline] (variant/ablation names), [workloads], [variants]

@@ -26,7 +26,7 @@ open Epic_sim
 
 let ir_digest (p : Program.t) =
   let b = Buffer.create 65536 in
-  Buffer.add_string b (Program.to_string p);
+  Buffer.add_string b (Fmt.str "%a" Program.pp p);
   List.iter
     (fun (f : Func.t) ->
       List.iter

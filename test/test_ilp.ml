@@ -18,7 +18,7 @@ let prepared ?(input = [||]) src =
   let p = Epic_frontend.Lower.compile_source src in
   ignore (Epic_analysis.Profile.profile_and_annotate p input);
   ignore (Epic_analysis.Points_to.analyze p);
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   Epic_analysis.Profile.reprofile p input;
   p
 
@@ -114,7 +114,7 @@ int main() {
   in
   let p = Epic_frontend.Lower.compile_source src in
   ignore (Epic_analysis.Profile.profile_and_annotate p [||]);
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   Epic_analysis.Profile.reprofile p [||];
   let before = run p [||] in
   (* keep the diamond from being if-converted so the superblock pass sees it *)
@@ -231,7 +231,7 @@ let ilp_prepared src input =
   ignore (Epic_ilp.Superblock.run p);
   Epic_analysis.Profile.reprofile p input;
   ignore (Epic_ilp.Unroll.run p);
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   Epic_analysis.Profile.reprofile p input;
   p
 
@@ -299,7 +299,7 @@ let test_height_reduction () =
   in
   let p = Epic_frontend.Lower.compile_source src in
   let before = run p [| 4L |] in
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   let changed = Epic_ilp.Height.run p in
   Verify.check_program p;
   check cb "a chain was rebalanced" true changed;

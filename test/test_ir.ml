@@ -25,9 +25,9 @@ let test_reg_stacked () =
   check cb "predicates never stacked" false (Reg.is_stacked (Reg.phys 40 Reg.Prd))
 
 let test_reg_printing () =
-  check cs "phys int" "r12" (Reg.to_string Reg.sp);
-  check cs "virt pred" "vp7" (Reg.to_string (Reg.virt 7 Reg.Prd));
-  check cs "phys flt" "f8" (Reg.to_string (Reg.phys 8 Reg.Flt))
+  check cs "phys int" "r12" (Fmt.str "%a" Reg.pp Reg.sp);
+  check cs "virt pred" "vp7" (Fmt.str "%a" Reg.pp (Reg.virt 7 Reg.Prd));
+  check cs "phys flt" "f8" (Fmt.str "%a" Reg.pp (Reg.phys 8 Reg.Flt))
 
 let test_reg_set_map () =
   let s = Reg.Set.of_list [ Reg.virt 1 Reg.Int; Reg.virt 1 Reg.Int; Reg.virt 2 Reg.Int ] in
@@ -36,7 +36,7 @@ let test_reg_set_map () =
   check cb "map lookup" true (Reg.Map.mem (Reg.virt 1 Reg.Int) m)
 
 (* Register allocation and scheduling consume [Reg.Set]/[Reg.Map] iteration
-   order, so [Reg.compare] must keep the order of the polymorphic compare
+   order, so [Reg.Ord.compare] must keep the order of the polymorphic compare
    on (class, physical, id): Int < Flt < Prd < Brr, virtual < physical,
    then id.  [Reg.hash] must keep the value it had as the hash of the
    (id, class, physical) tuple, which orders [Reg.Tbl] iteration. *)
@@ -56,9 +56,9 @@ let test_reg_compare_order () =
       List.iter
         (fun (b : Reg.t) ->
           check ci
-            (Printf.sprintf "%s vs %s" (Reg.to_string a) (Reg.to_string b))
+            (Fmt.str "%a vs %a" Reg.pp a Reg.pp b)
             (sign (Stdlib.compare (a.Reg.cls, a.Reg.phys, a.Reg.id) (b.Reg.cls, b.Reg.phys, b.Reg.id)))
-            (sign (Reg.compare a b)))
+            (sign (Reg.Ord.compare a b)))
         regs)
     regs
 

@@ -678,7 +678,7 @@ let alu_forms =
         (pair (pair (pair (oneofl int_ops) bool) pair_gen) (pair bool bool)))
   in
   let print (op, spec, x, y, nx, ny) =
-    Printf.sprintf "%s spec=%b %Ld%s %Ld%s" (Opcode.to_string op) spec x
+    Fmt.str "%a spec=%b %Ld%s %Ld%s" Opcode.pp op spec x
       (if nx then " (NaT)" else "") y (if ny then " (NaT)" else "")
   in
   QCheck.Test.make ~count:3000 ~name:"ALU forms and constant folding agree"

@@ -152,7 +152,7 @@ let test_classical_pipeline_semantics () =
     (preserves ~input:[| 3L |] branchy_src (fun p ->
          ignore (Epic_analysis.Profile.profile_and_annotate p [| 3L |]);
          ignore (Epic_analysis.Points_to.analyze p);
-         Epic_opt.Pipeline.run_classical p))
+         ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical")))
 
 let test_licm_hoists () =
   let src =
@@ -173,7 +173,7 @@ int main() {
   let p = Epic_frontend.Lower.compile_source src in
   let before = run p [| 2L |] in
   ignore (Epic_analysis.Profile.profile_and_annotate p [| 2L |]);
-  Epic_opt.Pipeline.run_classical p;
+  ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p) ~name:"classical");
   let after = run p [| 2L |] in
   check (Alcotest.pair ci cs) "LICM preserves semantics" before after
 

@@ -163,10 +163,10 @@ let test_fixed_point_matches_oracle () =
       let p_oracle = lower w.Epic_workloads.Workload.source in
       oracle_classical p_oracle;
       let p_pm = lower w.Epic_workloads.Workload.source in
-      Epic_opt.Pipeline.run_classical p_pm;
+      ignore (Epic_opt.Pipeline.run_classical_pm (Epic_opt.Pipeline.manager p_pm) ~name:"classical");
       check cs
         (w.Epic_workloads.Workload.short ^ ": worklist IR = oracle IR")
-        (Program.to_string p_oracle) (Program.to_string p_pm))
+        (Fmt.str "%a" Program.pp p_oracle) (Fmt.str "%a" Program.pp p_pm))
     Epic_workloads.Suite.all
 
 (* --- the worklist actually skips clean functions ------------------------- *)
@@ -175,20 +175,18 @@ let test_clean_worklist_runs_no_rounds () =
   (* loop-free program: after one fixed point everything is stable and
      clean, so a second fixed point must do zero rounds and change nothing *)
   let p = lower "int main() { int x; x = 2 + 3; print_int(x * 4); return 0; }" in
-  let m = Epic_opt.Passman.create p in
-  Epic_opt.Pipeline.register_classical m;
+  let m = Epic_opt.Pipeline.manager p in
   ignore (Epic_opt.Pipeline.run_classical_pm m ~name:"classical (first)");
   check ci "worklist drained" 0
     (List.length (Epic_opt.Passman.dirty_funcs m));
-  let before = Program.to_string p in
+  let before = Fmt.str "%a" Program.pp p in
   let rounds = Epic_opt.Pipeline.run_classical_pm m ~name:"classical (again)" in
   check ci "clean worklist does no cleanup rounds" 0 rounds;
-  check cs "IR untouched" before (Program.to_string p)
+  check cs "IR untouched" before (Fmt.str "%a" Program.pp p)
 
 let test_mark_dirty_revisits () =
   let p = lower loopy_src in
-  let m = Epic_opt.Passman.create p in
-  Epic_opt.Pipeline.register_classical m;
+  let m = Epic_opt.Pipeline.manager p in
   ignore (Epic_opt.Pipeline.run_classical_pm m ~name:"classical");
   (* un-optimize one function by hand: dead pure code the cleanup removes *)
   let f = Program.find_func_exn p "f" in
@@ -211,8 +209,7 @@ let test_mark_dirty_revisits () =
    rewrites [main]'s print to print a constant. *)
 let test_reprofile_names_diverging_phase () =
   let p = lower loopy_src in
-  let m = Epic_opt.Passman.create p in
-  Epic_opt.Pipeline.register_classical m;
+  let m = Epic_opt.Pipeline.manager p in
   Epic_opt.Passman.register m
     (Epic_opt.Passman.func_pass "corrupt print" (fun _ (f : Func.t) ->
          f.Func.name = "main"

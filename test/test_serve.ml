@@ -421,6 +421,26 @@ let test_protocol_bad_unicode_escape () =
   Alcotest.(check bool) "four hex digits still decode" true
     (Json.of_string {|"\u00e9\u00C9"|} = Ok (Json.Str "\xc3\xa9\xc3\x89"))
 
+(* A program that faults reaches the client as plain text ("fault: ..."),
+   not as the OCaml path of the exception. *)
+let test_protocol_fault_is_plain_text () =
+  let s = Session.create () in
+  let line =
+    {|{"op":"run","source":"int main() { int *p; p = 0; print_int(*p); return 0; }"}|}
+  in
+  match Json.of_string (Protocol.execute s (Protocol.parse line)) with
+  | Ok j -> (
+      Alcotest.(check bool) "not ok" true (Json.member "ok" j = Some (Json.Bool false));
+      match Json.member "error" j with
+      | Some (Json.Str msg) ->
+          let rec has_path i =
+            i + 5 <= String.length msg && (String.sub msg i 5 = "Epic_" || has_path (i + 1))
+          in
+          Alcotest.(check bool) ("a fault: " ^ msg) true (String.starts_with ~prefix:"fault: " msg);
+          Alcotest.(check bool) ("no module path: " ^ msg) false (has_path 0)
+      | _ -> Alcotest.fail "no error message")
+  | Error e -> Alcotest.fail e
+
 let test_protocol_heaviness () =
   Alcotest.(check bool) "run is light" false
     (Protocol.is_heavy (Protocol.parse {|{"op":"run","source":"int main(){return 0;}"}|}));
@@ -519,6 +539,8 @@ let suite =
     Alcotest.test_case "protocol envelopes and error paths" `Quick
       test_protocol_envelopes;
     Alcotest.test_case "protocol op classification" `Quick test_protocol_heaviness;
+    Alcotest.test_case "a program fault is a plain-text error" `Quick
+      test_protocol_fault_is_plain_text;
     Alcotest.test_case "bad \\u escapes are error responses" `Quick
       test_protocol_bad_unicode_escape;
     Alcotest.test_case "session and response keys are pinned" `Quick

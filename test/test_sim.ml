@@ -11,18 +11,18 @@ let cb = Alcotest.bool
 
 let test_cache_hit_after_miss () =
   let c = Cache.create ~name:"t" ~size:1024 ~line:64 ~assoc:2 in
-  check cb "first access misses" false (Cache.access c 0L);
-  check cb "second access hits" true (Cache.access c 0L);
-  check cb "same line hits" true (Cache.access c 63L);
-  check cb "next line misses" false (Cache.access c 64L)
+  check cb "first access misses" false (Cache.access_line c (Cache.line_of c 0L));
+  check cb "second access hits" true (Cache.access_line c (Cache.line_of c 0L));
+  check cb "same line hits" true (Cache.access_line c (Cache.line_of c 63L));
+  check cb "next line misses" false (Cache.access_line c (Cache.line_of c 64L))
 
 let test_cache_lru_eviction () =
   (* 2-way set: three distinct lines mapping to the same set evict LRU *)
   let c = Cache.create ~name:"t" ~size:1024 ~line:64 ~assoc:2 in
   (* set count = 1024/(64*2) = 8; stride of 512 bytes keeps the same set *)
-  ignore (Cache.access c 0L);
-  ignore (Cache.access c 512L);
-  ignore (Cache.access c 1024L);
+  ignore (Cache.access_line c (Cache.line_of c 0L));
+  ignore (Cache.access_line c (Cache.line_of c 512L));
+  ignore (Cache.access_line c (Cache.line_of c 1024L));
   check cb "first way evicted" false (Cache.probe c 0L);
   check cb "second way survives" true (Cache.probe c 512L)
 
@@ -30,7 +30,7 @@ let test_cache_capacity () =
   let c = Cache.create ~name:"t" ~size:1024 ~line:64 ~assoc:2 in
   (* touch 2 KiB (32 lines): at most 16 can survive *)
   for k = 0 to 31 do
-    ignore (Cache.access c (Int64.of_int (k * 64)))
+    ignore (Cache.access_line c (Cache.line_of c (Int64.of_int (k * 64))))
   done;
   let resident = ref 0 in
   for k = 0 to 31 do
@@ -40,9 +40,9 @@ let test_cache_capacity () =
 
 let test_cache_counters () =
   let c = Cache.create ~name:"t" ~size:1024 ~line:64 ~assoc:2 in
-  ignore (Cache.access c 0L);
-  ignore (Cache.access c 0L);
-  ignore (Cache.access c 4096L);
+  ignore (Cache.access_line c (Cache.line_of c 0L));
+  ignore (Cache.access_line c (Cache.line_of c 0L));
+  ignore (Cache.access_line c (Cache.line_of c 4096L));
   check ci "accesses" 3 c.Cache.accesses;
   check ci "misses" 2 c.Cache.misses;
   check cb "miss rate" true (abs_float (Cache.miss_rate c -. (2. /. 3.)) < 1e-9)
@@ -51,12 +51,12 @@ let test_cache_counters () =
 
 let test_tlb () =
   let t = Tlb.create ~entries:2 () in
-  check cb "miss before fill" false (Tlb.lookup t 4096L);
-  Tlb.fill t 4096L;
-  check cb "hit after fill" true (Tlb.lookup t 4096L);
-  check cb "same page different offset hits" true (Tlb.lookup t 4097L);
-  Tlb.fill t 8192L;
-  Tlb.fill t 16384L;
+  check cb "miss before fill" false (Tlb.lookup_page t (Tlb.page_of 4096L));
+  Tlb.fill_page t (Tlb.page_of 4096L);
+  check cb "hit after fill" true (Tlb.lookup_page t (Tlb.page_of 4096L));
+  check cb "same page different offset hits" true (Tlb.lookup_page t (Tlb.page_of 4097L));
+  Tlb.fill_page t (Tlb.page_of 8192L);
+  Tlb.fill_page t (Tlb.page_of 16384L);
   (* capacity 2: the LRU entry (4096, refreshed above...) may be evicted *)
   check ci "two entries max" 2 t.Tlb.entries
 
@@ -121,6 +121,104 @@ let test_rse_spills_on_deep_recursion () =
   done;
   check cb "fills happened" true (!total_fill > 0);
   check ci "stack empty at the end" 0 r.Rse.resident_total
+
+(* The register stack engine as it kept its frames in a list (innermost
+   first), spilling by a walk to the oldest frame: the reference the
+   array model must reproduce call for call. *)
+module Rse_list = struct
+  type frame = { size : int; mutable resident : int }
+
+  type t = {
+    physical : int;
+    cost_per_reg : int;
+    mutable frames : frame list;
+    mutable resident_total : int;
+    mutable spills : int;
+    mutable fills : int;
+  }
+
+  let create ~physical ~cost_per_reg =
+    { physical; cost_per_reg; frames = []; resident_total = 0; spills = 0; fills = 0 }
+
+  let on_call t size =
+    t.frames <- { size; resident = size } :: t.frames;
+    t.resident_total <- t.resident_total + size;
+    let spilled = ref 0 in
+    let take_from fr =
+      let take = min fr.resident (t.resident_total - t.physical) in
+      fr.resident <- fr.resident - take;
+      t.resident_total <- t.resident_total - take;
+      spilled := !spilled + take
+    in
+    let rec spill_oldest = function
+      | [] -> ()
+      | _ when t.resident_total <= t.physical -> ()
+      | [ oldest ] -> take_from oldest
+      | x :: tl ->
+          spill_oldest tl;
+          if t.resident_total > t.physical then take_from x
+    in
+    (match t.frames with _cur :: rest -> spill_oldest rest | [] -> ());
+    t.spills <- t.spills + !spilled;
+    !spilled * t.cost_per_reg
+
+  let on_return t =
+    match t.frames with
+    | [] -> 0
+    | cur :: rest ->
+        t.frames <- rest;
+        t.resident_total <- t.resident_total - cur.resident;
+        let fills =
+          match rest with
+          | caller :: _ ->
+              let need = caller.size - caller.resident in
+              caller.resident <- caller.size;
+              t.resident_total <- t.resident_total + need;
+              need
+          | [] -> 0
+        in
+        t.fills <- t.fills + fills;
+        fills * t.cost_per_reg
+
+  let copy t =
+    { t with frames = List.map (fun f -> { size = f.size; resident = f.resident }) t.frames }
+end
+
+(* Random call, return and checkpoint-copy sequences on a small register
+   file: every call's spill cycles, every return's fill cycles and the
+   running counts agree with the list model.  After a copy the run goes on
+   with the copy while the original takes a deep call, so a copy that
+   shared state with its original would drift. *)
+let qcheck_rse_matches_list_model =
+  QCheck.Test.make ~count:300 ~name:"RSE matches the list model"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 8 96) (int_range 1 4)
+           (list_size (int_range 0 200)
+              (frequency
+                 [ (5, map (fun n -> `Call n) (int_range 0 40)); (4, return `Return); (1, return `Copy) ]))))
+    (fun (physical, cost_per_reg, ops) ->
+      let r = ref (Rse.create ~physical ~cost_per_reg ()) in
+      let l = ref (Rse_list.create ~physical ~cost_per_reg) in
+      List.for_all
+        (fun op ->
+          let same_cycles =
+            match op with
+            | `Call n -> Rse.on_call !r n = Rse_list.on_call !l n
+            | `Return -> Rse.on_return !r = Rse_list.on_return !l
+            | `Copy ->
+                let r' = Rse.copy !r and l' = Rse_list.copy !l in
+                ignore (Rse.on_call !r physical);
+                ignore (Rse_list.on_call !l physical);
+                r := r';
+                l := l';
+                true
+          in
+          same_cycles
+          && !r.Rse.spills = !l.Rse_list.spills
+          && !r.Rse.fills = !l.Rse_list.fills
+          && !r.Rse.resident_total = !l.Rse_list.resident_total)
+        ops)
 
 (* --- accounting ----------------------------------------------------------------- *)
 
@@ -279,6 +377,7 @@ let suite =
     ("branch predictor rate", `Quick, test_branch_predictor_rate);
     ("rse shallow", `Quick, test_rse_no_spill_when_shallow);
     ("rse deep recursion", `Quick, test_rse_spills_on_deep_recursion);
+    QCheck_alcotest.to_alcotest qcheck_rse_matches_list_model;
     ("accounting totals", `Quick, test_accounting_totals);
     ("accounting categories", `Quick, test_accounting_category_index_roundtrip);
     ("machine vs interp: basic", `Quick, test_machine_matches_interp_basic);

@@ -18,7 +18,7 @@ let test_cache_geometry () =
     Cache.reset cache;
     for _round = 1 to 50 do
       for k = 0 to 23 do
-        ignore (Cache.access cache (Int64.of_int (k * 64)))
+        ignore (Cache.access_line cache (Cache.line_of cache (Int64.of_int (k * 64))))
       done
     done;
     cache.Cache.misses
@@ -47,7 +47,7 @@ let test_tlb_geometry () =
     for _round = 1 to 50 do
       for p = 0 to 7 do
         let addr = Int64.of_int (p * 1 lsl 20) in
-        if not (Tlb.lookup tlb addr) then Tlb.fill tlb addr
+        if not (Tlb.lookup_page tlb (Tlb.page_of addr)) then Tlb.fill_page tlb (Tlb.page_of addr)
       done
     done;
     tlb.Tlb.misses

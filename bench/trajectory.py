@@ -31,12 +31,15 @@ ab compares two revisions A and B (anything `git rev-parse` names) on one
 workload.  Each is exported once with `git archive` into its own directory
 under a scratch directory (--dir, default <tmp>/epic-ab, one directory per
 commit, so a later comparison of the same commit reuses its build) and
-built there once.  Then it runs N pairs of untraced perfbench runs,
-alternating which side runs first, and prints for every end-to-end metric
-A's and B's medians, the median of the per-pair ratios B/A, B's wins out of
-N (strictly better, by the metric's direction) and A's interquartile range;
-"clear" marks a metric whose median moved by more than that range in B's
-favour, "worse" one that moved by more in A's.  It exits 1 if any op failed
+built there once.  Then it runs N pairs (default 10) of untraced perfbench
+runs, alternating which side runs first, and prints for every end-to-end
+metric A's and B's medians, the median and the min-max of the per-pair
+ratios B/A, B's wins out of N (strictly better, by the metric's direction)
+and A's interquartile range.  "undecided" marks a metric B wins in more
+than 20% and fewer than 80% of the pairs, whatever its median; otherwise
+"clear" marks one whose median moved by more than A's range in B's favour,
+"worse" one that moved by more in A's.  Medians of 5 pairs of the same two
+commits have disagreed by more than 5%.  It exits 1 if any op failed
 or if an exact metric (sim_cycles_geomean, code_bytes) differs between the
 two sides of any pair.  --out DIR also writes every result line there.
 """
@@ -285,7 +288,8 @@ def ab(rev_a, rev_b, workload, seed, pairs, root, out):
         if bad or not all(r["correct"] for r in rs):
             failed = True
         print("%s ops: %d attempted, %d failed" % (name, sum(r["attempted"] for r in rs), bad))
-    print("%-22s %14s %14s %8s %6s %12s" % ("metric", "A median", "B median", "B/A", "B wins", "A IQR"))
+    print("%-22s %14s %14s %8s %13s %6s %12s" %
+          ("metric", "A median", "B median", "B/A", "B/A min-max", "B wins", "A IQR"))
     for m in s["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
         a = [value(r, name) for r in runs[0]]
@@ -296,12 +300,14 @@ def ab(rev_a, rev_b, workload, seed, pairs, root, out):
         gain = statistics.median(a) - statistics.median(b)
         gain = gain if lower else -gain
         note = "clear" if gain > q3 - q1 else "worse" if -gain > q3 - q1 else ""
+        if 0.2 * pairs < wins < 0.8 * pairs:
+            note = "undecided"
         if name in EXACT and a != b:
             failed = True
             note = "DIFFERS"
-        print("%-22s %14.6g %14.6g %8.4f %3d/%-2d %12.4g  %s" %
+        print("%-22s %14.6g %14.6g %8.4f %6.3f-%-6.3f %3d/%-2d %12.4g  %s" %
               (name, statistics.median(a), statistics.median(b), statistics.median(ratios),
-               wins, pairs, q3 - q1, note))
+               min(ratios), max(ratios), wins, pairs, q3 - q1, note))
     print("ab: %s" % ("FAILED" if failed else "ok"))
     return 1 if failed else 0
 
@@ -320,7 +326,7 @@ def main():
     cmp_.add_argument("b", help="the revision compared with it")
     cmp_.add_argument("--workload", required=True, choices=WORKLOADS)
     cmp_.add_argument("--seed", type=int, default=1)
-    cmp_.add_argument("--pairs", type=int, default=5)
+    cmp_.add_argument("--pairs", type=int, default=10)
     cmp_.add_argument("--dir", default=os.path.join(tempfile.gettempdir(), "epic-ab"),
                       help="scratch directory for the exported revisions")
     cmp_.add_argument("--out", help="directory for every result line")

@@ -21,10 +21,11 @@
    decoded function and are read back through the [iter_*] functions.
 
    Executing an instruction allocates nothing: integer registers live
-   unboxed in a [Bytes] bank, eight bytes per slot; memory is reached
-   through [Memimage]'s bank-offset entry points; and a call binds its
-   arguments straight into the callee's bank, on a frame reused from the
-   callee's own stack of frames. *)
+   unboxed in a [Bytes] bank, eight bytes per slot; an integer-register
+   load or store that hits the image's page-handle cache is made inline,
+   and every other access goes through [Memimage]'s bank-offset entry
+   points; and a call binds its arguments straight into the callee's bank,
+   on a frame reused from the callee's own stack of frames. *)
 
 exception Fault = Isa.Fault
 exception Out_of_fuel = Isa.Out_of_fuel
@@ -298,6 +299,19 @@ let deferred_load st spec addr acc =
   Option.iter (fun m -> raise (Fault m)) (Isa.access_fault spec acc addr);
   if acc = Memimage.Unmapped then st.wild_loads <- st.wild_loads + 1
 
+(* The slow paths of loads and stores, out of line: everything the inline
+   hit paths of [ld_r] and [st_r] leave, and the generic shapes.  They
+   classify the access and apply the fault, NaT-deferral, wild-load and
+   ALAT rules. *)
+
+(* A load from the address in integer slot [a] into slot [d]. *)
+let load_slot st fr ~size ~spec d a =
+  match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
+  | Memimage.Ok -> Array.unsafe_set fr.inat d false
+  | acc ->
+      deferred_load st spec (geti fr a) acc;
+      defer fr d
+
 (* A load through the address in the scratch words into [d]: the generic
    shapes and ld.a. *)
 let load st fr ~size ~spec ~d ~fdst ~key =
@@ -386,9 +400,24 @@ and exec_seg st df fr b si =
   let ops = s.ops in
   if st.fuel >= s.cost then begin
     st.fuel <- st.fuel - s.cost;
-    for k = 0 to Array.length ops - 1 do
-      (Array.unsafe_get ops k) fr
-    done
+    let n = Array.length ops in
+    (* the first ops of a segment each get their own call site, which lets
+       the host predict their targets by position *)
+    if n > 0 then begin
+      (Array.unsafe_get ops 0) fr;
+      if n > 1 then begin
+        (Array.unsafe_get ops 1) fr;
+        if n > 2 then begin
+          (Array.unsafe_get ops 2) fr;
+          if n > 3 then begin
+            (Array.unsafe_get ops 3) fr;
+            for k = 4 to n - 1 do
+              (Array.unsafe_get ops k) fr
+            done
+          end
+        end
+      end
+    end
   end
   else begin
     for k = 0 to Array.length ops - 1 do
@@ -437,20 +466,73 @@ and exec_seg st df fr b si =
 let nop : op = fun _ -> ()
 let fault e : op = fun _ -> raise e
 
+(* The inline hit path of the integer-register loads and stores
+   (DESIGN.md §10).  The dev build compiles with -opaque, so a call of
+   [Memimage.load_at] is an unknown call; the common access is decided
+   here, on the image's page-handle cache, which its closures capture.
+   [hit_slot] is the slot of the page holding all [size] bytes at [addr],
+   or -1: page 0 (the NaT page, which only the slow path classifies), a
+   page not in the cache, or an access over the page's edge.  The index is
+   a logical shift of the whole address: one taken from [Int64.to_int]
+   would drop bit 63 and alias a low page. *)
+let[@inline] hit_slot hidx addr size =
+  let idx = Int64.to_int (Int64.shift_right_logical addr Memimage.page_bits) in
+  let slot = idx land (Array.length hidx - 1) in
+  if
+    idx <> 0
+    && Array.unsafe_get hidx slot = idx
+    && (Int64.to_int addr land (Memimage.page_size - 1)) + size <= Memimage.page_size
+  then slot
+  else -1
+
+(* An integer-register load whose address is NaT: the destination becomes
+   NaT too (speculative chains), one NaT fault if the load is not
+   speculative. *)
+let[@inline] nat_address st fr nonspec d =
+  if nonspec then st.nat_faults <- st.nat_faults + 1;
+  defer fr d
+
+(* One closure per access size, so the hit path makes its [Bytes] access
+   without a dispatch. *)
 let ld_r st ~size ~spec d a : op =
   let nonspec = spec = Opcode.Nonspec in
-  fun fr ->
-    if nat fr a then begin
-      (* address is NaT: propagate (speculative chains) *)
-      if nonspec then st.nat_faults <- st.nat_faults + 1;
-      defer fr d
-    end
-    else
-      match Memimage.load_at st.mem fr.ints (a lsl 3) size fr.ints (d lsl 3) with
-      | Memimage.Ok -> Array.unsafe_set fr.inat d false
-      | acc ->
-          deferred_load st spec (geti fr a) acc;
-          defer fr d
+  let hidx = st.mem.Memimage.hidx and hpage = st.mem.Memimage.hpage in
+  match size with
+  | 8 ->
+      fun fr ->
+        if nat fr a then nat_address st fr nonspec d
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 8 in
+          if slot < 0 then load_slot st fr ~size ~spec d a
+          else
+            seti fr d
+              (Bytes.get_int64_le (Array.unsafe_get hpage slot)
+                 (Int64.to_int addr land (Memimage.page_size - 1)))
+  | 4 ->
+      fun fr ->
+        if nat fr a then nat_address st fr nonspec d
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 4 in
+          if slot < 0 then load_slot st fr ~size ~spec d a
+          else
+            seti fr d
+              (Int64.of_int32
+                 (Bytes.get_int32_le (Array.unsafe_get hpage slot)
+                    (Int64.to_int addr land (Memimage.page_size - 1))))
+  | _ ->
+      fun fr ->
+        if nat fr a then nat_address st fr nonspec d
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 1 in
+          if slot < 0 then load_slot st fr ~size ~spec d a
+          else
+            seti fr d
+              (Int64.of_int
+                 (Bytes.get_uint8 (Array.unsafe_get hpage slot)
+                    (Int64.to_int addr land (Memimage.page_size - 1))))
 
 let ld_any st ~size ~spec ~d ~fdst ~key a : op =
  fun fr ->
@@ -463,10 +545,47 @@ let ld_any st ~size ~spec ~d ~fdst ~key a : op =
     load st fr ~size ~spec ~d ~fdst ~key
   end
 
+(* A store while the ALAT holds an entry takes the slow path, which
+   snoops it. *)
 let st_r st ~size a v : op =
- fun fr ->
-  if nat2 fr a v then st.nat_faults <- st.nat_faults + 1
-  else store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3)
+  let hidx = st.mem.Memimage.hidx and hpage = st.mem.Memimage.hpage in
+  match size with
+  | 8 ->
+      fun fr ->
+        if nat2 fr a v then st.nat_faults <- st.nat_faults + 1
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 8 in
+          if slot < 0 || fr.alat.Isa.Alat.count > 0 then
+            store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3)
+          else
+            Bytes.set_int64_le (Array.unsafe_get hpage slot)
+              (Int64.to_int addr land (Memimage.page_size - 1))
+              (geti fr v)
+  | 4 ->
+      fun fr ->
+        if nat2 fr a v then st.nat_faults <- st.nat_faults + 1
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 4 in
+          if slot < 0 || fr.alat.Isa.Alat.count > 0 then
+            store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3)
+          else
+            Bytes.set_int32_le (Array.unsafe_get hpage slot)
+              (Int64.to_int addr land (Memimage.page_size - 1))
+              (Int64.to_int32 (geti fr v))
+  | _ ->
+      fun fr ->
+        if nat2 fr a v then st.nat_faults <- st.nat_faults + 1
+        else
+          let addr = geti fr a in
+          let slot = hit_slot hidx addr 1 in
+          if slot < 0 || fr.alat.Isa.Alat.count > 0 then
+            store st fr ~size fr.ints (a lsl 3) fr.ints (v lsl 3)
+          else
+            Bytes.set_uint8 (Array.unsafe_get hpage slot)
+              (Int64.to_int addr land (Memimage.page_size - 1))
+              (Int64.to_int (geti fr v) land 0xff)
 
 let st_any st ~size a v : op =
  fun fr ->

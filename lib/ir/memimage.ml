@@ -28,8 +28,10 @@ end)
 
 let handles = 64
 
+type pages = Bytes.t Pages.t
+
 type t = {
-  pages : Bytes.t Pages.t;
+  pages : pages;
   (* direct-mapped cache of page handles, by the low bits of the page
      index: [hidx] holds the index cached in each slot (-1 = empty) *)
   hidx : int array;

@@ -8,7 +8,21 @@ val page_bits : int
 val page_size : int
 (** 512 bytes — scaled with the caches, see DESIGN.md. *)
 
-type t
+type pages
+(** The page table. *)
+
+(** The image.  Its handle cache is readable, for a caller that decides the
+    common access inline ([Interp]'s loads and stores do): slot [s] holds
+    page index [hidx.(s)] (-1 when empty) whose bytes are [hpage.(s)], and
+    a page with index [i] can only sit in slot [i land (Array.length hidx -
+    1)].  A slot only ever holds a mapped page, and a mapped page's bytes
+    never move, so a slot is never stale.  Page 0, the NaT page, may sit in
+    slot 0: an inline reader must exclude it as {!classify} does. *)
+type t = private {
+  pages : pages;
+  hidx : int array;
+  hpage : Bytes.t array;
+}
 
 type access =
   | Ok  (** the page is mapped *)

@@ -11,9 +11,13 @@
      total cycles ([%h]) and an MD5 of the full detailed-run record (the
      nine category totals in [%h], every counter, the cache and DTLB
      access/miss counts, RSE spills and fills); the default-plan sampled
-     estimate ([%h]) and its detailed group count.  A checkpoint taken at
-     half the groups and resumed must reproduce the full run's record
-     exactly, and so must the run that captured it.
+     estimate ([%h]) and its detailed group count; and an MD5 of every
+     function's accounting bins (names sorted, [%h]): a charge moved from
+     one function to another leaves the category totals as they were, but
+     not the bins that Figure 10 and function experiments read.  A
+     checkpoint taken at half the groups and resumed must reproduce the
+     full run's record and bins exactly, and so must the run that
+     captured it.
 
    gzip@ILP-CS additionally pins the trace event counts, the PC-sample
    profile at period 97, and the category totals of five virtual-speedup
@@ -111,6 +115,19 @@ let sim_record (code, out, (st : Machine.t)) =
     st.Machine.dtlb.Tlb.accesses st.Machine.rse.Rse.spills st.Machine.rse.Rse.fills;
   Buffer.contents b
 
+(* Every function's accounting bins, names sorted, in [%h]. *)
+let funcs_record (st : Machine.t) =
+  let by_func = st.Machine.acc.Accounting.by_func in
+  let names = List.sort_uniq compare (Hashtbl.fold (fun n _ acc -> n :: acc) by_func []) in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun n ->
+      Buffer.add_string b n;
+      Array.iter (fun v -> Printf.bprintf b " %h" v) (Hashtbl.find by_func n);
+      Buffer.add_char b '\n')
+    names;
+  Buffer.contents b
+
 type sim_pin = {
   exit_code : int;
   output_md5 : string;
@@ -121,6 +138,7 @@ type sim_pin = {
   small_est : string;
       (** [s_est_cycles] at [small_plan], [%h]: phases flip every few
           groups, so warm/detail flips land inside callees *)
+  funcs_md5 : string;  (** MD5 of [funcs_record] of the full run *)
 }
 
 let small_plan = { Sampling.interval = 200; detail = 13; warmup = 0 }
@@ -128,7 +146,7 @@ let small_plan = { Sampling.interval = 200; detail = 13; warmup = 0 }
 let check_sim what (c : Driver.compiled) (w : Epic_workloads.Workload.t) pin =
   let input = w.Epic_workloads.Workload.reference in
   let ((code, out, st) as full) = Driver.run c input in
-  let record = sim_record full in
+  let record = sim_record full and funcs = funcs_record st in
   let sampled_code, sampled_out, sst =
     Driver.run ~sampling:Sampling.default_plan c input
   in
@@ -144,23 +162,27 @@ let check_sim what (c : Driver.compiled) (w : Epic_workloads.Workload.t) pin =
       sampled_est = Printf.sprintf "%h" su.Sampling.s_est_cycles;
       sampled_detail = su.Sampling.s_detail_groups;
       small_est = Printf.sprintf "%h" small_su.Sampling.s_est_cycles;
+      funcs_md5 = Digest.to_hex (Digest.string funcs);
     }
   in
   if got <> pin then
     Alcotest.failf
       "%s simulation pin moved; got@.  { exit_code = %d; output_md5 = %S; cycles = %S;@.    \
-       record_md5 = %S; sampled_est = %S; sampled_detail = %d; small_est = %S }@.\
-       full record:@.%s"
+       record_md5 = %S; sampled_est = %S; sampled_detail = %d; small_est = %S;@.    \
+       funcs_md5 = %S }@.full record:@.%s@.function bins:@.%s"
       what got.exit_code got.output_md5 got.cycles got.record_md5 got.sampled_est
-      got.sampled_detail got.small_est record;
+      got.sampled_detail got.small_est got.funcs_md5 record funcs;
   Alcotest.(check (pair int string))
     (what ^ " sampled output") (code, out) (sampled_code, sampled_out);
   let half = st.Machine.c.Machine.groups / 2 in
   let ((_, _, cst) as captured) = Driver.run ~checkpoint_at:half c input in
   Alcotest.(check string) (what ^ " capturing run") record (sim_record captured);
+  Alcotest.(check string) (what ^ " capturing run's bins") funcs (funcs_record cst);
   let ck = Option.get (Machine.checkpoint cst) in
   Alcotest.(check int) (what ^ " checkpoint position") half (Machine.checkpoint_groups ck);
-  Alcotest.(check string) (what ^ " resumed run") record (sim_record (Driver.resume c ck))
+  let ((_, _, rst) as resumed) = Driver.resume c ck in
+  Alcotest.(check string) (what ^ " resumed run") record (sim_record resumed);
+  Alcotest.(check string) (what ^ " resumed run's bins") funcs (funcs_record rst)
 
 (* Generated at the commit that introduced them, before any change to the
    simulator engine. *)
@@ -169,99 +191,123 @@ let sim_pins : ((string * Config.level) * sim_pin) list =
     ( ("gzip", Config.O_NS),
       { exit_code = 0; output_md5 = "8a0393b6427f408330b9874ddbdd541b"; cycles = "0x1.29162p+21";
         record_md5 = "46ba4f81c186c66ef70f9a091ef0ca6b"; sampled_est = "0x1.300e6cb569696p+21"; sampled_detail = 39424;
-        small_est = "0x1.26e4c3d6f3ec1p+21" } );
+        small_est = "0x1.26e4c3d6f3ec1p+21";
+        funcs_md5 = "0ddc5514906a302541d3aacf745533ec" } );
     ( ("gzip", Config.ILP_CS),
       { exit_code = 0; output_md5 = "8a0393b6427f408330b9874ddbdd541b"; cycles = "0x1.00a458p+21";
         record_md5 = "578fb98f21124b98075751e46aecd15c"; sampled_est = "0x1.078c301a92492p+21"; sampled_detail = 26112;
-        small_est = "0x1.0175673dc27a2p+21" } );
+        small_est = "0x1.0175673dc27a2p+21";
+        funcs_md5 = "6ea47e7c5faf2d23986e8ae5b94aa2a5" } );
     ( ("vpr", Config.O_NS),
       { exit_code = 0; output_md5 = "8105ec62286c126a45b9300d8d256268"; cycles = "0x1.3fd78p+20";
         record_md5 = "464a5825bf8883be0e2a4220e4cb75df"; sampled_est = "0x1.3ff8d1318b3a6p+20"; sampled_detail = 33792;
-        small_est = "0x1.3f6d9f6a366f1p+20" } );
+        small_est = "0x1.3f6d9f6a366f1p+20";
+        funcs_md5 = "b58a147e6f1f1a9cceba4d51b6fed4d7" } );
     ( ("vpr", Config.ILP_CS),
       { exit_code = 0; output_md5 = "8105ec62286c126a45b9300d8d256268"; cycles = "0x1.00d2p+20";
         record_md5 = "02735d916f95a1c2ec339b7112f49d5c"; sampled_est = "0x1.00f52796aaaabp+20"; sampled_detail = 32256;
-        small_est = "0x1.ff0cdab1a586dp+19" } );
+        small_est = "0x1.ff0cdab1a586dp+19";
+        funcs_md5 = "31a31972c299d7dec8ff3acbb70eb9de" } );
     ( ("gcc", Config.O_NS),
       { exit_code = 0; output_md5 = "a00ab7338733c6d036c91d46167fd253"; cycles = "0x1.afb76p+20";
         record_md5 = "79ff6888a8567b1018b69ccc440877d2"; sampled_est = "0x1.abadf6ce66667p+20"; sampled_detail = 32768;
-        small_est = "0x1.ab61298216608p+20" } );
+        small_est = "0x1.ab61298216608p+20";
+        funcs_md5 = "04f7f0962956a4336dae0a1dab1d0704" } );
     ( ("gcc", Config.ILP_CS),
       { exit_code = 0; output_md5 = "a00ab7338733c6d036c91d46167fd253"; cycles = "0x1.f24d8p+20";
         record_md5 = "f027c66f421d04229b982d99aba8433e"; sampled_est = "0x1.f5372308p+20"; sampled_detail = 36352;
-        small_est = "0x1.ed0ec9fd1673dp+20" } );
+        small_est = "0x1.ed0ec9fd1673dp+20";
+        funcs_md5 = "ab3e598dfcf1f6a2c5388298adce6f06" } );
     ( ("mcf", Config.O_NS),
       { exit_code = 0; output_md5 = "26e603822f8adcc482e0342e2cfc4ae4"; cycles = "0x1.93b1p+22";
         record_md5 = "137d4186f32620bb679fe2cd46646241"; sampled_est = "0x1.9a62bf2799999p+22"; sampled_detail = 25088;
-        small_est = "0x1.97e0347b82fcp+22" } );
+        small_est = "0x1.97e0347b82fcp+22";
+        funcs_md5 = "febb6e296728da448eb674b17ecddc72" } );
     ( ("mcf", Config.ILP_CS),
       { exit_code = 0; output_md5 = "26e603822f8adcc482e0342e2cfc4ae4"; cycles = "0x1.983e0cp+22";
         record_md5 = "612bec7082e93da9ff2fb7a851fbc41a"; sampled_est = "0x1.9a9858b7ca1bp+22"; sampled_detail = 24064;
-        small_est = "0x1.88763d38eaf7bp+22" } );
+        small_est = "0x1.88763d38eaf7bp+22";
+        funcs_md5 = "656d126ee2d6e20c98381cc650f830d2" } );
     ( ("crafty", Config.O_NS),
       { exit_code = 0; output_md5 = "bd1fbbb4a8add965a2bc8ac16975db98"; cycles = "0x1.95aa6p+20";
         record_md5 = "6b394665f833952f30c6b2c4721bbf2e"; sampled_est = "0x1.91aa54b777778p+20"; sampled_detail = 50688;
-        small_est = "0x1.955a46053c28fp+20" } );
+        small_est = "0x1.955a46053c28fp+20";
+        funcs_md5 = "006e3d180bf06626e8233adc647c1ce0" } );
     ( ("crafty", Config.ILP_CS),
       { exit_code = 0; output_md5 = "bd1fbbb4a8add965a2bc8ac16975db98"; cycles = "0x1.f4b7cp+19";
         record_md5 = "e31cab18eaa3de638c5fb53c578d508e"; sampled_est = "0x1.efb4a9c7711ddp+19"; sampled_detail = 26624;
-        small_est = "0x1.f73a4deed19c5p+19" } );
+        small_est = "0x1.f73a4deed19c5p+19";
+        funcs_md5 = "f79a8245d34b36fe203c2445d7630bc6" } );
     ( ("parser", Config.O_NS),
       { exit_code = 0; output_md5 = "660f9e41b0c91af52aa4d45908b16986"; cycles = "0x1.0a15d4p+22";
         record_md5 = "f09df9cbc13d7a546e458b92bda374ee"; sampled_est = "0x1.0af857dd64ac9p+22"; sampled_detail = 95744;
-        small_est = "0x1.07e388de14725p+22" } );
+        small_est = "0x1.07e388de14725p+22";
+        funcs_md5 = "38d9c34ac7d0dba299f89a1bea42d0df" } );
     ( ("parser", Config.ILP_CS),
       { exit_code = 0; output_md5 = "660f9e41b0c91af52aa4d45908b16986"; cycles = "0x1.05fe7p+22";
         record_md5 = "2ea7cca19733083435654d3d02b42be6"; sampled_est = "0x1.05e1bd699999ap+22"; sampled_detail = 78848;
-        small_est = "0x1.043e0cca67f02p+22" } );
+        small_est = "0x1.043e0cca67f02p+22";
+        funcs_md5 = "d40a35c3d45d0258a72f76af16edf9bc" } );
     ( ("eon", Config.O_NS),
       { exit_code = 0; output_md5 = "60b105c402cb0e996ff5eefa86416261"; cycles = "0x1.ef60ep+19";
         record_md5 = "ea3059f9bbb243046748cdaeaa1232c5"; sampled_est = "0x1.ef7cea838e38ep+19"; sampled_detail = 32256;
-        small_est = "0x1.eb1aac9dd261dp+19" } );
+        small_est = "0x1.eb1aac9dd261dp+19";
+        funcs_md5 = "800b468a3f3fc5c1ec6cf40e1222806d" } );
     ( ("eon", Config.ILP_CS),
       { exit_code = 0; output_md5 = "60b105c402cb0e996ff5eefa86416261"; cycles = "0x1.5c02ap+19";
         record_md5 = "74e5466f38af4dfc815bb904b2c2585d"; sampled_est = "0x1.5b49dae94a529p+19"; sampled_detail = 20480;
-        small_est = "0x1.575297a30c62ap+19" } );
+        small_est = "0x1.575297a30c62ap+19";
+        funcs_md5 = "4a9f9002bafe07b76b00552094e6dcf1" } );
     ( ("perlbmk", Config.O_NS),
       { exit_code = 0; output_md5 = "7dffaa43b15654910397a43c0e50acfe"; cycles = "0x1.393bdp+20";
         record_md5 = "d87292d8d56e7372b3b226d4a2eb7ae6"; sampled_est = "0x1.39340c1f49249p+20"; sampled_detail = 33280;
-        small_est = "0x1.386d651fa32b7p+20" } );
+        small_est = "0x1.386d651fa32b7p+20";
+        funcs_md5 = "7965143217be91eb52c8b1b3008b98ef" } );
     ( ("perlbmk", Config.ILP_CS),
       { exit_code = 0; output_md5 = "7dffaa43b15654910397a43c0e50acfe"; cycles = "0x1.0ca4fp+20";
         record_md5 = "d2bea50fd760f191be573d722eb74eae"; sampled_est = "0x1.0cd2222db6db7p+20"; sampled_detail = 26112;
-        small_est = "0x1.0b46d539ed1a6p+20" } );
+        small_est = "0x1.0b46d539ed1a6p+20";
+        funcs_md5 = "09f919aa6531370afb35ba4164996d47" } );
     ( ("gap", Config.O_NS),
       { exit_code = 0; output_md5 = "2cfe768a50ffddecc159f8ed7dca9db6"; cycles = "0x1.16c66p+19";
         record_md5 = "893202bbca2350451f47669aadd90b4f"; sampled_est = "0x1.14fb16caaaaabp+19"; sampled_detail = 16896;
-        small_est = "0x1.150f7c2b3563cp+19" } );
+        small_est = "0x1.150f7c2b3563cp+19";
+        funcs_md5 = "afca9e4356228137805406e4dafc44a2" } );
     ( ("gap", Config.ILP_CS),
       { exit_code = 0; output_md5 = "2cfe768a50ffddecc159f8ed7dca9db6"; cycles = "0x1.ec77p+18";
         record_md5 = "6316700e9fdf7fcb08333608a383dc94"; sampled_est = "0x1.e44d6d2p+18"; sampled_detail = 14848;
-        small_est = "0x1.e75e3c70d39a2p+18" } );
+        small_est = "0x1.e75e3c70d39a2p+18";
+        funcs_md5 = "fc7464934bb5b2193a004f1314b0cae9" } );
     ( ("vortex", Config.O_NS),
       { exit_code = 0; output_md5 = "efd3140f994391bb1d88b05a659f8399"; cycles = "0x1.48ca8p+19";
         record_md5 = "af3cfdff45b903aefa497c98157367a9"; sampled_est = "0x1.4c652e5e147aep+19"; sampled_detail = 17408;
-        small_est = "0x1.46ecfad6e6fcap+19" } );
+        small_est = "0x1.46ecfad6e6fcap+19";
+        funcs_md5 = "8f2e0aff2f33b306dae5fcea0af51e73" } );
     ( ("vortex", Config.ILP_CS),
       { exit_code = 0; output_md5 = "efd3140f994391bb1d88b05a659f8399"; cycles = "0x1.37cb2p+19";
         record_md5 = "0ea12df3584caf3188c23a42f0525bc3"; sampled_est = "0x1.37760b5ae147bp+19"; sampled_detail = 17408;
-        small_est = "0x1.368085be8f872p+19" } );
+        small_est = "0x1.368085be8f872p+19";
+        funcs_md5 = "62ec173d26c5e5c42249959ade243e08" } );
     ( ("bzip2", Config.O_NS),
       { exit_code = 0; output_md5 = "d6ac926b870eb0c4d07e732c40bf6fc8"; cycles = "0x1.309aep+20";
         record_md5 = "3361fc074e8035939a5aeffaf1294b8c"; sampled_est = "0x1.318598f19999ap+20"; sampled_detail = 37888;
-        small_est = "0x1.2e6e5e3a334e2p+20" } );
+        small_est = "0x1.2e6e5e3a334e2p+20";
+        funcs_md5 = "0cbde0707055c8fdb99197dc93d214af" } );
     ( ("bzip2", Config.ILP_CS),
       { exit_code = 0; output_md5 = "d6ac926b870eb0c4d07e732c40bf6fc8"; cycles = "0x1.df312p+19";
         record_md5 = "3ca343711bf0f9fad8b6fd4eac85d62b"; sampled_est = "0x1.e0a86d8p+19"; sampled_detail = 28160;
-        small_est = "0x1.db2c0d0e7d95bp+19" } );
+        small_est = "0x1.db2c0d0e7d95bp+19";
+        funcs_md5 = "bf7e5311f148fbd92edd94ade3a126f9" } );
     ( ("twolf", Config.O_NS),
       { exit_code = 0; output_md5 = "b6c3cec291678e227ca5d913784b139d"; cycles = "0x1.0009p+19";
         record_md5 = "e22c458a501c400552cfd04ff4df88e6"; sampled_est = "0x1.039c443ae8ba2p+19"; sampled_detail = 15872;
-        small_est = "0x1.fc6715dea5fe5p+18" } );
+        small_est = "0x1.fc6715dea5fe5p+18";
+        funcs_md5 = "35252ceb04a3e7815f69878bb4d5b62a" } );
     ( ("twolf", Config.ILP_CS),
       { exit_code = 0; output_md5 = "b6c3cec291678e227ca5d913784b139d"; cycles = "0x1.afff4p+18";
         record_md5 = "f5f54254c3070b340c12a32cc38132d9"; sampled_est = "0x1.ae6dd19999999p+18"; sampled_detail = 14848;
-        small_est = "0x1.abd5d55dcedabp+18" } );
+        small_est = "0x1.abd5d55dcedabp+18";
+        funcs_md5 = "6a002a901e20e842668c32eedf5140b5" } );
   ]
 
 (* Generated from the per-domain pass counters, before the passes returned

@@ -13,8 +13,8 @@
    indices, calls to a function slot, an intrinsic or a function-pointer
    operand, and [Sym] operands to addresses.  Every instruction becomes a
    closure specialized on its operand shape, opcode, compare relation and
-   type, and guard, so executing it dispatches on nothing; the ALU and
-   compare closures are {!Isa}'s, built on the frame's {!Isa.bank}.  A
+   type, and guard, so executing it dispatches on nothing; the ALU, compare
+   and move closures are {!Isa}'s, built on the frame's {!Isa.bank}.  A
    block is an array of segments, each ending at a [br], [br.call] or
    [br.ret] (or at the block's end); a segment whose instructions the
    remaining fuel covers is charged once.  Profile counts live in int arrays of the
@@ -62,7 +62,7 @@ type frame = Isa.bank = {
 }
 
 (* A decoded instruction: a closure over its slots and constants.  The
-   ALU and compare ops are {!Isa}'s own. *)
+   ALU, compare and move ops are {!Isa}'s own. *)
 type op = Isa.op
 
 (* How a segment ends. *)
@@ -124,7 +124,7 @@ type state = {
   mutable fuel : int; (* remaining dynamic instructions *)
   mutable executed : int;
   mutable nat_faults : int; (* NaT consumed by a non-speculative op *)
-  mutable wild_loads : int; (* speculative accesses to unmapped pages *)
+  mutable wild_loads : int; (* wild loads ([Isa.wild_load]) *)
   mutable alat_recoveries : int; (* chk.a found its entry invalidated *)
   profiling : bool;
   code : code;
@@ -207,7 +207,7 @@ let[@inline] is_nat fr = function
   | Flt k -> fr.fnat.(k)
   | Prd _ | Imm _ | Fimm _ -> false
 
-(* [int_of]/[flt_of] assume the operand is not NaT.  Every arm computes
+(* [int_of] assumes the operand is not NaT.  Every arm computes
    its value, an immediate included (an identity the compiler keeps): an
    arm that merely returned the boxed immediate would make the inlined
    read box the register arms too. *)
@@ -217,13 +217,6 @@ let[@inline] int_of fr = function
   | Prd k -> if fr.prds.(k) then 1L else 0L
   | Imm i -> Int64.add i 0L
   | Fimm f -> Int64.of_float f
-
-let[@inline] flt_of fr = function
-  | Int k -> Int64.to_float (get64 fr.ints (k lsl 3))
-  | Flt k -> fr.flts.(k)
-  | Prd k -> if fr.prds.(k) then 1. else 0.
-  | Imm i -> Int64.to_float i
-  | Fimm f -> Int64.float_of_bits (Int64.bits_of_float f)
 
 let pred_of fr = function
   | Int k -> (not fr.inat.(k)) && not (Int64.equal (get64 fr.ints (k lsl 3)) 0L)
@@ -253,29 +246,10 @@ let[@inline] write_flt fr d f =
       fr.fnat.(k) <- false
   | Dprd k -> fr.prds.(k) <- false
 
-let[@inline] write_pred fr d b =
-  match d with
-  | Dint k -> seti fr k (if b then 1L else 0L)
-  | Dflt k ->
-      fr.flts.(k) <- (if b then 1. else 0.);
-      fr.fnat.(k) <- false
-  | Dprd k -> fr.prds.(k) <- b
-
 let write_nat fr = function
   | Dint k -> fr.inat.(k) <- true
   | Dflt k -> fr.fnat.(k) <- true
   | Dprd k -> fr.prds.(k) <- false
-
-(* Write operand [a] of frame [src] to [d] of frame [dst], converting to
-   the destination's class: a move, or binding an argument or a result
-   across a call. *)
-let transfer src a dst d =
-  match a with
-  | Int k -> if src.inat.(k) then write_nat dst d else write_int dst d (get64 src.ints (k lsl 3))
-  | Flt k -> if src.fnat.(k) then write_nat dst d else write_flt dst d src.flts.(k)
-  | Prd k -> write_pred dst d src.prds.(k)
-  | Imm i -> write_int dst d i
-  | Fimm f -> write_flt dst d f
 
 (* --- semantics shared by the closures ------------------------------------ *)
 
@@ -284,20 +258,16 @@ let transfer src a dst d =
 let do_intrinsic st fr (k : Intrinsics.kind) (args : opnd array) =
   let n = min (Array.length args) (Intrinsics.arity k) in
   let buf = st.code.scratch and nats = st.code.arg_nats in
-  for j = 0 to n - 1 do
-    let a = args.(j) in
-    nats.(j) <- is_nat fr a;
-    if not nats.(j) then set64 buf (j lsl 3) (int_of fr a)
-  done;
+  Isa.int_args fr args buf nats n;
   st.nat_faults <- st.nat_faults + Intrinsics.nat_args k nats n;
   Intrinsics.call st.rt st.mem k buf nats n;
   Intrinsics.results k
 
 (* A load from a page that is not [Ok]: a fatal fault, or a deferral (the
-   destination becomes NaT), counted as a wild load off the NULL page. *)
+   destination becomes NaT), which may be a wild load. *)
 let deferred_load st spec addr acc =
   Option.iter (fun m -> raise (Fault m)) (Isa.access_fault spec acc addr);
-  if acc = Memimage.Unmapped then st.wild_loads <- st.wild_loads + 1
+  if Isa.wild_load spec acc then st.wild_loads <- st.wild_loads + 1
 
 (* The slow paths of loads and stores, out of line: everything the inline
    hit paths of [ld_r] and [st_r] leave, and the generic shapes.  They
@@ -358,9 +328,7 @@ let rec invoke st fr slot (args : opnd array) =
   if Array.length df.blocks = 0 then
     invalid_arg ("Func.entry: empty function " ^ df.func.Func.name);
   let cfr = enter df in
-  for i = 0 to min (Array.length args) (Array.length df.params) - 1 do
-    transfer fr args.(i) cfr df.params.(i)
-  done;
+  Isa.bind fr args cfr df.params ~pad:false;
   seti cfr sp_slot (if fr.inat.(sp_slot) then 0L else get64 fr.ints (sp_slot lsl 3));
   let vs = exec_block st df cfr 0 in
   df.depth <- df.depth - 1;
@@ -371,15 +339,13 @@ and call_direct st fr slot args dsts =
   let cdf = st.code.funcs.(slot) in
   let cfr = cdf.frames.(cdf.depth) in
   Isa.Alat.flush fr.alat;
-  for n = 0 to Array.length dsts - 1 do
-    if n < Array.length vs then transfer cfr vs.(n) fr dsts.(n) else write_int fr dsts.(n) 0L
-  done
+  Isa.bind cfr vs fr dsts ~pad:true
 
 and call_intrinsic st fr k args dsts =
   let n = do_intrinsic st fr k args in
   Isa.Alat.flush fr.alat;
   for i = 0 to Array.length dsts - 1 do
-    write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
+    Isa.write_int fr dsts.(i) (if i < n then get64 st.code.scratch 0 else 0L)
   done
 
 and call_to st fr callee args dsts =
@@ -600,8 +566,6 @@ let st_any st ~size a v : op =
     store st fr ~size scratch 0 scratch 8
   end
 
-let const d v : op = fun fr -> seti fr d v
-
 (* --- decode: functions and programs ---------------------------------------- *)
 
 let bank (r : Reg.t) =
@@ -660,32 +624,6 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
     blocks;
   let brs = ref [] and n_br = ref 0 in
   let inds = ref [] in
-  let mov d a : op =
-    match (dst d, opnd a) with
-    | Dint d, Int a ->
-        fun fr ->
-          set64 fr.ints (d lsl 3) (geti fr a);
-          Array.unsafe_set fr.inat d (nat fr a)
-    | Dint d, Imm v -> const d v
-    | d, a -> fun fr -> transfer fr a fr d
-  in
-  (* sign extension from [bits]; any other source class moves unchanged *)
-  let sxt bits d a : op =
-    let s = 64 - bits in
-    match (dst d, opnd a) with
-    | Dint d, Int a ->
-        fun fr ->
-          if nat fr a then defer fr d
-          else seti fr d (Int64.shift_right (Int64.shift_left (geti fr a) s) s)
-    | d, Imm v ->
-        let v = Int64.shift_right (Int64.shift_left v s) s in
-        fun fr -> write_int fr d v
-    | d, Int a ->
-        fun fr ->
-          if nat fr a then write_nat fr d
-          else write_int fr d (Int64.shift_right (Int64.shift_left (geti fr a) s) s)
-    | d, a -> fun fr -> transfer fr a fr d
-  in
   (* br.call: a direct or intrinsic target is resolved here, a function
      pointer when the call runs *)
   let call (i : Instr.t) target args : op =
@@ -727,19 +665,8 @@ let decode_func st ~globals ~func_index ~resolve ~nfuncs (f : Func.t) =
         Isa.alu i.Instr.op ~spec:i.Instr.attrs.Instr.speculated (dst d) (opnd a) (opnd b)
     | (Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv), [ d ], [ a; b ] ->
         Isa.falu i.Instr.op (dst d) (opnd a) (opnd b)
-    | Opcode.Fneg, [ d ], [ a ] ->
-        let d = dst d and a = opnd a in
-        fun fr -> if is_nat fr a then write_nat fr d else write_flt fr d (-.flt_of fr a)
-    | Opcode.Cvt_fi, [ d ], [ a ] ->
-        let d = dst d and a = opnd a in
-        fun fr ->
-          if is_nat fr a then write_nat fr d else write_int fr d (Int64.of_float (flt_of fr a))
-    | Opcode.Cvt_if, [ d ], [ a ] ->
-        let d = dst d and a = opnd a in
-        fun fr ->
-          if is_nat fr a then write_nat fr d else write_flt fr d (Int64.to_float (int_of fr a))
-    | Opcode.Mov, [ d ], [ a ] -> mov d a
-    | Opcode.Sxt sz, [ d ], [ a ] -> sxt (8 * size sz) d a
+    | (Opcode.Mov | Opcode.Sxt _ | Opcode.Cvt_fi | Opcode.Cvt_if | Opcode.Fneg), [ d ], [ a ] ->
+        Isa.move i.Instr.op (dst d) (opnd a)
     | Opcode.Ld (sz, spec), [ d ], [ a ] -> (
         match (dst d, opnd a) with
         | Dint di, Int a when spec <> Opcode.Spec_advanced -> ld_r st ~size:(size sz) ~spec di a
@@ -881,13 +808,7 @@ let run_entry st =
   | Direct slot -> (
       let vs = invoke st boot slot [||] in
       let df = st.code.funcs.(slot) in
-      let fr = df.frames.(df.depth) in
-      if Array.length vs = 0 then 0
-      else
-        match vs.(0) with
-        | Int k when not fr.inat.(k) -> Int64.to_int (get64 fr.ints (k lsl 3))
-        | Imm i -> Int64.to_int i
-        | _ -> 0)
+      Isa.exit_code df.frames.(df.depth) vs)
   | Intrinsic k ->
       if do_intrinsic st boot k [||] = 0 then 0 else Int64.to_int (get64 st.code.scratch 0)
   | Undefined name -> invalid_arg ("Program.find_func: no function " ^ name)

@@ -40,7 +40,7 @@ type state = {
   mutable fuel : int;
   mutable executed : int;  (** dynamic instructions executed *)
   mutable nat_faults : int;  (** NaT consumed by a non-speculative op *)
-  mutable wild_loads : int;  (** speculative accesses to unmapped pages *)
+  mutable wild_loads : int;  (** wild loads ({!Isa.wild_load}) *)
   mutable alat_recoveries : int;  (** chk.a entries found invalidated *)
   profiling : bool;  (** the run counts profile events *)
   code : code;

@@ -22,6 +22,12 @@ let access_fault (spec : Opcode.spec_kind) (acc : Memimage.access) addr =
   | Memimage.Null_page, _ -> Some (Printf.sprintf "NULL page access 0x%Lx" addr)
   | Memimage.Unmapped, _ -> Some (Printf.sprintf "unmapped access 0x%Lx" addr)
 
+(* The paper's wild load: a general-speculative load of an unmapped page,
+   which walks the page table before it defers.  A sentinel load defers
+   without a walk, and the NaT page defers cheaply. *)
+let wild_load (spec : Opcode.spec_kind) (acc : Memimage.access) =
+  spec = Opcode.Spec_general && acc = Memimage.Unmapped
+
 type recovery = Reloaded | Nat_address | Recovery_fault of string
 
 let recover mem ~nat addr ~size buf o =
@@ -160,7 +166,8 @@ let pred_of bk = function
   | Imm i -> not (Int64.equal i 0L)
   | Flt _ | Fimm _ -> false
 
-(* Writes coerce to the destination's class. *)
+(* Writes coerce to the destination's class: an integer converts to a
+   float, and a predicate is set when it is not 0. *)
 let[@inline] write_int bk d x =
   match d with
   | Dint k -> seti bk k x
@@ -308,6 +315,62 @@ let alu (op : Opcode.t) ~spec d a b : op =
 
 let falu (op : Opcode.t) d a b : op =
  fun bk -> write_flt bk d (fpu op (flt_of bk a) (flt_of bk b)) (is_nat bk a || is_nat bk b)
+
+(* --- data movement ------------------------------------------------------------ *)
+
+(* A value moved into a register converts to the destination's class as
+   any register write does: the rule of mov, sxt, cvt and fneg, and of a
+   call binding its arguments and results.  [transfer] writes operand [a]
+   of bank [src] to [d] of bank [dst]. *)
+let transfer src a dst d =
+  if is_nat src a then write_nat dst d
+  else
+    match a with
+    | Flt _ | Fimm _ -> write_flt dst d (flt_of src a) false
+    | Int _ | Prd _ | Imm _ -> write_int dst d (int_of src a)
+
+let[@inline] sign_extend s x = Int64.shift_right (Int64.shift_left x s) s
+
+let move (op : Opcode.t) d a : op =
+  match (op, d, a) with
+  | Opcode.Mov, Dint d, Int a ->
+      fun bk ->
+        set64 bk.ints (d lsl 3) (geti bk a);
+        Array.unsafe_set bk.inat d (nat bk a)
+  | Opcode.Mov, Dint d, Imm v -> fun bk -> seti bk d v
+  | Opcode.Sxt sz, d, ((Int _ | Imm _) as a) ->
+      let s = 64 - (8 * Opcode.size_bytes sz) in
+      fun bk -> if is_nat bk a then write_nat bk d else write_int bk d (sign_extend s (int_of bk a))
+  | (Opcode.Mov | Opcode.Sxt _), d, a -> fun bk -> transfer bk a bk d
+  | Opcode.Cvt_fi, d, a ->
+      fun bk -> if is_nat bk a then write_nat bk d else write_int bk d (Int64.of_float (flt_of bk a))
+  | Opcode.Cvt_if, d, a ->
+      fun bk ->
+        if is_nat bk a then write_nat bk d else write_flt bk d (Int64.to_float (int_of bk a)) false
+  | Opcode.Fneg, d, a ->
+      fun bk -> if is_nat bk a then write_nat bk d else write_flt bk d (-.flt_of bk a) false
+  | _ -> invalid_arg "Isa.move"
+
+let bind src vs dst ds ~pad =
+  let nv = Array.length vs in
+  for j = 0 to (if pad then Array.length ds else min nv (Array.length ds)) - 1 do
+    if j < nv then transfer src vs.(j) dst ds.(j) else write_int dst ds.(j) 0L
+  done
+
+let int_args bk args buf nats n =
+  for j = 0 to n - 1 do
+    let a = args.(j) in
+    nats.(j) <- is_nat bk a;
+    if not nats.(j) then set64 buf (j lsl 3) (int_of bk a)
+  done
+
+let exit_code bk vs =
+  if Array.length vs = 0 then 0
+  else
+    match vs.(0) with
+    | Int k when not bk.inat.(k) -> Int64.to_int (geti bk k)
+    | Imm i -> Int64.to_int i
+    | _ -> 0
 
 (* --- compares ------------------------------------------------------------------- *)
 

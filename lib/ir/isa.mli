@@ -1,12 +1,14 @@
 (** The architectural rules of the modelled IA-64 subset, shared by the
     reference interpreter and the machine simulator: the register bank,
     the integer and float ALU, the zero-divisor rule, the compare
-    relations and the compare-target rule, the fault-or-defer policy of
-    memory accesses, speculation-check recovery and the ALAT.
+    relations and the compare-target rule, the conversion of a value
+    written into a register (moves, conversions and call bindings), the
+    fault-or-defer policy of memory accesses, wild loads,
+    speculation-check recovery and the ALAT.
 
-    The ALU and compare rules come as decode-time builders: each returns
-    the instruction's op, a closure over the {!bank} specialised on its
-    opcode, relation and operand shape.  The interpreter runs that op as
+    The ALU, compare and move rules come as decode-time builders: each
+    returns the instruction's op, a closure over the {!bank} specialised
+    on its opcode, relation and operand shape.  The interpreter runs that op as
     it is; the machine adds its timing around it.  The other rules return
     their decision, or a fault's message, for each engine to act on. *)
 
@@ -25,6 +27,13 @@ val malformed : Instr.t -> string
     [Spec_sentinel]) defers — its destination becomes NaT — and anything
     else (a store is [Nonspec]) faults, one message per page class. *)
 val access_fault : Opcode.spec_kind -> Memimage.access -> int64 -> string option
+
+(** [wild_load spec access]: whether a deferred load of kind [spec] of a
+    page classed [access] is the paper's wild load — a [Spec_general] load
+    of an unmapped page, which walks the page table before it defers.  A
+    sentinel load defers without a walk, and the NaT page defers cheaply;
+    neither counts. *)
+val wild_load : Opcode.spec_kind -> Memimage.access -> bool
 
 type recovery =
   | Reloaded  (** the value is in the buffer *)
@@ -132,3 +141,40 @@ val cmp : Opcode.t -> guard -> int -> int -> opnd -> opnd -> op
 
 (** The relations: signed, and unsigned for [Ltu]/[Geu]. *)
 val icmp : Opcode.icmp -> int64 -> int64 -> bool
+
+(** {2 Data movement}
+
+    A value written into a register converts to the register's class: an
+    integer to a float by value, a float to an integer by truncation, a
+    predicate to 1 or 0, and a value to a predicate as "not 0" (a float:
+    false).  A NaT source makes an integer or float destination NaT and
+    clears a predicate one. *)
+
+(** [move op d a]: the [Mov], [Sxt], [Cvt_fi], [Cvt_if] or [Fneg] of [a]
+    into [d].  sxt sign-extends an integer source from its size and moves
+    any other as mov does; cvt.fi truncates the source read as a float,
+    cvt.if converts it read as an integer, and fneg negates it read as a
+    float.  An integer copy and an integer constant each decode to a
+    closure of their own. *)
+val move : Opcode.t -> dst -> opnd -> op
+
+(** [bind src vs dst ds ~pad]: a call binding values [vs], read in bank
+    [src], to the registers [ds] of bank [dst] — the arguments of a call
+    to its parameters, or the values of a return to the call's results —
+    each converting as {!move}'s mov does.  A destination past the values
+    keeps its contents, or with [pad] reads 0. *)
+val bind : bank -> opnd array -> bank -> dst array -> pad:bool -> unit
+
+(** [int_args bk args buf nats n]: the first [n] of an intrinsic's
+    [args], read as integers ({!Intrinsics.call}'s arguments): word [j]
+    of [buf] at byte [8j], native-endian, and its NaT bit [nats.(j)]. *)
+val int_args : bank -> opnd array -> Bytes.t -> bool array -> int -> unit
+
+(** [write_int bk d x]: integer [x] written to [d], converted to its
+    class (an intrinsic's result). *)
+val write_int : bank -> dst -> int64 -> unit
+
+(** The exit code of a program whose entry function returned [vs], read
+    in [bk]: the first value when it is an integer register without NaT or
+    an integer constant, otherwise 0. *)
+val exit_code : bank -> opnd array -> int

@@ -106,7 +106,7 @@ let read_slow t (a : int64) (size : int) =
     let b = Bytes.get_uint8 (page t (page_of_addr a)) (Int64.to_int a land (page_size - 1)) in
     v := Int64.logor !v (Int64.shift_left (Int64.of_int b) (8 * i))
   done;
-  if size = 4 then Int64.shift_right (Int64.shift_left !v 32) 32 else !v
+  if size = 4 then Int64.of_int32 (Int64.to_int32 !v) else !v
 
 let write_slow t (a : int64) (size : int) (v : int64) =
   for i = 0 to size - 1 do

@@ -9,9 +9,10 @@
    One engine (DESIGN.md §10): each function is decoded once per machine
    into arrays of closure ops, with registers, immediates, symbol
    addresses, branch targets (block indices) and call targets (function
-   slots or intrinsics) resolved at decode.  The ALU and compare ops are
-   {!Isa}'s, run on the frame's {!Isa.bank} after the op's stalls, so
-   the two engines compute with the same code.  Detailed and warm sampling
+   slots or intrinsics) resolved at decode.  The ALU, compare and move ops
+   are {!Isa}'s, run on the frame's {!Isa.bank} after the op's stalls,
+   and a call binds its arguments and results by {!Isa.bind}, so the two
+   engines compute with the same code.  Detailed and warm sampling
    phases run the same op bodies; the timing model — stalls, ready times,
    cache/TLB penalties, the store buffer, mispredict, call/return and RSE
    charges — is a layer of primitives inside them that reads the phase
@@ -89,14 +90,12 @@ type frame = {
   mutable k : int;
 }
 
-(* A function decoded against the layout and the machine description.
-   [df_params] and call-result bindings encode a register as its id, or
-   [-1 - id] for a float register. *)
+(* A function decoded against the layout and the machine description. *)
 and dfunc = {
   df_func : Func.t;
   df_name : string;
   df_blocks : dblock array; (* layout order; index 0 = entry *)
-  df_params : int array;
+  df_params : Isa.dst array;
   df_params_fit : bool; (* false: some parameter's id is out of range *)
   df_stacked : int; (* RSE frame size pushed by a call *)
   (* register spans: 1 + the highest register id the function can touch,
@@ -125,7 +124,7 @@ and dgroup = {
   g_nops : int;
   g_ops : op array;
   g_pure : int; (* leading ops that cannot transfer control *)
-  g_binds : int array array; (* per op: a call's result registers *)
+  g_binds : Isa.dst array array; (* per op: a call's result registers *)
 }
 
 (* An op is one instruction's closure over its machine (one argument, so
@@ -241,14 +240,13 @@ and t = {
      [callee]), [ctl_ret], or [ctl_jump + block index] *)
   mutable ctl : int;
   mutable callee : int;
-  (* call arguments and return values in flight: [xc] values, bits in
-     [xv] (eight bytes each), NaT bits in [xn] *)
-  mutable xv : Bytes.t;
-  mutable xn : bool array;
-  mutable xc : int;
-  (* the first value in flight is integer-class (an integer register or
-     an integer constant): the only kind an exit code is read off *)
-  mutable xint : bool;
+  (* the operands of the last call's arguments or return's values, bound
+     from the caller's or the returning frame's registers *)
+  mutable vals : Isa.opnd array;
+  (* an intrinsic's arguments in integer context, eight bytes each, their
+     NaT bits, and its result (word 0) *)
+  xv : Bytes.t;
+  xn : bool array;
   (* sixteen bytes: a loaded or stored value in transit (bytes 0-7) and
      its address (bytes 8-15) *)
   scratch : Bytes.t;
@@ -302,14 +300,17 @@ let callee_of_name (funcs : Func.t array) name =
       find 0)
 
 (* Writes to r0 and p0 go to a slot past the architectural registers of
-   their bank, which nothing reads; r0 therefore reads 0 with no NaT. *)
+   their bank, which nothing reads; r0 therefore reads 0 with no NaT, and
+   p0 reads true, set when the frame is made. *)
 let r0_sink = Reg.num_int
 let p0_sink = Reg.num_prd
 
 let fresh_frame df =
+  let regs = Isa.new_bank ~ints:(r0_sink + 1) ~flts:Reg.num_flt ~prds:(p0_sink + 1) in
+  regs.Isa.prds.(0) <- true;
   {
     df;
-    regs = Isa.new_bank ~ints:(r0_sink + 1) ~flts:Reg.num_flt ~prds:(p0_sink + 1);
+    regs;
     iready = Array.make Reg.num_int 0;
     ireason = Array.make Reg.num_int Rload;
     fready = Array.make Reg.num_flt 0;
@@ -395,10 +396,9 @@ let create ?(fuel = 400_000_000) ?trace ?profile ?(experiments = [])
     nframes = 0;
     ctl = ctl_none;
     callee = 0;
-    xv = Bytes.create 64;
-    xn = Array.make 8 false;
-    xc = 0;
-    xint = false;
+    vals = [||];
+    xv = Bytes.create 24;
+    xn = Array.make 3 false;
     scratch = Bytes.create 16;
     warm = false;
     sampling;
@@ -709,27 +709,25 @@ let translate_walk st page (spec : Opcode.spec_kind) =
           charge st Accounting.Micropipe st.desc.Machine_desc.vhpt_walk_cycles;
           advance st st.desc.Machine_desc.vhpt_walk_cycles;
           true)
-  | acc -> (
+  | acc ->
       Option.iter (fun m -> raise (Machine_fault m)) (Isa.access_fault spec acc addr);
-      match (acc, spec) with
-      | Memimage.Null_page, _ ->
+      if Isa.wild_load spec acc then begin
+        (* failed walk + uncached page-table query (kernel) *)
+        emit st Epic_obs.Trace.Wild_load addr;
+        st.c.wild_loads <- st.c.wild_loads + 1;
+        st.c.kernel_ops <- st.c.kernel_ops + (st.desc.Machine_desc.wild_walk_cycles / 4);
+        charge st Accounting.Kernel st.desc.Machine_desc.wild_walk_cycles;
+        advance st st.desc.Machine_desc.wild_walk_cycles
+      end
+      else begin
+        emit st Epic_obs.Trace.Nat_deferral addr;
+        if acc = Memimage.Null_page then begin
           (* architected NaT page: cheap *)
-          emit st Epic_obs.Trace.Nat_deferral addr;
           charge st Accounting.Micropipe st.desc.Machine_desc.nat_page_cycles;
-          advance st st.desc.Machine_desc.nat_page_cycles;
-          false
-      | _, Opcode.Spec_general ->
-          (* wild load: failed walk + uncached page-table query (kernel) *)
-          emit st Epic_obs.Trace.Wild_load addr;
-          st.c.wild_loads <- st.c.wild_loads + 1;
-          st.c.kernel_ops <-
-            st.c.kernel_ops + (st.desc.Machine_desc.wild_walk_cycles / 4);
-          charge st Accounting.Kernel st.desc.Machine_desc.wild_walk_cycles;
-          advance st st.desc.Machine_desc.wild_walk_cycles;
-          false
-      | _ ->
-          emit st Epic_obs.Trace.Nat_deferral addr;
-          false)
+          advance st st.desc.Machine_desc.nat_page_cycles
+        end
+      end;
+      false
 
 (* Translate the data access at word address [w], its address in
    [scratch], under speculation policy [spec]; [false] means the access
@@ -790,22 +788,14 @@ let[@inline] store_timing st w =
 
 (* --- operands and registers ------------------------------------------------ *)
 
-(* A decoded source operand.  Integer context: [Ri] reads the integer bank
-   (value and NaT), [Rf] converts a float register, [Rb] takes a float
-   register's bits (store data, call arguments, return values), [Rp] a
-   predicate as 0/1 ([Rp0] = p0, always 1), [K] a constant (immediates,
-   resolved symbol addresses, labels).  Float context: [Rf], [Ri] (an
-   integer-bank register, converted) and [Kf].  [Kerr] is a symbol that did
-   not resolve: reading it raises, as resolving it at run time would. *)
-type src =
-  | Ri of int
-  | Rf of int
-  | Rb of int
-  | Rp of int
-  | Rp0
-  | K of int64
-  | Kf of float
-  | Kerr of string
+(* A decoded source operand of a load, a store, a check or an indirect
+   call, read in integer context: [Ri] reads the integer bank (value and
+   NaT), [Rf] converts a float register, [Rb] takes a float register's
+   bits (store data), [Rp] a predicate as 0/1 ([Rp0] = p0, always 1), [K]
+   a constant (immediates, resolved symbol addresses, labels).  [Kerr] is
+   a symbol that did not resolve: reading it raises, as resolving it at
+   run time would. *)
+type src = Ri of int | Rf of int | Rb of int | Rp of int | Rp0 | K of int64 | Kerr of string
 
 (* Read an integer-context operand, waiting on its register; the NaT bit
    lands in [st.onat].  Inlined, so the value stays unboxed. *)
@@ -834,25 +824,7 @@ let[@inline] rd_i st fr s =
   | K v ->
       st.onat <- false;
       v
-  | Kf f ->
-      st.onat <- false;
-      Int64.of_float f
   | Kerr msg -> invalid_arg msg
-
-let[@inline] rd_f st fr s =
-  match s with
-  | Rf id ->
-      stall_f st fr id;
-      st.onat <- Array.unsafe_get fr.regs.fnat id;
-      Array.unsafe_get fr.regs.flts id
-  | Ri id ->
-      stall_i st fr id;
-      st.onat <- Array.unsafe_get fr.regs.inat id;
-      Int64.to_float (get64 fr.regs.ints (id lsl 3))
-  | Kf f ->
-      st.onat <- false;
-      f
-  | Rb _ | Rp _ | Rp0 | K _ | Kerr _ -> rd_i st fr s |> Int64.to_float
 
 (* A write to r0 is dropped (an {!Isa} op writes [r0_sink] instead). *)
 let[@inline] wr_i fr id v n =
@@ -867,40 +839,15 @@ let[@inline] wr_f fr id v n =
   fr.regs.flts.(id) <- v;
   fr.regs.fnat.(id) <- n
 
-(* Bind [vals] transferred values ([xv]/[xn]) to registers encoded as in
-   [df_params]; with [pad], registers past the values read 0 (call
-   results), otherwise they keep their contents (parameters). *)
-let bind_regs st fr (regs : int array) ~pad =
-  let n = if pad then Array.length regs else min st.xc (Array.length regs) in
-  for j = 0 to n - 1 do
-    let r = regs.(j) in
-    let v = if j < st.xc then get64 st.xv (j lsl 3) else 0L in
-    let n = j < st.xc && st.xn.(j) in
-    if r < 0 then begin
-      fr.regs.flts.(-1 - r) <- Int64.float_of_bits v;
-      fr.regs.fnat.(-1 - r) <- n
-    end
-    else wr_i fr r v n
-  done
-
-(* Grow the transfer buffer to [n] values at decode.  Decoding happens on
-   a function's first call, while that call's arguments are in flight, so
-   growing keeps the contents. *)
-let ensure_transfer st n =
-  if n > Array.length st.xn then begin
-    let xv = Bytes.create (8 * n) and xn = Array.make n false in
-    Bytes.blit st.xv 0 xv 0 (Bytes.length st.xv);
-    Array.blit st.xn 0 xn 0 (Array.length st.xn);
-    st.xv <- xv;
-    st.xn <- xn
-  end
-
 (* --- intrinsics ---------------------------------------------------------- *)
 
-(* Run an intrinsic ({!Intrinsics.call}) on the transferred arguments; its
-   result (if any) is bound to [binds] like a call's.  The machine adds the
-   timing: the base cost, and the cache traffic of memcpy and memset. *)
-let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int array) =
+(* Run an intrinsic ({!Intrinsics.call}) on arguments [args], read in
+   integer context; its result (if any) is written to [binds] as a call's
+   results are, the rest read 0.  The machine adds the timing: the base
+   cost, and the cache traffic of memcpy and memset. *)
+let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) args (binds : Isa.dst array) =
+  let n = min (Array.length args) (Intrinsics.arity k) in
+  Isa.int_args fr.regs args st.xv st.xn n;
   let caller = st.cur_func in
   (* settle samples owed to the caller before entering the pseudo-function *)
   sample_tick st;
@@ -909,12 +856,12 @@ let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int arra
   let cost = Intrinsics.base_cost k in
   charge st Accounting.Unstalled cost;
   advance st cost;
-  st.c.nat_consumed <- st.c.nat_consumed + Intrinsics.nat_args k st.xn st.xc;
-  Intrinsics.call st.rt st.mem k st.xv st.xn st.xc;
+  st.c.nat_consumed <- st.c.nat_consumed + Intrinsics.nat_args k st.xn n;
+  Intrinsics.call st.rt st.mem k st.xv st.xn n;
   (match k with
   | Intrinsics.Memcpy | Intrinsics.Memset ->
       (* per 64-byte line: the source's access (memcpy), then the target's *)
-      let arg j = Intrinsics.arg st.xv st.xn st.xc j in
+      let arg j = Intrinsics.arg st.xv st.xn n j in
       for i = 0 to max 1 (Int64.to_int (arg 2) / 64) - 1 do
         let line a =
           let a = Int64.add a (Int64.of_int (i * 64)) in
@@ -932,8 +879,9 @@ let do_intrinsic st fr (k : Intrinsics.kind) (pseudo : string) (binds : int arra
   sample_tick st;
   set_func st caller;
   st.in_intrinsic <- false;
-  st.xc <- Intrinsics.results k;
-  bind_regs st fr binds ~pad:true
+  for j = 0 to Array.length binds - 1 do
+    Isa.write_int fr.regs binds.(j) (if j < Intrinsics.results k then get64 st.xv 0 else 0L)
+  done
 
 (* --- decode ---------------------------------------------------------------
    Every instruction becomes one op.  An op never reads the sampling phase:
@@ -963,7 +911,7 @@ let sym_address st (s : string) =
       Hashtbl.add st.syms s a;
       a
 
-(* Integer-context, float-context and value-context (bits) operands. *)
+(* Integer-context and value-context (bits) operands. *)
 let src_i x (o : Operand.t) =
   match o with
   | Operand.Reg r -> (
@@ -976,13 +924,6 @@ let src_i x (o : Operand.t) =
   | Operand.Label _ -> K 0L
   | Operand.Sym s -> ( try K (sym_address x.x_st s) with Invalid_argument msg -> Kerr msg)
 
-let src_f (o : Operand.t) =
-  match o with
-  | Operand.Reg r -> if r.Reg.cls = Reg.Flt then Rf r.Reg.id else Ri r.Reg.id
-  | Operand.Fimm f -> Kf f
-  | Operand.Imm i -> Kf (Int64.to_float i)
-  | Operand.Label _ | Operand.Sym _ -> Kf 0.
-
 let src_v x (o : Operand.t) =
   match o with
   | Operand.Reg r when r.Reg.cls = Reg.Flt -> Rb r.Reg.id
@@ -991,14 +932,14 @@ let src_v x (o : Operand.t) =
 
 let reg_code (r : Reg.t) = if r.Reg.cls = Reg.Flt then -1 - r.Reg.id else r.Reg.id
 
-(* The {!Isa} view of an operand: registers by id, p0 as the constant 1.
-   A symbol that does not resolve raises [Invalid_argument]. *)
+(* The {!Isa} view of an operand: registers by id.  A symbol that does not
+   resolve raises [Invalid_argument]. *)
 let isa_opnd x (o : Operand.t) : Isa.opnd =
   match o with
   | Operand.Reg r -> (
       match r.Reg.cls with
       | Reg.Flt -> Isa.Flt r.Reg.id
-      | Reg.Prd -> if r.Reg.id = 0 then Isa.Imm 1L else Isa.Prd r.Reg.id
+      | Reg.Prd -> Isa.Prd r.Reg.id
       | _ -> Isa.Int r.Reg.id)
   | Operand.Imm i -> Isa.Imm i
   | Operand.Fimm f -> Isa.Fimm f
@@ -1021,7 +962,8 @@ let[@inline] wait st fr w =
 (* [body] on the frame's bank after waiting for [w1] then [w2]; when
    neither is a float register the wait needs no dispatch. *)
 let timed st w1 w2 (body : Isa.op) : op =
-  if w1 >= 0 && w2 >= 0 then fun fr ->
+  if w1 = no_wait && w2 = no_wait then fun fr -> body fr.regs
+  else if w1 >= 0 && w2 >= 0 then fun fr ->
     stall_i st fr w1;
     stall_i st fr w2;
     body fr.regs
@@ -1070,7 +1012,7 @@ let plain_squash st : op = fun _ -> st.c.squashed_ops <- st.c.squashed_ops + 1
 (* The guard value of predicate [p], stalling on it. *)
 let[@inline] guard_value st fr pid =
   stall_i st fr pid;
-  pid = 0 || fr.regs.prds.(pid)
+  fr.regs.prds.(pid)
 
 (* Wrap [body] with the instruction's qualifying predicate: a false guard
    squashes the op. *)
@@ -1281,35 +1223,28 @@ let decode_branch x (i : Instr.t) (l : string) : op =
     if target < 0 then raise (Machine_fault ("branch to unknown label " ^ l));
     st.ctl <- target
 
-(* Evaluate [vals] (value context, in order) into the transfer buffer. *)
-let[@inline] transfer st fr (vals : src array) =
-  for j = 0 to Array.length vals - 1 do
-    set64 st.xv (j lsl 3) (rd_i st fr (Array.unsafe_get vals j));
-    Array.unsafe_set st.xn j st.onat
-  done;
-  st.xc <- Array.length vals
+(* Wait for the registers of [ws] (as in [wait_code]), in order: a call's
+   arguments or a return's values. *)
+let[@inline] wait_all st fr (ws : int array) =
+  for j = 0 to Array.length ws - 1 do
+    wait st fr (Array.unsafe_get ws j)
+  done
 
-(* br.call: arguments into the transfer buffer, then the target — a direct
-   function slot, an intrinsic run in place, or a function pointer looked
-   up by code address. *)
+(* The operands a call or return binds ([vals]), and the registers they
+   wait for. *)
+let decode_vals x (os : Operand.t list) =
+  (Array.of_list (List.map (isa_opnd x) os), Array.of_list (List.map wait_code os))
+
+(* br.call: wait for the arguments, then the target — a direct function
+   slot, bound by [push_call], an intrinsic run in place, or a function
+   pointer looked up by code address. *)
 let decode_call x (i : Instr.t) : op =
   let st = x.x_st in
   match i.Instr.srcs with
   | [] -> fault (Isa.malformed i)
   | target :: args ->
-      (* an intrinsic takes integers: a float argument converts, as an
-         integer-context read does, where a function receives its bits *)
-      let converted =
-        let is_float = function
-          | Operand.Reg r -> r.Reg.cls = Reg.Flt
-          | Operand.Fimm _ -> true
-          | _ -> false
-        in
-        if List.exists is_float args then Some (Array.of_list (List.map (src_i x) args)) else None
-      in
-      let args = Array.of_list (List.map (src_v x) args) in
-      ensure_transfer x.x_st (Array.length args);
-      let binds = Array.of_list (List.map reg_code i.Instr.dsts) in
+      let args, waits = decode_vals x args in
+      let binds = Array.of_list (List.map isa_dst i.Instr.dsts) in
       let resolve : frame -> callee =
         match target with
         | Operand.Sym s ->
@@ -1331,36 +1266,27 @@ let decode_call x (i : Instr.t) : op =
         st.c.branches <- st.c.branches + 1;
         st.c.calls <- st.c.calls + 1;
         Branch_pred.record_unconditional st.bp;
-        transfer st fr args;
+        wait_all st fr waits;
         let c = resolve fr in
         Isa.Alat.flush fr.regs.alat;
         match c with
         | Fn slot ->
             st.callee <- slot;
+            st.vals <- args;
             st.ctl <- ctl_call
-        | Intrinsic (k, pseudo) ->
-            (* no stalls: the same registers were just read *)
-            Option.iter (transfer st fr) converted;
-            do_intrinsic st fr k pseudo binds
+        | Intrinsic (k, pseudo) -> do_intrinsic st fr k pseudo args binds
         | Missing name -> ignore (Program.find_func_exn st.program name)
 
-(* A return transfers its values; whether the first is integer-class
-   ([xint]) is decided at decode, as the interpreter decides it. *)
+(* A return waits for its values; the caller's call binds them from the
+   returning frame ([pop_return]). *)
 let decode_ret x (i : Instr.t) : op =
   let st = x.x_st in
-  let vals = Array.of_list (List.map (src_v x) i.Instr.srcs) in
-  let int_first =
-    match i.Instr.srcs with
-    | Operand.Reg r :: _ -> r.Reg.cls = Reg.Int || r.Reg.cls = Reg.Brr
-    | (Operand.Imm _ | Operand.Sym _ | Operand.Label _) :: _ -> true
-    | Operand.Fimm _ :: _ | [] -> false
-  in
-  ensure_transfer x.x_st (Array.length vals);
+  let vals, waits = decode_vals x i.Instr.srcs in
   fun fr ->
     st.c.branches <- st.c.branches + 1;
     Branch_pred.record_unconditional st.bp;
-    transfer st fr vals;
-    st.xint <- int_first;
+    wait_all st fr waits;
+    st.vals <- vals;
     st.ctl <- ctl_ret
 
 (* An instruction's op before its qualifying predicate (compares, which
@@ -1374,50 +1300,17 @@ let decode_body x (i : Instr.t) : op =
       [ d ],
       [ a; b ] ) ->
       decode_alu x i d a b
-  | Opcode.Fneg, [ d ], [ a ] ->
-      let a = src_f a and did = d.Reg.id in
-      fun fr ->
-        let v = rd_f st fr a in
-        wr_f fr did (-.v) st.onat
-  | Opcode.Cvt_fi, [ d ], [ a ] ->
-      let a = src_f a and did = d.Reg.id in
-      fun fr ->
-        let v = rd_f st fr a in
-        wr_i fr did (Int64.of_float v) st.onat
-  | Opcode.Cvt_if, [ d ], [ a ] ->
-      let a = src_i x a and did = d.Reg.id in
-      fun fr ->
-        let v = rd_i st fr a in
-        wr_f fr did (Int64.to_float v) st.onat
-  | (Opcode.Mov | Opcode.Sxt _), [ d ], [ a ] -> (
-      let did = d.Reg.id in
-      if d.Reg.cls = Reg.Flt then
-        let a = src_f a in
-        fun fr ->
-          let v = rd_f st fr a in
-          wr_f fr did v st.onat
-      else
-        let sh =
-          match i.Instr.op with
-          | Opcode.Sxt sz -> 64 - (8 * Opcode.size_bytes sz)
-          | _ -> 0
-        in
-        match src_i x a with
-        | Ri ia when did <> 0 && sh = 0 ->
-            (* plain register copy: the dominant mov shape *)
-            fun fr ->
-              stall_i st fr ia;
-              set64 fr.regs.ints (did lsl 3) (get64 fr.regs.ints (ia lsl 3));
-              Array.unsafe_set fr.regs.inat did (Array.unsafe_get fr.regs.inat ia)
-        | K v when did <> 0 && sh = 0 ->
-            fun fr ->
-              set64 fr.regs.ints (did lsl 3) v;
-              Array.unsafe_set fr.regs.inat did false
-        | a ->
-            fun fr ->
-              let v = rd_i st fr a in
-              let v = if sh = 0 then v else Int64.shift_right (Int64.shift_left v sh) sh in
-              wr_i fr did v st.onat)
+  | (Opcode.Mov | Opcode.Sxt _ | Opcode.Cvt_fi | Opcode.Cvt_if | Opcode.Fneg), [ d ], [ a ] -> (
+      match (i.Instr.op, isa_dst d, isa_opnd x a) with
+      | Opcode.Mov, Isa.Dint d, Isa.Int a ->
+          (* an integer register copy, the commonest op, inline: it
+             converts nothing, and [Isa.move]'s copy behind [timed] ran
+             the simulate deck ~3% slower *)
+          fun fr ->
+            stall_i st fr a;
+            set64 fr.regs.ints (d lsl 3) (get64 fr.regs.ints (a lsl 3));
+            Array.unsafe_set fr.regs.inat d (Array.unsafe_get fr.regs.inat a)
+      | op, d, ia -> timed st (wait_code a) no_wait (Isa.move op d ia))
   | Opcode.Ld (sz, spec), [ d ], [ a ] -> decode_load x sz spec d a
   | Opcode.St sz, _, [ a; v ] -> decode_store x sz a v
   | Opcode.Chk sz, _, [ Operand.Reg r; a ] -> decode_check x sz r a ~alat:false
@@ -1494,7 +1387,7 @@ let decode_func st (f : Func.t) =
           (List.map
              (fun (i : Instr.t) ->
                match i.Instr.op with
-               | Opcode.Br_call -> Array.of_list (List.map reg_code i.Instr.dsts)
+               | Opcode.Br_call -> Array.of_list (List.map isa_dst i.Instr.dsts)
                | _ -> [||])
              instrs);
     }
@@ -1517,7 +1410,7 @@ let decode_func st (f : Func.t) =
               | None -> [||]);
           })
         blocks;
-    df_params = Array.of_list (List.map reg_code f.Func.params);
+    df_params = Array.of_list (List.map isa_dst f.Func.params);
     df_params_fit = List.for_all reg_fits f.Func.params;
     df_stacked = max 1 f.Func.n_stacked;
     df_ispan = ispan;
@@ -1557,7 +1450,8 @@ let push_frame st df =
         Array.unsafe_set fr.regs.fnat r false;
         Array.unsafe_set fr.fready r 0
       done;
-      for r = 0 to df.df_pspan - 1 do
+      (* p0 is never written *)
+      for r = 1 to df.df_pspan - 1 do
         Array.unsafe_set fr.regs.prds r false
       done;
       Isa.Alat.flush fr.regs.alat;
@@ -1583,9 +1477,10 @@ let enter_block fr bi =
   fr.k <- 0;
   db
 
-(* Call [st.callee] with the transferred arguments; the stack pointer is
-   inherited from [caller_ints]. *)
-let push_call st (caller_ints : Bytes.t) =
+(* Call [st.callee], binding its parameters to the arguments [st.vals]
+   read in the caller's registers [caller]; the stack pointer is inherited
+   from the caller. *)
+let push_call st (caller : Isa.bank) =
   let df = dfunc_of st st.callee in
   charge st Accounting.Unstalled st.desc.Machine_desc.call_overhead;
   advance st st.desc.Machine_desc.call_overhead;
@@ -1602,9 +1497,9 @@ let push_call st (caller_ints : Bytes.t) =
      does not fit faults the call, as an instruction naming one does *)
   if not df.df_params_fit then invalid_arg "index out of bounds";
   let fr = push_frame st df in
-  bind_regs st fr df.df_params ~pad:false;
+  Isa.bind caller st.vals fr.regs df.df_params ~pad:false;
   let sp = Reg.sp.Reg.id lsl 3 in
-  set64 fr.regs.ints sp (get64 caller_ints sp);
+  set64 fr.regs.ints sp (get64 caller.Isa.ints sp);
   set_func st df.df_name;
   (* an empty function faults on entry, as [Func.entry] does *)
   if Array.length df.df_blocks = 0 then ignore (Func.entry df.df_func);
@@ -1612,7 +1507,8 @@ let push_call st (caller_ints : Bytes.t) =
 
 (* Pop the returning frame: attribution reverts to the caller, the return
    overhead and RSE refill are charged, and the caller's call binds the
-   returned values. *)
+   returned values [st.vals] from the popped frame, which stays alive past
+   [depth]. *)
 let pop_return st =
   (* settle samples owed to the callee before attribution reverts *)
   sample_tick st;
@@ -1629,7 +1525,7 @@ let pop_return st =
   if st.depth > 0 then begin
     let caller = st.stack.(st.depth - 1) in
     let g = caller.df.df_blocks.(caller.bi).db_groups.(caller.gi) in
-    bind_regs st caller g.g_binds.(caller.k - 1) ~pad:true
+    Isa.bind st.stack.(st.depth).regs st.vals caller.regs g.g_binds.(caller.k - 1) ~pad:true
   end
 
 (* --- sampling phase machine ---------------------------------------------- *)
@@ -1863,18 +1759,17 @@ let run_frame st fr =
     end
   done
 
-(* Run until the stack empties; returns the exit code: the bottom frame's
-   first return value when it is a non-NaT integer-class value, otherwise
-   0, as in the interpreter. *)
+(* Run until the stack empties; returns the exit code ({!Isa.exit_code})
+   of the bottom frame's return. *)
 let execute st =
   while st.depth > 0 do
     let fr = st.stack.(st.depth - 1) in
     run_frame st fr;
     let c = st.ctl in
     st.ctl <- ctl_none;
-    if c = ctl_call then push_call st fr.regs.ints else pop_return st
+    if c = ctl_call then push_call st fr.regs else pop_return st
   done;
-  if st.xc > 0 && st.xint && not st.xn.(0) then Int64.to_int (get64 st.xv 0) else 0
+  Isa.exit_code st.stack.(0).regs st.vals
 
 (* Run a whole program; returns (exit code, output, state). *)
 let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
@@ -1896,10 +1791,9 @@ let run ?fuel ?trace ?profile ?experiments ?desc ?sampling ?checkpoint_at
       match callee_of_name st.funcs p.Program.entry with
       | Fn slot ->
           st.callee <- slot;
-          st.xc <- 0;
-          let ints = Bytes.make (Reg.num_int * 8) '\000' in
-          set64 ints (Reg.sp.Reg.id lsl 3) (Int64.sub Program.stack_top 128L);
-          push_call st ints;
+          let boot = Isa.new_bank ~ints:Reg.num_int ~flts:0 ~prds:0 in
+          set64 boot.Isa.ints (Reg.sp.Reg.id lsl 3) (Int64.sub Program.stack_top 128L);
+          push_call st boot;
           execute st
       | Intrinsic _ | Missing _ -> invalid_arg "Machine.run: the entry is an intrinsic"
     with Intrinsics.Exit_program c -> c

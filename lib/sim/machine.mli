@@ -130,13 +130,11 @@ type t = {
   mutable nframes : int;
   mutable ctl : int;  (** the last op's control request *)
   mutable callee : int;
-  mutable xv : Bytes.t;  (** call arguments / return values in flight *)
-  mutable xn : bool array;
-  mutable xc : int;
-  mutable xint : bool;
-      (** the first value in flight is integer-class (an integer register
-          or an integer constant); an exit code is read only off such a
-          value, and only when it is not NaT, as in the interpreter *)
+  mutable vals : Epic_ir.Isa.opnd array;
+      (** the last call's arguments or return's values, bound from the
+          caller's or the returning frame's registers ({!Epic_ir.Isa.bind}) *)
+  xv : Bytes.t;  (** an intrinsic's integer arguments, and its result *)
+  xn : bool array;
   scratch : Bytes.t;
       (** a loaded or stored value in transit (bytes 0-7) and its address
           (bytes 8-15) *)

@@ -57,13 +57,14 @@ let nat_reg bld = load ~spec:Opcode.Spec_general bld (imm unmapped)
 let chka bld d a = ignore (Builder.emit bld (Opcode.Chka Opcode.B8) ~dsts:[] ~srcs:[ r d; a ])
 let chks bld d a = ignore (Builder.emit bld (Opcode.Chk Opcode.B8) ~dsts:[] ~srcs:[ r d; a ])
 
-(* A program of [main] around [body], plus a function [callee] around
-   [callee_body] when given, register-allocated, scheduled and laid out. *)
-let build ?callee_body body =
+(* A program of [main] around [body], plus a function [callee] of
+   [params] around [callee_body] when given, register-allocated, scheduled
+   and laid out. *)
+let build ?(params = []) ?callee_body body =
   Instr.reset_ids ();
   let p = Program.create () in
-  let func name body =
-    let f = Func.create name [] in
+  let func ?(params = []) name body =
+    let f = Func.create name params in
     let bld = Builder.create f in
     ignore (Builder.start_block bld "entry");
     body bld;
@@ -71,7 +72,7 @@ let build ?callee_body body =
     Program.add_func p f
   in
   func "main" body;
-  Option.iter (func "callee") callee_body;
+  Option.iter (func ~params "callee") callee_body;
   Program.assign_addresses p;
   ignore (Epic_sched.Regalloc.run p);
   Epic_sched.List_sched.run ~desc:Epic_mach.Machine_desc.itanium2 p;
@@ -80,13 +81,20 @@ let build ?callee_body body =
 (* --- the engines ---------------------------------------------------------- *)
 
 type outcome =
-  | Ran of { code : int; out : string; nat : int; recoveries : int }
+  | Ran of { code : int; out : string; nat : int; recoveries : int; wild : int }
   | Faulted of string
 
 let interp p input =
   match Interp.run p input with
   | code, out, st ->
-      Ran { code; out; nat = st.Interp.nat_faults; recoveries = st.Interp.alat_recoveries }
+      Ran
+        {
+          code;
+          out;
+          nat = st.Interp.nat_faults;
+          recoveries = st.Interp.alat_recoveries;
+          wild = st.Interp.wild_loads;
+        }
   | exception Interp.Fault m -> Faulted m
 
 (* The machine's clock must equal its accounted cycles: every charge is
@@ -97,7 +105,14 @@ let machine p layout input =
       let c = st.Machine.c in
       Alcotest.(check (float 0.)) "clock = accounted cycles"
         (Epic_sim.Accounting.total st.Machine.acc) (float_of_int st.Machine.cycle);
-      Ran { code; out; nat = c.Machine.nat_consumed; recoveries = c.Machine.chk_recoveries }
+      Ran
+        {
+          code;
+          out;
+          nat = c.Machine.nat_consumed;
+          recoveries = c.Machine.chk_recoveries;
+          wild = c.Machine.wild_loads;
+        }
   | exception Machine.Machine_fault m -> Faulted m
 
 (* --- cases ---------------------------------------------------------------- *)
@@ -105,7 +120,7 @@ let machine p layout input =
 (* What a case expects: [Out (code, output)], or a fatal fault.  [nat] is
    the NaT consumptions both engines count; [recoveries] the chk.a
    recoveries (the machine's count includes chk.s, so cases naming it use
-   no chk.s). *)
+   no chk.s); [wild] the wild loads. *)
 type expect = Out of int * string | Fault
 
 type case = {
@@ -115,14 +130,27 @@ type case = {
   expect : expect;
   nat : int option;
   recoveries : int option;
+  wild : int option;
+  params : Reg.t list;
   callee_body : (Builder.t -> unit) option;
 }
 
-let case ?(input = [||]) ?nat ?recoveries ?(code = 0) ?callee_body name out body =
-  { name; input; body; expect = Out (code, out); nat; recoveries; callee_body }
+let case ?(input = [||]) ?nat ?recoveries ?wild ?(code = 0) ?(params = []) ?callee_body name
+    out body =
+  { name; input; body; expect = Out (code, out); nat; recoveries; wild; params; callee_body }
 
 let faults name body =
-  { name; input = [||]; body; expect = Fault; nat = None; recoveries = None; callee_body = None }
+  {
+    name;
+    input = [||];
+    body;
+    expect = Fault;
+    nat = None;
+    recoveries = None;
+    wild = None;
+    params = [];
+    callee_body = None;
+  }
 
 let lines l = String.concat "" (List.map (fun s -> s ^ "\n") l)
 
@@ -584,18 +612,91 @@ let exit_codes =
         return_and_stop bld (r pt));
   ]
 
+(* --- wild loads ------------------------------------------------------------------ *)
+
+(* A wild load is a general-speculative load of an unmapped page, which
+   walks the page table before it defers; a sentinel load of one defers
+   without a walk and is not wild. *)
+let wild_loads =
+  [
+    case "only general loads of an unmapped page are wild"
+      (lines [ "1"; "1"; "1"; "1"; "1"; "1" ])
+      ~nat:0 ~wild:3
+      (fun bld ->
+        List.iter
+          (fun spec -> print_is_nat bld (load ~spec bld (imm unmapped)))
+          Opcode.[ Spec_general; Spec_sentinel; Spec_general; Spec_sentinel; Spec_general; Spec_sentinel ]);
+  ]
+
+(* --- data movement --------------------------------------------------------------- *)
+
+let fadd bld d x y =
+  ignore (Builder.emit bld Opcode.Fadd ~dsts:[ d ] ~srcs:[ Operand.Fimm x; Operand.Fimm y ])
+
+let unary ?pred bld op d a = ignore (Builder.emit bld ?pred op ~dsts:[ d ] ~srcs:[ a ])
+
+(* Float register [f], truncated to an integer. *)
+let print_flt bld f =
+  let d = Builder.fresh_int bld in
+  unary bld Opcode.Cvt_fi d (r f);
+  print bld d
+
+(* A value written into a register converts to the register's class, in a
+   mov, sxt, cvt or fneg and in a call's binding of its arguments and
+   results alike: an integer converts to a float by value, a float to an
+   integer by truncation, and a predicate is set by a value that is not
+   0. *)
+let moves =
+  [
+    case "mov of 1 sets a predicate" "1\n" (fun bld ->
+        let p = Builder.fresh_pred bld and t = movi bld 0 in
+        unary bld Opcode.Mov p (imm 1);
+        unary ~pred:p bld Opcode.Mov t (imm 1);
+        print bld t);
+    case "sxt4 into a float register sign-extends" "-1\n" (fun bld ->
+        let a = movi bld 0xffff_ffff in
+        unary bld (Opcode.Sxt Opcode.B4) (flt_reg 8) (r a);
+        print_flt bld (flt_reg 8));
+    case "cvt.fi into a float register truncates" "7\n" (fun bld ->
+        fadd bld (flt_reg 8) 7.0 0.5;
+        unary bld Opcode.Cvt_fi (flt_reg 9) (r (flt_reg 8));
+        print_flt bld (flt_reg 9));
+    case "fneg into an integer register" "-7\n" (fun bld ->
+        let d = Builder.fresh_int bld in
+        fadd bld (flt_reg 8) 7.0 0.0;
+        unary bld Opcode.Fneg d (r (flt_reg 8));
+        print bld d);
+    case "cvt.if into an integer register" "7\n" (fun bld ->
+        let a = movi bld 7 and d = Builder.fresh_int bld in
+        unary bld Opcode.Cvt_if d (r a);
+        print bld d);
+    case "a float argument bound to an integer parameter" "3\n" ~params:[ int_reg 32 ]
+      ~callee_body:(fun bld -> print bld (int_reg 32))
+      (fun bld ->
+        fadd bld (flt_reg 8) 2.5 0.5;
+        call bld "callee" [ r (flt_reg 8) ]);
+    case "a float result bound to an integer register" "3\n"
+      ~callee_body:(fun bld ->
+        fadd bld (flt_reg 8) 2.5 0.5;
+        return_and_stop bld (r (flt_reg 8)))
+      (fun bld ->
+        let d = Builder.fresh_int bld in
+        ignore (Builder.call bld ~dsts:[ d ] "callee" []);
+        print bld d);
+  ]
+
 (* New groups go at the end, so that no case's index moves. *)
 let cases =
   [ shifts; sign_extension ]
   @ compares @ spec_loads @ alat @ checks @ intrinsics @ float_regs @ nat_stores @ shared_rules
-  @ exit_codes
+  @ exit_codes @ wild_loads @ moves
 
 (* --- running ----------------------------------------------------------------- *)
 
 let show = function
-  | Ran { code; out; nat; recoveries } ->
-      Printf.sprintf "exit %d, output %S, %d NaT consumed, %d recoveries" code out nat
-        recoveries
+  | Ran { code; out; nat; recoveries; wild } ->
+      Printf.sprintf "exit %d, output %S, %d NaT consumed, %d recoveries, %d wild loads" code
+        out nat recoveries wild
   | Faulted m -> "fault: " ^ m
 
 let check_engine c engine got =
@@ -605,11 +706,12 @@ let check_engine c engine got =
   | Out (code, out), Ran g ->
       if g.code <> code || g.out <> out then fail ();
       Option.iter (fun n -> if g.nat <> n then fail ()) c.nat;
-      Option.iter (fun n -> if g.recoveries <> n then fail ()) c.recoveries
+      Option.iter (fun n -> if g.recoveries <> n then fail ()) c.recoveries;
+      Option.iter (fun n -> if g.wild <> n then fail ()) c.wild
   | _ -> fail ()
 
 let run_case c () =
-  let p, layout = build ?callee_body:c.callee_body c.body in
+  let p, layout = build ~params:c.params ?callee_body:c.callee_body c.body in
   check_engine c "the interpreter" (interp p c.input);
   check_engine c "the machine" (machine p layout c.input)
 
@@ -824,6 +926,117 @@ let compare_targets =
       let want = targets_table ct ~guard:(guard <> Some false) input (pt0, pf0) in
       (bk.Isa.prds.(1), bk.Isa.prds.(2)) = want)
 
+(* --- data movement, in both engines ----------------------------------------------- *)
+
+type source = S_int | S_flt | S_prd | S_p0 | S_imm | S_fimm | S_nat_int | S_nat_flt
+
+let float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map Int64.to_float int64_gen;
+        oneofl [ 7.5; -0.5; -2.5; 1e300; Float.nan; Float.infinity ];
+        float;
+      ])
+
+(* A program that makes source [src] (of value [x], or [f] for a float),
+   then runs [op] into a fresh register of class [cls] that holds 5 (a
+   predicate: true) under a true or false guard, and prints the
+   destination's NaT bit and its value: an integer as printed, a float's
+   bits through memory, a predicate as 1 or 0. *)
+let move_program op cls src guard x f bld =
+  let four = movi bld 4 in
+  let pred_of_cmp y =
+    let pt = Builder.fresh_pred bld and pf = Builder.fresh_pred bld in
+    Builder.cmp bld Opcode.Eq pt pf (r four) (imm y);
+    pt
+  in
+  let gt = pred_of_cmp 4 and gf = pred_of_cmp 5 in
+  let a =
+    match src with
+    | S_int ->
+        let s = Builder.fresh_int bld in
+        Builder.mov bld s (Operand.Imm x);
+        r s
+    | S_flt ->
+        let s = Builder.fresh bld Reg.Flt in
+        fadd bld s f 0.0;
+        r s
+    | S_prd -> r (pred_of_cmp (if Int64.logand x 1L = 0L then 4 else 5))
+    | S_p0 -> r Reg.p0
+    | S_imm -> Operand.Imm x
+    | S_fimm -> Operand.Fimm f
+    | S_nat_int -> r (nat_reg bld)
+    | S_nat_flt ->
+        let s = Builder.fresh bld Reg.Flt in
+        ignore (Builder.load ~spec:Opcode.Spec_sentinel bld s (imm unmapped));
+        r s
+  in
+  let d =
+    match cls with
+    | Reg.Flt ->
+        let d = Builder.fresh bld Reg.Flt in
+        fadd bld d 5.0 0.0;
+        d
+    | Reg.Prd -> pred_of_cmp 4
+    | _ -> movi bld 5
+  in
+  unary ~pred:(if guard then gt else gf) bld op d a;
+  print_is_nat bld d;
+  match cls with
+  | Reg.Flt ->
+      let slot = stack_slot bld 16 in
+      store bld (r slot) (imm 0);
+      store bld (r slot) (r d);
+      print bld (load bld (r slot))
+  | Reg.Prd ->
+      let t = movi bld 0 in
+      unary ~pred:d bld Opcode.Mov t (imm 1);
+      print bld t
+  | _ -> print bld d
+
+(* Every data-movement op x destination class x source shape x guard:
+   both engines print the same destination. *)
+let moves_agree =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (((op, cls), (src, guard)), (x, f)) -> (op, cls, src, guard, x, f))
+        (pair
+           (pair
+              (pair
+                 (oneofl Opcode.[ Mov; Sxt B1; Sxt B4; Sxt B8; Cvt_fi; Cvt_if; Fneg ])
+                 (oneofl Reg.[ Int; Flt; Prd ]))
+              (pair
+                 (oneofl [ S_int; S_flt; S_prd; S_p0; S_imm; S_fimm; S_nat_int; S_nat_flt ])
+                 bool))
+           (pair int64_gen float_gen)))
+  in
+  let print (op, cls, src, guard, x, f) =
+    Fmt.str "%a into %s from %s, guard %b, %Ld / %h" Opcode.pp op
+      (match cls with Reg.Flt -> "float" | Reg.Prd -> "predicate" | _ -> "integer")
+      (match src with
+      | S_int -> "int"
+      | S_flt -> "float"
+      | S_prd -> "predicate"
+      | S_p0 -> "p0"
+      | S_imm -> "imm"
+      | S_fimm -> "fimm"
+      | S_nat_int -> "NaT int"
+      | S_nat_flt -> "NaT float")
+      guard x f
+  in
+  QCheck.Test.make ~count:1000 ~name:"data movement agrees in both engines"
+    (QCheck.make ~print gen) (fun (op, cls, src, guard, x, f) ->
+      let p, layout = build (move_program op cls src guard x f) in
+      let i = interp p [||] and m = machine p layout [||] in
+      (match i with
+      | Faulted _ -> QCheck.Test.fail_reportf "the interpreter gave %s" (show i)
+      | Ran _ -> ());
+      if i <> m then
+        QCheck.Test.fail_reportf "the interpreter gave %s, the machine %s" (show i) (show m);
+      true)
+
 let suite =
   List.map (fun c -> (c.name, `Quick, run_case c)) cases
-  @ List.map QCheck_alcotest.to_alcotest [ alu_forms; compare_targets ]
+  @ List.map QCheck_alcotest.to_alcotest [ alu_forms; compare_targets; moves_agree ]
